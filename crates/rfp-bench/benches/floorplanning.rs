@@ -8,7 +8,7 @@ use rfp_baselines::{
 };
 use rfp_bitstream::{relocate, Bitstream};
 use rfp_device::compat::enumerate_free_compatible;
-use rfp_device::{columnar_partition, xc5vfx70t, Rect};
+use rfp_device::{fabric_partition, xc5vfx70t, Rect};
 use rfp_floorplan::candidates::{enumerate_candidates, CandidateConfig};
 use rfp_floorplan::combinatorial::{solve_combinatorial, CombinatorialConfig};
 use rfp_floorplan::heuristic::greedy_floorplan;
@@ -170,7 +170,7 @@ fn bench_milp_solver(c: &mut Criterion) {
 /// Bitstream substrate: generation, relocation filtering and CRC.
 fn bench_bitstream(c: &mut Criterion) {
     let mut group = c.benchmark_group("bitstream");
-    let partition = columnar_partition(&xc5vfx70t()).unwrap();
+    let partition = fabric_partition(&xc5vfx70t()).unwrap();
     let source = Rect::new(1, 1, 4, 3);
     let bs = Bitstream::generate(&partition, "module", source, 7).unwrap();
     group.bench_function("generate_4x3", |b| {

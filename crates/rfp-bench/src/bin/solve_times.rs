@@ -6,9 +6,8 @@
 //!   combinatorial engine proves the full-die instances in seconds).
 //! * The from-scratch MILP path on a reduced synthetic device: the O model
 //!   with the sparse revised simplex (warm-started dual re-solves,
-//!   pseudo-cost branching, root cuts), the same model on the retired dense
-//!   tableau as a baseline, HO, and the combinatorial engine. The dense vs
-//!   revised per-node LP re-solve time is the headline proof-speed metric.
+//!   pseudo-cost branching, root cuts), HO, and the combinatorial engine,
+//!   with per-engine nodes, LP iterations and per-LP re-solve time.
 //!
 //! Usage: `solve_times [limit_secs] [--quick] [--json PATH]`
 //!
@@ -124,15 +123,9 @@ fn main() {
 
     // Every engine runs through the unified trait call path (the same one
     // the registry, the portfolio and the `rfp` CLI use); only the engine
-    // instance differs. The dense baseline is a custom-configured instance
-    // of the same `milp` engine.
-    let dense_engine = MilpEngine::with_config(rfp_milp::SolverConfig {
-        use_dense_lp: true,
-        ..Default::default()
-    });
+    // instance differs.
     let engines: Vec<(String, Box<dyn FloorplanEngine>)> = vec![
         ("O (revised)".to_string(), Box::new(MilpEngine::default())),
-        ("O (dense baseline)".to_string(), Box::new(dense_engine)),
         ("HO (revised)".to_string(), Box::new(HeuristicMilpEngine::default())),
         ("Combinatorial".to_string(), Box::new(CombinatorialEngine::default())),
     ];
@@ -182,29 +175,6 @@ fn main() {
         )
     );
 
-    // Headline metric: dense vs revised per-node LP re-solve time.
-    let per_solve = |label: &str| {
-        milp_rows
-            .iter()
-            .find(|r| r.engine == label)
-            .map(MilpSolveRow::lp_seconds_per_solve)
-            .filter(|&s| s > 0.0)
-    };
-    let revised = per_solve("O (revised)");
-    let dense = per_solve("O (dense baseline)");
-    let speedup = match (dense, revised) {
-        (Some(d), Some(r)) => {
-            let s = d / r;
-            println!(
-                "\nper-LP re-solve: dense {:.3} ms, revised {:.3} ms -> {s:.1}x speedup",
-                d * 1e3,
-                r * 1e3
-            );
-            Some(s)
-        }
-        _ => None,
-    };
-
     // ------------------------------------------------------------------
     // BENCH JSON artefact.
     // ------------------------------------------------------------------
@@ -225,14 +195,11 @@ fn main() {
             .int("constraints", stats.n_cons as u64)
             .int("nonzeros", stats.n_nonzeros as u64)
             .build();
-        let mut milp = json::Object::new()
+        let milp = json::Object::new()
             .raw("model", model_json)
             .raw("engines", json::array(milp_rows.iter().map(MilpSolveRow::to_json)));
-        if let Some(s) = speedup {
-            milp = milp.num("lp_resolve_speedup", s);
-        }
         let doc = json::Object::new()
-            .str("schema", "rfp-bench/solve_times/v2")
+            .str("schema", "rfp-bench/solve_times/v3")
             .num("limit_secs", limit)
             .bool("quick", quick)
             .raw("combinatorial", comb_json)

@@ -171,7 +171,7 @@ pub fn feasibility_report() -> Result<Vec<RegionFeasibility>, FloorplanError> {
 /// JSON needs to track proof speed across PRs.
 #[derive(Debug, Clone)]
 pub struct MilpSolveRow {
-    /// Engine label (e.g. `"O (revised)"`, `"O (dense baseline)"`).
+    /// Engine label (e.g. `"O (revised)"`, `"HO (revised)"`).
     pub engine: String,
     /// Outcome: wasted frames of the floorplan, or the error text.
     pub outcome: Result<u64, String>,

@@ -79,11 +79,11 @@ fn solve_times_prints_both_engine_studies() {
     assert!(out.contains("Solve-time study"), "unexpected output:\n{out}");
     assert!(out.contains("SDR3"), "unexpected output:\n{out}");
     // The MILP rows must report a real solve (the warm-started MILP path),
-    // not the historical "no feasible floorplan" failure — for both the
-    // revised engine and the retired dense baseline.
+    // not the historical "no feasible floorplan" failure, for both models.
     assert!(out.contains("| O (revised) |"), "unexpected output:\n{out}");
-    assert!(out.contains("| O (dense baseline) |"), "unexpected output:\n{out}");
-    assert!(out.contains("per-LP re-solve"), "unexpected output:\n{out}");
+    assert!(out.contains("| HO (revised) |"), "unexpected output:\n{out}");
+    assert!(out.contains("ms/LP solve"), "unexpected output:\n{out}");
+    assert!(!out.contains("dense"), "the dense LP row is gone:\n{out}");
     assert!(!out.contains("error:"), "an engine errored:\n{out}");
 }
 
@@ -95,8 +95,9 @@ fn solve_times_quick_writes_the_bench_json() {
     assert!(out.contains("BENCH JSON written"), "unexpected output:\n{out}");
     let json = std::fs::read_to_string(&path).expect("JSON artefact exists");
     let _ = std::fs::remove_file(&path);
-    assert!(json.contains("\"schema\":\"rfp-bench/solve_times/v2\""), "bad JSON:\n{json}");
+    assert!(json.contains("\"schema\":\"rfp-bench/solve_times/v3\""), "bad JSON:\n{json}");
     assert!(json.contains("\"lp_seconds_per_solve\""), "bad JSON:\n{json}");
+    assert!(!json.contains("lp_resolve_speedup"), "the dense speedup key is gone:\n{json}");
     assert!(json.contains("\"quick\":true"), "bad JSON:\n{json}");
     // Quick mode skips the big designs entirely.
     assert!(!json.contains("SDR3"), "quick mode must skip SDR3:\n{json}");

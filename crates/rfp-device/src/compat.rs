@@ -331,14 +331,8 @@ mod tests {
         assert!(fabric_compatible(&f, &a, &b).is_compatible());
         // A source spanning rows 3-4 crosses the boundary between rows 3 and 4.
         let crossing = Rect::new(1, 3, 2, 2);
-        assert_eq!(
-            fabric_compatible(&f, &crossing, &a),
-            CompatReport::CrossesDieBoundary
-        );
-        assert_eq!(
-            fabric_compatible(&f, &a, &crossing),
-            CompatReport::CrossesDieBoundary
-        );
+        assert_eq!(fabric_compatible(&f, &crossing, &a), CompatReport::CrossesDieBoundary);
+        assert_eq!(fabric_compatible(&f, &a, &crossing), CompatReport::CrossesDieBoundary);
         // Out-of-bounds and forbidden checks still take precedence.
         let oob = Rect::new(6, 6, 2, 2);
         assert_eq!(fabric_compatible(&f, &crossing, &oob), CompatReport::OutOfBounds);

@@ -269,12 +269,10 @@ pub fn fabric_partition_with_boundaries(
             let forbidden_here = device.is_forbidden(col, row);
             match device.tile_type_at(col, row) {
                 Some(ty) if !forbidden_here => cells.push(ty),
-                Some(_) | None if forbidden_here => {
-                    match replacements[(col - 1) as usize] {
-                        Some(ty) => cells.push(ty),
-                        None => return Err(DeviceError::ColumnFullyForbidden { col }),
-                    }
-                }
+                Some(_) | None if forbidden_here => match replacements[(col - 1) as usize] {
+                    Some(ty) => cells.push(ty),
+                    None => return Err(DeviceError::ColumnFullyForbidden { col }),
+                },
                 Some(ty) => cells.push(ty),
                 None => return Err(DeviceError::UnassignedTile { col, row }),
             }

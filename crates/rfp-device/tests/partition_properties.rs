@@ -176,10 +176,12 @@ fn arb_hetero_device() -> impl Strategy<Value = (Device, Vec<u32>)> {
         )
             .prop_map(|(cols, rows, types, raw_bounds)| {
                 let mut reg = TileTypeRegistry::new();
-                let clb = reg.register(TileType::new("CLB", ResourceVec::new(1, 0, 0), 36)).unwrap();
+                let clb =
+                    reg.register(TileType::new("CLB", ResourceVec::new(1, 0, 0), 36)).unwrap();
                 let bram =
                     reg.register(TileType::new("BRAM", ResourceVec::new(0, 1, 0), 30)).unwrap();
-                let dsp = reg.register(TileType::new("DSP", ResourceVec::new(0, 0, 1), 28)).unwrap();
+                let dsp =
+                    reg.register(TileType::new("DSP", ResourceVec::new(0, 0, 1), 28)).unwrap();
                 let palette = [clb, bram, dsp];
                 let mut grid = TileGrid::new(cols, rows).unwrap();
                 let mut i = 0usize;
@@ -190,8 +192,7 @@ fn arb_hetero_device() -> impl Strategy<Value = (Device, Vec<u32>)> {
                     }
                 }
                 let device = Device::new("prop-hetero", reg, grid, vec![]).unwrap();
-                let boundaries: Vec<u32> =
-                    raw_bounds.into_iter().filter(|&b| b < rows).collect();
+                let boundaries: Vec<u32> = raw_bounds.into_iter().filter(|&b| b < rows).collect();
                 (device, boundaries)
             })
     })

@@ -149,7 +149,11 @@ impl CacheKey {
     fn new(partition: &FabricPartition, spec: &RegionSpec, config: &CandidateConfig) -> CacheKey {
         CacheKey {
             columns: device_columns(partition),
-            cells: if partition.columnar().is_some() { Vec::new() } else { device_cells(partition) },
+            cells: if partition.columnar().is_some() {
+                Vec::new()
+            } else {
+                device_cells(partition)
+            },
             rows: partition.rows,
             forbidden: forbidden_rects(partition),
             req: region_demand(spec),
@@ -247,8 +251,11 @@ fn enumerate_columnar(
     let cols = partition.cols;
     let rows = partition.rows;
     let table = ColumnTable::new(partition);
-    let required: u64 =
-        spec.tile_req().iter().map(|&(ty, c)| partition.frames_per_tile(ty) as u64 * c as u64).sum();
+    let required: u64 = spec
+        .tile_req()
+        .iter()
+        .map(|&(ty, c)| partition.frames_per_tile(ty) as u64 * c as u64)
+        .sum();
 
     let mut out: Vec<Candidate> = Vec::new();
     for x in 1..=cols {
@@ -304,16 +311,13 @@ impl FabricTable {
     fn new(partition: &FabricPartition) -> Self {
         let cols = partition.cols as usize;
         let rows = partition.rows as usize;
-        let n_types =
-            partition.cell_types().iter().map(|t| t.index() + 1).max().unwrap_or(1);
+        let n_types = partition.cell_types().iter().map(|t| t.index() + 1).max().unwrap_or(1);
         let stride = cols + 1;
         let mut counts = vec![vec![0u32; stride * (rows + 1)]; n_types];
         let mut frames = vec![0u64; stride * (rows + 1)];
         for r in 1..=rows {
             for c in 1..=cols {
-                let ty = partition
-                    .tile_type_at(c as u32, r as u32)
-                    .expect("cell inside device");
+                let ty = partition.tile_type_at(c as u32, r as u32).expect("cell inside device");
                 let i = r * stride + c;
                 for (t, grid) in counts.iter_mut().enumerate() {
                     grid[i] = grid[i - 1] + grid[i - stride] - grid[i - stride - 1]
@@ -400,9 +404,7 @@ fn enumerate_fabric(
                 // Irredundancy in width at this anchor: dropping the leftmost
                 // or the rightmost column must break coverage at h_min.
                 let left_shrink_ok = w > 1
-                    && table
-                        .min_height_at(spec, x + 1, y, w - 1, rows)
-                        .is_some_and(|h| h <= h_min);
+                    && table.min_height_at(spec, x + 1, y, w - 1, rows).is_some_and(|h| h <= h_min);
                 let right_shrink_ok = w > 1
                     && table.min_height_at(spec, x, y, w - 1, rows).is_some_and(|h| h <= h_min);
                 if left_shrink_ok || right_shrink_ok {

@@ -993,9 +993,9 @@ fn solve_milp_engine(
         let fc_only = !issues.is_empty() && issues.iter().all(|i| i.contains("was not identified"));
         if !fc_only
             || stats.cancelled
-            || retry_milp.as_ref().map_or(false, |m| {
-                m.n_cons() >= model.milp.n_cons() + MAX_FC_NOGOOD_ROUNDS
-            })
+            || retry_milp
+                .as_ref()
+                .is_some_and(|m| m.n_cons() >= model.milp.n_cons() + MAX_FC_NOGOOD_ROUNDS)
         {
             break (floorplan, issues);
         }

@@ -33,6 +33,12 @@ pub enum FloorplanError {
         /// Index of the offending request.
         request: usize,
     },
+    /// A weight, or an objective normalisation derived from the weights, is
+    /// not a finite number, so no objective value could be trusted.
+    NonFiniteWeight {
+        /// Which weight, e.g. `connection 0 weight`.
+        what: String,
+    },
 }
 
 impl fmt::Display for FloorplanError {
@@ -54,6 +60,7 @@ impl fmt::Display for FloorplanError {
             FloorplanError::InvalidRelocationRequest { request } => {
                 write!(f, "relocation request {request} references an unknown region")
             }
+            FloorplanError::NonFiniteWeight { what } => write!(f, "{what} is not finite"),
         }
     }
 }

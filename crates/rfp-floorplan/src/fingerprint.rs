@@ -39,11 +39,7 @@ pub fn device_columns(partition: &FabricPartition) -> Vec<(usize, u32)> {
 /// (on a columnar device each column repeats `rows` times), but cache keys
 /// only fall back to it when no columnar view exists.
 pub fn device_cells(partition: &FabricPartition) -> Vec<(usize, u32)> {
-    partition
-        .cell_types()
-        .iter()
-        .map(|&ty| (ty.index(), partition.frames_per_tile(ty)))
-        .collect()
+    partition.cell_types().iter().map(|&ty| (ty.index(), partition.frames_per_tile(ty))).collect()
 }
 
 /// Forbidden rectangles as `(x, y, w, h)` tuples, in device order.

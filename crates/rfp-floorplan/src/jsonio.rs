@@ -505,7 +505,7 @@ impl DeviceSection {
                         .map(|c| {
                             self.pos_of
                                 [&part.tile_type_at(c, row).expect("cell inside device").index()]
-                            .to_string()
+                                .to_string()
                         })
                         .collect();
                     out.push_str(&format!(
@@ -607,7 +607,7 @@ impl DeviceSpec {
 
         let per_cell = !self.cells.is_empty();
         let cols = if per_cell {
-            if self.rows == 0 || self.cells.len() % self.rows as usize != 0 {
+            if self.rows == 0 || !self.cells.len().is_multiple_of(self.rows as usize) {
                 return Err(format!(
                     "cell grid of {} entries does not divide into {} rows",
                     self.cells.len(),
@@ -621,8 +621,7 @@ impl DeviceSpec {
             }
             self.columns.len() as u32
         };
-        let mut grid =
-            TileGrid::new(cols, self.rows).map_err(|e| format!("invalid grid: {e}"))?;
+        let mut grid = TileGrid::new(cols, self.rows).map_err(|e| format!("invalid grid: {e}"))?;
         if per_cell {
             for (i, &pos) in self.cells.iter().enumerate() {
                 let row = (i / cols as usize) as u32 + 1;
@@ -653,9 +652,7 @@ impl DeviceSpec {
             fabric_partition_with_boundaries(&dev, &self.die_boundaries)
                 .map_err(|e| format!("invalid fabric: {e}"))?
         } else {
-            columnar_partition(&dev)
-                .map_err(|e| format!("device is not columnar: {e}"))?
-                .into()
+            columnar_partition(&dev).map_err(|e| format!("device is not columnar: {e}"))?.into()
         };
         Ok((partition, ids))
     }
@@ -1132,7 +1129,11 @@ mod tests {
   "weights": {"wirelength":1,"perimeter":0,"resources":1000,"relocation":0}
 }"#;
         let p = read_problem(doc).unwrap();
-        assert_eq!(p.partition.columnar().unwrap().n_portions(), 3, "alternating twin types form three portions");
+        assert_eq!(
+            p.partition.columnar().unwrap().n_portions(),
+            3,
+            "alternating twin types form three portions"
+        );
         assert!(p.validate().is_ok());
     }
 

@@ -143,7 +143,7 @@ enum ModelKind {
     /// Portion-based model (Equations 1-15); legacy columnar devices.
     Portion,
     /// Candidate-assignment model; heterogeneous or die-bounded fabrics.
-    Assignment(AssignmentModel),
+    Assignment(Box<AssignmentModel>),
 }
 
 /// Bookkeeping of the candidate-assignment formulation.
@@ -742,9 +742,9 @@ impl FloorplanMilp {
 
         let must_not_cross: Vec<bool> = (0..n_regions)
             .map(|n| {
-                fc_meta
-                    .iter()
-                    .any(|&(_, region, mode)| region == n && matches!(mode, RelocationMode::Constraint))
+                fc_meta.iter().any(|&(_, region, mode)| {
+                    region == n && matches!(mode, RelocationMode::Constraint)
+                })
             })
             .collect();
         let cand_cfg = CandidateConfig::default();
@@ -851,14 +851,24 @@ impl FloorplanMilp {
                     ConOp::Ge,
                     0.0,
                 );
-                m.add_con(format!("wl_dx_neg[{ci}]"), LinExpr::from(dx) + cx_a - cx_b, ConOp::Ge, 0.0);
+                m.add_con(
+                    format!("wl_dx_neg[{ci}]"),
+                    LinExpr::from(dx) + cx_a - cx_b,
+                    ConOp::Ge,
+                    0.0,
+                );
                 m.add_con(
                     format!("wl_dy_pos[{ci}]"),
                     LinExpr::from(dy) - cy_a.clone() + cy_b.clone(),
                     ConOp::Ge,
                     0.0,
                 );
-                m.add_con(format!("wl_dy_neg[{ci}]"), LinExpr::from(dy) + cy_a - cy_b, ConOp::Ge, 0.0);
+                m.add_con(
+                    format!("wl_dy_neg[{ci}]"),
+                    LinExpr::from(dy) + cy_a - cy_b,
+                    ConOp::Ge,
+                    0.0,
+                );
                 objective +=
                     LinExpr::term(dx, conn.weight * scale) + LinExpr::term(dy, conn.weight * scale);
             }
@@ -887,11 +897,11 @@ impl FloorplanMilp {
 
         m.set_objective(objective);
 
-        let kind = ModelKind::Assignment(AssignmentModel {
+        let kind = ModelKind::Assignment(Box::new(AssignmentModel {
             partition: partition.clone(),
             candidates,
             assign,
-        });
+        }));
         FloorplanMilp { milp: m, vars, n_regions, fc_meta, kind }
     }
 
@@ -937,10 +947,9 @@ impl FloorplanMilp {
         let mut occupied = regions.clone();
         let mut fc_areas = Vec::with_capacity(self.fc_meta.len());
         for &(request, region, mode) in &self.fc_meta {
-            let rect =
-                enumerate_free_compatible(&am.partition, &regions[region], &occupied)
-                    .into_iter()
-                    .next();
+            let rect = enumerate_free_compatible(&am.partition, &regions[region], &occupied)
+                .into_iter()
+                .next();
             if let Some(r) = rect {
                 occupied.push(r);
             }

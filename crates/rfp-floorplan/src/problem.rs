@@ -284,10 +284,35 @@ impl FloorplanProblem {
         self.regions.iter().map(|r| r.required_frames(&self.partition)).sum()
     }
 
-    /// Validates the problem: region indices in connections and relocation
-    /// requests exist, required tile types exist on the device, and no region
-    /// requires more tiles of a type than the device offers.
+    /// Validates the problem: every weight and objective normalisation is
+    /// finite, region indices in connections and relocation requests exist,
+    /// required tile types exist on the device, and no region requires more
+    /// tiles of a type than the device offers.
     pub fn validate(&self) -> Result<(), FloorplanError> {
+        let non_finite = |what: String| Err(FloorplanError::NonFiniteWeight { what });
+        for (i, c) in self.connections.iter().enumerate() {
+            if !c.weight.is_finite() {
+                return non_finite(format!("connection {i} weight"));
+            }
+        }
+        for (i, r) in self.relocation.iter().enumerate() {
+            if !r.area_weight().is_finite() {
+                return non_finite(format!("relocation request {i} weight"));
+            }
+        }
+        let w = &self.weights;
+        for (what, value) in [
+            ("objective weight q_1 (wirelength)", w.wirelength),
+            ("objective weight q_2 (perimeter)", w.perimeter),
+            ("objective weight q_3 (resources)", w.resources),
+            ("objective weight q_4 (relocation)", w.relocation),
+            ("wire-length normalisation WL_max", self.wl_max()),
+            ("relocation normalisation RL_max", self.rl_max()),
+        ] {
+            if !value.is_finite() {
+                return non_finite(what.to_string());
+            }
+        }
         for c in &self.connections {
             if c.a >= self.regions.len() {
                 return Err(FloorplanError::UnknownRegion(c.a));
@@ -446,6 +471,36 @@ mod tests {
         p.relocation.clear();
         p.add_region(RegionSpec::new("too big", vec![(dsp, 17)]));
         assert!(matches!(p.validate(), Err(FloorplanError::ImpossibleRequirement { .. })));
+    }
+
+    #[test]
+    fn validation_rejects_non_finite_weights_and_normalisations() {
+        let (mut base, clb, _, _) = fx70t_problem();
+        let a = base.add_region(RegionSpec::new("a", vec![(clb, 2)]));
+        let b = base.add_region(RegionSpec::new("b", vec![(clb, 2)]));
+        base.connect(a, b, 1.0);
+        base.request_relocation(RelocationRequest::metric(b, 1, 1.0));
+        assert_eq!(base.validate(), Ok(()));
+        let rejects = |edit: &dyn Fn(&mut FloorplanProblem), what: &str| {
+            let mut p = base.clone();
+            edit(&mut p);
+            match p.validate() {
+                Err(FloorplanError::NonFiniteWeight { what: got }) => {
+                    assert!(got.contains(what), "expected `{what}`, got `{got}`")
+                }
+                other => panic!("expected a non-finite `{what}` rejection, got {other:?}"),
+            }
+        };
+        rejects(&|p| p.connections[0].weight = f64::NAN, "connection 0 weight");
+        rejects(&|p| p.relocation[0] = RelocationRequest::metric(b, 1, f64::INFINITY), "request 0");
+        rejects(&|p| p.weights.wirelength = f64::INFINITY, "q_1");
+        rejects(&|p| p.weights.perimeter = f64::NEG_INFINITY, "q_2");
+        rejects(&|p| p.weights.resources = f64::NAN, "q_3");
+        rejects(&|p| p.weights.relocation = f64::INFINITY, "q_4");
+        // Finite weights whose normalisation overflows: 1e308 times the
+        // device diameter, and two 1e308 areas summed.
+        rejects(&|p| p.connections[0].weight = 1e308, "WL_max");
+        rejects(&|p| p.relocation[0] = RelocationRequest::metric(b, 2, 1e308), "RL_max");
     }
 
     #[test]

@@ -48,10 +48,9 @@ pub fn render_ascii(problem: &FloorplanProblem, floorplan: &Floorplan) -> String
         let initial = {
             let t = match partition.columnar() {
                 Some(cp) => cp.portion_of_col(c as u32).map(|p| cp.tid(p)).unwrap_or(0),
-                None => partition
-                    .tile_type_at(c as u32, 1)
-                    .map(|ty| ty.index() as u32)
-                    .unwrap_or(0),
+                None => {
+                    partition.tile_type_at(c as u32, 1).map(|ty| ty.index() as u32).unwrap_or(0)
+                }
             };
             char::from_digit(t, 36).unwrap_or('?')
         };

@@ -1,7 +1,7 @@
 //! Branch-and-bound MILP search on top of the revised simplex.
 //!
-//! The search is a best-first exploration of the bound-tightening tree,
-//! rebuilt around warm-started node re-solves:
+//! One best-first search proves every model, serial or parallel, built
+//! around warm-started node re-solves:
 //!
 //! * the model is tightened by [`crate::presolve`] (bound propagation and
 //!   big-M coefficient strengthening) before the root LP is ever built;
@@ -11,27 +11,27 @@
 //!   single bound change of the branch (cold fallback when the snapshot is
 //!   unusable);
 //! * after the root LP, a **separation loop** adds cover and clique cuts
-//!   ([`crate::cuts`]) and re-solves dually — "cut and branch";
-//! * branching is pluggable ([`BranchRule`]): **pseudo-cost** branching
-//!   (objective degradation per unit of fractionality, learned online) with
-//!   a most-fractional fallback while the costs are cold, or plain
-//!   most-fractional;
-//! * nodes are pruned by bound against the incumbent; a rounding heuristic
-//!   and an LP-guided diving heuristic (warm-started along the dive path)
-//!   find incumbents early;
+//!   ([`crate::cuts`]) and re-solves dually — "cut and branch". Only the
+//!   best-first driver runs it: it alone owns the mutable standard form;
+//! * every node takes the same step wherever it runs: external-incumbent
+//!   poll, gap and budget gate, LP, then one expansion — prune by bound
+//!   against the incumbent, integral check, an LP-guided diving heuristic
+//!   (warm-started along the dive path), a rounding heuristic, and
+//!   **pseudo-cost** branching (objective degradation per unit of
+//!   fractionality, learned online) with a most-fractional fallback while
+//!   the costs are cold;
+//! * the best known solution lives in one incumbent slot shared by every
+//!   thread of the search;
 //! * node order is deterministic (ties broken by node id), so repeated
-//!   solves of the same model explore the same tree;
-//! * with [`SolverConfig::threads`] ` > 1` the tree is explored by the
-//!   work-stealing parallel driver in [`crate::parallel`]; `threads = 1`
-//!   keeps the serial loop below, bit-identical to previous releases.
+//!   solves of the same model explore the same tree.
 //!
-//! The retired dense tableau can be selected with
-//! [`SolverConfig::use_dense_lp`] to benchmark the revised engine against
-//! the old from-scratch path.
+//! With [`SolverConfig::threads`] `<= 1` the best-first loop runs the tree
+//! to exhaustion: that is the serial search. With more threads the same
+//! loop is the ramp-up: it stops once the open nodes can feed every worker
+//! and hands them to the work-stealing pool of the `parallel` module.
 
 use crate::cancel::CancelToken;
 use crate::cuts::Separator;
-use crate::dense::DenseForm;
 use crate::model::{Model, Sense};
 use crate::simplex::{BasisSnapshot, LpConfig, LpResult, LpStatus, StandardForm};
 use crate::solution::{Solution, SolveStatus};
@@ -39,7 +39,8 @@ use crate::tol;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// A source of externally-discovered feasible assignments, polled once per
@@ -90,29 +91,6 @@ impl fmt::Debug for ExternalIncumbents {
     }
 }
 
-/// Selection rule for the branching variable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BranchRule {
-    /// Pseudo-cost branching: pick the variable maximising the product of
-    /// estimated objective degradations of the two children. Falls back to
-    /// the global average pseudo-cost for variables with fewer than
-    /// `reliability` observations per direction, and to most-fractional
-    /// while no observations exist at all.
-    PseudoCost {
-        /// Observations per direction before a variable's own history is
-        /// trusted over the global average.
-        reliability: u32,
-    },
-    /// Branch on the variable whose LP value is farthest from integral.
-    MostFractional,
-}
-
-impl Default for BranchRule {
-    fn default() -> Self {
-        BranchRule::PseudoCost { reliability: 1 }
-    }
-}
-
 /// Configuration of the MILP solver.
 #[derive(Debug, Clone)]
 pub struct SolverConfig {
@@ -134,21 +112,16 @@ pub struct SolverConfig {
     /// While no incumbent exists, run the diving heuristic every this many
     /// nodes (0 disables diving; it always runs at the root).
     pub dive_period: usize,
-    /// Branching rule.
-    pub branching: BranchRule,
     /// Maximum cut-separation rounds at the root (0 disables cuts).
     pub cut_rounds: usize,
     /// Maximum cuts added per separation round.
     pub max_cuts_per_round: usize,
-    /// Solve node LPs with the retired dense tableau instead of the revised
-    /// simplex (benchmark baseline; disables warm re-solves and cuts).
-    pub use_dense_lp: bool,
     /// Worker threads for the branch-and-bound tree search. `1` (the
-    /// default) runs the serial loop, bit-identical to previous releases —
-    /// same node order, same proof. Larger values explore the tree with the
-    /// work-stealing parallel driver: results (proven objective, status) are
-    /// deterministic, node *counts* and traversal order are not. Ignored
-    /// (treated as `1`) by the dense benchmarking backend.
+    /// default) runs the best-first loop to exhaustion — the serial search,
+    /// same node order, same proof on every run. Larger values stop that
+    /// loop once the open nodes can feed every worker and explore the rest
+    /// with the work-stealing parallel pool: results (proven objective,
+    /// status) are deterministic, node *counts* and traversal order are not.
     pub threads: usize,
     /// Run [`crate::presolve`] (bound propagation + big-M coefficient
     /// tightening) on the model before building the root LP. On by default;
@@ -175,10 +148,8 @@ impl Default for SolverConfig {
             time_limit: None,
             stop_at_first_feasible: false,
             dive_period: 256,
-            branching: BranchRule::default(),
             cut_rounds: 10,
             max_cuts_per_round: 64,
-            use_dense_lp: false,
             threads: 1,
             presolve: true,
             cancel: CancelToken::default(),
@@ -210,13 +181,13 @@ pub struct Solver {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct BranchInfo {
     /// Branched variable (structural index).
-    pub(crate) var: usize,
+    var: usize,
     /// `true` for the up (`x ≥ ⌈v⌉`) child.
-    pub(crate) up: bool,
+    up: bool,
     /// Parent LP objective in minimisation sense.
-    pub(crate) parent_obj: f64,
+    parent_obj: f64,
     /// Fractional part `v − ⌊v⌋` of the branched value.
-    pub(crate) frac: f64,
+    frac: f64,
 }
 
 /// A node of the branch-and-bound tree.
@@ -227,14 +198,14 @@ pub(crate) struct Node {
     /// Parent LP bound in minimisation sense (used for ordering).
     pub(crate) bound: f64,
     /// Depth in the tree.
-    pub(crate) depth: usize,
+    depth: usize,
     /// Monotone id for deterministic tie-breaking.
-    pub(crate) id: usize,
+    id: usize,
     /// Parent's optimal basis, shared between siblings (and, in the parallel
-    /// driver, across worker threads — hence `Arc`).
+    /// pool, across worker threads — hence `Arc`).
     pub(crate) snapshot: Option<Arc<BasisSnapshot>>,
     /// Branching decision that created this node.
-    pub(crate) branch: Option<BranchInfo>,
+    branch: Option<BranchInfo>,
 }
 
 /// Best-first ordering: smaller bound first, then deeper, then older.
@@ -263,6 +234,10 @@ impl Ord for OrderedNode {
             .then_with(|| other.0.id.cmp(&self.0.id))
     }
 }
+
+/// Pseudo-cost observations per direction before a variable's own history
+/// is trusted over the global average.
+const RELIABILITY: u32 = 1;
 
 /// Online pseudo-cost statistics per integer variable and direction.
 #[derive(Debug, Clone)]
@@ -295,13 +270,32 @@ impl PseudoCosts {
         }
     }
 
+    /// Learns from a solved child node (`child_obj` in minimisation sense),
+    /// or from an infeasible one (`None`).
+    fn observe(&mut self, node: &Node, child_obj: Option<f64>, int_tol: f64) {
+        let Some(info) = node.branch else { return };
+        let dist = if info.up { 1.0 - info.frac } else { info.frac };
+        if dist <= int_tol {
+            return;
+        }
+        match child_obj {
+            Some(obj) => self.record(info.var, info.up, (obj - info.parent_obj) / dist),
+            // An infeasible child is the strongest possible degradation
+            // signal; record a large (but finite) per-unit cost.
+            None => {
+                let scale = info.parent_obj.abs().max(1.0);
+                self.record(info.var, info.up, scale / dist);
+            }
+        }
+    }
+
     fn global_avg(sums: &[f64], cnts: &[u32]) -> Option<f64> {
         let total: u32 = cnts.iter().sum();
         (total > 0).then(|| sums.iter().sum::<f64>() / f64::from(total))
     }
 
     /// Folds the *delta* between a worker's current table (`newer`) and the
-    /// snapshot it started from (`older`) into `self`. The parallel driver
+    /// snapshot it started from (`older`) into `self`. The parallel pool
     /// uses this to merge per-thread pseudo-cost learning into the shared
     /// table without double-counting the observations the worker inherited.
     pub(crate) fn merge_diff(&mut self, newer: &PseudoCosts, older: &PseudoCosts) {
@@ -314,25 +308,28 @@ impl PseudoCosts {
     }
 
     /// Picks the branching variable among `candidates` (`(index, value)` of
-    /// the fractional integer variables), or falls back to most-fractional
-    /// while every pseudo-cost is still cold.
-    fn select(&self, candidates: &[(usize, f64)], reliability: u32) -> Option<(usize, f64)> {
+    /// the fractional integer variables, at least one): the one maximising
+    /// the product of the estimated objective degradations of its two
+    /// children. Variables with fewer than [`RELIABILITY`] observations per
+    /// direction use the global average; while no observation exists at
+    /// all, the most fractional candidate wins.
+    fn pick(&self, candidates: &[(usize, f64)]) -> (usize, f64) {
         let avg_up = Self::global_avg(&self.up_sum, &self.up_cnt);
         let avg_down = Self::global_avg(&self.down_sum, &self.down_cnt);
         if avg_up.is_none() && avg_down.is_none() {
-            return None; // completely cold: caller falls back
+            return most_fractional(candidates).expect("caller guarantees a fractional candidate");
         }
         let avg_up = avg_up.unwrap_or(1.0);
         let avg_down = avg_down.unwrap_or(1.0);
         let mut best: Option<(usize, f64, f64)> = None; // (var, value, score)
         for &(j, v) in candidates {
             let f = v - v.floor();
-            let cost_down = if self.down_cnt[j] >= reliability {
+            let cost_down = if self.down_cnt[j] >= RELIABILITY {
                 self.down_sum[j] / f64::from(self.down_cnt[j])
             } else {
                 avg_down
             };
-            let cost_up = if self.up_cnt[j] >= reliability {
+            let cost_up = if self.up_cnt[j] >= RELIABILITY {
                 self.up_sum[j] / f64::from(self.up_cnt[j])
             } else {
                 avg_up
@@ -342,59 +339,477 @@ impl PseudoCosts {
                 best = Some((j, v, score));
             }
         }
-        best.map(|(j, v, _)| (j, v))
+        best.map(|(j, v, _)| (j, v)).expect("caller guarantees a fractional candidate")
     }
 }
 
-/// The LP engine behind the tree search: the revised simplex with warm
-/// starts, or the retired dense tableau as a benchmarking baseline.
-pub(crate) enum LpBackend {
-    Revised(StandardForm),
-    Dense(DenseForm),
+/// Bookkeeping of the LP solves of one search (or one worker of it).
+#[derive(Default)]
+pub(crate) struct LpStats {
+    iterations: usize,
+    solves: usize,
+    seconds: f64,
 }
 
-impl LpBackend {
-    pub(crate) fn solve(
-        &self,
-        snapshot: Option<&BasisSnapshot>,
-        bounds: &[(f64, f64)],
-        cfg: &LpConfig,
-    ) -> (LpResult, Option<BasisSnapshot>) {
-        match self {
-            LpBackend::Revised(sf) => match snapshot {
-                Some(s) => sf.solve_warm(s, Some(bounds), cfg),
-                None => sf.solve_cold(Some(bounds), cfg),
-            },
-            LpBackend::Dense(df) => (df.solve_with_bounds(Some(bounds), cfg), None),
+impl LpStats {
+    /// Adds another tally (a finished worker's) to this one.
+    pub(crate) fn add(&mut self, other: &LpStats) {
+        self.iterations += other.iterations;
+        self.solves += other.solves;
+        self.seconds += other.seconds;
+    }
+}
+
+/// `Incumbent::bits` while no incumbent exists: a NaN payload no objective
+/// evaluation produces, so "none" stays distinct from every objective value.
+const NO_INCUMBENT: u64 = 0x7ff8_0000_dead_beef;
+
+/// The best known solution of one search, shared by the best-first driver
+/// and every parallel worker.
+///
+/// Installs go through a mutex that also drives the progress callback, so
+/// reported improvements stay monotone across threads. The objective is
+/// mirrored into an atomic (`f64` bits) so the per-node prune and gap tests
+/// take no lock; a stale read only delays a prune.
+pub(crate) struct Incumbent<'a> {
+    /// `(objective in minimisation sense, values)`.
+    slot: Mutex<Option<(f64, Vec<f64>)>>,
+    /// `f64::to_bits` of the slot's objective, or [`NO_INCUMBENT`].
+    bits: AtomicU64,
+    model: &'a Model,
+    /// Progress callback: `(objective in the model's sense, seconds)`.
+    on_incumbent: Option<&'a (dyn Fn(f64, f64) + Send + Sync)>,
+    start: Instant,
+}
+
+impl<'a> Incumbent<'a> {
+    fn new(
+        model: &'a Model,
+        on_incumbent: Option<&'a (dyn Fn(f64, f64) + Send + Sync)>,
+        start: Instant,
+    ) -> Self {
+        Incumbent {
+            slot: Mutex::new(None),
+            bits: AtomicU64::new(NO_INCUMBENT),
+            model,
+            on_incumbent,
+            start,
+        }
+    }
+
+    /// Converts an objective between the model's sense and the search's
+    /// minimisation sense (the map is its own inverse).
+    fn flip(&self, obj: f64) -> f64 {
+        if self.model.sense == Sense::Maximize {
+            -obj
+        } else {
+            obj
+        }
+    }
+
+    /// The incumbent objective (minimisation sense) as of the last install.
+    fn best(&self) -> Option<f64> {
+        let bits = self.bits.load(Relaxed);
+        (bits != NO_INCUMBENT).then(|| f64::from_bits(bits))
+    }
+
+    /// Installs a strictly better incumbent; returns `true` when it won.
+    fn install(&self, obj_min: f64, values: Vec<f64>) -> bool {
+        let mut slot = self.slot.lock().unwrap();
+        if slot.as_ref().is_none_or(|(best, _)| obj_min < *best) {
+            *slot = Some((obj_min, values));
+            self.bits.store(obj_min.to_bits(), Relaxed);
+            rfp_trace::count("milp.incumbents", 1);
+            if let Some(cb) = self.on_incumbent {
+                cb(self.flip(obj_min), self.start.elapsed().as_secs_f64());
+            }
+            return true;
+        }
+        false
+    }
+
+    /// Installs `values` when they are feasible within `tol` and strictly
+    /// better than the incumbent; returns `true` when they won.
+    fn offer(&self, values: Vec<f64>, tol: f64) -> bool {
+        self.model.is_feasible(&values, tol)
+            && self.install(self.flip(self.model.objective.eval(&values)), values)
+    }
+
+    /// `true` when a node whose LP bound is `bound_min` cannot beat the
+    /// incumbent by more than `gap_abs`.
+    fn prunes(&self, bound_min: f64, gap_abs: f64) -> bool {
+        self.best().is_some_and(|inc| bound_min >= inc - gap_abs)
+    }
+
+    /// `true` when the gap between the incumbent and `bound_min` is closed,
+    /// absolutely or relative to the incumbent.
+    fn gap_closed(&self, bound_min: f64, gap_abs: f64, gap_rel: f64) -> bool {
+        self.best().is_some_and(|inc| {
+            let gap = inc - bound_min;
+            gap <= gap_abs || gap <= gap_rel * inc.abs().max(1.0)
+        })
+    }
+
+    /// Adopts a warm start that is integral on `int_vars` within `int_tol`
+    /// and feasible; returns `true` when it became the incumbent.
+    fn adopt_warm_start(&self, values: &[f64], int_vars: &[usize], int_tol: f64) -> bool {
+        let integral = values.len() == self.model.n_vars()
+            && int_vars.iter().all(|&j| (values[j] - values[j].round()).abs() <= int_tol);
+        integral && self.offer(values.to_vec(), tol::WARM_START)
+    }
+
+    /// Polls `source` and adopts its proposal, rounded on `int_vars`, when
+    /// it is feasible and strictly better; returns `true` when it won.
+    fn poll_external(&self, source: &ExternalIncumbents, int_vars: &[usize]) -> bool {
+        match source.poll() {
+            Some(values) if values.len() == self.model.n_vars() => {
+                self.offer(round_integers(values, int_vars), tol::WARM_START)
+            }
+            _ => false,
         }
     }
 }
 
-/// Bookkeeping shared by every LP solve of one `solve_with_start` call.
-pub(crate) struct LpStats {
-    pub(crate) iterations: usize,
-    pub(crate) solves: usize,
-    pub(crate) seconds: f64,
+/// What the gate in front of a node's LP decided.
+pub(crate) enum Gate {
+    /// Expand the node; carries the node count, this node included.
+    Open(usize),
+    /// The incumbent closes the gap at the node's bound: drop the node.
+    GapClosed,
+    /// A node or time budget, or a cancellation, fired: keep the node open
+    /// and stop the search.
+    Budget,
+    /// An adopted external incumbent satisfied `stop_at_first_feasible`.
+    Stop,
 }
 
-impl LpStats {
-    pub(crate) fn timed(
-        &mut self,
-        backend: &LpBackend,
+/// What expanding a node produced.
+pub(crate) enum Expansion {
+    /// No children: the node was infeasible, unbounded, pruned by bound or
+    /// an integral leaf.
+    Leaf,
+    /// An incumbent satisfied `stop_at_first_feasible`: end the search.
+    Stop,
+    /// The down and up children, in that order (a child outside the
+    /// variable's bounds is left out).
+    Branch(Vec<Node>),
+}
+
+/// One solve's tree search: the state every node step reads and updates,
+/// whether it runs in the best-first driver or in a parallel worker.
+pub(crate) struct Search<'a> {
+    pub(crate) cfg: &'a SolverConfig,
+    model: &'a Model,
+    /// Indices of the integer variables.
+    int_vars: Vec<usize>,
+    /// LP parameters, sharing the stop token and the deadline.
+    lp_cfg: LpConfig,
+    incumbent: Incumbent<'a>,
+    /// Internal stop signal: a child of the user's token, so cancelling the
+    /// user's token stops every thread while an internal stop (tree
+    /// exhausted, first feasible found) never reports as a cancellation.
+    pub(crate) stop: CancelToken,
+    start: Instant,
+    /// Nodes expanded, all threads together.
+    nodes: AtomicUsize,
+    /// Next node id.
+    next_id: AtomicUsize,
+    /// Set when a budget or cancellation left part of the tree unexplored.
+    hit_limit: AtomicBool,
+}
+
+impl<'a> Search<'a> {
+    fn new(
+        cfg: &'a SolverConfig,
+        model: &'a Model,
+        on_incumbent: Option<&'a (dyn Fn(f64, f64) + Send + Sync)>,
+        start: Instant,
+    ) -> Self {
+        let stop = cfg.cancel.child();
+        // The LP layer shares the stop token and the deadline so an abort
+        // fires even in the middle of a long relaxation solve.
+        let mut lp_cfg = cfg.lp.clone();
+        lp_cfg.cancel = stop.clone();
+        lp_cfg.deadline = cfg.time_limit.map(|limit| start + limit);
+        Search {
+            cfg,
+            model,
+            int_vars: (0..model.n_vars()).filter(|&j| model.vars()[j].kind.is_integral()).collect(),
+            lp_cfg,
+            incumbent: Incumbent::new(model, on_incumbent, start),
+            stop,
+            start,
+            nodes: AtomicUsize::new(0),
+            next_id: AtomicUsize::new(0),
+            hit_limit: AtomicBool::new(false),
+        }
+    }
+
+    /// The root node: the model's own bounds, no parent.
+    fn root(&self) -> Node {
+        Node {
+            bounds: self.model.vars().iter().map(|v| (v.lb, v.ub)).collect(),
+            bound: f64::NEG_INFINITY,
+            depth: 0,
+            id: self.next_id.fetch_add(1, Relaxed),
+            snapshot: None,
+            branch: None,
+        }
+    }
+
+    /// Solves one LP relaxation, warm from `snapshot` when there is one,
+    /// and tallies it.
+    pub(crate) fn lp(
+        &self,
+        sf: &StandardForm,
+        stats: &mut LpStats,
         snapshot: Option<&BasisSnapshot>,
         bounds: &[(f64, f64)],
-        cfg: &LpConfig,
     ) -> (LpResult, Option<BasisSnapshot>) {
         let t0 = Instant::now();
-        let out = backend.solve(snapshot, bounds, cfg);
-        self.seconds += t0.elapsed().as_secs_f64();
-        self.solves += 1;
-        self.iterations += out.0.iterations;
+        let out = match snapshot {
+            Some(s) => sf.solve_warm(s, Some(bounds), &self.lp_cfg),
+            None => sf.solve_cold(Some(bounds), &self.lp_cfg),
+        };
+        stats.seconds += t0.elapsed().as_secs_f64();
+        stats.solves += 1;
+        stats.iterations += out.0.iterations;
         // LP-solve granularity is the instrumentation floor: per-pivot
         // events would swamp the buffers for no diagnostic gain.
         rfp_trace::count("milp.lp.solves", 1);
         rfp_trace::record("milp.lp.iterations", out.0.iterations as u64);
         out
+    }
+
+    /// The gate in front of a popped node's LP: adopt external incumbents
+    /// (portfolio cooperation) before any pruning decision, so a fresh one
+    /// cuts this very node; then the gap test and the budgets.
+    pub(crate) fn gate(&self, node: &Node) -> Gate {
+        let cfg = self.cfg;
+        if self.incumbent.poll_external(&cfg.external_incumbents, &self.int_vars)
+            && cfg.stop_at_first_feasible
+        {
+            return Gate::Stop;
+        }
+        if self.incumbent.gap_closed(node.bound, cfg.gap_abs, cfg.gap_rel) {
+            return Gate::GapClosed;
+        }
+        let node_budget = cfg.max_nodes > 0 && self.nodes.load(Relaxed) >= cfg.max_nodes;
+        let time_budget = cfg.time_limit.is_some_and(|limit| self.start.elapsed() >= limit);
+        if node_budget || time_budget || cfg.cancel.is_cancelled() {
+            self.hit_limit.store(true, Relaxed);
+            return Gate::Budget;
+        }
+        rfp_trace::count("milp.nodes", 1);
+        Gate::Open(self.nodes.fetch_add(1, Relaxed) + 1)
+    }
+
+    /// Expands a node whose LP is solved: prune by bound, integral check,
+    /// diving and rounding heuristics, then branching. `nodes` is the node
+    /// count [`Search::gate`] opened the node with.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn expand(
+        &self,
+        sf: &StandardForm,
+        pseudo: &mut PseudoCosts,
+        stats: &mut LpStats,
+        node: &Node,
+        lp: LpResult,
+        snap: Option<BasisSnapshot>,
+        nodes: usize,
+    ) -> Expansion {
+        let cfg = self.cfg;
+        let inc = &self.incumbent;
+        match lp.status {
+            LpStatus::Infeasible => {
+                pseudo.observe(node, None, cfg.int_tol);
+                return Expansion::Leaf;
+            }
+            // An unbounded relaxation of a bounded-integer problem is
+            // pathological: the node can be neither pruned nor branched. (A
+            // pure LP's unbounded root is reported by the finaliser.)
+            LpStatus::Unbounded => return Expansion::Leaf,
+            // An iteration-limited LP gives no trustworthy bound: keep
+            // searching the children under the parent's bound.
+            LpStatus::IterationLimit | LpStatus::Optimal => {}
+        }
+        let optimal = lp.status == LpStatus::Optimal;
+        let bound = if optimal { inc.flip(lp.objective) } else { node.bound };
+        if optimal {
+            pseudo.observe(node, Some(bound), cfg.int_tol);
+        }
+        if inc.prunes(bound, cfg.gap_abs) {
+            rfp_trace::count("milp.pruned", 1);
+            return Expansion::Leaf;
+        }
+
+        let fractional = fractional_vars(&self.int_vars, &lp.values, cfg.int_tol);
+        if fractional.is_empty() {
+            rfp_trace::count("milp.integral", 1);
+            let won = inc.offer(round_integers(lp.values, &self.int_vars), tol::WARM_START);
+            return if won && cfg.stop_at_first_feasible {
+                Expansion::Stop
+            } else {
+                Expansion::Leaf
+            };
+        }
+
+        // LP-guided diving until the first incumbent is known (the root
+        // always dives).
+        let dive_due =
+            cfg.dive_period > 0 && (node.depth == 0 || (nodes - 1).is_multiple_of(cfg.dive_period));
+        if inc.best().is_none() && dive_due {
+            if let Some(values) = self.dive(sf, stats, &node.bounds, &lp.values, snap.as_ref()) {
+                if inc.offer(values, tol::FEASIBILITY) && cfg.stop_at_first_feasible {
+                    return Expansion::Stop;
+                }
+            }
+        }
+        // Rounding heuristic before branching.
+        if inc.best().is_none() || nodes % 16 == 1 {
+            let mut rounded = lp.values.clone();
+            for &j in &self.int_vars {
+                rounded[j] = rounded[j].round().clamp(node.bounds[j].0, node.bounds[j].1);
+            }
+            if inc.offer(rounded, tol::FEASIBILITY) && cfg.stop_at_first_feasible {
+                return Expansion::Stop;
+            }
+        }
+
+        let (j, v) = pseudo.pick(&fractional);
+        let snapshot = snap.map(Arc::new);
+        let (lbj, ubj) = node.bounds[j];
+        let frac = v - v.floor();
+        let mut children = Vec::with_capacity(2);
+        let mut child = |range: (f64, f64), up: bool| {
+            let mut bounds = node.bounds.clone();
+            bounds[j] = range;
+            children.push(Node {
+                bounds,
+                bound,
+                depth: node.depth + 1,
+                id: self.next_id.fetch_add(1, Relaxed),
+                snapshot: snapshot.clone(),
+                branch: Some(BranchInfo { var: j, up, parent_obj: bound, frac }),
+            });
+        };
+        if v.floor() >= lbj - 1e-9 {
+            child((lbj, v.floor().min(ubj)), false);
+        }
+        if v.ceil() <= ubj + 1e-9 {
+            child((v.ceil().max(lbj), ubj), true);
+        }
+        Expansion::Branch(children)
+    }
+
+    /// LP-guided diving: repeatedly tighten the most fractional integer
+    /// variable towards its nearest integer (a one-sided, branch-like bound
+    /// change rather than a hard fix) and re-solve the LP — warm-started
+    /// from the previous step's basis — flipping the direction once on
+    /// infeasibility. Returns the rounded integral point it reaches, for the
+    /// caller to check and offer as an incumbent.
+    fn dive(
+        &self,
+        sf: &StandardForm,
+        stats: &mut LpStats,
+        start_bounds: &[(f64, f64)],
+        start_values: &[f64],
+        start_snapshot: Option<&BasisSnapshot>,
+    ) -> Option<Vec<f64>> {
+        let mut bounds = start_bounds.to_vec();
+        let mut values = start_values.to_vec();
+        let mut snapshot: Option<BasisSnapshot> = start_snapshot.cloned();
+        // Each step moves one bound by at least one unit, so the budget is
+        // generous for binary-dominated models while still bounded for wide
+        // integer ranges.
+        for _ in 0..4 * self.int_vars.len() + 16 {
+            let out_of_time = self.cfg.time_limit.is_some_and(|l| self.start.elapsed() >= l);
+            if self.stop.is_cancelled() || out_of_time {
+                return None;
+            }
+            let frac = fractional_vars(&self.int_vars, &values, self.cfg.int_tol);
+            let Some((j, v)) = most_fractional(&frac) else {
+                return Some(round_integers(values, &self.int_vars));
+            };
+            let (lbj, ubj) = bounds[j];
+            // Tighten towards the nearest integer: raise the lower bound when
+            // rounding up, lower the upper bound when rounding down.
+            let up = v.round() >= v;
+            bounds[j] = if up { (v.ceil().min(ubj), ubj) } else { (lbj, v.floor().max(lbj)) };
+            let (lp, snap) = self.lp(sf, stats, snapshot.as_ref(), &bounds);
+            if lp.status == LpStatus::Optimal {
+                values = lp.values;
+                snapshot = snap;
+                continue;
+            }
+            // Infeasible (or numerically stuck): flip the direction once,
+            // then give up on this dive.
+            bounds[j] = if up { (lbj, v.floor().max(lbj)) } else { (v.ceil().min(ubj), ubj) };
+            let (lp, snap) = self.lp(sf, stats, snapshot.as_ref(), &bounds);
+            if lp.status != LpStatus::Optimal {
+                return None;
+            }
+            values = lp.values;
+            snapshot = snap;
+        }
+        None
+    }
+
+    /// Turns the finished search into a [`Solution`]. `open` are the bounds
+    /// (minimisation sense) of the nodes left unexplored; `root_unbounded`
+    /// tells whether the root relaxation was unbounded.
+    fn finish(
+        &self,
+        open: impl IntoIterator<Item = f64>,
+        stats: &LpStats,
+        cuts: usize,
+        root_unbounded: bool,
+    ) -> Solution {
+        let cfg = self.cfg;
+        let elapsed = self.start.elapsed().as_secs_f64();
+        let hit_limit = self.hit_limit.load(Relaxed);
+        let mut any_open = false;
+        // Unexplored nodes bound the optimum from below (min sense).
+        let open_bound =
+            open.into_iter().inspect(|_| any_open = true).fold(f64::INFINITY, f64::min);
+        let exhausted = !hit_limit && !any_open;
+        // A pure LP with an unbounded relaxation has no optimum to report,
+        // whatever incumbent a warm start or external source supplied.
+        let pure_lp_unbounded = root_unbounded && self.int_vars.is_empty();
+        let incumbent = self.incumbent.slot.lock().unwrap().take().filter(|_| !pure_lp_unbounded);
+        let mut sol = match incumbent {
+            Some((obj_min, values)) => {
+                let bound = open_bound.min(obj_min);
+                let proven = exhausted
+                    || obj_min - bound <= cfg.gap_abs
+                    || obj_min - bound <= cfg.gap_rel * obj_min.abs().max(1.0);
+                let status = if proven { SolveStatus::Optimal } else { SolveStatus::Feasible };
+                Solution {
+                    objective: self.incumbent.flip(obj_min),
+                    best_bound: self.incumbent.flip(if exhausted { obj_min } else { bound }),
+                    values,
+                    ..Solution::empty(status, 0)
+                }
+            }
+            None => {
+                let status = if hit_limit {
+                    SolveStatus::Unknown
+                } else if root_unbounded {
+                    SolveStatus::Unbounded
+                } else {
+                    SolveStatus::Infeasible
+                };
+                Solution::empty(status, self.model.n_vars())
+            }
+        };
+        sol.nodes = self.nodes.load(Relaxed);
+        sol.lp_iterations = stats.iterations;
+        sol.lp_solves = stats.solves;
+        sol.lp_seconds = stats.seconds;
+        sol.cuts = cuts;
+        sol.solve_seconds = elapsed;
+        sol.cancelled = cfg.cancel.is_cancelled();
+        sol
     }
 }
 
@@ -432,7 +847,7 @@ impl Solver {
         on_incumbent: Option<&(dyn Fn(f64, f64) + Send + Sync)>,
     ) -> Solution {
         let start = Instant::now();
-        // Presolve up front so the serial and parallel drivers both search
+        // Presolve up front so the whole search, serial or parallel, runs on
         // the tightened (integer-equivalent) model. Variable indices are
         // unchanged, so warm starts and external incumbents stay valid.
         let pre;
@@ -454,503 +869,118 @@ impl Solver {
         } else {
             model
         };
-        // The dense tableau is a frozen serial benchmarking baseline; the
-        // parallel driver only fronts the revised simplex.
-        if self.config.threads > 1 && !self.config.use_dense_lp {
-            return crate::parallel::solve_parallel(self, model, warm_start, on_incumbent, start);
-        }
-        self.solve_serial(model, warm_start, on_incumbent, start)
+        self.best_first(model, warm_start, on_incumbent, start)
     }
 
-    /// The serial best-first search loop (`threads = 1`), unchanged from
-    /// previous releases: same node order, same proof.
-    fn solve_serial(
+    /// The best-first driver. At `threads <= 1` it runs the tree to
+    /// exhaustion; otherwise it is the ramp-up, which stops once the open
+    /// nodes can feed every worker and hands them to the parallel pool.
+    fn best_first(
         &self,
         model: &Model,
         warm_start: Option<&[f64]>,
         on_incumbent: Option<&(dyn Fn(f64, f64) + Send + Sync)>,
         start: Instant,
     ) -> Solution {
+        // One span name at every thread count: a root-solved instance never
+        // primes the pool, so it traces identically however it was run.
         let _search = rfp_trace::span("milp.search");
-        let notify = |obj_model_sense: f64| {
-            rfp_trace::count("milp.incumbents", 1);
-            if let Some(cb) = on_incumbent {
-                cb(obj_model_sense, start.elapsed().as_secs_f64());
-            }
-        };
-        let n = model.n_vars();
-        let maximize = model.sense == Sense::Maximize;
-        // Internal bounding works in minimisation sense.
-        let to_min = |obj: f64| if maximize { -obj } else { obj };
-        let from_min = |obj: f64| if maximize { -obj } else { obj };
-
-        // The LP layer shares the solver's cancellation token and deadline so
-        // an abort fires even in the middle of a long relaxation solve.
-        let mut lp_cfg = self.config.lp.clone();
-        lp_cfg.cancel = self.config.cancel.clone();
-        lp_cfg.deadline = self.config.time_limit.map(|limit| start + limit);
-
-        let mut backend = if self.config.use_dense_lp {
-            LpBackend::Dense(DenseForm::from_model(model))
-        } else {
-            LpBackend::Revised(StandardForm::from_model(model))
-        };
-        let int_vars: Vec<usize> = model
-            .vars()
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.kind.is_integral())
-            .map(|(j, _)| j)
-            .collect();
-
-        let root_bounds: Vec<(f64, f64)> = model.vars().iter().map(|v| (v.lb, v.ub)).collect();
-
-        let mut heap: BinaryHeap<OrderedNode> = BinaryHeap::new();
-        let mut next_id = 0usize;
-        heap.push(OrderedNode(Node {
-            bounds: root_bounds,
-            bound: f64::NEG_INFINITY,
-            depth: 0,
-            id: next_id,
-            snapshot: None,
-            branch: None,
-        }));
-        next_id += 1;
-
-        let mut incumbent: Option<(f64, Vec<f64>)> = None; // (obj in min sense, values)
-        if let Some(values) = warm_start {
-            let integral = values.len() == n
-                && int_vars
-                    .iter()
-                    .all(|&j| (values[j] - values[j].round()).abs() <= self.config.int_tol);
-            if integral && model.is_feasible(values, tol::WARM_START) {
-                let obj_min = to_min(model.objective.eval(values));
-                incumbent = Some((obj_min, values.to_vec()));
-                notify(from_min(obj_min));
-                if self.config.stop_at_first_feasible {
-                    return Solution {
-                        status: SolveStatus::Feasible,
-                        objective: from_min(obj_min),
-                        best_bound: from_min(f64::NEG_INFINITY),
-                        values: values.to_vec(),
-                        nodes: 0,
-                        lp_iterations: 0,
-                        lp_solves: 0,
-                        lp_seconds: 0.0,
-                        cuts: 0,
-                        solve_seconds: start.elapsed().as_secs_f64(),
-                        cancelled: false,
-                    };
-                }
-            }
-        }
-
-        let mut pseudo = PseudoCosts::new(n);
+        let cfg = &self.config;
+        let search = Search::new(cfg, model, on_incumbent, start);
+        let mut sf = StandardForm::from_model(model);
         let mut separator = Separator::new(model);
-        let mut cuts_added = 0usize;
-        let mut stats = LpStats { iterations: 0, solves: 0, seconds: 0.0 };
-        let mut best_bound_min = f64::NEG_INFINITY;
-        let mut nodes = 0usize;
-        let mut root_status: Option<LpStatus> = None;
-        let mut hit_limit = false;
+        let mut pseudo = PseudoCosts::new(model.n_vars());
+        let mut stats = LpStats::default();
+        let mut cuts = 0usize;
+        let mut root_unbounded = false;
+        let mut heap = BinaryHeap::from([OrderedNode(search.root())]);
+        let target =
+            if cfg.threads > 1 { cfg.threads * crate::parallel::RAMP_FANOUT } else { usize::MAX };
 
-        while let Some(OrderedNode(node)) = heap.pop() {
-            // Adopt externally-discovered solutions (portfolio cooperation)
-            // before any pruning decision, so a fresh incumbent cuts this
-            // very node.
-            if let Some(mut values) = self.config.external_incumbents.poll() {
-                if values.len() == n {
-                    for &j in &int_vars {
-                        values[j] = values[j].round();
+        // A warm start can satisfy `stop_at_first_feasible` before the root.
+        let stop = warm_start.is_some_and(|values| {
+            search.incumbent.adopt_warm_start(values, &search.int_vars, cfg.int_tol)
+        }) && cfg.stop_at_first_feasible;
+        // `true` when the loop stopped only to hand the open nodes over.
+        let primed = !stop
+            && loop {
+                if heap.len() >= target {
+                    break true;
+                }
+                let Some(OrderedNode(node)) = heap.pop() else { break false };
+                let nodes = match search.gate(&node) {
+                    Gate::Open(nodes) => nodes,
+                    Gate::Budget => {
+                        // Keep the node's bound visible to the finaliser.
+                        heap.push(OrderedNode(node));
+                        break false;
                     }
-                    if model.is_feasible(&values, tol::WARM_START) {
-                        let obj_min = to_min(model.objective.eval(&values));
-                        if incumbent.as_ref().is_none_or(|(best, _)| obj_min < *best) {
-                            incumbent = Some((obj_min, values));
-                            notify(from_min(obj_min));
-                            if self.config.stop_at_first_feasible {
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-            // Global bound = min over the popped node and everything remaining.
-            best_bound_min = node.bound.max(best_bound_min.min(node.bound));
-            if let Some((inc_obj, _)) = &incumbent {
-                let gap = inc_obj - node.bound;
-                if gap <= self.config.gap_abs || gap <= self.config.gap_rel * inc_obj.abs().max(1.0)
-                {
-                    // Every remaining node has a bound at least as large.
-                    break;
-                }
-            }
-            let node_budget = self.config.max_nodes > 0 && nodes >= self.config.max_nodes;
-            let time_budget = self.config.time_limit.is_some_and(|limit| start.elapsed() >= limit);
-            if node_budget || time_budget || self.config.cancel.is_cancelled() {
-                hit_limit = true;
-                // Keep the node's bound visible to the final gap accounting.
-                heap.push(OrderedNode(node));
-                break;
-            }
-
-            nodes += 1;
-            rfp_trace::count("milp.nodes", 1);
-            let root_lp_span = (node.depth == 0).then(|| rfp_trace::span("milp.root_lp"));
-            let (mut lp, mut snap) =
-                stats.timed(&backend, node.snapshot.as_deref(), &node.bounds, &lp_cfg);
-
-            // Root separation loop: add violated cover/clique cuts and
-            // re-solve dually from the extended basis ("cut and branch").
-            if node.depth == 0
-                && !int_vars.is_empty()
-                && self.config.cut_rounds > 0
-                && lp.status == LpStatus::Optimal
-            {
-                for _ in 0..self.config.cut_rounds {
-                    if lp.status != LpStatus::Optimal
-                        || crate::simplex::is_integral(model, &lp.values, self.config.int_tol)
-                    {
-                        break;
-                    }
-                    let LpBackend::Revised(sf) = &mut backend else { break };
-                    let cuts = separator.separate(&lp.values, self.config.max_cuts_per_round);
-                    if cuts.is_empty() {
-                        break;
-                    }
-                    let rows: Vec<_> = cuts.iter().map(|c| c.as_row()).collect();
-                    sf.add_rows(&rows);
-                    cuts_added += cuts.len();
-                    rfp_trace::count("milp.cuts", cuts.len() as u64);
-                    let warm = snap.as_ref().and_then(|s| sf.extend_snapshot(s));
-                    let (lp2, snap2) = stats.timed(&backend, warm.as_ref(), &node.bounds, &lp_cfg);
-                    lp = lp2;
-                    snap = snap2;
-                }
-            }
-            drop(root_lp_span);
-
-            if node.depth == 0 {
-                root_status = Some(lp.status);
-            }
-            match lp.status {
-                LpStatus::Infeasible => {
-                    self.record_pseudo(&mut pseudo, &node, None);
-                    continue;
-                }
-                LpStatus::Unbounded => {
-                    if node.depth == 0 && int_vars.is_empty() {
-                        let mut sol = Solution::empty(SolveStatus::Unbounded, n);
-                        sol.nodes = nodes;
-                        sol.solve_seconds = start.elapsed().as_secs_f64();
-                        sol.cancelled = self.config.cancel.is_cancelled();
-                        return sol;
-                    }
-                    // An unbounded relaxation of a bounded-integer problem is
-                    // pathological; treat the node as un-prunable.
-                    continue;
-                }
-                LpStatus::IterationLimit => {
-                    // Treat conservatively: cannot trust the bound, but keep
-                    // searching children with the parent bound.
-                }
-                LpStatus::Optimal => {}
-            }
-
-            let node_bound_min =
-                if lp.status == LpStatus::Optimal { to_min(lp.objective) } else { node.bound };
-            if lp.status == LpStatus::Optimal {
-                self.record_pseudo(&mut pseudo, &node, Some(node_bound_min));
-            }
-
-            // Prune by bound.
-            if let Some((inc_obj, _)) = &incumbent {
-                if node_bound_min >= *inc_obj - self.config.gap_abs {
-                    rfp_trace::count("milp.pruned", 1);
-                    continue;
-                }
-            }
-
-            // Integral solution?
-            let fractional = fractional_vars(&int_vars, &lp.values, self.config.int_tol);
-
-            if fractional.is_empty() {
-                // LP solution is integral: candidate incumbent.
-                rfp_trace::count("milp.integral", 1);
-                let mut values = lp.values.clone();
-                for &j in &int_vars {
-                    values[j] = values[j].round();
-                }
-                if model.is_feasible(&values, tol::WARM_START) {
-                    let obj_min = to_min(model.objective.eval(&values));
-                    if incumbent.as_ref().is_none_or(|(best, _)| obj_min < *best) {
-                        incumbent = Some((obj_min, values));
-                        notify(from_min(obj_min));
-                        if self.config.stop_at_first_feasible {
-                            break;
-                        }
-                    }
-                }
-                continue;
-            }
-
-            // LP-guided diving until the first incumbent is known.
-            let dive_due = self.config.dive_period > 0
-                && (node.depth == 0 || (nodes - 1).is_multiple_of(self.config.dive_period));
-            if incumbent.is_none() && dive_due {
-                if let Some((obj_min_raw, values)) = self.dive(
-                    &backend,
-                    &lp_cfg,
-                    model,
-                    &int_vars,
-                    &node.bounds,
-                    &lp.values,
-                    snap.as_ref(),
-                    &mut stats,
-                    start,
-                ) {
-                    let obj_min = to_min(obj_min_raw);
-                    if incumbent.as_ref().is_none_or(|(best, _)| obj_min < *best) {
-                        incumbent = Some((obj_min, values));
-                        notify(from_min(obj_min));
-                        if self.config.stop_at_first_feasible {
-                            break;
-                        }
-                    }
-                }
-            }
-
-            // Rounding heuristic before branching.
-            if incumbent.is_none() || nodes % 16 == 1 {
-                let mut rounded = lp.values.clone();
-                for &jj in &int_vars {
-                    rounded[jj] = rounded[jj].round().clamp(node.bounds[jj].0, node.bounds[jj].1);
-                }
-                if model.is_feasible(&rounded, tol::FEASIBILITY) {
-                    let obj_min = to_min(model.objective.eval(&rounded));
-                    if incumbent.as_ref().is_none_or(|(best, _)| obj_min < *best) {
-                        incumbent = Some((obj_min, rounded));
-                        notify(from_min(obj_min));
-                        if self.config.stop_at_first_feasible {
-                            break;
-                        }
-                    }
-                }
-            }
-
-            // Branch.
-            let (j, v) = self.pick_branch(&pseudo, &fractional);
-            let shared_snap = snap.map(Arc::new);
-            let frac = v - v.floor();
-            let floor = v.floor();
-            let ceil = v.ceil();
-            let (lbj, ubj) = node.bounds[j];
-            if floor >= lbj - 1e-9 {
-                let mut b = node.bounds.clone();
-                b[j] = (lbj, floor.min(ubj));
-                heap.push(OrderedNode(Node {
-                    bounds: b,
-                    bound: node_bound_min,
-                    depth: node.depth + 1,
-                    id: next_id,
-                    snapshot: shared_snap.clone(),
-                    branch: Some(BranchInfo {
-                        var: j,
-                        up: false,
-                        parent_obj: node_bound_min,
-                        frac,
-                    }),
-                }));
-                next_id += 1;
-            }
-            if ceil <= ubj + 1e-9 {
-                let mut b = node.bounds.clone();
-                b[j] = (ceil.max(lbj), ubj);
-                heap.push(OrderedNode(Node {
-                    bounds: b,
-                    bound: node_bound_min,
-                    depth: node.depth + 1,
-                    id: next_id,
-                    snapshot: shared_snap,
-                    branch: Some(BranchInfo { var: j, up: true, parent_obj: node_bound_min, frac }),
-                }));
-                next_id += 1;
-            }
-        }
-
-        let elapsed = start.elapsed().as_secs_f64();
-        let was_cancelled = self.config.cancel.is_cancelled();
-        // Remaining open nodes bound the optimum from below (min sense).
-        let open_bound = heap.iter().map(|OrderedNode(nd)| nd.bound).fold(f64::INFINITY, f64::min);
-
-        match incumbent {
-            Some((obj_min, values)) => {
-                let proven = !hit_limit && heap.is_empty() || {
-                    let bound = open_bound.min(obj_min);
-                    obj_min - bound <= self.config.gap_abs
-                        || obj_min - bound <= self.config.gap_rel * obj_min.abs().max(1.0)
+                    // Best-first: every remaining node's bound is at least
+                    // as large, so a gap closed here is closed everywhere.
+                    Gate::GapClosed => break false,
+                    Gate::Stop => break false,
                 };
-                let bound_min =
-                    if heap.is_empty() && !hit_limit { obj_min } else { open_bound.min(obj_min) };
-                Solution {
-                    status: if proven { SolveStatus::Optimal } else { SolveStatus::Feasible },
-                    objective: from_min(obj_min),
-                    best_bound: from_min(bound_min),
-                    values,
-                    nodes,
-                    lp_iterations: stats.iterations,
-                    lp_solves: stats.solves,
-                    lp_seconds: stats.seconds,
-                    cuts: cuts_added,
-                    solve_seconds: elapsed,
-                    cancelled: was_cancelled,
-                }
-            }
-            None => {
-                let status = if hit_limit {
-                    SolveStatus::Unknown
-                } else if root_status == Some(LpStatus::Unbounded) {
-                    SolveStatus::Unbounded
-                } else {
-                    SolveStatus::Infeasible
-                };
-                let mut sol = Solution::empty(status, n);
-                sol.nodes = nodes;
-                sol.lp_iterations = stats.iterations;
-                sol.lp_solves = stats.solves;
-                sol.lp_seconds = stats.seconds;
-                sol.cuts = cuts_added;
-                sol.solve_seconds = elapsed;
-                sol.cancelled = was_cancelled;
-                sol
-            }
-        }
-    }
-
-    /// Updates pseudo-costs from a solved (or infeasible) child node.
-    pub(crate) fn record_pseudo(
-        &self,
-        pseudo: &mut PseudoCosts,
-        node: &Node,
-        child_obj: Option<f64>,
-    ) {
-        if !matches!(self.config.branching, BranchRule::PseudoCost { .. }) {
-            return;
-        }
-        let Some(info) = node.branch else { return };
-        let dist = if info.up { 1.0 - info.frac } else { info.frac };
-        if dist <= self.config.int_tol {
-            return;
-        }
-        match child_obj {
-            Some(obj) => pseudo.record(info.var, info.up, (obj - info.parent_obj) / dist),
-            // An infeasible child is the strongest possible degradation
-            // signal; record a large (but finite) per-unit cost.
-            None => {
-                let scale = info.parent_obj.abs().max(1.0);
-                pseudo.record(info.var, info.up, scale / dist);
-            }
-        }
-    }
-
-    /// Picks the branching variable according to the configured rule.
-    pub(crate) fn pick_branch(
-        &self,
-        pseudo: &PseudoCosts,
-        fractional: &[(usize, f64)],
-    ) -> (usize, f64) {
-        if let BranchRule::PseudoCost { reliability } = self.config.branching {
-            if let Some(pick) = pseudo.select(fractional, reliability) {
-                return pick;
-            }
-        }
-        most_fractional(fractional).expect("caller guarantees a fractional candidate")
-    }
-
-    /// LP-guided diving: repeatedly tighten the most fractional integer
-    /// variable towards its nearest integer (a one-sided, branch-like bound
-    /// change rather than a hard fix) and re-solve the LP — warm-started
-    /// from the previous step's basis — flipping the direction once on
-    /// infeasibility. Returns an objective (in the *model's* sense) and a
-    /// feasible assignment on success.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn dive(
-        &self,
-        backend: &LpBackend,
-        lp_cfg: &LpConfig,
-        model: &Model,
-        int_vars: &[usize],
-        start_bounds: &[(f64, f64)],
-        start_values: &[f64],
-        start_snapshot: Option<&BasisSnapshot>,
-        stats: &mut LpStats,
-        start: Instant,
-    ) -> Option<(f64, Vec<f64>)> {
-        let mut bounds = start_bounds.to_vec();
-        let mut values = start_values.to_vec();
-        let mut snapshot: Option<BasisSnapshot> = start_snapshot.cloned();
-        // Each step moves one bound by at least one unit, so the budget is
-        // generous for binary-dominated models while still bounded for wide
-        // integer ranges.
-        for _ in 0..4 * int_vars.len() + 16 {
-            if self.config.cancel.is_cancelled() {
-                return None;
-            }
-            if let Some(limit) = self.config.time_limit {
-                if start.elapsed() >= limit {
-                    return None;
-                }
-            }
-            let frac = fractional_vars(int_vars, &values, self.config.int_tol);
-            let (j, v) = match most_fractional(&frac) {
-                None => {
-                    let mut rounded = values;
-                    for &jj in int_vars {
-                        rounded[jj] = rounded[jj].round();
+                let root_lp_span = (node.depth == 0).then(|| rfp_trace::span("milp.root_lp"));
+                let (mut lp, mut snap) =
+                    search.lp(&sf, &mut stats, node.snapshot.as_deref(), &node.bounds);
+                if node.depth == 0 {
+                    // Root separation loop: add violated cover/clique cuts
+                    // and re-solve dually from the extended basis.
+                    for _ in 0..cfg.cut_rounds {
+                        if lp.status != LpStatus::Optimal
+                            || crate::simplex::is_integral(model, &lp.values, cfg.int_tol)
+                        {
+                            break;
+                        }
+                        let new_cuts = separator.separate(&lp.values, cfg.max_cuts_per_round);
+                        if new_cuts.is_empty() {
+                            break;
+                        }
+                        let rows: Vec<_> = new_cuts.iter().map(|c| c.as_row()).collect();
+                        sf.add_rows(&rows);
+                        cuts += new_cuts.len();
+                        rfp_trace::count("milp.cuts", new_cuts.len() as u64);
+                        let warm = snap.as_ref().and_then(|s| sf.extend_snapshot(s));
+                        (lp, snap) = search.lp(&sf, &mut stats, warm.as_ref(), &node.bounds);
                     }
-                    if model.is_feasible(&rounded, tol::FEASIBILITY) {
-                        let obj = model.objective.eval(&rounded);
-                        return Some((obj, rounded));
-                    }
-                    return None;
+                    root_unbounded = lp.status == LpStatus::Unbounded;
                 }
-                Some((j, v)) => (j, v),
+                drop(root_lp_span);
+                match search.expand(&sf, &mut pseudo, &mut stats, &node, lp, snap, nodes) {
+                    Expansion::Leaf => {}
+                    Expansion::Stop => break false,
+                    Expansion::Branch(children) => {
+                        for child in children {
+                            heap.push(OrderedNode(child));
+                        }
+                    }
+                }
             };
-            let (lbj, ubj) = bounds[j];
-            // Tighten towards the nearest integer: raise the lower bound when
-            // rounding up, lower the upper bound when rounding down.
-            let up = v.round() >= v;
-            bounds[j] = if up { (v.ceil().min(ubj), ubj) } else { (lbj, v.floor().max(lbj)) };
-            let (lp, snap) = stats.timed(backend, snapshot.as_ref(), &bounds, lp_cfg);
-            if lp.status == LpStatus::Optimal {
-                values = lp.values;
-                snapshot = snap;
-                continue;
-            }
-            // Infeasible (or numerically stuck): flip the direction once,
-            // then give up on this dive.
-            bounds[j] = if up { (lbj, v.floor().max(lbj)) } else { (v.ceil().min(ubj), ubj) };
-            let (lp, snap) = stats.timed(backend, snapshot.as_ref(), &bounds, lp_cfg);
-            if lp.status == LpStatus::Optimal {
-                values = lp.values;
-                snapshot = snap;
-            } else {
-                return None;
-            }
+        if primed {
+            let workers = crate::parallel::run_workers(&search, &sf, &mut heap, &pseudo);
+            stats.add(&workers);
         }
-        None
+        search.finish(heap.iter().map(|OrderedNode(node)| node.bound), &stats, cuts, root_unbounded)
     }
+}
+
+/// `values` with every integer variable rounded to the nearest integer.
+fn round_integers(mut values: Vec<f64>, int_vars: &[usize]) -> Vec<f64> {
+    for &j in int_vars {
+        values[j] = values[j].round();
+    }
+    values
 }
 
 /// The integer variables whose LP values are fractional beyond `tol`, with
 /// their values, in index order.
-pub(crate) fn fractional_vars(int_vars: &[usize], values: &[f64], tol: f64) -> Vec<(usize, f64)> {
+fn fractional_vars(int_vars: &[usize], values: &[f64], tol: f64) -> Vec<(usize, f64)> {
     int_vars.iter().map(|&j| (j, values[j])).filter(|&(_, v)| (v - v.round()).abs() > tol).collect()
 }
 
 /// The candidate whose value is farthest from integral (ties broken towards
 /// 0.5 then by index, matching the historical branching rule).
-pub(crate) fn most_fractional(candidates: &[(usize, f64)]) -> Option<(usize, f64)> {
+fn most_fractional(candidates: &[(usize, f64)]) -> Option<(usize, f64)> {
     candidates
         .iter()
         .map(|&(j, v)| (j, v, (v - v.round()).abs()))
@@ -1008,38 +1038,6 @@ mod tests {
         let sol = solver().solve(&m);
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!((sol.objective - 56.0).abs() < 1e-6, "objective {}", sol.objective);
-        assert!(sol.verify(&m, 1e-6).is_empty());
-    }
-
-    #[test]
-    fn dense_backend_agrees_with_revised() {
-        let build = || {
-            let mut m = Model::new("agree", Sense::Maximize);
-            let x = m.int_var("x", 0.0, 10.0);
-            let y = m.int_var("y", 0.0, 10.0);
-            m.add_con("c1", LinExpr::from(x) * 2.0 + LinExpr::from(y) * 3.0, ConOp::Le, 12.0);
-            m.add_con("c2", LinExpr::from(x) * 4.0 + LinExpr::from(y), ConOp::Le, 10.0);
-            m.set_objective(LinExpr::from(x) + y);
-            m
-        };
-        let revised = Solver::default().solve(&build());
-        let dense = Solver::new(SolverConfig { use_dense_lp: true, ..SolverConfig::default() })
-            .solve(&build());
-        assert_eq!(revised.status, SolveStatus::Optimal);
-        assert_eq!(dense.status, SolveStatus::Optimal);
-        assert!((revised.objective - dense.objective).abs() < 1e-6);
-    }
-
-    #[test]
-    fn most_fractional_rule_still_solves() {
-        let mut m = Model::new("mf", Sense::Maximize);
-        let x = m.int_var("x", 0.0, 10.0);
-        let y = m.int_var("y", 0.0, 10.0);
-        m.add_con("c", LinExpr::from(x) * 3.0 + LinExpr::from(y) * 7.0, ConOp::Le, 20.5);
-        m.set_objective(LinExpr::from(x) + LinExpr::from(y) * 2.0);
-        let cfg = SolverConfig { branching: BranchRule::MostFractional, ..SolverConfig::default() };
-        let sol = Solver::new(cfg).solve(&m);
-        assert_eq!(sol.status, SolveStatus::Optimal);
         assert!(sol.verify(&m, 1e-6).is_empty());
     }
 

@@ -1,15 +1,11 @@
-//! The retired dense-tableau simplex, kept as an oracle and baseline.
+//! The retired dense-tableau simplex, kept as an LP test oracle.
 //!
 //! This is the bounded-variable two-phase primal simplex that powered the
 //! solver before the sparse revised engine ([`crate::simplex`]) replaced it.
-//! It is retained for two jobs:
-//!
-//! * **test oracle** — the property suites solve random LPs with both
-//!   engines and require matching objectives, which guards the much more
-//!   intricate revised implementation;
-//! * **benchmark baseline** — `rfp-bench`'s `solve_times` binary runs branch
-//!   and bound against both engines to report the per-node LP re-solve
-//!   speedup ([`crate::branch_bound::SolverConfig::use_dense_lp`]).
+//! The solver never runs it. It is retained only as an oracle: the property
+//! suite (`tests/revised_vs_dense.rs`) and the simplex unit tests solve LPs
+//! with both engines and require matching results, which guards the much
+//! more intricate revised implementation.
 //!
 //! Implementation notes (unchanged from its time as the production path):
 //! every constraint gains a slack, phase 1 minimises the sum of artificial

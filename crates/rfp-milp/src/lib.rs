@@ -29,8 +29,8 @@
 //! The revised simplex re-solves a branch-and-bound child from its parent's
 //! basis after a single bound change, so per-node cost is a handful of
 //! pivots at O(nnz) each instead of a dense from-scratch tableau solve. The
-//! retired dense implementation is kept in [`dense`] as a property-test
-//! oracle and benchmark baseline. The full-die SDR2/SDR3 instances of the
+//! retired dense implementation is kept in [`dense`] as an LP test oracle
+//! only. The full-die SDR2/SDR3 instances of the
 //! paper are solved by the specialised combinatorial engine in
 //! `rfp-floorplan`; DESIGN.md discusses this substitution.
 //!
@@ -74,14 +74,14 @@ pub mod tol;
 
 /// Convenient glob import for users of the solver.
 pub mod prelude {
-    pub use crate::branch_bound::{BranchRule, ExternalIncumbents, Solver, SolverConfig};
+    pub use crate::branch_bound::{ExternalIncumbents, Solver, SolverConfig};
     pub use crate::cancel::CancelToken;
     pub use crate::expr::LinExpr;
     pub use crate::model::{ConOp, Model, Sense, VarId, VarKind};
     pub use crate::solution::{Solution, SolveStatus};
 }
 
-pub use branch_bound::{BranchRule, ExternalIncumbents, Solver, SolverConfig};
+pub use branch_bound::{ExternalIncumbents, Solver, SolverConfig};
 pub use cancel::CancelToken;
 pub use expr::LinExpr;
 pub use model::{ConOp, Model, Sense, VarId, VarKind};

@@ -1,715 +1,189 @@
-//! Work-stealing parallel branch-and-bound.
+//! The work-stealing worker pool of the parallel branch-and-bound.
 //!
-//! The driver runs the same node computation as the serial loop in
-//! [`crate::branch_bound`] — warm-started dual re-solves, pseudo-cost
-//! branching, diving and rounding heuristics, prune-by-bound — but explores
-//! the tree with a pool of worker threads over a shared node pool:
+//! The best-first driver in [`crate::branch_bound`] runs the root (cuts
+//! included) and the first levels of the tree itself — the ramp-up — and
+//! hands the open nodes to this pool once there are enough to feed every
+//! worker. A search that ends during ramp-up (infeasible root, gap closed,
+//! budget) never spawns a thread. The workers run the same node step as the
+//! driver — gate, LP, expansion — against the same incumbent; only the
+//! scheduling differs:
 //!
-//! * **ramp-up** — the root LP (including the cut-and-branch separation
-//!   loop) and the first few levels of the tree are processed serially,
-//!   best-first, until enough open nodes exist to feed every worker. A
-//!   search that terminates during ramp-up (infeasible root, gap closed,
-//!   budget) never spawns a thread;
 //! * **per-thread deques** — open nodes are dealt round-robin into one
 //!   deque per worker. An owner pushes its children at the *front* and pops
 //!   from the front (LIFO: a best-child dive, maximising warm-start reuse
 //!   from the `Arc`-shared parent basis), while idle workers *steal from
 //!   the back* — the shallowest, largest subtrees — so stolen work is
 //!   coarse and contention stays at the deque ends;
-//! * **shared incumbent** — the best known objective is mirrored into an
-//!   atomic (f64 bits) read before every node expansion, so all threads
-//!   prune against the globally best solution with no lock on the hot
-//!   path; installs go through a mutex that also drives the
-//!   `on_incumbent` callback in monotone order;
 //! * **per-thread pseudo-costs** — each worker learns branching costs
 //!   locally and periodically folds its *delta* into a shared table
 //!   ([`PseudoCosts::merge_diff`]), picking up everyone else's learning at
 //!   the same time;
 //! * **termination** — an atomic count of outstanding nodes (queued +
 //!   in-hand) reaches zero exactly when the tree is exhausted; budget and
-//!   cancellation exits cancel an internal stop token (a
-//!   [`CancelToken::child`] of the user's token, so an internal stop never
-//!   reports as a user cancellation) and leave unexplored nodes in the
-//!   deques, which the finaliser folds into an *honest* best bound.
+//!   cancellation exits fire the search's internal stop token and leave
+//!   unexplored nodes in the deques, which go back to the driver so the
+//!   finaliser folds them into an *honest* best bound.
 //!
 //! Results are deterministic — the proven objective and status match the
 //! serial search — but node counts and traversal order are not: whichever
 //! worker finds an incumbent first reshapes everyone else's pruning.
 
-use crate::branch_bound::{
-    fractional_vars, BranchInfo, LpBackend, LpStats, Node, OrderedNode, PseudoCosts, Solver,
-};
-use crate::cancel::CancelToken;
-use crate::cuts::Separator;
-use crate::model::{Model, Sense};
-use crate::simplex::{LpConfig, LpStatus, StandardForm};
-use crate::solution::{Solution, SolveStatus};
-use crate::tol;
+use crate::branch_bound::{Expansion, Gate, LpStats, Node, OrderedNode, PseudoCosts, Search};
+use crate::simplex::StandardForm;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 use std::sync::Mutex;
-use std::time::Instant;
 
-/// Open nodes per worker the ramp-up phase aims for before distributing.
-const RAMP_FANOUT: usize = 4;
+/// Open nodes per worker the ramp-up aims for before handing over.
+pub(crate) const RAMP_FANOUT: usize = 4;
 
 /// Local pseudo-cost observations between merges into the shared table.
 const PSEUDO_MERGE_PERIOD: usize = 64;
 
-/// State shared by all workers of one parallel solve.
-struct SharedSearch {
+/// The scheduling state shared by the workers of one parallel search.
+struct Pool {
     /// One work deque per worker; owners use the front, thieves the back.
     deques: Vec<Mutex<VecDeque<Node>>>,
-    /// Best known solution: `(objective in min sense, values)`.
-    incumbent: Mutex<Option<(f64, Vec<f64>)>>,
-    /// `f64::to_bits` of the incumbent objective (min sense), `+inf` when
-    /// none — the lock-free read for prune-by-bound on the hot path.
-    inc_bits: AtomicU64,
     /// Nodes queued in deques plus nodes currently being expanded; the
     /// search is exhausted exactly when this reaches zero.
     outstanding: AtomicUsize,
-    /// Internal stop signal: child of the user's cancel token.
-    stop: CancelToken,
-    /// Set when a budget/cancel exit left the tree unexplored.
-    hit_limit: AtomicBool,
-    /// Total nodes expanded (all workers).
-    nodes: AtomicUsize,
-    /// Monotone node ids (diagnostic; ordering in the deques is positional).
-    next_id: AtomicUsize,
     /// Shared pseudo-cost table workers merge their deltas into.
     pseudo: Mutex<PseudoCosts>,
 }
 
-impl SharedSearch {
-    /// The incumbent objective (min sense) as of the last install, `+inf`
-    /// when none. Racy by design: a stale read only delays a prune.
-    fn inc_obj(&self) -> f64 {
-        f64::from_bits(self.inc_bits.load(Ordering::Relaxed))
-    }
-
-    /// `true` when a node with this bound cannot beat the incumbent by more
-    /// than the configured gap.
-    fn pruned(&self, bound_min: f64, gap_abs: f64, gap_rel: f64) -> bool {
-        let inc = self.inc_obj();
-        inc.is_finite()
-            && (bound_min >= inc - gap_abs || inc - bound_min <= gap_rel * inc.abs().max(1.0))
-    }
-
-    /// Installs a strictly better incumbent; returns `true` when it won.
-    /// The `notify` callback runs under the lock so reported improvements
-    /// stay monotone across threads.
-    fn try_install(&self, obj_min: f64, values: Vec<f64>, notify: &dyn Fn(f64)) -> bool {
-        let mut guard = self.incumbent.lock().unwrap();
-        if guard.as_ref().is_none_or(|(best, _)| obj_min < *best) {
-            *guard = Some((obj_min, values));
-            self.inc_bits.store(obj_min.to_bits(), Ordering::Relaxed);
-            notify(obj_min);
-            true
-        } else {
-            false
-        }
-    }
-}
-
-/// Per-worker tallies handed back to the finaliser.
-struct WorkerOut {
-    stats: LpStats,
-}
-
-/// Entry point: the parallel driver behind
-/// [`Solver::solve_controlled`] when `threads > 1`.
-///
-/// The model arrives already presolved; `start` is the wall-clock origin of
-/// the whole solve (shared with presolve and ramp-up for honest timings).
-pub(crate) fn solve_parallel(
-    solver: &Solver,
-    model: &Model,
-    warm_start: Option<&[f64]>,
-    on_incumbent: Option<&(dyn Fn(f64, f64) + Send + Sync)>,
-    start: Instant,
-) -> Solution {
-    // Same span name as the serial loop: a root-solved instance (which
-    // never primes the pool, so never spawns a worker) must trace
-    // identically at every thread count.
-    let _search = rfp_trace::span("milp.search");
-    let cfg = &solver.config;
-    let threads = cfg.threads.max(2);
-    let n = model.n_vars();
-    let maximize = model.sense == Sense::Maximize;
-    let to_min = |obj: f64| if maximize { -obj } else { obj };
-    let from_min = |obj: f64| if maximize { -obj } else { obj };
-
-    // The internal stop signal: cancelling the user's token stops the
-    // workers, an internal stop (budget, gap) never sets the user's token.
-    let stop = cfg.cancel.child();
-    let mut lp_cfg = cfg.lp.clone();
-    lp_cfg.cancel = stop.clone();
-    lp_cfg.deadline = cfg.time_limit.map(|limit| start + limit);
-
-    let mut backend = LpBackend::Revised(StandardForm::from_model(model));
-    let int_vars: Vec<usize> = model
-        .vars()
-        .iter()
-        .enumerate()
-        .filter(|(_, v)| v.kind.is_integral())
-        .map(|(j, _)| j)
-        .collect();
-    let root_bounds: Vec<(f64, f64)> = model.vars().iter().map(|v| (v.lb, v.ub)).collect();
-
-    let shared = SharedSearch {
-        deques: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-        incumbent: Mutex::new(None),
-        inc_bits: AtomicU64::new(f64::INFINITY.to_bits()),
-        outstanding: AtomicUsize::new(0),
-        stop,
-        hit_limit: AtomicBool::new(false),
-        nodes: AtomicUsize::new(0),
-        next_id: AtomicUsize::new(0),
-        pseudo: Mutex::new(PseudoCosts::new(n)),
-    };
-    let notify = |obj_min: f64| {
-        rfp_trace::count("milp.incumbents", 1);
-        if let Some(cb) = on_incumbent {
-            cb(from_min(obj_min), start.elapsed().as_secs_f64());
-        }
-    };
-
-    // Warm start: validate and adopt exactly like the serial path.
-    if let Some(values) = warm_start {
-        let integral = values.len() == n
-            && int_vars.iter().all(|&j| (values[j] - values[j].round()).abs() <= cfg.int_tol);
-        if integral && model.is_feasible(values, tol::WARM_START) {
-            let obj_min = to_min(model.objective.eval(values));
-            shared.try_install(obj_min, values.to_vec(), &notify);
-            if cfg.stop_at_first_feasible {
-                return Solution {
-                    status: SolveStatus::Feasible,
-                    objective: from_min(obj_min),
-                    best_bound: from_min(f64::NEG_INFINITY),
-                    values: values.to_vec(),
-                    nodes: 0,
-                    lp_iterations: 0,
-                    lp_solves: 0,
-                    lp_seconds: 0.0,
-                    cuts: 0,
-                    solve_seconds: start.elapsed().as_secs_f64(),
-                    cancelled: false,
-                };
-            }
-        }
-    }
-
-    // ---- Ramp-up: serial best-first expansion until the pool is primed ----
-    let mut heap: BinaryHeap<OrderedNode> = BinaryHeap::new();
-    heap.push(OrderedNode(Node {
-        bounds: root_bounds,
-        bound: f64::NEG_INFINITY,
-        depth: 0,
-        id: shared.next_id.fetch_add(1, Ordering::Relaxed),
-        snapshot: None,
-        branch: None,
-    }));
-
-    let mut separator = Separator::new(model);
-    let mut cuts_added = 0usize;
-    let mut stats = LpStats { iterations: 0, solves: 0, seconds: 0.0 };
-    let mut pseudo_root = PseudoCosts::new(n);
-    let mut root_status: Option<LpStatus> = None;
-    let target = threads * RAMP_FANOUT;
-
-    'ramp: while heap.len() < target {
-        let Some(OrderedNode(node)) = heap.pop() else { break 'ramp };
-        if let Some(mut values) = cfg.external_incumbents.poll() {
-            if values.len() == n {
-                for &j in &int_vars {
-                    values[j] = values[j].round();
-                }
-                if model.is_feasible(&values, tol::WARM_START) {
-                    let obj_min = to_min(model.objective.eval(&values));
-                    if shared.try_install(obj_min, values, &notify) && cfg.stop_at_first_feasible {
-                        heap.push(OrderedNode(node));
-                        break 'ramp;
-                    }
-                }
-            }
-        }
-        if shared.pruned(node.bound, cfg.gap_abs, cfg.gap_rel) {
-            // Best-first: every remaining node has a bound at least as
-            // large, so the whole frontier is gap-closed.
-            heap.clear();
-            break 'ramp;
-        }
-        let nodes_so_far = shared.nodes.load(Ordering::Relaxed);
-        let node_budget = cfg.max_nodes > 0 && nodes_so_far >= cfg.max_nodes;
-        let time_budget = cfg.time_limit.is_some_and(|limit| start.elapsed() >= limit);
-        if node_budget || time_budget || cfg.cancel.is_cancelled() {
-            shared.hit_limit.store(true, Ordering::Relaxed);
-            heap.push(OrderedNode(node));
-            break 'ramp;
-        }
-        let nodes_now = shared.nodes.fetch_add(1, Ordering::Relaxed) + 1;
-        rfp_trace::count("milp.nodes", 1);
-
-        let root_lp_span = (node.depth == 0).then(|| rfp_trace::span("milp.root_lp"));
-        let (mut lp, mut snap) =
-            stats.timed(&backend, node.snapshot.as_deref(), &node.bounds, &lp_cfg);
-
-        // Root separation loop, exactly as in the serial search.
-        if node.depth == 0
-            && !int_vars.is_empty()
-            && cfg.cut_rounds > 0
-            && lp.status == LpStatus::Optimal
-        {
-            for _ in 0..cfg.cut_rounds {
-                if lp.status != LpStatus::Optimal
-                    || crate::simplex::is_integral(model, &lp.values, cfg.int_tol)
-                {
-                    break;
-                }
-                let LpBackend::Revised(sf) = &mut backend else { break };
-                let cuts = separator.separate(&lp.values, cfg.max_cuts_per_round);
-                if cuts.is_empty() {
-                    break;
-                }
-                let rows: Vec<_> = cuts.iter().map(|c| c.as_row()).collect();
-                sf.add_rows(&rows);
-                cuts_added += cuts.len();
-                rfp_trace::count("milp.cuts", cuts.len() as u64);
-                let warm = snap.as_ref().and_then(|s| sf.extend_snapshot(s));
-                let (lp2, snap2) = stats.timed(&backend, warm.as_ref(), &node.bounds, &lp_cfg);
-                lp = lp2;
-                snap = snap2;
-            }
-        }
-        drop(root_lp_span);
-        if node.depth == 0 {
-            root_status = Some(lp.status);
-        }
-        match lp.status {
-            LpStatus::Infeasible => {
-                solver.record_pseudo(&mut pseudo_root, &node, None);
-                continue 'ramp;
-            }
-            LpStatus::Unbounded => {
-                if node.depth == 0 && int_vars.is_empty() {
-                    let mut sol = Solution::empty(SolveStatus::Unbounded, n);
-                    sol.nodes = nodes_now;
-                    sol.solve_seconds = start.elapsed().as_secs_f64();
-                    sol.cancelled = cfg.cancel.is_cancelled();
-                    return sol;
-                }
-                continue 'ramp;
-            }
-            LpStatus::IterationLimit | LpStatus::Optimal => {}
-        }
-        let node_bound_min =
-            if lp.status == LpStatus::Optimal { to_min(lp.objective) } else { node.bound };
-        if lp.status == LpStatus::Optimal {
-            solver.record_pseudo(&mut pseudo_root, &node, Some(node_bound_min));
-        }
-        if shared.pruned(node_bound_min, cfg.gap_abs, 0.0) {
-            rfp_trace::count("milp.pruned", 1);
-            continue 'ramp;
-        }
-
-        let fractional = fractional_vars(&int_vars, &lp.values, cfg.int_tol);
-        if fractional.is_empty() {
-            rfp_trace::count("milp.integral", 1);
-            let mut values = lp.values.clone();
-            for &j in &int_vars {
-                values[j] = values[j].round();
-            }
-            if model.is_feasible(&values, tol::WARM_START) {
-                let obj_min = to_min(model.objective.eval(&values));
-                if shared.try_install(obj_min, values, &notify) && cfg.stop_at_first_feasible {
-                    break 'ramp;
-                }
-            }
-            continue 'ramp;
-        }
-
-        // Heuristics while no incumbent exists (the root always dives).
-        let dive_due = cfg.dive_period > 0
-            && (node.depth == 0 || (nodes_now - 1).is_multiple_of(cfg.dive_period));
-        if shared.inc_obj().is_infinite() && dive_due {
-            if let Some((obj_raw, values)) = solver.dive(
-                &backend,
-                &lp_cfg,
-                model,
-                &int_vars,
-                &node.bounds,
-                &lp.values,
-                snap.as_ref(),
-                &mut stats,
-                start,
-            ) {
-                let obj_min = to_min(obj_raw);
-                if shared.try_install(obj_min, values, &notify) && cfg.stop_at_first_feasible {
-                    break 'ramp;
-                }
-            }
-        }
-        if shared.inc_obj().is_infinite() || nodes_now % 16 == 1 {
-            let mut rounded = lp.values.clone();
-            for &jj in &int_vars {
-                rounded[jj] = rounded[jj].round().clamp(node.bounds[jj].0, node.bounds[jj].1);
-            }
-            if model.is_feasible(&rounded, tol::FEASIBILITY) {
-                let obj_min = to_min(model.objective.eval(&rounded));
-                if shared.try_install(obj_min, rounded, &notify) && cfg.stop_at_first_feasible {
-                    break 'ramp;
-                }
-            }
-        }
-
-        let (j, v) = solver.pick_branch(&pseudo_root, &fractional);
-        let shared_snap = snap.map(std::sync::Arc::new);
-        let frac = v - v.floor();
-        let (lbj, ubj) = node.bounds[j];
-        let floor = v.floor();
-        let ceil = v.ceil();
-        if floor >= lbj - 1e-9 {
-            let mut b = node.bounds.clone();
-            b[j] = (lbj, floor.min(ubj));
-            heap.push(OrderedNode(Node {
-                bounds: b,
-                bound: node_bound_min,
-                depth: node.depth + 1,
-                id: shared.next_id.fetch_add(1, Ordering::Relaxed),
-                snapshot: shared_snap.clone(),
-                branch: Some(BranchInfo { var: j, up: false, parent_obj: node_bound_min, frac }),
-            }));
-        }
-        if ceil <= ubj + 1e-9 {
-            let mut b = node.bounds.clone();
-            b[j] = (ceil.max(lbj), ubj);
-            heap.push(OrderedNode(Node {
-                bounds: b,
-                bound: node_bound_min,
-                depth: node.depth + 1,
-                id: shared.next_id.fetch_add(1, Ordering::Relaxed),
-                snapshot: shared_snap,
-                branch: Some(BranchInfo { var: j, up: true, parent_obj: node_bound_min, frac }),
-            }));
-        }
-    }
-
-    // Seed the shared pseudo-cost table with the ramp-up's learning.
-    shared.pseudo.lock().unwrap().merge_diff(&pseudo_root, &PseudoCosts::new(n));
-
-    let interrupted = shared.hit_limit.load(Ordering::Relaxed)
-        || shared.stop.is_cancelled()
-        || (cfg.stop_at_first_feasible && shared.inc_obj().is_finite());
-    let primed = heap.len() >= target && !interrupted;
-
-    if primed {
-        // Deal the open nodes round-robin, best-first, so every worker's
-        // deque front holds one of the globally best nodes.
-        let mut i = 0usize;
-        while let Some(OrderedNode(node)) = heap.pop() {
-            shared.outstanding.fetch_add(1, Ordering::SeqCst);
-            shared.deques[i % threads].lock().unwrap().push_back(node);
-            i += 1;
-        }
-
-        // ---- The parallel phase ----
-        let backend = &backend;
-        // Workers inherit the caller's collector explicitly, each under its
-        // own track — tracks only materialise for workers that emit.
-        let trace = rfp_trace::current();
-        let outs: Vec<WorkerOut> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    let shared = &shared;
-                    let lp_cfg = &lp_cfg;
-                    let int_vars = &int_vars;
-                    let notify = &notify;
-                    let trace = trace.clone();
-                    scope.spawn(move || {
-                        let _scope = trace.map(|h| h.install(&format!("milp.worker{w}")));
-                        worker_loop(
-                            w, solver, model, backend, lp_cfg, int_vars, shared, notify, start,
-                        )
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-        });
-        for out in outs {
-            stats.iterations += out.stats.iterations;
-            stats.solves += out.stats.solves;
-            stats.seconds += out.stats.seconds;
-        }
-    }
-
-    // ---- Finalise: identical accounting to the serial search ----
-    let elapsed = start.elapsed().as_secs_f64();
-    let was_cancelled = cfg.cancel.is_cancelled();
-    let hit_limit = shared.hit_limit.load(Ordering::Relaxed);
-    let nodes = shared.nodes.load(Ordering::Relaxed);
-    // Unexplored nodes (ramp-up heap when never primed, deques otherwise)
-    // bound the optimum from below in min sense.
-    let mut open_bound = heap.iter().map(|OrderedNode(nd)| nd.bound).fold(f64::INFINITY, f64::min);
-    let mut any_open = !heap.is_empty();
-    for dq in &shared.deques {
-        let dq = dq.lock().unwrap();
-        any_open |= !dq.is_empty();
-        open_bound = dq.iter().map(|nd| nd.bound).fold(open_bound, f64::min);
-    }
-    let incumbent = shared.incumbent.lock().unwrap().take();
-
-    match incumbent {
-        Some((obj_min, values)) => {
-            let proven = !hit_limit && !any_open || {
-                let bound = open_bound.min(obj_min);
-                obj_min - bound <= cfg.gap_abs
-                    || obj_min - bound <= cfg.gap_rel * obj_min.abs().max(1.0)
-            };
-            let bound_min = if !any_open && !hit_limit { obj_min } else { open_bound.min(obj_min) };
-            Solution {
-                status: if proven { SolveStatus::Optimal } else { SolveStatus::Feasible },
-                objective: from_min(obj_min),
-                best_bound: from_min(bound_min),
-                values,
-                nodes,
-                lp_iterations: stats.iterations,
-                lp_solves: stats.solves,
-                lp_seconds: stats.seconds,
-                cuts: cuts_added,
-                solve_seconds: elapsed,
-                cancelled: was_cancelled,
-            }
-        }
-        None => {
-            let status = if hit_limit {
-                SolveStatus::Unknown
-            } else if root_status == Some(LpStatus::Unbounded) {
-                SolveStatus::Unbounded
-            } else {
-                SolveStatus::Infeasible
-            };
-            let mut sol = Solution::empty(status, n);
-            sol.nodes = nodes;
-            sol.lp_iterations = stats.iterations;
-            sol.lp_solves = stats.solves;
-            sol.lp_seconds = stats.seconds;
-            sol.cuts = cuts_added;
-            sol.solve_seconds = elapsed;
-            sol.cancelled = was_cancelled;
-            sol
-        }
-    }
-}
-
-/// Pops work: the worker's own deque front first (LIFO dive), then the
-/// *backs* of the other deques in round-robin order (coarse steals).
-fn pop_or_steal(w: usize, shared: &SharedSearch) -> Option<Node> {
-    if let Some(node) = shared.deques[w].lock().unwrap().pop_front() {
-        return Some(node);
-    }
-    let t = shared.deques.len();
-    for k in 1..t {
-        if let Some(node) = shared.deques[(w + k) % t].lock().unwrap().pop_back() {
-            rfp_trace::count("milp.stolen", 1);
+impl Pool {
+    /// Pops work: the worker's own deque front first (LIFO dive), then the
+    /// *backs* of the other deques in round-robin order (coarse steals).
+    fn pop_or_steal(&self, w: usize) -> Option<Node> {
+        if let Some(node) = self.deques[w].lock().unwrap().pop_front() {
             return Some(node);
         }
+        let t = self.deques.len();
+        for k in 1..t {
+            if let Some(node) = self.deques[(w + k) % t].lock().unwrap().pop_back() {
+                rfp_trace::count("milp.stolen", 1);
+                return Some(node);
+            }
+        }
+        None
     }
-    None
+
+    /// Marks one outstanding node as done; stops everyone when it was the
+    /// last.
+    fn finish_node(&self, search: &Search) {
+        if self.outstanding.fetch_sub(1, SeqCst) == 1 {
+            search.stop.cancel();
+        }
+    }
 }
 
-/// One worker thread: pop/steal, expand, push children, repeat.
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
-    w: usize,
-    solver: &Solver,
-    model: &Model,
-    backend: &LpBackend,
-    lp_cfg: &LpConfig,
-    int_vars: &[usize],
-    shared: &SharedSearch,
-    notify: &(dyn Fn(f64) + Sync),
-    start: Instant,
-) -> WorkerOut {
-    let cfg = &solver.config;
-    let maximize = model.sense == Sense::Maximize;
-    let to_min = |obj: f64| if maximize { -obj } else { obj };
-    let mut stats = LpStats { iterations: 0, solves: 0, seconds: 0.0 };
-    // Local pseudo-cost table: starts from the shared table (ramp-up
-    // learning included) and periodically merges its delta back.
-    let mut pseudo = shared.pseudo.lock().unwrap().clone();
+/// Explores the open nodes of `heap` with `search.cfg.threads` workers,
+/// starting from the ramp-up's pseudo-costs. Nodes a budget or cancellation
+/// left unexplored are put back into `heap`; returns the workers' LP tally.
+pub(crate) fn run_workers(
+    search: &Search,
+    sf: &StandardForm,
+    heap: &mut BinaryHeap<OrderedNode>,
+    pseudo: &PseudoCosts,
+) -> LpStats {
+    let threads = search.cfg.threads;
+    let pool = Pool {
+        deques: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
+        outstanding: AtomicUsize::new(heap.len()),
+        pseudo: Mutex::new(pseudo.clone()),
+    };
+    // Deal the open nodes round-robin, best-first, so every worker's deque
+    // front holds one of the globally best nodes.
+    for (i, OrderedNode(node)) in std::iter::from_fn(|| heap.pop()).enumerate() {
+        pool.deques[i % threads].lock().unwrap().push_back(node);
+    }
+
+    // Workers inherit the caller's collector explicitly, each under its own
+    // track — tracks only materialise for workers that emit.
+    let trace = rfp_trace::current();
+    let mut stats = LpStats::default();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|w| {
+                let pool = &pool;
+                let trace = trace.clone();
+                scope.spawn(move || {
+                    let _scope = trace.map(|h| h.install(&format!("milp.worker{w}")));
+                    worker_loop(w, search, sf, pool)
+                })
+            })
+            .collect();
+        for handle in handles {
+            stats.add(&handle.join().expect("worker panicked"));
+        }
+    });
+    heap.extend(pool.deques.into_iter().flat_map(|dq| dq.into_inner().unwrap()).map(OrderedNode));
+    stats
+}
+
+/// One worker thread: pop or steal, run the node step, push children,
+/// repeat.
+fn worker_loop(w: usize, search: &Search, sf: &StandardForm, pool: &Pool) -> LpStats {
+    let mut stats = LpStats::default();
+    // Local pseudo-cost table: starts from the shared table and
+    // periodically merges its delta back.
+    let mut pseudo = pool.pseudo.lock().unwrap().clone();
     let mut pseudo_base = pseudo.clone();
     let mut since_merge = 0usize;
 
-    loop {
-        if shared.stop.is_cancelled() || shared.outstanding.load(Ordering::SeqCst) == 0 {
-            break;
-        }
-        let Some(node) = pop_or_steal(w, shared) else {
+    while !search.stop.is_cancelled() && pool.outstanding.load(SeqCst) > 0 {
+        let Some(node) = pool.pop_or_steal(w) else {
             std::thread::yield_now();
             continue;
         };
-
-        // Budget / cancellation gate, mirroring the serial loop: the node
-        // goes *back* so the finaliser sees its bound.
-        let nodes_so_far = shared.nodes.load(Ordering::Relaxed);
-        let node_budget = cfg.max_nodes > 0 && nodes_so_far >= cfg.max_nodes;
-        let time_budget = cfg.time_limit.is_some_and(|limit| start.elapsed() >= limit);
-        if node_budget || time_budget || cfg.cancel.is_cancelled() {
-            shared.hit_limit.store(true, Ordering::Relaxed);
-            shared.deques[w].lock().unwrap().push_front(node);
-            shared.stop.cancel();
-            break;
-        }
-
-        // Cheap lock-free prune against the freshest incumbent.
-        if shared.pruned(node.bound, cfg.gap_abs, cfg.gap_rel) {
-            rfp_trace::count("milp.pruned", 1);
-            finish_node(shared);
-            continue;
-        }
-        let nodes_now = shared.nodes.fetch_add(1, Ordering::Relaxed) + 1;
-        rfp_trace::count("milp.nodes", 1);
-
-        let (lp, snap) = stats.timed(backend, node.snapshot.as_deref(), &node.bounds, lp_cfg);
-        match lp.status {
-            LpStatus::Infeasible => {
-                solver.record_pseudo(&mut pseudo, &node, None);
-                finish_node(shared);
+        let nodes = match search.gate(&node) {
+            Gate::Open(nodes) => nodes,
+            Gate::Budget => {
+                // The node goes *back* so the finaliser sees its bound.
+                pool.deques[w].lock().unwrap().push_front(node);
+                search.stop.cancel();
+                break;
+            }
+            Gate::GapClosed => {
+                rfp_trace::count("milp.pruned", 1);
+                pool.finish_node(search);
                 continue;
             }
-            LpStatus::Unbounded => {
-                // Pathological for a bounded-integer model; un-prunable.
-                finish_node(shared);
+            Gate::Stop => {
+                search.stop.cancel();
+                pool.finish_node(search);
                 continue;
             }
-            LpStatus::IterationLimit | LpStatus::Optimal => {}
-        }
-        let node_bound_min =
-            if lp.status == LpStatus::Optimal { to_min(lp.objective) } else { node.bound };
-        if lp.status == LpStatus::Optimal {
-            solver.record_pseudo(&mut pseudo, &node, Some(node_bound_min));
-        }
-        if shared.pruned(node_bound_min, cfg.gap_abs, 0.0) {
-            rfp_trace::count("milp.pruned", 1);
-            finish_node(shared);
-            continue;
-        }
-
-        let fractional = fractional_vars(int_vars, &lp.values, cfg.int_tol);
-        if fractional.is_empty() {
-            rfp_trace::count("milp.integral", 1);
-            let mut values = lp.values.clone();
-            for &j in int_vars {
-                values[j] = values[j].round();
-            }
-            if model.is_feasible(&values, tol::WARM_START) {
-                let obj_min = to_min(model.objective.eval(&values));
-                if shared.try_install(obj_min, values, notify) && cfg.stop_at_first_feasible {
-                    shared.stop.cancel();
+        };
+        let (lp, snap) = search.lp(sf, &mut stats, node.snapshot.as_deref(), &node.bounds);
+        match search.expand(sf, &mut pseudo, &mut stats, &node, lp, snap, nodes) {
+            Expansion::Leaf => {}
+            Expansion::Stop => search.stop.cancel(),
+            Expansion::Branch(children) => {
+                // Children go to the *front* of the owner's deque, down child
+                // on top (popped next), so the owner keeps diving while
+                // thieves take the shallower work at the back.
+                let mut dq = pool.deques[w].lock().unwrap();
+                pool.outstanding.fetch_add(children.len(), SeqCst);
+                for child in children.into_iter().rev() {
+                    dq.push_front(child);
                 }
-            }
-            finish_node(shared);
-            continue;
-        }
-
-        // Heuristics: dive while no incumbent exists, round periodically.
-        let dive_due = cfg.dive_period > 0 && (nodes_now - 1).is_multiple_of(cfg.dive_period);
-        if shared.inc_obj().is_infinite() && dive_due {
-            if let Some((obj_raw, values)) = solver.dive(
-                backend,
-                lp_cfg,
-                model,
-                int_vars,
-                &node.bounds,
-                &lp.values,
-                snap.as_ref(),
-                &mut stats,
-                start,
-            ) {
-                let obj_min = to_min(obj_raw);
-                if shared.try_install(obj_min, values, notify) && cfg.stop_at_first_feasible {
-                    shared.stop.cancel();
+                drop(dq);
+                since_merge += 1;
+                if since_merge >= PSEUDO_MERGE_PERIOD {
+                    since_merge = 0;
+                    let mut global = pool.pseudo.lock().unwrap();
+                    global.merge_diff(&pseudo, &pseudo_base);
+                    pseudo = global.clone();
+                    drop(global);
+                    pseudo_base = pseudo.clone();
                 }
             }
         }
-        if shared.inc_obj().is_infinite() || nodes_now % 16 == 1 {
-            let mut rounded = lp.values.clone();
-            for &jj in int_vars {
-                rounded[jj] = rounded[jj].round().clamp(node.bounds[jj].0, node.bounds[jj].1);
-            }
-            if model.is_feasible(&rounded, tol::FEASIBILITY) {
-                let obj_min = to_min(model.objective.eval(&rounded));
-                if shared.try_install(obj_min, rounded, notify) && cfg.stop_at_first_feasible {
-                    shared.stop.cancel();
-                }
-            }
-        }
-
-        // Branch: children go to the *front* of the owner's deque, floor
-        // child on top (popped next), so the owner keeps diving while
-        // thieves take the shallower work at the back.
-        let (j, v) = solver.pick_branch(&pseudo, &fractional);
-        let shared_snap = snap.map(std::sync::Arc::new);
-        let frac = v - v.floor();
-        let (lbj, ubj) = node.bounds[j];
-        let floor = v.floor();
-        let ceil = v.ceil();
-        {
-            let mut dq = shared.deques[w].lock().unwrap();
-            if ceil <= ubj + 1e-9 {
-                let mut b = node.bounds.clone();
-                b[j] = (ceil.max(lbj), ubj);
-                shared.outstanding.fetch_add(1, Ordering::SeqCst);
-                dq.push_front(Node {
-                    bounds: b,
-                    bound: node_bound_min,
-                    depth: node.depth + 1,
-                    id: shared.next_id.fetch_add(1, Ordering::Relaxed),
-                    snapshot: shared_snap.clone(),
-                    branch: Some(BranchInfo { var: j, up: true, parent_obj: node_bound_min, frac }),
-                });
-            }
-            if floor >= lbj - 1e-9 {
-                let mut b = node.bounds.clone();
-                b[j] = (lbj, floor.min(ubj));
-                shared.outstanding.fetch_add(1, Ordering::SeqCst);
-                dq.push_front(Node {
-                    bounds: b,
-                    bound: node_bound_min,
-                    depth: node.depth + 1,
-                    id: shared.next_id.fetch_add(1, Ordering::Relaxed),
-                    snapshot: shared_snap,
-                    branch: Some(BranchInfo {
-                        var: j,
-                        up: false,
-                        parent_obj: node_bound_min,
-                        frac,
-                    }),
-                });
-            }
-        }
-        finish_node(shared);
-
-        since_merge += 1;
-        if since_merge >= PSEUDO_MERGE_PERIOD {
-            since_merge = 0;
-            let mut global = shared.pseudo.lock().unwrap();
-            global.merge_diff(&pseudo, &pseudo_base);
-            pseudo = global.clone();
-            drop(global);
-            pseudo_base = pseudo.clone();
-        }
+        pool.finish_node(search);
     }
 
     // Final merge so the table reflects every worker's learning.
-    shared.pseudo.lock().unwrap().merge_diff(&pseudo, &pseudo_base);
-    WorkerOut { stats }
-}
-
-/// Marks one outstanding node as fully expanded; wakes everyone when it was
-/// the last.
-fn finish_node(shared: &SharedSearch) {
-    if shared.outstanding.fetch_sub(1, Ordering::SeqCst) == 1 {
-        shared.stop.cancel();
-    }
+    pool.pseudo.lock().unwrap().merge_diff(&pseudo, &pseudo_base);
+    stats
 }

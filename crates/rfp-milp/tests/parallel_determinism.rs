@@ -109,17 +109,125 @@ fn fixed_instances_prove_the_serial_objective_at_every_thread_count() {
     }
 }
 
+/// A recorded serial search: everything `threads: 1` must reproduce bit for
+/// bit, down to the node order (through the node and LP tallies).
+struct SerialPin {
+    objective: f64,
+    best_bound_bits: u64,
+    nodes: usize,
+    lp_solves: usize,
+    lp_iterations: usize,
+    cuts: usize,
+    values: &'static [f64],
+}
+
 #[test]
 fn threads_one_is_the_serial_search_bit_for_bit() {
-    let model = subset_sum();
-    let a = Solver::default().solve(&model);
-    let b = solve_with_threads(&model, 1);
-    assert_eq!(a.status, b.status);
-    assert_eq!(a.values, b.values);
-    // Same node order ⇒ same node count and same LP tallies.
-    assert_eq!(a.nodes, b.nodes);
-    assert_eq!(a.lp_solves, b.lp_solves);
-    assert_eq!(a.lp_iterations, b.lp_iterations);
+    let default = SolverConfig { threads: 1, ..SolverConfig::default() };
+    let cold = SolverConfig { dive_period: 0, cut_rounds: 0, ..default.clone() };
+    let cases = [
+        (
+            knapsack(),
+            default.clone(),
+            SerialPin {
+                objective: 56.0,
+                best_bound_bits: 0x404c_0000_0000_0000,
+                nodes: 3,
+                lp_solves: 10,
+                lp_iterations: 16,
+                cuts: 2,
+                values: &[0.0, 0.0, 1.0, 1.0, 1.0, 0.0],
+            },
+        ),
+        (
+            subset_sum(),
+            default.clone(),
+            SerialPin {
+                objective: 55.0,
+                best_bound_bits: 0x404b_8000_0000_0000,
+                nodes: 15,
+                lp_solves: 34,
+                lp_iterations: 36,
+                cuts: 3,
+                values: &[
+                    1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0,
+                ],
+            },
+        ),
+        (
+            subset_sum(),
+            cold,
+            SerialPin {
+                objective: 55.0,
+                best_bound_bits: 0x404b_8000_0000_0000,
+                nodes: 93,
+                lp_solves: 93,
+                lp_iterations: 81,
+                cuts: 0,
+                values: &[
+                    0.0, 1.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+                ],
+            },
+        ),
+        (
+            assignment(),
+            default,
+            SerialPin {
+                objective: 5.0,
+                best_bound_bits: 0x4014_0000_0000_0000,
+                nodes: 1,
+                lp_solves: 1,
+                lp_iterations: 13,
+                cuts: 0,
+                values: &[
+                    0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0,
+                ],
+            },
+        ),
+    ];
+    for (model, cfg, pin) in cases {
+        let sol = Solver::new(cfg).solve(&model);
+        let name = &model.name;
+        assert_eq!(sol.status, SolveStatus::Optimal, "{name}");
+        assert_eq!(sol.objective.to_bits(), pin.objective.to_bits(), "{name}");
+        assert_eq!(sol.best_bound.to_bits(), pin.best_bound_bits, "{name}");
+        assert_eq!(sol.nodes, pin.nodes, "{name}");
+        assert_eq!(sol.lp_solves, pin.lp_solves, "{name}");
+        assert_eq!(sol.lp_iterations, pin.lp_iterations, "{name}");
+        assert_eq!(sol.cuts, pin.cuts, "{name}");
+        assert_eq!(sol.values, pin.values, "{name}");
+    }
+}
+
+/// Open nodes per worker the parallel ramp-up aims for before handing the
+/// tree to the workers (mirrors the solver's private constant).
+const RAMP_FANOUT: usize = 4;
+
+#[test]
+fn parallel_workers_poll_external_incumbents_at_every_node() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    let polls = Arc::new(AtomicUsize::new(0));
+    let counter = polls.clone();
+    let cfg = SolverConfig {
+        threads: 2,
+        dive_period: 0,
+        cut_rounds: 0,
+        external_incumbents: ExternalIncumbents::from_fn(move || {
+            counter.fetch_add(1, Ordering::SeqCst);
+            None
+        }),
+        ..SolverConfig::default()
+    };
+    let sol = Solver::new(cfg).solve(&subset_sum());
+    assert_eq!(sol.status, SolveStatus::Optimal);
+    assert!(
+        sol.nodes > 2 * RAMP_FANOUT,
+        "the search must get past ramp-up into the workers, got {} nodes",
+        sol.nodes
+    );
+    let polls = polls.load(Ordering::SeqCst);
+    assert!(polls >= sol.nodes, "{polls} polls for {} nodes", sol.nodes);
 }
 
 #[test]

@@ -155,11 +155,7 @@ pub struct OnlineFloorplanner {
 
 impl OnlineFloorplanner {
     /// Creates an empty online floorplanner on a device.
-    pub fn new(
-        partition: FabricPartition,
-        registry: EngineRegistry,
-        config: OnlineConfig,
-    ) -> Self {
+    pub fn new(partition: FabricPartition, registry: EngineRegistry, config: OnlineConfig) -> Self {
         Self::with_dispatcher(partition, Arc::new(registry), config)
     }
 

@@ -85,7 +85,12 @@ pub struct Scenario {
 impl Scenario {
     /// Creates an empty scenario on a device.
     pub fn new(name: impl Into<String>, partition: impl Into<FabricPartition>) -> Self {
-        Scenario { name: name.into(), partition: partition.into(), modules: Vec::new(), events: Vec::new() }
+        Scenario {
+            name: name.into(),
+            partition: partition.into(),
+            modules: Vec::new(),
+            events: Vec::new(),
+        }
     }
 
     /// Adds a module instance to the catalogue and returns its id.

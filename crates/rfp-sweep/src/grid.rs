@@ -494,8 +494,12 @@ mod tests {
     #[test]
     fn hetero_device_entries_round_trip_and_label_distinctly() {
         let mut grid = SweepGrid::smoke();
-        grid.devices
-            .push(DeviceAxis { cols: 16, rows: 4, bram_every: 4, family: DeviceFamily::Hetero });
+        grid.devices.push(DeviceAxis {
+            cols: 16,
+            rows: 4,
+            bram_every: 4,
+            family: DeviceFamily::Hetero,
+        });
         let doc = write_grid(&grid);
         assert!(doc.contains("\"family\":\"hetero\""));
         // Columnar entries never gain the field, so pre-existing documents

@@ -132,8 +132,7 @@ impl DefragWorkloadSpec {
                 };
             }
             let device = b.build().expect("defrag workload device must build");
-            let partition =
-                columnar_partition(&device).expect("single-type columns are columnar");
+            let partition = columnar_partition(&device).expect("single-type columns are columnar");
             (partition.into(), clb, bram)
         }
     }

@@ -76,13 +76,13 @@ impl HeteroDeviceSpec {
 
     /// `true` when cell `(col, row)` (1-based) carries a BRAM tile.
     fn is_bram_cell(&self, col: u32, row: u32) -> bool {
-        if self.bram_every == 0 || col % self.bram_every != 0 {
+        if self.bram_every == 0 || !col.is_multiple_of(self.bram_every) {
             return false;
         }
         if self.bram_stripe == 0 || self.bram_stripe >= self.rows {
             return true;
         }
-        ((row - 1) / self.bram_stripe) % 2 == 0
+        ((row - 1) / self.bram_stripe).is_multiple_of(2)
     }
 
     /// Builds the device.

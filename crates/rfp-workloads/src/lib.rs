@@ -20,12 +20,11 @@ pub mod hetero;
 pub mod sdr;
 
 pub use defrag::{smoke_scenario, smoke_scenario_json, DefragWorkloadSpec};
+pub use generator::{SyntheticWorkload, WorkloadSpec};
 pub use hetero::{
     hetero_constraint_problem, hetero_golden_problem, hetero_problem_json, hetero_scenario_json,
-    hetero_smoke_scenario,
-    HeteroDeviceSpec,
+    hetero_smoke_scenario, HeteroDeviceSpec,
 };
-pub use generator::{SyntheticWorkload, WorkloadSpec};
 pub use sdr::{
     sdr2_problem, sdr3_problem, sdr_problem, sdr_problem_json, sdr_region_table, SdrRegionRow,
 };

@@ -67,8 +67,8 @@ pub mod prelude {
     pub use rfp_bitstream::{relocate, Bitstream, ConfigMemory};
     pub use rfp_device::{
         areas_compatible, columnar_partition, enumerate_free_compatible, fabric_partition,
-        fabric_partition_with_boundaries, xc5vfx70t, Device, DeviceBuilder, FabricPartition,
-        Rect, ResourceVec,
+        fabric_partition_with_boundaries, xc5vfx70t, Device, DeviceBuilder, FabricPartition, Rect,
+        ResourceVec,
     };
     pub use rfp_floorplan::prelude::*;
     pub use rfp_milp::prelude::*;

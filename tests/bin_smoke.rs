@@ -133,3 +133,26 @@ fn sweep_reports_are_byte_identical_across_worker_counts() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn solve_rejects_non_finite_objectives_as_invalid_problems() {
+    // A 1e308 bus weight is finite, but the wire-length normalisation it
+    // implies overflows to infinity: no objective could be trusted, so the
+    // problem must fail validation (exit 1) instead of coming back proven.
+    let dir = tmp_dir("non-finite");
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/tiny.problem.json");
+    let text = std::fs::read_to_string(golden).unwrap();
+    let hostile = text
+        .replace(r#"{"a":0,"b":1,"weight":8}"#, r#"{"a":0,"b":1,"weight":1e308}"#)
+        .replace(r#""wirelength":0"#, r#""wirelength":1"#);
+    assert_ne!(hostile, text, "the probe must edit the golden problem");
+    let path = dir.join("overflow.problem.json");
+    std::fs::write(&path, hostile).unwrap();
+    for engine in ["combinatorial", "milp"] {
+        let out = rfp(&["solve", "--engine", engine, s(&path)]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{engine}: {stderr}");
+        assert!(stderr.contains("invalid problem") && stderr.contains("WL_max"), "{stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

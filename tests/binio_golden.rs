@@ -78,8 +78,7 @@ fn binary_and_json_goldens_decode_to_the_same_documents() {
     for stem in SCENARIO_GOLDENS {
         let bytes = golden_bytes(&format!("{stem}.rfpb"));
         assert_eq!(binio::detect_kind(&bytes).unwrap(), binio::BinKind::Scenario, "{stem}");
-        let from_bin =
-            read_scenario_bin(&bytes).unwrap_or_else(|e| panic!("{stem}.rfpb: {e}"));
+        let from_bin = read_scenario_bin(&bytes).unwrap_or_else(|e| panic!("{stem}.rfpb: {e}"));
         let from_json = read_scenario(&golden_text(&format!("{stem}.json")))
             .unwrap_or_else(|e| panic!("{stem}.json: {e}"));
         assert_eq!(from_bin, from_json, "{stem}: the two serialisations disagree");

@@ -155,3 +155,31 @@ fn rfp_cli_convert_solve_validate_round_trip() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The `milp` engine's search tallies on the committed golden problems,
+/// recorded from the serial branch-and-bound: a change to the tree search
+/// that alters node order or LP work shows up here.
+#[test]
+fn milp_engine_stats_are_pinned_on_the_goldens() {
+    use relocfp::floorplan::jsonio;
+    let registry = full_registry();
+    // (golden, nodes, lp_solves, lp_iterations, cuts)
+    for (name, nodes, lp_solves, lp_iterations, cuts) in
+        [("tiny", 1, 1, 102, 0), ("hetero", 235, 235, 1718, 0)]
+    {
+        let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join(format!("tests/golden/{name}.problem.json"));
+        let problem = jsonio::read_problem(&std::fs::read_to_string(path).unwrap()).unwrap();
+        let outcome = registry
+            .get("milp")
+            .unwrap()
+            .solve(&SolveRequest::new(problem), &SolveControl::default());
+        assert!(outcome.is_proven(), "{name}: {}", outcome.status);
+        let s = &outcome.stats;
+        assert_eq!(
+            (s.nodes, s.lp_solves, s.lp_iterations, s.cuts),
+            (nodes, lp_solves, lp_iterations, cuts),
+            "{name}"
+        );
+    }
+}
