@@ -8,7 +8,14 @@
 //!   columns (columns are processed in increasing fill order; rows are chosen
 //!   by partial pivoting). Floorplanning bases are dominated by logical
 //!   (identity) columns, so the factors stay close to the identity and the
-//!   bump is small.
+//!   bump is small. Each column costs work in its nonzeros and the factored
+//!   positions they reach, not in `m`: the forward solve pops reached
+//!   positions from a min-heap, and the pivot search and the L column scan
+//!   only the rows the column filled in. Increasing position order is a
+//!   topological order of the L columns, so every row receives the same
+//!   subtractions in the same order as a dense sweep over all earlier
+//!   columns, and the factors are bit for bit those of the dense-scan LU
+//!   (kept as the test reference).
 //! * After each simplex pivot, [`Factorization::update`] appends an *eta*
 //!   transformation `B_new = B_old · E` where `E` is the identity with the
 //!   pivot column replaced by the FTRAN-ed entering column. FTRAN/BTRAN apply
@@ -21,10 +28,13 @@
 //! updates); `BTRAN` solves `Bᵀ y = c` (pricing, dual row extraction).
 
 use crate::sparse::CscMatrix;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Sparse LU factors of a basis matrix: `B[:, col_order] = Pᵀ L U` with `P`
 /// the partial-pivoting row permutation.
 #[derive(Debug, Clone)]
+#[cfg_attr(test, derive(PartialEq))]
 struct LuFactors {
     /// Below-diagonal multipliers of `L` per factored column, keyed by
     /// *original* row index (unit diagonal implicit).
@@ -79,66 +89,81 @@ impl Factorization {
         let mut u_diag: Vec<f64> = Vec::with_capacity(m);
         let mut pivot_row: Vec<usize> = Vec::with_capacity(m);
         let mut row_pos = vec![usize::MAX; m];
+        // Dense row-space work vector; all zero between steps.
         let mut x = vec![0.0f64; m];
-        let mut touched: Vec<usize> = Vec::with_capacity(m);
+        // `mark[r] == k + 1` once step `k` has reached row `r`: queued its
+        // position in `reach` (pivoted rows) or listed it in `fill`.
+        let mut mark = vec![0usize; m];
+        // Unpivoted rows step `k` made nonzero, in first-touch order.
+        let mut fill: Vec<usize> = Vec::new();
+        // Factored positions step `k` reached, popped smallest first.
+        let mut reach: BinaryHeap<Reverse<usize>> = BinaryHeap::new();
 
         for k in 0..m {
+            let stamp = k + 1;
             // Scatter the next basis column into dense row space.
-            for &t in &touched {
-                x[t] = 0.0;
-            }
-            touched.clear();
             for (r, v) in matrix.col(basic[col_order[k]]) {
                 x[r] = v;
-                touched.push(r);
+                if mark[r] != stamp {
+                    mark[r] = stamp;
+                    match row_pos[r] {
+                        usize::MAX => fill.push(r),
+                        j => reach.push(Reverse(j)),
+                    }
+                }
             }
-            // Forward solve through the columns factored so far.
+            // Forward solve through the factored positions the column
+            // reaches. L column `j` only holds rows pivoted after step `j`,
+            // so increasing position order is a topological order and every
+            // row sees its subtractions in the same order as a dense sweep
+            // over `0..k` would apply them.
             let mut u_col: Vec<(usize, f64)> = Vec::new();
-            for j in 0..k {
-                let zj = x[pivot_row[j]];
+            while let Some(Reverse(j)) = reach.pop() {
+                // Nothing after step `j` writes its pivot row: read and clear.
+                let zj = std::mem::take(&mut x[pivot_row[j]]);
                 if zj == 0.0 {
                     continue;
                 }
                 u_col.push((j, zj));
                 for &(r, v) in &l_cols[j] {
-                    if x[r] == 0.0 && v * zj != 0.0 {
-                        touched.push(r);
+                    if mark[r] != stamp {
+                        if row_pos[r] != usize::MAX {
+                            mark[r] = stamp;
+                            reach.push(Reverse(row_pos[r]));
+                        } else if v * zj != 0.0 {
+                            mark[r] = stamp;
+                            fill.push(r);
+                        }
                     }
                     x[r] -= zj * v;
                 }
             }
-            // Partial pivoting over the not-yet-pivoted rows.
-            let mut best: Option<(usize, f64)> = None;
-            for &r in touched.iter() {
-                if row_pos[r] != usize::MAX {
-                    continue;
-                }
+            // Partial pivoting over the not-yet-pivoted rows: the largest
+            // magnitude, ties to the smallest row index. Rows outside `fill`
+            // are zero; the scan keeps the dense reference's first-touch
+            // order, so even a NaN entry selects the same pivot.
+            let mut best: Option<f64> = None;
+            for &r in &fill {
                 let mag = x[r].abs();
-                if best.is_none_or(|(_, b)| mag > b) {
-                    best = Some((r, mag));
+                if best.is_none_or(|b| mag > b) {
+                    best = Some(mag);
                 }
             }
-            // `touched` can contain duplicates; rescan deterministically for
-            // the actual argmax by row index on ties.
-            let mut pivot: Option<usize> = None;
-            if let Some((_, best_mag)) = best {
-                if best_mag > 1e-11 {
-                    for r in 0..m {
-                        if row_pos[r] == usize::MAX && x[r].abs() == best_mag {
-                            pivot = Some(r);
-                            break;
-                        }
-                    }
-                }
-            }
-            let pr = pivot?;
+            let pr = best
+                .filter(|&b| b > 1e-11)
+                .and_then(|b| fill.iter().copied().filter(|&r| x[r].abs() == b).min())?;
             let diag = x[pr];
-            let mut l_col: Vec<(usize, f64)> = Vec::new();
-            for r in 0..m {
-                if r != pr && row_pos[r] == usize::MAX && x[r] != 0.0 {
-                    l_col.push((r, x[r] / diag));
-                }
+            // L entries in ascending row order: BTRAN accumulates in it.
+            fill.sort_unstable();
+            let l_col: Vec<(usize, f64)> = fill
+                .iter()
+                .filter(|&&r| r != pr && x[r] != 0.0)
+                .map(|&r| (r, x[r] / diag))
+                .collect();
+            for &r in &fill {
+                x[r] = 0.0;
             }
+            fill.clear();
             row_pos[pr] = k;
             pivot_row.push(pr);
             u_diag.push(diag);
@@ -264,6 +289,226 @@ impl Factorization {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The dense-scan left-looking LU that [`Factorization::factorize`]
+    /// replaced: every step sweeps all earlier positions in the forward
+    /// solve and all `m` rows for the pivot and the L column. Kept as the
+    /// reference the reach-driven version must match bit for bit.
+    fn reference_factorize(matrix: &CscMatrix, basic: &[usize]) -> Option<LuFactors> {
+        let m = matrix.n_rows();
+        debug_assert_eq!(basic.len(), m);
+
+        // Process sparse columns first: with mostly-logical bases this keeps
+        // the factors near the identity and minimises fill.
+        let mut col_order: Vec<usize> = (0..m).collect();
+        col_order.sort_by_key(|&p| (matrix.col_nnz(basic[p]), p));
+
+        let mut l_cols: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
+        let mut u_cols: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
+        let mut u_diag: Vec<f64> = Vec::with_capacity(m);
+        let mut pivot_row: Vec<usize> = Vec::with_capacity(m);
+        let mut row_pos = vec![usize::MAX; m];
+        let mut x = vec![0.0f64; m];
+        let mut touched: Vec<usize> = Vec::with_capacity(m);
+
+        for k in 0..m {
+            // Scatter the next basis column into dense row space.
+            for &t in &touched {
+                x[t] = 0.0;
+            }
+            touched.clear();
+            for (r, v) in matrix.col(basic[col_order[k]]) {
+                x[r] = v;
+                touched.push(r);
+            }
+            // Forward solve through the columns factored so far.
+            let mut u_col: Vec<(usize, f64)> = Vec::new();
+            for j in 0..k {
+                let zj = x[pivot_row[j]];
+                if zj == 0.0 {
+                    continue;
+                }
+                u_col.push((j, zj));
+                for &(r, v) in &l_cols[j] {
+                    if x[r] == 0.0 && v * zj != 0.0 {
+                        touched.push(r);
+                    }
+                    x[r] -= zj * v;
+                }
+            }
+            // Partial pivoting over the not-yet-pivoted rows.
+            let mut best: Option<(usize, f64)> = None;
+            for &r in touched.iter() {
+                if row_pos[r] != usize::MAX {
+                    continue;
+                }
+                let mag = x[r].abs();
+                if best.is_none_or(|(_, b)| mag > b) {
+                    best = Some((r, mag));
+                }
+            }
+            // `touched` can contain duplicates; rescan deterministically for
+            // the actual argmax by row index on ties.
+            let mut pivot: Option<usize> = None;
+            if let Some((_, best_mag)) = best {
+                if best_mag > 1e-11 {
+                    for r in 0..m {
+                        if row_pos[r] == usize::MAX && x[r].abs() == best_mag {
+                            pivot = Some(r);
+                            break;
+                        }
+                    }
+                }
+            }
+            let pr = pivot?;
+            let diag = x[pr];
+            let mut l_col: Vec<(usize, f64)> = Vec::new();
+            for r in 0..m {
+                if r != pr && row_pos[r] == usize::MAX && x[r] != 0.0 {
+                    l_col.push((r, x[r] / diag));
+                }
+            }
+            row_pos[pr] = k;
+            pivot_row.push(pr);
+            u_diag.push(diag);
+            u_cols.push(u_col);
+            l_cols.push(l_col);
+        }
+
+        Some(LuFactors { l_cols, u_cols, u_diag, pivot_row, row_pos, col_order })
+    }
+
+    /// splitmix64, so one `u64` seed yields a whole test matrix.
+    struct Rng64(u64);
+
+    impl Rng64 {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform index in `0..n`.
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// A random `m x (n + m)` matrix shaped like `StandardForm`'s — sparse
+    /// structural columns (some repeating an earlier one, some empty), then
+    /// a logical identity block — and a shuffled basis mixing structural and
+    /// logical columns. With `singular`, the basis holds one structural
+    /// column twice.
+    fn random_basis(seed: u64, m: usize, n: usize, singular: bool) -> (CscMatrix, Vec<usize>) {
+        let mut rng = Rng64(seed);
+        let mut cols: Vec<Vec<(usize, f64)>> = Vec::with_capacity(n);
+        for j in 0..n {
+            let col = if j > 0 && rng.below(8) == 0 {
+                cols[rng.below(j)].clone()
+            } else {
+                let mut col = Vec::new();
+                for r in 0..m {
+                    if rng.below(4) == 0 {
+                        // Few magnitudes, so pivot ties are common; some
+                        // are inexact in binary, so rounding shows.
+                        let mag = [1.0, 1.0, 2.0, 0.5, 3.0, 1.0 / 3.0, 5.0 / 7.0, 9.0 / 7.0];
+                        let sign = if rng.below(2) == 0 { 1.0 } else { -1.0 };
+                        col.push((r, sign * mag[rng.below(mag.len())]));
+                    }
+                }
+                col
+            };
+            cols.push(col);
+        }
+        let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); m];
+        for (j, col) in cols.iter().enumerate() {
+            for &(r, v) in col {
+                rows[r].push((j, v));
+            }
+        }
+        for (i, row) in rows.iter_mut().enumerate() {
+            row.push((n + i, 1.0));
+        }
+        let matrix = CscMatrix::from_rows(m, n + m, &rows);
+
+        // Partial Fisher-Yates shuffles pick distinct structurals and fill
+        // the remaining positions with distinct logicals.
+        let mut structurals: Vec<usize> = (0..n).collect();
+        let n_struct = rng.below(n.min(m) + 1);
+        for i in 0..n_struct {
+            let k = i + rng.below(n - i);
+            structurals.swap(i, k);
+        }
+        let mut basic: Vec<usize> = structurals[..n_struct].to_vec();
+        let mut logicals: Vec<usize> = (n..n + m).collect();
+        for i in 0..m - n_struct {
+            let k = i + rng.below(m - i);
+            logicals.swap(i, k);
+        }
+        basic.extend_from_slice(&logicals[..m - n_struct]);
+        if singular && m >= 2 {
+            basic[0] = rng.below(n);
+            basic[1] = basic[0];
+        }
+        for i in (1..m).rev() {
+            basic.swap(i, rng.below(i + 1));
+        }
+        (matrix, basic)
+    }
+
+    /// The basis as a dense `m x m` matrix: `B[i][k] = A[i][basic[k]]`.
+    fn dense_basis(matrix: &CscMatrix, basic: &[usize]) -> Vec<Vec<f64>> {
+        let m = basic.len();
+        let mut b = vec![vec![0.0; m]; m];
+        for (k, &j) in basic.iter().enumerate() {
+            for (r, v) in matrix.col(j) {
+                b[r][k] = v;
+            }
+        }
+        b
+    }
+
+    fn assert_close(got: &[f64], want: &[f64]) -> Result<(), TestCaseError> {
+        let scale = want.iter().fold(1.0f64, |a, v| a.max(v.abs()));
+        for (g, w) in got.iter().zip(want) {
+            prop_assert!((g - w).abs() <= 1e-7 * scale, "{:?} vs {:?}", got, want);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// The reach-driven LU returns the dense-scan reference's factors
+        /// bit for bit, fails on the same singular bases, and its FTRAN and
+        /// BTRAN solve the basis.
+        #[test]
+        fn sparse_lu_matches_the_dense_scan_reference(
+            m in 1usize..40,
+            n in 1usize..40,
+            seed in any::<u64>(),
+            singular in any::<bool>(),
+        ) {
+            let (matrix, basic) = random_basis(seed, m, n, singular);
+            let fact = Factorization::factorize(&matrix, &basic);
+            let reference = reference_factorize(&matrix, &basic);
+            prop_assert_eq!(fact.as_ref().map(|f| &f.lu), reference.as_ref());
+            prop_assert!(!(singular && m >= 2 && fact.is_some()), "a repeated column factorized");
+            let Some(mut fact) = fact else { return Ok(()) };
+
+            let b = dense_basis(&matrix, &basic);
+            let mut rng = Rng64(seed ^ 0x5eed);
+            let rhs: Vec<f64> = (0..m).map(|_| rng.below(19) as f64 - 9.0).collect();
+            let mut x = rhs.clone();
+            fact.ftran(&mut x);
+            assert_close(&x, &dense_solve(&b, &rhs))?;
+            let bt: Vec<Vec<f64>> = (0..m).map(|i| (0..m).map(|k| b[k][i]).collect()).collect();
+            let mut y = rhs.clone();
+            fact.btran(&mut y);
+            assert_close(&y, &dense_solve(&bt, &rhs))?;
+        }
+    }
 
     /// Dense reference solve of `M x = b` by Gaussian elimination.
     #[allow(clippy::needless_range_loop)] // permuted 2-D index math

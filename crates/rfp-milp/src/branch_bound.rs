@@ -479,7 +479,8 @@ pub(crate) enum Gate {
     /// A node or time budget, or a cancellation, fired: keep the node open
     /// and stop the search.
     Budget,
-    /// An adopted external incumbent satisfied `stop_at_first_feasible`.
+    /// An adopted external incumbent satisfied `stop_at_first_feasible`:
+    /// keep the node open and stop the search.
     Stop,
 }
 
@@ -488,7 +489,8 @@ pub(crate) enum Expansion {
     /// No children: the node was infeasible, unbounded, pruned by bound or
     /// an integral leaf.
     Leaf,
-    /// An incumbent satisfied `stop_at_first_feasible`: end the search.
+    /// An incumbent satisfied `stop_at_first_feasible`: keep the node open
+    /// under its parent's bound and end the search.
     Stop,
     /// The down and up children, in that order (a child outside the
     /// variable's bounds is left out).
@@ -910,15 +912,14 @@ impl Solver {
                 let Some(OrderedNode(node)) = heap.pop() else { break false };
                 let nodes = match search.gate(&node) {
                     Gate::Open(nodes) => nodes,
-                    Gate::Budget => {
-                        // Keep the node's bound visible to the finaliser.
+                    // Keep the node's bound visible to the finaliser.
+                    Gate::Budget | Gate::Stop => {
                         heap.push(OrderedNode(node));
                         break false;
                     }
                     // Best-first: every remaining node's bound is at least
                     // as large, so a gap closed here is closed everywhere.
                     Gate::GapClosed => break false,
-                    Gate::Stop => break false,
                 };
                 let root_lp_span = (node.depth == 0).then(|| rfp_trace::span("milp.root_lp"));
                 let (mut lp, mut snap) =
@@ -948,7 +949,12 @@ impl Solver {
                 drop(root_lp_span);
                 match search.expand(&sf, &mut pseudo, &mut stats, &node, lp, snap, nodes) {
                     Expansion::Leaf => {}
-                    Expansion::Stop => break false,
+                    // The node's subtree is unexplored: it stays open under
+                    // its parent's bound.
+                    Expansion::Stop => {
+                        heap.push(OrderedNode(node));
+                        break false;
+                    }
                     Expansion::Branch(children) => {
                         for child in children {
                             heap.push(OrderedNode(child));
@@ -1018,10 +1024,9 @@ mod tests {
         assert!(sol.verify(&m, 1e-6).is_empty());
     }
 
-    #[test]
-    fn knapsack_is_solved_to_optimality() {
-        // Classic 0/1 knapsack: values [10, 13, 18, 31, 7, 15],
-        // weights [2, 3, 4, 5, 1, 4], capacity 10 -> optimum 56 (items 2, 3, 4).
+    /// Classic 0/1 knapsack: values [10, 13, 18, 31, 7, 15],
+    /// weights [2, 3, 4, 5, 1, 4], capacity 10 -> optimum 56 (items 2, 3, 4).
+    fn knapsack() -> Model {
         let values = [10.0, 13.0, 18.0, 31.0, 7.0, 15.0];
         let weights = [2.0, 3.0, 4.0, 5.0, 1.0, 4.0];
         let mut m = Model::new("knapsack", Sense::Maximize);
@@ -1035,6 +1040,12 @@ mod tests {
         m.set_objective(LinExpr::weighted_sum(
             vars.iter().zip(values.iter()).map(|(&v, &c)| (v, c)),
         ));
+        m
+    }
+
+    #[test]
+    fn knapsack_is_solved_to_optimality() {
+        let m = knapsack();
         let sol = solver().solve(&m);
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!((sol.objective - 56.0).abs() < 1e-6, "objective {}", sol.objective);
@@ -1145,6 +1156,20 @@ mod tests {
         let sol = solver.solve(&m);
         assert!(sol.status.has_solution());
         assert!(sol.objective >= 0.0);
+    }
+
+    #[test]
+    fn stop_at_first_feasible_keeps_an_honest_bound() {
+        // The knapsack proves 56; stopping at the first incumbent must not
+        // claim that incumbent optimal.
+        let m = knapsack();
+        let cfg = SolverConfig { stop_at_first_feasible: true, ..SolverConfig::default() };
+        let sol = Solver::new(cfg).solve(&m);
+        assert!(sol.verify(&m, 1e-6).is_empty());
+        assert!(sol.best_bound >= 56.0 - 1e-6, "bound {} cuts off the optimum", sol.best_bound);
+        if sol.objective < 56.0 - 1e-6 {
+            assert_eq!(sol.status, SolveStatus::Feasible, "objective {}", sol.objective);
+        }
     }
 
     #[test]

@@ -156,20 +156,44 @@ fn rfp_cli_convert_solve_validate_round_trip() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The `milp` engine's search tallies on the committed golden problems,
-/// recorded from the serial branch-and-bound: a change to the tree search
-/// that alters node order or LP work shows up here.
+/// The `milp` engine's search tallies on the committed golden problems and
+/// on one columnar portion-model instance with a real tree, recorded from
+/// the serial branch-and-bound: a change to the tree search that alters node
+/// order or LP work shows up here.
 #[test]
 fn milp_engine_stats_are_pinned_on_the_goldens() {
+    use relocfp::device::SyntheticSpec;
     use relocfp::floorplan::jsonio;
-    let registry = full_registry();
-    // (golden, nodes, lp_solves, lp_iterations, cuts)
-    for (name, nodes, lp_solves, lp_iterations, cuts) in
-        [("tiny", 1, 1, 102, 0), ("hetero", 235, 235, 1718, 0)]
-    {
+    use relocfp::workloads::generator::WorkloadSpec;
+    let golden = |name: &str| {
         let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
             .join(format!("tests/golden/{name}.problem.json"));
-        let problem = jsonio::read_problem(&std::fs::read_to_string(path).unwrap()).unwrap();
+        jsonio::read_problem(&std::fs::read_to_string(path).unwrap()).unwrap()
+    };
+    // Columnar 8x3, BRAM every third column, two regions at 0.4 utilisation.
+    let portion = WorkloadSpec {
+        seed: 4,
+        n_regions: 2,
+        utilisation: 0.4,
+        device: SyntheticSpec {
+            cols: 8,
+            rows: 3,
+            bram_every: 3,
+            dsp_every: 0,
+            ..Default::default()
+        },
+        dsp_fraction: 0.0,
+        ..WorkloadSpec::default()
+    }
+    .generate()
+    .problem;
+    let registry = full_registry();
+    // (instance, problem, nodes, lp_solves, lp_iterations, cuts)
+    for (name, problem, nodes, lp_solves, lp_iterations, cuts) in [
+        ("tiny", golden("tiny"), 1, 1, 102, 0),
+        ("hetero", golden("hetero"), 235, 235, 1718, 0),
+        ("portion-4", portion, 205, 205, 3622, 0),
+    ] {
         let outcome = registry
             .get("milp")
             .unwrap()
