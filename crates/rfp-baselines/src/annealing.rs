@@ -23,11 +23,10 @@ use rfp_floorplan::engine::SolveControl;
 use rfp_floorplan::placement::{FcPlacement, Floorplan};
 use rfp_floorplan::problem::FloorplanProblem;
 use rfp_floorplan::FloorplanError;
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Parameters of the simulated-annealing baseline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AnnealingConfig {
     /// RNG seed.
     pub seed: u64,

@@ -22,10 +22,9 @@ use rfp_device::{ColumnarPartition, PortionId, Rect};
 use rfp_floorplan::placement::Floorplan;
 use rfp_floorplan::problem::FloorplanProblem;
 use rfp_floorplan::FloorplanError;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the tessellation heuristic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TessellationConfig {
     /// When `true`, regions additionally extend to the full device height
     /// (one reconfigurable slot per set of columns), which models the most

@@ -1,40 +1,10 @@
-//! Minimal hand-rolled JSON emission.
-//!
-//! The workspace's `serde` is an offline no-op stand-in (see `vendor/`), so
-//! the bench harness writes its machine-readable artefacts with this small
-//! builder instead. Output is deterministic (insertion order) and restricted
-//! to what the BENCH JSONs need: objects, arrays, strings, numbers, bools.
+//! A small builder for the bench harness's machine-readable artefacts, on
+//! top of the workspace's one JSON escaper and number formatter
+//! (`rfp_floorplan::jsonio`). Output is deterministic (insertion order) and
+//! restricted to what the BENCH JSONs need: objects, arrays, strings,
+//! numbers, bools.
 
-use std::fmt::Write as _;
-
-/// Escapes a string for inclusion in a JSON document (without quotes).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders a finite number; NaN and infinities become `null` (JSON has no
-/// representation for them).
-pub fn number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
+use rfp_floorplan::jsonio::{escape, num};
 
 /// An object under construction.
 #[derive(Debug, Default)]
@@ -56,7 +26,7 @@ impl Object {
 
     /// Adds a numeric field (`null` for non-finite values).
     pub fn num(mut self, key: &str, value: f64) -> Object {
-        self.fields.push(format!("\"{}\":{}", escape(key), number(value)));
+        self.fields.push(format!("\"{}\":{}", escape(key), num(value)));
         self
     }
 

@@ -10,7 +10,6 @@ use rfp_floorplan::engine::{SolveControl, SolveOutcome, SolveRequest};
 use rfp_floorplan::feasibility::{feasibility_analysis, RegionFeasibility};
 use rfp_floorplan::{Floorplan, FloorplanError, FloorplanProblem};
 use rfp_workloads::sdr::{sdr2_problem, sdr3_problem, sdr_problem, sdr_region_table};
-use serde::{Deserialize, Serialize};
 
 /// Renders a plain markdown table.
 pub fn markdown_table(header: &[&str], rows: &[Vec<String>]) -> String {
@@ -56,7 +55,7 @@ pub fn table1_markdown() -> String {
 }
 
 /// One row of the regenerated Table II.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table2Row {
     /// Algorithm label as used by the paper ("[8]", "[10]", "PA").
     pub algorithm: String,

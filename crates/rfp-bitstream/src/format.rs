@@ -10,7 +10,6 @@
 use crate::crc::crc32_update;
 use bytes::{BufMut, Bytes, BytesMut};
 use rfp_device::{FabricPartition, Rect};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Number of 32-bit words per configuration frame (a Virtex-5 frame holds 41
@@ -18,7 +17,7 @@ use std::fmt;
 pub const FRAME_WORDS: usize = 41;
 
 /// Address of one configuration frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FrameAddress {
     /// Device column of the tile (1-based).
     pub column: u32,
@@ -35,7 +34,7 @@ impl fmt::Display for FrameAddress {
 }
 
 /// One configuration frame: its address and payload.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
     /// Frame address.
     pub address: FrameAddress,
@@ -73,7 +72,7 @@ impl fmt::Display for BitstreamError {
 impl std::error::Error for BitstreamError {}
 
 /// A partial bitstream for a rectangular area of a columnar device.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bitstream {
     /// Name of the device the bitstream was generated for.
     pub device: String,

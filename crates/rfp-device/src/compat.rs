@@ -16,11 +16,10 @@ use crate::fabric::FabricPartition;
 use crate::geometry::Rect;
 use crate::grid::Device;
 use crate::partition::ColumnarPartition;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The outcome of a compatibility check, carrying the reason for a mismatch.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CompatReport {
     /// The two areas are compatible.
     Compatible,

@@ -20,7 +20,6 @@ use crate::geometry::Rect;
 use crate::grid::{Device, TileGrid};
 use crate::resources::ResourceVec;
 use crate::tile::{TileType, TileTypeId, TileTypeRegistry};
-use serde::{Deserialize, Serialize};
 
 /// Fluent builder for columnar devices.
 ///
@@ -259,7 +258,7 @@ pub fn xc7vx485t() -> Device {
 }
 
 /// Specification of a synthetic columnar device for scaling studies.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SyntheticSpec {
     /// Device name.
     pub name: String,

@@ -23,7 +23,6 @@ use crate::grid::Device;
 use crate::partition::{columnar_partition, ColumnarPartition};
 use crate::resources::ResourceVec;
 use crate::tile::TileTypeId;
-use serde::{Deserialize, Serialize};
 
 /// The generalized device partition: a per-tile effective resource grid with
 /// forbidden rectangles and die-boundary rows.
@@ -32,7 +31,7 @@ use serde::{Deserialize, Serialize};
 /// [`fabric_partition_with_boundaries`], or from an existing
 /// [`ColumnarPartition`] via `From` (which yields a *legacy columnar* fabric
 /// with no die boundaries — the exact behaviour-preserving embedding).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FabricPartition {
     /// Device name this partition was derived from.
     pub device_name: String,

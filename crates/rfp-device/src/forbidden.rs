@@ -12,11 +12,10 @@
 //! derives the portions, so portions still tile the whole device.
 
 use crate::geometry::Rect;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A named rectangular forbidden area.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ForbiddenArea {
     /// Designer-visible name (e.g. `"PPC440"`).
     pub name: String,

@@ -5,12 +5,11 @@
 //! from left to right, rows from top to bottom (the partitioning procedure
 //! scans "top to bottom, left to right").
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An axis-aligned rectangle of tiles, expressed in 1-based inclusive tile
 /// coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Rect {
     /// Leftmost column covered (1-based).
     pub x: u32,

@@ -5,7 +5,6 @@ use crate::forbidden::ForbiddenArea;
 use crate::geometry::Rect;
 use crate::resources::ResourceVec;
 use crate::tile::{TileTypeId, TileTypeRegistry};
-use serde::{Deserialize, Serialize};
 
 /// A rectangular grid of tiles.
 ///
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// used for cells occupied by hard blocks (embedded processors, PCIe cores)
 /// that carry no reconfigurable resources. Coordinates are 1-based: columns
 /// `1..=cols` left to right, rows `1..=rows` top to bottom.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TileGrid {
     cols: u32,
     rows: u32,
@@ -110,7 +109,7 @@ impl TileGrid {
 
 /// A complete device description: tile-type registry, tile grid and the list
 /// of forbidden areas.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Device {
     /// Human-readable device name (e.g. `"xc5vfx70t"`).
     pub name: String,

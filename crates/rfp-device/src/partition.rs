@@ -21,7 +21,6 @@ use crate::geometry::Rect;
 use crate::grid::Device;
 use crate::resources::ResourceVec;
 use crate::tile::TileTypeId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a portion inside a [`ColumnarPartition`].
@@ -29,7 +28,7 @@ use std::fmt;
 /// Portions are numbered from left to right (Property .4); the zero-based
 /// [`PortionId::index`] corresponds to the one-based MILP enumeration
 /// `1..=|P|` via [`PortionId::number`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PortionId(pub usize);
 
 impl PortionId {
@@ -54,7 +53,7 @@ impl fmt::Display for PortionId {
 
 /// A columnar portion: a full-height span of adjacent columns with tiles of a
 /// single type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Portion {
     /// Identifier (left-to-right order).
     pub id: PortionId,
@@ -87,7 +86,7 @@ impl Portion {
 
 /// The result of the columnar partitioning procedure: the ordered portions,
 /// the forbidden areas, and per-column lookup tables.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColumnarPartition {
     /// Device name this partition was derived from.
     pub device_name: String,

@@ -6,13 +6,12 @@
 //! Requirements and capacities are expressed as a small dense vector indexed
 //! by [`ResourceKind`].
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Index, IndexMut, Sub};
 
 /// The kinds of reconfigurable resources tracked by the floorplanner
 /// (set `T` in the paper's notation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ResourceKind {
     /// Configurable logic block columns (LUTs + flip-flops).
     Clb,
@@ -61,7 +60,7 @@ impl fmt::Display for ResourceKind {
 ///
 /// Used both for tile contents (resources carried by one tile) and for region
 /// requirements (`c_{n,t}` in the paper, expressed in tiles or raw resources).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct ResourceVec(pub [u32; 4]);
 
 impl ResourceVec {

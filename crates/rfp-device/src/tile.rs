@@ -11,7 +11,6 @@
 
 use crate::error::DeviceError;
 use crate::resources::ResourceVec;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a [`TileType`] inside a [`TileTypeRegistry`].
@@ -19,7 +18,7 @@ use std::fmt;
 /// The floorplanner's MILP formulation refers to tile types with the integer
 /// parameter `tid_p` in the range `[1, nTypes]`; [`TileTypeId::milp_id`]
 /// provides that 1-based value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TileTypeId(pub u16);
 
 impl TileTypeId {
@@ -43,7 +42,7 @@ impl fmt::Display for TileTypeId {
 }
 
 /// Description of a tile type (Definition .1).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TileType {
     /// Human-readable name ("CLB", "BRAM", "DSP", ...).
     pub name: String,
@@ -75,7 +74,7 @@ impl TileType {
 /// Registry of the tile types present on a device.
 ///
 /// `nTypes` in the paper is [`TileTypeRegistry::len`].
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TileTypeRegistry {
     types: Vec<TileType>,
 }

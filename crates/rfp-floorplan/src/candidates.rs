@@ -16,12 +16,11 @@
 use crate::fingerprint::{device_cells, device_columns, forbidden_rects, region_demand};
 use crate::problem::RegionSpec;
 use rfp_device::{ColumnarPartition, FabricPartition, Rect};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
 /// A candidate placement for a region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Candidate {
     /// The rectangle.
     pub rect: Rect,
@@ -30,7 +29,7 @@ pub struct Candidate {
 }
 
 /// Parameters of the candidate enumeration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CandidateConfig {
     /// Keep only irredundant candidates (see module docs). When `false`,
     /// candidates with larger heights are also enumerated, subject to

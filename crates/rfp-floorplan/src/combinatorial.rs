@@ -36,13 +36,12 @@ use crate::placement::{FcPlacement, Floorplan};
 use crate::problem::{FloorplanProblem, RelocationMode};
 use rfp_device::compat::enumerate_free_compatible;
 use rfp_device::Rect;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Configuration of the combinatorial engine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CombinatorialConfig {
     /// Candidate enumeration parameters.
     pub candidates: CandidateConfig,
@@ -88,7 +87,7 @@ impl CombinatorialConfig {
 }
 
 /// Outcome of a combinatorial solve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CombinatorialResult {
     /// Best floorplan found, if any.
     pub floorplan: Option<Floorplan>,

@@ -14,11 +14,10 @@
 use crate::placement::Floorplan;
 use crate::problem::FloorplanProblem;
 use rfp_device::{FabricPartition, Rect, ResourceKind};
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// Site-naming configuration for the XDC export.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct XdcConfig {
     /// SLICE sites per CLB tile in the X direction.
     pub slices_per_clb_x: u32,

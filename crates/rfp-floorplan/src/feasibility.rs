@@ -11,10 +11,9 @@
 use crate::combinatorial::{solve_combinatorial, CombinatorialConfig};
 use crate::error::FloorplanError;
 use crate::problem::{FloorplanProblem, RegionId, RelocationRequest};
-use serde::{Deserialize, Serialize};
 
 /// Feasibility verdict for one region.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegionFeasibility {
     /// Region index.
     pub region: RegionId,

@@ -1,7 +1,10 @@
 //! Versioned JSON interchange for problems and floorplans.
 //!
-//! The workspace's `serde` is an offline no-op stand-in (see `vendor/`), so
-//! this module hand-rolls both directions of a small, versioned JSON format:
+//! Both directions of two small, versioned formats, built on the
+//! workspace's one JSON codec, `rfp_trace::json` (re-exported here as
+//! [`JsonValue`], [`JsonError`], [`parse`], [`escape`] and [`num`]). The
+//! codec caps nesting depth, so a hostile document is an error rather
+//! than a stack overflow, and reads integers as exact `u64`s:
 //!
 //! * **`rfp-problem` v1** — a complete [`FloorplanProblem`] including the
 //!   device description (tile types, per-column type layout, forbidden
@@ -27,8 +30,12 @@ use rfp_device::{
     columnar_partition, fabric_partition_with_boundaries, Device, FabricPartition, ForbiddenArea,
     Rect, ResourceVec, TileGrid, TileType, TileTypeId, TileTypeRegistry,
 };
+pub use rfp_trace::json::{escape, num, parse, JsonError, JsonValue};
 use std::collections::BTreeMap;
-use std::fmt;
+
+fn err<T>(msg: impl Into<String>) -> Result<T, JsonError> {
+    Err(JsonError(msg.into()))
+}
 
 /// Format tag of problem documents.
 pub const PROBLEM_FORMAT: &str = "rfp-problem";
@@ -41,342 +48,6 @@ pub const FORMAT_VERSION: u64 = 1;
 /// documents keep reading unchanged, and legacy columnar devices keep
 /// *writing* version 1 byte-for-byte.
 pub const FORMAT_VERSION_V2: u64 = 2;
-
-// ---------------------------------------------------------------------------
-// Minimal JSON value model + parser.
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value (object keys keep their document order).
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<JsonValue>),
-    /// An object, in document order.
-    Obj(Vec<(String, JsonValue)>),
-}
-
-/// Error raised by the parser or by the document readers.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JsonError(pub String);
-
-impl fmt::Display for JsonError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "JSON error: {}", self.0)
-    }
-}
-
-impl std::error::Error for JsonError {}
-
-fn err<T>(msg: impl Into<String>) -> Result<T, JsonError> {
-    Err(JsonError(msg.into()))
-}
-
-impl JsonValue {
-    /// Looks a key up in an object.
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// A required object field.
-    pub fn field(&self, key: &str) -> Result<&JsonValue, JsonError> {
-        self.get(key).ok_or_else(|| JsonError(format!("missing field `{key}`")))
-    }
-
-    /// The value as a finite number.
-    pub fn as_f64(&self) -> Result<f64, JsonError> {
-        match self {
-            JsonValue::Num(v) => Ok(*v),
-            _ => err(format!("expected a number, found {self:?}")),
-        }
-    }
-
-    /// The value as a non-negative integer.
-    pub fn as_u64(&self) -> Result<u64, JsonError> {
-        let v = self.as_f64()?;
-        if v < 0.0 || v.fract() != 0.0 || v > u64::MAX as f64 {
-            return err(format!("expected a non-negative integer, found {v}"));
-        }
-        Ok(v as u64)
-    }
-
-    /// The value as a `u32`.
-    pub fn as_u32(&self) -> Result<u32, JsonError> {
-        let v = self.as_u64()?;
-        u32::try_from(v).map_err(|_| JsonError(format!("integer {v} overflows u32")))
-    }
-
-    /// The value as a boolean.
-    pub fn as_bool(&self) -> Result<bool, JsonError> {
-        match self {
-            JsonValue::Bool(v) => Ok(*v),
-            _ => err(format!("expected a boolean, found {self:?}")),
-        }
-    }
-
-    /// The value as a string slice.
-    pub fn as_str(&self) -> Result<&str, JsonError> {
-        match self {
-            JsonValue::Str(s) => Ok(s),
-            _ => err(format!("expected a string, found {self:?}")),
-        }
-    }
-
-    /// The value as an array slice.
-    pub fn as_arr(&self) -> Result<&[JsonValue], JsonError> {
-        match self {
-            JsonValue::Arr(items) => Ok(items),
-            _ => err(format!("expected an array, found {self:?}")),
-        }
-    }
-}
-
-/// Parses a JSON document.
-///
-/// The document must be exactly one JSON value: anything but whitespace
-/// after it — a second value, a stray brace, shell output appended to a
-/// report file — is rejected with a line/column-positioned error, so a
-/// corrupted golden file never half-parses.
-pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return err(format!(
-            "trailing characters after the document at {}",
-            position(input.as_bytes(), p.pos)
-        ));
-    }
-    Ok(v)
-}
-
-/// Renders a byte offset as `line L, column C (byte N)` (1-based, counting
-/// bytes within the line) for parser diagnostics.
-fn position(bytes: &[u8], pos: usize) -> String {
-    let line = 1 + bytes[..pos].iter().filter(|&&b| b == b'\n').count();
-    let column = 1 + pos - bytes[..pos].iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
-    format!("line {line}, column {column} (byte {pos})")
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            err(format!("expected `{}` at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonValue, JsonError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => err(format!("unexpected {:?} at byte {}", other.map(|c| c as char), self.pos)),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(value)
-        } else {
-            err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<JsonValue, JsonError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while self
-            .peek()
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii slice");
-        match text.parse::<f64>() {
-            Ok(v) if v.is_finite() => Ok(JsonValue::Num(v)),
-            _ => err(format!("invalid number `{text}` at byte {start}")),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return err("unterminated string"),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| JsonError("truncated \\u escape".into()))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| JsonError("non-ascii \\u escape".into()))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| JsonError(format!("bad \\u escape `{hex}`")))?;
-                            // Surrogates are not needed by this format.
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| JsonError(format!("bad code point {code}")))?,
-                            );
-                            self.pos += 4;
-                        }
-                        other => return err(format!("bad escape {:?}", other.map(|c| c as char))),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| JsonError("invalid UTF-8 in string".into()))?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Obj(fields));
-                }
-                _ => return err(format!("expected `,` or `}}` at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Arr(items));
-                }
-                _ => return err(format!("expected `,` or `]` at byte {}", self.pos)),
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Deterministic emission helpers.
-// ---------------------------------------------------------------------------
-
-/// Escapes a string for inclusion in a JSON document (without the
-/// surrounding quotes). Shared by every `jsonio`-family writer — the
-/// problem/floorplan formats here plus the scenario and sim-report formats
-/// of `rfp-runtime`.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Deterministic shortest-form number formatting for the `jsonio`-family
-/// writers; non-finite values (which JSON cannot represent) render as
-/// `null`.
-pub fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
 
 fn rect_json(r: &Rect) -> String {
     format!("{{\"x\":{},\"y\":{},\"w\":{},\"h\":{}}}", r.x, r.y, r.w, r.h)

@@ -64,10 +64,9 @@ use crate::sequence_pair::{PairRelation, Relation};
 use rfp_device::compat::enumerate_free_compatible;
 use rfp_device::{ColumnarPartition, FabricPartition, PortionId, Rect};
 use rfp_milp::{ConOp, LinExpr, Model, Sense, Solution, VarId};
-use serde::{Deserialize, Serialize};
 
 /// Which algorithm variant the model is built for.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct MilpBuildConfig {
     /// HO mode: pairwise relations extracted from a heuristic solution; each
     /// fixes the corresponding relative-position binary, shrinking the search
@@ -123,7 +122,7 @@ pub struct ModelVars {
 }
 
 /// Statistics of a generated model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ModelStats {
     /// Number of entities (regions + free-compatible areas).
     pub entities: usize,

@@ -11,10 +11,9 @@
 use crate::problem::{FloorplanProblem, RegionId, RelocationMode};
 use rfp_device::compat::fabric_compatible;
 use rfp_device::Rect;
-use serde::{Deserialize, Serialize};
 
 /// Placement of one requested free-compatible area.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FcPlacement {
     /// Index of the originating [`crate::problem::RelocationRequest`].
     pub request: usize,
@@ -29,7 +28,7 @@ pub struct FcPlacement {
 
 /// A complete floorplan: one rectangle per region plus the reserved
 /// free-compatible areas.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Floorplan {
     /// Rectangle assigned to each region, indexed like
     /// [`FloorplanProblem::regions`].
@@ -40,7 +39,7 @@ pub struct Floorplan {
 }
 
 /// Evaluation of a floorplan against a problem (the terms of Equation 14).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Metrics {
     /// Total configuration frames covered by the regions.
     pub covered_frames: u64,

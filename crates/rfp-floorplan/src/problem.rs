@@ -14,13 +14,12 @@
 
 use crate::error::FloorplanError;
 use rfp_device::{FabricPartition, TileTypeId};
-use serde::{Deserialize, Serialize};
 
 /// Index of a reconfigurable region inside a [`FloorplanProblem`].
 pub type RegionId = usize;
 
 /// A reconfigurable region to place (an element of set `N`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegionSpec {
     /// Designer-visible name ("Matched Filter", ...).
     pub name: String,
@@ -70,7 +69,7 @@ impl RegionSpec {
 }
 
 /// A connection between two regions, weighted by its bus width.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Connection {
     /// First endpoint.
     pub a: RegionId,
@@ -81,7 +80,7 @@ pub struct Connection {
 }
 
 /// How a relocation request is enforced.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RelocationMode {
     /// Relocation as a constraint (Section IV): the floorplan is feasible
     /// only if every requested free-compatible area is identified.
@@ -96,7 +95,7 @@ pub enum RelocationMode {
 }
 
 /// A relocation request: reserve `count` free-compatible areas for `region`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RelocationRequest {
     /// The region whose bitstream must be relocatable (the region the
     /// free-compatible areas are compatible with, `s_{c,n} = 1`).
@@ -129,7 +128,7 @@ impl RelocationRequest {
 }
 
 /// Weights `q_1..q_4` of the composite objective (Equation 14).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObjectiveWeights {
     /// `q_1`: weight of the normalised wire-length cost.
     pub wirelength: f64,
@@ -174,7 +173,7 @@ impl ObjectiveWeights {
 }
 
 /// A complete floorplanning problem instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FloorplanProblem {
     /// The partitioned device fabric (columnar devices embed losslessly via
     /// `From<ColumnarPartition>`).

@@ -14,11 +14,10 @@
 //! corresponding relative-position binary of the non-overlap constraints.
 
 use rfp_device::Rect;
-use serde::{Deserialize, Serialize};
 
 /// Relative position of entity `a` with respect to entity `b` in a feasible
 /// placement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Relation {
     /// `a` lies entirely to the left of `b` (`x_a + w_a <= x_b`).
     LeftOf,
@@ -31,7 +30,7 @@ pub enum Relation {
 }
 
 /// A pairwise relation between two entities (indices into the placement).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PairRelation {
     /// First entity.
     pub a: usize,
@@ -42,7 +41,7 @@ pub struct PairRelation {
 }
 
 /// A sequence pair over `n` entities: two permutations of `0..n`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SequencePair {
     /// The positive sequence `Γ+`.
     pub gamma_plus: Vec<usize>,

@@ -24,10 +24,9 @@ use crate::model::ModelStats;
 use crate::placement::{Floorplan, Metrics};
 use crate::problem::FloorplanProblem;
 use rfp_milp::SolverConfig as MilpSolverConfig;
-use serde::{Deserialize, Serialize};
 
 /// Selection of the solving engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Algorithm {
     /// Optimal MILP (full search space); engine id `"milp"`.
     O,
@@ -122,7 +121,7 @@ impl FloorplannerConfig {
 /// Detailed outcome of a floorplanning run, in the legacy (pre-engine-API)
 /// shape. Produced by [`Floorplanner::solve_report`]; new code should use
 /// [`crate::engine::SolveOutcome`] instead.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FloorplanReport {
     /// The floorplan found.
     pub floorplan: Floorplan,

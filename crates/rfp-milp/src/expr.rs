@@ -5,12 +5,11 @@
 //! constraints can be written close to the paper's mathematical notation.
 
 use crate::model::VarId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 
 /// A sparse linear expression `Σ c_j x_j + constant`.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LinExpr {
     /// Coefficients keyed by variable, kept sorted for determinism.
     terms: BTreeMap<VarId, f64>,

@@ -1,11 +1,10 @@
 //! The MILP model builder.
 
 use crate::expr::LinExpr;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a variable inside a [`Model`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VarId(u32);
 
 impl VarId {
@@ -28,7 +27,7 @@ impl fmt::Display for VarId {
 }
 
 /// Kind of a decision variable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VarKind {
     /// Real-valued variable.
     Continuous,
@@ -46,7 +45,7 @@ impl VarKind {
 }
 
 /// Objective sense.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Sense {
     /// Minimise the objective.
     Minimize,
@@ -55,7 +54,7 @@ pub enum Sense {
 }
 
 /// Comparison operator of a constraint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConOp {
     /// `expr <= rhs`
     Le,
@@ -76,7 +75,7 @@ impl fmt::Display for ConOp {
 }
 
 /// Definition of a decision variable.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VarDef {
     /// Name used in exports and error messages.
     pub name: String,
@@ -89,7 +88,7 @@ pub struct VarDef {
 }
 
 /// A linear constraint `expr (op) rhs`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Constraint {
     /// Name used in exports and error messages.
     pub name: String,
@@ -102,7 +101,7 @@ pub struct Constraint {
 }
 
 /// A mixed-integer linear program.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Model {
     /// Model name.
     pub name: String,

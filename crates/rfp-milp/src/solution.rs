@@ -1,10 +1,9 @@
 //! MILP solution reporting.
 
 use crate::model::{Model, VarId};
-use serde::{Deserialize, Serialize};
 
 /// Status of a MILP solve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolveStatus {
     /// An optimal solution was found and proven.
     Optimal,
@@ -29,7 +28,7 @@ impl SolveStatus {
 }
 
 /// Result of a MILP solve.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Solution {
     /// Final status.
     pub status: SolveStatus,

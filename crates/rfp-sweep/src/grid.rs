@@ -451,6 +451,13 @@ mod tests {
         let back = read_grid(&doc).unwrap();
         assert_eq!(back, grid);
         assert_eq!(write_grid(&back), doc);
+        // Seeds are u64s and round-trip exactly, past 2^53 too.
+        let big = SweepGrid { seeds: vec![(1 << 53) + 1, u64::MAX], ..grid };
+        assert_eq!(read_grid(&write_grid(&big)).unwrap(), big);
+        // One past u64::MAX is rejected, not saturated.
+        let over = write_grid(&big).replace("18446744073709551615", "18446744073709551616");
+        let e = read_grid(&over).unwrap_err();
+        assert!(e.0.contains("expected a non-negative integer"), "{e}");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! recorded structure, independent of thread scheduling.
 
 use crate::collect::{SpanEvent, TrackBuf};
-use crate::json;
+use crate::json::{self, JsonError, JsonValue};
 use std::collections::BTreeMap;
 
 /// Summary statistics over dimensionless integer samples — the same shape
@@ -128,18 +128,17 @@ impl TraceDoc {
             if i > 0 {
                 s.push(',');
             }
-            s.push_str("\n    {\n      \"name\": ");
-            json::write_string(&mut s, &track.name);
-            s.push_str(",\n      \"spans\": [");
+            s.push_str(&format!(
+                "\n    {{\n      \"name\": \"{}\",\n      \"spans\": [",
+                json::escape(&track.name)
+            ));
             write_spans(&mut s, &track.spans, 8);
             s.push_str("],\n      \"counters\": {");
             for (j, (name, value)) in track.counters.iter().enumerate() {
                 if j > 0 {
                     s.push(',');
                 }
-                s.push_str("\n        ");
-                json::write_string(&mut s, name);
-                s.push_str(&format!(": {value}"));
+                s.push_str(&format!("\n        \"{}\": {value}", json::escape(name)));
             }
             if !track.counters.is_empty() {
                 s.push_str("\n      ");
@@ -149,10 +148,9 @@ impl TraceDoc {
                 if j > 0 {
                     s.push(',');
                 }
-                s.push_str("\n        ");
-                json::write_string(&mut s, name);
                 s.push_str(&format!(
-                    ": {{\"n\": {}, \"total\": {}, \"p50\": {}, \"p95\": {}, \"min\": {}, \"max\": {}}}",
+                    "\n        \"{}\": {{\"n\": {}, \"total\": {}, \"p50\": {}, \"p95\": {}, \"min\": {}, \"max\": {}}}",
+                    json::escape(name),
                     h.n, h.total, h.p50, h.p95, h.min, h.max
                 ));
             }
@@ -168,13 +166,101 @@ impl TraceDoc {
         s
     }
 
-    /// Parses an `rfp-trace` v1 JSON document.
-    pub fn from_json(text: &str) -> Result<TraceDoc, ParseError> {
-        json::parse_doc(text)
+    /// Parses an `rfp-trace` v1 JSON document. Unknown fields are
+    /// rejected and every integer must be an exact `u64`.
+    pub fn from_json(text: &str) -> Result<TraceDoc, JsonError> {
+        let doc = json::parse(text)?;
+        let (mut format, mut version, mut tracks) = ("", 0, Vec::new());
+        for (key, value) in doc.as_obj()? {
+            match key.as_str() {
+                "format" => format = value.as_str()?,
+                "version" => version = value.as_u64()?,
+                "tracks" => tracks = read_all(value, read_track)?,
+                other => return Err(unknown_field("document", other)),
+            }
+        }
+        if format != "rfp-trace" {
+            return Err(JsonError(format!("not an rfp-trace file: format `{format}`")));
+        }
+        if version != 1 {
+            return Err(JsonError(format!("unsupported rfp-trace version {version}")));
+        }
+        Ok(TraceDoc { tracks })
     }
 }
 
-pub use crate::json::ParseError;
+fn unknown_field(what: &str, key: &str) -> JsonError {
+    JsonError(format!("unknown {what} field `{key}`"))
+}
+
+fn read_all<T>(
+    v: &JsonValue,
+    read: fn(&JsonValue) -> Result<T, JsonError>,
+) -> Result<Vec<T>, JsonError> {
+    v.as_arr()?.iter().map(read).collect()
+}
+
+fn read_track(v: &JsonValue) -> Result<Track, JsonError> {
+    let mut track = Track {
+        name: String::new(),
+        spans: Vec::new(),
+        counters: Vec::new(),
+        histograms: Vec::new(),
+    };
+    for (key, value) in v.as_obj()? {
+        match key.as_str() {
+            "name" => track.name = value.as_str()?.to_string(),
+            "spans" => track.spans = read_all(value, read_span)?,
+            "counters" => {
+                track.counters = value
+                    .as_obj()?
+                    .iter()
+                    .map(|(name, n)| Ok((name.clone(), n.as_u64()?)))
+                    .collect::<Result<_, JsonError>>()?
+            }
+            "histograms" => {
+                track.histograms = value
+                    .as_obj()?
+                    .iter()
+                    .map(|(name, h)| Ok((name.clone(), read_histogram(h)?)))
+                    .collect::<Result<_, JsonError>>()?
+            }
+            other => return Err(unknown_field("track", other)),
+        }
+    }
+    Ok(track)
+}
+
+fn read_span(v: &JsonValue) -> Result<Span, JsonError> {
+    let mut span = Span { name: String::new(), seq: 0, end: 0, children: Vec::new() };
+    for (key, value) in v.as_obj()? {
+        match key.as_str() {
+            "name" => span.name = value.as_str()?.to_string(),
+            "seq" => span.seq = value.as_u64()?,
+            "end" => span.end = value.as_u64()?,
+            "children" => span.children = read_all(value, read_span)?,
+            other => return Err(unknown_field("span", other)),
+        }
+    }
+    Ok(span)
+}
+
+fn read_histogram(v: &JsonValue) -> Result<CountStats, JsonError> {
+    let mut h = CountStats { n: 0, total: 0, p50: 0, p95: 0, min: 0, max: 0 };
+    for (key, value) in v.as_obj()? {
+        let slot = match key.as_str() {
+            "n" => &mut h.n,
+            "total" => &mut h.total,
+            "p50" => &mut h.p50,
+            "p95" => &mut h.p95,
+            "min" => &mut h.min,
+            "max" => &mut h.max,
+            other => return Err(unknown_field("histogram", other)),
+        };
+        *slot = value.as_u64()?;
+    }
+    Ok(h)
+}
 
 fn write_spans(s: &mut String, spans: &[Span], indent: usize) {
     let pad = " ".repeat(indent);
@@ -184,9 +270,12 @@ fn write_spans(s: &mut String, spans: &[Span], indent: usize) {
         }
         s.push('\n');
         s.push_str(&pad);
-        s.push_str("{\"name\": ");
-        json::write_string(s, &span.name);
-        s.push_str(&format!(", \"seq\": {}, \"end\": {}, \"children\": [", span.seq, span.end));
+        s.push_str(&format!(
+            "{{\"name\": \"{}\", \"seq\": {}, \"end\": {}, \"children\": [",
+            json::escape(&span.name),
+            span.seq,
+            span.end
+        ));
         if !span.children.is_empty() {
             write_spans(s, &span.children, indent + 2);
             s.push('\n');
@@ -315,5 +404,38 @@ mod tests {
     fn empty_doc_round_trips() {
         let doc = TraceDoc::default();
         assert_eq!(TraceDoc::from_json(&doc.to_json()).unwrap(), doc);
+    }
+
+    /// A trace whose spans nest `depth` deep, written by hand: the writer
+    /// itself recurses per level.
+    fn nested_spans(depth: usize) -> String {
+        let open = r#"{"name": "s", "seq": 0, "end": 0, "children": ["#;
+        format!(
+            r#"{{"format": "rfp-trace", "version": 1, "tracks": [{{"name": "main", "spans": [{}{}], "counters": {{}}, "histograms": {{}}}}]}}"#,
+            open.repeat(depth),
+            "]}".repeat(depth)
+        )
+    }
+
+    #[test]
+    fn deeply_nested_spans_are_an_error_not_a_stack_overflow() {
+        let doc = TraceDoc::from_json(&nested_spans(40)).expect("40 levels parse");
+        assert_eq!(doc.tracks[0].spans[0].children[0].name, "s");
+        let e = TraceDoc::from_json(&nested_spans(50_000)).unwrap_err();
+        assert!(e.0.contains("nesting deeper than"), "{e}");
+    }
+
+    #[test]
+    fn integers_must_be_exact_u64() {
+        let doc = |n: &str| {
+            format!(
+                r#"{{"format": "rfp-trace", "version": 1, "tracks": [{{"name": "main", "spans": [], "counters": {{"c": {n}}}, "histograms": {{}}}}]}}"#
+            )
+        };
+        let max = TraceDoc::from_json(&doc("18446744073709551615")).unwrap();
+        assert_eq!(max.tracks[0].counters[0].1, u64::MAX);
+        for bad in ["18446744073709551616", "-1", "1.5", "\"7\""] {
+            assert!(TraceDoc::from_json(&doc(bad)).is_err(), "{bad}");
+        }
     }
 }

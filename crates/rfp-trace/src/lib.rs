@@ -40,7 +40,9 @@
 //! [`TraceDoc`]: tracks sorted canonically (`"main"` first, the rest
 //! lexicographic), each holding a span tree, non-zero counters and count
 //! histograms. [`TraceDoc::to_json`] / [`TraceDoc::from_json`] round-trip
-//! the `rfp-trace` v1 JSON format.
+//! the `rfp-trace` v1 JSON format through [`json`], the workspace's one
+//! JSON codec (depth-capped, integer-exact), which every other crate's
+//! formats share.
 //!
 //! ```
 //! let collector = rfp_trace::Collector::new();
@@ -59,10 +61,9 @@
 
 mod collect;
 mod doc;
-mod json;
+pub mod json;
 
 pub use collect::{
     count, current, enabled, record, span, wall, Collector, ScopeGuard, SpanGuard, TraceHandle,
 };
 pub use doc::{summarize_counts, CountStats, Span, TraceDoc, Track};
-pub use json::ParseError;

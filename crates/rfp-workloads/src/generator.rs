@@ -9,10 +9,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rfp_device::{fabric_partition, FabricPartition, SyntheticSpec};
 use rfp_floorplan::{FloorplanProblem, RegionSpec, RelocationRequest};
-use serde::{Deserialize, Serialize};
 
 /// Specification of a synthetic floorplanning workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
     /// RNG seed (two specs with the same fields generate identical
     /// instances).

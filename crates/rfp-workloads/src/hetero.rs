@@ -28,7 +28,6 @@ use rfp_device::{
 };
 use rfp_floorplan::{FloorplanProblem, RegionSpec, RelocationRequest};
 use rfp_runtime::Scenario;
-use serde::{Deserialize, Serialize};
 
 /// Specification of a heterogeneous fabric device.
 ///
@@ -38,7 +37,7 @@ use serde::{Deserialize, Serialize};
 /// non-uniform, so the device has no columnar partition and exercises the
 /// per-cell fabric paths end to end. `bram_stripe == 0` (or `>= rows`) keeps
 /// the special columns uniform — the columnar special case.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HeteroDeviceSpec {
     /// Device columns.
     pub cols: u32,

@@ -16,13 +16,12 @@
 
 use rfp_device::{columnar_partition, xc5vfx70t, ColumnarPartition};
 use rfp_floorplan::{FloorplanProblem, RegionSpec, RelocationRequest};
-use serde::{Deserialize, Serialize};
 
 /// Width of the bus connecting consecutive SDR modules.
 pub const SDR_BUS_WIDTH: f64 = 64.0;
 
 /// One row of Table I.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SdrRegionRow {
     /// Region name.
     pub name: &'static str,

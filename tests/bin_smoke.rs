@@ -156,3 +156,14 @@ fn solve_rejects_non_finite_objectives_as_invalid_problems() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn solve_rejects_a_deeply_nested_document_with_a_message() {
+    let dir = tmp_dir("deep");
+    let deep = dir.join("deep.json");
+    std::fs::write(&deep, "[".repeat(200_000)).unwrap();
+    let out = rfp(&["solve", s(&deep)]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("nesting deeper than"), "stderr: {stderr}");
+}

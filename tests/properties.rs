@@ -27,6 +27,50 @@ fn arb_rect(cols: u32, rows: u32) -> impl Strategy<Value = Rect> {
     })
 }
 
+/// Feeds `text` to the JSON parser and to every document reader built on
+/// it. None may panic. When the parser rejects the text, the error names a
+/// byte position and every reader reports that same error.
+fn every_reader_survives(text: &str) -> Result<(), String> {
+    use relocfp::floorplan::jsonio;
+    let syntax = jsonio::parse(text).err();
+    let readers = [
+        jsonio::read_problem(text).err(),
+        relocfp::runtime::read_scenario(text).err(),
+        relocfp::sweep::read_grid(text).err(),
+        relocfp::sweep::read_sweep_report(text).err(),
+        relocfp::trace::TraceDoc::from_json(text).err(),
+    ];
+    let Some(syntax) = syntax else { return Ok(()) };
+    if !syntax.0.contains("(byte ") {
+        return Err(format!("syntax error without a position: {syntax}"));
+    }
+    match readers.iter().find(|e| e.as_ref() != Some(&syntax)) {
+        Some(other) => Err(format!("a reader disagrees with the parser: {other:?} vs {syntax}")),
+        None => Ok(()),
+    }
+}
+
+/// Every truncation of every golden JSON document is an `Ok` or an `Err`
+/// from every reader, never a panic.
+#[test]
+fn golden_truncations_never_panic() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let mut files = 0;
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|e| e == "json") {
+            let doc = std::fs::read_to_string(&path).unwrap();
+            for cut in (0..doc.len()).filter(|&c| doc.is_char_boundary(c)) {
+                if let Err(e) = every_reader_survives(&doc[..cut]) {
+                    panic!("{} cut at byte {cut}: {e}", path.display());
+                }
+            }
+            files += 1;
+        }
+    }
+    assert!(files >= 5, "golden documents missing from {}", dir.display());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -414,5 +458,30 @@ proptest! {
         let parsed = TraceDoc::from_json(&text).unwrap();
         prop_assert_eq!(&parsed, &doc);
         prop_assert_eq!(parsed.to_json(), text, "writer is a fixpoint");
+    }
+
+    /// Arbitrary text — a soup of JSON tokens and raw bytes, decoded
+    /// lossily — never panics the parser or a document reader, and every
+    /// syntax error names its position.
+    #[test]
+    fn json_readers_never_panic(
+        pieces in proptest::collection::vec((any::<bool>(), 0u8..=255), 0..96),
+    ) {
+        const TOKENS: [&str; 16] = [
+            "{", "}", "[", "]", "\"", "\\", ":", ",", "\"format\"", "-", "1", ".5e", "\\u00",
+            "true", " ", "18446744073709551616",
+        ];
+        let mut bytes = Vec::new();
+        for &(token, b) in &pieces {
+            if token {
+                bytes.extend_from_slice(TOKENS[usize::from(b) % TOKENS.len()].as_bytes());
+            } else {
+                bytes.push(b);
+            }
+        }
+        let text = String::from_utf8_lossy(&bytes);
+        if let Err(e) = every_reader_survives(&text) {
+            prop_assert!(false, "{e} on {text:?}");
+        }
     }
 }

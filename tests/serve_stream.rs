@@ -87,3 +87,17 @@ fn disabling_the_cache_solves_every_job_cold() {
     // Both real jobs still prove, just from separate cold solves.
     assert_eq!(responses.matches("\"status\":\"proven\"").count(), 2);
 }
+
+#[test]
+fn a_deeply_nested_line_is_an_error_on_the_wire_and_the_session_goes_on() {
+    // 200,000 unclosed brackets used to overflow the parser's stack and
+    // abort the whole process; now the line gets a protocol error and the
+    // next request is still answered.
+    let jobs = format!("{}\n{{\"verb\":\"status\"}}\n", "[".repeat(200_000));
+    let (responses, summary) = run_stream(&jobs, &ServeConfig::default());
+    let lines: Vec<&str> = responses.lines().collect();
+    assert!(lines[0].starts_with("{\"ok\":false,"), "{responses}");
+    assert!(lines[0].contains("nesting deeper than"), "{responses}");
+    assert!(lines[1].starts_with("{\"ok\":true,\"verb\":\"status\""), "{responses}");
+    assert_eq!(summary.errors, 1);
+}
