@@ -146,27 +146,32 @@ pub fn fabric_compatible(partition: &FabricPartition, a: &Rect, b: &Rect) -> Com
     if a.w != b.w || a.h != b.h {
         return CompatReport::ShapeMismatch { a: (a.w, a.h), b: (b.w, b.h) };
     }
+    match tile_mismatch(partition, a, b) {
+        Some((dx, dy)) => CompatReport::TileMismatch { dx, dy },
+        None => CompatReport::Compatible,
+    }
+}
+
+/// First relative offset `(dx, dy)` at which two in-bounds areas of equal
+/// shape carry different tile types, or `None` when they match everywhere.
+/// On columnar fabrics only the column types are compared (`dy` is 0).
+fn tile_mismatch(partition: &FabricPartition, a: &Rect, b: &Rect) -> Option<(u32, u32)> {
     if let Some(cp) = partition.columnar() {
         // Fast columnar path: the tile type only depends on the column.
-        for dx in 0..a.w {
-            let ta = cp.column_type(a.x + dx);
-            let tb = cp.column_type(b.x + dx);
-            if ta != tb {
-                return CompatReport::TileMismatch { dx, dy: 0 };
-            }
-        }
-        return CompatReport::Compatible;
+        return (0..a.w)
+            .find(|&dx| cp.column_type(a.x + dx) != cp.column_type(b.x + dx))
+            .map(|dx| (dx, 0));
     }
     for dy in 0..a.h {
         for dx in 0..a.w {
             let ta = partition.tile_type_at(a.x + dx, a.y + dy);
             let tb = partition.tile_type_at(b.x + dx, b.y + dy);
             if ta != tb {
-                return CompatReport::TileMismatch { dx, dy };
+                return Some((dx, dy));
             }
         }
     }
-    CompatReport::Compatible
+    None
 }
 
 /// Free-compatibility check (Definition .2).
@@ -189,24 +194,38 @@ pub fn free_compatible(
 /// excluding `source` itself and any placement overlapping `occupied`.
 ///
 /// Candidates are returned in row-major order (top-to-bottom, left-to-right
-/// of their top-left corner). This is the ground truth used by tests and by
-/// the combinatorial floorplanning engine.
+/// of their top-left corner). The result is exactly the positions `c` of the
+/// device with `free_compatible(partition, source, &c, occupied)`, but the
+/// checks on `source` alone (bounds, forbidden areas, die boundaries) run
+/// once, the die-boundary check once per row, and positions are generated in
+/// bounds with the source's shape, so neither is re-checked.
 pub fn enumerate_free_compatible(
     partition: &FabricPartition,
     source: &Rect,
     occupied: &[Rect],
 ) -> Vec<Rect> {
     let mut out = Vec::new();
-    if source.w > partition.cols || source.h > partition.rows {
+    if source.w > partition.cols
+        || source.h > partition.rows
+        || !partition.rect_in_bounds(source)
+        || partition.rect_crosses_forbidden(source)
+        || partition.rect_crosses_die_boundary(source)
+    {
         return out;
     }
     for y in 1..=(partition.rows - source.h + 1) {
+        if partition.rect_crosses_die_boundary(&Rect::new(1, y, source.w, source.h)) {
+            continue;
+        }
         for x in 1..=(partition.cols - source.w + 1) {
             let candidate = Rect::new(x, y, source.w, source.h);
-            if candidate == *source {
+            if candidate == *source
+                || partition.rect_crosses_forbidden(&candidate)
+                || occupied.iter().any(|o| o.overlaps(&candidate))
+            {
                 continue;
             }
-            if free_compatible(partition, source, &candidate, occupied) {
+            if tile_mismatch(partition, source, &candidate).is_none() {
                 out.push(candidate);
             }
         }

@@ -16,7 +16,11 @@
 //! * relocation-as-a-constraint prunes any partial placement for which the
 //!   requested free-compatible areas can no longer be packed;
 //! * relocation-as-a-metric packs as many of the requested areas as possible
-//!   and reports the rest as missing.
+//!   and reports the rest as missing;
+//! * both relocation modes read one [`TargetTable`]: the compatible targets
+//!   of each candidate of a relocation source, found by one device scan the
+//!   first time the search places that candidate and then only filtered by
+//!   the rects occupied at the time.
 //!
 //! Node and time limits make the engine usable inside benchmarks; the result
 //! reports whether optimality was proven.
@@ -37,7 +41,7 @@ use crate::problem::{FloorplanProblem, RelocationMode};
 use rfp_device::compat::enumerate_free_compatible;
 use rfp_device::Rect;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Configuration of the combinatorial engine.
@@ -126,13 +130,80 @@ struct ParShared {
     nodes: AtomicU64,
 }
 
+/// The relocation targets of a solve. For candidate `ci` of a region that a
+/// relocation request names as its source, the table holds every rect
+/// compatible with that candidate: `enumerate_free_compatible(partition,
+/// &rect, &[])`, in row-major order and without the candidate itself.
+///
+/// An entry is computed the first time it is asked for and only read after
+/// that. Filtering an entry by the rects occupied at some point yields
+/// exactly `enumerate_free_compatible(partition, &rect, occupied)`, so the
+/// relocation pruning, the parallel prefix expansion and the leaf packer
+/// never scan the device again. The cells are `OnceLock`s: the workers of a
+/// parallel solve share one table.
+pub struct TargetTable<'a> {
+    problem: &'a FloorplanProblem,
+    candidates: &'a [Vec<Candidate>],
+    /// `cells[region][ci]`; empty for regions no request relocates.
+    cells: Vec<Vec<OnceLock<Vec<Rect>>>>,
+}
+
+impl<'a> TargetTable<'a> {
+    /// An unfilled table over `candidates`, the candidate lists of
+    /// `problem`'s regions indexed by region id.
+    pub fn new(problem: &'a FloorplanProblem, candidates: &'a [Vec<Candidate>]) -> Self {
+        let mut cells: Vec<Vec<OnceLock<Vec<Rect>>>> =
+            candidates.iter().map(|_| Vec::new()).collect();
+        for req in &problem.relocation {
+            if cells[req.region].is_empty() {
+                cells[req.region].resize_with(candidates[req.region].len(), OnceLock::new);
+            }
+        }
+        TargetTable { problem, candidates, cells }
+    }
+
+    /// The targets of candidate `ci` of `region`.
+    ///
+    /// # Panics
+    /// When no relocation request names `region`, or `ci` is out of range.
+    pub fn targets(&self, region: usize, ci: usize) -> &[Rect] {
+        self.cells[region][ci].get_or_init(|| {
+            enumerate_free_compatible(
+                &self.problem.partition,
+                &self.candidates[region][ci].rect,
+                &[],
+            )
+        })
+    }
+
+    /// The search's pruning test, a necessary condition for packing the
+    /// constraint-mode areas: every such request of a placed region still has
+    /// `count` targets clear of all placed regions, ignoring the regions not
+    /// yet placed. `choice[r]` is the candidate index of `placed[r]`.
+    fn constraints_fit(&self, placed: &[Option<Rect>], choice: &[usize]) -> bool {
+        self.problem.relocation.iter().all(|req| {
+            if !matches!(req.mode, RelocationMode::Constraint) || placed[req.region].is_none() {
+                return true;
+            }
+            let need = req.count as usize;
+            self.targets(req.region, choice[req.region])
+                .iter()
+                .filter(|t| !placed.iter().flatten().any(|p| p.overlaps(t)))
+                .take(need)
+                .count()
+                == need
+        })
+    }
+}
+
 struct SearchCtx<'a> {
     problem: &'a FloorplanProblem,
     /// Region order (most constrained first); `order[i]` is a region index.
-    order: Vec<usize>,
+    order: &'a [usize],
     /// Candidates per region (indexed by region id).
-    candidates: Vec<Vec<Candidate>>,
-    /// Connections grouped for incremental wire-length computation.
+    candidates: &'a [Vec<Candidate>],
+    /// Relocation targets of the candidates.
+    table: &'a TargetTable<'a>,
     config: &'a CombinatorialConfig,
     ctl: &'a SolveControl,
     start: Instant,
@@ -143,9 +214,12 @@ struct SearchCtx<'a> {
     cancelled: bool,
     /// Current partial placement, indexed by region id.
     placed: Vec<Option<Rect>>,
+    /// Candidate index of each placed region (meaningless where `placed` is
+    /// `None`).
+    choice: Vec<usize>,
     best: Option<(u64, f64, Floorplan)>,
     /// Minimum waste per region (for the lower bound).
-    min_waste: Vec<u64>,
+    min_waste: &'a [u64],
     /// Present when this context is one worker of a parallel solve; the
     /// incumbent then lives in the shared state, not in `best`.
     shared: Option<&'a ParShared>,
@@ -288,9 +362,9 @@ impl<'a> SearchCtx<'a> {
         }
         // Greedy packing of the metric-mode areas.
         for &i in &metric_idx {
-            let source = self.placed[fc[i].1].expect("all regions placed");
-            let options = enumerate_free_compatible(&self.problem.partition, &source, &occupied);
-            if let Some(rect) = options.first().copied() {
+            let region = fc[i].1;
+            let targets = self.table.targets(region, self.choice[region]);
+            if let Some(&rect) = targets.iter().find(|t| !occupied.iter().any(|o| o.overlaps(t))) {
                 occupied.push(rect);
                 chosen[i] = Some(rect);
             }
@@ -314,9 +388,11 @@ impl<'a> SearchCtx<'a> {
             return true;
         }
         let i = idx[depth];
-        let source = self.placed[fc[i].1].expect("all regions placed");
-        let options = enumerate_free_compatible(&self.problem.partition, &source, occupied);
-        for rect in options {
+        let region = fc[i].1;
+        for &rect in self.table.targets(region, self.choice[region]) {
+            if occupied.iter().any(|o| o.overlaps(&rect)) {
+                continue;
+            }
             occupied.push(rect);
             chosen[i] = Some(rect);
             if self.pack_constraints(fc, idx, depth + 1, occupied, chosen) {
@@ -380,7 +456,8 @@ impl<'a> SearchCtx<'a> {
                 continue;
             }
             self.placed[region] = Some(cand.rect);
-            if fc_still_possible(self.problem, &self.placed) {
+            self.choice[region] = ci;
+            if self.table.constraints_fit(&self.placed, &self.choice) {
                 self.dfs(level + 1, waste_so_far + cand.waste);
             }
             self.placed[region] = None;
@@ -389,25 +466,6 @@ impl<'a> SearchCtx<'a> {
             }
         }
     }
-}
-
-/// Quick necessary condition: every constraint-mode area of already-placed
-/// regions still has at least one compatible placement ignoring the
-/// not-yet-placed regions. Free function so the prefix-expansion phase of the
-/// parallel solve applies the same pruning as the DFS.
-fn fc_still_possible(problem: &FloorplanProblem, placed: &[Option<Rect>]) -> bool {
-    let occupied: Vec<Rect> = placed.iter().filter_map(|r| *r).collect();
-    for req in &problem.relocation {
-        if !matches!(req.mode, RelocationMode::Constraint) {
-            continue;
-        }
-        let Some(source) = placed[req.region] else { continue };
-        let options = enumerate_free_compatible(&problem.partition, &source, &occupied);
-        if (options.len() as u32) < req.count {
-            return false;
-        }
-    }
-    true
 }
 
 /// Solves a floorplanning problem with the combinatorial engine.
@@ -485,10 +543,12 @@ pub fn solve_combinatorial_with_control(
         });
     }
 
+    let table = TargetTable::new(problem, &candidates);
     let mut ctx = SearchCtx {
         problem,
-        order,
-        candidates,
+        order: &order,
+        candidates: &candidates,
+        table: &table,
         config,
         ctl,
         start,
@@ -498,8 +558,9 @@ pub fn solve_combinatorial_with_control(
         aborted: false,
         cancelled: ctl.cancel.is_cancelled(),
         placed: vec![None; problem.regions.len()],
+        choice: vec![0; problem.regions.len()],
         best: None,
-        min_waste,
+        min_waste: &min_waste,
         shared: None,
     };
     if ctx.cancelled {
@@ -551,6 +612,8 @@ struct SolveParts<'a> {
 /// order: the root of one disjoint subtree handed to a parallel worker.
 struct Prefix {
     placed: Vec<Option<Rect>>,
+    /// Candidate index of each placed region.
+    choice: Vec<usize>,
     waste: u64,
 }
 
@@ -567,10 +630,12 @@ const PREFIX_FANOUT: usize = 8;
 fn solve_parallel(parts: SolveParts<'_>) -> Result<CombinatorialResult, FloorplanError> {
     let SolveParts { problem, config, ctl, start, deadline, order, candidates, min_waste } = parts;
     let threads = config.threads;
+    let table = TargetTable::new(problem, &candidates);
 
     // Serial prefix expansion. Each generated child corresponds to one node
     // the serial DFS would have expanded, and is counted as such.
-    let mut prefixes = vec![Prefix { placed: vec![None; problem.regions.len()], waste: 0 }];
+    let n = problem.regions.len();
+    let mut prefixes = vec![Prefix { placed: vec![None; n], choice: vec![0; n], waste: 0 }];
     let mut depth = 0usize;
     let mut expansion_nodes: u64 = 1; // the root
     while depth < order.len() && prefixes.len() < threads * PREFIX_FANOUT {
@@ -588,15 +653,17 @@ fn solve_parallel(parts: SolveParts<'_>) -> Result<CombinatorialResult, Floorpla
         let region = order[depth];
         let mut next = Vec::new();
         for p in &prefixes {
-            for cand in &candidates[region] {
+            for (ci, cand) in candidates[region].iter().enumerate() {
                 if p.placed.iter().flatten().any(|r| r.overlaps(&cand.rect)) {
                     continue;
                 }
                 let mut placed = p.placed.clone();
                 placed[region] = Some(cand.rect);
-                if fc_still_possible(problem, &placed) {
+                let mut choice = p.choice.clone();
+                choice[region] = ci;
+                if table.constraints_fit(&placed, &choice) {
                     expansion_nodes += 1;
-                    next.push(Prefix { placed, waste: p.waste + cand.waste });
+                    next.push(Prefix { placed, choice, waste: p.waste + cand.waste });
                 }
             }
         }
@@ -634,15 +701,14 @@ fn solve_parallel(parts: SolveParts<'_>) -> Result<CombinatorialResult, Floorpla
             if assigned.is_empty() {
                 continue;
             }
-            let shared = &shared;
-            let order = &order;
-            let candidates = &candidates;
-            let min_waste = &min_waste;
+            let (shared, order, candidates, table, min_waste) =
+                (&shared, &order, &candidates, &table, &min_waste);
             s.spawn(move || {
                 let mut ctx = SearchCtx {
                     problem,
-                    order: order.clone(),
-                    candidates: candidates.clone(),
+                    order,
+                    candidates,
+                    table,
                     config,
                     ctl,
                     start,
@@ -651,9 +717,10 @@ fn solve_parallel(parts: SolveParts<'_>) -> Result<CombinatorialResult, Floorpla
                     nodes: 0,
                     aborted: false,
                     cancelled: false,
-                    placed: vec![None; problem.regions.len()],
+                    placed: vec![None; n],
+                    choice: vec![0; n],
                     best: None,
-                    min_waste: min_waste.clone(),
+                    min_waste,
                     shared: Some(shared),
                 };
                 for p in assigned {
@@ -661,6 +728,7 @@ fn solve_parallel(parts: SolveParts<'_>) -> Result<CombinatorialResult, Floorpla
                         break;
                     }
                     ctx.placed.clone_from(&p.placed);
+                    ctx.choice.clone_from(&p.choice);
                     ctx.dfs(depth, p.waste);
                     if ctx.aborted {
                         break;

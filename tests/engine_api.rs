@@ -207,3 +207,94 @@ fn milp_engine_stats_are_pinned_on_the_goldens() {
         );
     }
 }
+
+/// The combinatorial engine's serial search on three `solve-comb` scaling
+/// instances (columnar, one constraint-mode free-compatible area for each of
+/// the first two regions) and on the SDR golden: nodes, waste, wire-length
+/// bits and the floorplan, written as `x,y,w,h` per region then per
+/// free-compatible area. A change to the search, its pruning or the leaf
+/// packer that alters node order or any packed rect shows up here.
+#[test]
+fn combinatorial_serial_search_is_pinned() {
+    use relocfp::device::{Rect, SyntheticSpec};
+    use relocfp::floorplan::binio;
+    use relocfp::floorplan::combinatorial::{solve_combinatorial, CombinatorialConfig};
+    use relocfp::workloads::generator::WorkloadSpec;
+    let scaling = |cols: u32, seed: u64| {
+        WorkloadSpec {
+            seed,
+            n_regions: 4,
+            utilisation: 0.35,
+            device: SyntheticSpec {
+                cols,
+                rows: 6,
+                bram_every: 5,
+                dsp_every: 9,
+                ..Default::default()
+            },
+            fc_per_region: 1,
+            relocatable_regions: 2,
+            ..WorkloadSpec::default()
+        }
+        .generate()
+        .problem
+    };
+    let sdr = binio::read_problem_bin(
+        &std::fs::read(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/sdr.problem.rfpb"))
+            .unwrap(),
+    )
+    .unwrap();
+    let xywh = |r: &Rect| format!("{},{},{},{}", r.x, r.y, r.w, r.h);
+    // (instance, problem, nodes, waste, wire-length bits, floorplan)
+    for (name, problem, nodes, waste, wl_bits, layout) in [
+        (
+            "scaling-20c-7",
+            scaling(20, 7),
+            29_367,
+            182,
+            0x4077_0000_0000_0000_u64,
+            "2,1,12,1 1,2,14,1 5,3,11,1 16,1,2,6 | 2,4,12,1 1,5,14,1",
+        ),
+        (
+            "scaling-32c-3",
+            scaling(32, 3),
+            36_500,
+            248,
+            0x4084_8000_0000_0000,
+            "1,2,9,2 1,1,15,1 11,2,7,3 21,1,3,5 | 1,4,9,2 1,6,15,1",
+        ),
+        (
+            "scaling-48c-0",
+            scaling(48, 0),
+            18_604,
+            160,
+            0x408c_8000_0000_0000,
+            "37,3,12,2 31,1,4,6 21,2,4,5 10,1,16,1 | 37,1,12,2 1,1,4,6",
+        ),
+        (
+            "sdr-golden",
+            sdr,
+            1_197_485,
+            90,
+            0x40ad_c000_0000_0000,
+            "5,1,6,5 27,2,8,1 11,2,7,1 12,3,13,1 23,4,13,5 | ",
+        ),
+    ] {
+        let res = solve_combinatorial(&problem, &CombinatorialConfig::default()).unwrap();
+        assert!(res.proven, "{name}");
+        let fp = res.floorplan.expect("feasible");
+        let regions: Vec<String> = fp.regions.iter().map(xywh).collect();
+        let fc: Vec<String> =
+            fp.fc_areas.iter().map(|a| a.rect.as_ref().map_or("-".into(), xywh)).collect();
+        assert_eq!(
+            (
+                res.nodes,
+                res.best_waste.unwrap(),
+                res.best_wirelength.unwrap().to_bits(),
+                format!("{} | {}", regions.join(" "), fc.join(" ")).as_str(),
+            ),
+            (nodes, waste, wl_bits, layout),
+            "{name}"
+        );
+    }
+}

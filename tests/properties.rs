@@ -2,10 +2,12 @@
 
 use proptest::prelude::*;
 use relocfp::prelude::*;
-use rfp_device::compat::{columnar_compatible, enumerate_free_compatible, fabric_compatible};
-use rfp_device::SyntheticSpec;
+use rfp_device::compat::{
+    columnar_compatible, enumerate_free_compatible, fabric_compatible, free_compatible,
+};
+use rfp_device::{ForbiddenArea, SyntheticSpec, TileGrid, TileType, TileTypeRegistry};
 use rfp_floorplan::candidates::{enumerate_candidates, CandidateConfig};
-use rfp_floorplan::combinatorial::{solve_combinatorial, CombinatorialConfig};
+use rfp_floorplan::combinatorial::{solve_combinatorial, CombinatorialConfig, TargetTable};
 use rfp_workloads::generator::WorkloadSpec;
 
 fn partition(cols: u32, rows: u32) -> FabricPartition {
@@ -25,6 +27,55 @@ fn arb_rect(cols: u32, rows: u32) -> impl Strategy<Value = Rect> {
         (Just(x), Just(y), 1..=(cols - x + 1), 1..=(rows - y + 1))
             .prop_map(|(x, y, w, h)| Rect::new(x, y, w, h))
     })
+}
+
+/// A small random fabric, columnar or with a tile type drawn per cell, with
+/// an optional forbidden cell and up to two die boundaries, carrying two or
+/// three regions. Each region asks for nothing, a constraint-mode or a
+/// metric-mode relocation.
+fn arb_relocation_problem() -> impl Strategy<Value = FloorplanProblem> {
+    (4u32..10, 3u32..6)
+        .prop_flat_map(|(cols, rows)| {
+            (
+                Just((cols, rows)),
+                any::<bool>(),
+                proptest::collection::vec(0u8..5, (cols * rows) as usize),
+                proptest::option::of((1..=cols, 1..=rows)),
+                proptest::collection::vec(1..rows, 0..3),
+                proptest::collection::vec((1u32..4, 0u32..2, 0u8..3, 1u32..3), 2..4),
+            )
+        })
+        .prop_map(|((cols, rows), columnar, types, forbidden, bounds, regions)| {
+            let mut reg = TileTypeRegistry::new();
+            let clb = reg.register(TileType::new("CLB", ResourceVec::new(1, 0, 0), 36)).unwrap();
+            let bram = reg.register(TileType::new("BRAM", ResourceVec::new(0, 1, 0), 30)).unwrap();
+            let dsp = reg.register(TileType::new("DSP", ResourceVec::new(0, 0, 1), 28)).unwrap();
+            let palette = [clb, clb, clb, bram, dsp];
+            let mut grid = TileGrid::new(cols, rows).unwrap();
+            for row in 1..=rows {
+                for col in 1..=cols {
+                    let i = if columnar { col - 1 } else { (row - 1) * cols + col - 1 };
+                    grid.set(col, row, Some(palette[usize::from(types[i as usize])])).unwrap();
+                }
+            }
+            let forbidden: Vec<ForbiddenArea> = forbidden
+                .map(|(x, y)| ForbiddenArea::new("blk", Rect::new(x, y, 1, 1)))
+                .into_iter()
+                .collect();
+            let device = Device::new("prop-reloc", reg, grid, forbidden).unwrap();
+            let mut p =
+                FloorplanProblem::new(fabric_partition_with_boundaries(&device, &bounds).unwrap());
+            for (i, &(clbs, brams, mode, count)) in regions.iter().enumerate() {
+                let r = p
+                    .add_region(RegionSpec::new(format!("r{i}"), vec![(clb, clbs), (bram, brams)]));
+                match mode {
+                    1 => p.request_relocation(RelocationRequest::constraint(r, count)),
+                    2 => p.request_relocation(RelocationRequest::metric(r, count, 1.5)),
+                    _ => {}
+                }
+            }
+            p
+        })
 }
 
 /// Feeds `text` to the JSON parser and to every document reader built on
@@ -482,6 +533,74 @@ proptest! {
         let text = String::from_utf8_lossy(&bytes);
         if let Err(e) = every_reader_survives(&text) {
             prop_assert!(false, "{e} on {text:?}");
+        }
+    }
+
+    /// On random fabrics with forbidden cells and die boundaries, the
+    /// combinatorial engine's relocation-target table filtered by a random
+    /// occupied set lists exactly `enumerate_free_compatible`, which in turn
+    /// lists exactly the positions the pairwise `free_compatible` accepts;
+    /// and the parallel search at 2 and 4 threads proves the serial waste and
+    /// wire length.
+    #[test]
+    fn relocation_targets_match_the_enumeration_and_threads_agree(
+        problem in arb_relocation_problem(),
+        picks in proptest::collection::vec((any::<usize>(), any::<usize>()), 1..4),
+        occupied in proptest::collection::vec(arb_rect(9, 5), 0..4),
+    ) {
+        let p = &problem.partition;
+        let candidates: Vec<_> = problem
+            .regions
+            .iter()
+            .map(|spec| enumerate_candidates(p, spec, &CandidateConfig::default()))
+            .collect();
+        let table = TargetTable::new(&problem, &candidates);
+        for &(r, c) in &picks {
+            let Some(req) = problem.relocation.get(r % problem.relocation.len().max(1)) else {
+                break;
+            };
+            let region = req.region;
+            if candidates[region].is_empty() {
+                continue;
+            }
+            let ci = c % candidates[region].len();
+            let source = candidates[region][ci].rect;
+            let listed: Vec<Rect> = table
+                .targets(region, ci)
+                .iter()
+                .copied()
+                .filter(|t| !occupied.iter().any(|o| o.overlaps(t)))
+                .collect();
+            let enumerated = enumerate_free_compatible(p, &source, &occupied);
+            prop_assert_eq!(&listed, &enumerated, "source {}", source);
+            let mut pairwise = Vec::new();
+            for y in 1..=(p.rows - source.h + 1) {
+                for x in 1..=(p.cols - source.w + 1) {
+                    let t = Rect::new(x, y, source.w, source.h);
+                    if t != source && free_compatible(p, &source, &t, &occupied) {
+                        pairwise.push(t);
+                    }
+                }
+            }
+            prop_assert_eq!(&enumerated, &pairwise, "source {}", source);
+        }
+
+        let Ok(serial) = solve_combinatorial(&problem, &CombinatorialConfig::default()) else {
+            return Ok(());
+        };
+        prop_assert!(serial.proven);
+        if let Some(fp) = &serial.floorplan {
+            prop_assert!(fp.validate(&problem).is_empty());
+        }
+        for threads in [2usize, 4] {
+            let cfg = CombinatorialConfig { threads, ..CombinatorialConfig::default() };
+            let par = solve_combinatorial(&problem, &cfg).unwrap();
+            prop_assert!(par.proven, "{} threads", threads);
+            prop_assert_eq!(par.best_waste, serial.best_waste, "{} threads", threads);
+            match (par.best_wirelength, serial.best_wirelength) {
+                (Some(a), Some(b)) => prop_assert!((a - b).abs() < 1e-9, "{} vs {}", a, b),
+                (a, b) => prop_assert_eq!(a, b),
+            }
         }
     }
 }
