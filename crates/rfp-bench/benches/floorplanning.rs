@@ -11,9 +11,11 @@ use rfp_device::compat::enumerate_free_compatible;
 use rfp_device::{fabric_partition, xc5vfx70t, Rect};
 use rfp_floorplan::candidates::{enumerate_candidates, CandidateConfig};
 use rfp_floorplan::combinatorial::{solve_combinatorial, CombinatorialConfig};
+use rfp_floorplan::engine::{
+    FloorplanEngine, HeuristicMilpEngine, MilpEngine, SolveControl, SolveRequest,
+};
 use rfp_floorplan::heuristic::greedy_floorplan;
 use rfp_floorplan::model::{FloorplanMilp, MilpBuildConfig};
-use rfp_floorplan::{Floorplanner, FloorplannerConfig};
 use rfp_milp::{Solver, SolverConfig};
 use rfp_workloads::generator::WorkloadSpec;
 use rfp_workloads::{sdr2_problem, sdr3_problem, sdr_problem};
@@ -117,24 +119,16 @@ fn bench_milp_paths(c: &mut Criterion) {
     group.bench_function("model_generation", |b| {
         b.iter(|| FloorplanMilp::build(&problem, &MilpBuildConfig::optimal()).stats())
     });
-    group.bench_function("O", |b| {
-        b.iter(|| {
-            Floorplanner::new(FloorplannerConfig::optimal().with_time_limit(60.0))
-                .solve_report(&problem)
-                .unwrap()
-                .metrics
-                .wasted_frames
-        })
-    });
-    group.bench_function("HO", |b| {
-        b.iter(|| {
-            Floorplanner::new(FloorplannerConfig::heuristic_optimal().with_time_limit(60.0))
-                .solve_report(&problem)
-                .unwrap()
-                .metrics
-                .wasted_frames
-        })
-    });
+    let request = SolveRequest::new(problem.clone()).with_time_limit(60.0);
+    let engines: [(&str, Box<dyn FloorplanEngine>); 2] =
+        [("O", Box::new(MilpEngine::default())), ("HO", Box::new(HeuristicMilpEngine::default()))];
+    for (name, engine) in engines {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                engine.solve(&request, &SolveControl::default()).wasted_frames().expect("feasible")
+            })
+        });
+    }
     group.finish();
 }
 

@@ -1,8 +1,8 @@
 //! A small builder for the bench harness's machine-readable artefacts, on
 //! top of the workspace's one JSON escaper and number formatter
 //! (`rfp_floorplan::jsonio`). Output is deterministic (insertion order) and
-//! restricted to what the BENCH JSONs need: objects, arrays, strings,
-//! numbers, bools.
+//! restricted to what the `defrag_sim` artefact needs: objects, arrays,
+//! strings and numbers.
 
 use rfp_floorplan::jsonio::{escape, num};
 
@@ -36,12 +36,6 @@ impl Object {
         self
     }
 
-    /// Adds a boolean field.
-    pub fn bool(mut self, key: &str, value: bool) -> Object {
-        self.fields.push(format!("\"{}\":{value}", escape(key)));
-        self
-    }
-
     /// Adds a field whose value is already-rendered JSON.
     pub fn raw(mut self, key: &str, value: String) -> Object {
         self.fields.push(format!("\"{}\":{value}", escape(key)));
@@ -71,12 +65,11 @@ mod tests {
             .num("pi", 3.5)
             .num("gap", f64::INFINITY)
             .int("n", 42)
-            .bool("ok", true)
             .raw("rows", array(vec!["1".into(), "2".into()]))
             .build();
         assert_eq!(
             obj,
-            "{\"name\":\"a \\\"b\\\"\\n\",\"pi\":3.5,\"gap\":null,\"n\":42,\"ok\":true,\"rows\":[1,2]}"
+            "{\"name\":\"a \\\"b\\\"\\n\",\"pi\":3.5,\"gap\":null,\"n\":42,\"rows\":[1,2]}"
         );
     }
 

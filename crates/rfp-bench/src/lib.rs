@@ -14,12 +14,15 @@
 //! | `figure3` | Figure 3 — offset-variable semantics |
 //! | `figure4` | Figure 4 — SDR2 floorplan (6 free-compatible areas) |
 //! | `figure5` | Figure 5 — SDR3 floorplan (9 free-compatible areas) |
-//! | `solve_times` | Section VI solve-time discussion (SDR/SDR2/SDR3) |
 //! | `defrag_sim` | online defragmentation study (relocation-aware vs oblivious) |
 //!
 //! The [`reports`] module contains the reusable report builders so that the
 //! binaries stay thin and the logic is unit-tested; [`sim`] does the same
 //! for the online-simulation comparison.
+//!
+//! Timings are not measured here: solve, simulate and serve throughput with
+//! per-layer breakdowns come from the `perfbench` package at the repository
+//! root.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
@@ -29,6 +32,5 @@ pub mod reports;
 pub mod sim;
 
 pub use reports::{
-    feasibility_report, markdown_table, table1_markdown, table2, table2_json, table2_markdown,
-    MilpSolveRow, Table2Row,
+    feasibility_report, markdown_table, table1_markdown, table2, table2_markdown, Table2Row,
 };

@@ -6,7 +6,7 @@
 //! CLI and the portfolio.
 
 use rfp_baselines::engines::full_registry;
-use rfp_floorplan::engine::{SolveControl, SolveOutcome, SolveRequest};
+use rfp_floorplan::engine::{SolveControl, SolveRequest};
 use rfp_floorplan::feasibility::{feasibility_analysis, RegionFeasibility};
 use rfp_floorplan::{Floorplan, FloorplanError, FloorplanProblem};
 use rfp_workloads::sdr::{sdr2_problem, sdr3_problem, sdr_problem, sdr_region_table};
@@ -164,138 +164,6 @@ pub fn feasibility_report() -> Result<Vec<RegionFeasibility>, FloorplanError> {
         &sdr_problem(),
         &rfp_floorplan::combinatorial::CombinatorialConfig::default(),
     )
-}
-
-/// One MILP-engine measurement of the solve-time study: everything the BENCH
-/// JSON needs to track proof speed across PRs.
-#[derive(Debug, Clone)]
-pub struct MilpSolveRow {
-    /// Engine label (e.g. `"O (revised)"`, `"HO (revised)"`).
-    pub engine: String,
-    /// Outcome: wasted frames of the floorplan, or the error text.
-    pub outcome: Result<u64, String>,
-    /// Free-compatible areas reserved.
-    pub fc_areas: usize,
-    /// Wall-clock seconds.
-    pub solve_seconds: f64,
-    /// Branch-and-bound nodes.
-    pub nodes: u64,
-    /// Simplex iterations across all LP relaxations.
-    pub lp_iterations: u64,
-    /// LP (re-)solves performed (nodes, dives and cut rounds).
-    pub lp_solves: u64,
-    /// Seconds spent inside LP solves.
-    pub lp_seconds: f64,
-    /// Cutting planes separated at the root.
-    pub cuts: u64,
-    /// Relative optimality gap at termination (0 when proven).
-    pub gap: f64,
-    /// Whether optimality was proven.
-    pub proven: bool,
-}
-
-impl MilpSolveRow {
-    /// Builds a row from a legacy floorplanner report.
-    pub fn from_report(
-        engine: impl Into<String>,
-        r: &rfp_floorplan::FloorplanReport,
-    ) -> MilpSolveRow {
-        MilpSolveRow {
-            engine: engine.into(),
-            outcome: Ok(r.metrics.wasted_frames),
-            fc_areas: r.metrics.fc_found,
-            solve_seconds: r.solve_seconds,
-            nodes: r.nodes,
-            lp_iterations: r.lp_iterations,
-            lp_solves: r.lp_solves,
-            lp_seconds: r.lp_seconds,
-            cuts: r.cuts,
-            gap: r.gap,
-            proven: r.proven_optimal,
-        }
-    }
-
-    /// Builds a row from an engine outcome (the registry call path).
-    pub fn from_outcome(engine: impl Into<String>, o: &SolveOutcome) -> MilpSolveRow {
-        MilpSolveRow {
-            engine: engine.into(),
-            outcome: match (&o.metrics, &o.detail) {
-                (Some(m), _) => Ok(m.wasted_frames),
-                (None, detail) => Err(detail.clone().unwrap_or_else(|| o.status.to_string())),
-            },
-            fc_areas: o.metrics.as_ref().map_or(0, |m| m.fc_found),
-            solve_seconds: o.stats.solve_seconds,
-            nodes: o.stats.nodes,
-            lp_iterations: o.stats.lp_iterations,
-            lp_solves: o.stats.lp_solves,
-            lp_seconds: o.stats.lp_seconds,
-            cuts: o.stats.cuts,
-            gap: o.stats.gap,
-            proven: o.is_proven(),
-        }
-    }
-
-    /// Builds a failure row.
-    pub fn from_error(engine: impl Into<String>, err: &FloorplanError) -> MilpSolveRow {
-        MilpSolveRow {
-            engine: engine.into(),
-            outcome: Err(err.to_string()),
-            fc_areas: 0,
-            solve_seconds: 0.0,
-            nodes: 0,
-            lp_iterations: 0,
-            lp_solves: 0,
-            lp_seconds: 0.0,
-            cuts: 0,
-            gap: f64::INFINITY,
-            proven: false,
-        }
-    }
-
-    /// Mean seconds per LP (re-)solve.
-    pub fn lp_seconds_per_solve(&self) -> f64 {
-        if self.lp_solves == 0 {
-            0.0
-        } else {
-            self.lp_seconds / self.lp_solves as f64
-        }
-    }
-
-    /// The row as a JSON object.
-    pub fn to_json(&self) -> String {
-        let mut o = crate::json::Object::new().str("engine", &self.engine);
-        o = match &self.outcome {
-            Ok(waste) => o.int("wasted_frames", *waste),
-            Err(e) => o.str("error", e),
-        };
-        o.int("fc_areas", self.fc_areas as u64)
-            .num("solve_seconds", self.solve_seconds)
-            .int("nodes", self.nodes)
-            .int("lp_iterations", self.lp_iterations)
-            .int("lp_solves", self.lp_solves)
-            .num("lp_seconds", self.lp_seconds)
-            .num("lp_seconds_per_solve", self.lp_seconds_per_solve())
-            .int("cuts", self.cuts)
-            .num("gap", self.gap)
-            .bool("proven", self.proven)
-            .build()
-    }
-}
-
-/// Renders the Table II rows as a JSON array (used by the BENCH artefacts).
-pub fn table2_json(rows: &[Table2Row]) -> String {
-    crate::json::array(rows.iter().map(|r| {
-        crate::json::Object::new()
-            .str("algorithm", &r.algorithm)
-            .str("design", &r.design)
-            .int("fc_areas", r.fc_areas as u64)
-            .int("wasted_frames", r.wasted_frames)
-            .num("solve_seconds", r.solve_seconds)
-            .bool("proven", r.proven_optimal)
-            .int("nodes", r.nodes)
-            .num("gap", r.gap)
-            .build()
-    }))
 }
 
 #[cfg(test)]

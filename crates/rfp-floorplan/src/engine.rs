@@ -370,10 +370,8 @@ impl EngineStats {
     }
 }
 
-/// The unified result of an engine run. This supersedes the two historical
-/// report types (`rfp_floorplan`'s solver report and `rfp_milp`'s solution)
-/// as the cross-engine currency; the legacy `FloorplanReport` is derived
-/// from it by the deprecated `Floorplanner` facade.
+/// The unified result of an engine run: the one cross-engine currency of
+/// the registry, the portfolio, the service and the `rfp` CLI.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolveOutcome {
     /// Final status.
@@ -409,8 +407,8 @@ impl SolveOutcome {
         self.metrics.as_ref().map(|m| m.wasted_frames)
     }
 
-    /// Converts the outcome into the legacy `Result` shape: the floorplan on
-    /// success, a [`FloorplanError`] otherwise.
+    /// Converts the outcome into a `Result`: the floorplan on success, a
+    /// [`FloorplanError`] otherwise.
     pub fn into_result(self) -> Result<Floorplan, FloorplanError> {
         match self.floorplan {
             Some(fp) => Ok(fp),
@@ -1101,6 +1099,32 @@ mod tests {
         assert_eq!(comb.wasted_frames(), milp.wasted_frames());
         assert!(milp.stats.model_stats.is_some());
         assert!(comb.stats.model_stats.is_none());
+    }
+
+    #[test]
+    fn ho_is_no_better_than_o_and_both_are_valid() {
+        let (mut p, clb, bram) = tiny_problem();
+        p.weights = ObjectiveWeights::area_only();
+        p.add_region(RegionSpec::new("A", vec![(clb, 1), (bram, 1)]));
+        p.add_region(RegionSpec::new("B", vec![(clb, 2)]));
+        let req = SolveRequest::new(p.clone());
+        let o = MilpEngine::default().solve(&req, &SolveControl::default());
+        let ho = HeuristicMilpEngine::default().solve(&req, &SolveControl::default());
+        assert!(ho.wasted_frames().unwrap() >= o.wasted_frames().unwrap());
+        assert!(o.floorplan.unwrap().validate(&p).is_empty());
+        assert!(ho.floorplan.unwrap().validate(&p).is_empty());
+        assert_eq!(ho.stats.engine, "ho");
+    }
+
+    #[test]
+    fn relocation_constraint_via_the_combinatorial_engine() {
+        let (mut p, clb, bram) = tiny_problem();
+        let a = p.add_region(RegionSpec::new("A", vec![(clb, 1), (bram, 1)]));
+        p.request_relocation(RelocationRequest::constraint(a, 1));
+        let outcome = CombinatorialEngine::default()
+            .solve(&SolveRequest::new(p.clone()), &SolveControl::default());
+        assert_eq!(outcome.metrics.unwrap().fc_found, 1);
+        assert!(outcome.floorplan.unwrap().validate(&p).is_empty());
     }
 
     #[test]

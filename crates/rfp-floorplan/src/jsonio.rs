@@ -224,6 +224,12 @@ impl DeviceSection {
     }
 }
 
+/// The largest device grid (rows x columns, in tiles) a document may
+/// describe. Far above any real fabric, yet small enough that rebuilding the
+/// grid cannot exhaust memory: a columnar document states its row count as a
+/// bare integer, so its size is not bounded by the document's length.
+const MAX_DEVICE_CELLS: u64 = 1 << 24;
+
 /// The raw fields of a parsed device section, decoded but not yet rebuilt.
 ///
 /// Both the JSON reader ([`read_device`]) and the binary reader
@@ -292,6 +298,12 @@ impl DeviceSpec {
             }
             self.columns.len() as u32
         };
+        if u64::from(cols) * u64::from(self.rows) > MAX_DEVICE_CELLS {
+            return Err(format!(
+                "implausible device of {cols} columns x {} rows: more than {MAX_DEVICE_CELLS} tiles",
+                self.rows
+            ));
+        }
         let mut grid = TileGrid::new(cols, self.rows).map_err(|e| format!("invalid grid: {e}"))?;
         if per_cell {
             for (i, &pos) in self.cells.iter().enumerate() {

@@ -43,8 +43,6 @@
 //!   tests.
 //! * [`binio`] — the length-prefixed little-endian binary twin of `jsonio`
 //!   (`rfpb` documents); the fast trace format of the sweep harness.
-//! * [`solver`] — the legacy [`solver::Floorplanner`] facade (algorithms
-//!   `O`, `HO` and `Combinatorial`), now a thin shim over [`engine`].
 //! * [`feasibility`] — the per-region free-compatible-area feasibility
 //!   analysis of Section VI.
 //! * [`render`] — ASCII rendering of floorplans (used to regenerate
@@ -56,6 +54,7 @@
 //!
 //! ```
 //! use rfp_device::{xc5vfx70t, columnar_partition};
+//! use rfp_floorplan::engine::CombinatorialEngine;
 //! use rfp_floorplan::prelude::*;
 //!
 //! let device = xc5vfx70t();
@@ -69,19 +68,15 @@
 //! problem.connect(filter, decoder, 64.0);
 //! problem.request_relocation(RelocationRequest::constraint(filter, 1));
 //!
-//! let floorplan = Floorplanner::new(FloorplannerConfig::combinatorial())
-//!     .solve(&problem)
-//!     .expect("the instance is feasible");
+//! let request = SolveRequest::new(problem.clone()).with_time_limit(60.0);
+//! let outcome = CombinatorialEngine::default().solve(&request, &SolveControl::default());
+//! let floorplan = outcome.floorplan.expect("the instance is feasible");
 //! assert!(floorplan.validate(&problem).is_empty());
 //! assert_eq!(floorplan.metrics(&problem).fc_found, 1);
 //! ```
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
-// The deprecated `SolveReport` alias lives on for downstream callers, but no
-// internal code path may use it (the re-export below and the alias
-// compile-test carry explicit `allow`s).
-#![deny(deprecated)]
 
 pub mod binio;
 pub mod candidates;
@@ -99,7 +94,6 @@ pub mod portfolio;
 pub mod problem;
 pub mod render;
 pub mod sequence_pair;
-pub mod solver;
 
 /// Convenient glob import of the public API.
 pub mod prelude {
@@ -116,7 +110,6 @@ pub mod prelude {
         Connection, FloorplanProblem, ObjectiveWeights, RegionId, RegionSpec, RelocationMode,
         RelocationRequest,
     };
-    pub use crate::solver::{Algorithm, FloorplanReport, Floorplanner, FloorplannerConfig};
 }
 
 pub use engine::{
@@ -131,6 +124,3 @@ pub use problem::{
     Connection, FloorplanProblem, ObjectiveWeights, RegionId, RegionSpec, RelocationMode,
     RelocationRequest,
 };
-#[allow(deprecated)]
-pub use solver::SolveReport;
-pub use solver::{Algorithm, FloorplanReport, Floorplanner, FloorplannerConfig};

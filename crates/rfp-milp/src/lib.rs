@@ -53,9 +53,6 @@
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
-// The deprecated `SolveReport` alias lives on for downstream callers, but no
-// internal code path may use it.
-#![deny(deprecated)]
 
 pub mod basis;
 pub mod branch_bound;
@@ -86,19 +83,3 @@ pub use cancel::CancelToken;
 pub use expr::LinExpr;
 pub use model::{ConOp, Model, Sense, VarId, VarKind};
 pub use solution::{Solution, SolveStatus};
-
-/// The MILP-level solve report under an unambiguous name.
-///
-/// Historically both this crate (via its solution type) and `rfp-floorplan`
-/// exposed a "solve report", which collided in downstream glob imports. The
-/// floorplan-level report is now `rfp_floorplan::FloorplanReport` and the
-/// engine API's `SolveOutcome`; this alias names the MILP-level one.
-pub use solution::Solution as MilpSolution;
-
-/// Deprecated alias kept so pre-unification call sites keep compiling.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Solution` (or the `MilpSolution` alias); the unified floorplan-level \
-            report is `rfp_floorplan::engine::SolveOutcome`"
-)]
-pub type SolveReport = Solution;

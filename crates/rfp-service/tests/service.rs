@@ -311,3 +311,53 @@ fn shutdown_drains_queued_jobs() {
         assert!(result.outcome.status.has_floorplan());
     }
 }
+
+/// One of three mid-size problems on the same 14x4 device, differing in one
+/// region's load: big enough that a cold combinatorial solve costs real
+/// work, small enough that a stream of them finishes in seconds.
+fn stream_problem(variant: u32) -> FloorplanProblem {
+    let mut b = DeviceBuilder::new("serve-load");
+    let clb = b.tile_type("CLB", ResourceVec::new(1, 0, 0), 36);
+    let bram = b.tile_type("BRAM", ResourceVec::new(0, 1, 0), 30);
+    b.rows(4).columns(&[clb, clb, bram, clb, clb, clb, bram, clb, clb, clb, bram, clb, clb, clb]);
+    let mut p = FloorplanProblem::new(columnar_partition(&b.build().unwrap()).unwrap());
+    p.weights = ObjectiveWeights::area_only();
+    p.add_region(RegionSpec::new("A", vec![(clb, 4), (bram, 1)]));
+    p.add_region(RegionSpec::new("B", vec![(clb, 2 + variant)]));
+    p.add_region(RegionSpec::new("C", vec![(clb, 3), (bram, 1)]));
+    p.add_region(RegionSpec::new("D", vec![(clb, 2)]));
+    p
+}
+
+/// The acceptance bar of the outcome cache: a repeat-heavy stream (3
+/// distinct problems x 6 rounds through 2 workers) is at least 2x faster,
+/// in the mean over 2 samples, with the cache on than with it off. The
+/// margin is wide — a hit costs microseconds, a cold solve milliseconds —
+/// so the bar holds on a noisy machine.
+#[test]
+fn the_cache_makes_a_repeat_heavy_stream_at_least_2x_faster() {
+    let mean_seconds = |cache: bool| {
+        let samples = 2;
+        let mut total = 0.0;
+        for _ in 0..samples {
+            let service = SolveService::new(
+                rfp_baselines::engines::full_registry(),
+                ServiceConfig { workers: 2, cache, ..ServiceConfig::default() },
+            );
+            let start = std::time::Instant::now();
+            let ids: Vec<_> = (0..6)
+                .flat_map(|_| 0..3)
+                .map(|v| service.submit(JobSpec::new(SolveRequest::new(stream_problem(v)))))
+                .collect();
+            for id in ids {
+                service.join(id).expect("submitted ids are joinable");
+            }
+            total += start.elapsed().as_secs_f64();
+        }
+        total / samples as f64
+    };
+    let on = mean_seconds(true);
+    let off = mean_seconds(false);
+    let speedup = off / on.max(1e-9);
+    assert!(speedup >= 2.0, "cache speedup below the 2x bar: {speedup:.2}x ({off:.4}s / {on:.4}s)");
+}

@@ -9,15 +9,15 @@
 //!   measured in **frames moved** while handling the event (the
 //!   reconfiguration cost the paper's Equation 13 prices), never in
 //!   wall-clock seconds, which stay on stderr;
-//! * integer samples aggregate through [`criterion::CountStats`]
+//! * integer samples aggregate through [`rfp_trace::CountStats`]
 //!   (nearest-rank percentiles of integer samples are exact);
 //! * float accumulation happens in run-index order during the deferred
 //!   merge, never in completion order.
 
 use crate::grid::CellKey;
-use criterion::{summarize_counts, CountStats};
 use rfp_floorplan::jsonio::{escape, num, parse, JsonError, JsonValue};
 use rfp_runtime::SimReport;
+use rfp_trace::{summarize_counts, CountStats};
 use std::fmt::Write as _;
 
 /// Format tag of sweep-report documents.
@@ -195,7 +195,7 @@ fn write_counts(out: &mut String, name: &str, s: &CountStats) {
 
 fn read_counts(v: &JsonValue) -> Result<CountStats, JsonError> {
     Ok(CountStats {
-        n: v.field("n")?.as_u64()? as usize,
+        n: v.field("n")?.as_u64()?,
         total: v.field("total")?.as_u64()?,
         p50: v.field("p50")?.as_u64()?,
         p95: v.field("p95")?.as_u64()?,
@@ -409,6 +409,6 @@ mod tests {
         let report = aggregate("g", "e", &keys(), &[], &[]);
         assert_eq!(report.cells[0].runs, 0);
         assert_eq!(report.cells[0].admission_rate, 1.0);
-        assert_eq!(report.cells[0].latency_frames, CountStats::empty());
+        assert_eq!(report.cells[0].latency_frames, summarize_counts(&[]));
     }
 }

@@ -11,10 +11,11 @@ use crate::collect::{SpanEvent, TrackBuf};
 use crate::json::{self, JsonError, JsonValue};
 use std::collections::BTreeMap;
 
-/// Summary statistics over dimensionless integer samples — the same shape
-/// (and nearest-rank percentile definition) as the criterion stub's
-/// `CountStats`, re-derived here so the trace crate stays dependency-free.
-/// Order-independent: a multiset of samples has exactly one summary.
+/// Summary statistics over dimensionless integer samples (nearest-rank
+/// percentiles, so every percentile is a sample that occurred). The one
+/// count summariser of the workspace: trace histograms and the sweep
+/// report's frame distributions both use it. Order-independent: a multiset
+/// of samples has exactly one summary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CountStats {
     /// Number of samples.
@@ -335,7 +336,16 @@ mod tests {
     fn summarize_matches_the_nearest_rank_definition() {
         let s = summarize_counts(&[4, 1, 3, 2]);
         assert_eq!(s, CountStats { n: 4, total: 10, p50: 2, p95: 4, min: 1, max: 4 });
-        assert_eq!(summarize_counts(&[]).n, 0);
+        assert_eq!(
+            summarize_counts(&[]),
+            CountStats { n: 0, total: 0, p50: 0, p95: 0, min: 0, max: 0 }
+        );
+        // 1..=20: p50 is the 10th sample, p95 the 19th (not the maximum).
+        let twenty: Vec<u64> = (1..=20).collect();
+        assert_eq!(
+            summarize_counts(&twenty),
+            CountStats { n: 20, total: 210, p50: 10, p95: 19, min: 1, max: 20 }
+        );
         let shuffled = summarize_counts(&[2, 4, 1, 3]);
         assert_eq!(s, shuffled, "order-independent");
     }

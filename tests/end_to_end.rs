@@ -5,28 +5,31 @@
 use relocfp::prelude::*;
 use rfp_baselines::{tessellation_floorplan, TessellationConfig};
 use rfp_floorplan::combinatorial::{solve_combinatorial, CombinatorialConfig};
+use rfp_floorplan::engine::CombinatorialEngine;
 use rfp_floorplan::feasibility::feasibility_analysis;
 use rfp_workloads::sdr::{sdr2_problem, sdr_problem, RELOCATABLE_REGIONS};
 
-fn fast_cfg() -> FloorplannerConfig {
-    FloorplannerConfig {
-        combinatorial: CombinatorialConfig::with_time_limit(120.0),
-        ..FloorplannerConfig::combinatorial()
-    }
+/// Solves `problem` with the combinatorial engine under a 120 s budget and
+/// returns the floorplan with its metrics.
+fn solve(problem: &FloorplanProblem) -> (Floorplan, Metrics) {
+    let request = SolveRequest::new(problem.clone()).with_time_limit(120.0);
+    let outcome = CombinatorialEngine::default().solve(&request, &SolveControl::default());
+    let metrics = outcome.metrics.expect("engines attach metrics to every floorplan");
+    (outcome.floorplan.expect("the instance is feasible"), metrics)
 }
 
 #[test]
 fn sdr2_end_to_end_floorplan_and_relocation() {
     let problem = sdr2_problem();
-    let report = Floorplanner::new(fast_cfg()).solve_report(&problem).expect("SDR2 is feasible");
-    assert!(report.floorplan.validate(&problem).is_empty());
-    assert_eq!(report.metrics.fc_requested, 6);
-    assert_eq!(report.metrics.fc_found, 6, "SDR2 reserves 6 free-compatible areas (Table II)");
+    let (floorplan, metrics) = solve(&problem);
+    assert!(floorplan.validate(&problem).is_empty());
+    assert_eq!(metrics.fc_requested, 6);
+    assert_eq!(metrics.fc_found, 6, "SDR2 reserves 6 free-compatible areas (Table II)");
 
     // Every reserved area accepts a relocated bitstream of its region.
     let partition = &problem.partition;
-    for (idx, rect) in report.floorplan.regions.iter().enumerate() {
-        let targets = report.floorplan.fc_for_region(idx);
+    for (idx, rect) in floorplan.regions.iter().enumerate() {
+        let targets = floorplan.fc_for_region(idx);
         if targets.is_empty() {
             continue;
         }
@@ -46,15 +49,15 @@ fn table2_shape_holds() {
     // cost over the relocation-free optimum, and the reconfiguration-centric
     // baseline wastes more than the exact floorplanner.
     let sdr = sdr_problem();
-    let plain = Floorplanner::new(fast_cfg()).solve_report(&sdr).expect("SDR feasible");
-    let sdr2 = Floorplanner::new(fast_cfg()).solve_report(&sdr2_problem()).expect("SDR2 feasible");
+    let (_, plain) = solve(&sdr);
+    let (_, sdr2) = solve(&sdr2_problem());
     assert_eq!(
-        plain.metrics.wasted_frames, sdr2.metrics.wasted_frames,
+        plain.wasted_frames, sdr2.wasted_frames,
         "the paper reports the same wasted frames for [10]/SDR and PA/SDR2"
     );
     let tess = tessellation_floorplan(&sdr, &TessellationConfig::default()).unwrap();
     assert!(
-        tess.metrics(&sdr).wasted_frames > plain.metrics.wasted_frames,
+        tess.metrics(&sdr).wasted_frames > plain.wasted_frames,
         "the [8]-style baseline must waste more frames than the exact engine"
     );
 }
@@ -115,7 +118,7 @@ fn facade_prelude_covers_the_whole_pipeline() {
     let mut problem = FloorplanProblem::new(partition);
     let r = problem.add_region(RegionSpec::new("R", vec![(clb, 1), (bram, 1)]));
     problem.request_relocation(RelocationRequest::constraint(r, 2));
-    let fp = Floorplanner::new(FloorplannerConfig::combinatorial()).solve(&problem).unwrap();
+    let (fp, _) = solve(&problem);
     assert_eq!(fp.fc_found(), 2);
     for area in fp.fc_for_region(r) {
         assert!(areas_compatible(&device, &fp.regions[r], &area).is_compatible());
@@ -134,8 +137,8 @@ fn relocation_as_metric_degrades_gracefully_on_the_sdr() {
         .position(|r| r.name == "Video Decoder")
         .expect("video decoder exists");
     problem.request_relocation(RelocationRequest::metric(video, 1, 5.0));
-    let report = Floorplanner::new(fast_cfg()).solve_report(&problem).expect("still feasible");
-    assert_eq!(report.metrics.fc_found, 0);
-    assert!(report.metrics.relocation_cost > 0.0);
-    assert!(report.floorplan.validate(&problem).is_empty());
+    let (floorplan, metrics) = solve(&problem);
+    assert_eq!(metrics.fc_found, 0);
+    assert!(metrics.relocation_cost > 0.0);
+    assert!(floorplan.validate(&problem).is_empty());
 }

@@ -2,10 +2,30 @@
 //! the SDR instance through the same registry call path, portfolio racing
 //! with loser cancellation, and the `rfp` CLI end to end.
 
+use relocfp::device::SyntheticSpec;
 use relocfp::floorplan::engine::{SolveControl, SolveRequest};
 use relocfp::floorplan::portfolio::Portfolio;
+use relocfp::floorplan::problem::FloorplanProblem;
+use relocfp::workloads::generator::WorkloadSpec;
 use rfp_baselines::engines::full_registry;
 use rfp_workloads::sdr_problem;
+
+/// A `solve-comb` scaling instance: columnar, 6 rows, four regions at 0.35
+/// utilisation, one constraint-mode free-compatible area for each of the
+/// first two regions.
+fn scaling_instance(cols: u32, seed: u64) -> FloorplanProblem {
+    WorkloadSpec {
+        seed,
+        n_regions: 4,
+        utilisation: 0.35,
+        device: SyntheticSpec { cols, rows: 6, bram_every: 5, dsp_every: 9, ..Default::default() },
+        fc_per_region: 1,
+        relocatable_regions: 2,
+        ..WorkloadSpec::default()
+    }
+    .generate()
+    .problem
+}
 
 /// Acceptance: every registered engine solves the (plain) SDR instance
 /// through `EngineRegistry::get(id).solve(req, ctl)`. The exact
@@ -62,24 +82,6 @@ fn portfolio_race_on_sdr_proves_and_cancels_losers() {
     }
     // Every leg reported, in registration order.
     assert_eq!(race.entries.len(), registry.len());
-}
-
-/// The facade (`Floorplanner`) and the registry path produce identical
-/// results — they share the engine implementations.
-#[test]
-fn facade_and_registry_agree_on_sdr() {
-    use relocfp::prelude::*;
-    let problem = sdr_problem();
-    let facade = Floorplanner::new(FloorplannerConfig::combinatorial().with_time_limit(60.0))
-        .solve_report(&problem)
-        .expect("SDR is feasible");
-    let registry = full_registry();
-    let outcome = registry
-        .get("combinatorial")
-        .unwrap()
-        .solve(&SolveRequest::new(problem.clone()).with_time_limit(60.0), &SolveControl::default());
-    assert_eq!(Some(facade.floorplan), outcome.floorplan);
-    assert_eq!(facade.proven_optimal, outcome.is_proven());
 }
 
 /// A shared time budget set on the request is honoured by every engine kind
@@ -162,9 +164,7 @@ fn rfp_cli_convert_solve_validate_round_trip() {
 /// order or LP work shows up here.
 #[test]
 fn milp_engine_stats_are_pinned_on_the_goldens() {
-    use relocfp::device::SyntheticSpec;
     use relocfp::floorplan::jsonio;
-    use relocfp::workloads::generator::WorkloadSpec;
     let golden = |name: &str| {
         let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
             .join(format!("tests/golden/{name}.problem.json"));
@@ -216,29 +216,9 @@ fn milp_engine_stats_are_pinned_on_the_goldens() {
 /// packer that alters node order or any packed rect shows up here.
 #[test]
 fn combinatorial_serial_search_is_pinned() {
-    use relocfp::device::{Rect, SyntheticSpec};
+    use relocfp::device::Rect;
     use relocfp::floorplan::binio;
     use relocfp::floorplan::combinatorial::{solve_combinatorial, CombinatorialConfig};
-    use relocfp::workloads::generator::WorkloadSpec;
-    let scaling = |cols: u32, seed: u64| {
-        WorkloadSpec {
-            seed,
-            n_regions: 4,
-            utilisation: 0.35,
-            device: SyntheticSpec {
-                cols,
-                rows: 6,
-                bram_every: 5,
-                dsp_every: 9,
-                ..Default::default()
-            },
-            fc_per_region: 1,
-            relocatable_regions: 2,
-            ..WorkloadSpec::default()
-        }
-        .generate()
-        .problem
-    };
     let sdr = binio::read_problem_bin(
         &std::fs::read(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/sdr.problem.rfpb"))
             .unwrap(),
@@ -249,7 +229,7 @@ fn combinatorial_serial_search_is_pinned() {
     for (name, problem, nodes, waste, wl_bits, layout) in [
         (
             "scaling-20c-7",
-            scaling(20, 7),
+            scaling_instance(20, 7),
             29_367,
             182,
             0x4077_0000_0000_0000_u64,
@@ -257,7 +237,7 @@ fn combinatorial_serial_search_is_pinned() {
         ),
         (
             "scaling-32c-3",
-            scaling(32, 3),
+            scaling_instance(32, 3),
             36_500,
             248,
             0x4084_8000_0000_0000,
@@ -265,7 +245,7 @@ fn combinatorial_serial_search_is_pinned() {
         ),
         (
             "scaling-48c-0",
-            scaling(48, 0),
+            scaling_instance(48, 0),
             18_604,
             160,
             0x408c_8000_0000_0000,
@@ -296,5 +276,63 @@ fn combinatorial_serial_search_is_pinned() {
             (nodes, waste, wl_bits, layout),
             "{name}"
         );
+    }
+}
+
+/// The parallel combinatorial search on the scaling instances (12, 20 and 32
+/// columns, the default workload seed): the 2- and 4-thread runs prove the
+/// serial run's waste, and every run proves within 60 s.
+#[test]
+fn combinatorial_parallel_search_proves_the_serial_waste() {
+    use relocfp::floorplan::combinatorial::{solve_combinatorial, CombinatorialConfig};
+    let seed = WorkloadSpec::default().seed;
+    for cols in [12, 20, 32] {
+        let problem = scaling_instance(cols, seed);
+        let waste = |threads: usize| {
+            let cfg = CombinatorialConfig {
+                threads,
+                time_limit_secs: 60.0,
+                ..CombinatorialConfig::default()
+            };
+            let res = solve_combinatorial(&problem, &cfg).unwrap();
+            assert!(res.proven, "cols {cols}, {threads} thread(s): no proof within 60 s");
+            res.best_waste.expect("scaling instances are feasible")
+        };
+        let serial = waste(1);
+        for threads in [2, 4] {
+            assert_eq!(waste(threads), serial, "cols {cols}, {threads} threads");
+        }
+    }
+}
+
+/// The MILP engines on the reduced 8x3 device of the Section VI proof-speed
+/// study (three regions, one constraint-mode free-compatible area): O and HO
+/// each return a valid floorplan within a 5 s budget.
+#[test]
+fn milp_engines_return_a_floorplan_on_the_reduced_device() {
+    let problem = WorkloadSpec {
+        n_regions: 3,
+        utilisation: 0.35,
+        device: SyntheticSpec {
+            cols: 8,
+            rows: 3,
+            bram_every: 4,
+            dsp_every: 0,
+            ..Default::default()
+        },
+        fc_per_region: 1,
+        relocatable_regions: 1,
+        ..WorkloadSpec::default()
+    }
+    .generate()
+    .problem;
+    let registry = full_registry();
+    let req = SolveRequest::new(problem.clone()).with_time_limit(5.0);
+    for id in ["milp", "ho"] {
+        let outcome = registry.get(id).unwrap().solve(&req, &SolveControl::default());
+        let fp = outcome
+            .floorplan
+            .unwrap_or_else(|| panic!("{id}: {} ({:?})", outcome.status, outcome.detail));
+        assert!(fp.validate(&problem).is_empty(), "{id} returned an invalid floorplan");
     }
 }
