@@ -140,18 +140,21 @@ impl Bitstream {
         self.frames.len() * FRAME_WORDS * 4
     }
 
-    /// Recomputes the CRC-32 over addresses and payloads.
+    /// Recomputes the CRC-32 over addresses and payloads: per frame, the
+    /// column, row and minor index, then the payload words, all
+    /// little-endian. Each frame is hashed as one contiguous buffer.
     pub fn compute_crc(&self) -> u32 {
         let mut state = 0xFFFF_FFFFu32;
-        let mut buf = [0u8; 12];
+        let mut buf = Vec::with_capacity(12 + FRAME_WORDS * 4);
         for frame in &self.frames {
-            buf[..4].copy_from_slice(&frame.address.column.to_le_bytes());
-            buf[4..8].copy_from_slice(&frame.address.row.to_le_bytes());
-            buf[8..12].copy_from_slice(&frame.address.minor.to_le_bytes());
-            state = crc32_update(state, &buf);
+            buf.clear();
+            buf.extend_from_slice(&frame.address.column.to_le_bytes());
+            buf.extend_from_slice(&frame.address.row.to_le_bytes());
+            buf.extend_from_slice(&frame.address.minor.to_le_bytes());
             for word in &frame.words {
-                state = crc32_update(state, &word.to_le_bytes());
+                buf.extend_from_slice(&word.to_le_bytes());
             }
+            state = crc32_update(state, &buf);
         }
         state ^ 0xFFFF_FFFF
     }
@@ -224,6 +227,22 @@ mod tests {
         assert!(bs.verify().is_ok());
         bs.frames[0].words[0] ^= 1;
         assert!(matches!(bs.verify(), Err(BitstreamError::CrcMismatch { .. })));
+    }
+
+    #[test]
+    fn frames_of_any_length_hash_their_address_then_their_words() {
+        let p = partition();
+        let mut bs = Bitstream::generate(&p, "m", Rect::new(1, 1, 1, 1), 2).unwrap();
+        bs.frames[0].words.truncate(7);
+        bs.frames[1].words.push(0xDEAD_BEEF);
+        bs.frames[2].words.clear();
+        let mut bytes = Vec::new();
+        for f in &bs.frames {
+            for v in [f.address.column, f.address.row, f.address.minor].iter().chain(&f.words) {
+                bytes.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+        assert_eq!(bs.compute_crc(), crate::crc32(&bytes));
     }
 
     #[test]

@@ -251,6 +251,17 @@ mod tests {
         ));
     }
 
+    /// Literal CRCs recorded from the bit-serial CRC-32: a generated
+    /// bitstream on the FX70T and its relocation one column to the right.
+    #[test]
+    fn generated_and_relocated_crcs_are_pinned() {
+        let p = fabric_partition(&xc5vfx70t()).unwrap();
+        let bs = Bitstream::generate(&p, "m", Rect::new(1, 1, 2, 2), 1).unwrap();
+        assert_eq!(bs.crc, 0xDF43_E889);
+        let moved = relocate(&p, &bs, Rect::new(2, 1, 2, 2)).unwrap();
+        assert_eq!(moved.crc, 0xFBB3_E98F);
+    }
+
     #[test]
     fn double_relocation_returns_to_the_original() {
         let p = fabric_partition(&figure1_device()).unwrap();

@@ -20,7 +20,10 @@
 //! * both relocation modes read one [`TargetTable`]: the compatible targets
 //!   of each candidate of a relocation source, found by one device scan the
 //!   first time the search places that candidate and then only filtered by
-//!   the rects occupied at the time.
+//!   the rects occupied at the time;
+//! * occupancy is one bit per tile, kept per tile row in `u64` words
+//!   (`RowMasks`): a child's overlap test and the target filter read the
+//!   words a rect covers in each of its rows instead of every placed rect.
 //!
 //! Node and time limits make the engine usable inside benchmarks; the result
 //! reports whether optimality was proven.
@@ -140,26 +143,35 @@ struct ParShared {
 /// exactly `enumerate_free_compatible(partition, &rect, occupied)`, so the
 /// relocation pruning, the parallel prefix expansion and the leaf packer
 /// never scan the device again. The cells are `OnceLock`s: the workers of a
-/// parallel solve share one table.
+/// parallel solve share one table. Each entry keeps the targets' footprints
+/// in the search's occupancy masks beside the rects.
 pub struct TargetTable<'a> {
     problem: &'a FloorplanProblem,
     candidates: &'a [Vec<Candidate>],
+    /// Words per row of the search's occupancy masks.
+    words: usize,
     /// `cells[region][ci]`; empty for regions no request relocates.
-    cells: Vec<Vec<OnceLock<Vec<Rect>>>>,
+    cells: Vec<Vec<OnceLock<Targets>>>,
+}
+
+/// One entry of a [`TargetTable`]: the targets and their footprints.
+struct Targets {
+    rects: Vec<Rect>,
+    footprints: Vec<Footprint>,
 }
 
 impl<'a> TargetTable<'a> {
     /// An unfilled table over `candidates`, the candidate lists of
     /// `problem`'s regions indexed by region id.
     pub fn new(problem: &'a FloorplanProblem, candidates: &'a [Vec<Candidate>]) -> Self {
-        let mut cells: Vec<Vec<OnceLock<Vec<Rect>>>> =
-            candidates.iter().map(|_| Vec::new()).collect();
+        let mut cells: Vec<Vec<OnceLock<_>>> = candidates.iter().map(|_| Vec::new()).collect();
         for req in &problem.relocation {
             if cells[req.region].is_empty() {
                 cells[req.region].resize_with(candidates[req.region].len(), OnceLock::new);
             }
         }
-        TargetTable { problem, candidates, cells }
+        let words = RowMasks::words(problem);
+        TargetTable { problem, candidates, words, cells }
     }
 
     /// The targets of candidate `ci` of `region`.
@@ -167,32 +179,144 @@ impl<'a> TargetTable<'a> {
     /// # Panics
     /// When no relocation request names `region`, or `ci` is out of range.
     pub fn targets(&self, region: usize, ci: usize) -> &[Rect] {
+        &self.entry(region, ci).rects
+    }
+
+    /// The targets of candidate `ci` of `region` and their footprints.
+    fn entry(&self, region: usize, ci: usize) -> &Targets {
         self.cells[region][ci].get_or_init(|| {
-            enumerate_free_compatible(
+            let rects = enumerate_free_compatible(
                 &self.problem.partition,
                 &self.candidates[region][ci].rect,
                 &[],
-            )
+            );
+            let footprints = rects.iter().map(|r| Footprint::new(r, self.words)).collect();
+            Targets { rects, footprints }
         })
     }
 
     /// The search's pruning test, a necessary condition for packing the
     /// constraint-mode areas: every such request of a placed region still has
     /// `count` targets clear of all placed regions, ignoring the regions not
-    /// yet placed. `choice[r]` is the candidate index of `placed[r]`.
-    fn constraints_fit(&self, placed: &[Option<Rect>], choice: &[usize]) -> bool {
+    /// yet placed. `choice[r]` is the candidate index of `placed[r]`, and
+    /// `occupied` holds exactly the tiles of the placed regions.
+    fn constraints_fit(
+        &self,
+        occupied: &RowMasks,
+        placed: &[Option<Rect>],
+        choice: &[usize],
+    ) -> bool {
         self.problem.relocation.iter().all(|req| {
             if !matches!(req.mode, RelocationMode::Constraint) || placed[req.region].is_none() {
                 return true;
             }
             let need = req.count as usize;
-            self.targets(req.region, choice[req.region])
+            self.entry(req.region, choice[req.region])
+                .footprints
                 .iter()
-                .filter(|t| !placed.iter().flatten().any(|p| p.overlaps(t)))
+                .filter(|f| !occupied.overlaps(f))
                 .take(need)
                 .count()
                 == need
         })
+    }
+}
+
+/// The occupied tiles of a partial placement: per tile row, `words` `u64`s
+/// whose bit `c - 1` (counting across the row's words) is column `c`.
+/// Placed rects never overlap, so [`RowMasks::clear`] exactly undoes
+/// [`RowMasks::set`].
+#[derive(Clone)]
+struct RowMasks {
+    words: usize,
+    bits: Vec<u64>,
+}
+
+/// Where a rect lies in a [`RowMasks`]: `rows` rows of `span` words from
+/// word `start` on. Of each row, the rect covers the bits `first` of the
+/// first word, `last` of the last word and all of the words between them (a
+/// rect within one word has `span == 1` and `first == last`). The footprints
+/// of the candidates and of their relocation targets are computed once per
+/// solve.
+struct Footprint {
+    start: usize,
+    span: usize,
+    rows: usize,
+    first: u64,
+    last: u64,
+}
+
+impl Footprint {
+    /// The footprint of `r` in masks of `words` words per row.
+    fn new(r: &Rect, words: usize) -> Self {
+        let (lo, hi) = ((r.x - 1) as usize, (r.x + r.w - 2) as usize);
+        let (mut first, mut last) = (u64::MAX << (lo % 64), u64::MAX >> (63 - hi % 64));
+        let span = hi / 64 - lo / 64 + 1;
+        if span == 1 {
+            first &= last;
+            last = first;
+        }
+        let start = (r.y - 1) as usize * words + lo / 64;
+        Footprint { start, span, rows: r.h as usize, first, last }
+    }
+}
+
+impl RowMasks {
+    /// Words per row on `problem`'s device.
+    fn words(problem: &FloorplanProblem) -> usize {
+        (problem.partition.cols as usize).div_ceil(64)
+    }
+
+    /// The masks of `placed` on `problem`'s device.
+    fn new(problem: &FloorplanProblem, placed: &[Option<Rect>]) -> Self {
+        let words = Self::words(problem);
+        let mut masks = RowMasks { words, bits: vec![0; words * problem.partition.rows as usize] };
+        for r in placed.iter().flatten() {
+            masks.set(&Footprint::new(r, words));
+        }
+        masks
+    }
+
+    /// `true` when `f` covers an occupied tile.
+    fn overlaps(&self, f: &Footprint) -> bool {
+        let mut at = f.start;
+        for _ in 0..f.rows {
+            if self.bits[at] & f.first != 0
+                || f.span > 1
+                    && (self.bits[at + f.span - 1] & f.last != 0
+                        || self.bits[at + 1..at + f.span - 1].iter().any(|&w| w != 0))
+            {
+                return true;
+            }
+            at += self.words;
+        }
+        false
+    }
+
+    /// Marks `f`'s tiles occupied.
+    fn set(&mut self, f: &Footprint) {
+        let mut at = f.start;
+        for _ in 0..f.rows {
+            self.bits[at] |= f.first;
+            if f.span > 1 {
+                self.bits[at + f.span - 1] |= f.last;
+                self.bits[at + 1..at + f.span - 1].fill(u64::MAX);
+            }
+            at += self.words;
+        }
+    }
+
+    /// Marks `f`'s tiles free.
+    fn clear(&mut self, f: &Footprint) {
+        let mut at = f.start;
+        for _ in 0..f.rows {
+            self.bits[at] &= !f.first;
+            if f.span > 1 {
+                self.bits[at + f.span - 1] &= !f.last;
+                self.bits[at + 1..at + f.span - 1].fill(0);
+            }
+            at += self.words;
+        }
     }
 }
 
@@ -202,6 +326,8 @@ struct SearchCtx<'a> {
     order: &'a [usize],
     /// Candidates per region (indexed by region id).
     candidates: &'a [Vec<Candidate>],
+    /// The footprint of each candidate in `occupied`.
+    footprints: &'a [Vec<Footprint>],
     /// Relocation targets of the candidates.
     table: &'a TargetTable<'a>,
     config: &'a CombinatorialConfig,
@@ -217,9 +343,12 @@ struct SearchCtx<'a> {
     /// Candidate index of each placed region (meaningless where `placed` is
     /// `None`).
     choice: Vec<usize>,
+    /// The tiles of `placed`.
+    occupied: RowMasks,
     best: Option<(u64, f64, Floorplan)>,
-    /// Minimum waste per region (for the lower bound).
-    min_waste: &'a [u64],
+    /// `remaining_min[level]`: the least waste the regions `order[level..]`
+    /// can add (for the lower bound).
+    remaining_min: &'a [u64],
     /// Present when this context is one worker of a parallel solve; the
     /// incumbent then lives in the shared state, not in `best`.
     shared: Option<&'a ParShared>,
@@ -277,10 +406,20 @@ impl<'a> SearchCtx<'a> {
         }
     }
 
-    /// Installs a leaf as the incumbent when it improves the lexicographic
-    /// objective, reporting it through the control. Parallel workers compare
-    /// and install under the shared lock so incumbent reports stay monotone.
-    fn install(&mut self, waste: u64, wl: f64, floorplan: Floorplan) {
+    /// The floorplan of the current leaf: every region placed, plus its
+    /// packed free-compatible areas.
+    fn floorplan(&self, fc_areas: Vec<FcPlacement>) -> Floorplan {
+        Floorplan {
+            regions: self.placed.iter().map(|r| r.expect("all regions placed at a leaf")).collect(),
+            fc_areas,
+        }
+    }
+
+    /// Installs the current leaf as the incumbent when it improves the
+    /// lexicographic objective, reporting it through the control; only then
+    /// is its floorplan built. Parallel workers compare and install under the
+    /// shared lock so incumbent reports stay monotone.
+    fn install(&mut self, waste: u64, wl: f64, fc_areas: Vec<FcPlacement>) {
         let improves = |cur: &Option<(u64, f64, Floorplan)>| match cur {
             None => true,
             Some((bw, bwl, _)) => {
@@ -291,7 +430,7 @@ impl<'a> SearchCtx<'a> {
             Some(sh) => {
                 let mut best = sh.best.lock().unwrap_or_else(|e| e.into_inner());
                 if improves(&best) {
-                    *best = Some((waste, wl, floorplan));
+                    *best = Some((waste, wl, self.floorplan(fc_areas)));
                     sh.best_waste.store(waste, Ordering::Relaxed);
                     self.ctl.report_incumbent(
                         "combinatorial",
@@ -302,7 +441,7 @@ impl<'a> SearchCtx<'a> {
             }
             None => {
                 if improves(&self.best) {
-                    self.best = Some((waste, wl, floorplan));
+                    self.best = Some((waste, wl, self.floorplan(fc_areas)));
                     self.ctl.report_incumbent(
                         "combinatorial",
                         waste as f64,
@@ -323,10 +462,6 @@ impl<'a> SearchCtx<'a> {
         wl
     }
 
-    fn occupied(&self) -> Vec<Rect> {
-        self.placed.iter().filter_map(|r| *r).collect()
-    }
-
     /// Packs the requested free-compatible areas given the fully-placed
     /// regions. Returns `None` if a constraint-mode area cannot be packed;
     /// otherwise returns the placements (metric-mode areas may be missing).
@@ -335,7 +470,7 @@ impl<'a> SearchCtx<'a> {
         if fc.is_empty() {
             return Some(Vec::new());
         }
-        let mut occupied = self.occupied();
+        let mut occupied = self.occupied.clone();
         let mut placements: Vec<FcPlacement> = Vec::with_capacity(fc.len());
         // Constraint-mode areas first (they can fail the whole packing),
         // then metric-mode areas greedily.
@@ -363,9 +498,11 @@ impl<'a> SearchCtx<'a> {
         // Greedy packing of the metric-mode areas.
         for &i in &metric_idx {
             let region = fc[i].1;
-            let targets = self.table.targets(region, self.choice[region]);
-            if let Some(&rect) = targets.iter().find(|t| !occupied.iter().any(|o| o.overlaps(t))) {
-                occupied.push(rect);
+            let targets = self.table.entry(region, self.choice[region]);
+            if let Some((&rect, at)) =
+                targets.rects.iter().zip(&targets.footprints).find(|(_, at)| !occupied.overlaps(at))
+            {
+                occupied.set(at);
                 chosen[i] = Some(rect);
             }
         }
@@ -381,7 +518,7 @@ impl<'a> SearchCtx<'a> {
         fc: &[(usize, usize, RelocationMode)],
         idx: &[usize],
         depth: usize,
-        occupied: &mut Vec<Rect>,
+        occupied: &mut RowMasks,
         chosen: &mut Vec<Option<Rect>>,
     ) -> bool {
         if depth == idx.len() {
@@ -389,16 +526,17 @@ impl<'a> SearchCtx<'a> {
         }
         let i = idx[depth];
         let region = fc[i].1;
-        for &rect in self.table.targets(region, self.choice[region]) {
-            if occupied.iter().any(|o| o.overlaps(&rect)) {
+        let targets = self.table.entry(region, self.choice[region]);
+        for (&rect, at) in targets.rects.iter().zip(&targets.footprints) {
+            if occupied.overlaps(at) {
                 continue;
             }
-            occupied.push(rect);
+            occupied.set(at);
             chosen[i] = Some(rect);
             if self.pack_constraints(fc, idx, depth + 1, occupied, chosen) {
                 return true;
             }
-            occupied.pop();
+            occupied.clear(at);
             chosen[i] = None;
         }
         false
@@ -414,9 +552,8 @@ impl<'a> SearchCtx<'a> {
         }
 
         // Bound: waste so far plus the best-case waste of the remaining regions.
-        let remaining_min: u64 = self.order[level..].iter().map(|&r| self.min_waste[r]).sum();
         if let Some(best_waste) = self.incumbent_waste() {
-            let lb = waste_so_far + remaining_min;
+            let lb = waste_so_far + self.remaining_min[level];
             if lb > best_waste {
                 return;
             }
@@ -428,16 +565,8 @@ impl<'a> SearchCtx<'a> {
         if level == self.order.len() {
             // All regions placed: try to pack the free-compatible areas.
             let Some(fc_areas) = self.pack_fc_areas() else { return };
-            let floorplan = Floorplan {
-                regions: self
-                    .placed
-                    .iter()
-                    .map(|r| r.expect("all regions placed at a leaf"))
-                    .collect(),
-                fc_areas,
-            };
             let wl = self.partial_wirelength();
-            self.install(waste_so_far, wl, floorplan);
+            self.install(waste_so_far, wl, fc_areas);
             if self.config.first_feasible {
                 // Unwind the whole search: the caller reports `proven: false`.
                 self.aborted = true;
@@ -449,17 +578,19 @@ impl<'a> SearchCtx<'a> {
         }
 
         let region = self.order[level];
-        for ci in 0..self.candidates[region].len() {
-            let cand = self.candidates[region][ci];
+        let (candidates, footprints) = (self.candidates, self.footprints);
+        for (ci, (cand, at)) in candidates[region].iter().zip(&footprints[region]).enumerate() {
             // Overlap check against already-placed regions.
-            if self.placed.iter().flatten().any(|r| r.overlaps(&cand.rect)) {
+            if self.occupied.overlaps(at) {
                 continue;
             }
             self.placed[region] = Some(cand.rect);
             self.choice[region] = ci;
-            if self.table.constraints_fit(&self.placed, &self.choice) {
+            self.occupied.set(at);
+            if self.table.constraints_fit(&self.occupied, &self.placed, &self.choice) {
                 self.dfs(level + 1, waste_so_far + cand.waste);
             }
+            self.occupied.clear(at);
             self.placed[region] = None;
             if self.aborted {
                 return;
@@ -504,7 +635,6 @@ pub fn solve_combinatorial_with_control(
     let start = Instant::now();
 
     let mut candidates = Vec::with_capacity(problem.regions.len());
-    let mut min_waste = Vec::with_capacity(problem.regions.len());
     for spec in &problem.regions {
         let cands = enumerate_candidates(&problem.partition, spec, &config.candidates);
         if cands.is_empty() {
@@ -513,7 +643,6 @@ pub fn solve_combinatorial_with_control(
                 detail: "no candidate placement satisfies the requirement".to_string(),
             });
         }
-        min_waste.push(cands[0].waste);
         candidates.push(cands);
     }
 
@@ -523,6 +652,17 @@ pub fn solve_combinatorial_with_control(
     order.sort_by_key(|&r| {
         (candidates[r].len(), usize::MAX - problem.regions[r].total_tiles() as usize)
     });
+    // Suffix sums of the regions' least wastes (each region's first,
+    // least-waste candidate) along the search order.
+    let mut remaining_min = vec![0u64; order.len() + 1];
+    for level in (0..order.len()).rev() {
+        remaining_min[level] = remaining_min[level + 1] + candidates[order[level]][0].waste;
+    }
+    let words = RowMasks::words(problem);
+    let footprints: Vec<Vec<Footprint>> = candidates
+        .iter()
+        .map(|cands| cands.iter().map(|c| Footprint::new(&c.rect, words)).collect())
+        .collect();
 
     let deadline = if config.time_limit_secs > 0.0 {
         Some(start + Duration::from_secs_f64(config.time_limit_secs))
@@ -539,7 +679,8 @@ pub fn solve_combinatorial_with_control(
             deadline,
             order,
             candidates,
-            min_waste,
+            footprints,
+            remaining_min,
         });
     }
 
@@ -548,6 +689,7 @@ pub fn solve_combinatorial_with_control(
         problem,
         order: &order,
         candidates: &candidates,
+        footprints: &footprints,
         table: &table,
         config,
         ctl,
@@ -559,8 +701,9 @@ pub fn solve_combinatorial_with_control(
         cancelled: ctl.cancel.is_cancelled(),
         placed: vec![None; problem.regions.len()],
         choice: vec![0; problem.regions.len()],
+        occupied: RowMasks::new(problem, &[]),
         best: None,
-        min_waste: &min_waste,
+        remaining_min: &remaining_min,
         shared: None,
     };
     if ctx.cancelled {
@@ -605,7 +748,8 @@ struct SolveParts<'a> {
     deadline: Option<Instant>,
     order: Vec<usize>,
     candidates: Vec<Vec<Candidate>>,
-    min_waste: Vec<u64>,
+    footprints: Vec<Vec<Footprint>>,
+    remaining_min: Vec<u64>,
 }
 
 /// A serially-expanded placement of the first `depth` regions of the search
@@ -628,7 +772,17 @@ const PREFIX_FANOUT: usize = 8;
 /// visit. Workers then exhaust disjoint prefix subtrees against a shared
 /// incumbent; an empty expansion level is already a proof of infeasibility.
 fn solve_parallel(parts: SolveParts<'_>) -> Result<CombinatorialResult, FloorplanError> {
-    let SolveParts { problem, config, ctl, start, deadline, order, candidates, min_waste } = parts;
+    let SolveParts {
+        problem,
+        config,
+        ctl,
+        start,
+        deadline,
+        order,
+        candidates,
+        footprints,
+        remaining_min,
+    } = parts;
     let threads = config.threads;
     let table = TargetTable::new(problem, &candidates);
 
@@ -653,18 +807,22 @@ fn solve_parallel(parts: SolveParts<'_>) -> Result<CombinatorialResult, Floorpla
         let region = order[depth];
         let mut next = Vec::new();
         for p in &prefixes {
+            let mut occupied = RowMasks::new(problem, &p.placed);
             for (ci, cand) in candidates[region].iter().enumerate() {
-                if p.placed.iter().flatten().any(|r| r.overlaps(&cand.rect)) {
+                let at = &footprints[region][ci];
+                if occupied.overlaps(at) {
                     continue;
                 }
                 let mut placed = p.placed.clone();
                 placed[region] = Some(cand.rect);
                 let mut choice = p.choice.clone();
                 choice[region] = ci;
-                if table.constraints_fit(&placed, &choice) {
+                occupied.set(at);
+                if table.constraints_fit(&occupied, &placed, &choice) {
                     expansion_nodes += 1;
                     next.push(Prefix { placed, choice, waste: p.waste + cand.waste });
                 }
+                occupied.clear(at);
             }
         }
         if next.is_empty() {
@@ -701,13 +859,14 @@ fn solve_parallel(parts: SolveParts<'_>) -> Result<CombinatorialResult, Floorpla
             if assigned.is_empty() {
                 continue;
             }
-            let (shared, order, candidates, table, min_waste) =
-                (&shared, &order, &candidates, &table, &min_waste);
+            let (shared, order, candidates, footprints, table, remaining_min) =
+                (&shared, &order, &candidates, &footprints, &table, &remaining_min);
             s.spawn(move || {
                 let mut ctx = SearchCtx {
                     problem,
                     order,
                     candidates,
+                    footprints,
                     table,
                     config,
                     ctl,
@@ -719,8 +878,9 @@ fn solve_parallel(parts: SolveParts<'_>) -> Result<CombinatorialResult, Floorpla
                     cancelled: false,
                     placed: vec![None; n],
                     choice: vec![0; n],
+                    occupied: RowMasks::new(problem, &[]),
                     best: None,
-                    min_waste,
+                    remaining_min,
                     shared: Some(shared),
                 };
                 for p in assigned {
@@ -729,6 +889,7 @@ fn solve_parallel(parts: SolveParts<'_>) -> Result<CombinatorialResult, Floorpla
                     }
                     ctx.placed.clone_from(&p.placed);
                     ctx.choice.clone_from(&p.choice);
+                    ctx.occupied = RowMasks::new(problem, &p.placed);
                     ctx.dfs(depth, p.waste);
                     if ctx.aborted {
                         break;

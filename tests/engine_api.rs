@@ -336,3 +336,126 @@ fn milp_engines_return_a_floorplan_on_the_reduced_device() {
         assert!(fp.validate(&problem).is_empty(), "{id} returned an invalid floorplan");
     }
 }
+
+/// An `online`-shaped re-solve: the 16x3 heterogeneous fabric of the
+/// `online` hetero traces (BRAM on the odd rows of every 4th column, a die
+/// boundary after row 1), eight modules that together need every CLB tile,
+/// two of them with a BRAM tile, and no free-compatible areas or
+/// connections.
+fn online_resolve_instance() -> FloorplanProblem {
+    use relocfp::floorplan::problem::RegionSpec;
+    use rfp_workloads::HeteroDeviceSpec;
+    let partition = HeteroDeviceSpec {
+        cols: 16,
+        rows: 3,
+        bram_every: 4,
+        bram_stripe: 1,
+        hard_block: None,
+        die_boundaries: vec![1],
+    }
+    .partition();
+    let ty = |frames: u32| {
+        *partition.cell_types().iter().find(|&&t| partition.frames_per_tile(t) == frames).unwrap()
+    };
+    let (clb, bram) = (ty(36), ty(30));
+    let mut problem = FloorplanProblem::new(partition);
+    for (i, (tiles, brams)) in
+        [(9, 0), (8, 1), (5, 0), (5, 0), (4, 1), (3, 0), (3, 0), (3, 0)].iter().enumerate()
+    {
+        let mut req = vec![(clb, *tiles)];
+        if *brams > 0 {
+            req.push((bram, *brams));
+        }
+        problem.add_region(RegionSpec::new(format!("M{i}"), req));
+    }
+    problem
+}
+
+/// A 70-column, 3-row columnar device whose only BRAM column is 64 and whose
+/// DSP columns are 40 and 65: region `A` needs one tile of each, so every
+/// placement of it straddles columns 64/65. `B` (a DSP tile) and `D` (a BRAM
+/// tile) compete for the rows beside it, `B` and `C` are pulled there by
+/// their connections to `A`, and `C` needs a constraint-mode
+/// free-compatible area.
+fn straddle_instance() -> FloorplanProblem {
+    use relocfp::device::{columnar_partition, DeviceBuilder, ResourceVec};
+    use relocfp::floorplan::problem::{RegionSpec, RelocationRequest};
+    let mut b = DeviceBuilder::new("straddle-70x3");
+    let clb = b.tile_type("CLB", ResourceVec::new(1, 0, 0), 36);
+    let bram = b.tile_type("BRAM", ResourceVec::new(0, 1, 0), 30);
+    let dsp = b.tile_type("DSP", ResourceVec::new(0, 0, 1), 28);
+    b.rows(3);
+    for c in 1..=70 {
+        b.column(match c {
+            64 => bram,
+            40 | 65 => dsp,
+            _ => clb,
+        });
+    }
+    let mut problem = FloorplanProblem::new(columnar_partition(&b.build().unwrap()).unwrap());
+    let a = problem.add_region(RegionSpec::new("A", vec![(bram, 1), (dsp, 1)]));
+    let r_b = problem.add_region(RegionSpec::new("B", vec![(clb, 4), (dsp, 1)]));
+    let c = problem.add_region(RegionSpec::new("C", vec![(clb, 6)]));
+    problem.add_region(RegionSpec::new("D", vec![(clb, 3), (bram, 1)]));
+    problem.connect(a, r_b, 8.0);
+    problem.connect(a, c, 4.0);
+    problem.request_relocation(RelocationRequest::constraint(c, 1));
+    problem
+}
+
+/// Serial search pins for the shapes the DFS occupancy test must get right:
+/// an `online`-shaped re-solve, and a device wider than 64 columns with a
+/// region across columns 64/65. Nodes, waste, wire-length bits and every
+/// rect were recorded from the rect-scan overlap test the row masks
+/// replaced; the 2- and 4-thread searches must prove the same objective.
+#[test]
+fn combinatorial_mask_shapes_are_pinned() {
+    use relocfp::device::Rect;
+    use relocfp::floorplan::combinatorial::{solve_combinatorial, CombinatorialConfig};
+    let xywh = |r: &Rect| format!("{},{},{},{}", r.x, r.y, r.w, r.h);
+    // (instance, problem, nodes, waste, wire-length bits, floorplan)
+    for (name, problem, nodes, waste, wl_bits, layout) in [
+        (
+            "online-16x3",
+            online_resolve_instance(),
+            96_091,
+            60,
+            0_u64,
+            "1,1,3,3 4,2,5,2 9,2,5,1 10,1,6,1 5,1,5,1 9,3,3,1 13,3,3,1 14,2,3,1 | ",
+        ),
+        (
+            "straddle-70x3",
+            straddle_instance(),
+            33_851,
+            0,
+            0x4044_0000_0000_0000,
+            "64,1,2,1 65,2,5,1 61,1,3,2 61,3,4,1 | 1,1,3,2",
+        ),
+    ] {
+        let res = solve_combinatorial(&problem, &CombinatorialConfig::default()).unwrap();
+        assert!(res.proven, "{name}");
+        let fp = res.floorplan.expect("feasible");
+        let regions: Vec<String> = fp.regions.iter().map(xywh).collect();
+        let fc: Vec<String> =
+            fp.fc_areas.iter().map(|a| a.rect.as_ref().map_or("-".into(), xywh)).collect();
+        assert_eq!(
+            (
+                res.nodes,
+                res.best_waste.unwrap(),
+                res.best_wirelength.unwrap().to_bits(),
+                format!("{} | {}", regions.join(" "), fc.join(" ")).as_str(),
+            ),
+            (nodes, waste, wl_bits, layout),
+            "{name}"
+        );
+        for threads in [2, 4] {
+            let cfg = CombinatorialConfig { threads, ..CombinatorialConfig::default() };
+            let par = solve_combinatorial(&problem, &cfg).unwrap();
+            assert!(par.proven, "{name}, {threads} threads");
+            assert_eq!(par.best_waste, Some(waste), "{name}, {threads} threads");
+            let pwl = par.best_wirelength.unwrap();
+            assert!((pwl - f64::from_bits(wl_bits)).abs() < 1e-9, "{name}, {threads} threads");
+            assert!(par.floorplan.unwrap().validate(&problem).is_empty(), "{name}");
+        }
+    }
+}
