@@ -16,7 +16,12 @@
 //! * [`StandardForm::solve_warm`] is a **dual simplex**: starting from a
 //!   parent-optimal basis snapshot it repairs primal feasibility after bound
 //!   tightenings, which is how branch-and-bound children re-solve in a
-//!   handful of pivots instead of from scratch;
+//!   handful of pivots instead of from scratch. It keeps its reduced costs
+//!   and updates them along the pivot row at each basis change, so a pivot
+//!   does one BTRAN (`ρ = B⁻ᵀe_r`); the pivot row `ρᵀA` is built row-wise
+//!   from the rows where `ρ` is nonzero. Before returning "optimal" it
+//!   recomputes the duals fresh and verifies dual feasibility, falling back
+//!   to the cold primal when the updated costs drifted;
 //! * cut rows can be appended ([`StandardForm::add_rows`]) and an existing
 //!   snapshot extended with the new logical basics, so a cut round re-solves
 //!   dually as well;
@@ -140,7 +145,8 @@ pub struct StandardForm {
     /// Number of structural (model) variables.
     n_struct: usize,
     /// Sparse rows over structural columns (logical columns are implicit:
-    /// row `i` owns column `n_struct + i` with coefficient 1).
+    /// row `i` owns column `n_struct + i` with coefficient 1): the row-wise
+    /// copy of `matrix` the dual simplex builds its pivot row from.
     rows: Vec<Vec<(usize, f64)>>,
     /// Right-hand sides.
     rhs: Vec<f64>,
@@ -261,6 +267,24 @@ impl StandardForm {
         }
     }
 
+    /// The row-vector product `out = ρᵀA` over structural and logical
+    /// columns, walking the rows with `ρ_i ≠ 0` in ascending `i`. That is
+    /// the per-column summation order of [`CscMatrix::col_dot`], so every
+    /// entry equals `col_dot(j, ρ)` exactly, at the cost of the nonzero
+    /// rows only.
+    fn row_times(&self, rho: &[f64], out: &mut [f64]) {
+        out.iter_mut().for_each(|v| *v = 0.0);
+        for (i, (&r, row)) in rho.iter().zip(&self.rows).enumerate() {
+            if r == 0.0 {
+                continue;
+            }
+            for &(j, a) in row {
+                out[j] += a * r;
+            }
+            out[self.n_struct + i] += r;
+        }
+    }
+
     /// Appends rows (cuts) over structural columns. Each row gets a fresh
     /// logical column; existing column indices are unchanged.
     pub fn add_rows(&mut self, new_rows: &[CutRow]) {
@@ -326,7 +350,10 @@ impl StandardForm {
 
     /// Warm re-solve with the **dual simplex** from a parent-optimal basis
     /// after bound changes. Falls back to a cold solve when the snapshot is
-    /// unusable (wrong shape, singular, or not dual feasible).
+    /// unusable (wrong shape, singular, or not dual feasible) or the dual
+    /// gives up; each fallback counts `milp.lp.dual_fallbacks` and adds the
+    /// discarded dual pivots to `milp.lp.wasted_pivots` (both only appear
+    /// when nonzero).
     pub fn solve_warm(
         &self,
         snap: &BasisSnapshot,
@@ -336,6 +363,7 @@ impl StandardForm {
         if let Some(res) = self.crossed_bounds(bounds_override, config) {
             return (res, None);
         }
+        let mut wasted = 0;
         if snap.basis.len() == self.n_rows() && snap.status.len() == self.n_cols() {
             if let Some(mut w) = Worker::start(self, config, bounds_override, Some(snap)) {
                 match w.dual() {
@@ -343,10 +371,12 @@ impl StandardForm {
                         let out = (status == LpStatus::Optimal).then(|| w.snapshot());
                         return (w.result(status), out);
                     }
-                    DualOutcome::Fallback => {}
+                    DualOutcome::Fallback => wasted = w.iterations,
                 }
             }
         }
+        rfp_trace::count("milp.lp.dual_fallbacks", 1);
+        rfp_trace::count("milp.lp.wasted_pivots", wasted as u64);
         self.solve_cold(bounds_override, config)
     }
 
@@ -738,36 +768,50 @@ impl<'a> Worker<'a> {
         }
     }
 
+    /// Fresh reduced costs `d_j = c_j − yᵀA_j` (`y = B⁻ᵀc_B`, one BTRAN
+    /// and one column sweep) of every non-basic, non-fixed column into `d`;
+    /// basic and fixed columns get 0. Returns `false` when one of them is
+    /// dual infeasible by more than `1e-5`.
+    fn fresh_reduced_costs(&mut self, d: &mut [f64]) -> bool {
+        let mut y: Vec<f64> = self.basis.iter().map(|&b| self.sf.cost(b)).collect();
+        self.fact.btran(&mut y);
+        let mut feasible = true;
+        for (j, dj) in d.iter_mut().enumerate() {
+            if self.in_basis[j] || (self.ub[j] - self.lb[j]).abs() < 1e-15 {
+                *dj = 0.0;
+                continue;
+            }
+            *dj = self.sf.cost(j) - self.sf.matrix.col_dot(j, &y);
+            feasible &= match self.status[j] {
+                VStat::AtUpper => *dj <= 1e-5,
+                _ => *dj >= -1e-5,
+            };
+        }
+        feasible
+    }
+
     /// Dual simplex: repairs primal feasibility from a dual-feasible basis.
+    ///
+    /// The reduced costs are state: computed fresh once up front, then
+    /// updated along the pivot row at every basis change, so a pivot costs
+    /// one BTRAN (`ρ = B⁻ᵀe_r`). "Optimal" is only returned after a fresh
+    /// recomputation confirms dual feasibility, so drift in the updated
+    /// costs can cost pivots but never a wrong bound.
     fn dual(&mut self) -> DualOutcome {
         let m = self.sf.n_rows();
         let n = self.sf.n_cols();
         let tol = self.cfg.tol;
         let max_iter = self.max_iter();
-        let mut cb = vec![0.0f64; m];
-        let mut y = vec![0.0f64; m];
         let mut rho = vec![0.0f64; m];
         let mut alpha = vec![0.0f64; m];
+        let mut row = vec![0.0f64; n];
+        let mut d = vec![0.0f64; n];
+        let mut cands: Vec<(f64, f64, usize)> = Vec::new(); // (ratio, |α|, col)
 
         // Up-front dual-feasibility check: a snapshot from an aborted parent
         // solve is not worth iterating on.
-        for (c, &b) in cb.iter_mut().zip(&self.basis) {
-            *c = self.sf.cost(b);
-        }
-        y.copy_from_slice(&cb);
-        self.fact.btran(&mut y);
-        for j in 0..n {
-            if self.in_basis[j] || (self.ub[j] - self.lb[j]).abs() < 1e-15 {
-                continue;
-            }
-            let dj = self.sf.cost(j) - self.sf.matrix.col_dot(j, &y);
-            let bad = match self.status[j] {
-                VStat::AtUpper => dj > 1e-5,
-                _ => dj < -1e-5,
-            };
-            if bad {
-                return DualOutcome::Fallback;
-            }
+        if !self.fresh_reduced_costs(&mut d) {
+            return DualOutcome::Fallback;
         }
 
         // Budget: a healthy warm re-solve takes a handful of pivots. These
@@ -807,18 +851,20 @@ impl<'a> Worker<'a> {
                 }
             }
             let Some((r, above, viol)) = leave else {
-                return DualOutcome::Done(LpStatus::Optimal);
+                // Primal feasible. The updated reduced costs may have
+                // drifted; only fresh ones may certify the bound.
+                return if self.fresh_reduced_costs(&mut d) {
+                    DualOutcome::Done(LpStatus::Optimal)
+                } else {
+                    DualOutcome::Fallback
+                };
             };
 
-            // Duals and the transformed pivot row.
-            for (c, &b) in cb.iter_mut().zip(&self.basis) {
-                *c = self.sf.cost(b);
-            }
-            y.copy_from_slice(&cb);
-            self.fact.btran(&mut y);
+            // The transformed pivot row `α_r = ρᵀA`.
             rho.iter_mut().for_each(|v| *v = 0.0);
             rho[r] = 1.0;
             self.fact.btran(&mut rho);
+            self.sf.row_times(&rho, &mut row);
 
             // Bound-flipping dual ratio test (BFRT). Candidates are the
             // non-basic columns whose move towards their *other* bound
@@ -831,12 +877,11 @@ impl<'a> Worker<'a> {
             // enters. Without the flips the entering variable overshoots its
             // own bounds and the violation just migrates, which degrades the
             // warm re-solve into thousands of pivots.
-            let mut cands: Vec<(f64, f64, usize)> = Vec::new(); // (ratio, |α|, col)
-            for j in 0..n {
+            cands.clear();
+            for (j, &a) in row.iter().enumerate() {
                 if self.in_basis[j] || (self.ub[j] - self.lb[j]).abs() < 1e-15 {
                     continue;
                 }
-                let a = self.sf.matrix.col_dot(j, &rho);
                 if a.abs() < self.cfg.pivot_tol {
                     continue;
                 }
@@ -851,8 +896,7 @@ impl<'a> Worker<'a> {
                 if !eligible {
                     continue;
                 }
-                let dj = self.sf.cost(j) - self.sf.matrix.col_dot(j, &y);
-                cands.push((dj.abs() / a.abs(), a.abs(), j));
+                cands.push((d[j].abs() / a.abs(), a.abs(), j));
             }
             cands.sort_by(|x, y| x.0.total_cmp(&y.0).then(y.1.total_cmp(&x.1)).then(x.2.cmp(&y.2)));
             let mut remaining = viol;
@@ -908,6 +952,18 @@ impl<'a> Worker<'a> {
                     *x -= t * a;
                 }
             }
+            // Dual step along the pivot row: the entering column's reduced
+            // cost reaches zero, the leaving column (α_r of it is 1) takes
+            // `−θ`; basic columns have α_rj = 0 and bound flips leave `d`
+            // alone.
+            let theta = d[e] / row[e];
+            for (j, dj) in d.iter_mut().enumerate() {
+                if !self.in_basis[j] {
+                    *dj -= theta * row[j];
+                }
+            }
+            d[e] = 0.0;
+            d[b_leave] = -theta;
             let entering_value = self.nonbasic_value(e) + t;
             self.iterations += 1;
             if !self.pivot(r, e, entering_value, above, &alpha) {
@@ -1164,6 +1220,66 @@ mod tests {
         // And an infeasible tightening is detected dually.
         let (inf, _) = sf.solve_warm(&snap, Some(&[(0.0, 1.0), (0.0, 1.0)]), &cfg());
         assert_eq!(inf.status, LpStatus::Infeasible);
+    }
+
+    #[test]
+    fn row_wise_pivot_row_equals_the_column_dots() {
+        // Duplicate terms, empty rows, a cut row and zero entries of ρ: every
+        // entry of ρᵀA must equal the column-wise dot product exactly.
+        let mut m = Model::new("rows", Sense::Minimize);
+        let v: Vec<_> = (0..4).map(|j| m.cont_var(format!("x{j}"), 0.0, 1.0)).collect();
+        m.add_con("a", LinExpr::from(v[0]) * 0.1 + LinExpr::from(v[2]) * 0.7, ConOp::Le, 1.0);
+        m.add_con("b", LinExpr::zero(), ConOp::Le, 1.0);
+        m.add_con("c", LinExpr::from(v[1]) * -0.3 + LinExpr::from(v[2]) * 0.2, ConOp::Ge, 0.0);
+        m.add_con("d", LinExpr::from(v[0]) * 1e-3 + LinExpr::from(v[3]) * 3.3, ConOp::Eq, 1.0);
+        let mut sf = StandardForm::from_model(&m);
+        sf.add_rows(&[(vec![(0, 0.9), (2, -0.6), (0, 0.45)], ConOp::Le, 2.0)]);
+        // The buffer is reused, as across pivots: a second product must
+        // not see the first.
+        let mut row = vec![f64::NAN; sf.n_cols()];
+        for rho in [[0.3, 0.0, -1.7, 1.0 / 3.0, 0.11], [0.0, 2.0, 0.0, 0.0, -0.5]] {
+            sf.row_times(&rho, &mut row);
+            for (j, &a) in row.iter().enumerate() {
+                assert_eq!(a, sf.matrix.col_dot(j, &rho), "column {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_dual_fallback_is_counted_with_its_wasted_pivots() {
+        // min x + y + 5u + 5v s.t. x + u >= 1, y + v >= 1: x and y are basic
+        // at the root. Fixing both at 0 violates both rows, which takes the
+        // dual two pivots; a one-iteration budget gives up after the first.
+        let mut m = Model::new("fallback", Sense::Minimize);
+        let x = m.cont_var("x", 0.0, 10.0);
+        let y = m.cont_var("y", 0.0, 10.0);
+        let u = m.cont_var("u", 0.0, 10.0);
+        let v = m.cont_var("v", 0.0, 10.0);
+        m.add_con("cx", LinExpr::from(x) + u, ConOp::Ge, 1.0);
+        m.add_con("cy", LinExpr::from(y) + v, ConOp::Ge, 1.0);
+        m.set_objective(LinExpr::from(x) + y + LinExpr::from(u) * 5.0 + LinExpr::from(v) * 5.0);
+        let sf = StandardForm::from_model(&m);
+        let (root, snap) = sf.solve_cold(None, &cfg());
+        assert!((root.objective - 2.0).abs() < 1e-9);
+        let snap = snap.unwrap();
+        let child = [(0.0, 0.0), (0.0, 0.0), (0.0, 10.0), (0.0, 10.0)];
+        let counters = |config: &LpConfig| {
+            let collector = rfp_trace::Collector::new();
+            let res = {
+                let _scope = collector.install("lp");
+                sf.solve_warm(&snap, Some(&child), config).0
+            };
+            (res, collector.counter_snapshot())
+        };
+
+        let (warm, seen) = counters(&cfg());
+        assert_eq!((warm.status, warm.iterations), (LpStatus::Optimal, 2));
+        assert!((warm.objective - 10.0).abs() < 1e-9);
+        assert!(seen.is_empty(), "a finished dual counts nothing: {seen:?}");
+
+        let (_, seen) = counters(&LpConfig { max_iterations: 1, ..cfg() });
+        assert_eq!(seen.get("milp.lp.dual_fallbacks"), Some(&1), "{seen:?}");
+        assert_eq!(seen.get("milp.lp.wasted_pivots"), Some(&1), "{seen:?}");
     }
 
     #[test]

@@ -2,10 +2,12 @@
 //!
 //! The constraint matrix of an LP relaxation is stored once in CSC form:
 //! `col_ptr[j]..col_ptr[j+1]` delimits the `(row, value)` pairs of column
-//! `j`. The revised simplex only ever needs column access — pricing computes
-//! `c_j - yᵀA_j` per column and FTRAN scatters one column — so no row-major
-//! mirror is kept. Cut rows appended at the root trigger a single O(nnz)
-//! rebuild, which is amortised across the whole branch-and-bound tree.
+//! `j`. Column access serves pricing (`c_j - yᵀA_j` per column), FTRAN
+//! (scattering one column) and the basis factorization. The row-major
+//! side is the [`crate::simplex::StandardForm`]'s own sparse rows, which
+//! the dual simplex walks to build its pivot row `ρᵀA`. Cut rows appended
+//! at the root trigger a single O(nnz) rebuild, which is amortised across
+//! the whole branch-and-bound tree.
 
 /// A sparse matrix in compressed sparse column form.
 #[derive(Debug, Clone)]

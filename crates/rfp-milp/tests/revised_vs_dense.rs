@@ -3,13 +3,15 @@
 //! Random small LPs (finite bounds, integer data) are solved by both the
 //! revised engine and the retired dense tableau ([`rfp_milp::dense`]); the
 //! two must agree on status and, when optimal, on the objective within 1e-6.
-//! A second property checks the warm-start path: a dual-simplex re-solve
+//! Two more properties check the warm-start path: a dual-simplex re-solve
 //! after a bound tightening must match a from-scratch solve of the tightened
-//! LP.
+//! LP, and so must every step of a chain of branch-style tightenings on
+//! larger LPs with binaries, each warm from the previous step's basis (long
+//! enough for drift in the dual's updated reduced costs to show).
 
 use proptest::prelude::*;
 use rfp_milp::dense::DenseForm;
-use rfp_milp::model::{ConOp, Model, Sense};
+use rfp_milp::model::{ConOp, Model, Sense, VarId, VarKind};
 use rfp_milp::simplex::{LpConfig, LpStatus, StandardForm};
 use rfp_milp::LinExpr;
 
@@ -51,6 +53,40 @@ fn random_lp(seed: u64) -> Model {
             _ => ConOp::Le,
         };
         model.add_con(format!("c{i}"), expr, op, rng.int(-5, 15) as f64);
+    }
+    model.set_objective(LinExpr::weighted_sum(vars.iter().map(|&v| (v, rng.int(-5, 5) as f64))));
+    model
+}
+
+/// Builds a random sparse LP of up to 30 rows × 40 columns, about a third
+/// of the columns `[0, 1]` of kind `binary` (`Binary`, or `Continuous` for
+/// the relaxation), with mixed-sign integer data (never unbounded).
+fn random_binary_lp(seed: u64, binary: VarKind) -> Model {
+    let mut rng = Rng64(seed);
+    let n = rng.int(2, 40) as usize;
+    let m = rng.int(1, 30) as usize;
+    let sense = if rng.int(0, 1) == 0 { Sense::Minimize } else { Sense::Maximize };
+    let mut model = Model::new(format!("chain{seed}"), sense);
+    let vars: Vec<_> = (0..n)
+        .map(|j| match rng.int(0, 2) {
+            0 => model.add_var(format!("b{j}"), binary, 0.0, 1.0),
+            _ => model.cont_var(format!("x{j}"), 0.0, rng.int(1, 10) as f64),
+        })
+        .collect();
+    for i in 0..m {
+        let mut terms = Vec::new();
+        for &v in &vars {
+            let c = rng.int(-4, 6);
+            if rng.int(0, 3) == 0 && c != 0 {
+                terms.push((v, c as f64));
+            }
+        }
+        let (op, rhs) = match rng.int(0, 9) {
+            0 => (ConOp::Eq, rng.int(0, 6)),
+            1..=3 => (ConOp::Ge, rng.int(-2, 6)),
+            _ => (ConOp::Le, rng.int(0, 20)),
+        };
+        model.add_con(format!("c{i}"), LinExpr::weighted_sum(terms), op, rhs as f64);
     }
     model.set_objective(LinExpr::weighted_sum(vars.iter().map(|&v| (v, rng.int(-5, 5) as f64))));
     model
@@ -127,6 +163,78 @@ proptest! {
                 "objective mismatch on seed {}: warm {} vs cold {}",
                 seed, warm.objective, cold.objective
             );
+        }
+    }
+
+    /// A chain of 8–16 branch-style tightenings, each re-solved warm from
+    /// the previous step's snapshot, under a refactorization every two
+    /// pivots and under the default: at every step the warm result matches
+    /// a cold solve of the same bounds in status and objective, and is
+    /// feasible for the relaxation under those bounds. A tightening that
+    /// makes the LP infeasible is undone (the sibling side of the branch)
+    /// and the chain goes on.
+    #[test]
+    fn chained_dual_resolves_match_cold_solves(seed in any::<u64>()) {
+        let model = random_binary_lp(seed, VarKind::Binary);
+        let relaxation = random_binary_lp(seed, VarKind::Continuous);
+        let sf = StandardForm::from_model(&model);
+        for refactor_interval in [2, LpConfig::default().refactor_interval] {
+            let cfg = LpConfig { refactor_interval, ..LpConfig::default() };
+            let (root, snap) = sf.solve_cold(None, &cfg);
+            prop_assume!(root.status == LpStatus::Optimal);
+            let mut snap = snap.expect("optimal cold solve returns a snapshot");
+            let mut values = root.values;
+            let mut bounds: Vec<(f64, f64)> =
+                model.vars().iter().map(|v| (v.lb, v.ub)).collect();
+            let mut rng = Rng64(seed ^ 0x5eed_c4a1);
+            for step in 0..rng.int(8, 16) {
+                // Branch on a random column strictly inside its bounds (any
+                // column when none is) through its current value: at the
+                // fractional part for a fractional value, one unit off an
+                // integral one, so the step cuts off the parent optimum.
+                let inside: Vec<usize> = (0..model.n_vars())
+                    .filter(|&k| values[k] > bounds[k].0 + 1e-9 && values[k] < bounds[k].1 - 1e-9)
+                    .collect();
+                let j = if inside.is_empty() {
+                    rng.int(0, model.n_vars() as i64 - 1) as usize
+                } else {
+                    inside[rng.int(0, inside.len() as i64 - 1) as usize]
+                };
+                let (lb, ub) = bounds[j];
+                let v = values[j];
+                bounds[j] = if rng.int(0, 1) == 0 {
+                    (lb, (v.ceil() - 1.0).max(lb))
+                } else {
+                    ((v.floor() + 1.0).min(ub), ub)
+                };
+                let (warm, warm_snap) = sf.solve_warm(&snap, Some(&bounds), &cfg);
+                let cold = sf.solve_with_bounds(Some(&bounds), &cfg);
+                prop_assert_eq!(
+                    warm.status, cold.status,
+                    "seed {} refactor {} step {}: warm {:?} vs cold {:?}",
+                    seed, refactor_interval, step, warm.status, cold.status
+                );
+                if warm.status != LpStatus::Optimal {
+                    bounds[j] = (lb, ub);
+                    continue;
+                }
+                prop_assert!(
+                    (warm.objective - cold.objective).abs() <= 1e-6,
+                    "seed {} refactor {} step {}: warm {} vs cold {}",
+                    seed, refactor_interval, step, warm.objective, cold.objective
+                );
+                let mut node = relaxation.clone();
+                for (k, &(lb, ub)) in bounds.iter().enumerate() {
+                    node.set_bounds(VarId::from_index(k), lb, ub);
+                }
+                prop_assert!(
+                    node.is_feasible(&warm.values, 1e-6),
+                    "seed {} refactor {} step {}: warm solution infeasible: {:?}",
+                    seed, refactor_interval, step, node.violations(&warm.values, 1e-6)
+                );
+                snap = warm_snap.expect("optimal warm solve returns a snapshot");
+                values = warm.values;
+            }
         }
     }
 }

@@ -160,8 +160,9 @@ fn rfp_cli_convert_solve_validate_round_trip() {
 
 /// The `milp` engine's search tallies on the committed golden problems and
 /// on one columnar portion-model instance with a real tree, recorded from
-/// the serial branch-and-bound: a change to the tree search that alters node
-/// order or LP work shows up here.
+/// the serial branch-and-bound, with the floorplan and metrics each proves:
+/// a change to the tree search that alters node order or LP work shows up
+/// here, and one that alters an answer too.
 #[test]
 fn milp_engine_stats_are_pinned_on_the_goldens() {
     use relocfp::floorplan::jsonio;
@@ -188,11 +189,49 @@ fn milp_engine_stats_are_pinned_on_the_goldens() {
     .generate()
     .problem;
     let registry = full_registry();
-    // (instance, problem, nodes, lp_solves, lp_iterations, cuts)
-    for (name, problem, nodes, lp_solves, lp_iterations, cuts) in [
-        ("tiny", golden("tiny"), 1, 1, 102, 0),
-        ("hetero", golden("hetero"), 235, 235, 1718, 0),
-        ("portion-4", portion, 205, 205, 3622, 0),
+    let xywh = |r: &relocfp::device::Rect| format!("{},{},{},{}", r.x, r.y, r.w, r.h);
+    // (instance, problem, nodes, lp_solves, lp_iterations, cuts, floorplan
+    // as `x,y,w,h` per region then per free-compatible area, metrics).
+    // The counts follow the dual simplex's pivot path (its updated reduced
+    // costs order the ratio test), so a change there may move them with a
+    // stated reason; it must not move a floorplan or a metric.
+    for (name, problem, nodes, lp_solves, lp_iterations, cuts, layout, metrics) in [
+        (
+            "tiny",
+            golden("tiny"),
+            1,
+            1,
+            102,
+            0,
+            "1,1,3,1 1,2,1,2 | 4,1,3,1 2,2,1,2",
+            "Metrics { covered_frames: 174, required_frames: 174, wasted_frames: 0, \
+             wirelength: 20.0, perimeter: 7, fc_requested: 2, fc_found: 2, \
+             relocation_cost: 0.0, objective: 0.0 }",
+        ),
+        (
+            "hetero",
+            golden("hetero"),
+            233,
+            233,
+            1720,
+            0,
+            "4,1,1,4 3,1,1,4 2,1,1,4 | - -",
+            "Metrics { covered_frames: 420, required_frames: 420, wasted_frames: 0, \
+             wirelength: 32.0, perimeter: 15, fc_requested: 2, fc_found: 0, \
+             relocation_cost: 8.0, objective: 4.083333333333333 }",
+        ),
+        (
+            "portion-4",
+            portion,
+            201,
+            201,
+            3458,
+            0,
+            "1,1,1,3 2,1,1,3 | ",
+            "Metrics { covered_frames: 216, required_frames: 216, wasted_frames: 0, \
+             wirelength: 32.0, perimeter: 8, fc_requested: 0, fc_found: 0, \
+             relocation_cost: 0.0, objective: 0.09090909090909091 }",
+        ),
     ] {
         let outcome = registry
             .get("milp")
@@ -203,6 +242,18 @@ fn milp_engine_stats_are_pinned_on_the_goldens() {
         assert_eq!(
             (s.nodes, s.lp_solves, s.lp_iterations, s.cuts),
             (nodes, lp_solves, lp_iterations, cuts),
+            "{name}"
+        );
+        let fp = outcome.floorplan.as_ref().expect("a proven outcome has a floorplan");
+        let regions: Vec<String> = fp.regions.iter().map(xywh).collect();
+        let fc: Vec<String> =
+            fp.fc_areas.iter().map(|a| a.rect.as_ref().map_or("-".into(), xywh)).collect();
+        assert_eq!(
+            (
+                format!("{} | {}", regions.join(" "), fc.join(" ")),
+                format!("{:?}", outcome.metrics.expect("a floorplan has metrics")),
+            ),
+            (layout.to_string(), metrics.to_string()),
             "{name}"
         );
     }
