@@ -18,43 +18,37 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rfp_device::Rect;
-use rfp_floorplan::candidates::{enumerate_candidates, Candidate, CandidateConfig};
+use rfp_floorplan::candidates::{enumerate_candidates, Candidate};
 use rfp_floorplan::engine::SolveControl;
 use rfp_floorplan::placement::{FcPlacement, Floorplan};
 use rfp_floorplan::problem::FloorplanProblem;
 use rfp_floorplan::FloorplanError;
 use std::time::Instant;
 
-/// Parameters of the simulated-annealing baseline.
+/// Initial temperature.
+const INITIAL_TEMPERATURE: f64 = 1000.0;
+/// Geometric cooling factor applied every `iterations / 100` moves.
+const COOLING: f64 = 0.95;
+/// Weight of the wire-length term.
+const WIRELENGTH_WEIGHT: f64 = 1.0;
+/// Weight of the wasted-frames term.
+const WASTE_WEIGHT: f64 = 0.05;
+/// Penalty per overlapping tile (must dwarf the other terms).
+const OVERLAP_PENALTY: f64 = 10_000.0;
+
+/// Parameters of the simulated-annealing baseline. The temperature
+/// schedule and the cost weights are fixed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnnealingConfig {
-    /// RNG seed.
+    /// RNG seed. Tests vary it to check that runs are seed-determined.
     pub seed: u64,
-    /// Number of proposed moves.
+    /// Number of proposed moves. The criterion bench shortens it.
     pub iterations: usize,
-    /// Initial temperature.
-    pub initial_temperature: f64,
-    /// Geometric cooling factor applied every `iterations / 100` moves.
-    pub cooling: f64,
-    /// Weight of the wire-length term.
-    pub wirelength_weight: f64,
-    /// Weight of the wasted-frames term.
-    pub waste_weight: f64,
-    /// Penalty per overlapping tile (must dwarf the other terms).
-    pub overlap_penalty: f64,
 }
 
 impl Default for AnnealingConfig {
     fn default() -> Self {
-        AnnealingConfig {
-            seed: 1,
-            iterations: 20_000,
-            initial_temperature: 1000.0,
-            cooling: 0.95,
-            wirelength_weight: 1.0,
-            waste_weight: 0.05,
-            overlap_penalty: 10_000.0,
-        }
+        AnnealingConfig { seed: 1, iterations: 20_000 }
     }
 }
 
@@ -77,7 +71,7 @@ impl<'a> State<'a> {
         self.choice.iter().enumerate().map(|(r, &c)| self.candidates[r][c].rect).collect()
     }
 
-    fn cost(&self, cfg: &AnnealingConfig) -> f64 {
+    fn cost(&self) -> f64 {
         let rects = self.rects();
         let mut overlap_tiles = 0u64;
         for i in 0..rects.len() {
@@ -93,9 +87,9 @@ impl<'a> State<'a> {
         }
         let waste: u64 =
             self.choice.iter().enumerate().map(|(r, &c)| self.candidates[r][c].waste).sum();
-        cfg.overlap_penalty * overlap_tiles as f64
-            + cfg.wirelength_weight * wirelength
-            + cfg.waste_weight * waste as f64
+        OVERLAP_PENALTY * overlap_tiles as f64
+            + WIRELENGTH_WEIGHT * wirelength
+            + WASTE_WEIGHT * waste as f64
     }
 
     fn is_overlap_free(&self) -> bool {
@@ -154,10 +148,9 @@ impl AnnealingFloorplanner {
         ctl: &SolveControl,
     ) -> Result<AnnealingRun, FloorplanError> {
         problem.validate()?;
-        let cand_cfg = CandidateConfig::default();
         let mut candidates = Vec::with_capacity(problem.regions.len());
         for spec in &problem.regions {
-            let cands = enumerate_candidates(&problem.partition, spec, &cand_cfg);
+            let cands = enumerate_candidates(&problem.partition, spec);
             if cands.is_empty() {
                 return Err(FloorplanError::ImpossibleRequirement {
                     region: spec.name.clone(),
@@ -177,14 +170,14 @@ impl AnnealingFloorplanner {
                 .collect(),
         };
         let start = Instant::now();
-        let mut cost = state.cost(cfg);
+        let mut cost = state.cost();
         let mut best: Option<(f64, Vec<usize>)> =
             state.is_overlap_free().then(|| (cost, state.choice.clone()));
         if best.is_some() {
             ctl.report_incumbent("annealing", cost, 0.0);
         }
 
-        let mut temperature = cfg.initial_temperature;
+        let mut temperature = INITIAL_TEMPERATURE;
         let cooling_period = (cfg.iterations / 100).max(1);
         let mut moves = 0u64;
         let mut cancelled = false;
@@ -208,7 +201,7 @@ impl AnnealingFloorplanner {
                 continue;
             }
             state.choice[region] = new_choice;
-            let new_cost = state.cost(cfg);
+            let new_cost = state.cost();
             let delta = new_cost - cost;
             let accept = delta <= 0.0 || rng.gen_bool((-delta / temperature).exp().clamp(0.0, 1.0));
             if accept {
@@ -221,7 +214,7 @@ impl AnnealingFloorplanner {
                 state.choice[region] = old_choice;
             }
             if it % cooling_period == 0 {
-                temperature = (temperature * cfg.cooling).max(1e-3);
+                temperature = (temperature * COOLING).max(1e-3);
             }
         }
 

@@ -12,32 +12,22 @@
 //! requested free-compatible area missing (a constraint-mode request
 //! therefore makes them report [`OutcomeStatus::Infeasible`]).
 
-use crate::annealing::{AnnealingConfig, AnnealingFloorplanner};
-use crate::tessellation::{tessellation_floorplan, TessellationConfig};
+use crate::annealing::AnnealingFloorplanner;
+use crate::tessellation::tessellation_floorplan;
 use rfp_floorplan::engine::{
-    EngineRegistry, EngineStats, FloorplanEngine, OutcomeStatus, SolveControl, SolveOutcome,
-    SolveRequest,
+    deadline_after, EngineRegistry, EngineStats, FloorplanEngine, OutcomeStatus, SolveControl,
+    SolveOutcome, SolveRequest,
 };
 use rfp_floorplan::problem::RelocationMode;
 use rfp_floorplan::FloorplanProblem;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The simulated-annealing baseline (in the spirit of [9]) as an engine,
-/// id `"annealing"`.
+/// id `"annealing"`, with the default annealer parameters; the request's
+/// time budget is honoured as a deadline on top of the iteration budget.
 #[derive(Debug, Clone, Default)]
-pub struct AnnealingEngine {
-    /// Annealer parameters; the request's time budget is honoured as a
-    /// deadline on top of the iteration budget.
-    pub config: AnnealingConfig,
-}
-
-impl AnnealingEngine {
-    /// An engine with custom annealer parameters.
-    pub fn with_config(config: AnnealingConfig) -> Self {
-        AnnealingEngine { config }
-    }
-}
+pub struct AnnealingEngine;
 
 /// `true` when the problem carries a constraint-mode relocation request,
 /// which the relocation-unaware baselines can never satisfy.
@@ -57,8 +47,7 @@ impl FloorplanEngine for AnnealingEngine {
     fn solve(&self, req: &SolveRequest, ctl: &SolveControl) -> SolveOutcome {
         let problem = req.effective_problem();
         let start = Instant::now();
-        let deadline = (req.time_limit_secs > 0.0)
-            .then(|| start + Duration::from_secs_f64(req.time_limit_secs));
+        let deadline = deadline_after(start, req.time_limit_secs);
         let mut stats = EngineStats::new(self.id());
         if has_relocation_constraint(&problem) {
             return SolveOutcome::without_floorplan(
@@ -68,8 +57,8 @@ impl FloorplanEngine for AnnealingEngine {
                 stats,
             );
         }
-        let annealer = AnnealingFloorplanner::new(self.config.clone());
-        let run = match annealer.solve_with_control(&problem, deadline, ctl) {
+        let run = match AnnealingFloorplanner::default().solve_with_control(&problem, deadline, ctl)
+        {
             Ok(run) => run,
             Err(e) => {
                 stats.solve_seconds = start.elapsed().as_secs_f64();
@@ -114,17 +103,7 @@ impl FloorplanEngine for AnnealingEngine {
 /// The columnar-kernel-tessellation baseline (in the spirit of [8]) as an
 /// engine, id `"tessellation"`.
 #[derive(Debug, Clone, Default)]
-pub struct TessellationEngine {
-    /// Tessellation parameters.
-    pub config: TessellationConfig,
-}
-
-impl TessellationEngine {
-    /// An engine with custom tessellation parameters.
-    pub fn with_config(config: TessellationConfig) -> Self {
-        TessellationEngine { config }
-    }
-}
+pub struct TessellationEngine;
 
 impl FloorplanEngine for TessellationEngine {
     fn id(&self) -> &'static str {
@@ -155,7 +134,7 @@ impl FloorplanEngine for TessellationEngine {
                 stats,
             );
         }
-        match tessellation_floorplan(&problem, &self.config) {
+        match tessellation_floorplan(&problem) {
             Ok(mut fp) => {
                 // The baseline leaves every requested area missing; record
                 // that explicitly so metric-mode costs show up.
@@ -189,8 +168,8 @@ impl FloorplanEngine for TessellationEngine {
 
 /// Registers the two baseline engines into an existing registry.
 pub fn register_baselines(registry: &mut EngineRegistry) {
-    registry.register(Arc::new(AnnealingEngine::default()));
-    registry.register(Arc::new(TessellationEngine::default()));
+    registry.register(Arc::new(AnnealingEngine));
+    registry.register(Arc::new(TessellationEngine));
 }
 
 /// The full five-engine registry: `milp`, `ho`, `combinatorial`,
@@ -269,7 +248,7 @@ mod tests {
         let p = problem();
         let ctl = SolveControl::default();
         ctl.cancel.cancel();
-        let outcome = AnnealingEngine::default().solve(&SolveRequest::new(p), &ctl);
+        let outcome = AnnealingEngine.solve(&SolveRequest::new(p), &ctl);
         assert!(outcome.stats.cancelled);
     }
 }

@@ -27,4 +27,4 @@ pub mod tessellation;
 
 pub use annealing::{AnnealingConfig, AnnealingFloorplanner, AnnealingRun};
 pub use engines::{full_registry, register_baselines, AnnealingEngine, TessellationEngine};
-pub use tessellation::{tessellation_floorplan, TessellationConfig};
+pub use tessellation::tessellation_floorplan;

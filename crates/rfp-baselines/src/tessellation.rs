@@ -12,6 +12,8 @@
 //! a portion-aligned rectangle — whole portions in width, minimal rows in
 //! height — until the requirement is covered, keeping the candidate with the
 //! fewest wasted frames that does not overlap previously-placed regions.
+//! The style is fixed: a slot is always as short as the requirement allows,
+//! never stretched to the full device height.
 //!
 //! On an irregular fabric there are no portions to align with; the heuristic
 //! degrades gracefully to arbitrary column spans (every column is its own
@@ -22,15 +24,6 @@ use rfp_device::{ColumnarPartition, PortionId, Rect};
 use rfp_floorplan::placement::Floorplan;
 use rfp_floorplan::problem::FloorplanProblem;
 use rfp_floorplan::FloorplanError;
-
-/// Parameters of the tessellation heuristic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TessellationConfig {
-    /// When `true`, regions additionally extend to the full device height
-    /// (one reconfigurable slot per set of columns), which models the most
-    /// conservative reconfiguration-centric style.
-    pub full_height_slots: bool,
-}
 
 /// Tiles of each type covered by a span of whole portions at height `h`.
 fn portion_span_covers(
@@ -56,10 +49,7 @@ fn portion_span_covers(
 }
 
 /// Runs the tessellation heuristic.
-pub fn tessellation_floorplan(
-    problem: &FloorplanProblem,
-    config: &TessellationConfig,
-) -> Result<Floorplan, FloorplanError> {
+pub fn tessellation_floorplan(problem: &FloorplanProblem) -> Result<Floorplan, FloorplanError> {
     problem.validate()?;
     let partition = &problem.partition;
     let rows = partition.rows;
@@ -89,10 +79,7 @@ pub fn tessellation_floorplan(
                             break;
                         }
                     }
-                    let Some(mut h) = h_needed else { continue };
-                    if config.full_height_slots {
-                        h = rows;
-                    }
+                    let Some(h) = h_needed else { continue };
                     let x1 = cp.portion(PortionId(first)).x1;
                     let x2 = cp.portion(PortionId(last)).x2;
                     let w = x2 - x1 + 1;
@@ -132,11 +119,7 @@ pub fn tessellation_floorplan(
                                     .is_some_and(|&(_, have)| have >= need)
                             });
                             if covers {
-                                chosen = Some(if config.full_height_slots {
-                                    Rect::new(x1, 1, w, rows)
-                                } else {
-                                    rect
-                                });
+                                chosen = Some(rect);
                                 break;
                             }
                         }
@@ -204,7 +187,7 @@ mod tests {
         let (mut p, clb, bram) = small_problem();
         p.add_region(RegionSpec::new("A", vec![(clb, 3), (bram, 1)]));
         p.add_region(RegionSpec::new("B", vec![(clb, 2)]));
-        let fp = tessellation_floorplan(&p, &TessellationConfig::default()).unwrap();
+        let fp = tessellation_floorplan(&p).unwrap();
         assert!(fp.validate(&p).is_empty(), "{:?}", fp.validate(&p));
     }
 
@@ -212,7 +195,7 @@ mod tests {
     fn regions_are_portion_aligned() {
         let (mut p, clb, bram) = small_problem();
         p.add_region(RegionSpec::new("A", vec![(clb, 2), (bram, 1)]));
-        let fp = tessellation_floorplan(&p, &TessellationConfig::default()).unwrap();
+        let fp = tessellation_floorplan(&p).unwrap();
         let rect = fp.regions[0];
         // The left edge must coincide with a portion start and the right edge
         // with a portion end.
@@ -228,20 +211,9 @@ mod tests {
         let (mut p, clb, bram) = small_problem();
         p.add_region(RegionSpec::new("A", vec![(clb, 3), (bram, 1)]));
         p.add_region(RegionSpec::new("B", vec![(clb, 1), (bram, 1)]));
-        let tess = tessellation_floorplan(&p, &TessellationConfig::default()).unwrap();
+        let tess = tessellation_floorplan(&p).unwrap();
         let exact = solve_combinatorial(&p, &CombinatorialConfig::default()).unwrap();
         assert!(tess.metrics(&p).wasted_frames >= exact.best_waste.unwrap());
-    }
-
-    #[test]
-    fn full_height_mode_wastes_more() {
-        let (mut p, clb, bram) = small_problem();
-        p.add_region(RegionSpec::new("A", vec![(clb, 2), (bram, 1)]));
-        let compact = tessellation_floorplan(&p, &TessellationConfig::default()).unwrap();
-        let full =
-            tessellation_floorplan(&p, &TessellationConfig { full_height_slots: true }).unwrap();
-        assert!(full.metrics(&p).wasted_frames >= compact.metrics(&p).wasted_frames);
-        assert_eq!(full.regions[0].h, p.partition.rows);
     }
 
     #[test]
@@ -250,6 +222,6 @@ mod tests {
         for i in 0..5 {
             p.add_region(RegionSpec::new(format!("B{i}"), vec![(bram, 2)]));
         }
-        assert!(tessellation_floorplan(&p, &TessellationConfig::default()).is_err());
+        assert!(tessellation_floorplan(&p).is_err());
     }
 }

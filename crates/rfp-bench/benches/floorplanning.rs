@@ -3,13 +3,11 @@
 //! solve-time discussion of Section VI).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use rfp_baselines::{
-    tessellation_floorplan, AnnealingConfig, AnnealingFloorplanner, TessellationConfig,
-};
+use rfp_baselines::{tessellation_floorplan, AnnealingConfig, AnnealingFloorplanner};
 use rfp_bitstream::{relocate, Bitstream};
 use rfp_device::compat::enumerate_free_compatible;
 use rfp_device::{fabric_partition, xc5vfx70t, Rect};
-use rfp_floorplan::candidates::{enumerate_candidates, CandidateConfig};
+use rfp_floorplan::candidates::enumerate_candidates;
 use rfp_floorplan::combinatorial::{solve_combinatorial, CombinatorialConfig};
 use rfp_floorplan::engine::{
     FloorplanEngine, HeuristicMilpEngine, MilpEngine, SolveControl, SolveRequest,
@@ -66,9 +64,7 @@ fn bench_baselines(c: &mut Criterion) {
     group.sample_size(10);
     let problem = sdr_problem();
     group.bench_function("greedy_seed", |b| b.iter(|| greedy_floorplan(&problem).unwrap()));
-    group.bench_function("tessellation", |b| {
-        b.iter(|| tessellation_floorplan(&problem, &TessellationConfig::default()).unwrap())
-    });
+    group.bench_function("tessellation", |b| b.iter(|| tessellation_floorplan(&problem).unwrap()));
     group.bench_function("simulated_annealing_5k", |b| {
         let annealer = AnnealingFloorplanner::new(AnnealingConfig {
             iterations: 5_000,
@@ -87,7 +83,7 @@ fn bench_building_blocks(c: &mut Criterion) {
     let partition = problem.partition.clone();
     group.bench_function("candidates_video_decoder", |b| {
         let spec = &problem.regions[4];
-        b.iter(|| enumerate_candidates(&partition, spec, &CandidateConfig::default()))
+        b.iter(|| enumerate_candidates(&partition, spec))
     });
     group.bench_function("free_compatible_enumeration", |b| {
         let source = Rect::new(1, 1, 4, 3);
@@ -121,7 +117,7 @@ fn bench_milp_paths(c: &mut Criterion) {
     });
     let request = SolveRequest::new(problem.clone()).with_time_limit(60.0);
     let engines: [(&str, Box<dyn FloorplanEngine>); 2] =
-        [("O", Box::new(MilpEngine::default())), ("HO", Box::new(HeuristicMilpEngine::default()))];
+        [("O", Box::new(MilpEngine)), ("HO", Box::new(HeuristicMilpEngine))];
     for (name, engine) in engines {
         group.bench_function(name, |b| {
             b.iter(|| {

@@ -1,14 +1,11 @@
-//! Scaling and ablation benchmarks beyond the paper's single case study:
+//! Scaling benchmarks beyond the paper's single case study:
 //!
 //! * device-size sweep (columns) at fixed utilisation;
 //! * number of requested free-compatible areas per relocatable region
-//!   (the SDR2 -> SDR3 axis of Table II, extended);
-//! * ablation of the design choices called out in DESIGN.md: irredundant-only
-//!   candidate enumeration and the lexicographic wire-length pass.
+//!   (the SDR2 -> SDR3 axis of Table II, extended).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rfp_device::SyntheticSpec;
-use rfp_floorplan::candidates::CandidateConfig;
 use rfp_floorplan::combinatorial::{solve_combinatorial, CombinatorialConfig};
 use rfp_workloads::generator::WorkloadSpec;
 use rfp_workloads::sdr::{sdr_problem, with_relocation_constraints};
@@ -59,48 +56,5 @@ fn bench_fc_count_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_ablation_candidates(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_candidate_enumeration");
-    group.sample_size(10);
-    let problem = with_relocation_constraints(sdr_problem(), 1);
-    for (label, cfg) in [
-        ("irredundant", CandidateConfig::default()),
-        ("relaxed_slack_64", CandidateConfig::relaxed(64)),
-    ] {
-        let cc = CombinatorialConfig {
-            candidates: cfg,
-            time_limit_secs: 15.0,
-            ..CombinatorialConfig::default()
-        };
-        group.bench_function(label, |b| {
-            b.iter(|| solve_combinatorial(&problem, &cc).unwrap().best_waste)
-        });
-    }
-    group.finish();
-}
-
-fn bench_ablation_wirelength(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_wirelength_pass");
-    group.sample_size(10);
-    let problem = sdr_problem();
-    for (label, optimize_wirelength) in [("waste_only", false), ("waste_then_wirelength", true)] {
-        let cc = CombinatorialConfig {
-            optimize_wirelength,
-            time_limit_secs: 30.0,
-            ..CombinatorialConfig::default()
-        };
-        group.bench_function(label, |b| {
-            b.iter(|| solve_combinatorial(&problem, &cc).unwrap().best_waste)
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_device_size_sweep,
-    bench_fc_count_sweep,
-    bench_ablation_candidates,
-    bench_ablation_wirelength
-);
+criterion_group!(benches, bench_device_size_sweep, bench_fc_count_sweep);
 criterion_main!(benches);

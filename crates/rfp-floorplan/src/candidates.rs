@@ -8,10 +8,14 @@
 //!
 //! A candidate is **irredundant** when no single-side shrink (one row
 //! shorter, leftmost column dropped, or rightmost column dropped) still
-//! satisfies the requirement. Irredundant candidates dominate all others in
-//! wasted frames; the enumeration can optionally keep redundant candidates up
-//! to a waste slack, which matters when relocation constraints make a
-//! slightly larger region the only way to obtain a free-compatible area.
+//! satisfies the requirement. Only irredundant candidates are enumerated,
+//! and no optimum is lost by that, even under relocation constraints: every
+//! covering rectangle contains an irredundant covering one, and shrinking a
+//! region and its free-compatible target by the same offsets keeps the two
+//! compatible and clear of overlaps, forbidden cells and die boundaries.
+//! The shrink strictly lowers the waste whenever the dropped tiles carry
+//! frames, as every tile of the device models does. `tests/properties.rs`
+//! checks this against an exhaustive search over every covering rectangle.
 
 use crate::fingerprint::{device_cells, device_columns, forbidden_rects, region_demand};
 use crate::problem::RegionSpec;
@@ -26,35 +30,6 @@ pub struct Candidate {
     pub rect: Rect,
     /// Configuration frames wasted by this placement (covered minus required).
     pub waste: u64,
-}
-
-/// Parameters of the candidate enumeration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CandidateConfig {
-    /// Keep only irredundant candidates (see module docs). When `false`,
-    /// candidates with larger heights are also enumerated, subject to
-    /// `waste_slack`.
-    pub irredundant_only: bool,
-    /// When keeping redundant candidates, only keep those whose waste exceeds
-    /// the region's minimum achievable waste by at most this many frames.
-    pub waste_slack: u64,
-    /// Hard cap on the number of candidates returned (after sorting by
-    /// waste); `0` means unlimited.
-    pub max_candidates: usize,
-}
-
-impl Default for CandidateConfig {
-    fn default() -> Self {
-        CandidateConfig { irredundant_only: true, waste_slack: 0, max_candidates: 0 }
-    }
-}
-
-impl CandidateConfig {
-    /// Enumeration suitable for relocation-constrained problems: keeps
-    /// redundant candidates within a slack of one extra column of frames.
-    pub fn relaxed(waste_slack: u64) -> Self {
-        CandidateConfig { irredundant_only: false, waste_slack, max_candidates: 0 }
-    }
 }
 
 /// Per-column tile-type table used to answer coverage queries in O(1) per
@@ -139,13 +114,10 @@ struct CacheKey {
     forbidden: Vec<(u32, u32, u32, u32)>,
     /// The region's `(tile-type index, tiles)` requirement.
     req: Vec<(usize, u32)>,
-    irredundant_only: bool,
-    waste_slack: u64,
-    max_candidates: usize,
 }
 
 impl CacheKey {
-    fn new(partition: &FabricPartition, spec: &RegionSpec, config: &CandidateConfig) -> CacheKey {
+    fn new(partition: &FabricPartition, spec: &RegionSpec) -> CacheKey {
         CacheKey {
             columns: device_columns(partition),
             cells: if partition.columnar().is_some() {
@@ -156,9 +128,6 @@ impl CacheKey {
             rows: partition.rows,
             forbidden: forbidden_rects(partition),
             req: region_demand(spec),
-            irredundant_only: config.irredundant_only,
-            waste_slack: config.waste_slack,
-            max_candidates: config.max_candidates,
         }
     }
 }
@@ -185,16 +154,12 @@ pub enum CacheLookup {
 /// waste (ties broken by x, then y, then width, then height).
 ///
 /// Results are memoised process-wide keyed on `(device structure, resource
-/// demand, config)`: the combinatorial engine, the greedy heuristics and the
+/// demand)`: the combinatorial engine, the greedy heuristics and the
 /// benches repeatedly enumerate identical lists (the `scaling` bench sweeps
 /// FC counts over a fixed device), and the enumeration is O(cols² · rows)
 /// while a cache hit is a plain clone.
-pub fn enumerate_candidates(
-    partition: &FabricPartition,
-    spec: &RegionSpec,
-    config: &CandidateConfig,
-) -> Vec<Candidate> {
-    enumerate_candidates_traced(partition, spec, config).0
+pub fn enumerate_candidates(partition: &FabricPartition, spec: &RegionSpec) -> Vec<Candidate> {
+    enumerate_candidates_traced(partition, spec).0
 }
 
 /// [`enumerate_candidates`] plus the cache verdict of this lookup, so
@@ -203,15 +168,14 @@ pub fn enumerate_candidates(
 pub fn enumerate_candidates_traced(
     partition: &FabricPartition,
     spec: &RegionSpec,
-    config: &CandidateConfig,
 ) -> (Vec<Candidate>, CacheLookup) {
-    let key = CacheKey::new(partition, spec, config);
+    let key = CacheKey::new(partition, spec);
     let guard = cache().lock().unwrap_or_else(|e| e.into_inner());
     if let Some(hit) = guard.get(&key) {
         return (hit.clone(), CacheLookup::Hit);
     }
     drop(guard); // do not hold the lock across the expensive enumeration
-    let out = enumerate_candidates_uncached(partition, spec, config);
+    let out = enumerate_candidates_uncached(partition, spec);
     let mut cache = self::cache().lock().unwrap_or_else(|e| e.into_inner());
     if cache.len() >= CACHE_CAPACITY {
         cache.clear();
@@ -227,26 +191,18 @@ pub fn enumerate_candidates_traced(
 pub fn enumerate_candidates_uncached(
     partition: &FabricPartition,
     spec: &RegionSpec,
-    config: &CandidateConfig,
 ) -> Vec<Candidate> {
     let mut out = match partition.columnar() {
-        Some(cp) => enumerate_columnar(cp, spec, config),
-        None => enumerate_fabric(partition, spec, config),
+        Some(cp) => enumerate_columnar(cp, spec),
+        None => enumerate_fabric(partition, spec),
     };
     out.sort_by_key(|c| (c.waste, c.rect.x, c.rect.y, c.rect.w, c.rect.h));
-    if config.max_candidates > 0 && out.len() > config.max_candidates {
-        out.truncate(config.max_candidates);
-    }
     out
 }
 
 /// The original columnar enumeration (coverage depends only on the column
 /// window and the height).
-fn enumerate_columnar(
-    partition: &ColumnarPartition,
-    spec: &RegionSpec,
-    config: &CandidateConfig,
-) -> Vec<Candidate> {
+fn enumerate_columnar(partition: &ColumnarPartition, spec: &RegionSpec) -> Vec<Candidate> {
     let cols = partition.cols;
     let rows = partition.rows;
     let table = ColumnTable::new(partition);
@@ -271,23 +227,13 @@ fn enumerate_columnar(
                 // redundant in width for every height.
                 continue;
             }
-            let frames_per_row = table.frames_per_row(x, w);
-            let h_max = if config.irredundant_only { h_min } else { rows };
-            for h in h_min..=h_max {
-                let waste = (frames_per_row * h as u64).saturating_sub(required);
-                if !config.irredundant_only && h > h_min {
-                    let min_waste = (frames_per_row * h_min as u64).saturating_sub(required);
-                    if waste > min_waste + config.waste_slack {
-                        break;
-                    }
+            let waste = (table.frames_per_row(x, w) * h_min as u64).saturating_sub(required);
+            for y in 1..=(rows - h_min + 1) {
+                let rect = Rect::new(x, y, w, h_min);
+                if partition.rect_crosses_forbidden(&rect) {
+                    continue;
                 }
-                for y in 1..=(rows - h + 1) {
-                    let rect = Rect::new(x, y, w, h);
-                    if partition.rect_crosses_forbidden(&rect) {
-                        continue;
-                    }
-                    out.push(Candidate { rect, waste });
-                }
+                out.push(Candidate { rect, waste });
             }
         }
     }
@@ -385,11 +331,7 @@ impl FabricTable {
 /// the full rectangle, so candidates are anchored per `(x, w, y)` with
 /// minimum height, and irredundancy is checked against all four single-side
 /// shrinks (the bottom shrink fails by height minimality).
-fn enumerate_fabric(
-    partition: &FabricPartition,
-    spec: &RegionSpec,
-    config: &CandidateConfig,
-) -> Vec<Candidate> {
+fn enumerate_fabric(partition: &FabricPartition, spec: &RegionSpec) -> Vec<Candidate> {
     let cols = partition.cols;
     let rows = partition.rows;
     let table = FabricTable::new(partition);
@@ -409,28 +351,19 @@ fn enumerate_fabric(
                 if left_shrink_ok || right_shrink_ok {
                     continue;
                 }
-                let min_waste =
-                    table.frames_in(&Rect::new(x, y, w, h_min)).saturating_sub(required);
-                let h_max = if config.irredundant_only { h_min } else { rows - y + 1 };
-                for h in h_min..=h_max {
-                    let rect = Rect::new(x, y, w, h);
-                    let waste = table.frames_in(&rect).saturating_sub(required);
-                    if h > h_min && waste > min_waste + config.waste_slack {
-                        break;
-                    }
-                    if config.irredundant_only
-                        && h > 1
-                        && table.covers(spec, &Rect::new(x, y + 1, w, h - 1))
-                    {
-                        // Redundant in height from the top: the anchor one
-                        // row down does at least as well.
-                        continue;
-                    }
-                    if partition.rect_crosses_forbidden(&rect) {
-                        continue;
-                    }
-                    out.push(Candidate { rect, waste });
+                if h_min > 1 && table.covers(spec, &Rect::new(x, y + 1, w, h_min - 1)) {
+                    // Redundant in height from the top: the anchor one row
+                    // down does at least as well.
+                    continue;
                 }
+                let rect = Rect::new(x, y, w, h_min);
+                if partition.rect_crosses_forbidden(&rect) {
+                    continue;
+                }
+                out.push(Candidate {
+                    rect,
+                    waste: table.frames_in(&rect).saturating_sub(required),
+                });
             }
         }
     }
@@ -440,7 +373,7 @@ fn enumerate_fabric(
 /// Minimum waste achievable by any placement of the region (ignoring the
 /// other regions), or `None` if the region cannot be placed at all.
 pub fn min_waste(partition: &FabricPartition, spec: &RegionSpec) -> Option<u64> {
-    enumerate_candidates(partition, spec, &CandidateConfig::default()).first().map(|c| c.waste)
+    enumerate_candidates(partition, spec).first().map(|c| c.waste)
 }
 
 #[cfg(test)]
@@ -461,7 +394,7 @@ mod tests {
     fn candidates_cover_requirements_and_respect_bounds() {
         let (p, clb, bram) = small_partition();
         let spec = RegionSpec::new("r", vec![(clb, 4), (bram, 1)]);
-        let cands = enumerate_candidates(&p, &spec, &CandidateConfig::default());
+        let cands = enumerate_candidates(&p, &spec);
         assert!(!cands.is_empty());
         for c in &cands {
             assert!(p.rect_in_bounds(&c.rect));
@@ -481,7 +414,7 @@ mod tests {
     fn irredundant_candidates_cannot_shrink() {
         let (p, clb, bram) = small_partition();
         let spec = RegionSpec::new("r", vec![(clb, 4), (bram, 1)]);
-        let cands = enumerate_candidates(&p, &spec, &CandidateConfig::default());
+        let cands = enumerate_candidates(&p, &spec);
         for c in &cands {
             let r = c.rect;
             // Shrinking the height must break coverage.
@@ -497,23 +430,11 @@ mod tests {
     }
 
     #[test]
-    fn relaxed_enumeration_is_a_superset() {
-        let (p, clb, bram) = small_partition();
-        let spec = RegionSpec::new("r", vec![(clb, 2), (bram, 1)]);
-        let strict = enumerate_candidates(&p, &spec, &CandidateConfig::default());
-        let relaxed = enumerate_candidates(&p, &spec, &CandidateConfig::relaxed(1000));
-        assert!(relaxed.len() >= strict.len());
-        for c in &strict {
-            assert!(relaxed.contains(c), "strict candidate {:?} missing from relaxed set", c);
-        }
-    }
-
-    #[test]
     fn impossible_requirement_has_no_candidates() {
         let (p, _, bram) = small_partition();
         // Only one BRAM column of 4 rows exists -> 5 BRAM tiles is impossible.
         let spec = RegionSpec::new("r", vec![(bram, 5)]);
-        assert!(enumerate_candidates(&p, &spec, &CandidateConfig::default()).is_empty());
+        assert!(enumerate_candidates(&p, &spec).is_empty());
         assert_eq!(min_waste(&p, &spec), None);
     }
 
@@ -526,7 +447,7 @@ mod tests {
         b.forbidden("blk", rfp_device::Rect::new(2, 1, 1, 2));
         let p = fabric_partition(&b.build().unwrap()).unwrap();
         let spec = RegionSpec::new("r", vec![(clb, 1)]);
-        let cands = enumerate_candidates(&p, &spec, &CandidateConfig::default());
+        let cands = enumerate_candidates(&p, &spec);
         assert!(!cands.is_empty());
         assert!(
             cands.iter().all(|c| !(c.rect.contains(2, 1) || c.rect.contains(2, 2))),
@@ -537,20 +458,6 @@ mod tests {
     }
 
     #[test]
-    fn max_candidates_caps_after_sorting() {
-        let (p, clb, _) = small_partition();
-        let spec = RegionSpec::new("r", vec![(clb, 1)]);
-        let all = enumerate_candidates(&p, &spec, &CandidateConfig::default());
-        let capped = enumerate_candidates(
-            &p,
-            &spec,
-            &CandidateConfig { max_candidates: 3, ..CandidateConfig::default() },
-        );
-        assert_eq!(capped.len(), 3);
-        assert_eq!(&all[..3], &capped[..]);
-    }
-
-    #[test]
     fn sdr_video_decoder_has_candidates_on_fx70t() {
         let device = xc5vfx70t();
         let clb = device.registry.by_name("CLB").unwrap();
@@ -558,7 +465,7 @@ mod tests {
         let dsp = device.registry.by_name("DSP").unwrap();
         let p = fabric_partition(&device).unwrap();
         let video = RegionSpec::new("Video Decoder", vec![(clb, 55), (bram, 2), (dsp, 5)]);
-        let cands = enumerate_candidates(&p, &video, &CandidateConfig::default());
+        let cands = enumerate_candidates(&p, &video);
         assert!(!cands.is_empty(), "the video decoder must be placeable on the FX70T");
         // The best candidate's waste is bounded by a sane amount (less than
         // the region's own requirement).
@@ -569,15 +476,11 @@ mod tests {
     fn memoised_enumeration_matches_uncached() {
         let (p, clb, bram) = small_partition();
         let spec = RegionSpec::new("r", vec![(clb, 3), (bram, 1)]);
-        let cfg = CandidateConfig::default();
-        let cached_cold = enumerate_candidates(&p, &spec, &cfg);
-        let cached_warm = enumerate_candidates(&p, &spec, &cfg);
-        let raw = enumerate_candidates_uncached(&p, &spec, &cfg);
+        let cached_cold = enumerate_candidates(&p, &spec);
+        let cached_warm = enumerate_candidates(&p, &spec);
+        let raw = enumerate_candidates_uncached(&p, &spec);
         assert_eq!(cached_cold, raw);
         assert_eq!(cached_warm, raw);
-        // A different config must not collide with the cached entry.
-        let relaxed = enumerate_candidates(&p, &spec, &CandidateConfig::relaxed(100));
-        assert!(relaxed.len() >= raw.len());
     }
 
     /// A device structurally unique to one test, so concurrent tests sharing
@@ -595,56 +498,50 @@ mod tests {
     fn identical_lookups_hit_the_cache() {
         let (p, clb) = unique_partition(1);
         let spec = RegionSpec::new("r", vec![(clb, 2)]);
-        let cfg = CandidateConfig::default();
-        let (cold, first) = enumerate_candidates_traced(&p, &spec, &cfg);
+        let (cold, first) = enumerate_candidates_traced(&p, &spec);
         assert_eq!(first, CacheLookup::Miss, "first lookup of a fresh key must miss");
-        let (warm, second) = enumerate_candidates_traced(&p, &spec, &cfg);
-        assert_eq!(second, CacheLookup::Hit, "identical device+demand+config must hit");
+        let (warm, second) = enumerate_candidates_traced(&p, &spec);
+        assert_eq!(second, CacheLookup::Hit, "identical device+demand must hit");
         assert_eq!(cold, warm);
         // The region *name* is not part of the demand; a renamed but
         // otherwise identical spec still hits.
         let renamed = RegionSpec::new("other-name", vec![(clb, 2)]);
-        assert_eq!(enumerate_candidates_traced(&p, &renamed, &cfg).1, CacheLookup::Hit);
+        assert_eq!(enumerate_candidates_traced(&p, &renamed).1, CacheLookup::Hit);
     }
 
     #[test]
     fn changed_demand_config_or_device_miss_the_cache() {
         let (p, clb) = unique_partition(2);
         let spec = RegionSpec::new("r", vec![(clb, 2)]);
-        let cfg = CandidateConfig::default();
-        assert_eq!(enumerate_candidates_traced(&p, &spec, &cfg).1, CacheLookup::Miss);
-        assert_eq!(enumerate_candidates_traced(&p, &spec, &cfg).1, CacheLookup::Hit);
+        assert_eq!(enumerate_candidates_traced(&p, &spec).1, CacheLookup::Miss);
+        assert_eq!(enumerate_candidates_traced(&p, &spec).1, CacheLookup::Hit);
         // Changed demand: different tile count.
         let bigger = RegionSpec::new("r", vec![(clb, 3)]);
-        assert_eq!(enumerate_candidates_traced(&p, &bigger, &cfg).1, CacheLookup::Miss);
-        // Changed config: relaxed enumeration.
-        let relaxed = CandidateConfig::relaxed(50);
-        assert_eq!(enumerate_candidates_traced(&p, &spec, &relaxed).1, CacheLookup::Miss);
+        assert_eq!(enumerate_candidates_traced(&p, &bigger).1, CacheLookup::Miss);
         // Changed device structure: one more row.
         let mut b = DeviceBuilder::new("cache-probe-2b");
         let clb2 = b.tile_type("CLB", ResourceVec::new(1, 0, 0), 1002);
         b.rows(3).repeat_column(clb2, 3);
         let taller = fabric_partition(&b.build().unwrap()).unwrap();
         let spec2 = RegionSpec::new("r", vec![(clb2, 2)]);
-        assert_eq!(enumerate_candidates_traced(&taller, &spec2, &cfg).1, CacheLookup::Miss);
+        assert_eq!(enumerate_candidates_traced(&taller, &spec2).1, CacheLookup::Miss);
         // The original key is still cached.
-        assert_eq!(enumerate_candidates_traced(&p, &spec, &cfg).1, CacheLookup::Hit);
+        assert_eq!(enumerate_candidates_traced(&p, &spec).1, CacheLookup::Hit);
     }
 
     #[test]
     fn capacity_overflow_clears_stale_entries() {
         let (p, clb) = unique_partition(3);
-        let cfg = CandidateConfig::default();
         let first = RegionSpec::new("r", vec![(clb, 1)]);
-        assert_eq!(enumerate_candidates_traced(&p, &first, &cfg).1, CacheLookup::Miss);
+        assert_eq!(enumerate_candidates_traced(&p, &first).1, CacheLookup::Miss);
         // Insert enough distinct keys to force at least one wholesale clear
         // after `first` was cached (the cache holds CACHE_CAPACITY entries).
         for extra in 0..=CACHE_CAPACITY as u32 {
             let spec = RegionSpec::new("r", vec![(clb, 2 + extra)]);
-            let _ = enumerate_candidates_traced(&p, &spec, &cfg);
+            let _ = enumerate_candidates_traced(&p, &spec);
         }
         assert_eq!(
-            enumerate_candidates_traced(&p, &first, &cfg).1,
+            enumerate_candidates_traced(&p, &first).1,
             CacheLookup::Miss,
             "the capacity sweep must have evicted the first key"
         );
@@ -654,7 +551,7 @@ mod tests {
     fn min_waste_matches_first_candidate() {
         let (p, clb, bram) = small_partition();
         let spec = RegionSpec::new("r", vec![(clb, 3), (bram, 2)]);
-        let cands = enumerate_candidates(&p, &spec, &CandidateConfig::default());
+        let cands = enumerate_candidates(&p, &spec);
         assert_eq!(min_waste(&p, &spec), Some(cands[0].waste));
     }
 
@@ -680,7 +577,7 @@ mod tests {
         let (p, clb, bram) = hetero_partition();
         assert!(p.columnar().is_none());
         let spec = RegionSpec::new("r", vec![(clb, 2), (bram, 1)]);
-        let cands = enumerate_candidates(&p, &spec, &CandidateConfig::default());
+        let cands = enumerate_candidates(&p, &spec);
         assert!(!cands.is_empty());
         let covers = |r: &Rect| {
             let covered = p.tiles_by_type_in_rect(r);
@@ -709,26 +606,13 @@ mod tests {
     }
 
     #[test]
-    fn hetero_relaxed_enumeration_is_a_superset() {
-        let (p, clb, bram) = hetero_partition();
-        let spec = RegionSpec::new("r", vec![(clb, 1), (bram, 1)]);
-        let strict = enumerate_candidates(&p, &spec, &CandidateConfig::default());
-        let relaxed = enumerate_candidates(&p, &spec, &CandidateConfig::relaxed(1000));
-        assert!(relaxed.len() >= strict.len());
-        for c in &strict {
-            assert!(relaxed.contains(c), "strict candidate {:?} missing from relaxed set", c);
-        }
-    }
-
-    #[test]
     fn hetero_and_columnar_cache_keys_do_not_collide() {
         let (p, clb, bram) = hetero_partition();
         let spec = RegionSpec::new("r", vec![(clb, 1), (bram, 1)]);
-        let cfg = CandidateConfig::default();
-        let key = CacheKey::new(&p, &spec, &cfg);
+        let key = CacheKey::new(&p, &spec);
         assert!(key.columns.is_empty() && !key.cells.is_empty());
         let (c, _, _) = small_partition();
-        let columnar_key = CacheKey::new(&c, &spec, &cfg);
+        let columnar_key = CacheKey::new(&c, &spec);
         assert!(!columnar_key.columns.is_empty() && columnar_key.cells.is_empty());
         assert_ne!(key, columnar_key);
     }

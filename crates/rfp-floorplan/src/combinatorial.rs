@@ -36,8 +36,8 @@
 //! run to run, but the proven waste/wire-length results are deterministic;
 //! `threads <= 1` preserves the serial search order exactly.
 
-use crate::candidates::{enumerate_candidates, Candidate, CandidateConfig};
-use crate::engine::SolveControl;
+use crate::candidates::{enumerate_candidates, Candidate};
+use crate::engine::{deadline_after, SolveControl};
 use crate::error::FloorplanError;
 use crate::placement::{FcPlacement, Floorplan};
 use crate::problem::{FloorplanProblem, RelocationMode};
@@ -45,37 +45,37 @@ use rfp_device::compat::enumerate_free_compatible;
 use rfp_device::Rect;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Configuration of the combinatorial engine.
+///
+/// The objective is not configurable: it is always lexicographic, wasted
+/// frames first, then weighted wire length.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CombinatorialConfig {
-    /// Candidate enumeration parameters.
-    pub candidates: CandidateConfig,
-    /// Stop after this many search nodes (0 = unlimited).
+    /// Stop after this many search nodes (0 = unlimited). A request's node
+    /// budget sets it, and so does `perfbench`'s `online` workload.
     pub node_limit: u64,
-    /// Wall-clock limit in seconds (0 = unlimited).
+    /// Wall-clock limit in seconds (0 = unlimited; a limit too large to
+    /// represent as a deadline is unlimited too).
     pub time_limit_secs: f64,
-    /// Return the first feasible floorplan found instead of optimising.
+    /// Return the first feasible floorplan found instead of optimising
+    /// (the feasibility analysis and the HO seed search set it).
     pub first_feasible: bool,
-    /// Optimise weighted wire length as a secondary criterion (lexicographic
-    /// after wasted frames).
-    pub optimize_wirelength: bool,
     /// Worker threads for the prefix-split parallel search (`0` or `1` =
     /// serial). The serial node order — and thus the node count — is
     /// preserved exactly at `threads <= 1`; above that only the *results*
-    /// (waste, wire length, proven-ness) are deterministic.
+    /// (waste, wire length, proven-ness) are deterministic. The CLI's and
+    /// the protocol's `threads` set it.
     pub threads: usize,
 }
 
 impl Default for CombinatorialConfig {
     fn default() -> Self {
         CombinatorialConfig {
-            candidates: CandidateConfig::default(),
             node_limit: 0,
             time_limit_secs: 0.0,
             first_feasible: false,
-            optimize_wirelength: true,
             threads: 1,
         }
     }
@@ -422,9 +422,7 @@ impl<'a> SearchCtx<'a> {
     fn install(&mut self, waste: u64, wl: f64, fc_areas: Vec<FcPlacement>) {
         let improves = |cur: &Option<(u64, f64, Floorplan)>| match cur {
             None => true,
-            Some((bw, bwl, _)) => {
-                waste < *bw || (waste == *bw && self.config.optimize_wirelength && wl + 1e-9 < *bwl)
-            }
+            Some((bw, bwl, _)) => waste < *bw || (waste == *bw && wl + 1e-9 < *bwl),
         };
         match self.shared {
             Some(sh) => {
@@ -552,14 +550,11 @@ impl<'a> SearchCtx<'a> {
         }
 
         // Bound: waste so far plus the best-case waste of the remaining regions.
-        if let Some(best_waste) = self.incumbent_waste() {
-            let lb = waste_so_far + self.remaining_min[level];
-            if lb > best_waste {
-                return;
-            }
-            if !self.config.optimize_wirelength && lb == best_waste {
-                return;
-            }
+        if self
+            .incumbent_waste()
+            .is_some_and(|best| waste_so_far + self.remaining_min[level] > best)
+        {
+            return;
         }
 
         if level == self.order.len() {
@@ -636,7 +631,7 @@ pub fn solve_combinatorial_with_control(
 
     let mut candidates = Vec::with_capacity(problem.regions.len());
     for spec in &problem.regions {
-        let cands = enumerate_candidates(&problem.partition, spec, &config.candidates);
+        let cands = enumerate_candidates(&problem.partition, spec);
         if cands.is_empty() {
             return Err(FloorplanError::ImpossibleRequirement {
                 region: spec.name.clone(),
@@ -664,11 +659,7 @@ pub fn solve_combinatorial_with_control(
         .map(|cands| cands.iter().map(|c| Footprint::new(&c.rect, words)).collect())
         .collect();
 
-    let deadline = if config.time_limit_secs > 0.0 {
-        Some(start + Duration::from_secs_f64(config.time_limit_secs))
-    } else {
-        None
-    };
+    let deadline = deadline_after(start, config.time_limit_secs);
 
     if config.threads > 1 && !problem.regions.is_empty() && !ctl.cancel.is_cancelled() {
         return solve_parallel(SolveParts {
@@ -1033,18 +1024,20 @@ mod tests {
         let a = p.add_region(RegionSpec::new("A", vec![(clb, 2)]));
         let b = p.add_region(RegionSpec::new("B", vec![(clb, 2)]));
         p.connect(a, b, 10.0);
-        let with_wl = solve_combinatorial(&p, &CombinatorialConfig::default()).unwrap();
-        let without_wl = solve_combinatorial(
-            &p,
-            &CombinatorialConfig { optimize_wirelength: false, ..CombinatorialConfig::default() },
-        )
-        .unwrap();
-        // Both must reach the same (zero) waste; the wire-length-aware run
-        // must not be worse in wire length.
-        assert_eq!(with_wl.best_waste, without_wl.best_waste);
-        let wl_a = with_wl.floorplan.unwrap().metrics(&p).wirelength;
-        let wl_b = without_wl.floorplan.unwrap().metrics(&p).wirelength;
-        assert!(wl_a <= wl_b + 1e-9);
+        let res = solve_combinatorial(&p, &CombinatorialConfig::default()).unwrap();
+        assert!(res.proven);
+        assert_eq!(res.best_waste, Some(0));
+        // The least wire length over every non-overlapping zero-waste pair.
+        let cands = |r: usize| crate::candidates::enumerate_candidates(&p.partition, &p.regions[r]);
+        let mut best = f64::INFINITY;
+        for ca in cands(a).iter().filter(|c| c.waste == 0) {
+            for cb in cands(b).iter().filter(|c| c.waste == 0 && !c.rect.overlaps(&ca.rect)) {
+                let fp = Floorplan { regions: vec![ca.rect, cb.rect], fc_areas: Vec::new() };
+                best = best.min(fp.metrics(&p).wirelength);
+            }
+        }
+        let wl = res.floorplan.unwrap().metrics(&p).wirelength;
+        assert!((wl - best).abs() < 1e-9, "wire length {wl}, least {best}");
     }
 
     #[test]

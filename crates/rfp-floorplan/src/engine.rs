@@ -54,7 +54,7 @@ use std::borrow::Cow;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 pub use rfp_milp::CancelToken;
 
@@ -68,7 +68,8 @@ pub struct SolveRequest {
     /// Objective-weight override; `None` uses the problem's own weights.
     pub weights: Option<ObjectiveWeights>,
     /// Wall-clock budget in seconds; `0` defers to the engine's own
-    /// configuration (which may be unlimited).
+    /// configuration (which may be unlimited). A budget too large for a
+    /// deadline (see [`deadline_after`]) is unlimited.
     pub time_limit_secs: f64,
     /// Search-node budget; `0` defers to the engine's own configuration.
     /// Engines without a node-based search (annealing, tessellation) ignore
@@ -83,6 +84,18 @@ pub struct SolveRequest {
     /// engine's own configuration. Engines without a parallel search ignore
     /// it.
     pub threads: usize,
+}
+
+/// The instant `secs` seconds after `start`: the deadline of a wall-clock
+/// budget. A budget that is not positive, or too large for a [`Duration`]
+/// or an [`Instant`] to represent, means no deadline (`None`), so a huge
+/// limit never panics an engine.
+pub fn deadline_after(start: Instant, secs: f64) -> Option<Instant> {
+    if secs > 0.0 {
+        Duration::try_from_secs_f64(secs).ok().and_then(|d| start.checked_add(d))
+    } else {
+        None
+    }
 }
 
 impl SolveRequest {
@@ -442,7 +455,7 @@ pub fn adapt_floorplan(
     mapping: &[Option<usize>],
     problem: &FloorplanProblem,
 ) -> Option<Floorplan> {
-    use crate::candidates::{enumerate_candidates, CandidateConfig};
+    use crate::candidates::enumerate_candidates;
     use crate::placement::FcPlacement;
     use crate::problem::RelocationMode;
     use rfp_device::compat::enumerate_free_compatible;
@@ -465,9 +478,8 @@ pub fn adapt_floorplan(
     let mut todo: Vec<usize> =
         (0..problem.regions.len()).filter(|&i| regions[i].is_none()).collect();
     todo.sort_by_key(|&i| u64::MAX - problem.regions[i].required_frames(partition));
-    let cand_cfg = CandidateConfig::default();
     for i in todo {
-        let cands = enumerate_candidates(partition, &problem.regions[i], &cand_cfg);
+        let cands = enumerate_candidates(partition, &problem.regions[i]);
         let chosen = cands.iter().find(|c| !occupied.iter().any(|o| o.overlaps(&c.rect)))?;
         regions[i] = Some(chosen.rect);
         occupied.push(chosen.rect);
@@ -547,8 +559,8 @@ impl EngineRegistry {
     /// `milp`, `ho` and `combinatorial`.
     pub fn builtin() -> Self {
         let mut r = EngineRegistry::empty();
-        r.register(Arc::new(MilpEngine::default()));
-        r.register(Arc::new(HeuristicMilpEngine::default()));
+        r.register(Arc::new(MilpEngine));
+        r.register(Arc::new(HeuristicMilpEngine));
         r.register(Arc::new(CombinatorialEngine::default()));
         r
     }
@@ -637,18 +649,7 @@ impl SolveDispatcher for EngineRegistry {
 /// from-scratch branch-and-bound of `rfp-milp`, warm-started from a greedy
 /// floorplan. Practical for small and mid-size instances.
 #[derive(Debug, Clone, Default)]
-pub struct MilpEngine {
-    /// Base MILP solver configuration; the request's budgets override its
-    /// node/time limits.
-    pub config: MilpSolverConfig,
-}
-
-impl MilpEngine {
-    /// An engine with a custom solver configuration.
-    pub fn with_config(config: MilpSolverConfig) -> Self {
-        MilpEngine { config }
-    }
-}
+pub struct MilpEngine;
 
 impl FloorplanEngine for MilpEngine {
     fn id(&self) -> &'static str {
@@ -664,7 +665,7 @@ impl FloorplanEngine for MilpEngine {
     }
 
     fn solve(&self, req: &SolveRequest, ctl: &SolveControl) -> SolveOutcome {
-        solve_milp_engine(self.id(), &self.config, false, req, ctl)
+        solve_milp_engine(self.id(), false, req, ctl)
     }
 }
 
@@ -672,18 +673,7 @@ impl FloorplanEngine for MilpEngine {
 /// sequence pair of a greedy seed, which shrinks the search space by orders
 /// of magnitude at the cost of possible sub-optimality.
 #[derive(Debug, Clone, Default)]
-pub struct HeuristicMilpEngine {
-    /// Base MILP solver configuration; the request's budgets override its
-    /// node/time limits.
-    pub config: MilpSolverConfig,
-}
-
-impl HeuristicMilpEngine {
-    /// An engine with a custom solver configuration.
-    pub fn with_config(config: MilpSolverConfig) -> Self {
-        HeuristicMilpEngine { config }
-    }
-}
+pub struct HeuristicMilpEngine;
 
 impl FloorplanEngine for HeuristicMilpEngine {
     fn id(&self) -> &'static str {
@@ -699,7 +689,7 @@ impl FloorplanEngine for HeuristicMilpEngine {
     }
 
     fn solve(&self, req: &SolveRequest, ctl: &SolveControl) -> SolveOutcome {
-        solve_milp_engine(self.id(), &self.config, true, req, ctl)
+        solve_milp_engine(self.id(), true, req, ctl)
     }
 }
 
@@ -804,7 +794,6 @@ impl FloorplanEngine for CombinatorialEngine {
 /// Shared implementation of the two MILP-backed engines.
 fn solve_milp_engine(
     engine_id: &'static str,
-    base: &MilpSolverConfig,
     restricted: bool,
     req: &SolveRequest,
     ctl: &SolveControl,
@@ -816,8 +805,8 @@ fn solve_milp_engine(
         return SolveOutcome::without_floorplan(OutcomeStatus::Infeasible, e.to_string(), stats);
     }
 
-    let engine_start = std::time::Instant::now();
-    let mut cfg = base.clone();
+    let engine_start = Instant::now();
+    let mut cfg = MilpSolverConfig::default();
     if req.node_limit > 0 {
         cfg.max_nodes = req.node_limit as usize;
     }
@@ -895,9 +884,9 @@ fn solve_milp_engine(
 
     // The request's wall-clock budget covers the whole engine run: the MILP
     // search gets whatever the seed phase left over.
-    if req.time_limit_secs > 0.0 {
-        let remaining = (req.time_limit_secs - engine_start.elapsed().as_secs_f64()).max(0.01);
-        cfg.time_limit = Some(Duration::from_secs_f64(remaining));
+    if let Some(deadline) = deadline_after(engine_start, req.time_limit_secs) {
+        let remaining = deadline.saturating_duration_since(Instant::now());
+        cfg.time_limit = Some(remaining.max(Duration::from_millis(10)));
     }
 
     // The warm start never restricts the search space — it only gives the
@@ -1108,8 +1097,8 @@ mod tests {
         p.add_region(RegionSpec::new("A", vec![(clb, 1), (bram, 1)]));
         p.add_region(RegionSpec::new("B", vec![(clb, 2)]));
         let req = SolveRequest::new(p.clone());
-        let o = MilpEngine::default().solve(&req, &SolveControl::default());
-        let ho = HeuristicMilpEngine::default().solve(&req, &SolveControl::default());
+        let o = MilpEngine.solve(&req, &SolveControl::default());
+        let ho = HeuristicMilpEngine.solve(&req, &SolveControl::default());
         assert!(ho.wasted_frames().unwrap() >= o.wasted_frames().unwrap());
         assert!(o.floorplan.unwrap().validate(&p).is_empty());
         assert!(ho.floorplan.unwrap().validate(&p).is_empty());

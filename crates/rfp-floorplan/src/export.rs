@@ -8,57 +8,41 @@
 //! host *relocated* bitstreams rather than separately implemented modules).
 //!
 //! Tile coordinates are translated to SLICE/RAMB/DSP site ranges with a
-//! configurable number of sites per tile, matching the granularity used by
-//! the device model (one tile = one resource column of one clock region).
+//! fixed number of sites per tile, matching the granularity used by the
+//! device model (one tile = one resource column of one Virtex-5 clock
+//! region). Every region's Pblock carries the `RESET_AFTER_RECONFIG` and
+//! `SNAPPING_MODE` properties recommended by the partial-reconfiguration
+//! guidelines [7]. None of these parameters is configurable.
 
 use crate::placement::Floorplan;
 use crate::problem::FloorplanProblem;
 use rfp_device::{FabricPartition, Rect, ResourceKind};
 use std::fmt::Write as _;
 
-/// Site-naming configuration for the XDC export.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct XdcConfig {
-    /// SLICE sites per CLB tile in the X direction.
-    pub slices_per_clb_x: u32,
-    /// SLICE rows per tile row (20 CLB rows per clock region on Virtex-5).
-    pub slice_rows_per_tile: u32,
-    /// RAMB36 sites per BRAM tile.
-    pub rambs_per_tile: u32,
-    /// DSP48 sites per DSP tile.
-    pub dsps_per_tile: u32,
-    /// Emit `RESET_AFTER_RECONFIG` and `SNAPPING_MODE` properties, as
-    /// recommended by the partial-reconfiguration guidelines [7].
-    pub pr_properties: bool,
-}
-
-impl Default for XdcConfig {
-    fn default() -> Self {
-        XdcConfig {
-            slices_per_clb_x: 1,
-            slice_rows_per_tile: 20,
-            rambs_per_tile: 4,
-            dsps_per_tile: 8,
-            pr_properties: true,
-        }
-    }
-}
+/// SLICE sites per CLB tile in the X direction.
+const SLICES_PER_CLB_X: u32 = 1;
+/// SLICE rows per tile row (20 CLB rows per clock region on Virtex-5).
+const SLICE_ROWS_PER_TILE: u32 = 20;
+/// RAMB36 sites per BRAM tile.
+const RAMBS_PER_TILE: u32 = 4;
+/// DSP48 sites per DSP tile.
+const DSPS_PER_TILE: u32 = 8;
 
 fn sanitize(name: &str) -> String {
     name.chars().map(|c| if c.is_ascii_alphanumeric() { c } else { '_' }).collect()
 }
 
 /// Site ranges (one string per resource kind present) for a rectangle.
-fn site_ranges(partition: &FabricPartition, rect: &Rect, cfg: &XdcConfig) -> Vec<String> {
+fn site_ranges(partition: &FabricPartition, rect: &Rect) -> Vec<String> {
     // Column index per resource kind, counting columns of that kind from the
     // left edge of the device (vendor tools number sites per-kind). On an
     // irregular fabric a column counts towards a kind when any of its cells
     // holds that resource.
     let mut ranges = Vec::new();
     let kinds = [
-        (ResourceKind::Clb, "SLICE", cfg.slices_per_clb_x, cfg.slice_rows_per_tile),
-        (ResourceKind::Bram, "RAMB36", 1, cfg.rambs_per_tile),
-        (ResourceKind::Dsp, "DSP48", 1, cfg.dsps_per_tile),
+        (ResourceKind::Clb, "SLICE", SLICES_PER_CLB_X, SLICE_ROWS_PER_TILE),
+        (ResourceKind::Bram, "RAMB36", 1, RAMBS_PER_TILE),
+        (ResourceKind::Dsp, "DSP48", 1, DSPS_PER_TILE),
     ];
     for (kind, prefix, sites_x, sites_y) in kinds {
         // Per-kind x index of each device column.
@@ -97,7 +81,7 @@ fn site_ranges(partition: &FabricPartition, rect: &Rect, cfg: &XdcConfig) -> Vec
 }
 
 /// Renders the floorplan as an XDC constraints snippet.
-pub fn to_xdc(problem: &FloorplanProblem, floorplan: &Floorplan, cfg: &XdcConfig) -> String {
+pub fn to_xdc(problem: &FloorplanProblem, floorplan: &Floorplan) -> String {
     let mut out = String::new();
     let partition = &problem.partition;
     let _ = writeln!(out, "# Floorplan exported by relocfp for device `{}`", partition.device_name);
@@ -115,14 +99,11 @@ pub fn to_xdc(problem: &FloorplanProblem, floorplan: &Floorplan, cfg: &XdcConfig
             out,
             "add_cells_to_pblock [get_pblocks pblock_{name}] [get_cells -quiet [list {name}_i]]"
         );
-        for range in site_ranges(partition, rect, cfg) {
+        for range in site_ranges(partition, rect) {
             let _ = writeln!(out, "resize_pblock [get_pblocks pblock_{name}] -add {{{range}}}");
         }
-        if cfg.pr_properties {
-            let _ =
-                writeln!(out, "set_property RESET_AFTER_RECONFIG true [get_pblocks pblock_{name}]");
-            let _ = writeln!(out, "set_property SNAPPING_MODE ON [get_pblocks pblock_{name}]");
-        }
+        let _ = writeln!(out, "set_property RESET_AFTER_RECONFIG true [get_pblocks pblock_{name}]");
+        let _ = writeln!(out, "set_property SNAPPING_MODE ON [get_pblocks pblock_{name}]");
     }
     let mut counter = vec![0usize; problem.regions.len()];
     for fc in &floorplan.fc_areas {
@@ -137,7 +118,7 @@ pub fn to_xdc(problem: &FloorplanProblem, floorplan: &Floorplan, cfg: &XdcConfig
             counter[fc.region]
         );
         let _ = writeln!(out, "# create_pblock pblock_{name}");
-        for range in site_ranges(partition, &rect, cfg) {
+        for range in site_ranges(partition, &rect) {
             let _ = writeln!(out, "# resize_pblock [get_pblocks pblock_{name}] -add {{{range}}}");
         }
     }
@@ -174,7 +155,7 @@ mod tests {
     #[test]
     fn xdc_contains_a_pblock_per_region() {
         let (p, fp) = setup();
-        let xdc = to_xdc(&p, &fp, &XdcConfig::default());
+        let xdc = to_xdc(&p, &fp);
         assert!(xdc.contains("create_pblock pblock_Matched_Filter"));
         assert!(xdc.contains("create_pblock pblock_FFT_core"));
         assert!(xdc.contains("RESET_AFTER_RECONFIG"));
@@ -186,7 +167,7 @@ mod tests {
     #[test]
     fn reserved_areas_are_emitted_as_comments() {
         let (p, fp) = setup();
-        let xdc = to_xdc(&p, &fp, &XdcConfig::default());
+        let xdc = to_xdc(&p, &fp);
         assert!(xdc.contains("# Reserved free-compatible area for `FFT_core`"));
         assert!(xdc.contains("# create_pblock pblock_FFT_core_reloc1"));
     }
@@ -194,10 +175,7 @@ mod tests {
     #[test]
     fn site_ranges_scale_with_the_site_geometry() {
         let (p, fp) = setup();
-        let cfg = XdcConfig { slice_rows_per_tile: 10, ..XdcConfig::default() };
-        let xdc10 = to_xdc(&p, &fp, &cfg);
-        let xdc20 = to_xdc(&p, &fp, &XdcConfig::default());
-        assert_ne!(xdc10, xdc20);
+        let xdc20 = to_xdc(&p, &fp);
         // Row 1..1 with 20 slice rows per tile spans Y0..Y19.
         assert!(xdc20.contains("Y0:") && xdc20.contains("Y19"));
     }
@@ -205,14 +183,5 @@ mod tests {
     #[test]
     fn names_are_sanitised_for_xdc() {
         assert_eq!(sanitize("Video Decoder #2"), "Video_Decoder__2");
-    }
-
-    #[test]
-    fn pr_properties_can_be_disabled() {
-        let (p, fp) = setup();
-        let cfg = XdcConfig { pr_properties: false, ..XdcConfig::default() };
-        let xdc = to_xdc(&p, &fp, &cfg);
-        assert!(!xdc.contains("RESET_AFTER_RECONFIG"));
-        assert!(!xdc.contains("SNAPPING_MODE"));
     }
 }

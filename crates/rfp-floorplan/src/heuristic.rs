@@ -9,7 +9,7 @@
 //! instances), it falls back to the combinatorial engine in first-feasible
 //! mode, which performs a complete search.
 
-use crate::candidates::{enumerate_candidates, CandidateConfig};
+use crate::candidates::enumerate_candidates;
 use crate::combinatorial::{solve_combinatorial, CombinatorialConfig};
 use crate::error::FloorplanError;
 use crate::placement::{FcPlacement, Floorplan};
@@ -46,7 +46,6 @@ pub fn greedy_floorplan_fast(problem: &FloorplanProblem) -> Option<Floorplan> {
 /// One greedy pass; returns `None` if it paints itself into a corner.
 fn greedy_attempt(problem: &FloorplanProblem) -> Option<Floorplan> {
     let partition = &problem.partition;
-    let cand_cfg = CandidateConfig::default();
 
     // Most demanding regions first (required frames, then name for
     // determinism).
@@ -58,7 +57,7 @@ fn greedy_attempt(problem: &FloorplanProblem) -> Option<Floorplan> {
     let mut placed: Vec<Option<Rect>> = vec![None; problem.regions.len()];
     let mut occupied: Vec<Rect> = Vec::new();
     for &i in &order {
-        let cands = enumerate_candidates(partition, &problem.regions[i], &cand_cfg);
+        let cands = enumerate_candidates(partition, &problem.regions[i]);
         let chosen = cands.iter().find(|c| !occupied.iter().any(|o| o.overlaps(&c.rect)))?;
         placed[i] = Some(chosen.rect);
         occupied.push(chosen.rect);

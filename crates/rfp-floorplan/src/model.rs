@@ -57,7 +57,7 @@
 //! constraint-mode request the greedy pass cannot satisfy surfaces as a
 //! validation failure, never as a silently dropped constraint.
 
-use crate::candidates::{enumerate_candidates, Candidate, CandidateConfig};
+use crate::candidates::{enumerate_candidates, Candidate};
 use crate::placement::{FcPlacement, Floorplan};
 use crate::problem::{FloorplanProblem, RelocationMode};
 use crate::sequence_pair::{PairRelation, Relation};
@@ -746,13 +746,12 @@ impl FloorplanMilp {
                 })
             })
             .collect();
-        let cand_cfg = CandidateConfig::default();
         let candidates: Vec<Vec<Candidate>> = problem
             .regions
             .iter()
             .enumerate()
             .map(|(n, spec)| {
-                let mut cands = enumerate_candidates(partition, spec, &cand_cfg);
+                let mut cands = enumerate_candidates(partition, spec);
                 if must_not_cross[n] {
                     cands.retain(|c| !partition.rect_crosses_die_boundary(&c.rect));
                 }

@@ -263,13 +263,14 @@ impl Factorization {
 
     /// Records a basis change: position `r` is replaced by a column whose
     /// FTRAN image is `alpha` (dense, basis-position space). Returns `false`
-    /// when the eta pivot is too small for a stable update, in which case the
-    /// caller must refactorize instead.
-    pub fn update(&mut self, r: usize, alpha: &[f64], pivot_tol: f64) -> bool {
+    /// when the eta pivot is below [`crate::tol::PIVOT`] or too small relative
+    /// to `alpha` for a stable update, in which case the caller must
+    /// refactorize instead.
+    pub fn update(&mut self, r: usize, alpha: &[f64]) -> bool {
         debug_assert_eq!(alpha.len(), self.m);
         let diag = alpha[r];
         let max = alpha.iter().fold(0.0f64, |a, &v| a.max(v.abs()));
-        if diag.abs() < pivot_tol || diag.abs() < 1e-8 * max {
+        if diag.abs() < crate::tol::PIVOT || diag.abs() < 1e-8 * max {
             return false;
         }
         // Entries below the drop tolerance are noise from earlier eta
@@ -606,7 +607,7 @@ mod tests {
         let a = vec![1.0, 1.0, 1.0];
         let mut alpha = a.clone();
         f.ftran(&mut alpha);
-        assert!(f.update(1, &alpha, 1e-9));
+        assert!(f.update(1, &alpha));
         assert_eq!(f.n_etas(), 1);
         // New basis: columns [M0, a, M2].
         let nb: Vec<Vec<f64>> = (0..3).map(|i| vec![dense[i][0], a[i], dense[i][2]]).collect();

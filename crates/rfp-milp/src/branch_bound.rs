@@ -91,31 +91,28 @@ impl fmt::Debug for ExternalIncumbents {
     }
 }
 
+/// Maximum cuts added per root separation round.
+const MAX_CUTS_PER_ROUND: usize = 64;
+
 /// Configuration of the MILP solver.
+///
+/// Tolerances and optimality gaps are not settable: they come from
+/// [`crate::tol`], the same constants the model checker uses.
 #[derive(Debug, Clone)]
 pub struct SolverConfig {
     /// LP (simplex) parameters.
     pub lp: LpConfig,
-    /// Integrality tolerance.
-    pub int_tol: f64,
-    /// Absolute optimality gap at which the search stops.
-    pub gap_abs: f64,
-    /// Relative optimality gap at which the search stops.
-    pub gap_rel: f64,
     /// Maximum number of branch-and-bound nodes (0 = unlimited).
     pub max_nodes: usize,
     /// Wall-clock time limit.
     pub time_limit: Option<Duration>,
-    /// Stop as soon as any feasible solution is found (feasibility mode, used
-    /// by the floorplanner's feasibility analysis).
-    pub stop_at_first_feasible: bool,
     /// While no incumbent exists, run the diving heuristic every this many
-    /// nodes (0 disables diving; it always runs at the root).
+    /// nodes (0 disables diving; it always runs at the root). Tests set 0,
+    /// with `cut_rounds` 0, to grow cold trees.
     pub dive_period: usize,
-    /// Maximum cut-separation rounds at the root (0 disables cuts).
+    /// Maximum cut-separation rounds at the root (0 disables cuts). Tests
+    /// switch it to isolate or exercise cut separation.
     pub cut_rounds: usize,
-    /// Maximum cuts added per separation round.
-    pub max_cuts_per_round: usize,
     /// Worker threads for the branch-and-bound tree search. `1` (the
     /// default) runs the best-first loop to exhaustion — the serial search,
     /// same node order, same proof on every run. Larger values stop that
@@ -125,7 +122,7 @@ pub struct SolverConfig {
     pub threads: usize,
     /// Run [`crate::presolve`] (bound propagation + big-M coefficient
     /// tightening) on the model before building the root LP. On by default;
-    /// disable to benchmark the raw formulation.
+    /// tests disable it to reach the raw formulation's search.
     pub presolve: bool,
     /// Cooperative cancellation flag, polled once per node and per dive
     /// step. Share a clone of the token with another thread to abort the
@@ -141,31 +138,14 @@ impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
             lp: LpConfig::default(),
-            int_tol: tol::INTEGRALITY,
-            gap_abs: tol::GAP_ABS,
-            gap_rel: tol::GAP_REL,
             max_nodes: 0,
             time_limit: None,
-            stop_at_first_feasible: false,
             dive_period: 256,
             cut_rounds: 10,
-            max_cuts_per_round: 64,
             threads: 1,
             presolve: true,
             cancel: CancelToken::default(),
             external_incumbents: ExternalIncumbents::none(),
-        }
-    }
-}
-
-impl SolverConfig {
-    /// A configuration with a node budget and time limit suitable for use
-    /// inside benchmarks.
-    pub fn with_limits(max_nodes: usize, time_limit_secs: f64) -> Self {
-        SolverConfig {
-            max_nodes,
-            time_limit: Some(Duration::from_secs_f64(time_limit_secs)),
-            ..SolverConfig::default()
         }
     }
 }
@@ -272,10 +252,10 @@ impl PseudoCosts {
 
     /// Learns from a solved child node (`child_obj` in minimisation sense),
     /// or from an infeasible one (`None`).
-    fn observe(&mut self, node: &Node, child_obj: Option<f64>, int_tol: f64) {
+    fn observe(&mut self, node: &Node, child_obj: Option<f64>) {
         let Some(info) = node.branch else { return };
         let dist = if info.up { 1.0 - info.frac } else { info.frac };
-        if dist <= int_tol {
+        if dist <= tol::INTEGRALITY {
             return;
         }
         match child_obj {
@@ -413,8 +393,8 @@ impl<'a> Incumbent<'a> {
         (bits != NO_INCUMBENT).then(|| f64::from_bits(bits))
     }
 
-    /// Installs a strictly better incumbent; returns `true` when it won.
-    fn install(&self, obj_min: f64, values: Vec<f64>) -> bool {
+    /// Installs a strictly better incumbent.
+    fn install(&self, obj_min: f64, values: Vec<f64>) {
         let mut slot = self.slot.lock().unwrap();
         if slot.as_ref().is_none_or(|(best, _)| obj_min < *best) {
             *slot = Some((obj_min, values));
@@ -423,49 +403,44 @@ impl<'a> Incumbent<'a> {
             if let Some(cb) = self.on_incumbent {
                 cb(self.flip(obj_min), self.start.elapsed().as_secs_f64());
             }
-            return true;
         }
-        false
     }
 
     /// Installs `values` when they are feasible within `tol` and strictly
-    /// better than the incumbent; returns `true` when they won.
-    fn offer(&self, values: Vec<f64>, tol: f64) -> bool {
-        self.model.is_feasible(&values, tol)
-            && self.install(self.flip(self.model.objective.eval(&values)), values)
+    /// better than the incumbent.
+    fn offer(&self, values: Vec<f64>, tol: f64) {
+        if self.model.is_feasible(&values, tol) {
+            self.install(self.flip(self.model.objective.eval(&values)), values);
+        }
     }
 
     /// `true` when a node whose LP bound is `bound_min` cannot beat the
-    /// incumbent by more than `gap_abs`.
-    fn prunes(&self, bound_min: f64, gap_abs: f64) -> bool {
-        self.best().is_some_and(|inc| bound_min >= inc - gap_abs)
+    /// incumbent by more than [`tol::GAP_ABS`].
+    fn prunes(&self, bound_min: f64) -> bool {
+        self.best().is_some_and(|inc| bound_min >= inc - tol::GAP_ABS)
     }
 
     /// `true` when the gap between the incumbent and `bound_min` is closed,
     /// absolutely or relative to the incumbent.
-    fn gap_closed(&self, bound_min: f64, gap_abs: f64, gap_rel: f64) -> bool {
-        self.best().is_some_and(|inc| {
-            let gap = inc - bound_min;
-            gap <= gap_abs || gap <= gap_rel * inc.abs().max(1.0)
-        })
+    fn gap_closed(&self, bound_min: f64) -> bool {
+        self.best().is_some_and(|inc| gap_closed(inc, bound_min))
     }
 
-    /// Adopts a warm start that is integral on `int_vars` within `int_tol`
-    /// and feasible; returns `true` when it became the incumbent.
-    fn adopt_warm_start(&self, values: &[f64], int_vars: &[usize], int_tol: f64) -> bool {
+    /// Adopts a warm start that is integral on `int_vars` within
+    /// [`tol::INTEGRALITY`], feasible and better than the incumbent.
+    fn adopt_warm_start(&self, values: &[f64], int_vars: &[usize]) {
         let integral = values.len() == self.model.n_vars()
-            && int_vars.iter().all(|&j| (values[j] - values[j].round()).abs() <= int_tol);
-        integral && self.offer(values.to_vec(), tol::WARM_START)
+            && int_vars.iter().all(|&j| (values[j] - values[j].round()).abs() <= tol::INTEGRALITY);
+        if integral {
+            self.offer(values.to_vec(), tol::WARM_START);
+        }
     }
 
     /// Polls `source` and adopts its proposal, rounded on `int_vars`, when
-    /// it is feasible and strictly better; returns `true` when it won.
-    fn poll_external(&self, source: &ExternalIncumbents, int_vars: &[usize]) -> bool {
-        match source.poll() {
-            Some(values) if values.len() == self.model.n_vars() => {
-                self.offer(round_integers(values, int_vars), tol::WARM_START)
-            }
-            _ => false,
+    /// it is feasible and strictly better.
+    fn poll_external(&self, source: &ExternalIncumbents, int_vars: &[usize]) {
+        if let Some(values) = source.poll().filter(|v| v.len() == self.model.n_vars()) {
+            self.offer(round_integers(values, int_vars), tol::WARM_START);
         }
     }
 }
@@ -479,9 +454,6 @@ pub(crate) enum Gate {
     /// A node or time budget, or a cancellation, fired: keep the node open
     /// and stop the search.
     Budget,
-    /// An adopted external incumbent satisfied `stop_at_first_feasible`:
-    /// keep the node open and stop the search.
-    Stop,
 }
 
 /// What expanding a node produced.
@@ -489,9 +461,6 @@ pub(crate) enum Expansion {
     /// No children: the node was infeasible, unbounded, pruned by bound or
     /// an integral leaf.
     Leaf,
-    /// An incumbent satisfied `stop_at_first_feasible`: keep the node open
-    /// under its parent's bound and end the search.
-    Stop,
     /// The down and up children, in that order (a child outside the
     /// variable's bounds is left out).
     Branch(Vec<Node>),
@@ -509,7 +478,7 @@ pub(crate) struct Search<'a> {
     incumbent: Incumbent<'a>,
     /// Internal stop signal: a child of the user's token, so cancelling the
     /// user's token stops every thread while an internal stop (tree
-    /// exhausted, first feasible found) never reports as a cancellation.
+    /// exhausted, budget hit) never reports as a cancellation.
     pub(crate) stop: CancelToken,
     start: Instant,
     /// Nodes expanded, all threads together.
@@ -532,7 +501,8 @@ impl<'a> Search<'a> {
         // fires even in the middle of a long relaxation solve.
         let mut lp_cfg = cfg.lp.clone();
         lp_cfg.cancel = stop.clone();
-        lp_cfg.deadline = cfg.time_limit.map(|limit| start + limit);
+        // A limit too large to represent as an instant means no deadline.
+        lp_cfg.deadline = cfg.time_limit.and_then(|limit| start.checked_add(limit));
         Search {
             cfg,
             model,
@@ -588,12 +558,8 @@ impl<'a> Search<'a> {
     /// cuts this very node; then the gap test and the budgets.
     pub(crate) fn gate(&self, node: &Node) -> Gate {
         let cfg = self.cfg;
-        if self.incumbent.poll_external(&cfg.external_incumbents, &self.int_vars)
-            && cfg.stop_at_first_feasible
-        {
-            return Gate::Stop;
-        }
-        if self.incumbent.gap_closed(node.bound, cfg.gap_abs, cfg.gap_rel) {
+        self.incumbent.poll_external(&cfg.external_incumbents, &self.int_vars);
+        if self.incumbent.gap_closed(node.bound) {
             return Gate::GapClosed;
         }
         let node_budget = cfg.max_nodes > 0 && self.nodes.load(Relaxed) >= cfg.max_nodes;
@@ -624,7 +590,7 @@ impl<'a> Search<'a> {
         let inc = &self.incumbent;
         match lp.status {
             LpStatus::Infeasible => {
-                pseudo.observe(node, None, cfg.int_tol);
+                pseudo.observe(node, None);
                 return Expansion::Leaf;
             }
             // An unbounded relaxation of a bounded-integer problem is
@@ -638,22 +604,18 @@ impl<'a> Search<'a> {
         let optimal = lp.status == LpStatus::Optimal;
         let bound = if optimal { inc.flip(lp.objective) } else { node.bound };
         if optimal {
-            pseudo.observe(node, Some(bound), cfg.int_tol);
+            pseudo.observe(node, Some(bound));
         }
-        if inc.prunes(bound, cfg.gap_abs) {
+        if inc.prunes(bound) {
             rfp_trace::count("milp.pruned", 1);
             return Expansion::Leaf;
         }
 
-        let fractional = fractional_vars(&self.int_vars, &lp.values, cfg.int_tol);
+        let fractional = fractional_vars(&self.int_vars, &lp.values);
         if fractional.is_empty() {
             rfp_trace::count("milp.integral", 1);
-            let won = inc.offer(round_integers(lp.values, &self.int_vars), tol::WARM_START);
-            return if won && cfg.stop_at_first_feasible {
-                Expansion::Stop
-            } else {
-                Expansion::Leaf
-            };
+            inc.offer(round_integers(lp.values, &self.int_vars), tol::WARM_START);
+            return Expansion::Leaf;
         }
 
         // LP-guided diving until the first incumbent is known (the root
@@ -662,9 +624,7 @@ impl<'a> Search<'a> {
             cfg.dive_period > 0 && (node.depth == 0 || (nodes - 1).is_multiple_of(cfg.dive_period));
         if inc.best().is_none() && dive_due {
             if let Some(values) = self.dive(sf, stats, &node.bounds, &lp.values, snap.as_ref()) {
-                if inc.offer(values, tol::FEASIBILITY) && cfg.stop_at_first_feasible {
-                    return Expansion::Stop;
-                }
+                inc.offer(values, tol::FEASIBILITY);
             }
         }
         // Rounding heuristic before branching.
@@ -673,9 +633,7 @@ impl<'a> Search<'a> {
             for &j in &self.int_vars {
                 rounded[j] = rounded[j].round().clamp(node.bounds[j].0, node.bounds[j].1);
             }
-            if inc.offer(rounded, tol::FEASIBILITY) && cfg.stop_at_first_feasible {
-                return Expansion::Stop;
-            }
+            inc.offer(rounded, tol::FEASIBILITY);
         }
 
         let (j, v) = pseudo.pick(&fractional);
@@ -729,7 +687,7 @@ impl<'a> Search<'a> {
             if self.stop.is_cancelled() || out_of_time {
                 return None;
             }
-            let frac = fractional_vars(&self.int_vars, &values, self.cfg.int_tol);
+            let frac = fractional_vars(&self.int_vars, &values);
             let Some((j, v)) = most_fractional(&frac) else {
                 return Some(round_integers(values, &self.int_vars));
             };
@@ -782,9 +740,7 @@ impl<'a> Search<'a> {
         let mut sol = match incumbent {
             Some((obj_min, values)) => {
                 let bound = open_bound.min(obj_min);
-                let proven = exhausted
-                    || obj_min - bound <= cfg.gap_abs
-                    || obj_min - bound <= cfg.gap_rel * obj_min.abs().max(1.0);
+                let proven = exhausted || gap_closed(obj_min, bound);
                 let status = if proven { SolveStatus::Optimal } else { SolveStatus::Feasible };
                 Solution {
                     objective: self.incumbent.flip(obj_min),
@@ -899,69 +855,61 @@ impl Solver {
         let target =
             if cfg.threads > 1 { cfg.threads * crate::parallel::RAMP_FANOUT } else { usize::MAX };
 
-        // A warm start can satisfy `stop_at_first_feasible` before the root.
-        let stop = warm_start.is_some_and(|values| {
-            search.incumbent.adopt_warm_start(values, &search.int_vars, cfg.int_tol)
-        }) && cfg.stop_at_first_feasible;
+        if let Some(values) = warm_start {
+            search.incumbent.adopt_warm_start(values, &search.int_vars);
+        }
         // `true` when the loop stopped only to hand the open nodes over.
-        let primed = !stop
-            && loop {
-                if heap.len() >= target {
-                    break true;
+        let primed = loop {
+            if heap.len() >= target {
+                break true;
+            }
+            let Some(OrderedNode(node)) = heap.pop() else { break false };
+            let nodes = match search.gate(&node) {
+                Gate::Open(nodes) => nodes,
+                // Keep the node's bound visible to the finaliser.
+                Gate::Budget => {
+                    heap.push(OrderedNode(node));
+                    break false;
                 }
-                let Some(OrderedNode(node)) = heap.pop() else { break false };
-                let nodes = match search.gate(&node) {
-                    Gate::Open(nodes) => nodes,
-                    // Keep the node's bound visible to the finaliser.
-                    Gate::Budget | Gate::Stop => {
-                        heap.push(OrderedNode(node));
-                        break false;
-                    }
-                    // Best-first: every remaining node's bound is at least
-                    // as large, so a gap closed here is closed everywhere.
-                    Gate::GapClosed => break false,
-                };
-                let root_lp_span = (node.depth == 0).then(|| rfp_trace::span("milp.root_lp"));
-                let (mut lp, mut snap) =
-                    search.lp(&sf, &mut stats, node.snapshot.as_deref(), &node.bounds);
-                if node.depth == 0 {
-                    // Root separation loop: add violated cover/clique cuts
-                    // and re-solve dually from the extended basis.
-                    for _ in 0..cfg.cut_rounds {
-                        if lp.status != LpStatus::Optimal
-                            || crate::simplex::is_integral(model, &lp.values, cfg.int_tol)
-                        {
-                            break;
-                        }
-                        let new_cuts = separator.separate(&lp.values, cfg.max_cuts_per_round);
-                        if new_cuts.is_empty() {
-                            break;
-                        }
-                        let rows: Vec<_> = new_cuts.iter().map(|c| c.as_row()).collect();
-                        sf.add_rows(&rows);
-                        cuts += new_cuts.len();
-                        rfp_trace::count("milp.cuts", new_cuts.len() as u64);
-                        let warm = snap.as_ref().and_then(|s| sf.extend_snapshot(s));
-                        (lp, snap) = search.lp(&sf, &mut stats, warm.as_ref(), &node.bounds);
-                    }
-                    root_unbounded = lp.status == LpStatus::Unbounded;
-                }
-                drop(root_lp_span);
-                match search.expand(&sf, &mut pseudo, &mut stats, &node, lp, snap, nodes) {
-                    Expansion::Leaf => {}
-                    // The node's subtree is unexplored: it stays open under
-                    // its parent's bound.
-                    Expansion::Stop => {
-                        heap.push(OrderedNode(node));
-                        break false;
-                    }
-                    Expansion::Branch(children) => {
-                        for child in children {
-                            heap.push(OrderedNode(child));
-                        }
-                    }
-                }
+                // Best-first: every remaining node's bound is at least
+                // as large, so a gap closed here is closed everywhere.
+                Gate::GapClosed => break false,
             };
+            let root_lp_span = (node.depth == 0).then(|| rfp_trace::span("milp.root_lp"));
+            let (mut lp, mut snap) =
+                search.lp(&sf, &mut stats, node.snapshot.as_deref(), &node.bounds);
+            if node.depth == 0 {
+                // Root separation loop: add violated cover/clique cuts
+                // and re-solve dually from the extended basis.
+                for _ in 0..cfg.cut_rounds {
+                    if lp.status != LpStatus::Optimal
+                        || crate::simplex::is_integral(model, &lp.values, tol::INTEGRALITY)
+                    {
+                        break;
+                    }
+                    let new_cuts = separator.separate(&lp.values, MAX_CUTS_PER_ROUND);
+                    if new_cuts.is_empty() {
+                        break;
+                    }
+                    let rows: Vec<_> = new_cuts.iter().map(|c| c.as_row()).collect();
+                    sf.add_rows(&rows);
+                    cuts += new_cuts.len();
+                    rfp_trace::count("milp.cuts", new_cuts.len() as u64);
+                    let warm = snap.as_ref().and_then(|s| sf.extend_snapshot(s));
+                    (lp, snap) = search.lp(&sf, &mut stats, warm.as_ref(), &node.bounds);
+                }
+                root_unbounded = lp.status == LpStatus::Unbounded;
+            }
+            drop(root_lp_span);
+            match search.expand(&sf, &mut pseudo, &mut stats, &node, lp, snap, nodes) {
+                Expansion::Leaf => {}
+                Expansion::Branch(children) => {
+                    for child in children {
+                        heap.push(OrderedNode(child));
+                    }
+                }
+            }
+        };
         if primed {
             let workers = crate::parallel::run_workers(&search, &sf, &mut heap, &pseudo);
             stats.add(&workers);
@@ -978,10 +926,22 @@ fn round_integers(mut values: Vec<f64>, int_vars: &[usize]) -> Vec<f64> {
     values
 }
 
-/// The integer variables whose LP values are fractional beyond `tol`, with
-/// their values, in index order.
-fn fractional_vars(int_vars: &[usize], values: &[f64], tol: f64) -> Vec<(usize, f64)> {
-    int_vars.iter().map(|&j| (j, values[j])).filter(|&(_, v)| (v - v.round()).abs() > tol).collect()
+/// `true` when the gap between an incumbent `inc` and a bound `bound_min`
+/// (both in minimisation sense) is within [`tol::GAP_ABS`] or, relative to
+/// the incumbent, [`tol::GAP_REL`].
+fn gap_closed(inc: f64, bound_min: f64) -> bool {
+    let gap = inc - bound_min;
+    gap <= tol::GAP_ABS || gap <= tol::GAP_REL * inc.abs().max(1.0)
+}
+
+/// The integer variables whose LP values are fractional beyond
+/// [`tol::INTEGRALITY`], with their values, in index order.
+fn fractional_vars(int_vars: &[usize], values: &[f64]) -> Vec<(usize, f64)> {
+    int_vars
+        .iter()
+        .map(|&j| (j, values[j]))
+        .filter(|&(_, v)| (v - v.round()).abs() > tol::INTEGRALITY)
+        .collect()
 }
 
 /// The candidate whose value is farthest from integral (ties broken towards
@@ -1143,33 +1103,6 @@ mod tests {
         assert_eq!(sol.status, SolveStatus::Optimal);
         // Optimal assignment: (0,1)=1, (1,0)=2, (2,2)=2 -> 5.
         assert!((sol.objective - 5.0).abs() < 1e-6, "objective {}", sol.objective);
-    }
-
-    #[test]
-    fn stop_at_first_feasible_returns_quickly() {
-        let cfg = SolverConfig { stop_at_first_feasible: true, ..SolverConfig::default() };
-        let solver = Solver::new(cfg);
-        let mut m = Model::new("firstfeas", Sense::Maximize);
-        let vars: Vec<_> = (0..8).map(|i| m.bin_var(format!("b{i}"))).collect();
-        m.add_con("cap", LinExpr::weighted_sum(vars.iter().map(|&v| (v, 1.0))), ConOp::Le, 4.0);
-        m.set_objective(LinExpr::weighted_sum(vars.iter().map(|&v| (v, 1.0))));
-        let sol = solver.solve(&m);
-        assert!(sol.status.has_solution());
-        assert!(sol.objective >= 0.0);
-    }
-
-    #[test]
-    fn stop_at_first_feasible_keeps_an_honest_bound() {
-        // The knapsack proves 56; stopping at the first incumbent must not
-        // claim that incumbent optimal.
-        let m = knapsack();
-        let cfg = SolverConfig { stop_at_first_feasible: true, ..SolverConfig::default() };
-        let sol = Solver::new(cfg).solve(&m);
-        assert!(sol.verify(&m, 1e-6).is_empty());
-        assert!(sol.best_bound >= 56.0 - 1e-6, "bound {} cuts off the optimum", sol.best_bound);
-        if sol.objective < 56.0 - 1e-6 {
-            assert_eq!(sol.status, SolveStatus::Feasible, "objective {}", sol.objective);
-        }
     }
 
     #[test]

@@ -134,7 +134,7 @@ impl DenseForm {
         }
         // Quick infeasibility check on crossed bounds.
         for j in 0..n {
-            if lb[j] > ub[j] + config.tol {
+            if lb[j] > ub[j] + crate::tol::LP_FEAS {
                 return LpResult {
                     status: LpStatus::Infeasible,
                     objective: f64::NAN,
@@ -224,7 +224,7 @@ impl DenseForm {
         };
 
         let mut iterations = 0usize;
-        let tol = config.tol;
+        let tol = crate::tol::LP_FEAS;
         let mut degenerate_run = 0usize;
 
         // The main pivoting loop, shared by both phases.
@@ -312,7 +312,7 @@ impl DenseForm {
             let mut leave: Option<(usize, bool)> = None; // (row, leaves_at_upper)
             for i in 0..m {
                 let a = tab[i * total + j_enter];
-                if a.abs() < config.pivot_tol {
+                if a.abs() < crate::tol::PIVOT {
                     continue;
                 }
                 let delta = dirf * a;

@@ -19,10 +19,10 @@
 //!   ([`PseudoCosts::merge_diff`]), picking up everyone else's learning at
 //!   the same time;
 //! * **termination** — an atomic count of outstanding nodes (queued +
-//!   in-hand) reaches zero exactly when the tree is exhausted; budget,
-//!   cancellation and first-feasible exits fire the search's internal stop
-//!   token and leave unexplored nodes in the deques, which go back to the
-//!   driver so the finaliser folds them into an *honest* best bound.
+//!   in-hand) reaches zero exactly when the tree is exhausted; budget and
+//!   cancellation exits fire the search's internal stop token and leave
+//!   unexplored nodes in the deques, which go back to the driver so the
+//!   finaliser folds them into an *honest* best bound.
 //!
 //! Results are deterministic — the proven objective and status match the
 //! serial search — but node counts and traversal order are not: whichever
@@ -138,7 +138,7 @@ fn worker_loop(w: usize, search: &Search, sf: &StandardForm, pool: &Pool) -> LpS
         };
         let nodes = match search.gate(&node) {
             Gate::Open(nodes) => nodes,
-            Gate::Budget | Gate::Stop => {
+            Gate::Budget => {
                 // The node goes *back* so the finaliser sees its bound.
                 pool.deques[w].lock().unwrap().push_front(node);
                 search.stop.cancel();
@@ -153,12 +153,6 @@ fn worker_loop(w: usize, search: &Search, sf: &StandardForm, pool: &Pool) -> LpS
         let (lp, snap) = search.lp(sf, &mut stats, node.snapshot.as_deref(), &node.bounds);
         match search.expand(sf, &mut pseudo, &mut stats, &node, lp, snap, nodes) {
             Expansion::Leaf => {}
-            Expansion::Stop => {
-                // Unexplored below: back under its parent's bound.
-                pool.deques[w].lock().unwrap().push_front(node);
-                search.stop.cancel();
-                break;
-            }
             Expansion::Branch(children) => {
                 // Children go to the *front* of the owner's deque, down child
                 // on top (popped next), so the owner keeps diving while

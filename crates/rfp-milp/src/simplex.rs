@@ -66,15 +66,16 @@ pub struct LpResult {
 }
 
 /// Tunable parameters of the simplex.
+///
+/// The feasibility and pivot tolerances are not settable: they are
+/// [`tol::LP_FEAS`] and [`tol::PIVOT`].
 #[derive(Debug, Clone)]
 pub struct LpConfig {
-    /// Feasibility / reduced-cost tolerance.
-    pub tol: f64,
-    /// Minimum magnitude accepted for a pivot element.
-    pub pivot_tol: f64,
     /// Hard cap on simplex iterations. `0` means "derive from problem size".
+    /// Tests set a tiny cap to force the dual's fallback to the cold primal.
     pub max_iterations: usize,
-    /// Refactorize the basis after this many eta updates.
+    /// Refactorize the basis after this many eta updates. Tests shrink it to
+    /// stress the refactorization path.
     pub refactor_interval: usize,
     /// Cooperative cancellation, polled once per pivot; an interrupted solve
     /// returns [`LpStatus::IterationLimit`]. The MILP driver shares its own
@@ -88,8 +89,6 @@ pub struct LpConfig {
 impl Default for LpConfig {
     fn default() -> Self {
         LpConfig {
-            tol: tol::LP_FEAS,
-            pivot_tol: tol::PIVOT,
             max_iterations: 0,
             refactor_interval: 64,
             cancel: crate::cancel::CancelToken::default(),
@@ -337,7 +336,7 @@ impl StandardForm {
         bounds_override: Option<&[(f64, f64)]>,
         config: &LpConfig,
     ) -> (LpResult, Option<BasisSnapshot>) {
-        if let Some(res) = self.crossed_bounds(bounds_override, config) {
+        if let Some(res) = self.crossed_bounds(bounds_override) {
             return (res, None);
         }
         let Some(mut w) = Worker::start(self, config, bounds_override, None) else {
@@ -360,7 +359,7 @@ impl StandardForm {
         bounds_override: Option<&[(f64, f64)]>,
         config: &LpConfig,
     ) -> (LpResult, Option<BasisSnapshot>) {
-        if let Some(res) = self.crossed_bounds(bounds_override, config) {
+        if let Some(res) = self.crossed_bounds(bounds_override) {
             return (res, None);
         }
         let mut wasted = 0;
@@ -384,11 +383,7 @@ impl StandardForm {
     /// the override where provided, the model's own bounds otherwise (phase 1
     /// only repairs basic variables, so a crossed non-basic column would
     /// silently come back "optimal" without this guard).
-    fn crossed_bounds(
-        &self,
-        bounds_override: Option<&[(f64, f64)]>,
-        config: &LpConfig,
-    ) -> Option<LpResult> {
+    fn crossed_bounds(&self, bounds_override: Option<&[(f64, f64)]>) -> Option<LpResult> {
         if let Some(over) = bounds_override {
             debug_assert_eq!(over.len(), self.n_struct);
         }
@@ -397,7 +392,7 @@ impl StandardForm {
                 Some(over) => over[j],
                 None => (self.lb[j], self.ub[j]),
             };
-            if clamp_lb(l) > u + config.tol {
+            if clamp_lb(l) > u + tol::LP_FEAS {
                 return Some(self.failed(LpStatus::Infeasible));
             }
         }
@@ -538,7 +533,7 @@ impl<'a> Worker<'a> {
     fn primal(&mut self) -> LpStatus {
         let m = self.sf.n_rows();
         let n = self.sf.n_cols();
-        let tol = self.cfg.tol;
+        let tol = tol::LP_FEAS;
         let max_iter = self.max_iter();
         let mut degenerate_run = 0usize;
         let mut cb = vec![0.0f64; m];
@@ -641,7 +636,7 @@ impl<'a> Worker<'a> {
             let mut t_max = range;
             let mut leave: Option<(usize, bool, f64)> = None;
             for (i, &a) in alpha.iter().enumerate() {
-                if a.abs() < self.cfg.pivot_tol {
+                if a.abs() < tol::PIVOT {
                     continue;
                 }
                 let b = self.basis[i];
@@ -731,7 +726,7 @@ impl<'a> Worker<'a> {
                     // projected through the pivot element. Skipped under
                     // Bland's rule, where the scores are ignored anyway.
                     let aq = alpha[r];
-                    if !use_bland && aq.abs() >= self.cfg.pivot_tol {
+                    if !use_bland && aq.abs() >= tol::PIVOT {
                         let wq = devex[e].max(1.0);
                         let inv = 1.0 / (aq * aq);
                         rho.iter_mut().for_each(|v| *v = 0.0);
@@ -800,7 +795,7 @@ impl<'a> Worker<'a> {
     fn dual(&mut self) -> DualOutcome {
         let m = self.sf.n_rows();
         let n = self.sf.n_cols();
-        let tol = self.cfg.tol;
+        let tol = tol::LP_FEAS;
         let max_iter = self.max_iter();
         let mut rho = vec![0.0f64; m];
         let mut alpha = vec![0.0f64; m];
@@ -882,7 +877,7 @@ impl<'a> Worker<'a> {
                 if self.in_basis[j] || (self.ub[j] - self.lb[j]).abs() < 1e-15 {
                     continue;
                 }
-                if a.abs() < self.cfg.pivot_tol {
+                if a.abs() < tol::PIVOT {
                     continue;
                 }
                 let at_upper = self.status[j] == VStat::AtUpper;
@@ -925,7 +920,7 @@ impl<'a> Worker<'a> {
             alpha.iter_mut().for_each(|v| *v = 0.0);
             self.sf.matrix.col_axpy(e, 1.0, &mut alpha);
             self.fact.ftran(&mut alpha);
-            if alpha[r].abs() < self.cfg.pivot_tol {
+            if alpha[r].abs() < tol::PIVOT {
                 // FTRAN disagrees with the BTRAN row: refactorize and retry.
                 // The retry burns an iteration so that a deterministic
                 // disagreement (fresh factors reproducing the same pivot)
@@ -989,7 +984,7 @@ impl<'a> Worker<'a> {
         self.in_basis[e] = true;
         self.status[e] = VStat::Basic;
         self.xb[r] = entering_value;
-        if !self.fact.update(r, alpha, self.cfg.pivot_tol) {
+        if !self.fact.update(r, alpha) {
             return self.refactorize();
         }
         true

@@ -1,10 +1,9 @@
 //! Shared numerical tolerances.
 //!
-//! Every layer of the solver used to hand-roll its own feasibility and
-//! integrality constants (the simplex, the branch-and-bound and the model
-//! checker each had their own); they are centralised here so a tolerance
-//! change propagates consistently through LP pricing, ratio tests, incumbent
-//! acceptance and solution verification.
+//! These constants are the only source of the solver's tolerances and
+//! optimality gaps: neither [`crate::SolverConfig`] nor [`crate::simplex::LpConfig`]
+//! carries a copy. LP pricing, ratio tests, incumbent acceptance, the gap
+//! test and solution verification therefore cannot drift apart.
 
 /// Reduced-cost / LP feasibility tolerance used by the simplex.
 pub const LP_FEAS: f64 = 1e-7;

@@ -36,7 +36,7 @@ use crate::frag::frag_metrics;
 use crate::scenario::ModuleId;
 use rfp_device::compat::enumerate_free_compatible;
 use rfp_device::{FabricPartition, Rect};
-use rfp_floorplan::candidates::{enumerate_candidates, CandidateConfig};
+use rfp_floorplan::candidates::enumerate_candidates;
 use rfp_floorplan::RegionSpec;
 
 /// Defragmentation planning policy.
@@ -145,7 +145,7 @@ pub fn find_placement(
     spec: &RegionSpec,
     occupied: &[Rect],
 ) -> Option<Rect> {
-    let cands = enumerate_candidates(partition, spec, &CandidateConfig::default());
+    let cands = enumerate_candidates(partition, spec);
     cands.iter().find(|c| !occupied.iter().any(|o| o.overlaps(&c.rect))).map(|c| c.rect)
 }
 
@@ -213,11 +213,7 @@ impl DefragPlanner {
                     DefragPolicy::Oblivious => {
                         // Any placement satisfying the requirement, as far
                         // up-and-left as it goes, compatibility ignored.
-                        let cands = enumerate_candidates(
-                            partition,
-                            &modules[i].spec,
-                            &CandidateConfig::default(),
-                        );
+                        let cands = enumerate_candidates(partition, &modules[i].spec);
                         cands
                             .iter()
                             .map(|c| c.rect)

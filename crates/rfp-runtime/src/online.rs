@@ -58,6 +58,10 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Cost multiplier for re-synthesis-equivalent frames, written into every
+/// [`SimReport`].
+const RESYNTHESIS_FACTOR: f64 = 20.0;
+
 /// Configuration of the online floorplanner.
 #[derive(Debug, Clone)]
 pub struct OnlineConfig {
@@ -70,9 +74,8 @@ pub struct OnlineConfig {
     pub defrag_threshold: f64,
     /// Wall-clock budget (seconds) per escalation re-solve.
     pub engine_time_limit: f64,
-    /// Cost multiplier for re-synthesis-equivalent frames in the report.
-    pub resynthesis_factor: f64,
-    /// Fixpoint cap for compaction passes.
+    /// Fixpoint cap for compaction passes. Tests set 0 to turn the
+    /// defragmentation stage off.
     pub max_passes: u32,
 }
 
@@ -83,7 +86,6 @@ impl Default for OnlineConfig {
             policy: DefragPolicy::RelocationAware,
             defrag_threshold: 0.5,
             engine_time_limit: 10.0,
-            resynthesis_factor: 20.0,
             max_passes: 3,
         }
     }
@@ -806,7 +808,7 @@ pub fn simulate_with_dispatcher(
         policy: config.policy.id().to_string(),
         engine: config.engine.clone(),
         events,
-        resynthesis_factor: config.resynthesis_factor,
+        resynthesis_factor: RESYNTHESIS_FACTOR,
         wall_seconds: start.elapsed().as_secs_f64(),
     })
 }

@@ -105,13 +105,13 @@ pub struct CacheStats {
 }
 
 /// Default maximum number of cached outcomes.
-pub const DEFAULT_CAPACITY: usize = 256;
+const DEFAULT_CAPACITY: usize = 256;
 
 /// Default maximum fingerprint distance accepted for a near hit. The
 /// distance scale (see [`ProblemFingerprint::distance`]) charges 1 for a
 /// weight change, and `16 + 4·Δregions + Δframes` for a demand change, so
 /// 256 admits moderate demand edits while rejecting wholesale rewrites.
-pub const DEFAULT_MAX_DISTANCE: u64 = 256;
+const DEFAULT_MAX_DISTANCE: u64 = 256;
 
 impl Default for OutcomeCache {
     fn default() -> Self {

@@ -93,7 +93,6 @@ pub fn serve(
             default_engine: config.default_engine.clone(),
             paused: config.deferred,
             trace: config.trace.clone(),
-            ..ServiceConfig::default()
         },
     );
     // Submission order and name → service-id mapping; names are the caller's

@@ -197,12 +197,9 @@ pub struct JobStatus {
 pub struct ServiceConfig {
     /// Worker threads draining the queue.
     pub workers: usize,
-    /// Whether the cross-request outcome cache is consulted and fed.
+    /// Whether the cross-request outcome cache is consulted and fed. The
+    /// cache itself is [`OutcomeCache::default`].
     pub cache: bool,
-    /// Cache capacity (entries).
-    pub cache_capacity: usize,
-    /// Maximum fingerprint distance served as a near (warm-start) hit.
-    pub cache_max_distance: u64,
     /// Engine id used by [`EngineChoice::Default`] jobs.
     pub default_engine: String,
     /// Start with the workers gated: jobs queue up but nothing dispatches
@@ -222,8 +219,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             workers: 2,
             cache: true,
-            cache_capacity: crate::cache::DEFAULT_CAPACITY,
-            cache_max_distance: crate::cache::DEFAULT_MAX_DISTANCE,
             default_engine: "combinatorial".to_string(),
             paused: false,
             trace: None,
@@ -275,7 +270,7 @@ impl SolveService {
             queue: JobQueue::new(),
             jobs: Mutex::new(HashMap::new()),
             done: Condvar::new(),
-            cache: Mutex::new(OutcomeCache::new(config.cache_capacity, config.cache_max_distance)),
+            cache: Mutex::new(OutcomeCache::default()),
             registry,
             next_id: AtomicU64::new(1),
             gate: Mutex::new(!config.paused),

@@ -252,7 +252,10 @@ fn parse_solve_args(args: &[String]) -> Result<SolveArgs, String> {
             }
             "--time-limit" => {
                 let v = take_value("--time-limit")?;
-                parsed.time_limit = v.parse().map_err(|_| format!("invalid --time-limit `{v}`"))?;
+                parsed.time_limit = match v.parse::<f64>() {
+                    Ok(secs) if secs.is_finite() && secs > 0.0 => secs,
+                    _ => return Err(format!("invalid --time-limit `{v}` (positive seconds)")),
+                };
             }
             "--node-limit" => {
                 let v = take_value("--node-limit")?;

@@ -167,3 +167,17 @@ fn solve_rejects_a_deeply_nested_document_with_a_message() {
     assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
     assert!(stderr.contains("nesting deeper than"), "stderr: {stderr}");
 }
+
+#[test]
+fn solve_takes_only_positive_finite_time_limits_and_a_huge_one_completes() {
+    let tiny = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/tiny.problem.json");
+    for bad in ["0", "-1", "inf", "NaN", "soon"] {
+        let out = rfp(&["solve", "--time-limit", bad, s(&tiny)]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "--time-limit {bad}: {stderr}");
+        assert!(stderr.contains("invalid --time-limit"), "--time-limit {bad}: {stderr}");
+    }
+    // Too large for a deadline, so unlimited: it used to panic the service
+    // worker and leave the CLI waiting forever.
+    ok(&["solve", "--engine", "combinatorial", "--time-limit", "1e300", "--quiet", s(&tiny)]);
+}

@@ -3,7 +3,7 @@
 //! engines and the headline shape of the paper's evaluation.
 
 use relocfp::prelude::*;
-use rfp_baselines::{tessellation_floorplan, TessellationConfig};
+use rfp_baselines::tessellation_floorplan;
 use rfp_floorplan::combinatorial::{solve_combinatorial, CombinatorialConfig};
 use rfp_floorplan::engine::CombinatorialEngine;
 use rfp_floorplan::feasibility::feasibility_analysis;
@@ -55,7 +55,7 @@ fn table2_shape_holds() {
         plain.wasted_frames, sdr2.wasted_frames,
         "the paper reports the same wasted frames for [10]/SDR and PA/SDR2"
     );
-    let tess = tessellation_floorplan(&sdr, &TessellationConfig::default()).unwrap();
+    let tess = tessellation_floorplan(&sdr).unwrap();
     assert!(
         tess.metrics(&sdr).wasted_frames > plain.wasted_frames,
         "the [8]-style baseline must waste more frames than the exact engine"

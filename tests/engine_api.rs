@@ -104,6 +104,28 @@ fn request_time_budget_reaches_every_engine() {
     }
 }
 
+/// A time limit too large for a `Duration` or an `Instant` (1e300 s,
+/// `f64::MAX`) means no deadline: every engine answers exactly as without a
+/// limit, where it used to panic while building the deadline.
+#[test]
+fn huge_time_limits_mean_no_deadline_in_every_engine() {
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/tiny.problem.json");
+    let tiny =
+        relocfp::floorplan::jsonio::read_problem(&std::fs::read_to_string(path).unwrap()).unwrap();
+    let registry = full_registry();
+    for id in registry.ids() {
+        let engine = registry.get(id).unwrap();
+        let unlimited = engine.solve(&SolveRequest::new(tiny.clone()), &SolveControl::default());
+        for secs in [1e300, f64::MAX] {
+            let req = SolveRequest::new(tiny.clone()).with_time_limit(secs);
+            let outcome = engine.solve(&req, &SolveControl::default());
+            assert_eq!(outcome.status, unlimited.status, "engine `{id}` at {secs:e} s");
+            assert_eq!(outcome.floorplan, unlimited.floorplan, "engine `{id}` at {secs:e} s");
+        }
+    }
+}
+
 /// The `rfp` CLI end to end: convert → solve → validate, exercising the JSON
 /// format and the registry from the outside.
 #[test]

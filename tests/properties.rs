@@ -6,7 +6,7 @@ use rfp_device::compat::{
     columnar_compatible, enumerate_free_compatible, fabric_compatible, free_compatible,
 };
 use rfp_device::{ForbiddenArea, SyntheticSpec, TileGrid, TileType, TileTypeRegistry};
-use rfp_floorplan::candidates::{enumerate_candidates, CandidateConfig};
+use rfp_floorplan::candidates::enumerate_candidates;
 use rfp_floorplan::combinatorial::{solve_combinatorial, CombinatorialConfig, TargetTable};
 use rfp_workloads::generator::WorkloadSpec;
 
@@ -34,7 +34,13 @@ fn arb_rect(cols: u32, rows: u32) -> impl Strategy<Value = Rect> {
 /// three regions. Each region asks for nothing, a constraint-mode or a
 /// metric-mode relocation.
 fn arb_relocation_problem() -> impl Strategy<Value = FloorplanProblem> {
-    (4u32..10, 3u32..6)
+    arb_relocation_problem_below(10, 6)
+}
+
+/// [`arb_relocation_problem`] on fabrics of 4 to `cols - 1` columns and 3 to
+/// `rows - 1` rows.
+fn arb_relocation_problem_below(cols: u32, rows: u32) -> impl Strategy<Value = FloorplanProblem> {
+    (4u32..cols, 3u32..rows)
         .prop_flat_map(|(cols, rows)| {
             (
                 Just((cols, rows)),
@@ -76,6 +82,124 @@ fn arb_relocation_problem() -> impl Strategy<Value = FloorplanProblem> {
             }
             p
         })
+}
+
+/// Every legal rectangle covering `spec`'s requirement, redundant or not,
+/// with its wasted frames.
+fn all_covering_rects(p: &FabricPartition, spec: &RegionSpec) -> Vec<(Rect, u64)> {
+    let required = spec.required_frames(p);
+    let mut out = Vec::new();
+    for (x, y) in (1..=p.cols).flat_map(|x| (1..=p.rows).map(move |y| (x, y))) {
+        for (w, h) in (1..=p.cols - x + 1).flat_map(|w| (1..=p.rows - y + 1).map(move |h| (w, h))) {
+            let rect = Rect::new(x, y, w, h);
+            let covered = p.tiles_by_type_in_rect(&rect);
+            let covers = spec.tile_req().iter().all(|&(ty, need)| {
+                covered.iter().find(|(t, _)| *t == ty).map_or(0, |&(_, n)| n) >= need
+            });
+            if covers && !p.rect_crosses_forbidden(&rect) {
+                out.push((rect, p.frames_in_rect(&rect) - required));
+            }
+        }
+    }
+    out.sort_by_key(|&(_, waste)| waste);
+    out
+}
+
+/// Packs one free-compatible area per entry of `sources` (a region index)
+/// by backtracking over `enumerate_free_compatible`, clear of `occupied`.
+fn pack_free_compatible(
+    p: &FabricPartition,
+    rects: &[Rect],
+    sources: &[usize],
+    occupied: &mut Vec<Rect>,
+) -> bool {
+    let Some((&region, rest)) = sources.split_first() else { return true };
+    for target in enumerate_free_compatible(p, &rects[region], occupied) {
+        occupied.push(target);
+        let packed = pack_free_compatible(p, rects, rest, occupied);
+        occupied.pop();
+        if packed {
+            return true;
+        }
+    }
+    false
+}
+
+/// The exhaustive reference for the combinatorial engine: the least
+/// `(waste, wire length)` over every assignment of legal covering
+/// rectangles, redundant ones included, whose constraint-mode areas pack.
+/// Metric-mode areas do not enter the engine's objective.
+struct Oracle<'a> {
+    problem: &'a FloorplanProblem,
+    rects: Vec<Vec<(Rect, u64)>>,
+    /// Least waste of the regions from each index on.
+    rest: Vec<u64>,
+    /// One entry per constraint-mode area: its source region.
+    sources: Vec<usize>,
+    best: Option<(u64, f64)>,
+}
+
+impl Oracle<'_> {
+    fn solve(problem: &FloorplanProblem) -> Option<(u64, f64)> {
+        let p = &problem.partition;
+        let rects: Vec<_> = problem.regions.iter().map(|s| all_covering_rects(p, s)).collect();
+        if rects.iter().any(Vec::is_empty) {
+            return None;
+        }
+        let mut rest = vec![0; rects.len() + 1];
+        for r in (0..rects.len()).rev() {
+            rest[r] = rest[r + 1] + rects[r][0].1;
+        }
+        let sources = problem
+            .fc_areas()
+            .into_iter()
+            .filter(|&(_, _, mode)| matches!(mode, RelocationMode::Constraint))
+            .map(|(_, region, _)| region)
+            .collect();
+        let mut oracle = Oracle { problem, rects, rest, sources, best: None };
+        oracle.search(&mut Vec::new(), 0);
+        oracle.best
+    }
+
+    fn search(&mut self, placed: &mut Vec<Rect>, waste: u64) {
+        let level = placed.len();
+        if self.best.is_some_and(|(best, _)| waste + self.rest[level] > best) {
+            return;
+        }
+        let p = &self.problem.partition;
+        // A placed source must keep as many compatible targets clear of the
+        // placed rects as it has constraint-mode areas.
+        for (region, rect) in placed.iter().enumerate() {
+            let need = self.sources.iter().filter(|&&s| s == region).count();
+            if need > 0 && enumerate_free_compatible(p, rect, placed).len() < need {
+                return;
+            }
+        }
+        if level == self.rects.len() {
+            if !pack_free_compatible(p, placed, &self.sources, &mut placed.clone()) {
+                return;
+            }
+            let wl: f64 = self
+                .problem
+                .connections
+                .iter()
+                .map(|c| c.weight * placed[c.a].center_distance_x2(&placed[c.b]) as f64 / 2.0)
+                .sum();
+            if self.best.is_none_or(|(bw, bwl)| waste < bw || (waste == bw && wl < bwl)) {
+                self.best = Some((waste, wl));
+            }
+            return;
+        }
+        for i in 0..self.rects[level].len() {
+            let (rect, w) = self.rects[level][i];
+            if placed.iter().any(|o| o.overlaps(&rect)) {
+                continue;
+            }
+            placed.push(rect);
+            self.search(placed, waste + w);
+            placed.pop();
+        }
+    }
 }
 
 /// Feeds `text` to the JSON parser and to every document reader built on
@@ -200,7 +324,7 @@ proptest! {
         let bram = cp.portions.iter().find(|q| p.frames_per_tile(q.tile_type) == 30).unwrap().tile_type;
         let spec = RegionSpec::new(format!("r{seed}"), vec![(clb, clb_req), (bram, bram_req)]);
         let required = spec.required_frames(&p);
-        for cand in enumerate_candidates(&p, &spec, &CandidateConfig::default()) {
+        for cand in enumerate_candidates(&p, &spec) {
             let covered = p.tiles_by_type_in_rect(&cand.rect);
             for &(ty, need) in spec.tile_req() {
                 let have = covered.iter().find(|(t, _)| *t == ty).map(|&(_, c)| c).unwrap_or(0);
@@ -552,7 +676,7 @@ proptest! {
         let candidates: Vec<_> = problem
             .regions
             .iter()
-            .map(|spec| enumerate_candidates(p, spec, &CandidateConfig::default()))
+            .map(|spec| enumerate_candidates(p, spec))
             .collect();
         let table = TargetTable::new(&problem, &candidates);
         for &(r, c) in &picks {
@@ -601,6 +725,35 @@ proptest! {
                 (Some(a), Some(b)) => prop_assert!((a - b).abs() < 1e-9, "{} vs {}", a, b),
                 (a, b) => prop_assert_eq!(a, b),
             }
+        }
+    }
+
+    /// Enumerating only irredundant candidates loses no optimum, even under
+    /// relocation: the serial combinatorial engine proves the same
+    /// feasibility, waste and wire length as an exhaustive search over every
+    /// legal covering rectangle.
+    #[test]
+    fn irredundant_candidates_lose_no_optimum_under_relocation(
+        problem in arb_relocation_problem_below(7, 5),
+        weights in proptest::collection::vec(0u8..4, 3),
+    ) {
+        let mut problem = problem;
+        let n = problem.regions.len();
+        for (k, (a, b)) in [(0, 1), (0, 2), (1, 2)].into_iter().enumerate() {
+            if b < n && weights[k] > 0 {
+                problem.connect(a, b, f64::from(weights[k]));
+            }
+        }
+        let oracle = Oracle::solve(&problem);
+        let Ok(res) = solve_combinatorial(&problem, &CombinatorialConfig::default()) else {
+            prop_assert!(oracle.is_none(), "engine error, oracle {:?}", oracle);
+            return Ok(());
+        };
+        prop_assert!(res.proven);
+        prop_assert_eq!(res.best_waste, oracle.map(|(waste, _)| waste));
+        match (res.best_wirelength, oracle) {
+            (Some(a), Some((_, b))) => prop_assert!((a - b).abs() < 1e-9, "{} vs {}", a, b),
+            (a, b) => prop_assert!(a.is_none() && b.is_none(), "{:?} vs {:?}", a, b),
         }
     }
 }

@@ -101,3 +101,20 @@ fn a_deeply_nested_line_is_an_error_on_the_wire_and_the_session_goes_on() {
     assert!(lines[1].starts_with("{\"ok\":true,\"verb\":\"status\""), "{responses}");
     assert_eq!(summary.errors, 1);
 }
+
+#[test]
+fn a_huge_time_limit_is_served_and_the_next_job_still_completes() {
+    // 1e300 s passes the protocol's finite-and-positive check but overflows
+    // a `Duration`; it used to panic the worker and hang the session.
+    let submit = golden("serve.jobs.jsonl").lines().next().expect("a first job line").to_string();
+    let huge =
+        submit.replacen("\"verb\":\"submit\",", "\"verb\":\"submit\",\"time_limit\":1e300,", 1);
+    assert_ne!(huge, submit, "the first golden line is not a submit");
+    let next = submit.replacen("\"id\":\"warm\"", "\"id\":\"next\"", 1);
+    let jobs = format!("{huge}\n{next}\n");
+    let (responses, summary) = run_stream(&jobs, &ServeConfig::default());
+    let done: Vec<&str> = responses.lines().filter(|l| l.contains("\"verb\":\"done\"")).collect();
+    assert_eq!(done.len(), 2, "{responses}");
+    assert!(done.iter().all(|l| l.contains("\"status\":\"proven\"")), "{responses}");
+    assert_eq!(summary.errors, 0);
+}
