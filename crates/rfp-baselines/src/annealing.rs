@@ -25,9 +25,11 @@ use rfp_floorplan::problem::FloorplanProblem;
 use rfp_floorplan::FloorplanError;
 use std::time::Instant;
 
+/// Number of proposed moves.
+const ITERATIONS: usize = 20_000;
 /// Initial temperature.
 const INITIAL_TEMPERATURE: f64 = 1000.0;
-/// Geometric cooling factor applied every `iterations / 100` moves.
+/// Geometric cooling factor applied every `ITERATIONS / 100` moves.
 const COOLING: f64 = 0.95;
 /// Weight of the wire-length term.
 const WIRELENGTH_WEIGHT: f64 = 1.0;
@@ -36,19 +38,17 @@ const WASTE_WEIGHT: f64 = 0.05;
 /// Penalty per overlapping tile (must dwarf the other terms).
 const OVERLAP_PENALTY: f64 = 10_000.0;
 
-/// Parameters of the simulated-annealing baseline. The temperature
-/// schedule and the cost weights are fixed.
+/// Parameters of the simulated-annealing baseline. The move budget, the
+/// temperature schedule and the cost weights are fixed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnnealingConfig {
     /// RNG seed. Tests vary it to check that runs are seed-determined.
     pub seed: u64,
-    /// Number of proposed moves. The criterion bench shortens it.
-    pub iterations: usize,
 }
 
 impl Default for AnnealingConfig {
     fn default() -> Self {
-        AnnealingConfig { seed: 1, iterations: 20_000 }
+        AnnealingConfig { seed: 1 }
     }
 }
 
@@ -160,8 +160,7 @@ impl AnnealingFloorplanner {
             candidates.push(cands);
         }
 
-        let cfg = &self.config;
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut rng = StdRng::seed_from_u64(self.config.seed);
         let mut state = State {
             problem,
             candidates: &candidates,
@@ -178,11 +177,11 @@ impl AnnealingFloorplanner {
         }
 
         let mut temperature = INITIAL_TEMPERATURE;
-        let cooling_period = (cfg.iterations / 100).max(1);
+        let cooling_period = ITERATIONS / 100;
         let mut moves = 0u64;
         let mut cancelled = false;
         let mut hit_deadline = false;
-        for it in 0..cfg.iterations {
+        for it in 0..ITERATIONS {
             if it % 256 == 0 {
                 if ctl.cancel.is_cancelled() {
                     cancelled = true;
@@ -270,10 +269,7 @@ mod tests {
         let a = AnnealingFloorplanner::default().solve(&p).unwrap();
         let b = AnnealingFloorplanner::default().solve(&p).unwrap();
         assert_eq!(a, b);
-        let other_seed =
-            AnnealingFloorplanner::new(AnnealingConfig { seed: 7, ..Default::default() })
-                .solve(&p)
-                .unwrap();
+        let other_seed = AnnealingFloorplanner::new(AnnealingConfig { seed: 7 }).solve(&p).unwrap();
         // Different seeds may or may not give the same floorplan; both must be valid.
         assert!(other_seed.validate(&p).is_empty());
     }

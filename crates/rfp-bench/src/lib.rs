@@ -1,7 +1,7 @@
-//! # rfp-bench — the benchmark harness
+//! # rfp-bench — the paper's evaluation
 //!
-//! One binary per table/figure of the paper's evaluation (Section VI) plus
-//! Criterion micro/macro benchmarks. The binaries print the regenerated
+//! One binary per table/figure of the paper's evaluation (Section VI) and
+//! the online defragmentation study. The binaries print the regenerated
 //! artefact to stdout in a form directly comparable with the paper:
 //!
 //! | target | artefact |

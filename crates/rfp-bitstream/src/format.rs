@@ -8,7 +8,6 @@
 //! container ends with a CRC-32 over the addresses and payloads.
 
 use crate::crc::crc32_update;
-use bytes::{BufMut, Bytes, BytesMut};
 use rfp_device::{FabricPartition, Rect};
 use std::fmt;
 
@@ -169,24 +168,24 @@ impl Bitstream {
         }
     }
 
-    /// Serialises the bitstream to a flat byte buffer (header, frames, CRC).
-    pub fn to_bytes(&self) -> Bytes {
-        let mut out = BytesMut::with_capacity(32 + self.frames.len() * (12 + FRAME_WORDS * 4));
-        out.put_u32_le(self.area.x);
-        out.put_u32_le(self.area.y);
-        out.put_u32_le(self.area.w);
-        out.put_u32_le(self.area.h);
-        out.put_u32_le(self.frames.len() as u32);
+    /// Serialises the bitstream to a flat byte buffer, every word
+    /// little-endian: the area's x, y, w and h and the frame count, then each
+    /// frame's address (column, row, minor) and words, then the CRC.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(24 + self.frames.len() * (12 + FRAME_WORDS * 4));
+        let mut put = |word: u32| out.extend_from_slice(&word.to_le_bytes());
+        let area = &self.area;
+        for word in [area.x, area.y, area.w, area.h, self.frames.len() as u32] {
+            put(word);
+        }
         for frame in &self.frames {
-            out.put_u32_le(frame.address.column);
-            out.put_u32_le(frame.address.row);
-            out.put_u32_le(frame.address.minor);
-            for word in &frame.words {
-                out.put_u32_le(*word);
+            let a = &frame.address;
+            for &word in [a.column, a.row, a.minor].iter().chain(&frame.words) {
+                put(word);
             }
         }
-        out.put_u32_le(self.crc);
-        out.freeze()
+        put(self.crc);
+        out
     }
 }
 
@@ -258,9 +257,16 @@ mod tests {
     #[test]
     fn serialisation_contains_every_frame() {
         let p = partition();
-        let bs = Bitstream::generate(&p, "m", Rect::new(1, 1, 1, 1), 0).unwrap();
+        // Distinct x, y, w and h, so a swapped header word shows.
+        let bs = Bitstream::generate(&p, "m", Rect::new(3, 2, 1, 4), 0).unwrap();
         let bytes = bs.to_bytes();
         assert_eq!(bytes.len(), 20 + bs.n_frames() * (12 + FRAME_WORDS * 4) + 4);
+        let word = |i: usize| u32::from_le_bytes(bytes[4 * i..4 * i + 4].try_into().unwrap());
+        let header = [bs.area.x, bs.area.y, bs.area.w, bs.area.h, bs.n_frames() as u32];
+        assert_eq!((0..5).map(word).collect::<Vec<_>>(), header);
+        let a = bs.frames[0].address;
+        assert_eq!([word(5), word(6), word(7)], [a.column, a.row, a.minor]);
+        assert_eq!(bytes[bytes.len() - 4..], bs.crc.to_le_bytes());
     }
 
     #[test]

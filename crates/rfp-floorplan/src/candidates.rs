@@ -154,10 +154,9 @@ pub enum CacheLookup {
 /// waste (ties broken by x, then y, then width, then height).
 ///
 /// Results are memoised process-wide keyed on `(device structure, resource
-/// demand)`: the combinatorial engine, the greedy heuristics and the
-/// benches repeatedly enumerate identical lists (the `scaling` bench sweeps
-/// FC counts over a fixed device), and the enumeration is O(cols² · rows)
-/// while a cache hit is a plain clone.
+/// demand)`: the combinatorial engine, the greedy heuristics and the online
+/// runtime's re-solves repeatedly enumerate identical lists, and the
+/// enumeration is O(cols² · rows) while a cache hit is a plain clone.
 pub fn enumerate_candidates(partition: &FabricPartition, spec: &RegionSpec) -> Vec<Candidate> {
     enumerate_candidates_traced(partition, spec).0
 }
@@ -184,14 +183,11 @@ pub fn enumerate_candidates_traced(
     (out, CacheLookup::Miss)
 }
 
-/// The memoisation-free enumeration behind [`enumerate_candidates`], exposed
-/// so benches can measure the raw cost. Fabrics with a columnar view take
+/// The memoisation-free enumeration behind [`enumerate_candidates`]. Fabrics
+/// with a columnar view take
 /// the original O(cols² · rows) per-column path; genuinely heterogeneous
 /// fabrics fall back to a per-rectangle path over 2-D prefix sums.
-pub fn enumerate_candidates_uncached(
-    partition: &FabricPartition,
-    spec: &RegionSpec,
-) -> Vec<Candidate> {
+fn enumerate_candidates_uncached(partition: &FabricPartition, spec: &RegionSpec) -> Vec<Candidate> {
     let mut out = match partition.columnar() {
         Some(cp) => enumerate_columnar(cp, spec),
         None => enumerate_fabric(partition, spec),
@@ -382,6 +378,11 @@ mod tests {
     use crate::problem::RegionSpec;
     use rfp_device::{fabric_partition, xc5vfx70t, DeviceBuilder, ResourceVec};
 
+    /// Held by the tests that assert hit/miss verdicts: the cache is
+    /// process-wide, and `capacity_overflow_clears_stale_entries` clears it
+    /// wholesale, which would evict a sibling's key mid-test.
+    static VERDICTS: Mutex<()> = Mutex::new(());
+
     fn small_partition() -> (FabricPartition, rfp_device::TileTypeId, rfp_device::TileTypeId) {
         let mut b = DeviceBuilder::new("small");
         let clb = b.tile_type("CLB", ResourceVec::new(1, 0, 0), 36);
@@ -496,6 +497,7 @@ mod tests {
 
     #[test]
     fn identical_lookups_hit_the_cache() {
+        let _verdicts = VERDICTS.lock().unwrap_or_else(|e| e.into_inner());
         let (p, clb) = unique_partition(1);
         let spec = RegionSpec::new("r", vec![(clb, 2)]);
         let (cold, first) = enumerate_candidates_traced(&p, &spec);
@@ -511,6 +513,7 @@ mod tests {
 
     #[test]
     fn changed_demand_config_or_device_miss_the_cache() {
+        let _verdicts = VERDICTS.lock().unwrap_or_else(|e| e.into_inner());
         let (p, clb) = unique_partition(2);
         let spec = RegionSpec::new("r", vec![(clb, 2)]);
         assert_eq!(enumerate_candidates_traced(&p, &spec).1, CacheLookup::Miss);
@@ -531,6 +534,7 @@ mod tests {
 
     #[test]
     fn capacity_overflow_clears_stale_entries() {
+        let _verdicts = VERDICTS.lock().unwrap_or_else(|e| e.into_inner());
         let (p, clb) = unique_partition(3);
         let first = RegionSpec::new("r", vec![(clb, 1)]);
         assert_eq!(enumerate_candidates_traced(&p, &first).1, CacheLookup::Miss);
@@ -545,6 +549,9 @@ mod tests {
             CacheLookup::Miss,
             "the capacity sweep must have evicted the first key"
         );
+        // Leave room, so that the few keys other tests insert cannot fill
+        // the cache and clear it while a verdict test runs.
+        cache().lock().unwrap_or_else(|e| e.into_inner()).clear();
     }
 
     #[test]

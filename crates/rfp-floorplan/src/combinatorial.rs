@@ -23,18 +23,23 @@
 //!   the rects occupied at the time;
 //! * occupancy is one bit per tile, kept per tile row in `u64` words
 //!   (`RowMasks`): a child's overlap test and the target filter read the
-//!   words a rect covers in each of its rows instead of every placed rect.
+//!   words a rect covers in each of its rows instead of every placed rect;
+//! * one node step (`SearchCtx::children`) makes a node's children — the
+//!   overlap test, the occupancy update and the relocation pruning — for
+//!   both the depth-first search and the parallel prefix expansion.
 //!
 //! Node and time limits make the engine usable inside benchmarks; the result
 //! reports whether optimality was proven.
 //!
 //! With [`CombinatorialConfig::threads`] > 1 the search runs in parallel:
 //! the tree is split serially into placement *prefixes* (level by level,
-//! with the same overlap and relocation pruning as the DFS itself) until
-//! there are several prefixes per worker, and scoped threads then exhaust
-//! disjoint prefix subtrees against a shared incumbent. Node counts vary
-//! run to run, but the proven waste/wire-length results are deterministic;
-//! `threads <= 1` preserves the serial search order exactly.
+//! with the same node step as the DFS itself) until there are several
+//! prefixes per worker, and scoped threads then exhaust disjoint prefix
+//! subtrees against a shared incumbent. Each node is counted once, a prefix
+//! by the worker that enters it. Node counts vary run to run (the shared
+//! incumbent prunes at different times), but the proven waste/wire-length
+//! results are deterministic; `threads <= 1` preserves the serial search
+//! order exactly.
 
 use crate::candidates::{enumerate_candidates, Candidate};
 use crate::engine::{deadline_after, SolveControl};
@@ -85,11 +90,6 @@ impl CombinatorialConfig {
     /// Feasibility-check configuration: stop at the first feasible floorplan.
     pub fn feasibility() -> Self {
         CombinatorialConfig { first_feasible: true, ..CombinatorialConfig::default() }
-    }
-
-    /// Configuration with a time limit, for use inside benchmarks.
-    pub fn with_time_limit(secs: f64) -> Self {
-        CombinatorialConfig { time_limit_secs: secs, ..CombinatorialConfig::default() }
     }
 }
 
@@ -320,13 +320,13 @@ impl RowMasks {
     }
 }
 
+/// One search of a solve: the [`SolveParts`] it reads, copied field by field
+/// so that the hot path does not chase a pointer to them at every node, and
+/// the state of the current partial placement.
 struct SearchCtx<'a> {
     problem: &'a FloorplanProblem,
-    /// Region order (most constrained first); `order[i]` is a region index.
     order: &'a [usize],
-    /// Candidates per region (indexed by region id).
     candidates: &'a [Vec<Candidate>],
-    /// The footprint of each candidate in `occupied`.
     footprints: &'a [Vec<Footprint>],
     /// Relocation targets of the candidates.
     table: &'a TargetTable<'a>,
@@ -334,7 +334,6 @@ struct SearchCtx<'a> {
     ctl: &'a SolveControl,
     start: Instant,
     deadline: Option<Instant>,
-    node_limit: u64,
     nodes: u64,
     aborted: bool,
     cancelled: bool,
@@ -346,8 +345,6 @@ struct SearchCtx<'a> {
     /// The tiles of `placed`.
     occupied: RowMasks,
     best: Option<(u64, f64, Floorplan)>,
-    /// `remaining_min[level]`: the least waste the regions `order[level..]`
-    /// can add (for the lower bound).
     remaining_min: &'a [u64],
     /// Present when this context is one worker of a parallel solve; the
     /// incumbent then lives in the shared state, not in `best`.
@@ -355,21 +352,52 @@ struct SearchCtx<'a> {
 }
 
 impl<'a> SearchCtx<'a> {
+    /// A search over `parts` at the root, with nothing placed. `shared` is
+    /// the state of a parallel solve this context works for, if any.
+    fn new(
+        parts: &'a SolveParts<'a>,
+        table: &'a TargetTable<'a>,
+        shared: Option<&'a ParShared>,
+    ) -> Self {
+        let (problem, n) = (parts.problem, parts.problem.regions.len());
+        SearchCtx {
+            problem,
+            order: &parts.order,
+            candidates: &parts.candidates,
+            footprints: &parts.footprints,
+            table,
+            config: parts.config,
+            ctl: parts.ctl,
+            start: parts.start,
+            deadline: parts.deadline,
+            nodes: 0,
+            aborted: false,
+            cancelled: false,
+            placed: vec![None; n],
+            choice: vec![0; n],
+            occupied: RowMasks::new(problem, &[]),
+            best: None,
+            remaining_min: &parts.remaining_min,
+            shared,
+        }
+    }
+
     fn time_up(&mut self) -> bool {
         if self.aborted {
             return true;
         }
+        let node_limit = self.config.node_limit;
         if let Some(sh) = self.shared {
             if sh.abort.load(Ordering::Relaxed) {
                 self.aborted = true;
                 return true;
             }
-            if self.node_limit > 0 && sh.nodes.load(Ordering::Relaxed) >= self.node_limit {
+            if node_limit > 0 && sh.nodes.load(Ordering::Relaxed) >= node_limit {
                 self.aborted = true;
                 sh.abort.store(true, Ordering::Relaxed);
                 return true;
             }
-        } else if self.node_limit > 0 && self.nodes >= self.node_limit {
+        } else if node_limit > 0 && self.nodes >= node_limit {
             self.aborted = true;
             return true;
         }
@@ -540,13 +568,56 @@ impl<'a> SearchCtx<'a> {
         false
     }
 
-    fn dfs(&mut self, level: usize, waste_so_far: u64) {
+    /// Counts the node about to be expanded, in the shared total too when
+    /// working for a parallel solve; `false`, counting nothing, when the
+    /// search must stop instead.
+    fn enter(&mut self) -> bool {
         if self.time_up() {
-            return;
+            return false;
         }
         self.nodes += 1;
         if let Some(sh) = self.shared {
             sh.nodes.fetch_add(1, Ordering::Relaxed);
+        }
+        true
+    }
+
+    /// Makes `p` the current partial placement.
+    fn load(&mut self, p: &Prefix) {
+        self.placed.clone_from(&p.placed);
+        self.choice.clone_from(&p.choice);
+        self.occupied = RowMasks::new(self.problem, &p.placed);
+    }
+
+    /// The node step: places each candidate of region `order[level]` in turn
+    /// (increasing waste), skipping those that overlap a placed region or
+    /// leave a constraint-mode relocation request unpackable, and hands each
+    /// surviving child to `visit` with its waste so far; the candidate is
+    /// taken back afterwards. Stops early once the search is aborted.
+    fn children(&mut self, level: usize, waste_so_far: u64, mut visit: impl FnMut(&mut Self, u64)) {
+        let region = self.order[level];
+        let (candidates, footprints) = (self.candidates, self.footprints);
+        for (ci, (cand, at)) in candidates[region].iter().zip(&footprints[region]).enumerate() {
+            if self.occupied.overlaps(at) {
+                continue;
+            }
+            self.placed[region] = Some(cand.rect);
+            self.choice[region] = ci;
+            self.occupied.set(at);
+            if self.table.constraints_fit(&self.occupied, &self.placed, &self.choice) {
+                visit(self, waste_so_far + cand.waste);
+            }
+            self.occupied.clear(at);
+            self.placed[region] = None;
+            if self.aborted {
+                return;
+            }
+        }
+    }
+
+    fn dfs(&mut self, level: usize, waste_so_far: u64) {
+        if !self.enter() {
+            return;
         }
 
         // Bound: waste so far plus the best-case waste of the remaining regions.
@@ -563,7 +634,7 @@ impl<'a> SearchCtx<'a> {
             let wl = self.partial_wirelength();
             self.install(waste_so_far, wl, fc_areas);
             if self.config.first_feasible {
-                // Unwind the whole search: the caller reports `proven: false`.
+                // Unwind the whole search: the result is then not proven.
                 self.aborted = true;
                 if let Some(sh) = self.shared {
                     sh.abort.store(true, Ordering::Relaxed);
@@ -572,25 +643,7 @@ impl<'a> SearchCtx<'a> {
             return;
         }
 
-        let region = self.order[level];
-        let (candidates, footprints) = (self.candidates, self.footprints);
-        for (ci, (cand, at)) in candidates[region].iter().zip(&footprints[region]).enumerate() {
-            // Overlap check against already-placed regions.
-            if self.occupied.overlaps(at) {
-                continue;
-            }
-            self.placed[region] = Some(cand.rect);
-            self.choice[region] = ci;
-            self.occupied.set(at);
-            if self.table.constraints_fit(&self.occupied, &self.placed, &self.choice) {
-                self.dfs(level + 1, waste_so_far + cand.waste);
-            }
-            self.occupied.clear(at);
-            self.placed[region] = None;
-            if self.aborted {
-                return;
-            }
-        }
+        self.children(level, waste_so_far, |ctx, waste| ctx.dfs(level + 1, waste));
     }
 }
 
@@ -659,88 +712,70 @@ pub fn solve_combinatorial_with_control(
         .map(|cands| cands.iter().map(|c| Footprint::new(&c.rect, words)).collect())
         .collect();
 
-    let deadline = deadline_after(start, config.time_limit_secs);
-
-    if config.threads > 1 && !problem.regions.is_empty() && !ctl.cancel.is_cancelled() {
-        return solve_parallel(SolveParts {
-            problem,
-            config,
-            ctl,
-            start,
-            deadline,
-            order,
-            candidates,
-            footprints,
-            remaining_min,
-        });
-    }
-
-    let table = TargetTable::new(problem, &candidates);
-    let mut ctx = SearchCtx {
+    let parts = SolveParts {
         problem,
-        order: &order,
-        candidates: &candidates,
-        footprints: &footprints,
-        table: &table,
         config,
         ctl,
         start,
-        deadline,
-        node_limit: config.node_limit,
-        nodes: 0,
-        aborted: false,
-        cancelled: ctl.cancel.is_cancelled(),
-        placed: vec![None; problem.regions.len()],
-        choice: vec![0; problem.regions.len()],
-        occupied: RowMasks::new(problem, &[]),
-        best: None,
-        remaining_min: &remaining_min,
-        shared: None,
+        deadline: deadline_after(start, config.time_limit_secs),
+        order,
+        candidates,
+        footprints,
+        remaining_min,
     };
-    if ctx.cancelled {
-        ctx.aborted = true;
-    } else {
-        ctx.dfs(0, 0);
+    let table = TargetTable::new(problem, &parts.candidates);
+    if config.threads > 1 {
+        return Ok(solve_parallel(&parts, &table));
     }
-
-    let proven = !ctx.aborted;
-    let nodes = ctx.nodes;
-    let cancelled = ctx.cancelled;
-    let solve_seconds = start.elapsed().as_secs_f64();
-    match ctx.best {
-        Some((waste, wl, floorplan)) => Ok(CombinatorialResult {
-            floorplan: Some(floorplan),
-            best_waste: Some(waste),
-            best_wirelength: Some(wl),
-            proven: proven && !config.first_feasible,
-            nodes,
-            solve_seconds,
-            cancelled,
-        }),
-        None => Ok(CombinatorialResult {
-            floorplan: None,
-            best_waste: None,
-            best_wirelength: None,
-            proven,
-            nodes,
-            solve_seconds,
-            cancelled,
-        }),
-    }
+    let mut ctx = SearchCtx::new(&parts, &table, None);
+    ctx.dfs(0, 0);
+    Ok(parts.result(ctx.best, !ctx.aborted, ctx.nodes, ctx.cancelled))
 }
 
-/// Everything the parallel driver needs from the setup phase of
-/// [`solve_combinatorial_with_control`], bundled to keep the call site tidy.
+/// The setup of a solve, which every search context of it reads.
 struct SolveParts<'a> {
     problem: &'a FloorplanProblem,
     config: &'a CombinatorialConfig,
     ctl: &'a SolveControl,
     start: Instant,
     deadline: Option<Instant>,
+    /// Region order (most constrained first); `order[i]` is a region index.
     order: Vec<usize>,
+    /// Candidates per region (indexed by region id).
     candidates: Vec<Vec<Candidate>>,
+    /// The footprint of each candidate in the search's `occupied` masks.
     footprints: Vec<Vec<Footprint>>,
+    /// `remaining_min[level]`: the least waste the regions `order[level..]`
+    /// can add (for the lower bound).
     remaining_min: Vec<u64>,
+}
+
+impl SolveParts<'_> {
+    /// The result of a search that ended with incumbent `best` after
+    /// `nodes` nodes; `exhausted` when it searched the whole tree. A
+    /// first-feasible search aborts at its first leaf, so it never claims a
+    /// proof once it has a floorplan.
+    fn result(
+        &self,
+        best: Option<(u64, f64, Floorplan)>,
+        exhausted: bool,
+        nodes: u64,
+        cancelled: bool,
+    ) -> CombinatorialResult {
+        let (best_waste, best_wirelength, floorplan) = match best {
+            Some((waste, wl, floorplan)) => (Some(waste), Some(wl), Some(floorplan)),
+            None => (None, None, None),
+        };
+        CombinatorialResult {
+            floorplan,
+            best_waste,
+            best_wirelength,
+            proven: exhausted,
+            nodes,
+            solve_seconds: self.start.elapsed().as_secs_f64(),
+            cancelled,
+        }
+    }
 }
 
 /// A serially-expanded placement of the first `depth` regions of the search
@@ -758,89 +793,46 @@ const PREFIX_FANOUT: usize = 8;
 
 /// The prefix-split parallel search. The expansion phase enumerates, level
 /// by level in the serial search order, every placement of the first few
-/// regions that survives the overlap and relocation pruning — so the
-/// prefixes partition exactly the part of the tree the serial DFS would
-/// visit. Workers then exhaust disjoint prefix subtrees against a shared
-/// incumbent; an empty expansion level is already a proof of infeasibility.
-fn solve_parallel(parts: SolveParts<'_>) -> Result<CombinatorialResult, FloorplanError> {
-    let SolveParts {
-        problem,
-        config,
-        ctl,
-        start,
-        deadline,
-        order,
-        candidates,
-        footprints,
-        remaining_min,
-    } = parts;
-    let threads = config.threads;
-    let table = TargetTable::new(problem, &candidates);
+/// regions that survives the node step's overlap and relocation pruning —
+/// so the prefixes partition exactly the part of the tree the serial DFS
+/// would visit. Workers then exhaust disjoint prefix subtrees against a
+/// shared incumbent; an empty expansion level is already a proof of
+/// infeasibility. Each node is counted once: the expansion counts the
+/// prefixes it expands, a worker the prefixes it enters.
+fn solve_parallel(parts: &SolveParts<'_>, table: &TargetTable<'_>) -> CombinatorialResult {
+    let threads = parts.config.threads;
+    let shared = ParShared {
+        best_waste: AtomicU64::new(u64::MAX),
+        best: Mutex::new(None),
+        abort: AtomicBool::new(false),
+        cancelled: AtomicBool::new(false),
+        nodes: AtomicU64::new(0),
+    };
 
-    // Serial prefix expansion. Each generated child corresponds to one node
-    // the serial DFS would have expanded, and is counted as such.
-    let n = problem.regions.len();
+    let mut ctx = SearchCtx::new(parts, table, Some(&shared));
+    let n = parts.problem.regions.len();
     let mut prefixes = vec![Prefix { placed: vec![None; n], choice: vec![0; n], waste: 0 }];
     let mut depth = 0usize;
-    let mut expansion_nodes: u64 = 1; // the root
-    while depth < order.len() && prefixes.len() < threads * PREFIX_FANOUT {
-        if ctl.cancel.is_cancelled() {
-            return Ok(CombinatorialResult {
-                floorplan: None,
-                best_waste: None,
-                best_wirelength: None,
-                proven: false,
-                nodes: expansion_nodes,
-                solve_seconds: start.elapsed().as_secs_f64(),
-                cancelled: true,
-            });
-        }
-        let region = order[depth];
+    'expand: while !prefixes.is_empty()
+        && depth < parts.order.len()
+        && prefixes.len() < threads * PREFIX_FANOUT
+    {
         let mut next = Vec::new();
         for p in &prefixes {
-            let mut occupied = RowMasks::new(problem, &p.placed);
-            for (ci, cand) in candidates[region].iter().enumerate() {
-                let at = &footprints[region][ci];
-                if occupied.overlaps(at) {
-                    continue;
-                }
-                let mut placed = p.placed.clone();
-                placed[region] = Some(cand.rect);
-                let mut choice = p.choice.clone();
-                choice[region] = ci;
-                occupied.set(at);
-                if table.constraints_fit(&occupied, &placed, &choice) {
-                    expansion_nodes += 1;
-                    next.push(Prefix { placed, choice, waste: p.waste + cand.waste });
-                }
-                occupied.clear(at);
+            ctx.load(p);
+            if !ctx.enter() {
+                break 'expand;
             }
-        }
-        if next.is_empty() {
-            // No placement of the first `depth + 1` regions survives: the
-            // whole instance is proven infeasible without spawning a thread.
-            return Ok(CombinatorialResult {
-                floorplan: None,
-                best_waste: None,
-                best_wirelength: None,
-                proven: true,
-                nodes: expansion_nodes,
-                solve_seconds: start.elapsed().as_secs_f64(),
-                cancelled: false,
+            ctx.children(depth, p.waste, |ctx, waste| {
+                next.push(Prefix { placed: ctx.placed.clone(), choice: ctx.choice.clone(), waste })
             });
         }
         prefixes = next;
         depth += 1;
     }
 
-    let shared = ParShared {
-        best_waste: AtomicU64::new(u64::MAX),
-        best: Mutex::new(None),
-        abort: AtomicBool::new(false),
-        cancelled: AtomicBool::new(false),
-        nodes: AtomicU64::new(expansion_nodes),
-    };
-
+    // An expansion stopped by the budget has set `shared.abort`, so the
+    // workers then return at once.
     std::thread::scope(|s| {
         for w in 0..threads {
             // Deal the prefixes round-robin: they are generated best-first
@@ -850,37 +842,14 @@ fn solve_parallel(parts: SolveParts<'_>) -> Result<CombinatorialResult, Floorpla
             if assigned.is_empty() {
                 continue;
             }
-            let (shared, order, candidates, footprints, table, remaining_min) =
-                (&shared, &order, &candidates, &footprints, &table, &remaining_min);
+            let shared = &shared;
             s.spawn(move || {
-                let mut ctx = SearchCtx {
-                    problem,
-                    order,
-                    candidates,
-                    footprints,
-                    table,
-                    config,
-                    ctl,
-                    start,
-                    deadline,
-                    node_limit: config.node_limit,
-                    nodes: 0,
-                    aborted: false,
-                    cancelled: false,
-                    placed: vec![None; n],
-                    choice: vec![0; n],
-                    occupied: RowMasks::new(problem, &[]),
-                    best: None,
-                    remaining_min,
-                    shared: Some(shared),
-                };
+                let mut ctx = SearchCtx::new(parts, table, Some(shared));
                 for p in assigned {
                     if shared.abort.load(Ordering::Relaxed) {
                         break;
                     }
-                    ctx.placed.clone_from(&p.placed);
-                    ctx.choice.clone_from(&p.choice);
-                    ctx.occupied = RowMasks::new(problem, &p.placed);
+                    ctx.load(p);
                     ctx.dfs(depth, p.waste);
                     if ctx.aborted {
                         break;
@@ -890,31 +859,13 @@ fn solve_parallel(parts: SolveParts<'_>) -> Result<CombinatorialResult, Floorpla
         }
     });
 
-    let proven = !shared.abort.load(Ordering::Relaxed);
-    let cancelled = shared.cancelled.load(Ordering::Relaxed);
-    let nodes = shared.nodes.load(Ordering::Relaxed);
-    let solve_seconds = start.elapsed().as_secs_f64();
     let best = shared.best.into_inner().unwrap_or_else(|e| e.into_inner());
-    match best {
-        Some((waste, wl, floorplan)) => Ok(CombinatorialResult {
-            floorplan: Some(floorplan),
-            best_waste: Some(waste),
-            best_wirelength: Some(wl),
-            proven: proven && !config.first_feasible,
-            nodes,
-            solve_seconds,
-            cancelled,
-        }),
-        None => Ok(CombinatorialResult {
-            floorplan: None,
-            best_waste: None,
-            best_wirelength: None,
-            proven,
-            nodes,
-            solve_seconds,
-            cancelled,
-        }),
-    }
+    parts.result(
+        best,
+        !shared.abort.load(Ordering::Relaxed),
+        shared.nodes.load(Ordering::Relaxed),
+        shared.cancelled.load(Ordering::Relaxed),
+    )
 }
 
 #[cfg(test)]
@@ -1118,19 +1069,41 @@ mod tests {
         p
     }
 
+    /// Three CLB regions on a 4x3 all-CLB device with no connections: every
+    /// candidate wastes nothing, so the bound never prunes and every thread
+    /// count searches the same tree.
+    fn zero_waste_problem() -> FloorplanProblem {
+        let mut b = DeviceBuilder::new("all-clb");
+        let clb = b.tile_type("CLB", ResourceVec::new(1, 0, 0), 36);
+        b.rows(3).columns(&[clb; 4]);
+        let mut p = FloorplanProblem::new(columnar_partition(&b.build().unwrap()).unwrap());
+        for (name, n) in [("A", 2), ("B", 2), ("C", 1)] {
+            p.add_region(RegionSpec::new(name, vec![(clb, n)]));
+        }
+        p
+    }
+
     #[test]
     fn parallel_search_proves_the_serial_results_at_every_thread_count() {
-        let p = busy_problem();
-        let serial = solve_combinatorial(&p, &CombinatorialConfig::default()).unwrap();
-        assert!(serial.proven);
-        for threads in [2usize, 4, 8] {
-            let cfg = CombinatorialConfig { threads, ..CombinatorialConfig::default() };
-            let par = solve_combinatorial(&p, &cfg).unwrap();
-            assert!(par.proven, "{threads} threads must exhaust the space");
-            assert_eq!(par.best_waste, serial.best_waste, "waste at {threads} threads");
-            let (swl, pwl) = (serial.best_wirelength.unwrap(), par.best_wirelength.unwrap());
-            assert!((swl - pwl).abs() < 1e-9, "wirelength at {threads} threads: {pwl} vs {swl}");
-            assert!(par.floorplan.unwrap().validate(&p).is_empty());
+        for (p, same_tree) in [(busy_problem(), false), (zero_waste_problem(), true)] {
+            let serial = solve_combinatorial(&p, &CombinatorialConfig::default()).unwrap();
+            assert!(serial.proven);
+            for threads in [2usize, 3, 4, 8] {
+                let cfg = CombinatorialConfig { threads, ..CombinatorialConfig::default() };
+                let par = solve_combinatorial(&p, &cfg).unwrap();
+                assert!(par.proven, "{threads} threads must exhaust the space");
+                assert_eq!(par.best_waste, serial.best_waste, "waste at {threads} threads");
+                let (swl, pwl) = (serial.best_wirelength.unwrap(), par.best_wirelength.unwrap());
+                assert!(
+                    (swl - pwl).abs() < 1e-9,
+                    "wirelength at {threads} threads: {pwl} vs {swl}"
+                );
+                assert!(par.floorplan.unwrap().validate(&p).is_empty());
+                if same_tree {
+                    // Each node counted once, prefixes included.
+                    assert_eq!(par.nodes, serial.nodes, "nodes at {threads} threads");
+                }
+            }
         }
     }
 

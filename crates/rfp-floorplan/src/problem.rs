@@ -312,6 +312,13 @@ impl FloorplanProblem {
                 return non_finite(what.to_string());
             }
         }
+        // Each normalised term of the objective is at most 1, so a finite
+        // sum of the weights' magnitudes keeps every objective finite.
+        if !(w.wirelength.abs() + w.perimeter.abs() + w.resources.abs() + w.relocation.abs())
+            .is_finite()
+        {
+            return non_finite("objective weight sum |q_1|+|q_2|+|q_3|+|q_4|".to_string());
+        }
         for c in &self.connections {
             if c.a >= self.regions.len() {
                 return Err(FloorplanError::UnknownRegion(c.a));
@@ -500,6 +507,14 @@ mod tests {
         // device diameter, and two 1e308 areas summed.
         rejects(&|p| p.connections[0].weight = 1e308, "WL_max");
         rejects(&|p| p.relocation[0] = RelocationRequest::metric(b, 2, 1e308), "RL_max");
+        // Four finite weights whose sum overflows.
+        let huge = ObjectiveWeights {
+            wirelength: 1e308,
+            perimeter: 1e308,
+            resources: 1e308,
+            relocation: 1e308,
+        };
+        rejects(&|p| p.weights = huge, "weight sum");
     }
 
     #[test]
