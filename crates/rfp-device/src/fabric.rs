@@ -17,7 +17,7 @@
 //! where either area crosses a boundary.
 
 use crate::error::DeviceError;
-use crate::forbidden::ForbiddenArea;
+use crate::forbidden::{free_rows, ForbiddenArea};
 use crate::geometry::Rect;
 use crate::grid::Device;
 use crate::partition::{columnar_partition, ColumnarPartition};
@@ -167,28 +167,33 @@ impl FabricPartition {
             .sum()
     }
 
+    /// Usable tiles of each type, indexed by registry tile-type index: the
+    /// tiles no forbidden area covers, each counted once however many areas
+    /// overlap on it.
+    pub fn usable_tiles_by_type(&self) -> Vec<u64> {
+        if let Some(cp) = &self.columnar {
+            return cp.usable_tiles_by_type();
+        }
+        let mut tiles = vec![0u64; self.frames_of_type.len()];
+        for col in 1..=self.cols {
+            for row in free_rows(&self.forbidden, col, self.rows) {
+                tiles[self.cells[self.idx(col, row)].index()] += 1;
+            }
+        }
+        tiles
+    }
+
     /// Total usable frames on the device (excluding forbidden tiles).
     pub fn total_frames(&self) -> u64 {
-        if let Some(cp) = &self.columnar {
-            return cp.total_frames();
-        }
-        let full = Rect::new(1, 1, self.cols, self.rows);
-        let gross = self.frames_in_rect(&full);
-        let forbidden: u64 = self.forbidden.iter().map(|fa| self.frames_in_rect(&fa.rect)).sum();
-        gross - forbidden
+        let tiles = self.usable_tiles_by_type();
+        tiles.iter().zip(&self.frames_of_type).map(|(&n, &f)| n * f as u64).sum()
     }
 
     /// Total usable resources on the device (excluding forbidden tiles).
     pub fn total_resources(&self) -> ResourceVec {
-        if let Some(cp) = &self.columnar {
-            return cp.total_resources();
-        }
-        let full = Rect::new(1, 1, self.cols, self.rows);
-        let mut total = self.resources_in_rect(&full);
-        for fa in &self.forbidden {
-            total = total.saturating_sub(&self.resources_in_rect(&fa.rect));
-        }
-        total
+        let tiles = self.usable_tiles_by_type();
+        let per_type = tiles.iter().zip(&self.resources_of_type);
+        per_type.fold(ResourceVec::ZERO, |total, (&n, r)| total + r.scaled(n as u32))
     }
 
     /// The raw effective cell grid, row-major. Used by the structural cache
@@ -375,6 +380,28 @@ mod tests {
         assert_eq!(f.tile_type_at(2, 2).unwrap().index(), 1);
         assert_eq!(f.tile_type_at(3, 3).unwrap().index(), 0);
         assert!(f.rect_crosses_forbidden(&Rect::new(2, 2, 1, 1)));
+    }
+
+    #[test]
+    fn overlapping_forbidden_areas_are_subtracted_once_per_cell() {
+        let totals = |copies| {
+            let base = hetero_device();
+            let mut forbidden = vec![ForbiddenArea::new("blk", Rect::new(3, 1, 2, 2)); copies];
+            forbidden.push(ForbiddenArea::new("overlap", Rect::new(3, 2, 1, 2)));
+            let d = Device::new("hetero-copies", base.registry, base.grid, forbidden).unwrap();
+            let f = fabric_partition(&d).unwrap();
+            assert!(f.columnar().is_none());
+            assert_eq!(f.total_frames(), d.total_frames(), "{copies} copies");
+            assert_eq!(f.total_resources(), d.total_resources(), "{copies} copies");
+            (f.usable_tiles_by_type(), f.total_frames(), f.total_resources())
+        };
+        // CLB tiles (3,1), (4,1), (3,2), (4,2) and (3,3) are forbidden.
+        let once = totals(1);
+        assert_eq!(once.0, vec![9, 2]);
+        assert_eq!(once.1, 9 * 36 + 2 * 30);
+        assert_eq!(once.2, ResourceVec::new(9, 2, 0));
+        assert_eq!(totals(3), once);
+        assert_eq!(totals(20), once);
     }
 
     #[test]

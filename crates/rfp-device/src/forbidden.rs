@@ -60,6 +60,30 @@ impl ForbiddenArea {
     }
 }
 
+/// The rows `1..=rows` of column `col` that none of `areas` covers, in
+/// ascending order. A tile under several overlapping areas is left out once.
+pub(crate) fn free_rows(
+    areas: &[ForbiddenArea],
+    col: u32,
+    rows: u32,
+) -> impl Iterator<Item = u32> + '_ {
+    let mut spans: Vec<(u32, u32)> = areas
+        .iter()
+        .filter(|a| a.xa1() <= col && col <= a.xa2())
+        .map(|a| (a.rect.y, a.rect.y2()))
+        .collect();
+    spans.sort_unstable();
+    // `reach`: the last row covered by the spans that start on or before `row`.
+    let (mut next, mut reach) = (0, 0);
+    (1..=rows).filter(move |&row| {
+        while next < spans.len() && spans[next].0 <= row {
+            reach = reach.max(spans[next].1);
+            next += 1;
+        }
+        row > reach
+    })
+}
+
 impl fmt::Display for ForbiddenArea {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} {}", self.name, self.rect)
@@ -100,6 +124,17 @@ mod tests {
         // A region next to the area is not blocked.
         assert!(!a.blocks(&Rect::new(23, 1, 3, 8)));
         assert!(!a.blocks(&Rect::new(19, 7, 4, 2)));
+    }
+
+    #[test]
+    fn free_rows_leave_out_each_covered_tile_once() {
+        let a = |x, y, w, h| ForbiddenArea::new("a", Rect::new(x, y, w, h));
+        let free = |areas: &[ForbiddenArea], col| free_rows(areas, col, 8).collect::<Vec<_>>();
+        assert_eq!(free(&[], 1), (1..=8).collect::<Vec<_>>());
+        let areas = [a(2, 2, 2, 3), a(2, 2, 2, 3), a(3, 3, 1, 4), a(3, 8, 1, 1)];
+        assert_eq!(free(&areas, 1), (1..=8).collect::<Vec<_>>());
+        assert_eq!(free(&areas, 2), vec![1, 5, 6, 7, 8]);
+        assert_eq!(free(&areas, 3), vec![1, 7]);
     }
 
     #[test]

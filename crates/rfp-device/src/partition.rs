@@ -16,7 +16,7 @@
 //!   right.
 
 use crate::error::DeviceError;
-use crate::forbidden::ForbiddenArea;
+use crate::forbidden::{free_rows, ForbiddenArea};
 use crate::geometry::Rect;
 use crate::grid::Device;
 use crate::resources::ResourceVec;
@@ -237,12 +237,21 @@ impl ColumnarPartition {
             .collect()
     }
 
+    /// Usable tiles of each type, indexed by registry tile-type index: the
+    /// tiles no forbidden area covers, each counted once however many areas
+    /// overlap on it.
+    pub fn usable_tiles_by_type(&self) -> Vec<u64> {
+        let mut tiles = vec![0u64; self.frames_of_type.len()];
+        for (col, ty) in (1..=self.cols).zip(&self.column_types) {
+            tiles[ty.index()] += free_rows(&self.forbidden, col, self.rows).count() as u64;
+        }
+        tiles
+    }
+
     /// Total usable frames on the device (excluding forbidden tiles).
     pub fn total_frames(&self) -> u64 {
-        let full = Rect::new(1, 1, self.cols, self.rows);
-        let gross = self.frames_in_rect(&full);
-        let forbidden: u64 = self.forbidden.iter().map(|fa| self.frames_in_rect(&fa.rect)).sum();
-        gross - forbidden
+        let tiles = self.usable_tiles_by_type();
+        tiles.iter().zip(&self.frames_of_type).map(|(&n, &f)| n * f as u64).sum()
     }
 
     /// The per-type frames table, indexed by registry tile-type index.
@@ -257,12 +266,9 @@ impl ColumnarPartition {
 
     /// Total usable resources on the device (excluding forbidden tiles).
     pub fn total_resources(&self) -> ResourceVec {
-        let full = Rect::new(1, 1, self.cols, self.rows);
-        let mut total = self.resources_in_rect(&full);
-        for fa in &self.forbidden {
-            total = total.saturating_sub(&self.resources_in_rect(&fa.rect));
-        }
-        total
+        let tiles = self.usable_tiles_by_type();
+        let per_type = tiles.iter().zip(&self.resources_of_type);
+        per_type.fold(ResourceVec::ZERO, |total, (&n, r)| total + r.scaled(n as u32))
     }
 }
 
@@ -487,6 +493,41 @@ mod tests {
         let p = columnar_partition(&d).unwrap();
         assert_eq!(p.total_resources(), d.total_resources());
         assert_eq!(p.total_frames(), d.total_frames());
+    }
+
+    /// The tiny golden's device (`C C B C C B C`, 3 rows) with `copies`
+    /// copies of the forbidden area `{7,1,1,2}` and one area over columns
+    /// 6-7 of row 2 that overlaps them.
+    fn tiny_with_forbidden_copies(copies: usize) -> Device {
+        let mut reg = TileTypeRegistry::new();
+        let clb = reg.register(TileType::new("CLB", ResourceVec::new(1, 0, 0), 36)).unwrap();
+        let bram = reg.register(TileType::new("BRAM", ResourceVec::new(0, 1, 0), 30)).unwrap();
+        let mut grid = TileGrid::new(7, 3).unwrap();
+        for (i, ty) in [clb, clb, bram, clb, clb, bram, clb].into_iter().enumerate() {
+            grid.fill_column(i as u32 + 1, ty).unwrap();
+        }
+        let mut forbidden = vec![ForbiddenArea::new("static", Rect::new(7, 1, 1, 2)); copies];
+        forbidden.push(ForbiddenArea::new("overlap", Rect::new(6, 2, 2, 1)));
+        Device::new("tiny-copies", reg, grid, forbidden).unwrap()
+    }
+
+    #[test]
+    fn overlapping_forbidden_areas_are_subtracted_once() {
+        let totals = |copies| {
+            let d = tiny_with_forbidden_copies(copies);
+            let p = columnar_partition(&d).unwrap();
+            assert_eq!(p.total_frames(), d.total_frames(), "{copies} copies");
+            assert_eq!(p.total_resources(), d.total_resources(), "{copies} copies");
+            (p.usable_tiles_by_type(), p.total_frames(), p.total_resources())
+        };
+        // Rows 1-2 of column 7 and row 2 of column 6: two CLB tiles and one
+        // BRAM tile are forbidden.
+        let once = totals(1);
+        assert_eq!(once.0, vec![13, 5]);
+        assert_eq!(once.1, 13 * 36 + 5 * 30);
+        assert_eq!(once.2, ResourceVec::new(13, 5, 0));
+        assert_eq!(totals(3), once);
+        assert_eq!(totals(20), once);
     }
 
     #[test]

@@ -24,9 +24,29 @@
 //! * occupancy is one bit per tile, kept per tile row in `u64` words
 //!   (`RowMasks`): a child's overlap test and the target filter read the
 //!   words a rect covers in each of its rows instead of every placed rect;
-//! * one node step (`SearchCtx::children`) makes a node's children — the
-//!   overlap test, the occupancy update and the relocation pruning — for
-//!   both the depth-first search and the parallel prefix expansion.
+//! * each node is forward checked when it is opened: every unplaced region
+//!   must still have a candidate clear of the placed ones (its *first fit*,
+//!   which is its least feasible waste, as candidates come in
+//!   increasing-waste order); the waste so far plus the first-fit wastes
+//!   must not exceed the incumbent's; and the placed regions' frames plus
+//!   the unplaced regions' required and first-fit waste frames must fit in
+//!   the device's usable frames. The first fits are kept per depth and
+//!   each depth's scan starts from its parent's, since occupancy only grows
+//!   down the tree;
+//! * one node step (`SearchCtx::step`) enters a node, forward checks it,
+//!   finishes a leaf or makes its children — the overlap test, the
+//!   occupancy update and the relocation pruning — for both the
+//!   depth-first search and the parallel prefix expansion.
+//!
+//! The forward check removes only subtrees that hold no complete placement
+//! or only placements no better than the incumbent, and a leaf is installed
+//! only when it strictly improves the lexicographic objective, so an
+//! unbudgeted search installs the same incumbents and returns the same
+//! floorplan as a search without it, in fewer nodes. A node the check
+//! prunes is still entered and counted, as one the bound prunes always was,
+//! so the node budget still counts every node the search opens.
+//! [`SearchCounts`] says what became of each node, and each solve adds it to
+//! the trace once.
 //!
 //! Node and time limits make the engine usable inside benchmarks; the result
 //! reports whether optimality was proven.
@@ -36,10 +56,11 @@
 //! with the same node step as the DFS itself) until there are several
 //! prefixes per worker, and scoped threads then exhaust disjoint prefix
 //! subtrees against a shared incumbent. Each node is counted once, a prefix
-//! by the worker that enters it. Node counts vary run to run (the shared
-//! incumbent prunes at different times), but the proven waste/wire-length
-//! results are deterministic; `threads <= 1` preserves the serial search
-//! order exactly.
+//! by the worker that enters it; a worker starts its first-fit scans from
+//! zero, which finds the same first fits. Node counts vary run to run (the
+//! shared incumbent prunes at different times; without an incumbent they do
+//! not), but the proven waste/wire-length results are deterministic;
+//! `threads <= 1` preserves the serial search order exactly.
 
 use crate::candidates::{enumerate_candidates, Candidate};
 use crate::engine::{deadline_after, SolveControl};
@@ -112,10 +133,62 @@ pub struct CombinatorialResult {
     /// `true` when the search stopped because the caller's
     /// [`SolveControl`] token was cancelled.
     pub cancelled: bool,
+    /// What the search did with the nodes it explored.
+    pub counts: SearchCounts,
+}
+
+/// What a search did with each node it entered. Every entered node is
+/// exactly one of these, so the five sum to the node count; a node that the
+/// budget stops before it is entered is none of them, and no node.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SearchCounts {
+    /// Nodes whose waste lower bound exceeds the incumbent's waste.
+    pub pruned_bound: u64,
+    /// Nodes where an unplaced region has no candidate clear of the placed
+    /// ones.
+    pub pruned_fit: u64,
+    /// Nodes whose placed regions and least-waste unplaced regions need more
+    /// frames than the device has usable.
+    pub pruned_capacity: u64,
+    /// Complete placements reached, whether or not their free-compatible
+    /// areas pack.
+    pub leaves: u64,
+    /// Nodes whose children were made.
+    pub expanded: u64,
+}
+
+impl SearchCounts {
+    /// All counted nodes.
+    pub fn nodes(&self) -> u64 {
+        self.pruned_bound + self.pruned_fit + self.pruned_capacity + self.leaves + self.expanded
+    }
+
+    fn add(mut self, other: SearchCounts) -> SearchCounts {
+        self.pruned_bound += other.pruned_bound;
+        self.pruned_fit += other.pruned_fit;
+        self.pruned_capacity += other.pruned_capacity;
+        self.leaves += other.leaves;
+        self.expanded += other.expanded;
+        self
+    }
+
+    /// Adds the counts to the current trace track, once per solve.
+    fn trace(&self) {
+        for (name, n) in [
+            ("comb.nodes", self.nodes()),
+            ("comb.pruned.bound", self.pruned_bound),
+            ("comb.pruned.fit", self.pruned_fit),
+            ("comb.pruned.capacity", self.pruned_capacity),
+            ("comb.leaves", self.leaves),
+            ("comb.expanded", self.expanded),
+        ] {
+            rfp_trace::count(name, n);
+        }
+    }
 }
 
 /// State shared by the workers of a parallel solve. The atomic `best_waste`
-/// mirrors the mutex-held incumbent so the hot bound check in [`SearchCtx::dfs`]
+/// mirrors the mutex-held incumbent so the hot bound check in [`SearchCtx::step`]
 /// never takes a lock; it may lag behind (read a stale, too-large value),
 /// which only costs a little pruning, never correctness.
 struct ParShared {
@@ -344,8 +417,23 @@ struct SearchCtx<'a> {
     choice: Vec<usize>,
     /// The tiles of `placed`.
     occupied: RowMasks,
+    /// First fits, one row of `n` candidate indices per depth, indexed by
+    /// region id: the node at depth `level` reads row `level` and writes row
+    /// `level + 1`. Entry `r` of a written row is the first candidate of
+    /// region `r` clear of `occupied`, for the regions not placed at that
+    /// node. Occupancy only grows down the tree, so a row is where the
+    /// scans of the rows below it may start; all zeros is always such a
+    /// start.
+    fit: Vec<usize>,
+    /// `rest[level]`: the sum of the first-fit wastes of the regions
+    /// `order[level..]` in row `level` of `fit`, a lower bound on the waste
+    /// they add below the node at depth `level` (0 after `load`).
+    rest: Vec<u64>,
+    /// Frames the regions need at the least, and frames the device has.
+    required_frames: u64,
+    usable_frames: u64,
+    counts: SearchCounts,
     best: Option<(u64, f64, Floorplan)>,
-    remaining_min: &'a [u64],
     /// Present when this context is one worker of a parallel solve; the
     /// incumbent then lives in the shared state, not in `best`.
     shared: Option<&'a ParShared>,
@@ -376,8 +464,12 @@ impl<'a> SearchCtx<'a> {
             placed: vec![None; n],
             choice: vec![0; n],
             occupied: RowMasks::new(problem, &[]),
+            fit: vec![0; (n + 1) * n],
+            rest: vec![0; n + 1],
+            required_frames: parts.required_frames,
+            usable_frames: parts.usable_frames,
+            counts: SearchCounts::default(),
             best: None,
-            remaining_min: &parts.remaining_min,
             shared,
         }
     }
@@ -587,22 +679,104 @@ impl<'a> SearchCtx<'a> {
         self.placed.clone_from(&p.placed);
         self.choice.clone_from(&p.choice);
         self.occupied = RowMasks::new(self.problem, &p.placed);
+        self.fit.fill(0);
+        self.rest.fill(0);
     }
 
-    /// The node step: places each candidate of region `order[level]` in turn
-    /// (increasing waste), skipping those that overlap a placed region or
+    /// Forward checking at the node of depth `level`, whose placed regions
+    /// waste `waste_so_far`. Fills row `level + 1` of `fit` and
+    /// `rest[level + 1]`, and prunes the node, counting why, when
+    /// * a region of `order[level..]` has no candidate clear of `occupied`
+    ///   (fit);
+    /// * `waste_so_far` plus those regions' first-fit wastes exceeds the
+    ///   incumbent's waste (bound): candidates come in increasing-waste
+    ///   order, so a first fit is its region's least feasible waste;
+    /// * the placed regions' frames plus `required + first-fit waste` of
+    ///   each unplaced region exceed the device's usable frames (capacity).
+    ///
+    /// Each prune removes only subtrees that hold no complete placement or
+    /// only placements worse than the incumbent. `true` when the node
+    /// survives.
+    fn forward_check(&mut self, level: usize, waste_so_far: u64) -> bool {
+        // The parent's first fits bound the node before any scan.
+        if self.incumbent_waste().is_some_and(|best| waste_so_far + self.rest[level] > best) {
+            self.counts.pruned_bound += 1;
+            return false;
+        }
+        let n = self.placed.len();
+        let mut least = waste_so_far;
+        for &r in &self.order[level..] {
+            let footprints = &self.footprints[r];
+            let mut ci = self.fit[level * n + r];
+            while ci < footprints.len() && self.occupied.overlaps(&footprints[ci]) {
+                ci += 1;
+            }
+            if ci == footprints.len() {
+                self.counts.pruned_fit += 1;
+                return false;
+            }
+            self.fit[(level + 1) * n + r] = ci;
+            least += self.candidates[r][ci].waste;
+        }
+        if self.incumbent_waste().is_some_and(|best| least > best) {
+            self.counts.pruned_bound += 1;
+            return false;
+        }
+        if self.required_frames + least > self.usable_frames {
+            self.counts.pruned_capacity += 1;
+            return false;
+        }
+        if let Some(&r) = self.order.get(level) {
+            self.rest[level + 1] =
+                least - waste_so_far - self.candidates[r][self.fit[(level + 1) * n + r]].waste;
+        }
+        true
+    }
+
+    /// A complete placement: packs the free-compatible areas and installs
+    /// the floorplan when they pack and it improves the incumbent.
+    fn leaf(&mut self, waste: u64) {
+        let Some(fc_areas) = self.pack_fc_areas() else { return };
+        let wl = self.partial_wirelength();
+        self.install(waste, wl, fc_areas);
+        if self.config.first_feasible {
+            // Unwind the whole search: the result is then not proven.
+            self.aborted = true;
+            if let Some(sh) = self.shared {
+                sh.abort.store(true, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// The node step, which the depth-first search and the parallel prefix
+    /// expansion share: enters the node of depth `level` (regions
+    /// `order[..level]` placed, wasting `waste_so_far`), prunes it by
+    /// [`SearchCtx::forward_check`], finishes a leaf, and otherwise places
+    /// each candidate of region `order[level]` in turn from its first fit
+    /// on (increasing waste), skipping those that overlap a placed region or
     /// leave a constraint-mode relocation request unpackable, and hands each
     /// surviving child to `visit` with its waste so far; the candidate is
     /// taken back afterwards. Stops early once the search is aborted.
-    fn children(&mut self, level: usize, waste_so_far: u64, mut visit: impl FnMut(&mut Self, u64)) {
+    fn step(&mut self, level: usize, waste_so_far: u64, mut visit: impl FnMut(&mut Self, u64)) {
+        if !self.enter() || !self.forward_check(level, waste_so_far) {
+            return;
+        }
+        if level == self.order.len() {
+            self.counts.leaves += 1;
+            self.leaf(waste_so_far);
+            return;
+        }
+        self.counts.expanded += 1;
         let region = self.order[level];
+        let first = self.fit[(level + 1) * self.placed.len() + region];
         let (candidates, footprints) = (self.candidates, self.footprints);
-        for (ci, (cand, at)) in candidates[region].iter().zip(&footprints[region]).enumerate() {
+        let tail = candidates[region][first..].iter().zip(&footprints[region][first..]);
+        for (i, (cand, at)) in tail.enumerate() {
             if self.occupied.overlaps(at) {
                 continue;
             }
             self.placed[region] = Some(cand.rect);
-            self.choice[region] = ci;
+            self.choice[region] = first + i;
             self.occupied.set(at);
             if self.table.constraints_fit(&self.occupied, &self.placed, &self.choice) {
                 visit(self, waste_so_far + cand.waste);
@@ -616,34 +790,7 @@ impl<'a> SearchCtx<'a> {
     }
 
     fn dfs(&mut self, level: usize, waste_so_far: u64) {
-        if !self.enter() {
-            return;
-        }
-
-        // Bound: waste so far plus the best-case waste of the remaining regions.
-        if self
-            .incumbent_waste()
-            .is_some_and(|best| waste_so_far + self.remaining_min[level] > best)
-        {
-            return;
-        }
-
-        if level == self.order.len() {
-            // All regions placed: try to pack the free-compatible areas.
-            let Some(fc_areas) = self.pack_fc_areas() else { return };
-            let wl = self.partial_wirelength();
-            self.install(waste_so_far, wl, fc_areas);
-            if self.config.first_feasible {
-                // Unwind the whole search: the result is then not proven.
-                self.aborted = true;
-                if let Some(sh) = self.shared {
-                    sh.abort.store(true, Ordering::Relaxed);
-                }
-            }
-            return;
-        }
-
-        self.children(level, waste_so_far, |ctx, waste| ctx.dfs(level + 1, waste));
+        self.step(level, waste_so_far, |ctx, waste| ctx.dfs(level + 1, waste));
     }
 }
 
@@ -700,12 +847,6 @@ pub fn solve_combinatorial_with_control(
     order.sort_by_key(|&r| {
         (candidates[r].len(), usize::MAX - problem.regions[r].total_tiles() as usize)
     });
-    // Suffix sums of the regions' least wastes (each region's first,
-    // least-waste candidate) along the search order.
-    let mut remaining_min = vec![0u64; order.len() + 1];
-    for level in (0..order.len()).rev() {
-        remaining_min[level] = remaining_min[level + 1] + candidates[order[level]][0].waste;
-    }
     let words = RowMasks::words(problem);
     let footprints: Vec<Vec<Footprint>> = candidates
         .iter()
@@ -721,15 +862,19 @@ pub fn solve_combinatorial_with_control(
         order,
         candidates,
         footprints,
-        remaining_min,
+        required_frames: problem.total_required_frames(),
+        usable_frames: problem.partition.total_frames(),
     };
     let table = TargetTable::new(problem, &parts.candidates);
-    if config.threads > 1 {
-        return Ok(solve_parallel(&parts, &table));
-    }
-    let mut ctx = SearchCtx::new(&parts, &table, None);
-    ctx.dfs(0, 0);
-    Ok(parts.result(ctx.best, !ctx.aborted, ctx.nodes, ctx.cancelled))
+    let res = if config.threads > 1 {
+        solve_parallel(&parts, &table)
+    } else {
+        let mut ctx = SearchCtx::new(&parts, &table, None);
+        ctx.dfs(0, 0);
+        parts.result(ctx.best, !ctx.aborted, ctx.nodes, ctx.cancelled, ctx.counts)
+    };
+    res.counts.trace();
+    Ok(res)
 }
 
 /// The setup of a solve, which every search context of it reads.
@@ -745,22 +890,24 @@ struct SolveParts<'a> {
     candidates: Vec<Vec<Candidate>>,
     /// The footprint of each candidate in the search's `occupied` masks.
     footprints: Vec<Vec<Footprint>>,
-    /// `remaining_min[level]`: the least waste the regions `order[level..]`
-    /// can add (for the lower bound).
-    remaining_min: Vec<u64>,
+    /// Frames the regions require together.
+    required_frames: u64,
+    /// Usable frames of the device (forbidden tiles excluded).
+    usable_frames: u64,
 }
 
 impl SolveParts<'_> {
     /// The result of a search that ended with incumbent `best` after
-    /// `nodes` nodes; `exhausted` when it searched the whole tree. A
-    /// first-feasible search aborts at its first leaf, so it never claims a
-    /// proof once it has a floorplan.
+    /// `nodes` nodes, spent as `counts` says; `exhausted` when it searched
+    /// the whole tree. A first-feasible search aborts at its first leaf, so
+    /// it never claims a proof once it has a floorplan.
     fn result(
         &self,
         best: Option<(u64, f64, Floorplan)>,
         exhausted: bool,
         nodes: u64,
         cancelled: bool,
+        counts: SearchCounts,
     ) -> CombinatorialResult {
         let (best_waste, best_wirelength, floorplan) = match best {
             Some((waste, wl, floorplan)) => (Some(waste), Some(wl), Some(floorplan)),
@@ -774,6 +921,7 @@ impl SolveParts<'_> {
             nodes,
             solve_seconds: self.start.elapsed().as_secs_f64(),
             cancelled,
+            counts,
         }
     }
 }
@@ -820,12 +968,12 @@ fn solve_parallel(parts: &SolveParts<'_>, table: &TargetTable<'_>) -> Combinator
         let mut next = Vec::new();
         for p in &prefixes {
             ctx.load(p);
-            if !ctx.enter() {
-                break 'expand;
-            }
-            ctx.children(depth, p.waste, |ctx, waste| {
+            ctx.step(depth, p.waste, |ctx, waste| {
                 next.push(Prefix { placed: ctx.placed.clone(), choice: ctx.choice.clone(), waste })
             });
+            if ctx.aborted {
+                break 'expand;
+            }
         }
         prefixes = next;
         depth += 1;
@@ -833,7 +981,8 @@ fn solve_parallel(parts: &SolveParts<'_>, table: &TargetTable<'_>) -> Combinator
 
     // An expansion stopped by the budget has set `shared.abort`, so the
     // workers then return at once.
-    std::thread::scope(|s| {
+    let counts = std::thread::scope(|s| {
+        let mut workers = Vec::new();
         for w in 0..threads {
             // Deal the prefixes round-robin: they are generated best-first
             // (increasing-waste candidate order), so every worker gets a
@@ -843,7 +992,7 @@ fn solve_parallel(parts: &SolveParts<'_>, table: &TargetTable<'_>) -> Combinator
                 continue;
             }
             let shared = &shared;
-            s.spawn(move || {
+            workers.push(s.spawn(move || {
                 let mut ctx = SearchCtx::new(parts, table, Some(shared));
                 for p in assigned {
                     if shared.abort.load(Ordering::Relaxed) {
@@ -855,8 +1004,12 @@ fn solve_parallel(parts: &SolveParts<'_>, table: &TargetTable<'_>) -> Combinator
                         break;
                     }
                 }
-            });
+                ctx.counts
+            }));
         }
+        workers.into_iter().fold(ctx.counts, |counts, w| {
+            counts.add(w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+        })
     });
 
     let best = shared.best.into_inner().unwrap_or_else(|e| e.into_inner());
@@ -865,6 +1018,7 @@ fn solve_parallel(parts: &SolveParts<'_>, table: &TargetTable<'_>) -> Combinator
         !shared.abort.load(Ordering::Relaxed),
         shared.nodes.load(Ordering::Relaxed),
         shared.cancelled.load(Ordering::Relaxed),
+        counts,
     )
 }
 
@@ -1104,6 +1258,120 @@ mod tests {
                     assert_eq!(par.nodes, serial.nodes, "nodes at {threads} threads");
                 }
             }
+        }
+    }
+
+    /// An infeasible instance whose proof is all forward checking: `A`
+    /// (two DSP tiles), `X1` and `X2` (one each) fill the only DSP column,
+    /// after which `F` (a DSP tile and two CLB tiles) has no fit. `E` (two
+    /// BRAM tiles) comes between them in the search order, so a node the
+    /// fit check prunes would otherwise have children.
+    fn dsp_blocked_problem() -> FloorplanProblem {
+        let (mut p, clb, bram, dsp) = small_problem();
+        p.add_region(RegionSpec::new("A", vec![(dsp, 2)]));
+        p.add_region(RegionSpec::new("X1", vec![(dsp, 1)]));
+        p.add_region(RegionSpec::new("X2", vec![(dsp, 1)]));
+        p.add_region(RegionSpec::new("E", vec![(bram, 2)]));
+        p.add_region(RegionSpec::new("F", vec![(dsp, 1), (clb, 2)]));
+        p
+    }
+
+    /// Regions of 5, 5 and 1 tiles on the 12-tile all-CLB device: every
+    /// region fits alone, but the two 5-tile regions each cover 6 tiles.
+    fn over_capacity_problem() -> FloorplanProblem {
+        let mut p = zero_waste_problem();
+        let clb = p.regions[0].tile_req()[0].0;
+        p.regions.clear();
+        for (name, n) in [("A", 5), ("B", 5), ("C", 1)] {
+            p.add_region(RegionSpec::new(name, vec![(clb, n)]));
+        }
+        p
+    }
+
+    #[test]
+    fn infeasible_search_counts_the_same_nodes_at_every_thread_count() {
+        let p = dsp_blocked_problem();
+        let serial = solve_combinatorial(&p, &CombinatorialConfig::default()).unwrap();
+        assert!(serial.proven && serial.floorplan.is_none());
+        assert!(serial.counts.pruned_fit > 0, "{:?}", serial.counts);
+        for threads in [2usize, 3, 4, 8] {
+            let cfg = CombinatorialConfig { threads, ..CombinatorialConfig::default() };
+            let par = solve_combinatorial(&p, &cfg).unwrap();
+            assert!(par.proven && par.floorplan.is_none(), "{threads} threads");
+            // No incumbent, so no bound: the same nodes are pruned, whether
+            // the prefix expansion or a worker opens them.
+            assert_eq!(par.nodes, serial.nodes, "nodes at {threads} threads");
+            assert_eq!(par.counts, serial.counts, "counts at {threads} threads");
+        }
+    }
+
+    #[test]
+    fn search_counts_sum_to_the_nodes_and_reach_the_trace_once() {
+        let mut seen = SearchCounts::default();
+        let capped = CombinatorialConfig { node_limit: 40, ..CombinatorialConfig::default() };
+        for (p, cfg) in [
+            (busy_problem(), CombinatorialConfig::default()),
+            (busy_problem(), capped),
+            (dsp_blocked_problem(), CombinatorialConfig::default()),
+            (over_capacity_problem(), CombinatorialConfig::default()),
+        ] {
+            let collector = rfp_trace::Collector::new();
+            let res = {
+                let _scope = collector.install("solve");
+                solve_combinatorial_with_control(&p, &cfg, &SolveControl::default()).unwrap()
+            };
+            let c = res.counts;
+            assert_eq!(
+                res.nodes,
+                c.pruned_bound + c.pruned_fit + c.pruned_capacity + c.leaves + c.expanded,
+                "{c:?}"
+            );
+            let traced = collector.counter_snapshot();
+            for (name, n) in [
+                ("comb.nodes", res.nodes),
+                ("comb.pruned.bound", c.pruned_bound),
+                ("comb.pruned.fit", c.pruned_fit),
+                ("comb.pruned.capacity", c.pruned_capacity),
+                ("comb.leaves", c.leaves),
+                ("comb.expanded", c.expanded),
+            ] {
+                assert_eq!(traced.get(name).copied().unwrap_or(0), n, "{name}: {traced:?}");
+            }
+            seen = seen.add(c);
+        }
+        assert!(seen.pruned_bound > 0 && seen.pruned_fit > 0 && seen.pruned_capacity > 0);
+    }
+
+    /// The tiny golden's device with regions of 6 CLB + 3 BRAM and 6 CLB
+    /// tiles, under `copies` copies of the forbidden area `{7,1,1,2}`.
+    fn tiny_with_forbidden_copies(copies: usize) -> FloorplanProblem {
+        let mut b = DeviceBuilder::new("tiny-copies");
+        let clb = b.tile_type("CLB", ResourceVec::new(1, 0, 0), 36);
+        let bram = b.tile_type("BRAM", ResourceVec::new(0, 1, 0), 30);
+        b.rows(3).columns(&[clb, clb, bram, clb, clb, bram, clb]);
+        for _ in 0..copies {
+            b.forbidden("static", Rect::new(7, 1, 1, 2));
+        }
+        let mut p = FloorplanProblem::new(columnar_partition(&b.build().unwrap()).unwrap());
+        p.add_region(RegionSpec::new("A", vec![(clb, 6), (bram, 3)]));
+        p.add_region(RegionSpec::new("B", vec![(clb, 6)]));
+        p
+    }
+
+    #[test]
+    fn repeated_forbidden_areas_change_neither_capacity_nor_solve() {
+        let once = tiny_with_forbidden_copies(1);
+        let solved = solve_combinatorial(&once, &CombinatorialConfig::default()).unwrap();
+        assert!(solved.proven);
+        assert_eq!(solved.best_waste, Some(0));
+        for copies in [3, 20] {
+            let p = tiny_with_forbidden_copies(copies);
+            assert!(p.validate().is_ok(), "{copies} copies");
+            assert_eq!(p.partition.total_frames(), once.partition.total_frames());
+            assert_eq!(p.partition.total_resources(), once.partition.total_resources());
+            let res = solve_combinatorial(&p, &CombinatorialConfig::default()).unwrap();
+            assert_eq!(res.floorplan, solved.floorplan, "{copies} copies");
+            assert_eq!((res.proven, res.nodes), (solved.proven, solved.nodes), "{copies} copies");
         }
     }
 

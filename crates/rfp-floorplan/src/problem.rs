@@ -332,45 +332,8 @@ impl FloorplanProblem {
                 return Err(FloorplanError::InvalidRelocationRequest { request: i });
             }
         }
-        // Capacity per tile type.
-        let mut capacity: Vec<u64> = Vec::new();
-        if let Some(cp) = self.partition.columnar() {
-            for p in &cp.portions {
-                let idx = p.tile_type.index();
-                if capacity.len() <= idx {
-                    capacity.resize(idx + 1, 0);
-                }
-                capacity[idx] += (p.width() as u64) * cp.rows as u64;
-            }
-            // Subtract tiles lost to forbidden areas (approximation: forbidden
-            // tiles of each column type).
-            for fa in &cp.forbidden {
-                for col in fa.rect.columns() {
-                    if let Some(ty) = cp.column_type(col) {
-                        let idx = ty.index();
-                        if idx < capacity.len() {
-                            capacity[idx] = capacity[idx].saturating_sub(fa.rect.h as u64);
-                        }
-                    }
-                }
-            }
-        } else {
-            // Heterogeneous fabric: exact per-cell counts of usable tiles.
-            for row in 1..=self.partition.rows {
-                for col in 1..=self.partition.cols {
-                    if self.partition.forbidden.iter().any(|fa| fa.covers(col, row)) {
-                        continue;
-                    }
-                    if let Some(ty) = self.partition.tile_type_at(col, row) {
-                        let idx = ty.index();
-                        if capacity.len() <= idx {
-                            capacity.resize(idx + 1, 0);
-                        }
-                        capacity[idx] += 1;
-                    }
-                }
-            }
-        }
+        // Usable tiles per type, each tile counted once.
+        let capacity = self.partition.usable_tiles_by_type();
         for region in &self.regions {
             for &(ty, count) in region.tile_req() {
                 let have = capacity.get(ty.index()).copied().unwrap_or(0);

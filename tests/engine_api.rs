@@ -286,7 +286,11 @@ fn milp_engine_stats_are_pinned_on_the_goldens() {
 /// the first two regions) and on the SDR golden: nodes, waste, wire-length
 /// bits and the floorplan, written as `x,y,w,h` per region then per
 /// free-compatible area. A change to the search, its pruning or the leaf
-/// packer that alters node order or any packed rect shows up here.
+/// packer that alters node order or any packed rect shows up here. The node
+/// counts are those of the search with forward checking (first fits, the
+/// least-waste bound and the frame capacity); the waste, wire-length bits
+/// and floorplans were recorded before it and did not move, since it prunes
+/// only subtrees that cannot improve the incumbent.
 #[test]
 fn combinatorial_serial_search_is_pinned() {
     use relocfp::device::Rect;
@@ -303,7 +307,7 @@ fn combinatorial_serial_search_is_pinned() {
         (
             "scaling-20c-7",
             scaling_instance(20, 7),
-            29_367,
+            26_163,
             182,
             0x4077_0000_0000_0000_u64,
             "2,1,12,1 1,2,14,1 5,3,11,1 16,1,2,6 | 2,4,12,1 1,5,14,1",
@@ -311,7 +315,7 @@ fn combinatorial_serial_search_is_pinned() {
         (
             "scaling-32c-3",
             scaling_instance(32, 3),
-            36_500,
+            35_747,
             248,
             0x4084_8000_0000_0000,
             "1,2,9,2 1,1,15,1 11,2,7,3 21,1,3,5 | 1,4,9,2 1,6,15,1",
@@ -327,7 +331,7 @@ fn combinatorial_serial_search_is_pinned() {
         (
             "sdr-golden",
             sdr,
-            1_197_485,
+            1_196_500,
             90,
             0x40ad_c000_0000_0000,
             "5,1,6,5 27,2,8,1 11,2,7,1 12,3,13,1 23,4,13,5 | ",
@@ -478,9 +482,10 @@ fn straddle_instance() -> FloorplanProblem {
 
 /// Serial search pins for the shapes the DFS occupancy test must get right:
 /// an `online`-shaped re-solve, and a device wider than 64 columns with a
-/// region across columns 64/65. Nodes, waste, wire-length bits and every
-/// rect were recorded from the rect-scan overlap test the row masks
-/// replaced; the 2- and 4-thread searches must prove the same objective.
+/// region across columns 64/65. Waste, wire-length bits and every rect were
+/// recorded from the rect-scan overlap test the row masks replaced, and the
+/// node counts from the search with forward checking; the 2- and 4-thread
+/// searches must prove the same objective.
 #[test]
 fn combinatorial_mask_shapes_are_pinned() {
     use relocfp::device::Rect;
@@ -491,7 +496,7 @@ fn combinatorial_mask_shapes_are_pinned() {
         (
             "online-16x3",
             online_resolve_instance(),
-            96_091,
+            74_576,
             60,
             0_u64,
             "1,1,3,3 4,2,5,2 9,2,5,1 10,1,6,1 5,1,5,1 9,3,3,1 13,3,3,1 14,2,3,1 | ",

@@ -6,7 +6,7 @@ use rfp_device::compat::{
     columnar_compatible, enumerate_free_compatible, fabric_compatible, free_compatible,
 };
 use rfp_device::{ForbiddenArea, SyntheticSpec, TileGrid, TileType, TileTypeRegistry};
-use rfp_floorplan::candidates::enumerate_candidates;
+use rfp_floorplan::candidates::{enumerate_candidates, Candidate};
 use rfp_floorplan::combinatorial::{solve_combinatorial, CombinatorialConfig, TargetTable};
 use rfp_workloads::generator::WorkloadSpec;
 
@@ -199,6 +199,219 @@ impl Oracle<'_> {
             self.search(placed, waste + w);
             placed.pop();
         }
+    }
+}
+
+/// A small random fabric, columnar or with a tile type drawn per cell, under
+/// up to three forbidden rectangles that may overlap, the first possibly
+/// twice, carrying two to four regions that each ask for nothing, a
+/// constraint-mode or a metric-mode relocation. With `fill`, the regions'
+/// CLB demands are scaled to add up to the usable CLB tiles less 0 to 2, so
+/// the device's frame capacity binds. `None` when the device does not
+/// partition (a column wholly forbidden).
+fn arb_search_problem() -> impl Strategy<Value = Option<FloorplanProblem>> {
+    (4u32..8, 3u32..5)
+        .prop_flat_map(|(cols, rows)| {
+            (
+                Just((cols, rows)),
+                any::<bool>(),
+                proptest::collection::vec(0u8..5, (cols * rows) as usize),
+                proptest::collection::vec(arb_rect(cols.min(3), rows), 0..4),
+                proptest::collection::vec((0u32..cols, 0u32..rows), 3),
+                any::<bool>(),
+                proptest::collection::vec((1u32..4, 0u32..2, 0u8..3, 1u32..3), 2..5),
+                proptest::option::of(0u32..3),
+            )
+        })
+        .prop_map(|((cols, rows), columnar, types, shapes, offsets, twice, regions, fill)| {
+            let mut reg = TileTypeRegistry::new();
+            let clb = reg.register(TileType::new("CLB", ResourceVec::new(1, 0, 0), 36)).unwrap();
+            let bram = reg.register(TileType::new("BRAM", ResourceVec::new(0, 1, 0), 30)).unwrap();
+            let dsp = reg.register(TileType::new("DSP", ResourceVec::new(0, 0, 1), 28)).unwrap();
+            let palette = [clb, clb, clb, bram, dsp];
+            let mut grid = TileGrid::new(cols, rows).unwrap();
+            for row in 1..=rows {
+                for col in 1..=cols {
+                    let i = if columnar { col - 1 } else { (row - 1) * cols + col - 1 };
+                    grid.set(col, row, Some(palette[usize::from(types[i as usize])])).unwrap();
+                }
+            }
+            // Place each shape where its offset keeps it on the device.
+            let mut forbidden: Vec<ForbiddenArea> = shapes
+                .iter()
+                .zip(&offsets)
+                .map(|(r, &(dx, dy))| {
+                    let (x, y) = (1 + dx % (cols - r.w + 1), 1 + dy % (rows - r.h + 1));
+                    ForbiddenArea::new("blk", Rect::new(x, y, r.w, r.h))
+                })
+                .collect();
+            if twice && !forbidden.is_empty() {
+                forbidden.push(forbidden[0].clone());
+            }
+            let device = Device::new("prop-search", reg, grid, forbidden).ok()?;
+            let mut p = FloorplanProblem::new(fabric_partition(&device).ok()?);
+            let mut clb_demand: Vec<u32> = regions.iter().map(|r| r.0).collect();
+            if let Some(slack) = fill {
+                let usable = (1..=cols)
+                    .flat_map(|c| (1..=rows).map(move |r| (c, r)))
+                    .filter(|&(c, r)| {
+                        p.partition.tile_type_at(c, r) == Some(clb)
+                            && !p.partition.forbidden.iter().any(|f| f.covers(c, r))
+                    })
+                    .count() as u32;
+                let (total, weight) =
+                    (usable.saturating_sub(slack), clb_demand.iter().sum::<u32>());
+                for d in &mut clb_demand {
+                    *d = (*d * total / weight).max(1);
+                }
+                clb_demand[0] += total.saturating_sub(clb_demand.iter().sum());
+            }
+            for (i, (&(_, brams, mode, count), &clbs)) in
+                regions.iter().zip(&clb_demand).enumerate()
+            {
+                let r = p
+                    .add_region(RegionSpec::new(format!("r{i}"), vec![(clb, clbs), (bram, brams)]));
+                match mode {
+                    1 => p.request_relocation(RelocationRequest::constraint(r, count)),
+                    2 => p.request_relocation(RelocationRequest::metric(r, count, 1.5)),
+                    _ => {}
+                }
+            }
+            for (a, b) in [(0, 1), (1, 2)] {
+                if b < p.regions.len() {
+                    p.connect(a, b, (a + 2) as f64);
+                }
+            }
+            Some(p)
+        })
+}
+
+/// The combinatorial engine's search with no bound at all: the same
+/// candidate lists, region order, relocation pruning and leaf packer, so
+/// its incumbent is the engine's floorplan bit for bit and every node the
+/// engine opens is one of its nodes.
+struct Unpruned<'a> {
+    problem: &'a FloorplanProblem,
+    candidates: Vec<Vec<Candidate>>,
+    order: Vec<usize>,
+    placed: Vec<Option<Rect>>,
+    nodes: u64,
+    best: Option<(u64, f64, Floorplan)>,
+}
+
+impl<'a> Unpruned<'a> {
+    fn solve(problem: &'a FloorplanProblem) -> Self {
+        let candidates: Vec<Vec<Candidate>> = problem
+            .regions
+            .iter()
+            .map(|spec| enumerate_candidates(&problem.partition, spec))
+            .collect();
+        let mut order: Vec<usize> = (0..problem.regions.len()).collect();
+        order.sort_by_key(|&r| {
+            (candidates[r].len(), usize::MAX - problem.regions[r].total_tiles() as usize)
+        });
+        let placed = vec![None; problem.regions.len()];
+        let mut search = Unpruned { problem, candidates, order, placed, nodes: 0, best: None };
+        search.dfs(0, 0);
+        search
+    }
+
+    fn occupied(&self) -> Vec<Rect> {
+        self.placed.iter().flatten().copied().collect()
+    }
+
+    fn dfs(&mut self, level: usize, waste: u64) {
+        self.nodes += 1;
+        if level == self.order.len() {
+            let Some(fc_areas) = self.pack() else { return };
+            let regions: Vec<Rect> = self.placed.iter().map(|r| r.unwrap()).collect();
+            let mut wl = 0.0;
+            for c in &self.problem.connections {
+                wl += c.weight * regions[c.a].center_distance_x2(&regions[c.b]) as f64 / 2.0;
+            }
+            if self
+                .best
+                .as_ref()
+                .is_none_or(|(bw, bwl, _)| waste < *bw || (waste == *bw && wl + 1e-9 < *bwl))
+            {
+                self.best = Some((waste, wl, Floorplan { regions, fc_areas }));
+            }
+            return;
+        }
+        let region = self.order[level];
+        for i in 0..self.candidates[region].len() {
+            let cand = self.candidates[region][i];
+            if self.placed.iter().flatten().any(|o| o.overlaps(&cand.rect)) {
+                continue;
+            }
+            self.placed[region] = Some(cand.rect);
+            if self.constraints_fit() {
+                self.dfs(level + 1, waste + cand.waste);
+            }
+            self.placed[region] = None;
+        }
+    }
+
+    /// Every constraint-mode request of a placed region still has `count`
+    /// targets clear of the placed regions.
+    fn constraints_fit(&self) -> bool {
+        let occupied = self.occupied();
+        self.problem.relocation.iter().all(|req| {
+            let Some(rect) = self.placed[req.region] else { return true };
+            !matches!(req.mode, RelocationMode::Constraint)
+                || enumerate_free_compatible(&self.problem.partition, &rect, &occupied).len()
+                    >= req.count as usize
+        })
+    }
+
+    /// The constraint-mode areas by backtracking, then the metric-mode
+    /// areas first fit, each on targets clear of everything reserved so far.
+    fn pack(&self) -> Option<Vec<FcPlacement>> {
+        let fc = self.problem.fc_areas();
+        let constraint: Vec<usize> =
+            (0..fc.len()).filter(|&i| matches!(fc[i].2, RelocationMode::Constraint)).collect();
+        let mut chosen = vec![None; fc.len()];
+        let mut occupied = self.occupied();
+        if !self.pack_constraints(&fc, &constraint, &mut occupied, &mut chosen) {
+            return None;
+        }
+        for (i, &(_, region, mode)) in fc.iter().enumerate() {
+            if matches!(mode, RelocationMode::Metric { .. }) {
+                let rect = self.placed[region].unwrap();
+                let targets = enumerate_free_compatible(&self.problem.partition, &rect, &occupied);
+                if let Some(&t) = targets.first() {
+                    occupied.push(t);
+                    chosen[i] = Some(t);
+                }
+            }
+        }
+        let placements = fc.iter().zip(chosen);
+        Some(
+            placements
+                .map(|(&(request, region, mode), rect)| FcPlacement { request, region, mode, rect })
+                .collect(),
+        )
+    }
+
+    fn pack_constraints(
+        &self,
+        fc: &[(usize, usize, RelocationMode)],
+        idx: &[usize],
+        occupied: &mut Vec<Rect>,
+        chosen: &mut [Option<Rect>],
+    ) -> bool {
+        let Some((&i, rest)) = idx.split_first() else { return true };
+        let rect = self.placed[fc[i].1].unwrap();
+        for t in enumerate_free_compatible(&self.problem.partition, &rect, occupied) {
+            occupied.push(t);
+            chosen[i] = Some(t);
+            if self.pack_constraints(fc, rest, occupied, chosen) {
+                return true;
+            }
+            occupied.pop();
+            chosen[i] = None;
+        }
+        false
     }
 }
 
@@ -726,6 +939,36 @@ proptest! {
                 (a, b) => prop_assert_eq!(a, b),
             }
         }
+    }
+
+    /// Forward checking changes no result: on random small problems, some
+    /// infeasible, some under overlapping forbidden areas, some with
+    /// constraint-mode relocation, the serial engine returns the floorplan,
+    /// waste, wire-length bits and proof of the same search with no bound,
+    /// in no more nodes.
+    #[test]
+    fn forward_checking_returns_the_unpruned_search_result(problem in arb_search_problem()) {
+        let Some(problem) = problem else { return Ok(()) };
+        let reference = Unpruned::solve(&problem);
+        let res = match solve_combinatorial(&problem, &CombinatorialConfig::default()) {
+            Ok(res) => res,
+            Err(e) => {
+                prop_assert!(
+                    problem.validate().is_err() || reference.candidates.iter().any(Vec::is_empty),
+                    "engine error {} on a valid problem", e
+                );
+                return Ok(());
+            }
+        };
+        prop_assert!(res.proven);
+        let (waste, wl, floorplan) = match reference.best {
+            Some((waste, wl, fp)) => (Some(waste), Some(wl.to_bits()), Some(fp)),
+            None => (None, None, None),
+        };
+        prop_assert_eq!(res.best_waste, waste);
+        prop_assert_eq!(res.best_wirelength.map(f64::to_bits), wl);
+        prop_assert_eq!(res.floorplan, floorplan);
+        prop_assert!(res.nodes <= reference.nodes, "{} > {}", res.nodes, reference.nodes);
     }
 
     /// Enumerating only irredundant candidates loses no optimum, even under
