@@ -7,15 +7,17 @@
 //! compatible *and* does not overlap any area assigned to a reconfigurable
 //! region or any other free-compatible area.
 //!
-//! This module provides both a general 2-D check working directly on the
-//! tile grid (used by the Figure 1 example and by the bitstream relocation
-//! filter) and a fast columnar check working on a [`ColumnarPartition`]
-//! (used by the floorplanner and its validators).
+//! Every consumer (the floorplanner, its validators, the bitstream
+//! relocation filter and the runtime) asks [`fabric_compatible`] and
+//! [`enumerate_free_compatible`], which compare the effective cell grid of a
+//! [`FabricPartition`] row by row. Columnar devices need no path of their
+//! own: their rows are equal, so the first row decides. [`areas_compatible`]
+//! repeats the check on the raw tile grid of a [`Device`]; the Figure 1
+//! example and the tests use it as the oracle.
 
 use crate::fabric::FabricPartition;
 use crate::geometry::Rect;
 use crate::grid::Device;
-use crate::partition::ColumnarPartition;
 use std::fmt;
 
 /// The outcome of a compatibility check, carrying the reason for a mismatch.
@@ -98,41 +100,12 @@ pub fn areas_compatible(device: &Device, a: &Rect, b: &Rect) -> CompatReport {
     CompatReport::Compatible
 }
 
-/// Columnar compatibility check (the specialisation used by the MILP model).
+/// Fabric compatibility check (Definition .1).
 ///
-/// On a columnar-partitioned device the tile type only depends on the column,
-/// so two areas are compatible iff they have the same width and height and
-/// the same left-to-right sequence of column types, and neither crosses a
-/// forbidden area.
-pub fn columnar_compatible(partition: &ColumnarPartition, a: &Rect, b: &Rect) -> CompatReport {
-    if !partition.rect_in_bounds(a) || !partition.rect_in_bounds(b) {
-        return CompatReport::OutOfBounds;
-    }
-    if partition.rect_crosses_forbidden(a) || partition.rect_crosses_forbidden(b) {
-        return CompatReport::CrossesForbidden;
-    }
-    if a.w != b.w || a.h != b.h {
-        return CompatReport::ShapeMismatch { a: (a.w, a.h), b: (b.w, b.h) };
-    }
-    for dx in 0..a.w {
-        let ta = partition.column_type(a.x + dx);
-        let tb = partition.column_type(b.x + dx);
-        if ta != tb {
-            return CompatReport::TileMismatch { dx, dy: 0 };
-        }
-    }
-    CompatReport::Compatible
-}
-
-/// Generalized fabric compatibility check.
-///
-/// Reduces to [`columnar_compatible`] on columnar fabrics (bit-for-bit: same
-/// checks in the same order) and extends it with two fabric-only rules:
-///
-/// * areas spanning a **die boundary** are never relocation-compatible
-///   ([`CompatReport::CrossesDieBoundary`]);
-/// * on non-columnar fabrics the tile types are compared **per cell**, like
-///   the exhaustive grid oracle [`areas_compatible`].
+/// Runs the checks of the grid oracle [`areas_compatible`] in the same order
+/// and reports the same first mismatching offset, on the effective cell
+/// grid, with one fabric-only rule added: areas spanning a **die boundary**
+/// are never relocation-compatible ([`CompatReport::CrossesDieBoundary`]).
 pub fn fabric_compatible(partition: &FabricPartition, a: &Rect, b: &Rect) -> CompatReport {
     if !partition.rect_in_bounds(a) || !partition.rect_in_bounds(b) {
         return CompatReport::OutOfBounds;
@@ -152,26 +125,15 @@ pub fn fabric_compatible(partition: &FabricPartition, a: &Rect, b: &Rect) -> Com
     }
 }
 
-/// First relative offset `(dx, dy)` at which two in-bounds areas of equal
-/// shape carry different tile types, or `None` when they match everywhere.
-/// On columnar fabrics only the column types are compared (`dy` is 0).
+/// First relative offset `(dx, dy)`, in row-major order, at which two
+/// in-bounds areas of equal shape carry different tile types, or `None` when
+/// they match everywhere.
 fn tile_mismatch(partition: &FabricPartition, a: &Rect, b: &Rect) -> Option<(u32, u32)> {
-    if let Some(cp) = partition.columnar() {
-        // Fast columnar path: the tile type only depends on the column.
-        return (0..a.w)
-            .find(|&dx| cp.column_type(a.x + dx) != cp.column_type(b.x + dx))
-            .map(|dx| (dx, 0));
-    }
-    for dy in 0..a.h {
-        for dx in 0..a.w {
-            let ta = partition.tile_type_at(a.x + dx, a.y + dy);
-            let tb = partition.tile_type_at(b.x + dx, b.y + dy);
-            if ta != tb {
-                return Some((dx, dy));
-            }
-        }
-    }
-    None
+    (0..a.h).find_map(|dy| {
+        let ra = partition.row_slice(a.x, a.y + dy, a.w);
+        let rb = partition.row_slice(b.x, b.y + dy, b.w);
+        ra.iter().zip(rb).position(|(ta, tb)| ta != tb).map(|dx| (dx as u32, dy))
+    })
 }
 
 /// Free-compatibility check (Definition .2).
@@ -239,7 +201,6 @@ mod tests {
     use crate::devices::figure1_device;
     use crate::forbidden::ForbiddenArea;
     use crate::grid::{Device, TileGrid};
-    use crate::partition::columnar_partition;
     use crate::resources::ResourceVec;
     use crate::tile::{TileType, TileTypeRegistry};
 
@@ -296,48 +257,65 @@ mod tests {
         assert_eq!(areas_compatible(&d, &a, &b), CompatReport::CrossesForbidden);
     }
 
+    /// The fabric check on a columnar device gives the grid oracle's full
+    /// report (offsets included) for areas of mixed shapes.
     #[test]
     fn columnar_check_agrees_with_grid_check_on_columnar_devices() {
         let d = striped_device();
-        let p = columnar_partition(&d).unwrap();
+        let f = crate::fabric::fabric_partition(&d).unwrap();
         let rects = [
             Rect::new(1, 1, 2, 2),
             Rect::new(3, 4, 2, 2),
             Rect::new(2, 1, 2, 2),
             Rect::new(5, 2, 2, 3),
             Rect::new(1, 3, 3, 2),
+            Rect::new(6, 6, 2, 2),
         ];
         for a in &rects {
             for b in &rects {
                 assert_eq!(
-                    areas_compatible(&d, a, b).is_compatible(),
-                    columnar_compatible(&p, a, b).is_compatible(),
+                    fabric_compatible(&f, a, b),
+                    areas_compatible(&d, a, b),
                     "disagreement for {a} vs {b}"
                 );
             }
         }
     }
 
+    /// Every pair of 2x3 areas of a columnar device with a hard block,
+    /// out-of-bounds positions included: the fabric check reports what the
+    /// grid oracle reports, first mismatching offset included.
     #[test]
-    fn fabric_check_bit_agrees_with_columnar_check_on_columnar_devices() {
-        let d = striped_device();
-        let cp = columnar_partition(&d).unwrap();
+    fn fabric_check_matches_the_grid_oracle_on_columnar_devices() {
+        let mut reg = TileTypeRegistry::new();
+        let clb = reg.register(TileType::new("CLB", ResourceVec::new(1, 0, 0), 36)).unwrap();
+        let bram = reg.register(TileType::new("BRAM", ResourceVec::new(0, 1, 0), 30)).unwrap();
+        let mut grid = TileGrid::new(6, 5).unwrap();
+        for (c, ty) in [clb, bram, clb, clb, bram, clb].into_iter().enumerate() {
+            grid.fill_column(c as u32 + 1, ty).unwrap();
+        }
+        let blk = vec![ForbiddenArea::new("blk", Rect::new(4, 4, 1, 1))];
+        let d = Device::new("striped-blk", reg, grid, blk).unwrap();
         let f = crate::fabric::fabric_partition(&d).unwrap();
-        for ax in 1..=5u32 {
+        assert!(f.columnar().is_some());
+        let mut mismatches = 0;
+        for ax in 1..=6u32 {
             for ay in 1..=5u32 {
-                for bx in 1..=5u32 {
+                for bx in 1..=6u32 {
                     for by in 1..=5u32 {
-                        let a = Rect::new(ax, ay, 2, 2);
-                        let b = Rect::new(bx, by, 2, 2);
-                        assert_eq!(
-                            fabric_compatible(&f, &a, &b),
-                            columnar_compatible(&cp, &a, &b),
-                            "disagreement for {a} vs {b}"
-                        );
+                        let a = Rect::new(ax, ay, 3, 2);
+                        let b = Rect::new(bx, by, 3, 2);
+                        let report = fabric_compatible(&f, &a, &b);
+                        mismatches += usize::from(matches!(
+                            report,
+                            CompatReport::TileMismatch { dx, .. } if dx > 0
+                        ));
+                        assert_eq!(report, areas_compatible(&d, &a, &b), "{a} vs {b}");
                     }
                 }
             }
         }
+        assert!(mismatches > 0, "some pairs must first differ past column 0");
     }
 
     #[test]

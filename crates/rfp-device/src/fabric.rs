@@ -5,11 +5,13 @@
 //! columnar: irregular BRAM/DSP column patterns, forbidden regions and
 //! multi-die boundaries break that assumption. [`FabricPartition`] models the
 //! general case — a per-tile effective resource grid plus forbidden
-//! rectangles and die-boundary rows that relocatable regions may not cross —
-//! while keeping the columnar description as a special case: when the device
-//! *is* columnar the partition carries a [`ColumnarPartition`] view so every
-//! consumer (candidate enumeration, the MILP model, the IO codecs) can keep
-//! the fast columnar path bit-for-bit unchanged.
+//! rectangles and die-boundary rows that relocatable regions may not cross.
+//! Its per-cell queries are the only implementation of rect accounting,
+//! compatibility and candidate enumeration, columnar devices included. When
+//! the device *is* columnar the partition also carries the
+//! [`ColumnarPartition`] portion view, which only the paper's portion model,
+//! the version-1 codecs, the fingerprints and the portion-aligned renderers
+//! read.
 //!
 //! Die boundaries do **not** restrict static placement — a region may span a
 //! boundary — but a bitstream cannot be relocated across one, so the
@@ -71,6 +73,14 @@ impl FabricPartition {
         Some(self.cells[self.idx(col, row)])
     }
 
+    /// The `width` effective tile types of row `row` starting at column
+    /// `col` (all 1-based). The span must lie on the device.
+    #[inline]
+    pub(crate) fn row_slice(&self, col: u32, row: u32, width: u32) -> &[TileTypeId] {
+        let start = self.idx(col, row);
+        &self.cells[start..start + width as usize]
+    }
+
     /// The columnar view of this fabric, if the device is columnar.
     #[inline]
     pub fn columnar(&self) -> Option<&ColumnarPartition> {
@@ -83,11 +93,6 @@ impl FabricPartition {
     #[inline]
     pub fn is_columnar_legacy(&self) -> bool {
         self.columnar.is_some() && self.die_boundaries.is_empty()
-    }
-
-    /// Effective tile type of a column, when the fabric is columnar.
-    pub fn column_type(&self, col: u32) -> Option<TileTypeId> {
-        self.columnar.as_ref().and_then(|cp| cp.column_type(col))
     }
 
     /// Frames needed to configure one tile of the given type.
@@ -125,9 +130,6 @@ impl FabricPartition {
 
     /// Resources covered by a rectangle (using effective tile types).
     pub fn resources_in_rect(&self, rect: &Rect) -> ResourceVec {
-        if let Some(cp) = &self.columnar {
-            return cp.resources_in_rect(rect);
-        }
         let mut total = ResourceVec::ZERO;
         for (c, r) in rect.cells() {
             if let Some(ty) = self.tile_type_at(c, r) {
@@ -139,9 +141,6 @@ impl FabricPartition {
 
     /// Tiles of each type covered by a rectangle, keyed by registry index.
     pub fn tiles_by_type_in_rect(&self, rect: &Rect) -> Vec<(TileTypeId, u32)> {
-        if let Some(cp) = &self.columnar {
-            return cp.tiles_by_type_in_rect(rect);
-        }
         let mut counts: Vec<u32> = vec![0; self.frames_of_type.len()];
         for (c, r) in rect.cells() {
             if let Some(ty) = self.tile_type_at(c, r) {
@@ -158,9 +157,6 @@ impl FabricPartition {
 
     /// Configuration frames covered by a rectangle.
     pub fn frames_in_rect(&self, rect: &Rect) -> u64 {
-        if let Some(cp) = &self.columnar {
-            return cp.frames_in_rect(rect);
-        }
         rect.cells()
             .filter_map(|(c, r)| self.tile_type_at(c, r))
             .map(|ty| self.frames_per_tile(ty) as u64)
@@ -171,9 +167,6 @@ impl FabricPartition {
     /// tiles no forbidden area covers, each counted once however many areas
     /// overlap on it.
     pub fn usable_tiles_by_type(&self) -> Vec<u64> {
-        if let Some(cp) = &self.columnar {
-            return cp.usable_tiles_by_type();
-        }
         let mut tiles = vec![0u64; self.frames_of_type.len()];
         for col in 1..=self.cols {
             for row in free_rows(&self.forbidden, col, self.rows) {
@@ -273,12 +266,11 @@ pub fn fabric_partition_with_boundaries(
             let forbidden_here = device.is_forbidden(col, row);
             match device.tile_type_at(col, row) {
                 Some(ty) if !forbidden_here => cells.push(ty),
-                Some(_) | None if forbidden_here => match replacements[(col - 1) as usize] {
+                _ if forbidden_here => match replacements[(col - 1) as usize] {
                     Some(ty) => cells.push(ty),
                     None => return Err(DeviceError::ColumnFullyForbidden { col }),
                 },
-                Some(ty) => cells.push(ty),
-                None => return Err(DeviceError::UnassignedTile { col, row }),
+                _ => return Err(DeviceError::UnassignedTile { col, row }),
             }
         }
     }
@@ -330,13 +322,36 @@ mod tests {
         assert!(f.is_columnar_legacy());
         let cp = f.columnar().unwrap();
         assert_eq!(cp.cols, f.cols);
-        // Per-cell accounting agrees with the columnar view everywhere.
+        // Every cell carries its column's type, and per-cell accounting
+        // agrees with the raw tile grid.
+        for col in 1..=f.cols {
+            for row in 1..=f.rows {
+                assert_eq!(f.tile_type_at(col, row), cp.column_type(col));
+            }
+        }
         let r = Rect::new(3, 2, 5, 4);
-        assert_eq!(f.frames_in_rect(&r), cp.frames_in_rect(&r));
-        assert_eq!(f.resources_in_rect(&r), cp.resources_in_rect(&r));
-        assert_eq!(f.tiles_by_type_in_rect(&r), cp.tiles_by_type_in_rect(&r));
-        assert_eq!(f.total_frames(), cp.total_frames());
-        assert_eq!(f.total_resources(), cp.total_resources());
+        assert!(!d.rect_crosses_forbidden(&r));
+        let types = || r.cells().map(|(c, row)| d.registry.expect(d.tile_type_at(c, row).unwrap()));
+        assert_eq!(f.frames_in_rect(&r), types().map(|t| t.frames as u64).sum::<u64>());
+        assert_eq!(
+            f.resources_in_rect(&r),
+            types().fold(ResourceVec::ZERO, |a, t| a + t.resources)
+        );
+        let tiles: u32 = f.tiles_by_type_in_rect(&r).iter().map(|&(_, n)| n).sum();
+        assert_eq!(tiles, r.w * r.h);
+        assert_eq!(f.total_frames(), d.total_frames());
+        assert_eq!(f.total_resources(), d.total_resources());
+    }
+
+    #[test]
+    fn frames_in_rect_counts_column_types() {
+        let mut b = DeviceBuilder::new("t");
+        let clb = b.tile_type("CLB", ResourceVec::new(1, 0, 0), 36);
+        let bram = b.tile_type("BRAM", ResourceVec::new(0, 1, 0), 30);
+        b.rows(4).columns(&[clb, clb, bram, clb]);
+        let f = fabric_partition(&b.build().unwrap()).unwrap();
+        let r = Rect::new(2, 1, 2, 3); // one CLB column + one BRAM column, 3 rows
+        assert_eq!(f.frames_in_rect(&r), 3 * 36 + 3 * 30);
     }
 
     #[test]

@@ -14,9 +14,16 @@
 //!   different types;
 //! * **Property .4** — the portions can be orderly numbered from left to
 //!   right.
+//!
+//! A [`ColumnarPartition`] is the portion view only: the paper's portion
+//! model, the version-1 codecs, the fingerprints and the figure renderers
+//! read it. Tile queries (rect accounting, usable totals, compatibility,
+//! candidate enumeration) are answered per cell by
+//! [`crate::fabric::FabricPartition`], which carries this view for columnar
+//! devices.
 
 use crate::error::DeviceError;
-use crate::forbidden::{free_rows, ForbiddenArea};
+use crate::forbidden::ForbiddenArea;
 use crate::geometry::Rect;
 use crate::grid::Device;
 use crate::resources::ResourceVec;
@@ -154,70 +161,9 @@ impl ColumnarPartition {
         Some(self.column_types[(col - 1) as usize])
     }
 
-    /// Effective tile-type sequence of a span of columns.
-    pub fn column_type_sequence(&self, x1: u32, width: u32) -> Vec<TileTypeId> {
-        (x1..x1 + width).filter_map(|c| self.column_type(c)).collect()
-    }
-
     /// Frames needed to configure one tile of the given type.
     pub fn frames_per_tile(&self, ty: TileTypeId) -> u32 {
         self.frames_of_type[ty.index()]
-    }
-
-    /// Resources carried by one tile of the given type.
-    pub fn resources_per_tile(&self, ty: TileTypeId) -> ResourceVec {
-        self.resources_of_type[ty.index()]
-    }
-
-    /// Returns `true` if the rectangle lies fully on the device.
-    pub fn rect_in_bounds(&self, rect: &Rect) -> bool {
-        rect.x >= 1 && rect.y >= 1 && rect.x2() <= self.cols && rect.y2() <= self.rows
-    }
-
-    /// Returns `true` if the rectangle crosses a forbidden area.
-    pub fn rect_crosses_forbidden(&self, rect: &Rect) -> bool {
-        self.forbidden.iter().any(|fa| fa.blocks(rect))
-    }
-
-    /// Returns `true` if a rectangle is a legal region placement: in bounds
-    /// and not crossing any forbidden area.
-    pub fn placement_legal(&self, rect: &Rect) -> bool {
-        self.rect_in_bounds(rect) && !self.rect_crosses_forbidden(rect)
-    }
-
-    /// Resources covered by a rectangle (using effective column types).
-    pub fn resources_in_rect(&self, rect: &Rect) -> ResourceVec {
-        let mut total = ResourceVec::ZERO;
-        for col in rect.columns() {
-            if let Some(ty) = self.column_type(col) {
-                total += self.resources_per_tile(ty).scaled(rect.h);
-            }
-        }
-        total
-    }
-
-    /// Tiles of each type covered by a rectangle, keyed by registry index.
-    pub fn tiles_by_type_in_rect(&self, rect: &Rect) -> Vec<(TileTypeId, u32)> {
-        let mut counts: Vec<u32> = vec![0; self.frames_of_type.len()];
-        for col in rect.columns() {
-            if let Some(ty) = self.column_type(col) {
-                counts[ty.index()] += rect.h;
-            }
-        }
-        counts
-            .into_iter()
-            .enumerate()
-            .filter(|&(_, c)| c > 0)
-            .map(|(i, c)| (TileTypeId(i as u16), c))
-            .collect()
-    }
-
-    /// Configuration frames covered by a rectangle.
-    pub fn frames_in_rect(&self, rect: &Rect) -> u64 {
-        rect.columns()
-            .filter_map(|c| self.column_type(c))
-            .map(|ty| self.frames_per_tile(ty) as u64 * rect.h as u64)
-            .sum()
     }
 
     /// Portions whose x projection intersects the rectangle, together with
@@ -237,23 +183,6 @@ impl ColumnarPartition {
             .collect()
     }
 
-    /// Usable tiles of each type, indexed by registry tile-type index: the
-    /// tiles no forbidden area covers, each counted once however many areas
-    /// overlap on it.
-    pub fn usable_tiles_by_type(&self) -> Vec<u64> {
-        let mut tiles = vec![0u64; self.frames_of_type.len()];
-        for (col, ty) in (1..=self.cols).zip(&self.column_types) {
-            tiles[ty.index()] += free_rows(&self.forbidden, col, self.rows).count() as u64;
-        }
-        tiles
-    }
-
-    /// Total usable frames on the device (excluding forbidden tiles).
-    pub fn total_frames(&self) -> u64 {
-        let tiles = self.usable_tiles_by_type();
-        tiles.iter().zip(&self.frames_of_type).map(|(&n, &f)| n * f as u64).sum()
-    }
-
     /// The per-type frames table, indexed by registry tile-type index.
     pub(crate) fn frames_table(&self) -> &[u32] {
         &self.frames_of_type
@@ -262,13 +191,6 @@ impl ColumnarPartition {
     /// The per-type resources table, indexed by registry tile-type index.
     pub(crate) fn resources_table(&self) -> &[ResourceVec] {
         &self.resources_of_type
-    }
-
-    /// Total usable resources on the device (excluding forbidden tiles).
-    pub fn total_resources(&self) -> ResourceVec {
-        let tiles = self.usable_tiles_by_type();
-        let per_type = tiles.iter().zip(&self.resources_of_type);
-        per_type.fold(ResourceVec::ZERO, |total, (&n, r)| total + r.scaled(n as u32))
     }
 }
 
@@ -377,6 +299,7 @@ pub fn columnar_partition(device: &Device) -> Result<ColumnarPartition, DeviceEr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fabric::FabricPartition;
     use crate::grid::TileGrid;
     use crate::resources::ResourceVec;
     use crate::tile::{TileType, TileTypeRegistry};
@@ -471,28 +394,36 @@ mod tests {
         let d = device_with_block();
         let p = columnar_partition(&d).unwrap();
         let r = Rect::new(1, 1, 3, 2); // columns C C B, 2 rows
-        assert_eq!(p.resources_in_rect(&r), ResourceVec::new(4, 2, 0));
-        assert_eq!(p.frames_in_rect(&r), 4 * 36 + 2 * 30);
         let covered = p.portions_covered(&r);
         assert_eq!(covered, vec![(PortionId(0), 2), (PortionId(1), 1)]);
+        // The fabric built from this view counts the replaced tiles under
+        // the block by their column type.
+        let f = FabricPartition::from(p);
+        assert_eq!(f.resources_in_rect(&r), ResourceVec::new(4, 2, 0));
+        assert_eq!(f.frames_in_rect(&r), 4 * 36 + 2 * 30);
+        let under_block = Rect::new(2, 2, 2, 2); // columns C B, rows 2-3
+        assert_eq!(f.resources_in_rect(&under_block), ResourceVec::new(2, 2, 0));
+        assert_eq!(
+            f.tiles_by_type_in_rect(&under_block),
+            vec![(TileTypeId(0), 2), (TileTypeId(1), 2)]
+        );
     }
 
     #[test]
     fn placement_legality_checks_bounds_and_forbidden() {
-        let d = device_with_block();
-        let p = columnar_partition(&d).unwrap();
-        assert!(p.placement_legal(&Rect::new(4, 1, 3, 4)));
-        assert!(!p.placement_legal(&Rect::new(2, 2, 1, 1)), "crosses the PPC block");
-        assert!(!p.placement_legal(&Rect::new(6, 1, 2, 2)), "out of bounds to the right");
-        assert!(!p.placement_legal(&Rect::new(1, 4, 1, 2)), "out of bounds at the bottom");
+        let f = FabricPartition::from(columnar_partition(&device_with_block()).unwrap());
+        assert!(f.placement_legal(&Rect::new(4, 1, 3, 4)));
+        assert!(!f.placement_legal(&Rect::new(2, 2, 1, 1)), "crosses the PPC block");
+        assert!(!f.placement_legal(&Rect::new(6, 1, 2, 2)), "out of bounds to the right");
+        assert!(!f.placement_legal(&Rect::new(1, 4, 1, 2)), "out of bounds at the bottom");
     }
 
     #[test]
     fn totals_exclude_forbidden_tiles() {
         let d = device_with_block();
-        let p = columnar_partition(&d).unwrap();
-        assert_eq!(p.total_resources(), d.total_resources());
-        assert_eq!(p.total_frames(), d.total_frames());
+        let f = FabricPartition::from(columnar_partition(&d).unwrap());
+        assert_eq!(f.total_resources(), d.total_resources());
+        assert_eq!(f.total_frames(), d.total_frames());
     }
 
     /// The tiny golden's device (`C C B C C B C`, 3 rows) with `copies`
@@ -515,7 +446,7 @@ mod tests {
     fn overlapping_forbidden_areas_are_subtracted_once() {
         let totals = |copies| {
             let d = tiny_with_forbidden_copies(copies);
-            let p = columnar_partition(&d).unwrap();
+            let p = FabricPartition::from(columnar_partition(&d).unwrap());
             assert_eq!(p.total_frames(), d.total_frames(), "{copies} copies");
             assert_eq!(p.total_resources(), d.total_resources(), "{copies} copies");
             (p.usable_tiles_by_type(), p.total_frames(), p.total_resources())

@@ -2,13 +2,11 @@
 //! invariants (Section III of the paper) on randomly generated devices.
 
 use proptest::prelude::*;
-use rfp_device::compat::{
-    areas_compatible, columnar_compatible, enumerate_free_compatible, fabric_compatible,
-};
+use rfp_device::compat::{areas_compatible, enumerate_free_compatible, fabric_compatible};
 use rfp_device::fabric::{fabric_partition, fabric_partition_with_boundaries};
 use rfp_device::{
-    columnar_partition, Device, PortionId, Rect, ResourceVec, SyntheticSpec, TileGrid, TileType,
-    TileTypeRegistry,
+    columnar_partition, CompatReport, Device, PortionId, Rect, ResourceVec, SyntheticSpec,
+    TileGrid, TileType, TileTypeRegistry,
 };
 
 fn arb_spec() -> impl Strategy<Value = SyntheticSpec> {
@@ -60,7 +58,7 @@ proptest! {
     #[test]
     fn rect_accounting_is_additive(spec in arb_spec(), split in 1u32..40) {
         let device = spec.build().unwrap();
-        let partition = columnar_partition(&device).unwrap();
+        let partition = fabric_partition(&device).unwrap();
         let full = Rect::new(1, 1, partition.cols, partition.rows);
         let split = split.min(partition.cols.saturating_sub(1)).max(1);
         if split >= partition.cols {
@@ -78,9 +76,9 @@ proptest! {
     }
 
     /// Compatibility is invariant under vertical translation on columnar
-    /// devices: moving both areas by the same row offset never changes the
-    /// verdict, and moving a single area vertically (within bounds) never
-    /// changes it either, because tile types only depend on the column.
+    /// devices: moving a single area vertically (within bounds) never
+    /// changes the report, first mismatching offset included, because tile
+    /// types only depend on the column.
     #[test]
     fn compatibility_depends_only_on_columns(
         spec in arb_spec(),
@@ -89,7 +87,7 @@ proptest! {
     ) {
         let spec = SyntheticSpec { hard_block: None, ..spec };
         let device = spec.build().unwrap();
-        let partition = columnar_partition(&device).unwrap();
+        let partition = fabric_partition(&device).unwrap();
         let cols = partition.cols;
         let rows = partition.rows;
         let w = w.min(cols);
@@ -98,13 +96,10 @@ proptest! {
         let x2 = x2.min(cols - w + 1);
         let a = Rect::new(x1, 1, w, h);
         let b = Rect::new(x2, 1, w, h);
-        let verdict = columnar_compatible(&partition, &a, &b).is_compatible();
+        let report = fabric_compatible(&partition, &a, &b);
         for dy in 0..(rows - h) {
             let b_shifted = Rect::new(x2, 1 + dy, w, h);
-            prop_assert_eq!(
-                columnar_compatible(&partition, &a, &b_shifted).is_compatible(),
-                verdict
-            );
+            prop_assert_eq!(fabric_compatible(&partition, &a, &b_shifted), report.clone());
         }
     }
 
@@ -118,7 +113,6 @@ proptest! {
     ) {
         let device = spec.build().unwrap();
         let partition = fabric_partition(&device).unwrap();
-        let columnar = columnar_partition(&device).unwrap();
         let cols = partition.cols;
         let rows = partition.rows;
         let w = w.min(cols);
@@ -131,15 +125,15 @@ proptest! {
             prop_assert!(partition.rect_in_bounds(cand));
             prop_assert!(!partition.rect_crosses_forbidden(cand));
             prop_assert!(!cand.overlaps(&source));
-            prop_assert!(columnar_compatible(&columnar, &source, cand).is_compatible());
+            prop_assert_eq!(areas_compatible(&device, &source, cand), CompatReport::Compatible);
         }
     }
 
-    /// `fabric_compatible` bit-agrees with `columnar_compatible` — the exact
-    /// same `CompatReport`, not just the same verdict — on every columnar
-    /// device (the behaviour-preservation pin of the fabric refactor).
+    /// `fabric_compatible` gives the grid oracle's exact `CompatReport`, not
+    /// just the same verdict, on every columnar device, hard blocks and
+    /// out-of-bounds probes included.
     #[test]
-    fn fabric_compatible_bit_agrees_with_columnar_compatible(
+    fn fabric_compatible_matches_the_grid_oracle_on_columnar_devices(
         spec in arb_spec(),
         ax in 1u32..40, ay in 1u32..10,
         bx in 1u32..40, by in 1u32..10,
@@ -147,18 +141,17 @@ proptest! {
     ) {
         let (w, h, w2, h2) = sz;
         let device = spec.build().unwrap();
-        let columnar = columnar_partition(&device).unwrap();
         let fabric = fabric_partition(&device).unwrap();
         prop_assert!(fabric.is_columnar_legacy());
-        let cols = columnar.cols;
-        let rows = columnar.rows;
+        let cols = fabric.cols;
+        let rows = fabric.rows;
         // Bias towards in-bounds rects but keep some out-of-bounds probes.
         let a = Rect::new(ax.min(cols), ay.min(rows), w, h);
         let b = Rect::new(bx.min(cols), by.min(rows), w2, h2);
         prop_assert_eq!(
             fabric_compatible(&fabric, &a, &b),
-            columnar_compatible(&columnar, &a, &b),
-            "fabric/columnar disagreement for {} vs {}", a, b
+            areas_compatible(&device, &a, &b),
+            "fabric/oracle disagreement for {} vs {}", a, b
         );
     }
 }
@@ -211,7 +204,6 @@ proptest! {
         bx in 1u32..10, by in 1u32..8,
         w in 1u32..5, h in 1u32..5,
     ) {
-        use rfp_device::CompatReport;
         let (device, boundaries) = devb;
         let fabric = fabric_partition_with_boundaries(&device, &boundaries).unwrap();
         let cols = fabric.cols;

@@ -1,25 +1,34 @@
-//! Candidate-rectangle enumeration.
+//! Candidate-rectangle enumeration and the greedy placer core.
 //!
-//! On a columnar-partitioned device the tiles covered by a rectangle only
-//! depend on its column window and its height, so the set of placements that
-//! satisfy a region's requirement can be enumerated exactly. The
-//! combinatorial engine and the HO seeding heuristic both work on this
-//! candidate list.
+//! A region's candidates are the placements that satisfy its requirement,
+//! enumerated over the effective cell grid of a [`FabricPartition`] with
+//! per-type 2-D prefix sums. Columnar devices take the same path: their
+//! coverage depends only on the column window and the height, so every
+//! row anchor of a window yields the same minimum height. The
+//! combinatorial engine, the MILP assignment model, the greedy heuristics
+//! and the online runtime all work on this candidate list.
 //!
-//! A candidate is **irredundant** when no single-side shrink (one row
-//! shorter, leftmost column dropped, or rightmost column dropped) still
-//! satisfies the requirement. Only irredundant candidates are enumerated,
-//! and no optimum is lost by that, even under relocation constraints: every
-//! covering rectangle contains an irredundant covering one, and shrinking a
-//! region and its free-compatible target by the same offsets keeps the two
-//! compatible and clear of overlaps, forbidden cells and die boundaries.
-//! The shrink strictly lowers the waste whenever the dropped tiles carry
-//! frames, as every tile of the device models does. `tests/properties.rs`
-//! checks this against an exhaustive search over every covering rectangle.
+//! A candidate is **irredundant** when no single-side shrink (one row shorter
+//! from the top or the bottom, leftmost column dropped, or rightmost column
+//! dropped) still satisfies the requirement. Only irredundant candidates are
+//! enumerated, and no optimum is lost by that, even under relocation
+//! constraints: every covering rectangle contains an irredundant covering
+//! one, and shrinking a region and its free-compatible target by the same
+//! offsets keeps the two compatible and clear of overlaps, forbidden cells
+//! and die boundaries. The shrink strictly lowers the waste whenever the
+//! dropped tiles carry frames, as every tile of the device models does.
+//! `tests/properties.rs` checks this against an exhaustive search over every
+//! covering rectangle.
+//!
+//! [`first_fit`] and [`reserve_fc_areas`] are the greedy placer every
+//! greedy caller shares: the lowest-waste candidate clear of what is
+//! placed, then the first free-compatible target of each requested area.
 
 use crate::fingerprint::{device_cells, device_columns, forbidden_rects, region_demand};
-use crate::problem::RegionSpec;
-use rfp_device::{ColumnarPartition, FabricPartition, Rect};
+use crate::placement::FcPlacement;
+use crate::problem::{RegionId, RegionSpec, RelocationMode};
+use rfp_device::compat::enumerate_free_compatible;
+use rfp_device::{FabricPartition, Rect};
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
@@ -30,67 +39,6 @@ pub struct Candidate {
     pub rect: Rect,
     /// Configuration frames wasted by this placement (covered minus required).
     pub waste: u64,
-}
-
-/// Per-column tile-type table used to answer coverage queries in O(1) per
-/// column window.
-struct ColumnTable {
-    /// `counts[t][c]` = number of columns of tile-type index `t` among the
-    /// first `c` columns (prefix sums, index 0 = 0).
-    counts: Vec<Vec<u32>>,
-    /// Frames of one tile in each column, prefix-summed.
-    frame_prefix: Vec<u64>,
-    n_types: usize,
-}
-
-impl ColumnTable {
-    fn new(partition: &ColumnarPartition) -> Self {
-        let cols = partition.cols as usize;
-        // Registry indices present.
-        let n_types = partition.portions.iter().map(|p| p.tile_type.index() + 1).max().unwrap_or(1);
-        let mut counts = vec![vec![0u32; cols + 1]; n_types];
-        let mut frame_prefix = vec![0u64; cols + 1];
-        for c in 1..=cols {
-            let ty = partition.column_type(c as u32).expect("column inside device");
-            for (t, row) in counts.iter_mut().enumerate() {
-                row[c] = row[c - 1] + u32::from(t == ty.index());
-            }
-            frame_prefix[c] = frame_prefix[c - 1] + partition.frames_per_tile(ty) as u64;
-        }
-        ColumnTable { counts, frame_prefix, n_types }
-    }
-
-    /// Columns of tile-type index `t` in the window `[x, x+w-1]` (1-based).
-    fn cols_of_type(&self, t: usize, x: u32, w: u32) -> u32 {
-        let lo = (x - 1) as usize;
-        let hi = (x + w - 1) as usize;
-        self.counts[t][hi] - self.counts[t][lo]
-    }
-
-    /// Frames of one row of the window `[x, x+w-1]`.
-    fn frames_per_row(&self, x: u32, w: u32) -> u64 {
-        let lo = (x - 1) as usize;
-        let hi = (x + w - 1) as usize;
-        self.frame_prefix[hi] - self.frame_prefix[lo]
-    }
-}
-
-/// Minimum height needed by the requirement in a column window, or `None` if
-/// the window can never satisfy it.
-fn min_height(table: &ColumnTable, spec: &RegionSpec, x: u32, w: u32, rows: u32) -> Option<u32> {
-    let mut h = 1u32;
-    for &(ty, need) in spec.tile_req() {
-        let t = ty.index();
-        if t >= table.n_types {
-            return None;
-        }
-        let per_row = table.cols_of_type(t, x, w);
-        if per_row == 0 {
-            return None;
-        }
-        h = h.max(need.div_ceil(per_row));
-    }
-    (h <= rows).then_some(h)
 }
 
 /// Memoisation key: the full structural input of the enumeration. Keyed on
@@ -156,7 +104,8 @@ pub enum CacheLookup {
 /// Results are memoised process-wide keyed on `(device structure, resource
 /// demand)`: the combinatorial engine, the greedy heuristics and the online
 /// runtime's re-solves repeatedly enumerate identical lists, and the
-/// enumeration is O(cols² · rows) while a cache hit is a plain clone.
+/// enumeration visits every `(x, w, y)` anchor while a cache hit is a plain
+/// clone.
 pub fn enumerate_candidates(partition: &FabricPartition, spec: &RegionSpec) -> Vec<Candidate> {
     enumerate_candidates_traced(partition, spec).0
 }
@@ -183,56 +132,10 @@ pub fn enumerate_candidates_traced(
     (out, CacheLookup::Miss)
 }
 
-/// The memoisation-free enumeration behind [`enumerate_candidates`]. Fabrics
-/// with a columnar view take
-/// the original O(cols² · rows) per-column path; genuinely heterogeneous
-/// fabrics fall back to a per-rectangle path over 2-D prefix sums.
+/// The memoisation-free enumeration behind [`enumerate_candidates`].
 fn enumerate_candidates_uncached(partition: &FabricPartition, spec: &RegionSpec) -> Vec<Candidate> {
-    let mut out = match partition.columnar() {
-        Some(cp) => enumerate_columnar(cp, spec),
-        None => enumerate_fabric(partition, spec),
-    };
+    let mut out = enumerate_fabric(partition, spec);
     out.sort_by_key(|c| (c.waste, c.rect.x, c.rect.y, c.rect.w, c.rect.h));
-    out
-}
-
-/// The original columnar enumeration (coverage depends only on the column
-/// window and the height).
-fn enumerate_columnar(partition: &ColumnarPartition, spec: &RegionSpec) -> Vec<Candidate> {
-    let cols = partition.cols;
-    let rows = partition.rows;
-    let table = ColumnTable::new(partition);
-    let required: u64 = spec
-        .tile_req()
-        .iter()
-        .map(|&(ty, c)| partition.frames_per_tile(ty) as u64 * c as u64)
-        .sum();
-
-    let mut out: Vec<Candidate> = Vec::new();
-    for x in 1..=cols {
-        for w in 1..=(cols - x + 1) {
-            let Some(h_min) = min_height(&table, spec, x, w, rows) else { continue };
-            // Irredundancy in width: dropping the leftmost or the rightmost
-            // column must break coverage at height h_min.
-            let left_shrink_ok =
-                w > 1 && min_height(&table, spec, x + 1, w - 1, rows).is_some_and(|h| h <= h_min);
-            let right_shrink_ok =
-                w > 1 && min_height(&table, spec, x, w - 1, rows).is_some_and(|h| h <= h_min);
-            if left_shrink_ok || right_shrink_ok {
-                // A narrower window does at least as well: this window is
-                // redundant in width for every height.
-                continue;
-            }
-            let waste = (table.frames_per_row(x, w) * h_min as u64).saturating_sub(required);
-            for y in 1..=(rows - h_min + 1) {
-                let rect = Rect::new(x, y, w, h_min);
-                if partition.rect_crosses_forbidden(&rect) {
-                    continue;
-                }
-                out.push(Candidate { rect, waste });
-            }
-        }
-    }
     out
 }
 
@@ -323,10 +226,10 @@ impl FabricTable {
     }
 }
 
-/// Enumeration over a genuinely heterogeneous fabric: coverage depends on
-/// the full rectangle, so candidates are anchored per `(x, w, y)` with
-/// minimum height, and irredundancy is checked against all four single-side
-/// shrinks (the bottom shrink fails by height minimality).
+/// The enumeration: coverage depends on the full rectangle, so candidates
+/// are anchored per `(x, w, y)` with minimum height, and irredundancy is
+/// checked against all four single-side shrinks (the bottom shrink fails by
+/// height minimality).
 fn enumerate_fabric(partition: &FabricPartition, spec: &RegionSpec) -> Vec<Candidate> {
     let cols = partition.cols;
     let rows = partition.rows;
@@ -370,6 +273,41 @@ fn enumerate_fabric(partition: &FabricPartition, spec: &RegionSpec) -> Vec<Candi
 /// other regions), or `None` if the region cannot be placed at all.
 pub fn min_waste(partition: &FabricPartition, spec: &RegionSpec) -> Option<u64> {
     enumerate_candidates(partition, spec).first().map(|c| c.waste)
+}
+
+/// The lowest-waste candidate placement of `spec` that overlaps none of
+/// `occupied` (the greedy placer's first fit), or `None` when every
+/// candidate collides.
+pub fn first_fit(
+    partition: &FabricPartition,
+    spec: &RegionSpec,
+    occupied: &[Rect],
+) -> Option<Rect> {
+    let cands = enumerate_candidates(partition, spec);
+    cands.iter().find(|c| !occupied.iter().any(|o| o.overlaps(&c.rect))).map(|c| c.rect)
+}
+
+/// Greedily reserves the requested free-compatible areas, in the order of
+/// `fc` (`(request, region, mode)` triples, as
+/// [`crate::FloorplanProblem::fc_areas`] lists them). Each area takes the
+/// first free-compatible target of `regions[region]` (row-major) clear of
+/// `occupied` and of the areas reserved before it. An area with no such
+/// target is left `None`, which fails validation for a constraint-mode
+/// request.
+pub fn reserve_fc_areas(
+    partition: &FabricPartition,
+    fc: &[(usize, RegionId, RelocationMode)],
+    regions: &[Rect],
+    mut occupied: Vec<Rect>,
+) -> Vec<FcPlacement> {
+    let mut fc_areas = Vec::with_capacity(fc.len());
+    for &(request, region, mode) in fc {
+        let rect =
+            enumerate_free_compatible(partition, &regions[region], &occupied).first().copied();
+        occupied.extend(rect);
+        fc_areas.push(FcPlacement { request, region, mode, rect });
+    }
+    fc_areas
 }
 
 #[cfg(test)]

@@ -455,10 +455,7 @@ pub fn adapt_floorplan(
     mapping: &[Option<usize>],
     problem: &FloorplanProblem,
 ) -> Option<Floorplan> {
-    use crate::candidates::enumerate_candidates;
-    use crate::placement::FcPlacement;
-    use crate::problem::RelocationMode;
-    use rfp_device::compat::enumerate_free_compatible;
+    use crate::candidates::{first_fit, reserve_fc_areas};
 
     if mapping.len() != problem.regions.len() {
         return None;
@@ -479,28 +476,15 @@ pub fn adapt_floorplan(
         (0..problem.regions.len()).filter(|&i| regions[i].is_none()).collect();
     todo.sort_by_key(|&i| u64::MAX - problem.regions[i].required_frames(partition));
     for i in todo {
-        let cands = enumerate_candidates(partition, &problem.regions[i]);
-        let chosen = cands.iter().find(|c| !occupied.iter().any(|o| o.overlaps(&c.rect)))?;
-        regions[i] = Some(chosen.rect);
-        occupied.push(chosen.rect);
+        let rect = first_fit(partition, &problem.regions[i], &occupied)?;
+        regions[i] = Some(rect);
+        occupied.push(rect);
     }
     let regions: Vec<rfp_device::Rect> = regions.into_iter().map(|r| r.expect("filled")).collect();
 
     // Re-reserve the requested free-compatible areas greedily (the previous
     // reservations may be invalid after the edit, so they are not reused).
-    let mut fc_areas = Vec::new();
-    for (request, region, mode) in problem.fc_areas() {
-        let source = regions[region];
-        let options = enumerate_free_compatible(partition, &source, &occupied);
-        match options.first().copied() {
-            Some(rect) => {
-                occupied.push(rect);
-                fc_areas.push(FcPlacement { request, region, mode, rect: Some(rect) });
-            }
-            None if matches!(mode, RelocationMode::Constraint) => return None,
-            None => fc_areas.push(FcPlacement { request, region, mode, rect: None }),
-        }
-    }
+    let fc_areas = reserve_fc_areas(partition, &problem.fc_areas(), &regions, occupied);
 
     let fp = Floorplan { regions, fc_areas };
     fp.validate(problem).is_empty().then_some(fp)

@@ -35,9 +35,9 @@ fn sanitize(name: &str) -> String {
 /// Site ranges (one string per resource kind present) for a rectangle.
 fn site_ranges(partition: &FabricPartition, rect: &Rect) -> Vec<String> {
     // Column index per resource kind, counting columns of that kind from the
-    // left edge of the device (vendor tools number sites per-kind). On an
-    // irregular fabric a column counts towards a kind when any of its cells
-    // holds that resource.
+    // left edge of the device (vendor tools number sites per-kind). A column
+    // counts towards a kind when any of its cells holds that resource (on a
+    // columnar device, when its tile type does).
     let mut ranges = Vec::new();
     let kinds = [
         (ResourceKind::Clb, "SLICE", SLICES_PER_CLB_X, SLICE_ROWS_PER_TILE),
@@ -49,18 +49,11 @@ fn site_ranges(partition: &FabricPartition, rect: &Rect) -> Vec<String> {
         let mut kind_index_of_col = Vec::with_capacity(partition.cols as usize);
         let mut count = 0u32;
         for col in 1..=partition.cols {
-            let is_kind = match partition.columnar() {
-                Some(cp) => cp
-                    .column_type(col)
-                    .map(|ty| cp.resources_per_tile(ty)[kind] > 0)
-                    .unwrap_or(false),
-                None => (1..=partition.rows).any(|row| {
-                    partition
-                        .tile_type_at(col, row)
-                        .map(|ty| partition.resources_per_tile(ty)[kind] > 0)
-                        .unwrap_or(false)
-                }),
-            };
+            let is_kind = (1..=partition.rows).any(|row| {
+                partition
+                    .tile_type_at(col, row)
+                    .is_some_and(|ty| partition.resources_per_tile(ty)[kind] > 0)
+            });
             kind_index_of_col.push(if is_kind { Some(count) } else { None });
             if is_kind {
                 count += 1;
@@ -178,6 +171,100 @@ mod tests {
         let xdc20 = to_xdc(&p, &fp);
         // Row 1..1 with 20 slice rows per tile spans Y0..Y19.
         assert!(xdc20.contains("Y0:") && xdc20.contains("Y19"));
+    }
+
+    /// A heterogeneous 6x4 fabric: column 2 holds BRAM on rows 1-2 and CLB
+    /// below, column 5 holds DSP on rows 3-4 only, and a hard block covers
+    /// column 6, rows 1-2.
+    fn hetero_setup() -> (FloorplanProblem, Floorplan) {
+        use rfp_device::{fabric_partition, Device, ForbiddenArea, TileGrid, TileType};
+        let mut reg = rfp_device::TileTypeRegistry::new();
+        let clb = reg.register(TileType::new("CLB", ResourceVec::new(1, 0, 0), 36)).unwrap();
+        let bram = reg.register(TileType::new("BRAM", ResourceVec::new(0, 1, 0), 30)).unwrap();
+        let dsp = reg.register(TileType::new("DSP", ResourceVec::new(0, 0, 1), 28)).unwrap();
+        let mut grid = TileGrid::new(6, 4).unwrap();
+        for c in 1..=6 {
+            grid.fill_column(c, clb).unwrap();
+        }
+        grid.set(2, 1, Some(bram)).unwrap();
+        grid.set(2, 2, Some(bram)).unwrap();
+        grid.set(5, 3, Some(dsp)).unwrap();
+        grid.set(5, 4, Some(dsp)).unwrap();
+        let blk = vec![ForbiddenArea::new("blk", Rect::new(6, 1, 1, 2))];
+        let part = fabric_partition(&Device::new("xdc-hetero", reg, grid, blk).unwrap()).unwrap();
+        assert!(part.columnar().is_none());
+        let mut p = FloorplanProblem::new(part);
+        p.add_region(RegionSpec::new("Decoder", vec![(clb, 2), (bram, 2)]));
+        p.add_region(RegionSpec::new("Filter", vec![(clb, 1), (dsp, 2)]));
+        let mut fp = Floorplan::from_regions(vec![Rect::new(1, 1, 2, 2), Rect::new(4, 3, 2, 2)]);
+        fp.fc_areas.push(FcPlacement {
+            request: 0,
+            region: 0,
+            mode: RelocationMode::Metric { weight: 1.0 },
+            rect: Some(Rect::new(1, 3, 3, 2)),
+        });
+        (p, fp)
+    }
+
+    #[test]
+    fn xdc_is_pinned_byte_for_byte_on_a_columnar_device() {
+        let (p, fp) = setup();
+        let expected = "\
+# Floorplan exported by relocfp for device `xdc`
+# 2 regions, 1 reserved free-compatible areas
+
+create_pblock pblock_Matched_Filter
+add_cells_to_pblock [get_pblocks pblock_Matched_Filter] [get_cells -quiet [list Matched_Filter_i]]
+resize_pblock [get_pblocks pblock_Matched_Filter] -add {SLICE_X2Y0:SLICE_X2Y19}
+resize_pblock [get_pblocks pblock_Matched_Filter] -add {DSP48_X0Y0:DSP48_X0Y7}
+set_property RESET_AFTER_RECONFIG true [get_pblocks pblock_Matched_Filter]
+set_property SNAPPING_MODE ON [get_pblocks pblock_Matched_Filter]
+
+create_pblock pblock_FFT_core
+add_cells_to_pblock [get_pblocks pblock_FFT_core] [get_cells -quiet [list FFT_core_i]]
+resize_pblock [get_pblocks pblock_FFT_core] -add {SLICE_X1Y20:SLICE_X1Y39}
+resize_pblock [get_pblocks pblock_FFT_core] -add {RAMB36_X0Y4:RAMB36_X0Y7}
+set_property RESET_AFTER_RECONFIG true [get_pblocks pblock_FFT_core]
+set_property SNAPPING_MODE ON [get_pblocks pblock_FFT_core]
+
+# Reserved free-compatible area for `FFT_core` (relocation target #1)
+# create_pblock pblock_FFT_core_reloc1
+# resize_pblock [get_pblocks pblock_FFT_core_reloc1] -add {SLICE_X4Y40:SLICE_X4Y59}
+# resize_pblock [get_pblocks pblock_FFT_core_reloc1] -add {RAMB36_X1Y8:RAMB36_X1Y11}
+";
+        assert_eq!(to_xdc(&p, &fp), expected);
+    }
+
+    /// On an irregular fabric a column counts towards a resource kind when
+    /// any of its cells holds that resource: column 2 is a RAMB36 column on
+    /// every row and column 5 a DSP48 column, though neither is uniform.
+    #[test]
+    fn xdc_is_pinned_byte_for_byte_on_a_heterogeneous_fabric() {
+        let (p, fp) = hetero_setup();
+        let expected = "\
+# Floorplan exported by relocfp for device `xdc-hetero`
+# 2 regions, 1 reserved free-compatible areas
+
+create_pblock pblock_Decoder
+add_cells_to_pblock [get_pblocks pblock_Decoder] [get_cells -quiet [list Decoder_i]]
+resize_pblock [get_pblocks pblock_Decoder] -add {SLICE_X0Y0:SLICE_X1Y39}
+resize_pblock [get_pblocks pblock_Decoder] -add {RAMB36_X0Y0:RAMB36_X0Y7}
+set_property RESET_AFTER_RECONFIG true [get_pblocks pblock_Decoder]
+set_property SNAPPING_MODE ON [get_pblocks pblock_Decoder]
+
+create_pblock pblock_Filter
+add_cells_to_pblock [get_pblocks pblock_Filter] [get_cells -quiet [list Filter_i]]
+resize_pblock [get_pblocks pblock_Filter] -add {SLICE_X3Y40:SLICE_X4Y79}
+resize_pblock [get_pblocks pblock_Filter] -add {DSP48_X0Y16:DSP48_X0Y31}
+set_property RESET_AFTER_RECONFIG true [get_pblocks pblock_Filter]
+set_property SNAPPING_MODE ON [get_pblocks pblock_Filter]
+
+# Reserved free-compatible area for `Decoder` (relocation target #1)
+# create_pblock pblock_Decoder_reloc1
+# resize_pblock [get_pblocks pblock_Decoder_reloc1] -add {SLICE_X0Y40:SLICE_X2Y79}
+# resize_pblock [get_pblocks pblock_Decoder_reloc1] -add {RAMB36_X0Y8:RAMB36_X0Y15}
+";
+        assert_eq!(to_xdc(&p, &fp), expected);
     }
 
     #[test]

@@ -9,12 +9,11 @@
 //! instances), it falls back to the combinatorial engine in first-feasible
 //! mode, which performs a complete search.
 
-use crate::candidates::enumerate_candidates;
+use crate::candidates::{first_fit, reserve_fc_areas};
 use crate::combinatorial::{solve_combinatorial, CombinatorialConfig};
 use crate::error::FloorplanError;
-use crate::placement::{FcPlacement, Floorplan};
-use crate::problem::{FloorplanProblem, RelocationMode};
-use rfp_device::compat::enumerate_free_compatible;
+use crate::placement::Floorplan;
+use crate::problem::FloorplanProblem;
 use rfp_device::Rect;
 
 /// Produces a feasible floorplan quickly (greedy first-fit with a complete
@@ -57,33 +56,15 @@ fn greedy_attempt(problem: &FloorplanProblem) -> Option<Floorplan> {
     let mut placed: Vec<Option<Rect>> = vec![None; problem.regions.len()];
     let mut occupied: Vec<Rect> = Vec::new();
     for &i in &order {
-        let cands = enumerate_candidates(partition, &problem.regions[i]);
-        let chosen = cands.iter().find(|c| !occupied.iter().any(|o| o.overlaps(&c.rect)))?;
-        placed[i] = Some(chosen.rect);
-        occupied.push(chosen.rect);
+        let rect = first_fit(partition, &problem.regions[i], &occupied)?;
+        placed[i] = Some(rect);
+        occupied.push(rect);
     }
     let regions: Vec<Rect> = placed.into_iter().map(|r| r.expect("all placed")).collect();
 
-    // Reserve the requested free-compatible areas greedily.
-    let mut fc_areas = Vec::new();
-    for (request, region, mode) in problem.fc_areas() {
-        let source = regions[region];
-        let options = enumerate_free_compatible(partition, &source, &occupied);
-        match options.first().copied() {
-            Some(rect) => {
-                occupied.push(rect);
-                fc_areas.push(FcPlacement { request, region, mode, rect: Some(rect) });
-            }
-            None => {
-                if matches!(mode, RelocationMode::Constraint) {
-                    // The greedy pass cannot satisfy the constraint; give up
-                    // and let the complete fallback take over.
-                    return None;
-                }
-                fc_areas.push(FcPlacement { request, region, mode, rect: None });
-            }
-        }
-    }
+    // Reserve the requested free-compatible areas greedily; an unsatisfied
+    // constraint fails validation and the complete fallback takes over.
+    let fc_areas = reserve_fc_areas(partition, &problem.fc_areas(), &regions, occupied);
 
     let fp = Floorplan { regions, fc_areas };
     fp.validate(problem).is_empty().then_some(fp)

@@ -57,11 +57,10 @@
 //! constraint-mode request the greedy pass cannot satisfy surfaces as a
 //! validation failure, never as a silently dropped constraint.
 
-use crate::candidates::{enumerate_candidates, Candidate};
+use crate::candidates::{enumerate_candidates, reserve_fc_areas, Candidate};
 use crate::placement::{FcPlacement, Floorplan};
 use crate::problem::{FloorplanProblem, RelocationMode};
 use crate::sequence_pair::{PairRelation, Relation};
-use rfp_device::compat::enumerate_free_compatible;
 use rfp_device::{ColumnarPartition, FabricPartition, PortionId, Rect};
 use rfp_milp::{ConOp, LinExpr, Model, Sense, Solution, VarId};
 
@@ -942,17 +941,7 @@ impl FloorplanMilp {
         // fabric-aware (die-boundary-rejecting) compatibility check. A
         // constraint-mode request the pass cannot satisfy is left empty and
         // surfaces as a validation failure downstream.
-        let mut occupied = regions.clone();
-        let mut fc_areas = Vec::with_capacity(self.fc_meta.len());
-        for &(request, region, mode) in &self.fc_meta {
-            let rect = enumerate_free_compatible(&am.partition, &regions[region], &occupied)
-                .into_iter()
-                .next();
-            if let Some(r) = rect {
-                occupied.push(r);
-            }
-            fc_areas.push(FcPlacement { request, region, mode, rect });
-        }
+        let fc_areas = reserve_fc_areas(&am.partition, &self.fc_meta, &regions, regions.clone());
         Floorplan { regions, fc_areas }
     }
 

@@ -357,7 +357,7 @@ impl FloorplanProblem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rfp_device::{columnar_partition, xc5vfx70t};
+    use rfp_device::{columnar_partition, xc5vfx70t, ResourceVec};
 
     fn fx70t_problem() -> (FloorplanProblem, TileTypeId, TileTypeId, TileTypeId) {
         let device = xc5vfx70t();
@@ -384,6 +384,22 @@ mod tests {
         assert_eq!(video.required_frames(&p.partition), 2180);
         let matched = RegionSpec::new("Matched Filter", vec![(clb, 25), (dsp, 5)]);
         assert_eq!(matched.required_frames(&p.partition), 1040);
+    }
+
+    #[test]
+    fn required_frames_matches_table1_arithmetic() {
+        // The weights come from the device's tile types, not from the FX70T:
+        // a three-column device with the same weights gives the same sums.
+        let mut b = rfp_device::DeviceBuilder::new("t");
+        let clb = b.tile_type("CLB", ResourceVec::new(1, 0, 0), 36);
+        let bram = b.tile_type("BRAM", ResourceVec::new(0, 1, 0), 30);
+        let dsp = b.tile_type("DSP", ResourceVec::new(0, 0, 1), 28);
+        b.rows(2).columns(&[clb, bram, dsp]);
+        let small = rfp_device::fabric_partition(&b.build().unwrap()).unwrap();
+        let video = RegionSpec::new("Video Decoder", vec![(clb, 55), (bram, 2), (dsp, 5)]);
+        assert_eq!(video.required_frames(&small), 2180);
+        let matched = RegionSpec::new("Matched Filter", vec![(clb, 25), (dsp, 5)]);
+        assert_eq!(matched.required_frames(&small), 1040);
     }
 
     #[test]

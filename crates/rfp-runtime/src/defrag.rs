@@ -36,7 +36,7 @@ use crate::frag::frag_metrics;
 use crate::scenario::ModuleId;
 use rfp_device::compat::enumerate_free_compatible;
 use rfp_device::{FabricPartition, Rect};
-use rfp_floorplan::candidates::enumerate_candidates;
+use rfp_floorplan::candidates::{enumerate_candidates, first_fit};
 use rfp_floorplan::RegionSpec;
 
 /// Defragmentation planning policy.
@@ -130,23 +130,6 @@ impl Default for DefragPlanner {
     fn default() -> Self {
         DefragPlanner { policy: DefragPolicy::RelocationAware, max_passes: 3 }
     }
-}
-
-/// `true` when `spec` has at least one legal placement disjoint from
-/// `occupied`.
-pub fn can_place(partition: &FabricPartition, spec: &RegionSpec, occupied: &[Rect]) -> bool {
-    find_placement(partition, spec, occupied).is_some()
-}
-
-/// The lowest-waste legal placement of `spec` disjoint from `occupied`, if
-/// any. Candidates come from the memoised enumeration of `rfp-floorplan`.
-pub fn find_placement(
-    partition: &FabricPartition,
-    spec: &RegionSpec,
-    occupied: &[Rect],
-) -> Option<Rect> {
-    let cands = enumerate_candidates(partition, spec);
-    cands.iter().find(|c| !occupied.iter().any(|o| o.overlaps(&c.rect))).map(|c| c.rect)
 }
 
 impl DefragPlanner {
@@ -280,10 +263,10 @@ impl DefragPlanner {
             // The oblivious baseline is goal-blind by definition: it always
             // compacts to its fixpoint.
             _ if self.policy == DefragPolicy::Oblivious => false,
-            CompactionGoal::FitModule(spec) => can_place(partition, spec, rects),
+            CompactionGoal::FitModule(spec) => first_fit(partition, spec, rects).is_some(),
             CompactionGoal::FitModules(specs) => {
                 let mut occupied = rects.to_vec();
-                specs.iter().all(|spec| match find_placement(partition, spec, &occupied) {
+                specs.iter().all(|spec| match first_fit(partition, spec, &occupied) {
                     Some(rect) => {
                         occupied.push(rect);
                         true
@@ -329,7 +312,7 @@ mod tests {
         let m0 = live(0, RegionSpec::new("m0", vec![(clb, 4)]), Rect::new(4, 1, 2, 2), 144);
         let m1 = live(1, RegionSpec::new("m1", vec![(clb, 4)]), Rect::new(9, 1, 2, 2), 144);
         let pending = RegionSpec::new("big", vec![(clb, 12)]);
-        assert!(!can_place(&p, &pending, &[m0.rect, m1.rect]));
+        assert!(first_fit(&p, &pending, &[m0.rect, m1.rect]).is_none());
 
         let planner = DefragPlanner::default();
         let plan = plan_and_check(&planner, &p, &[m0, m1], CompactionGoal::FitModule(&pending));
@@ -439,7 +422,9 @@ mod tests {
         let a = RegionSpec::new("a", vec![(clb, 8)]);
         let b = RegionSpec::new("b", vec![(clb, 8)]);
         let batch = [a, b];
-        assert!(!can_place(&p, &RegionSpec::new("big", vec![(clb, 12)]), &[m0.rect, m1.rect]));
+        assert!(
+            first_fit(&p, &RegionSpec::new("big", vec![(clb, 12)]), &[m0.rect, m1.rect]).is_none()
+        );
         let planner = DefragPlanner::default();
         let plan = plan_and_check(
             &planner,
@@ -453,9 +438,9 @@ mod tests {
             let slot = rects.iter_mut().find(|r| **r == mv.from).unwrap();
             *slot = mv.to;
         }
-        let first = find_placement(&p, &batch[0], &rects).expect("first batch member fits");
+        let first = first_fit(&p, &batch[0], &rects).expect("first batch member fits");
         rects.push(first);
-        assert!(find_placement(&p, &batch[1], &rects).is_some(), "second batch member fits");
+        assert!(first_fit(&p, &batch[1], &rects).is_some(), "second batch member fits");
     }
 
     /// Replays a plan step by step asserting no move overlaps a running

@@ -40,15 +40,14 @@
 //! Departures release the module's area; when fragmentation then exceeds the
 //! configured threshold, a proactive compaction runs.
 
-use crate::defrag::{
-    find_placement, CompactionGoal, DefragPlanner, DefragPolicy, LiveModule, PlannedMove,
-};
+use crate::defrag::{CompactionGoal, DefragPlanner, DefragPolicy, LiveModule, PlannedMove};
 use crate::frag::frag_metrics;
 use crate::report::{EventRecord, SimReport};
 use crate::scenario::{EventKind, ModuleId, Scenario};
 use crate::scheduler::MoveScheduler;
 use rfp_bitstream::{Bitstream, ConfigMemory, MoveKind};
 use rfp_device::{FabricPartition, Rect};
+use rfp_floorplan::candidates::first_fit;
 use rfp_floorplan::engine::{
     adapt_floorplan, EngineRegistry, SolveControl, SolveDispatcher, SolveRequest,
 };
@@ -409,9 +408,8 @@ impl OnlineFloorplanner {
                         occupied.retain(|r| *r != current);
                         occupied.extend(blocked.iter().copied());
                         occupied.extend(arrival_rects.iter().copied());
-                        let spot =
-                            find_placement(&self.partition, &self.running[&id].spec, &occupied)
-                                .filter(|spot| *spot != current)?;
+                        let spot = first_fit(&self.partition, &self.running[&id].spec, &occupied)
+                            .filter(|spot| *spot != current)?;
                         Some((i, id, spot))
                     });
                     let Some((_, id, spot)) = parked else {
@@ -455,7 +453,7 @@ impl OnlineFloorplanner {
         {
             let _place = rfp_trace::span("runtime.place");
             for (i, (module, spec)) in batch.iter().enumerate() {
-                match find_placement(&self.partition, spec, &self.occupied()) {
+                match first_fit(&self.partition, spec, &self.occupied()) {
                     Some(rect) => {
                         results[i] =
                             Some((self.admit(*module, spec, rect, &mut traffics[i]), false));
@@ -472,7 +470,7 @@ impl OnlineFloorplanner {
             self.compact(CompactionGoal::FitModules(&specs), &mut traffics[first]);
             pending.retain(|&i| {
                 let (module, spec) = &batch[i];
-                match find_placement(&self.partition, spec, &self.occupied()) {
+                match first_fit(&self.partition, spec, &self.occupied()) {
                     Some(rect) => {
                         results[i] =
                             Some((self.admit(*module, spec, rect, &mut traffics[i]), false));

@@ -2,15 +2,13 @@
 
 use proptest::prelude::*;
 use relocfp::prelude::*;
-use rfp_device::compat::{
-    columnar_compatible, enumerate_free_compatible, fabric_compatible, free_compatible,
-};
+use rfp_device::compat::{enumerate_free_compatible, fabric_compatible, free_compatible};
 use rfp_device::{ForbiddenArea, SyntheticSpec, TileGrid, TileType, TileTypeRegistry};
 use rfp_floorplan::candidates::{enumerate_candidates, Candidate};
 use rfp_floorplan::combinatorial::{solve_combinatorial, CombinatorialConfig, TargetTable};
 use rfp_workloads::generator::WorkloadSpec;
 
-fn partition(cols: u32, rows: u32) -> FabricPartition {
+fn device(cols: u32, rows: u32) -> Device {
     let spec = SyntheticSpec {
         name: "prop".into(),
         cols,
@@ -19,7 +17,11 @@ fn partition(cols: u32, rows: u32) -> FabricPartition {
         dsp_every: 7,
         hard_block: None,
     };
-    fabric_partition(&spec.build().unwrap()).unwrap()
+    spec.build().unwrap()
+}
+
+fn partition(cols: u32, rows: u32) -> FabricPartition {
+    fabric_partition(&device(cols, rows)).unwrap()
 }
 
 fn arb_rect(cols: u32, rows: u32) -> impl Strategy<Value = Rect> {
@@ -474,13 +476,9 @@ proptest! {
             fabric_compatible(&p, &a, &b).is_compatible(),
             fabric_compatible(&p, &b, &a).is_compatible()
         );
-        // On a boundary-free columnar fabric the fast path and the legacy
-        // columnar predicate must agree bit-for-bit.
-        let cp = p.columnar().expect("synthetic fabrics are columnar");
-        prop_assert_eq!(
-            fabric_compatible(&p, &a, &b).is_compatible(),
-            columnar_compatible(cp, &a, &b).is_compatible()
-        );
+        // On a boundary-free fabric the per-cell check gives the grid
+        // oracle's full report.
+        prop_assert_eq!(fabric_compatible(&p, &a, &b), areas_compatible(&device(16, 5), &a, &b));
     }
 
     /// The bitstream relocation filter accepts exactly the compatible,
