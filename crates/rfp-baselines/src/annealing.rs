@@ -127,15 +127,9 @@ impl AnnealingFloorplanner {
         AnnealingFloorplanner { config }
     }
 
-    /// Runs the annealer and returns the best overlap-free floorplan found.
-    pub fn solve(&self, problem: &FloorplanProblem) -> Result<Floorplan, FloorplanError> {
-        let run = self.solve_with_control(problem, None, &SolveControl::default())?;
-        run.floorplan.ok_or_else(|| FloorplanError::Infeasible {
-            reason: "simulated annealing found no overlap-free placement".to_string(),
-        })
-    }
-
-    /// Runs the annealer under a [`SolveControl`] and an optional deadline.
+    /// Runs the annealer under a [`SolveControl`] and an optional deadline:
+    /// the annealer's one entry point, which
+    /// [`crate::engines::AnnealingEngine`] wraps.
     ///
     /// The move loop polls the control's cancellation token (and the
     /// deadline) every few hundred proposals and stops early, keeping the
@@ -256,20 +250,28 @@ mod tests {
         p
     }
 
+    /// The best floorplan of an uncontrolled run with `config`.
+    fn anneal(config: AnnealingConfig, p: &FloorplanProblem) -> Floorplan {
+        let run = AnnealingFloorplanner::new(config)
+            .solve_with_control(p, None, &SolveControl::default())
+            .unwrap();
+        run.floorplan.expect("an overlap-free floorplan")
+    }
+
     #[test]
     fn annealing_finds_a_valid_floorplan() {
         let p = problem();
-        let fp = AnnealingFloorplanner::default().solve(&p).unwrap();
+        let fp = anneal(AnnealingConfig::default(), &p);
         assert!(fp.validate(&p).is_empty(), "{:?}", fp.validate(&p));
     }
 
     #[test]
     fn annealing_is_deterministic_for_a_seed() {
         let p = problem();
-        let a = AnnealingFloorplanner::default().solve(&p).unwrap();
-        let b = AnnealingFloorplanner::default().solve(&p).unwrap();
+        let a = anneal(AnnealingConfig::default(), &p);
+        let b = anneal(AnnealingConfig::default(), &p);
         assert_eq!(a, b);
-        let other_seed = AnnealingFloorplanner::new(AnnealingConfig { seed: 7 }).solve(&p).unwrap();
+        let other_seed = anneal(AnnealingConfig { seed: 7 }, &p);
         // Different seeds may or may not give the same floorplan; both must be valid.
         assert!(other_seed.validate(&p).is_empty());
     }
@@ -277,8 +279,10 @@ mod tests {
     #[test]
     fn annealing_cannot_beat_the_exact_engine_on_waste_plus_wirelength() {
         let p = problem();
-        let sa = AnnealingFloorplanner::default().solve(&p).unwrap();
-        let exact = solve_combinatorial(&p, &CombinatorialConfig::default()).unwrap();
+        let sa = anneal(AnnealingConfig::default(), &p);
+        let exact =
+            solve_combinatorial(&p, &CombinatorialConfig::default(), &SolveControl::default())
+                .unwrap();
         let sa_m = sa.metrics(&p);
         let exact_waste = exact.best_waste.unwrap();
         assert!(sa_m.wasted_frames >= exact_waste);
@@ -288,7 +292,7 @@ mod tests {
     fn relocation_requests_are_reported_missing() {
         let mut p = problem();
         p.request_relocation(RelocationRequest::metric(0, 2, 1.0));
-        let fp = AnnealingFloorplanner::default().solve(&p).unwrap();
+        let fp = anneal(AnnealingConfig::default(), &p);
         assert_eq!(fp.fc_found(), 0);
         assert_eq!(fp.fc_areas.len(), 2);
         assert!(fp.metrics(&p).relocation_cost > 0.0);
@@ -330,6 +334,8 @@ mod tests {
     fn infeasible_requirements_error_out() {
         let mut p = problem();
         p.add_region(RegionSpec::new("huge", vec![(p.regions[0].tile_req()[0].0, 500)]));
-        assert!(AnnealingFloorplanner::default().solve(&p).is_err());
+        let run =
+            AnnealingFloorplanner::default().solve_with_control(&p, None, &SolveControl::default());
+        assert!(run.is_err());
     }
 }

@@ -1,11 +1,12 @@
 //! The baseline floorplanners as first-class [`FloorplanEngine`]s.
 //!
-//! Promotes the [`crate::annealing`] and [`crate::tessellation`] free
-//! functions into engines that speak the unified solve contract of
-//! `rfp-floorplan::engine`, and provides [`full_registry`] — the builtin
-//! exact engines (`milp`, `ho`, `combinatorial`) plus `annealing` and
-//! `tessellation` — which is what the `rfp` CLI and the benchmark harness
-//! use.
+//! Wraps each baseline's one entry point,
+//! [`AnnealingFloorplanner::solve_with_control`] and
+//! [`tessellation_floorplan`], into an engine that speaks the unified solve
+//! contract of `rfp-floorplan::engine` and builds its outcome with
+//! [`SolveOutcome::from_search`]. [`full_registry`] holds the builtin exact
+//! engines (`milp`, `ho`, `combinatorial`) plus `annealing` and
+//! `tessellation`; the `rfp` CLI and the benchmark harness use it.
 //!
 //! Both baselines are heuristics: they never report
 //! [`OutcomeStatus::Proven`], and being relocation-unaware they leave every
@@ -73,30 +74,19 @@ impl FloorplanEngine for AnnealingEngine {
         stats.nodes = run.moves;
         stats.solve_seconds = start.elapsed().as_secs_f64();
         stats.cancelled = run.cancelled;
-        match run.floorplan {
-            Some(fp) => {
-                let metrics = fp.metrics(&problem);
-                SolveOutcome {
-                    status: OutcomeStatus::Feasible,
-                    floorplan: Some(fp),
-                    metrics: Some(metrics),
-                    detail: None,
-                    stats,
-                }
-            }
-            None => {
-                let status = if run.cancelled || run.hit_deadline {
-                    OutcomeStatus::BudgetExhausted
-                } else {
-                    OutcomeStatus::Infeasible
-                };
-                SolveOutcome::without_floorplan(
-                    status,
-                    "simulated annealing found no overlap-free placement",
-                    stats,
-                )
-            }
-        }
+        let status = if run.cancelled || run.hit_deadline {
+            OutcomeStatus::BudgetExhausted
+        } else {
+            OutcomeStatus::Infeasible
+        };
+        SolveOutcome::from_search(
+            &problem,
+            run.floorplan,
+            false,
+            stats,
+            status,
+            "simulated annealing found no overlap-free placement",
+        )
     }
 }
 
@@ -134,7 +124,7 @@ impl FloorplanEngine for TessellationEngine {
                 stats,
             );
         }
-        match tessellation_floorplan(&problem) {
+        let (floorplan, detail) = match tessellation_floorplan(&problem) {
             Ok(mut fp) => {
                 // The baseline leaves every requested area missing; record
                 // that explicitly so metric-mode costs show up.
@@ -146,23 +136,20 @@ impl FloorplanEngine for TessellationEngine {
                         rect: None,
                     });
                 }
-                stats.solve_seconds = start.elapsed().as_secs_f64();
-                let metrics = fp.metrics(&problem);
-                stats.cancelled = ctl.cancel.is_cancelled();
-                SolveOutcome {
-                    status: OutcomeStatus::Feasible,
-                    floorplan: Some(fp),
-                    metrics: Some(metrics),
-                    detail: None,
-                    stats,
-                }
+                (Some(fp), String::new())
             }
-            Err(e) => {
-                stats.solve_seconds = start.elapsed().as_secs_f64();
-                stats.cancelled = ctl.cancel.is_cancelled();
-                SolveOutcome::without_floorplan(OutcomeStatus::Infeasible, e.to_string(), stats)
-            }
-        }
+            Err(e) => (None, e.to_string()),
+        };
+        stats.solve_seconds = start.elapsed().as_secs_f64();
+        stats.cancelled = ctl.cancel.is_cancelled();
+        SolveOutcome::from_search(
+            &problem,
+            floorplan,
+            false,
+            stats,
+            OutcomeStatus::Infeasible,
+            detail,
+        )
     }
 }
 

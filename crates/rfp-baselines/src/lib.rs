@@ -13,6 +13,10 @@
 //! * **[9] Bolchini et al.** — a simulated-annealing floorplanner that mainly
 //!   optimises wire length; reproduced by [`annealing`].
 //!
+//! Each baseline has one entry point,
+//! [`AnnealingFloorplanner::solve_with_control`] and
+//! [`tessellation_floorplan`], and one engine ([`engines`]) that wraps it.
+//!
 //! The `[10]` baseline (MILP without relocation) needs no dedicated code: the
 //! paper notes that PA is equivalent to [10] when no relocation requirement
 //! is given, so the Table II row for [10] is produced by running the PA

@@ -171,6 +171,7 @@ mod tests {
     use super::*;
     use rfp_device::{columnar_partition, DeviceBuilder, ResourceVec};
     use rfp_floorplan::combinatorial::{solve_combinatorial, CombinatorialConfig};
+    use rfp_floorplan::engine::SolveControl;
     use rfp_floorplan::problem::RegionSpec;
 
     fn small_problem() -> (FloorplanProblem, rfp_device::TileTypeId, rfp_device::TileTypeId) {
@@ -212,7 +213,9 @@ mod tests {
         p.add_region(RegionSpec::new("A", vec![(clb, 3), (bram, 1)]));
         p.add_region(RegionSpec::new("B", vec![(clb, 1), (bram, 1)]));
         let tess = tessellation_floorplan(&p).unwrap();
-        let exact = solve_combinatorial(&p, &CombinatorialConfig::default()).unwrap();
+        let exact =
+            solve_combinatorial(&p, &CombinatorialConfig::default(), &SolveControl::default())
+                .unwrap();
         assert!(tess.metrics(&p).wasted_frames >= exact.best_waste.unwrap());
     }
 

@@ -23,10 +23,14 @@
 //! [`first_fit`] and [`reserve_fc_areas`] are the greedy placer every
 //! greedy caller shares: the lowest-waste candidate clear of what is
 //! placed, then the first free-compatible target of each requested area.
+//! [`greedy_complete`] chains them into the one greedy first-fit
+//! completion; the HO seed ([`crate::heuristic::greedy_floorplan`]) and the
+//! incremental re-solve ([`crate::engine::adapt_floorplan`]) call it, each
+//! with its own region order.
 
 use crate::fingerprint::{device_cells, device_columns, forbidden_rects, region_demand};
-use crate::placement::FcPlacement;
-use crate::problem::{RegionId, RegionSpec, RelocationMode};
+use crate::placement::{FcPlacement, Floorplan};
+use crate::problem::{FloorplanProblem, RegionId, RegionSpec, RelocationMode};
 use rfp_device::compat::enumerate_free_compatible;
 use rfp_device::{FabricPartition, Rect};
 use std::collections::HashMap;
@@ -308,6 +312,31 @@ pub fn reserve_fc_areas(
         fc_areas.push(FcPlacement { request, region, mode, rect });
     }
     fc_areas
+}
+
+/// Completes a partial placement greedily: each region of `order` takes its
+/// [`first_fit`] clear of the rectangles already in `placed` and of those
+/// placed before it, and then the requested free-compatible areas are
+/// reserved with [`reserve_fc_areas`]. `order` must name every region that
+/// `placed` leaves `None`. Returns the floorplan when it validates, and
+/// `None` when a region does not fit or the floorplan fails validation
+/// (say, an unreservable constraint-mode area).
+pub fn greedy_complete(
+    problem: &FloorplanProblem,
+    mut placed: Vec<Option<Rect>>,
+    order: &[usize],
+) -> Option<Floorplan> {
+    let partition = &problem.partition;
+    let mut occupied: Vec<Rect> = placed.iter().flatten().copied().collect();
+    for &i in order {
+        let rect = first_fit(partition, &problem.regions[i], &occupied)?;
+        placed[i] = Some(rect);
+        occupied.push(rect);
+    }
+    let regions = placed.into_iter().collect::<Option<Vec<Rect>>>()?;
+    let fc_areas = reserve_fc_areas(partition, &problem.fc_areas(), &regions, occupied);
+    let fp = Floorplan { regions, fc_areas };
+    fp.validate(problem).is_empty().then_some(fp)
 }
 
 #[cfg(test)]

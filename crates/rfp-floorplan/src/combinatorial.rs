@@ -48,8 +48,12 @@
 //! [`SearchCounts`] says what became of each node, and each solve adds it to
 //! the trace once.
 //!
-//! Node and time limits make the engine usable inside benchmarks; the result
-//! reports whether optimality was proven.
+//! [`solve_combinatorial`] is the search's one entry point: the
+//! `combinatorial` engine, the HO seed search and the feasibility analysis
+//! all call it. Node and time limits make the engine usable inside
+//! benchmarks; the result reports whether optimality was proven, and a
+//! budget that stops the search before any floorplan is a result with the
+//! nodes searched, not an error.
 //!
 //! With [`CombinatorialConfig::threads`] > 1 the search runs in parallel:
 //! the tree is split serially into placement *prefixes* (level by level,
@@ -104,13 +108,6 @@ impl Default for CombinatorialConfig {
             first_feasible: false,
             threads: 1,
         }
-    }
-}
-
-impl CombinatorialConfig {
-    /// Feasibility-check configuration: stop at the first feasible floorplan.
-    pub fn feasibility() -> Self {
-        CombinatorialConfig { first_feasible: true, ..CombinatorialConfig::default() }
     }
 }
 
@@ -794,34 +791,19 @@ impl<'a> SearchCtx<'a> {
     }
 }
 
-/// Solves a floorplanning problem with the combinatorial engine.
-///
-/// A budget (node/time/cancellation) that expires before any floorplan is
-/// found maps to [`FloorplanError::LimitReached`]; use
-/// [`solve_combinatorial_with_control`] to keep the partial-run statistics
-/// in that case.
-pub fn solve_combinatorial(
-    problem: &FloorplanProblem,
-    config: &CombinatorialConfig,
-) -> Result<CombinatorialResult, FloorplanError> {
-    match solve_combinatorial_with_control(problem, config, &SolveControl::default()) {
-        Ok(res) if res.floorplan.is_none() && !res.proven => Err(FloorplanError::LimitReached),
-        other => other,
-    }
-}
-
 /// Solves a floorplanning problem with the combinatorial engine under a
 /// [`SolveControl`]: the search polls the control's cancellation token in
 /// its inner loop and reports every improved incumbent (waste objective)
 /// through the control's callback.
 ///
-/// Unlike [`solve_combinatorial`], a budget that expires before any
-/// floorplan is found is *not* an error here: it returns `Ok` with
-/// `floorplan: None` and `proven: false`, so the nodes explored, the wall
-/// clock spent and the cancellation flag survive for engine-level
-/// reporting. `Ok` with `floorplan: None` and `proven: true` means the
-/// search space was exhausted — the instance is infeasible.
-pub fn solve_combinatorial_with_control(
+/// A budget (node, time or cancellation) that stops the search before any
+/// floorplan is found is not an error: the result has `floorplan: None`
+/// and `proven: false`, and keeps the nodes explored, the wall clock spent
+/// and the cancellation flag. `floorplan: None` with `proven: true` means
+/// the search space was exhausted: the instance is infeasible. Only a
+/// problem that fails validation or a region with no candidate placement
+/// is an error.
+pub fn solve_combinatorial(
     problem: &FloorplanProblem,
     config: &CombinatorialConfig,
     ctl: &SolveControl,
@@ -1045,7 +1027,9 @@ mod tests {
         let (mut p, clb, bram, _) = small_problem();
         p.add_region(RegionSpec::new("A", vec![(clb, 2), (bram, 1)]));
         p.add_region(RegionSpec::new("B", vec![(clb, 4)]));
-        let res = solve_combinatorial(&p, &CombinatorialConfig::default()).unwrap();
+        let res =
+            solve_combinatorial(&p, &CombinatorialConfig::default(), &SolveControl::default())
+                .unwrap();
         assert!(res.proven);
         let fp = res.floorplan.unwrap();
         assert!(fp.validate(&p).is_empty());
@@ -1062,7 +1046,9 @@ mod tests {
         // Both regions need the single DSP column; they must stack vertically.
         p.add_region(RegionSpec::new("A", vec![(dsp, 2)]));
         p.add_region(RegionSpec::new("B", vec![(dsp, 2)]));
-        let res = solve_combinatorial(&p, &CombinatorialConfig::default()).unwrap();
+        let res =
+            solve_combinatorial(&p, &CombinatorialConfig::default(), &SolveControl::default())
+                .unwrap();
         let fp = res.floorplan.unwrap();
         assert!(fp.validate(&p).is_empty());
         assert!(!fp.regions[0].overlaps(&fp.regions[1]));
@@ -1077,7 +1063,9 @@ mod tests {
         p.add_region(RegionSpec::new("A", vec![(dsp, 2)]));
         p.add_region(RegionSpec::new("B", vec![(dsp, 2)]));
         p.add_region(RegionSpec::new("C", vec![(dsp, 2)]));
-        let res = solve_combinatorial(&p, &CombinatorialConfig::default()).unwrap();
+        let res =
+            solve_combinatorial(&p, &CombinatorialConfig::default(), &SolveControl::default())
+                .unwrap();
         assert!(res.proven);
         assert!(res.floorplan.is_none());
     }
@@ -1088,7 +1076,9 @@ mod tests {
         let a = p.add_region(RegionSpec::new("A", vec![(clb, 2), (bram, 1)]));
         p.add_region(RegionSpec::new("B", vec![(clb, 3)]));
         p.request_relocation(RelocationRequest::constraint(a, 1));
-        let res = solve_combinatorial(&p, &CombinatorialConfig::default()).unwrap();
+        let res =
+            solve_combinatorial(&p, &CombinatorialConfig::default(), &SolveControl::default())
+                .unwrap();
         let fp = res.floorplan.unwrap();
         assert!(fp.validate(&p).is_empty());
         assert_eq!(fp.fc_found(), 1);
@@ -1104,7 +1094,9 @@ mod tests {
         // compatible copy would need 3 more -> impossible.
         let a = p.add_region(RegionSpec::new("A", vec![(dsp, 3)]));
         p.request_relocation(RelocationRequest::constraint(a, 1));
-        let res = solve_combinatorial(&p, &CombinatorialConfig::default()).unwrap();
+        let res =
+            solve_combinatorial(&p, &CombinatorialConfig::default(), &SolveControl::default())
+                .unwrap();
         assert!(res.proven);
         assert!(res.floorplan.is_none(), "no floorplan should satisfy the relocation constraint");
     }
@@ -1114,7 +1106,9 @@ mod tests {
         let (mut p, _, _, dsp) = small_problem();
         let a = p.add_region(RegionSpec::new("A", vec![(dsp, 3)]));
         p.request_relocation(RelocationRequest::metric(a, 1, 2.0));
-        let res = solve_combinatorial(&p, &CombinatorialConfig::default()).unwrap();
+        let res =
+            solve_combinatorial(&p, &CombinatorialConfig::default(), &SolveControl::default())
+                .unwrap();
         let fp = res.floorplan.unwrap();
         assert!(fp.validate(&p).is_empty());
         assert_eq!(fp.fc_found(), 0);
@@ -1129,7 +1123,9 @@ mod tests {
         let a = p.add_region(RegionSpec::new("A", vec![(clb, 2)]));
         let b = p.add_region(RegionSpec::new("B", vec![(clb, 2)]));
         p.connect(a, b, 10.0);
-        let res = solve_combinatorial(&p, &CombinatorialConfig::default()).unwrap();
+        let res =
+            solve_combinatorial(&p, &CombinatorialConfig::default(), &SolveControl::default())
+                .unwrap();
         assert!(res.proven);
         assert_eq!(res.best_waste, Some(0));
         // The least wire length over every non-overlapping zero-waste pair.
@@ -1151,7 +1147,9 @@ mod tests {
         p.add_region(RegionSpec::new("A", vec![(clb, 3), (bram, 1)]));
         p.add_region(RegionSpec::new("B", vec![(clb, 2), (dsp, 1)]));
         p.add_region(RegionSpec::new("C", vec![(clb, 2)]));
-        let res = solve_combinatorial(&p, &CombinatorialConfig::feasibility()).unwrap();
+        let first_feasible =
+            CombinatorialConfig { first_feasible: true, ..CombinatorialConfig::default() };
+        let res = solve_combinatorial(&p, &first_feasible, &SolveControl::default()).unwrap();
         let fp = res.floorplan.unwrap();
         assert!(fp.validate(&p).is_empty());
         assert!(!res.proven, "first-feasible mode does not prove optimality");
@@ -1163,16 +1161,11 @@ mod tests {
         p.add_region(RegionSpec::new("A", vec![(clb, 2), (bram, 1)]));
         let ctl = SolveControl::default();
         ctl.cancel.cancel();
-        let res = solve_combinatorial_with_control(&p, &CombinatorialConfig::default(), &ctl)
+        let res = solve_combinatorial(&p, &CombinatorialConfig::default(), &ctl)
             .expect("budget exhaustion is not an error under a control");
         assert!(res.floorplan.is_none());
         assert!(!res.proven);
         assert!(res.cancelled);
-        // The legacy wrapper still maps this case to an error.
-        assert!(matches!(
-            solve_combinatorial(&p, &CombinatorialConfig { node_limit: 1, ..Default::default() }),
-            Err(FloorplanError::LimitReached)
-        ));
     }
 
     #[test]
@@ -1191,22 +1184,25 @@ mod tests {
             })),
             shared_incumbent: None,
         };
-        let res =
-            solve_combinatorial_with_control(&p, &CombinatorialConfig::default(), &ctl).unwrap();
+        let res = solve_combinatorial(&p, &CombinatorialConfig::default(), &ctl).unwrap();
         let seen = seen.lock().unwrap();
         assert!(!seen.is_empty());
         assert_eq!(*seen.last().unwrap(), res.best_waste.unwrap() as f64);
     }
 
     #[test]
-    fn node_limit_aborts_with_limit_error_when_nothing_found() {
+    fn node_limit_stops_unproven_and_keeps_the_nodes_searched() {
         let (mut p, clb, bram, _) = small_problem();
         p.add_region(RegionSpec::new("A", vec![(clb, 2), (bram, 1)]));
         p.add_region(RegionSpec::new("B", vec![(clb, 4)]));
-        // A node limit of 1 gives the search no room to reach a leaf.
+        // A node limit of 1 gives the search no room to reach a leaf: the
+        // stop is not an error, and the node it entered is reported.
         let cfg = CombinatorialConfig { node_limit: 1, ..CombinatorialConfig::default() };
-        let err = solve_combinatorial(&p, &cfg);
-        assert!(matches!(err, Err(FloorplanError::LimitReached)));
+        let res = solve_combinatorial(&p, &cfg, &SolveControl::default()).unwrap();
+        assert!(res.floorplan.is_none());
+        assert!(!res.proven);
+        assert!(!res.cancelled);
+        assert_eq!(res.nodes, 1);
     }
 
     /// A four-region connected instance busy enough that the parallel phase
@@ -1240,11 +1236,13 @@ mod tests {
     #[test]
     fn parallel_search_proves_the_serial_results_at_every_thread_count() {
         for (p, same_tree) in [(busy_problem(), false), (zero_waste_problem(), true)] {
-            let serial = solve_combinatorial(&p, &CombinatorialConfig::default()).unwrap();
+            let serial =
+                solve_combinatorial(&p, &CombinatorialConfig::default(), &SolveControl::default())
+                    .unwrap();
             assert!(serial.proven);
             for threads in [2usize, 3, 4, 8] {
                 let cfg = CombinatorialConfig { threads, ..CombinatorialConfig::default() };
-                let par = solve_combinatorial(&p, &cfg).unwrap();
+                let par = solve_combinatorial(&p, &cfg, &SolveControl::default()).unwrap();
                 assert!(par.proven, "{threads} threads must exhaust the space");
                 assert_eq!(par.best_waste, serial.best_waste, "waste at {threads} threads");
                 let (swl, pwl) = (serial.best_wirelength.unwrap(), par.best_wirelength.unwrap());
@@ -1291,12 +1289,14 @@ mod tests {
     #[test]
     fn infeasible_search_counts_the_same_nodes_at_every_thread_count() {
         let p = dsp_blocked_problem();
-        let serial = solve_combinatorial(&p, &CombinatorialConfig::default()).unwrap();
+        let serial =
+            solve_combinatorial(&p, &CombinatorialConfig::default(), &SolveControl::default())
+                .unwrap();
         assert!(serial.proven && serial.floorplan.is_none());
         assert!(serial.counts.pruned_fit > 0, "{:?}", serial.counts);
         for threads in [2usize, 3, 4, 8] {
             let cfg = CombinatorialConfig { threads, ..CombinatorialConfig::default() };
-            let par = solve_combinatorial(&p, &cfg).unwrap();
+            let par = solve_combinatorial(&p, &cfg, &SolveControl::default()).unwrap();
             assert!(par.proven && par.floorplan.is_none(), "{threads} threads");
             // No incumbent, so no bound: the same nodes are pruned, whether
             // the prefix expansion or a worker opens them.
@@ -1318,7 +1318,7 @@ mod tests {
             let collector = rfp_trace::Collector::new();
             let res = {
                 let _scope = collector.install("solve");
-                solve_combinatorial_with_control(&p, &cfg, &SolveControl::default()).unwrap()
+                solve_combinatorial(&p, &cfg, &SolveControl::default()).unwrap()
             };
             let c = res.counts;
             assert_eq!(
@@ -1361,7 +1361,9 @@ mod tests {
     #[test]
     fn repeated_forbidden_areas_change_neither_capacity_nor_solve() {
         let once = tiny_with_forbidden_copies(1);
-        let solved = solve_combinatorial(&once, &CombinatorialConfig::default()).unwrap();
+        let solved =
+            solve_combinatorial(&once, &CombinatorialConfig::default(), &SolveControl::default())
+                .unwrap();
         assert!(solved.proven);
         assert_eq!(solved.best_waste, Some(0));
         for copies in [3, 20] {
@@ -1369,7 +1371,9 @@ mod tests {
             assert!(p.validate().is_ok(), "{copies} copies");
             assert_eq!(p.partition.total_frames(), once.partition.total_frames());
             assert_eq!(p.partition.total_resources(), once.partition.total_resources());
-            let res = solve_combinatorial(&p, &CombinatorialConfig::default()).unwrap();
+            let res =
+                solve_combinatorial(&p, &CombinatorialConfig::default(), &SolveControl::default())
+                    .unwrap();
             assert_eq!(res.floorplan, solved.floorplan, "{copies} copies");
             assert_eq!((res.proven, res.nodes), (solved.proven, solved.nodes), "{copies} copies");
         }
@@ -1382,7 +1386,7 @@ mod tests {
         p.add_region(RegionSpec::new("B", vec![(dsp, 2)]));
         p.add_region(RegionSpec::new("C", vec![(dsp, 2)]));
         let cfg = CombinatorialConfig { threads: 4, ..CombinatorialConfig::default() };
-        let res = solve_combinatorial(&p, &cfg).unwrap();
+        let res = solve_combinatorial(&p, &cfg, &SolveControl::default()).unwrap();
         assert!(res.proven);
         assert!(res.floorplan.is_none());
     }
@@ -1390,8 +1394,12 @@ mod tests {
     #[test]
     fn parallel_first_feasible_returns_a_valid_unproven_floorplan() {
         let p = busy_problem();
-        let cfg = CombinatorialConfig { threads: 4, ..CombinatorialConfig::feasibility() };
-        let res = solve_combinatorial(&p, &cfg).unwrap();
+        let cfg = CombinatorialConfig {
+            threads: 4,
+            first_feasible: true,
+            ..CombinatorialConfig::default()
+        };
+        let res = solve_combinatorial(&p, &cfg, &SolveControl::default()).unwrap();
         assert!(!res.proven, "first-feasible mode never claims a proof");
         assert!(res.floorplan.unwrap().validate(&p).is_empty());
     }
@@ -1402,9 +1410,11 @@ mod tests {
         let a = p.add_region(RegionSpec::new("A", vec![(clb, 2), (bram, 1)]));
         p.add_region(RegionSpec::new("B", vec![(clb, 3)]));
         p.request_relocation(RelocationRequest::constraint(a, 1));
-        let serial = solve_combinatorial(&p, &CombinatorialConfig::default()).unwrap();
+        let serial =
+            solve_combinatorial(&p, &CombinatorialConfig::default(), &SolveControl::default())
+                .unwrap();
         let cfg = CombinatorialConfig { threads: 4, ..CombinatorialConfig::default() };
-        let par = solve_combinatorial(&p, &cfg).unwrap();
+        let par = solve_combinatorial(&p, &cfg, &SolveControl::default()).unwrap();
         assert!(par.proven);
         assert_eq!(par.best_waste, serial.best_waste);
         let fp = par.floorplan.unwrap();
@@ -1427,7 +1437,7 @@ mod tests {
             shared_incumbent: None,
         };
         let cfg = CombinatorialConfig { threads: 4, ..CombinatorialConfig::default() };
-        let res = solve_combinatorial_with_control(&p, &cfg, &ctl).unwrap();
+        let res = solve_combinatorial(&p, &cfg, &ctl).unwrap();
         assert!(res.cancelled, "the cancellation must be observed and reported");
         assert!(!res.proven, "a cancelled run must not claim a proof");
         // Whatever was found before the cancel is still a valid floorplan.
@@ -1439,13 +1449,15 @@ mod tests {
     #[test]
     fn parallel_node_limit_is_honoured_across_workers() {
         let p = busy_problem();
-        let serial = solve_combinatorial(&p, &CombinatorialConfig::default()).unwrap();
+        let serial =
+            solve_combinatorial(&p, &CombinatorialConfig::default(), &SolveControl::default())
+                .unwrap();
         // Deep enough into the search that the workers are running, far from
         // enough to exhaust it.
         let limit = serial.nodes / 2;
         let cfg =
             CombinatorialConfig { threads: 4, node_limit: limit, ..CombinatorialConfig::default() };
-        let res = solve_combinatorial_with_control(&p, &cfg, &SolveControl::default()).unwrap();
+        let res = solve_combinatorial(&p, &cfg, &SolveControl::default()).unwrap();
         assert!(!res.proven, "a truncated run must not claim a proof");
         // The workers stop within one node each of the shared limit; the
         // serial expansion phase (well under `limit` nodes here) is included

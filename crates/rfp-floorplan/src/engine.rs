@@ -17,6 +17,16 @@
 //! * [`EngineRegistry`] — string-keyed lookup (`"milp"`, `"ho"`,
 //!   `"combinatorial"`, plus the baselines registered by `rfp-baselines`).
 //!
+//! Each engine wraps exactly one public entry point of its algorithm:
+//! [`crate::combinatorial::solve_combinatorial`] for `combinatorial` (and
+//! the HO seed search), the MILP model of [`crate::model`] for `milp` and
+//! `ho` (one shared body, seeded by [`crate::heuristic::greedy_floorplan`]),
+//! and the baselines' `solve_with_control` and `tessellation_floorplan` in
+//! `rfp-baselines`. Every engine turns its finished search into an outcome
+//! with [`SolveOutcome::from_search`], the one place that decides
+//! [`OutcomeStatus::Proven`]; [`SolveOutcome::without_floorplan`] covers
+//! requests refused before any search.
+//!
 //! The [`crate::portfolio`] module builds engine racing on top of this
 //! contract, and the `rfp` CLI drives it from JSON problem files
 //! ([`crate::jsonio`]).
@@ -42,9 +52,9 @@
 //! assert!(outcome.floorplan.is_some());
 //! ```
 
-use crate::combinatorial::{solve_combinatorial_with_control, CombinatorialConfig};
+use crate::combinatorial::{solve_combinatorial, CombinatorialConfig};
 use crate::error::FloorplanError;
-use crate::heuristic::greedy_floorplan_fast;
+use crate::heuristic::greedy_floorplan;
 use crate::model::{FloorplanMilp, MilpBuildConfig, ModelStats};
 use crate::placement::{Floorplan, Metrics};
 use crate::problem::{FloorplanProblem, ObjectiveWeights};
@@ -401,7 +411,35 @@ pub struct SolveOutcome {
 }
 
 impl SolveOutcome {
-    /// An outcome with no floorplan.
+    /// The outcome of a finished search: the one place where an engine turns
+    /// what its search found into a status, metrics and a detail text. With
+    /// a floorplan the status is [`OutcomeStatus::Proven`] when the search
+    /// is `proven` and [`OutcomeStatus::Feasible`] otherwise, and the
+    /// metrics are the floorplan's on `problem`. Without one the outcome has
+    /// `status` and `detail`.
+    pub fn from_search(
+        problem: &FloorplanProblem,
+        floorplan: Option<Floorplan>,
+        proven: bool,
+        stats: EngineStats,
+        status: OutcomeStatus,
+        detail: impl Into<String>,
+    ) -> Self {
+        let Some(fp) = floorplan else {
+            return SolveOutcome::without_floorplan(status, detail, stats);
+        };
+        SolveOutcome {
+            status: if proven { OutcomeStatus::Proven } else { OutcomeStatus::Feasible },
+            metrics: Some(fp.metrics(problem)),
+            floorplan: Some(fp),
+            detail: None,
+            stats,
+        }
+    }
+
+    /// An outcome with no floorplan: a request the engine refuses before it
+    /// searches, or a search that found none (see
+    /// [`SolveOutcome::from_search`]).
     pub fn without_floorplan(
         status: OutcomeStatus,
         detail: impl Into<String>,
@@ -418,15 +456,6 @@ impl SolveOutcome {
     /// Wasted frames of the floorplan, if one was found.
     pub fn wasted_frames(&self) -> Option<u64> {
         self.metrics.as_ref().map(|m| m.wasted_frames)
-    }
-
-    /// Converts the outcome into a `Result`: the floorplan on success, a
-    /// [`FloorplanError`] otherwise.
-    pub fn into_result(self) -> Result<Floorplan, FloorplanError> {
-        match self.floorplan {
-            Some(fp) => Ok(fp),
-            None => Err(self.into_error()),
-        }
     }
 
     /// The error equivalent of a floorplan-less outcome.
@@ -455,39 +484,24 @@ pub fn adapt_floorplan(
     mapping: &[Option<usize>],
     problem: &FloorplanProblem,
 ) -> Option<Floorplan> {
-    use crate::candidates::{first_fit, reserve_fc_areas};
-
     if mapping.len() != problem.regions.len() {
         return None;
     }
-    let partition = &problem.partition;
-    let mut regions: Vec<Option<rfp_device::Rect>> = vec![None; problem.regions.len()];
-    let mut occupied: Vec<rfp_device::Rect> = Vec::new();
-    for (i, old) in mapping.iter().enumerate() {
-        if let Some(old) = old {
-            let rect = *previous.regions.get(*old)?;
-            regions[i] = Some(rect);
-            occupied.push(rect);
-        }
+    let mut retained = Vec::with_capacity(mapping.len());
+    for old in mapping {
+        retained.push(match old {
+            Some(old) => Some(*previous.regions.get(*old)?),
+            None => None,
+        });
     }
-    // Place the new regions greedily, most demanding first, in the space the
-    // retained rectangles leave over.
+    // Place the new regions greedily, most demanding first (ties keep index
+    // order), in the space the retained rectangles leave over. The previous
+    // reservations may be invalid after the edit, so the free-compatible
+    // areas are reserved afresh.
     let mut todo: Vec<usize> =
-        (0..problem.regions.len()).filter(|&i| regions[i].is_none()).collect();
-    todo.sort_by_key(|&i| u64::MAX - problem.regions[i].required_frames(partition));
-    for i in todo {
-        let rect = first_fit(partition, &problem.regions[i], &occupied)?;
-        regions[i] = Some(rect);
-        occupied.push(rect);
-    }
-    let regions: Vec<rfp_device::Rect> = regions.into_iter().map(|r| r.expect("filled")).collect();
-
-    // Re-reserve the requested free-compatible areas greedily (the previous
-    // reservations may be invalid after the edit, so they are not reused).
-    let fc_areas = reserve_fc_areas(partition, &problem.fc_areas(), &regions, occupied);
-
-    let fp = Floorplan { regions, fc_areas };
-    fp.validate(problem).is_empty().then_some(fp)
+        (0..problem.regions.len()).filter(|&i| retained[i].is_none()).collect();
+    todo.sort_by_key(|&i| u64::MAX - problem.regions[i].required_frames(&problem.partition));
+    crate::candidates::greedy_complete(problem, retained, &todo)
 }
 
 /// A floorplanning engine: anything that can turn a [`SolveRequest`] into a
@@ -728,7 +742,7 @@ impl FloorplanEngine for CombinatorialEngine {
             cfg.threads = req.threads;
         }
         stats.threads = cfg.threads.max(1);
-        let res = match solve_combinatorial_with_control(&problem, &cfg, ctl) {
+        let res = match solve_combinatorial(&problem, &cfg, ctl) {
             Ok(res) => res,
             Err(e) => {
                 // Only problem-level errors reach here (validation failures,
@@ -746,32 +760,18 @@ impl FloorplanEngine for CombinatorialEngine {
         stats.solve_seconds = res.solve_seconds;
         stats.cancelled = res.cancelled;
         stats.gap = if res.proven { 0.0 } else { f64::INFINITY };
-        match res.floorplan {
-            Some(fp) => {
-                let metrics = fp.metrics(&problem);
-                SolveOutcome {
-                    status: if res.proven {
-                        OutcomeStatus::Proven
-                    } else {
-                        OutcomeStatus::Feasible
-                    },
-                    floorplan: Some(fp),
-                    metrics: Some(metrics),
-                    detail: None,
-                    stats,
-                }
-            }
-            None if res.proven => SolveOutcome::without_floorplan(
+        let (status, detail) = if res.proven {
+            (
                 OutcomeStatus::Infeasible,
                 "the combinatorial search exhausted the space without a feasible floorplan",
-                stats,
-            ),
-            None => SolveOutcome::without_floorplan(
+            )
+        } else {
+            (
                 OutcomeStatus::BudgetExhausted,
                 "search budget exhausted before any feasible floorplan was found",
-                stats,
-            ),
-        }
+            )
+        };
+        SolveOutcome::from_search(&problem, res.floorplan, res.proven, stats, status, detail)
     }
 }
 
@@ -809,7 +809,7 @@ fn solve_milp_engine(
         // first, then the complete first-feasible search (which honours the
         // budget and the cancellation token). Incumbents it reports are
         // re-tagged with this engine's id.
-        match hint.clone().or_else(|| greedy_floorplan_fast(&problem)) {
+        match hint.clone().or_else(|| greedy_floorplan(&problem)) {
             Some(fp) => Some(fp),
             None => {
                 let seed_ctl = SolveControl {
@@ -828,29 +828,8 @@ fn solve_milp_engine(
                     ..CombinatorialConfig::default()
                 };
                 let _seed_span = rfp_trace::span("engine.seed_search");
-                match solve_combinatorial_with_control(&problem, &seed_cfg, &seed_ctl) {
-                    Ok(res) if res.floorplan.is_some() => res.floorplan,
-                    Ok(res) => {
-                        stats.nodes = res.nodes;
-                        stats.solve_seconds = res.solve_seconds;
-                        stats.cancelled = res.cancelled || ctl.cancel.is_cancelled();
-                        // A proven empty search means the instance itself is
-                        // infeasible; otherwise the budget ran out first.
-                        let (status, detail) = if res.proven {
-                            (
-                                OutcomeStatus::Infeasible,
-                                "the seed search exhausted the space without a \
-                                 feasible floorplan",
-                            )
-                        } else {
-                            (
-                                OutcomeStatus::BudgetExhausted,
-                                "no seed floorplan found for the HO restriction \
-                                 within the budget",
-                            )
-                        };
-                        return SolveOutcome::without_floorplan(status, detail, stats);
-                    }
+                let res = match solve_combinatorial(&problem, &seed_cfg, &seed_ctl) {
+                    Ok(res) => res,
                     Err(e) => {
                         stats.cancelled = ctl.cancel.is_cancelled();
                         return SolveOutcome::without_floorplan(
@@ -859,7 +838,29 @@ fn solve_milp_engine(
                             stats,
                         );
                     }
+                };
+                if res.floorplan.is_none() {
+                    stats.nodes = res.nodes;
+                    stats.solve_seconds = res.solve_seconds;
+                    stats.cancelled = res.cancelled || ctl.cancel.is_cancelled();
+                    // A proven empty search means the instance itself is
+                    // infeasible; otherwise the budget ran out first.
+                    let (status, detail) = if res.proven {
+                        (
+                            OutcomeStatus::Infeasible,
+                            "the seed search exhausted the space without a feasible floorplan",
+                        )
+                    } else {
+                        (
+                            OutcomeStatus::BudgetExhausted,
+                            "no seed floorplan found for the HO restriction within the budget",
+                        )
+                    };
+                    return SolveOutcome::from_search(
+                        &problem, None, res.proven, stats, status, detail,
+                    );
                 }
+                res.floorplan
             }
         }
     } else {
@@ -877,7 +878,7 @@ fn solve_milp_engine(
     // branch-and-bound an initial incumbent to prune against, which is what
     // makes the indicator-heavy floorplanning models tractable for the
     // from-scratch solver.
-    let warm = hint.or_else(|| seed.clone()).or_else(|| greedy_floorplan_fast(&problem));
+    let warm = hint.or_else(|| seed.clone()).or_else(|| greedy_floorplan(&problem));
 
     let build_cfg = match &seed {
         None => MilpBuildConfig::optimal(),
@@ -935,7 +936,7 @@ fn solve_milp_engine(
     // cut and re-solve (bounded: each cut removes one assignment point).
     const MAX_FC_NOGOOD_ROUNDS: usize = 16;
     let mut retry_milp: Option<rfp_milp::Model> = None;
-    let (floorplan, issues) = loop {
+    let found = loop {
         stats.nodes += solution.nodes as u64;
         stats.solve_seconds += solution.solve_seconds;
         stats.lp_iterations += solution.lp_iterations as u64;
@@ -946,18 +947,7 @@ fn solve_milp_engine(
         stats.cancelled = solution.cancelled || ctl.cancel.is_cancelled();
 
         if !solution.status.has_solution() {
-            return match solution.status {
-                rfp_milp::SolveStatus::Infeasible => SolveOutcome::without_floorplan(
-                    OutcomeStatus::Infeasible,
-                    "the MILP model is infeasible",
-                    stats,
-                ),
-                _ => SolveOutcome::without_floorplan(
-                    OutcomeStatus::BudgetExhausted,
-                    "solver budget exhausted before a feasible floorplan was found",
-                    stats,
-                ),
-            };
+            break None;
         }
         let floorplan = model.extract(&solution);
         let issues = floorplan.validate(&problem);
@@ -968,41 +958,38 @@ fn solve_milp_engine(
                 .as_ref()
                 .is_some_and(|m| m.n_cons() >= model.milp.n_cons() + MAX_FC_NOGOOD_ROUNDS)
         {
-            break (floorplan, issues);
+            break Some((floorplan, issues));
         }
         let milp = retry_milp.get_or_insert_with(|| model.milp.clone());
         if !model.ban_assignment(&solution, milp) {
-            break (floorplan, issues);
+            break Some((floorplan, issues));
         }
         rfp_trace::count("engine.fc_nogood_retries", 1);
         solution = solver.solve_controlled(milp, None, Some(&progress));
     };
-    if !issues.is_empty() {
+    let (status, detail) = match &found {
+        None if solution.status == rfp_milp::SolveStatus::Infeasible => {
+            (OutcomeStatus::Infeasible, "the MILP model is infeasible".to_string())
+        }
+        None => (
+            OutcomeStatus::BudgetExhausted,
+            "solver budget exhausted before a feasible floorplan was found".to_string(),
+        ),
         // A solution that passes the MILP but fails the independent validator
         // indicates numerical trouble (or an unsatisfiable constraint-mode
         // relocation request); report it rather than returning a bogus
         // floorplan.
-        return SolveOutcome::without_floorplan(
+        Some((_, issues)) => (
             OutcomeStatus::Infeasible,
             format!("extracted floorplan failed validation: {}", issues.join("; ")),
-            stats,
-        );
-    }
-    let metrics = floorplan.metrics(&problem);
-    SolveOutcome {
-        // After a no-good round the optimum is only proven for the cut model:
-        // the greedy reservation pass is incomplete, so a banned assignment
-        // might still have admitted the areas under a smarter reservation.
-        status: if solution.status == rfp_milp::SolveStatus::Optimal && retry_milp.is_none() {
-            OutcomeStatus::Proven
-        } else {
-            OutcomeStatus::Feasible
-        },
-        floorplan: Some(floorplan),
-        metrics: Some(metrics),
-        detail: None,
-        stats,
-    }
+        ),
+    };
+    let floorplan = found.and_then(|(fp, issues)| issues.is_empty().then_some(fp));
+    // After a no-good round the optimum is only proven for the cut model:
+    // the greedy reservation pass is incomplete, so a banned assignment
+    // might still have admitted the areas under a smarter reservation.
+    let proven = solution.status == rfp_milp::SolveStatus::Optimal && retry_milp.is_none();
+    SolveOutcome::from_search(&problem, floorplan, proven, stats, status, detail)
 }
 
 #[cfg(test)]
@@ -1034,7 +1021,10 @@ mod tests {
     #[test]
     fn registering_an_engine_with_the_same_id_replaces_it() {
         let mut r = EngineRegistry::builtin();
-        let custom = CombinatorialEngine::with_config(CombinatorialConfig::feasibility());
+        let custom = CombinatorialEngine::with_config(CombinatorialConfig {
+            first_feasible: true,
+            ..CombinatorialConfig::default()
+        });
         r.register(Arc::new(custom));
         assert_eq!(r.len(), 3);
         assert_eq!(r.ids(), vec!["milp", "ho", "combinatorial"]);
@@ -1112,7 +1102,7 @@ mod tests {
             .solve(&req, &SolveControl::default());
         assert_eq!(outcome.status, OutcomeStatus::Infeasible);
         assert!(outcome.floorplan.is_none());
-        assert!(matches!(outcome.into_result(), Err(FloorplanError::Infeasible { .. })));
+        assert!(matches!(outcome.into_error(), FloorplanError::Infeasible { .. }));
     }
 
     #[test]
@@ -1127,7 +1117,7 @@ mod tests {
             .solve(&req, &SolveControl::default());
         // One node is not enough to reach a leaf of this search.
         assert_eq!(outcome.status, OutcomeStatus::BudgetExhausted);
-        assert!(matches!(outcome.into_result(), Err(FloorplanError::LimitReached)));
+        assert!(matches!(outcome.into_error(), FloorplanError::LimitReached));
     }
 
     #[test]

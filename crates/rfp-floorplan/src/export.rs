@@ -32,43 +32,59 @@ fn sanitize(name: &str) -> String {
     name.chars().map(|c| if c.is_ascii_alphanumeric() { c } else { '_' }).collect()
 }
 
-/// Site ranges (one string per resource kind present) for a rectangle.
+/// The resource kinds a Pblock names, each with its site prefix and its
+/// sites per tile in x and y.
+const SITE_KINDS: [(ResourceKind, &str, u32, u32); 3] = [
+    (ResourceKind::Clb, "SLICE", SLICES_PER_CLB_X, SLICE_ROWS_PER_TILE),
+    (ResourceKind::Bram, "RAMB36", 1, RAMBS_PER_TILE),
+    (ResourceKind::Dsp, "DSP48", 1, DSPS_PER_TILE),
+];
+
+/// Site ranges for a rectangle, kind by kind. Vendor tools number sites per
+/// kind, so a device column's x index for a kind counts the columns to its
+/// left that hold that kind in any row. A range names only cells of the
+/// rectangle that hold its kind: there is one range per band of rows that
+/// hold the kind in the same columns, and per contiguous run of those
+/// columns' indices. On a columnar device each kind is one band and one run.
 fn site_ranges(partition: &FabricPartition, rect: &Rect) -> Vec<String> {
-    // Column index per resource kind, counting columns of that kind from the
-    // left edge of the device (vendor tools number sites per-kind). A column
-    // counts towards a kind when any of its cells holds that resource (on a
-    // columnar device, when its tile type does).
     let mut ranges = Vec::new();
-    let kinds = [
-        (ResourceKind::Clb, "SLICE", SLICES_PER_CLB_X, SLICE_ROWS_PER_TILE),
-        (ResourceKind::Bram, "RAMB36", 1, RAMBS_PER_TILE),
-        (ResourceKind::Dsp, "DSP48", 1, DSPS_PER_TILE),
-    ];
-    for (kind, prefix, sites_x, sites_y) in kinds {
-        // Per-kind x index of each device column.
+    for (kind, prefix, sites_x, sites_y) in SITE_KINDS {
+        let holds = |col: u32, row: u32| {
+            partition
+                .tile_type_at(col, row)
+                .is_some_and(|ty| partition.resources_per_tile(ty)[kind] > 0)
+        };
         let mut kind_index_of_col = Vec::with_capacity(partition.cols as usize);
         let mut count = 0u32;
         for col in 1..=partition.cols {
-            let is_kind = (1..=partition.rows).any(|row| {
-                partition
-                    .tile_type_at(col, row)
-                    .is_some_and(|ty| partition.resources_per_tile(ty)[kind] > 0)
-            });
-            kind_index_of_col.push(if is_kind { Some(count) } else { None });
-            if is_kind {
-                count += 1;
+            let is_kind = (1..=partition.rows).any(|row| holds(col, row));
+            kind_index_of_col.push(is_kind.then_some(count));
+            count += is_kind as u32;
+        }
+        // Each row's runs of per-kind indices, as inclusive `(first, last)`.
+        let rows: Vec<(u32, Vec<(u32, u32)>)> = rect
+            .rows()
+            .map(|row| {
+                let mut runs: Vec<(u32, u32)> = Vec::new();
+                for col in rect.columns().filter(|&col| holds(col, row)) {
+                    let i =
+                        kind_index_of_col[(col - 1) as usize].expect("the column holds the kind");
+                    match runs.last_mut() {
+                        Some((_, last)) if *last + 1 == i => *last = i,
+                        _ => runs.push((i, i)),
+                    }
+                }
+                (row, runs)
+            })
+            .collect();
+        for band in rows.chunk_by(|a, b| a.1 == b.1) {
+            let (top, bottom) = (band[0].0, band[band.len() - 1].0);
+            for &(first, last) in &band[0].1 {
+                let (x0, x1) = (first * sites_x, (last + 1) * sites_x - 1);
+                let (y0, y1) = ((top - 1) * sites_y, bottom * sites_y - 1);
+                ranges.push(format!("{prefix}_X{x0}Y{y0}:{prefix}_X{x1}Y{y1}"));
             }
         }
-        let covered: Vec<u32> =
-            rect.columns().filter_map(|c| kind_index_of_col[(c - 1) as usize]).collect();
-        if covered.is_empty() {
-            continue;
-        }
-        let x0 = covered.iter().min().unwrap() * sites_x;
-        let x1 = (covered.iter().max().unwrap() + 1) * sites_x - 1;
-        let y0 = (rect.y - 1) * sites_y;
-        let y1 = rect.y2() * sites_y - 1;
-        ranges.push(format!("{prefix}_X{x0}Y{y0}:{prefix}_X{x1}Y{y1}"));
     }
     ranges
 }
@@ -235,9 +251,12 @@ set_property SNAPPING_MODE ON [get_pblocks pblock_FFT_core]
         assert_eq!(to_xdc(&p, &fp), expected);
     }
 
-    /// On an irregular fabric a column counts towards a resource kind when
-    /// any of its cells holds that resource: column 2 is a RAMB36 column on
-    /// every row and column 5 a DSP48 column, though neither is uniform.
+    /// On an irregular fabric a column still gets a per-kind x index when
+    /// any of its cells holds that kind (column 2 is RAMB36 column 0 and
+    /// column 5 DSP48 column 0), but a range covers only the rows where it
+    /// does: `Decoder` names column 2 as RAMB36 on rows 1-2 and not as SLICE,
+    /// `Filter` names column 5 as DSP48 only, and the reserved area at rows
+    /// 3-4, where column 2 is CLB, names no RAMB36 site.
     #[test]
     fn xdc_is_pinned_byte_for_byte_on_a_heterogeneous_fabric() {
         let (p, fp) = hetero_setup();
@@ -247,14 +266,14 @@ set_property SNAPPING_MODE ON [get_pblocks pblock_FFT_core]
 
 create_pblock pblock_Decoder
 add_cells_to_pblock [get_pblocks pblock_Decoder] [get_cells -quiet [list Decoder_i]]
-resize_pblock [get_pblocks pblock_Decoder] -add {SLICE_X0Y0:SLICE_X1Y39}
+resize_pblock [get_pblocks pblock_Decoder] -add {SLICE_X0Y0:SLICE_X0Y39}
 resize_pblock [get_pblocks pblock_Decoder] -add {RAMB36_X0Y0:RAMB36_X0Y7}
 set_property RESET_AFTER_RECONFIG true [get_pblocks pblock_Decoder]
 set_property SNAPPING_MODE ON [get_pblocks pblock_Decoder]
 
 create_pblock pblock_Filter
 add_cells_to_pblock [get_pblocks pblock_Filter] [get_cells -quiet [list Filter_i]]
-resize_pblock [get_pblocks pblock_Filter] -add {SLICE_X3Y40:SLICE_X4Y79}
+resize_pblock [get_pblocks pblock_Filter] -add {SLICE_X3Y40:SLICE_X3Y79}
 resize_pblock [get_pblocks pblock_Filter] -add {DSP48_X0Y16:DSP48_X0Y31}
 set_property RESET_AFTER_RECONFIG true [get_pblocks pblock_Filter]
 set_property SNAPPING_MODE ON [get_pblocks pblock_Filter]
@@ -262,9 +281,66 @@ set_property SNAPPING_MODE ON [get_pblocks pblock_Filter]
 # Reserved free-compatible area for `Decoder` (relocation target #1)
 # create_pblock pblock_Decoder_reloc1
 # resize_pblock [get_pblocks pblock_Decoder_reloc1] -add {SLICE_X0Y40:SLICE_X2Y79}
-# resize_pblock [get_pblocks pblock_Decoder_reloc1] -add {RAMB36_X0Y8:RAMB36_X0Y15}
 ";
         assert_eq!(to_xdc(&p, &fp), expected);
+    }
+
+    /// Every range `site_ranges` emits for any rect of the heterogeneous
+    /// fixture, decoded back to device cells, names only cells of the rect
+    /// whose tile holds the range's kind, and together the ranges name every
+    /// such cell.
+    #[test]
+    fn every_site_range_names_only_cells_that_hold_its_kind() {
+        let (p, _) = hetero_setup();
+        let part = &p.partition;
+        let holds = |kind: ResourceKind, col: u32, row: u32| {
+            part.tile_type_at(col, row).is_some_and(|ty| part.resources_per_tile(ty)[kind] > 0)
+        };
+        let mut checked = 0;
+        for (x, y) in (1..=part.cols).flat_map(|x| (1..=part.rows).map(move |y| (x, y))) {
+            for (w, h) in
+                (1..=part.cols - x + 1).flat_map(|w| (1..=part.rows - y + 1).map(move |h| (w, h)))
+            {
+                let rect = Rect::new(x, y, w, h);
+                let mut named = std::collections::HashSet::new();
+                for range in site_ranges(part, &rect) {
+                    let (name, rest) = range.split_once("_X").unwrap();
+                    let &(kind, prefix, sites_x, sites_y) =
+                        SITE_KINDS.iter().find(|k| k.1 == name).unwrap();
+                    let (from, to) = rest.split_once(':').unwrap();
+                    let to = to.strip_prefix(prefix).unwrap().strip_prefix("_X").unwrap();
+                    let xy = |s: &str| -> (u32, u32) {
+                        let (x, y) = s.split_once('Y').unwrap();
+                        (x.parse().unwrap(), y.parse().unwrap())
+                    };
+                    let ((x0, y0), (x1, y1)) = (xy(from), xy(to));
+                    // The device columns of this kind, by per-kind index.
+                    let kind_cols: Vec<u32> = (1..=part.cols)
+                        .filter(|&c| (1..=part.rows).any(|r| holds(kind, c, r)))
+                        .collect();
+                    for i in x0 / sites_x..=x1 / sites_x {
+                        for row in y0 / sites_y + 1..=y1 / sites_y + 1 {
+                            let col = kind_cols[i as usize];
+                            assert!(rect.contains(col, row), "{range} leaves {rect:?}");
+                            assert!(holds(kind, col, row), "{range} names ({col}, {row})");
+                            assert!(named.insert((prefix, col, row)), "{range} repeats a site");
+                            checked += 1;
+                        }
+                    }
+                }
+                for (kind, prefix, _, _) in SITE_KINDS {
+                    for (col, row) in rect.columns().flat_map(|c| rect.rows().map(move |r| (c, r)))
+                    {
+                        assert_eq!(
+                            holds(kind, col, row),
+                            named.contains(&(prefix, col, row)),
+                            "{prefix} at ({col}, {row}) in {rect:?}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(checked > 0);
     }
 
     #[test]

@@ -7,8 +7,13 @@
 //! signal decoder regions (the paper calls these the *relocatable regions*)
 //! and negative for the matched filter and video decoder, whose DSP demands
 //! exhaust the two DSP columns of the device.
+//!
+//! Each instance goes through [`solve_combinatorial`], the combinatorial
+//! engine's one entry point, in first-feasible mode. A budget that stops a
+//! search leaves its verdict unproven and keeps the nodes it searched.
 
 use crate::combinatorial::{solve_combinatorial, CombinatorialConfig};
+use crate::engine::SolveControl;
 use crate::error::FloorplanError;
 use crate::problem::{FloorplanProblem, RegionId, RelocationRequest};
 
@@ -25,7 +30,7 @@ pub struct RegionFeasibility {
     /// `true` when the engine exhausted the search space (the verdict is
     /// proven); `false` when a limit was hit before a conclusion.
     pub proven: bool,
-    /// Search nodes explored.
+    /// Search nodes explored, also when a limit stopped the search.
     pub nodes: u64,
 }
 
@@ -45,17 +50,14 @@ pub fn feasibility_analysis(
         instance.request_relocation(RelocationRequest::constraint(region, 1));
         let mut cfg = config.clone();
         cfg.first_feasible = true;
-        let (feasible, proven, nodes) = match solve_combinatorial(&instance, &cfg) {
-            Ok(res) => (res.floorplan.is_some(), res.proven || res.floorplan.is_some(), res.nodes),
-            Err(FloorplanError::LimitReached) => (false, false, 0),
-            Err(e) => return Err(e),
-        };
+        let res = solve_combinatorial(&instance, &cfg, &SolveControl::default())?;
+        let feasible = res.floorplan.is_some();
         out.push(RegionFeasibility {
             region,
             name: problem.regions[region].name.clone(),
             feasible,
-            proven,
-            nodes,
+            proven: res.proven || feasible,
+            nodes: res.nodes,
         });
     }
     Ok(out)
@@ -94,6 +96,19 @@ mod tests {
         assert!(by_name("DSP hog").proven);
         assert!(by_name("Small A").feasible);
         assert!(by_name("Small B").feasible);
+    }
+
+    #[test]
+    fn a_node_limit_reports_the_nodes_it_searched() {
+        let p = problem();
+        let cfg = CombinatorialConfig { node_limit: 1, ..CombinatorialConfig::default() };
+        let verdicts = feasibility_analysis(&p, &cfg).unwrap();
+        let unproven: Vec<_> = verdicts.iter().filter(|v| !v.proven).collect();
+        assert!(!unproven.is_empty(), "one node cannot settle a 3-region instance");
+        for v in unproven {
+            assert!(!v.feasible);
+            assert!(v.nodes > 0, "{}: a stopped search still searched", v.name);
+        }
     }
 
     #[test]

@@ -1,73 +1,32 @@
 //! Greedy first-fit floorplanning heuristic.
 //!
 //! The HO algorithm needs "a first feasible solution" whose sequence pair is
-//! then imposed on the MILP (Section II-A). This module provides that seed:
-//! a deterministic greedy placer that processes regions from the most to the
-//! least demanding, always picking the lowest-waste candidate that does not
-//! conflict with what has been placed so far, and then reserves the requested
-//! free-compatible areas greedily. If the greedy pass fails (tightly packed
-//! instances), it falls back to the combinatorial engine in first-feasible
-//! mode, which performs a complete search.
+//! then imposed on the MILP (Section II-A). [`greedy_floorplan`] is that
+//! seed's one entry point: a deterministic greedy placer that processes
+//! regions from the most to the least demanding, always picking the
+//! lowest-waste candidate that does not conflict with what has been placed
+//! so far, and then reserves the requested free-compatible areas greedily
+//! ([`crate::candidates::greedy_complete`]). It makes one pass and gives up
+//! when that pass paints itself into a corner; the HO engine then runs the
+//! complete first-feasible combinatorial search for its seed.
 
-use crate::candidates::{first_fit, reserve_fc_areas};
-use crate::combinatorial::{solve_combinatorial, CombinatorialConfig};
-use crate::error::FloorplanError;
+use crate::candidates::greedy_complete;
 use crate::placement::Floorplan;
 use crate::problem::FloorplanProblem;
-use rfp_device::Rect;
 
-/// Produces a feasible floorplan quickly (greedy first-fit with a complete
-/// fallback). The result is *not* optimised; it is intended as the HO seed
-/// and as a baseline for the improvement benchmarks.
-pub fn greedy_floorplan(problem: &FloorplanProblem) -> Result<Floorplan, FloorplanError> {
-    problem.validate()?;
-    if let Some(fp) = greedy_attempt(problem) {
-        return Ok(fp);
-    }
-    // Complete fallback: first feasible solution from the exact engine.
-    let res = solve_combinatorial(problem, &CombinatorialConfig::feasibility())?;
-    res.floorplan.ok_or_else(|| FloorplanError::Infeasible {
-        reason: "no placement satisfies the requirements and relocation constraints".to_string(),
-    })
-}
-
-/// The greedy pass alone, without the complete combinatorial fallback.
-///
-/// Unlike [`greedy_floorplan`] this is guaranteed cheap (one first-fit pass),
-/// which makes it safe to call opportunistically — e.g. as a MILP warm start
-/// — where an unbounded exhaustive fallback search would blow past the
-/// caller's own time limit.
-pub fn greedy_floorplan_fast(problem: &FloorplanProblem) -> Option<Floorplan> {
+/// One greedy first-fit pass over the regions, most demanding first
+/// (required frames, then name for determinism). Returns `None` when the
+/// problem is invalid or the pass paints itself into a corner. The result
+/// is *not* optimised; it is the HO seed and a MILP warm start, and one
+/// pass keeps it cheap enough to try before any search.
+pub fn greedy_floorplan(problem: &FloorplanProblem) -> Option<Floorplan> {
     problem.validate().ok()?;
-    greedy_attempt(problem)
-}
-
-/// One greedy pass; returns `None` if it paints itself into a corner.
-fn greedy_attempt(problem: &FloorplanProblem) -> Option<Floorplan> {
     let partition = &problem.partition;
-
-    // Most demanding regions first (required frames, then name for
-    // determinism).
     let mut order: Vec<usize> = (0..problem.regions.len()).collect();
     order.sort_by_key(|&i| {
         (u64::MAX - problem.regions[i].required_frames(partition), problem.regions[i].name.clone())
     });
-
-    let mut placed: Vec<Option<Rect>> = vec![None; problem.regions.len()];
-    let mut occupied: Vec<Rect> = Vec::new();
-    for &i in &order {
-        let rect = first_fit(partition, &problem.regions[i], &occupied)?;
-        placed[i] = Some(rect);
-        occupied.push(rect);
-    }
-    let regions: Vec<Rect> = placed.into_iter().map(|r| r.expect("all placed")).collect();
-
-    // Reserve the requested free-compatible areas greedily; an unsatisfied
-    // constraint fails validation and the complete fallback takes over.
-    let fc_areas = reserve_fc_areas(partition, &problem.fc_areas(), &regions, occupied);
-
-    let fp = Floorplan { regions, fc_areas };
-    fp.validate(problem).is_empty().then_some(fp)
+    greedy_complete(problem, vec![None; problem.regions.len()], &order)
 }
 
 #[cfg(test)]
@@ -123,8 +82,7 @@ mod tests {
         p.add_region(RegionSpec::new("A", vec![(bram, 3)]));
         p.add_region(RegionSpec::new("B", vec![(bram, 3)]));
         p.add_region(RegionSpec::new("C", vec![(bram, 3)]));
-        let err = greedy_floorplan(&p);
-        assert!(err.is_err());
+        assert!(greedy_floorplan(&p).is_none());
     }
 
     #[test]

@@ -949,10 +949,13 @@ mod tests {
     #[test]
     fn solving_a_round_tripped_problem_matches_the_original() {
         use crate::combinatorial::{solve_combinatorial, CombinatorialConfig};
+        use crate::engine::SolveControl;
         let p = sample_problem();
         let q = read_problem(&write_problem(&p)).unwrap();
-        let a = solve_combinatorial(&p, &CombinatorialConfig::default()).unwrap();
-        let b = solve_combinatorial(&q, &CombinatorialConfig::default()).unwrap();
+        let a = solve_combinatorial(&p, &CombinatorialConfig::default(), &SolveControl::default())
+            .unwrap();
+        let b = solve_combinatorial(&q, &CombinatorialConfig::default(), &SolveControl::default())
+            .unwrap();
         assert_eq!(a.best_waste, b.best_waste);
         assert_eq!(a.floorplan, b.floorplan);
     }

@@ -25,8 +25,8 @@
 //!   constraint (Eqs. 6-10) and as a metric (Eqs. 11-15), and the composite
 //!   objective (Eq. 14).
 //! * [`sequence_pair`] — sequence-pair extraction used by the HO algorithm.
-//! * [`heuristic`] — a greedy first-fit placer used to seed HO and as a
-//!   cheap baseline.
+//! * [`heuristic`] — one greedy first-fit pass that seeds HO and warm-starts
+//!   the MILP.
 //! * [`combinatorial`] — an exact branch-and-bound search over candidate
 //!   rectangles, specialised to the columnar structure; this engine solves
 //!   the full-die SDR instances that are out of reach for the from-scratch

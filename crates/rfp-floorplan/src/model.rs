@@ -1177,6 +1177,7 @@ impl FloorplanMilp {
 mod tests {
     use super::*;
     use crate::combinatorial::{solve_combinatorial, CombinatorialConfig};
+    use crate::engine::SolveControl;
     use crate::problem::{ObjectiveWeights, RegionSpec, RelocationRequest};
     use rfp_device::{columnar_partition, DeviceBuilder, ResourceVec};
     use rfp_milp::{Solver, SolverConfig};
@@ -1228,7 +1229,9 @@ mod tests {
         p.weights = ObjectiveWeights::area_only();
         p.add_region(RegionSpec::new("A", vec![(clb, 2), (bram, 1)]));
         p.add_region(RegionSpec::new("B", vec![(clb, 2)]));
-        let comb = solve_combinatorial(&p, &CombinatorialConfig::default()).unwrap();
+        let comb =
+            solve_combinatorial(&p, &CombinatorialConfig::default(), &SolveControl::default())
+                .unwrap();
         let model = FloorplanMilp::build(&p, &MilpBuildConfig::optimal());
         let sol = milp_solver().solve(&model.milp);
         assert!(sol.status.has_solution(), "status {:?}", sol.status);
@@ -1286,7 +1289,9 @@ mod tests {
         let fp = model.extract(&sol);
         assert!(fp.validate(&p).is_empty(), "{:?}", fp.validate(&p));
         // HO explores a subset of the O space, so its waste can only be >= O's.
-        let comb = solve_combinatorial(&p, &CombinatorialConfig::default()).unwrap();
+        let comb =
+            solve_combinatorial(&p, &CombinatorialConfig::default(), &SolveControl::default())
+                .unwrap();
         assert!(fp.metrics(&p).wasted_frames >= comb.best_waste.unwrap());
     }
 

@@ -35,7 +35,7 @@ pub mod queue;
 pub mod service;
 
 pub use cache::{CacheLookup, CacheStats, OutcomeCache};
-pub use protocol::{serve, ServeConfig, ServeSummary};
+pub use protocol::{serve, ServeSummary};
 pub use queue::{JobQueue, Pop};
 pub use service::{
     CacheDisposition, EngineChoice, JobId, JobResult, JobSpec, JobState, JobStatus, ServiceConfig,

@@ -9,7 +9,7 @@
 //! | `status` | `id` | report `queued` / `running` / `done` (done jobs add outcome status, cache disposition and effective thread count) |
 //! | `status` | — (no `id`) | service-wide snapshot: submitted/queued job counts and the full cache statistics (hits, near hits, misses, evictions, resident entries and cost-weight mass) |
 //! | `cancel` | `id` | cancel a queued or running job |
-//! | `stats` | — | live trace-counter snapshot ([`ServeConfig::trace`]) plus the same cache statistics |
+//! | `stats` | — | live trace-counter snapshot ([`ServiceConfig::trace`]) plus the same cache statistics |
 //! | `shutdown` | — | stop reading, drain the queue |
 //!
 //! End of input acts like `shutdown`. After the drain one `done` line per
@@ -33,40 +33,6 @@ use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::time::Duration;
 
-/// Configuration of a serve session.
-#[derive(Debug, Clone)]
-pub struct ServeConfig {
-    /// Worker threads.
-    pub workers: usize,
-    /// Whether the outcome cache is active.
-    pub cache: bool,
-    /// Deferred mode: queue every job first, run only at drain time. With
-    /// one worker this makes the whole session deterministic (used by the
-    /// `--jobs FILE` CLI mode and the golden tests); streaming sessions set
-    /// it to `false` so jobs run while later lines are still being typed.
-    pub deferred: bool,
-    /// Default engine for submits that name none.
-    pub default_engine: String,
-    /// Trace collector handle: forwarded to the service workers (per-job
-    /// tracks, queue-wait wall timings) and read back by the live `stats`
-    /// verb. Long-lived sessions should hand in a
-    /// [`rfp_trace::Collector::counters_only`] handle so memory stays
-    /// bounded.
-    pub trace: Option<rfp_trace::TraceHandle>,
-}
-
-impl Default for ServeConfig {
-    fn default() -> Self {
-        ServeConfig {
-            workers: 2,
-            cache: true,
-            deferred: false,
-            default_engine: "combinatorial".to_string(),
-            trace: None,
-        }
-    }
-}
-
 /// Summary of a finished serve session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeSummary {
@@ -79,22 +45,19 @@ pub struct ServeSummary {
 /// Runs a serve session: reads verbs from `input`, writes responses to
 /// `output`, drains on `shutdown`/EOF. IO errors abort the session; protocol
 /// errors produce `"ok":false` responses and keep it running.
+///
+/// The session's service runs with `config`. A paused one
+/// ([`ServiceConfig::paused`]) runs every job at drain time, which with one
+/// worker makes the session deterministic (`--jobs FILE`, the golden
+/// tests). Its trace handle also feeds the live `stats` verb, so long-lived
+/// sessions should hand in a [`rfp_trace::Collector::counters_only`] one.
 pub fn serve(
     input: &mut dyn BufRead,
     output: &mut dyn Write,
     registry: EngineRegistry,
-    config: &ServeConfig,
+    config: &ServiceConfig,
 ) -> std::io::Result<ServeSummary> {
-    let mut service = SolveService::new(
-        registry,
-        ServiceConfig {
-            workers: config.workers,
-            cache: config.cache,
-            default_engine: config.default_engine.clone(),
-            paused: config.deferred,
-            trace: config.trace.clone(),
-        },
-    );
+    let mut service = SolveService::new(registry, config.clone());
     // Submission order and name → service-id mapping; names are the caller's
     // handles, ids are internal.
     let mut by_name: HashMap<String, JobId> = HashMap::new();

@@ -43,7 +43,7 @@ use relocfp::runtime::{
     read_scenario, read_scenario_bin, simulate_with_dispatcher, write_scenario, write_scenario_bin,
     DefragPolicy, OnlineConfig, Scenario, SCENARIO_FORMAT,
 };
-use relocfp::service::{serve, EngineChoice, JobSpec, ServeConfig, ServiceConfig, SolveService};
+use relocfp::service::{serve, EngineChoice, JobSpec, ServiceConfig, SolveService};
 use relocfp::sweep::{read_grid, run_sweep, SweepGrid, SweepOptions};
 use rfp_workloads::generator::WorkloadSpec;
 use rfp_workloads::DefragWorkloadSpec;
@@ -561,7 +561,7 @@ fn cmd_simulate(args: &[String]) -> ExitCode {
 }
 
 fn cmd_serve(args: &[String]) -> ExitCode {
-    let mut config = ServeConfig::default();
+    let mut config = ServiceConfig::default();
     let mut jobs_path: Option<String> = None;
     let mut out_path: Option<String> = None;
     let mut trace_path: Option<String> = None;
@@ -609,7 +609,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     // A jobs file is a complete, finite stream: queue everything before the
     // workers start, so the response order (and the golden files CI diffs
     // against) is deterministic. Stdin is interactive — dispatch live.
-    config.deferred = jobs_path.is_some();
+    config.paused = jobs_path.is_some();
     // Counters-only keeps memory bounded however long the session runs,
     // while still powering the `stats` verb (live counter snapshots) and an
     // end-of-session `--trace` dump.

@@ -93,7 +93,9 @@ fn engines_agree_on_a_small_instance() {
     problem.add_region(RegionSpec::new("B", vec![(clb, 2)]));
     problem.request_relocation(RelocationRequest::constraint(a, 1));
 
-    let comb = solve_combinatorial(&problem, &CombinatorialConfig::default()).unwrap();
+    let comb =
+        solve_combinatorial(&problem, &CombinatorialConfig::default(), &SolveControl::default())
+            .unwrap();
     let o = EngineRegistry::builtin().get("milp").expect("builtin engine").solve(
         &SolveRequest::new(problem.clone()).with_time_limit(120.0),
         &SolveControl::default(),

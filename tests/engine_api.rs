@@ -337,7 +337,12 @@ fn combinatorial_serial_search_is_pinned() {
             "5,1,6,5 27,2,8,1 11,2,7,1 12,3,13,1 23,4,13,5 | ",
         ),
     ] {
-        let res = solve_combinatorial(&problem, &CombinatorialConfig::default()).unwrap();
+        let res = solve_combinatorial(
+            &problem,
+            &CombinatorialConfig::default(),
+            &SolveControl::default(),
+        )
+        .unwrap();
         assert!(res.proven, "{name}");
         let fp = res.floorplan.expect("feasible");
         let regions: Vec<String> = fp.regions.iter().map(xywh).collect();
@@ -371,7 +376,7 @@ fn combinatorial_parallel_search_proves_the_serial_waste() {
                 time_limit_secs: 60.0,
                 ..CombinatorialConfig::default()
             };
-            let res = solve_combinatorial(&problem, &cfg).unwrap();
+            let res = solve_combinatorial(&problem, &cfg, &SolveControl::default()).unwrap();
             assert!(res.proven, "cols {cols}, {threads} thread(s): no proof within 60 s");
             res.best_waste.expect("scaling instances are feasible")
         };
@@ -510,7 +515,12 @@ fn combinatorial_mask_shapes_are_pinned() {
             "64,1,2,1 65,2,5,1 61,1,3,2 61,3,4,1 | 1,1,3,2",
         ),
     ] {
-        let res = solve_combinatorial(&problem, &CombinatorialConfig::default()).unwrap();
+        let res = solve_combinatorial(
+            &problem,
+            &CombinatorialConfig::default(),
+            &SolveControl::default(),
+        )
+        .unwrap();
         assert!(res.proven, "{name}");
         let fp = res.floorplan.expect("feasible");
         let regions: Vec<String> = fp.regions.iter().map(xywh).collect();
@@ -528,7 +538,7 @@ fn combinatorial_mask_shapes_are_pinned() {
         );
         for threads in [2, 4] {
             let cfg = CombinatorialConfig { threads, ..CombinatorialConfig::default() };
-            let par = solve_combinatorial(&problem, &cfg).unwrap();
+            let par = solve_combinatorial(&problem, &cfg, &SolveControl::default()).unwrap();
             assert!(par.proven, "{name}, {threads} threads");
             assert_eq!(par.best_waste, Some(waste), "{name}, {threads} threads");
             let pwl = par.best_wirelength.unwrap();

@@ -592,7 +592,7 @@ proptest! {
         };
         let problem = spec.generate().problem;
         let cfg = CombinatorialConfig { time_limit_secs: 10.0, ..CombinatorialConfig::default() };
-        if let Ok(res) = solve_combinatorial(&problem, &cfg) {
+        if let Ok(res) = solve_combinatorial(&problem, &cfg, &SolveControl::default()) {
             if let Some(fp) = res.floorplan {
                 let issues = fp.validate(&problem);
                 prop_assert!(issues.is_empty(), "violations: {issues:?}");
@@ -920,7 +920,9 @@ proptest! {
             prop_assert_eq!(&enumerated, &pairwise, "source {}", source);
         }
 
-        let Ok(serial) = solve_combinatorial(&problem, &CombinatorialConfig::default()) else {
+        let Ok(serial) =
+            solve_combinatorial(&problem, &CombinatorialConfig::default(), &SolveControl::default())
+        else {
             return Ok(());
         };
         prop_assert!(serial.proven);
@@ -929,7 +931,7 @@ proptest! {
         }
         for threads in [2usize, 4] {
             let cfg = CombinatorialConfig { threads, ..CombinatorialConfig::default() };
-            let par = solve_combinatorial(&problem, &cfg).unwrap();
+            let par = solve_combinatorial(&problem, &cfg, &SolveControl::default()).unwrap();
             prop_assert!(par.proven, "{} threads", threads);
             prop_assert_eq!(par.best_waste, serial.best_waste, "{} threads", threads);
             match (par.best_wirelength, serial.best_wirelength) {
@@ -948,7 +950,11 @@ proptest! {
     fn forward_checking_returns_the_unpruned_search_result(problem in arb_search_problem()) {
         let Some(problem) = problem else { return Ok(()) };
         let reference = Unpruned::solve(&problem);
-        let res = match solve_combinatorial(&problem, &CombinatorialConfig::default()) {
+        let res = match solve_combinatorial(
+            &problem,
+            &CombinatorialConfig::default(),
+            &SolveControl::default(),
+        ) {
             Ok(res) => res,
             Err(e) => {
                 prop_assert!(
@@ -986,7 +992,9 @@ proptest! {
             }
         }
         let oracle = Oracle::solve(&problem);
-        let Ok(res) = solve_combinatorial(&problem, &CombinatorialConfig::default()) else {
+        let Ok(res) =
+            solve_combinatorial(&problem, &CombinatorialConfig::default(), &SolveControl::default())
+        else {
             prop_assert!(oracle.is_none(), "engine error, oracle {:?}", oracle);
             return Ok(());
         };

@@ -3,18 +3,18 @@
 //! Drives [`relocfp::service::serve`] in-memory over
 //! `tests/golden/serve.jobs.jsonl` and compares byte-for-byte with
 //! `tests/golden/serve.golden.jsonl` — the same pair the CI `serve-smoke`
-//! job replays through the `rfp serve` binary. Deferred mode (the `--jobs`
+//! job replays through the `rfp serve` binary. A paused service (the `--jobs`
 //! path) queues the whole stream before the workers start, so the response
 //! bytes are reproducible regardless of scheduling.
 
-use relocfp::service::{serve, ServeConfig};
+use relocfp::service::{serve, ServiceConfig};
 
 fn golden(name: &str) -> String {
     let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"))
 }
 
-fn run_stream(jobs: &str, config: &ServeConfig) -> (String, relocfp::service::ServeSummary) {
+fn run_stream(jobs: &str, config: &ServiceConfig) -> (String, relocfp::service::ServeSummary) {
     let registry = rfp_baselines::engines::full_registry();
     let mut output: Vec<u8> = Vec::new();
     let summary = serve(&mut jobs.as_bytes(), &mut output, registry, config).expect("in-memory IO");
@@ -24,7 +24,7 @@ fn run_stream(jobs: &str, config: &ServeConfig) -> (String, relocfp::service::Se
 #[test]
 fn golden_job_stream_replays_byte_for_byte() {
     let jobs = golden("serve.jobs.jsonl");
-    let config = ServeConfig { workers: 1, deferred: true, ..ServeConfig::default() };
+    let config = ServiceConfig { workers: 1, paused: true, ..ServiceConfig::default() };
     let (responses, summary) = run_stream(&jobs, &config);
     assert_eq!(responses, golden("serve.golden.jsonl"));
     // Three jobs complete (one cancelled); the bad-engine submit and the
@@ -35,7 +35,7 @@ fn golden_job_stream_replays_byte_for_byte() {
 #[test]
 fn the_second_identical_job_is_a_cache_hit() {
     let jobs = golden("serve.jobs.jsonl");
-    let config = ServeConfig { workers: 1, deferred: true, ..ServeConfig::default() };
+    let config = ServiceConfig { workers: 1, paused: true, ..ServiceConfig::default() };
     let (responses, _) = run_stream(&jobs, &config);
     let repeat = responses
         .lines()
@@ -53,7 +53,7 @@ fn a_traced_submit_returns_the_job_trace_on_its_done_line() {
     let jobs = golden("serve.jobs.jsonl");
     let traced = jobs.replacen("\"verb\":\"submit\"", "\"verb\":\"submit\",\"trace\":true", 1);
     assert_ne!(traced, jobs, "golden stream has no submit to trace");
-    let config = ServeConfig { workers: 1, deferred: true, ..ServeConfig::default() };
+    let config = ServiceConfig { workers: 1, paused: true, ..ServiceConfig::default() };
     let (responses, _) = run_stream(&traced, &config);
     let done = responses
         .lines()
@@ -71,7 +71,7 @@ fn untraced_streams_are_byte_identical_to_the_golden_responses() {
     // The `trace` field defaults to off, so its introduction must not move a
     // single byte of the committed golden stream.
     let jobs = golden("serve.jobs.jsonl");
-    let config = ServeConfig { workers: 1, deferred: true, ..ServeConfig::default() };
+    let config = ServiceConfig { workers: 1, paused: true, ..ServiceConfig::default() };
     let (responses, _) = run_stream(&jobs, &config);
     assert!(!responses.contains("\"trace\":"), "untraced job leaked a trace field");
     assert_eq!(responses, golden("serve.golden.jsonl"));
@@ -80,7 +80,8 @@ fn untraced_streams_are_byte_identical_to_the_golden_responses() {
 #[test]
 fn disabling_the_cache_solves_every_job_cold() {
     let jobs = golden("serve.jobs.jsonl");
-    let config = ServeConfig { workers: 1, deferred: true, cache: false, ..ServeConfig::default() };
+    let config =
+        ServiceConfig { workers: 1, paused: true, cache: false, ..ServiceConfig::default() };
     let (responses, _) = run_stream(&jobs, &config);
     assert!(!responses.contains("\"cache\":\"hit\""), "cache served despite being off");
     assert!(responses.contains("\"cache_hits\":0"), "stats line reports hits:\n{responses}");
@@ -94,7 +95,7 @@ fn a_deeply_nested_line_is_an_error_on_the_wire_and_the_session_goes_on() {
     // abort the whole process; now the line gets a protocol error and the
     // next request is still answered.
     let jobs = format!("{}\n{{\"verb\":\"status\"}}\n", "[".repeat(200_000));
-    let (responses, summary) = run_stream(&jobs, &ServeConfig::default());
+    let (responses, summary) = run_stream(&jobs, &ServiceConfig::default());
     let lines: Vec<&str> = responses.lines().collect();
     assert!(lines[0].starts_with("{\"ok\":false,"), "{responses}");
     assert!(lines[0].contains("nesting deeper than"), "{responses}");
@@ -112,7 +113,7 @@ fn a_huge_time_limit_is_served_and_the_next_job_still_completes() {
     assert_ne!(huge, submit, "the first golden line is not a submit");
     let next = submit.replacen("\"id\":\"warm\"", "\"id\":\"next\"", 1);
     let jobs = format!("{huge}\n{next}\n");
-    let (responses, summary) = run_stream(&jobs, &ServeConfig::default());
+    let (responses, summary) = run_stream(&jobs, &ServiceConfig::default());
     let done: Vec<&str> = responses.lines().filter(|l| l.contains("\"verb\":\"done\"")).collect();
     assert_eq!(done.len(), 2, "{responses}");
     assert!(done.iter().all(|l| l.contains("\"status\":\"proven\"")), "{responses}");
