@@ -3,7 +3,7 @@
 //! `--nocapture` to see the numbers).
 
 use rfp_floorplan::model::{FloorplanMilp, MilpBuildConfig};
-use rfp_milp::simplex::{LpConfig, LpStatus, StandardForm};
+use rfp_milp::simplex::{LpConfig, LpStatus, LuCache, StandardForm};
 use rfp_workloads::generator::WorkloadSpec;
 
 #[test]
@@ -42,7 +42,9 @@ fn warm_resolve_iteration_counts() {
     let snap = snap.expect("root optimal");
 
     // Branch on each fractional integer variable in turn; measure the warm
-    // re-solve.
+    // re-solve. Every child starts from the root basis, so all but the
+    // first reuse its factors, as siblings do in the search.
+    let mut lu = LuCache::default();
     let int_vars: Vec<usize> =
         m.vars().iter().enumerate().filter(|(_, v)| v.kind.is_integral()).map(|(j, _)| j).collect();
     let mut shown = 0;
@@ -55,7 +57,7 @@ fn warm_resolve_iteration_counts() {
             let mut b = bounds.clone();
             b[j] = if up { (v.ceil(), b[j].1) } else { (b[j].0, v.floor()) };
             let t1 = std::time::Instant::now();
-            let (warm, _) = sf.solve_warm(&snap, Some(&b), &cfg);
+            let (warm, _) = sf.solve_warm(&snap, Some(&b), &cfg, &mut lu);
             let warm_ms = t1.elapsed().as_secs_f64() * 1e3;
             let t2 = std::time::Instant::now();
             let cold = sf.solve_with_bounds(Some(&b), &cfg);

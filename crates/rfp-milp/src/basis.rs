@@ -23,6 +23,11 @@
 //!   a refactorization.
 //! * The caller refactorizes from scratch once the eta file grows past its
 //!   budget or an eta pivot is too small to be stable.
+//! * The LU factors never change once built, so a clone shares them
+//!   (through an `Arc`) and copies only the eta file: the warm dual simplex
+//!   keeps the clean factors of its last start basis per thread and hands a
+//!   clone to the next warm start from that same basis instead of
+//!   refactorizing it.
 //!
 //! `FTRAN` solves `B x = b` (entering-column transformation, basic-value
 //! updates); `BTRAN` solves `Bᵀ y = c` (pricing, dual row extraction).
@@ -30,6 +35,7 @@
 use crate::sparse::CscMatrix;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 /// Sparse LU factors of a basis matrix: `B[:, col_order] = Pᵀ L U` with `P`
 /// the partial-pivoting row permutation.
@@ -64,10 +70,14 @@ struct Eta {
 }
 
 /// A maintained basis factorization: LU factors plus the eta file.
+///
+/// Cloning shares the LU factors and copies the eta file, so a clone taken
+/// before any [`Factorization::update`] is a fresh factorization of the same
+/// basis, bit for bit, at the cost of an `Arc` clone.
 #[derive(Debug, Clone)]
 pub struct Factorization {
     m: usize,
-    lu: LuFactors,
+    lu: Arc<LuFactors>,
     etas: Vec<Eta>,
     scratch: Vec<f64>,
 }
@@ -172,7 +182,7 @@ impl Factorization {
         }
 
         let lu = LuFactors { l_cols, u_cols, u_diag, pivot_row, row_pos, col_order };
-        Some(Factorization { m, lu, etas: Vec::new(), scratch: vec![0.0; m] })
+        Some(Factorization { m, lu: Arc::new(lu), etas: Vec::new(), scratch: vec![0.0; m] })
     }
 
     /// Number of eta updates accumulated since the last refactorization.
@@ -494,7 +504,7 @@ mod tests {
             let (matrix, basic) = random_basis(seed, m, n, singular);
             let fact = Factorization::factorize(&matrix, &basic);
             let reference = reference_factorize(&matrix, &basic);
-            prop_assert_eq!(fact.as_ref().map(|f| &f.lu), reference.as_ref());
+            prop_assert_eq!(fact.as_ref().map(|f| &*f.lu), reference.as_ref());
             prop_assert!(!(singular && m >= 2 && fact.is_some()), "a repeated column factorized");
             let Some(mut fact) = fact else { return Ok(()) };
 

@@ -9,7 +9,8 @@
 //!   an `Arc` to its parent's optimal **basis snapshot**, so the child LP is
 //!   re-solved with the **dual simplex** in a handful of pivots after the
 //!   single bound change of the branch (cold fallback when the snapshot is
-//!   unusable);
+//!   unusable); each thread keeps the factors of its last warm start, so a
+//!   sibling re-solved right after its twin skips the refactorization;
 //! * after the root LP, a **separation loop** adds cover and clique cuts
 //!   ([`crate::cuts`]) and re-solves dually — "cut and branch". Only the
 //!   best-first driver runs it: it alone owns the mutable standard form;
@@ -33,7 +34,7 @@
 use crate::cancel::CancelToken;
 use crate::cuts::Separator;
 use crate::model::{Model, Sense};
-use crate::simplex::{BasisSnapshot, LpConfig, LpResult, LpStatus, StandardForm};
+use crate::simplex::{BasisSnapshot, LpConfig, LpResult, LpStatus, LuCache, StandardForm};
 use crate::solution::{Solution, SolveStatus};
 use crate::tol;
 use std::cmp::Ordering;
@@ -323,16 +324,19 @@ impl PseudoCosts {
     }
 }
 
-/// Bookkeeping of the LP solves of one search (or one worker of it).
+/// Bookkeeping of the LP solves of one search (or one worker of it), and
+/// that thread's [`LuCache`].
 #[derive(Default)]
 pub(crate) struct LpStats {
     iterations: usize,
     solves: usize,
     seconds: f64,
+    lu: LuCache,
 }
 
 impl LpStats {
-    /// Adds another tally (a finished worker's) to this one.
+    /// Adds another tally (a finished worker's) to this one; the caches
+    /// stay apart.
     pub(crate) fn add(&mut self, other: &LpStats) {
         self.iterations += other.iterations;
         self.solves += other.solves;
@@ -529,8 +533,8 @@ impl<'a> Search<'a> {
         }
     }
 
-    /// Solves one LP relaxation, warm from `snapshot` when there is one,
-    /// and tallies it.
+    /// Solves one LP relaxation, warm from `snapshot` (through the thread's
+    /// [`LuCache`]) when there is one, and tallies it.
     pub(crate) fn lp(
         &self,
         sf: &StandardForm,
@@ -540,7 +544,7 @@ impl<'a> Search<'a> {
     ) -> (LpResult, Option<BasisSnapshot>) {
         let t0 = Instant::now();
         let out = match snapshot {
-            Some(s) => sf.solve_warm(s, Some(bounds), &self.lp_cfg),
+            Some(s) => sf.solve_warm(s, Some(bounds), &self.lp_cfg, &mut stats.lu),
             None => sf.solve_cold(Some(bounds), &self.lp_cfg),
         };
         stats.seconds += t0.elapsed().as_secs_f64();

@@ -16,12 +16,20 @@
 //! * [`StandardForm::solve_warm`] is a **dual simplex**: starting from a
 //!   parent-optimal basis snapshot it repairs primal feasibility after bound
 //!   tightenings, which is how branch-and-bound children re-solve in a
-//!   handful of pivots instead of from scratch. It keeps its reduced costs
-//!   and updates them along the pivot row at each basis change, so a pivot
-//!   does one BTRAN (`ρ = B⁻ᵀe_r`); the pivot row `ρᵀA` is built row-wise
-//!   from the rows where `ρ` is nonzero. Before returning "optimal" it
-//!   recomputes the duals fresh and verifies dual feasibility, falling back
-//!   to the cold primal when the updated costs drifted;
+//!   handful of pivots instead of from scratch. It picks the leaving row by
+//!   **dual Devex** pricing (squared infeasibility against a per-row
+//!   reference weight, updated from the FTRAN-ed entering column), which
+//!   keeps it out of the degenerate stalls largest-violation pricing falls
+//!   into on big-M rows. It keeps its reduced costs and updates them along
+//!   the pivot row at each basis change, so a pivot does one BTRAN
+//!   (`ρ = B⁻ᵀe_r`); the pivot row `ρᵀA` is built row-wise from the rows
+//!   where `ρ` is nonzero. Before returning "optimal" it recomputes the
+//!   duals fresh and verifies dual feasibility, falling back to the cold
+//!   primal when the updated costs drifted;
+//! * a warm start factorizes its snapshot basis once, and an [`LuCache`]
+//!   keeps those clean factors for the next warm start of the same thread:
+//!   siblings re-solving from the same parent snapshot share one
+//!   factorization;
 //! * cut rows can be appended ([`StandardForm::add_rows`]) and an existing
 //!   snapshot extended with the new logical basics, so a cut round re-solves
 //!   dually as well;
@@ -38,6 +46,7 @@ use crate::basis::Factorization;
 use crate::model::{ConOp, Model, Sense};
 use crate::sparse::CscMatrix;
 use crate::tol;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Status of an LP solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,6 +142,43 @@ impl BasisSnapshot {
     }
 }
 
+/// The clean LU factors of the last warm-start basis one search thread
+/// factorized.
+///
+/// Sibling nodes re-solve from the same parent snapshot, often back to
+/// back; the second one then takes the first one's factors instead of
+/// refactorizing the same basis. They are the factors
+/// [`Factorization::factorize`] returns for that basis, bit for bit, so
+/// every pivot stays the same. An entry belongs to the matrix it was
+/// factorized from: another form, or the same form after
+/// [`StandardForm::add_rows`], refactorizes. A fresh `LuCache::default()`
+/// per call bypasses the reuse.
+#[derive(Debug, Default)]
+pub struct LuCache {
+    /// `(matrix id, basis, factors without etas)` of the last warm start.
+    entry: Option<(u64, Vec<usize>, Factorization)>,
+}
+
+impl LuCache {
+    /// The factors of `basis` over `sf`'s matrix: the kept ones when they
+    /// are of this very matrix and basis (counted as `milp.lp.lu_reuses`),
+    /// fresh ones, then kept, otherwise. `None` when the basis is singular.
+    fn factorize(&mut self, sf: &StandardForm, basis: &[usize]) -> Option<Factorization> {
+        if let Some((id, b, fact)) = &self.entry {
+            if *id == sf.matrix_id && b == basis {
+                rfp_trace::count("milp.lp.lu_reuses", 1);
+                return Some(fact.clone());
+            }
+        }
+        let fact = Factorization::factorize(&sf.matrix, basis)?;
+        self.entry = Some((sf.matrix_id, basis.to_vec(), fact.clone()));
+        Some(fact)
+    }
+}
+
+/// Source of [`StandardForm`] matrix ids.
+static NEXT_MATRIX_ID: AtomicU64 = AtomicU64::new(0);
+
 /// Pre-processed computational form of a model: every row as an equality with
 /// a logical column, constraint matrix in CSC form.
 ///
@@ -160,6 +206,10 @@ pub struct StandardForm {
     obj_constant: f64,
     /// CSC image of `rows` + logical identity, rebuilt when rows are added.
     matrix: CscMatrix,
+    /// Identity of `matrix`: drawn afresh at every rebuild, so an
+    /// [`LuCache`] entry never outlives the matrix it factorized (a clone
+    /// shares the id with an identical matrix).
+    matrix_id: u64,
 }
 
 /// Clamps an infinite lower bound to the simplex's finite stand-in.
@@ -213,6 +263,7 @@ impl StandardForm {
             maximize,
             obj_constant,
             matrix: CscMatrix::from_rows(0, 0, &[]),
+            matrix_id: 0,
         };
         sf.rebuild_matrix();
         sf
@@ -240,6 +291,7 @@ impl StandardForm {
             })
             .collect();
         self.matrix = CscMatrix::from_rows(m, self.n_struct + m, &full);
+        self.matrix_id = NEXT_MATRIX_ID.fetch_add(1, Relaxed);
     }
 
     /// Number of structural variables.
@@ -348,23 +400,25 @@ impl StandardForm {
     }
 
     /// Warm re-solve with the **dual simplex** from a parent-optimal basis
-    /// after bound changes. Falls back to a cold solve when the snapshot is
-    /// unusable (wrong shape, singular, or not dual feasible) or the dual
-    /// gives up; each fallback counts `milp.lp.dual_fallbacks` and adds the
-    /// discarded dual pivots to `milp.lp.wasted_pivots` (both only appear
-    /// when nonzero).
+    /// after bound changes, taking the snapshot basis's factors from `lu`
+    /// when it holds them and leaving them there otherwise. Falls back to a
+    /// cold solve when the snapshot is unusable (wrong shape, singular, or
+    /// not dual feasible) or the dual gives up; each fallback counts
+    /// `milp.lp.dual_fallbacks` and adds the discarded dual pivots to
+    /// `milp.lp.wasted_pivots` (both only appear when nonzero).
     pub fn solve_warm(
         &self,
         snap: &BasisSnapshot,
         bounds_override: Option<&[(f64, f64)]>,
         config: &LpConfig,
+        lu: &mut LuCache,
     ) -> (LpResult, Option<BasisSnapshot>) {
         if let Some(res) = self.crossed_bounds(bounds_override) {
             return (res, None);
         }
         let mut wasted = 0;
         if snap.basis.len() == self.n_rows() && snap.status.len() == self.n_cols() {
-            if let Some(mut w) = Worker::start(self, config, bounds_override, Some(snap)) {
+            if let Some(mut w) = Worker::start(self, config, bounds_override, Some((snap, lu))) {
                 match w.dual() {
                     DualOutcome::Done(status) => {
                         let out = (status == LpStatus::Optimal).then(|| w.snapshot());
@@ -427,12 +481,13 @@ struct Worker<'a> {
 }
 
 impl<'a> Worker<'a> {
-    /// Builds the working bounds and initial basis, and factorizes it.
+    /// Builds the working bounds and initial basis, and factorizes it (a
+    /// warm start through its [`LuCache`]).
     fn start(
         sf: &'a StandardForm,
         cfg: &'a LpConfig,
         bounds_override: Option<&[(f64, f64)]>,
-        snap: Option<&BasisSnapshot>,
+        warm: Option<(&BasisSnapshot, &mut LuCache)>,
     ) -> Option<Worker<'a>> {
         let m = sf.n_rows();
         let n = sf.n_cols();
@@ -444,8 +499,8 @@ impl<'a> Worker<'a> {
                 ub[j] = u;
             }
         }
-        let (basis, status) = match snap {
-            Some(s) => (s.basis.clone(), s.status.clone()),
+        let (basis, status, lu) = match warm {
+            Some((s, lu)) => (s.basis.clone(), s.status.clone(), Some(lu)),
             None => {
                 // Cold start: all-logical basis, structural columns at the
                 // finite bound of smallest magnitude.
@@ -455,14 +510,17 @@ impl<'a> Worker<'a> {
                     status.push(if at_upper { VStat::AtUpper } else { VStat::AtLower });
                 }
                 status.extend(std::iter::repeat_n(VStat::Basic, m));
-                ((sf.n_struct..n).collect(), status)
+                ((sf.n_struct..n).collect(), status, None)
             }
         };
         let mut in_basis = vec![false; n];
         for &b in &basis {
             in_basis[b] = true;
         }
-        let fact = Factorization::factorize(&sf.matrix, &basis)?;
+        let fact = match lu {
+            Some(lu) => lu.factorize(sf, &basis)?,
+            None => Factorization::factorize(&sf.matrix, &basis)?,
+        };
         let mut w = Worker {
             sf,
             cfg,
@@ -792,6 +850,13 @@ impl<'a> Worker<'a> {
     /// one BTRAN (`ρ = B⁻ᵀe_r`). "Optimal" is only returned after a fresh
     /// recomputation confirms dual feasibility, so drift in the updated
     /// costs can cost pivots but never a wrong bound.
+    ///
+    /// The leaving row is priced by dual Devex (Forrest & Goldfarb, 1992):
+    /// each basis position keeps a reference weight `w_i`, 1 at the start
+    /// of every solve, and the row with the largest `viol² / w_i` leaves.
+    /// After a pivot the weights follow the FTRAN-ed entering column `α`,
+    /// which the pivot needs anyway: `w_i = max(w_i, (α_i/α_r)² w_r)` for
+    /// `i ≠ r`, and the entering position takes `max(w_r/α_r², 1)`.
     fn dual(&mut self) -> DualOutcome {
         let m = self.sf.n_rows();
         let n = self.sf.n_cols();
@@ -801,6 +866,7 @@ impl<'a> Worker<'a> {
         let mut alpha = vec![0.0f64; m];
         let mut row = vec![0.0f64; n];
         let mut d = vec![0.0f64; n];
+        let mut weights = vec![1.0f64; m];
         let mut cands: Vec<(f64, f64, usize)> = Vec::new(); // (ratio, |α|, col)
 
         // Up-front dual-feasibility check: a snapshot from an aborted parent
@@ -825,11 +891,12 @@ impl<'a> Worker<'a> {
                 return DualOutcome::Fallback;
             }
 
-            // Leaving row: most violated basic variable (smallest index after
-            // a degenerate streak, Bland-style).
+            // Leaving row: the largest Devex score `viol² / w_i` (the first
+            // violated row after a degenerate streak, Bland-style). The
+            // ratio test below absorbs the row's true violation.
             let use_bland = degenerate_run > 2 * (m + 10);
-            let mut leave: Option<(usize, bool, f64)> = None;
-            for i in 0..m {
+            let mut leave: Option<(usize, bool, f64, f64)> = None;
+            for (i, &w) in weights.iter().enumerate() {
                 let b = self.basis[i];
                 let (viol, above) = if self.xb[i] > self.ub[b] + tol {
                     (self.xb[i] - self.ub[b], true)
@@ -838,14 +905,15 @@ impl<'a> Worker<'a> {
                 } else {
                     continue;
                 };
-                if leave.as_ref().is_none_or(|&(_, _, best)| viol > best) {
-                    leave = Some((i, above, viol));
+                let score = viol * viol / w;
+                if leave.is_none_or(|(.., best)| score > best) {
+                    leave = Some((i, above, viol, score));
                 }
-                if use_bland && leave.is_some() {
+                if use_bland {
                     break;
                 }
             }
-            let Some((r, above, viol)) = leave else {
+            let Some((r, above, viol, _)) = leave else {
                 // Primal feasible. The updated reduced costs may have
                 // drifted; only fresh ones may certify the bound.
                 return if self.fresh_reduced_costs(&mut d) {
@@ -959,6 +1027,15 @@ impl<'a> Worker<'a> {
             }
             d[e] = 0.0;
             d[b_leave] = -theta;
+            // Devex weights along the entering column.
+            let (ar, wr) = (alpha[r], weights[r]);
+            for (w, &a) in weights.iter_mut().zip(&alpha) {
+                if a != 0.0 {
+                    let ratio = a / ar;
+                    *w = w.max(ratio * ratio * wr);
+                }
+            }
+            weights[r] = (wr / (ar * ar)).max(1.0);
             let entering_value = self.nonbasic_value(e) + t;
             self.iterations += 1;
             if !self.pivot(r, e, entering_value, above, &alpha) {
@@ -1206,14 +1283,16 @@ mod tests {
         assert!((root.objective - 5.0).abs() < 1e-6, "x=3, y=1");
         let snap = snap.unwrap();
         // Tighten x <= 1: optimum moves to x=1, y=3 -> 7.
-        let (warm, warm_snap) = sf.solve_warm(&snap, Some(&[(0.0, 1.0), (0.0, 5.0)]), &cfg());
+        let (warm, warm_snap) =
+            sf.solve_warm(&snap, Some(&[(0.0, 1.0), (0.0, 5.0)]), &cfg(), &mut LuCache::default());
         assert_eq!(warm.status, LpStatus::Optimal);
         assert!((warm.objective - 7.0).abs() < 1e-6, "objective {}", warm.objective);
         assert!(warm_snap.is_some());
         let cold = sf.solve_with_bounds(Some(&[(0.0, 1.0), (0.0, 5.0)]), &cfg());
         assert!((warm.objective - cold.objective).abs() < 1e-9);
         // And an infeasible tightening is detected dually.
-        let (inf, _) = sf.solve_warm(&snap, Some(&[(0.0, 1.0), (0.0, 1.0)]), &cfg());
+        let (inf, _) =
+            sf.solve_warm(&snap, Some(&[(0.0, 1.0), (0.0, 1.0)]), &cfg(), &mut LuCache::default());
         assert_eq!(inf.status, LpStatus::Infeasible);
     }
 
@@ -1262,7 +1341,7 @@ mod tests {
             let collector = rfp_trace::Collector::new();
             let res = {
                 let _scope = collector.install("lp");
-                sf.solve_warm(&snap, Some(&child), config).0
+                sf.solve_warm(&snap, Some(&child), config, &mut LuCache::default()).0
             };
             (res, collector.counter_snapshot())
         };
@@ -1290,7 +1369,7 @@ mod tests {
         assert!((root.objective - 10.0).abs() < 1e-6);
         sf.add_rows(&[(vec![(x.index(), 1.0), (y.index(), 1.0)], ConOp::Le, 4.0)]);
         let ext = sf.extend_snapshot(&snap.unwrap()).unwrap();
-        let (cut, _) = sf.solve_warm(&ext, None, &cfg());
+        let (cut, _) = sf.solve_warm(&ext, None, &cfg(), &mut LuCache::default());
         assert_eq!(cut.status, LpStatus::Optimal);
         assert!((cut.objective - 4.0).abs() < 1e-6, "objective {}", cut.objective);
         // A cold solve of the extended form agrees.
