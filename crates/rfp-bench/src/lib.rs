@@ -1,8 +1,8 @@
 //! # rfp-bench — the paper's evaluation
 //!
-//! One binary per table/figure of the paper's evaluation (Section VI) and
-//! the online defragmentation study. The binaries print the regenerated
-//! artefact to stdout in a form directly comparable with the paper:
+//! One binary per table/figure of the paper's evaluation (Section VI). The
+//! binaries print the regenerated artefact to stdout in a form directly
+//! comparable with the paper:
 //!
 //! | target | artefact |
 //! |--------|----------|
@@ -14,11 +14,11 @@
 //! | `figure3` | Figure 3 — offset-variable semantics |
 //! | `figure4` | Figure 4 — SDR2 floorplan (6 free-compatible areas) |
 //! | `figure5` | Figure 5 — SDR3 floorplan (9 free-compatible areas) |
-//! | `defrag_sim` | online defragmentation study (relocation-aware vs oblivious) |
 //!
 //! The [`reports`] module contains the reusable report builders so that the
-//! binaries stay thin and the logic is unit-tested; [`sim`] does the same
-//! for the online-simulation comparison.
+//! binaries stay thin and the logic is unit-tested. The online
+//! defragmentation policies are compared by `rfp simulate --policy
+//! {aware,oblivious,no_break}` and pinned in `tests/runtime_sim.rs`.
 //!
 //! Timings are not measured here: solve, simulate and serve throughput with
 //! per-layer breakdowns come from the `perfbench` package at the repository
@@ -27,9 +27,7 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod json;
 pub mod reports;
-pub mod sim;
 
 pub use reports::{
     feasibility_report, markdown_table, table1_markdown, table2, table2_markdown, Table2Row,

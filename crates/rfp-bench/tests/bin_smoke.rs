@@ -72,19 +72,3 @@ fn feasibility_prints_the_per_region_verdicts() {
     let out = run(env!("CARGO_BIN_EXE_feasibility"), &[]);
     assert!(out.contains("feasibility analysis"), "unexpected output:\n{out}");
 }
-
-#[test]
-fn defrag_sim_compares_all_three_policies_and_writes_json() {
-    let path = std::env::temp_dir().join(format!("defrag_sim_smoke_{}.json", std::process::id()));
-    let path_str = path.to_str().expect("utf-8 temp path");
-    let out = run(env!("CARGO_BIN_EXE_defrag_sim"), &["--quick", "--json", path_str]);
-    assert!(out.contains("Online defragmentation"), "unexpected output:\n{out}");
-    assert!(out.contains("| aware |"), "unexpected output:\n{out}");
-    assert!(out.contains("| oblivious |"), "unexpected output:\n{out}");
-    assert!(out.contains("| no_break |"), "unexpected output:\n{out}");
-    let json = std::fs::read_to_string(&path).expect("JSON artefact exists");
-    let _ = std::fs::remove_file(&path);
-    assert!(json.contains("\"report\":\"defrag_sim\""), "bad JSON:\n{json}");
-    assert!(json.contains("\"frames_relocated\""), "bad JSON:\n{json}");
-    assert!(json.contains("\"downtime_frames\""), "bad JSON:\n{json}");
-}

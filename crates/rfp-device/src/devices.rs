@@ -103,11 +103,6 @@ impl DeviceBuilder {
         self
     }
 
-    /// Number of columns described so far.
-    pub fn n_columns(&self) -> usize {
-        self.columns.len()
-    }
-
     /// Assembles the device.
     pub fn build(&self) -> Result<Device, DeviceError> {
         if self.columns.is_empty() || self.rows == 0 {

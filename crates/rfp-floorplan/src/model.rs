@@ -1313,15 +1313,4 @@ mod tests {
         assert!(fp.validate(&p).is_empty(), "{:?}", fp.validate(&p));
         assert!(!fp.regions[0].contains(2, 1) && !fp.regions[0].contains(2, 2));
     }
-
-    #[test]
-    fn lp_format_export_of_a_floorplanning_model_is_well_formed() {
-        let (mut p, clb, _) = tiny_problem();
-        p.add_region(RegionSpec::new("A", vec![(clb, 1)]));
-        let model = FloorplanMilp::build(&p, &MilpBuildConfig::optimal());
-        let text = rfp_milp::io::to_lp_format(&model.milp);
-        assert!(text.contains("Minimize"));
-        assert!(text.contains("x[A]"));
-        assert!(text.contains("Binaries"));
-    }
 }

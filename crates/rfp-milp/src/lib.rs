@@ -18,8 +18,7 @@
 //!   **cover/clique cutting planes** ([`cuts`]), LP-guided diving and a
 //!   rounding heuristic;
 //! * solution reporting and feasibility checking ([`solution`]), with shared
-//!   numerical tolerances in [`tol`];
-//! * an LP-format exporter for debugging and golden tests ([`io`]).
+//!   numerical tolerances in [`tol`].
 //!
 //! The solver is deterministic: identical models produce identical search
 //! trees and solutions, which the benchmark harness relies on.
@@ -29,10 +28,10 @@
 //! The revised simplex re-solves a branch-and-bound child from its parent's
 //! basis after a single bound change, so per-node cost is a handful of
 //! pivots at O(nnz) each instead of a dense from-scratch tableau solve. The
-//! retired dense implementation is kept in [`dense`] as an LP test oracle
-//! only. The full-die SDR2/SDR3 instances of the
-//! paper are solved by the specialised combinatorial engine in
-//! `rfp-floorplan`; DESIGN.md discusses this substitution.
+//! retired dense implementation survives only as the LP test oracle of the
+//! crate's property tests (`tests/dense/mod.rs`). The full-die SDR2/SDR3
+//! instances of the paper are solved by the specialised combinatorial
+//! engine in `rfp-floorplan`.
 //!
 //! ## Example
 //!
@@ -58,9 +57,7 @@ pub mod basis;
 pub mod branch_bound;
 pub mod cancel;
 pub mod cuts;
-pub mod dense;
 pub mod expr;
-pub mod io;
 pub mod model;
 pub(crate) mod parallel;
 pub mod presolve;

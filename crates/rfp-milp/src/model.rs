@@ -279,12 +279,6 @@ impl Model {
         self.violations(values, tol).is_empty()
     }
 
-    /// [`Model::violations`] with the solver-wide default tolerance
-    /// [`crate::tol::FEASIBILITY`].
-    pub fn violations_default(&self, values: &[f64]) -> Vec<String> {
-        self.violations(values, crate::tol::FEASIBILITY)
-    }
-
     /// [`Model::is_feasible`] with the solver-wide default tolerance
     /// [`crate::tol::FEASIBILITY`].
     pub fn is_feasible_default(&self, values: &[f64]) -> bool {

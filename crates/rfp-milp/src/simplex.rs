@@ -1,7 +1,7 @@
 //! Sparse revised simplex with bounded variables.
 //!
 //! This is the LP engine under branch and bound. Unlike the retired dense
-//! tableau (kept in [`crate::dense`] as a test oracle), the revised simplex
+//! tableau (the test oracle in `tests/dense/mod.rs`), the revised simplex
 //! keeps the constraint matrix in CSC form ([`crate::sparse`]) and maintains
 //! a basis factorization with LU + eta updates ([`crate::basis`]), so one
 //! iteration costs O(nnz) instead of O(rows × columns):
@@ -402,10 +402,11 @@ impl StandardForm {
     /// Warm re-solve with the **dual simplex** from a parent-optimal basis
     /// after bound changes, taking the snapshot basis's factors from `lu`
     /// when it holds them and leaving them there otherwise. Falls back to a
-    /// cold solve when the snapshot is unusable (wrong shape, singular, or
-    /// not dual feasible) or the dual gives up; each fallback counts
-    /// `milp.lp.dual_fallbacks` and adds the discarded dual pivots to
-    /// `milp.lp.wasted_pivots` (both only appear when nonzero).
+    /// cold solve when the snapshot is unusable (wrong shape, a column at an
+    /// infinite upper bound, singular, or not dual feasible) or the dual
+    /// gives up; each fallback counts `milp.lp.dual_fallbacks` and adds the
+    /// discarded dual pivots to `milp.lp.wasted_pivots` (both only appear
+    /// when nonzero).
     pub fn solve_warm(
         &self,
         snap: &BasisSnapshot,
@@ -482,7 +483,9 @@ struct Worker<'a> {
 
 impl<'a> Worker<'a> {
     /// Builds the working bounds and initial basis, and factorizes it (a
-    /// warm start through its [`LuCache`]).
+    /// warm start through its [`LuCache`]). `None` when the basis is
+    /// singular, or when a warm snapshot rests a column at an infinite
+    /// upper bound, where it would have no value.
     fn start(
         sf: &'a StandardForm,
         cfg: &'a LpConfig,
@@ -500,7 +503,14 @@ impl<'a> Worker<'a> {
             }
         }
         let (basis, status, lu) = match warm {
-            Some((s, lu)) => (s.basis.clone(), s.status.clone(), Some(lu)),
+            Some((s, lu)) => {
+                let at_infinity =
+                    |(&st, &u): (&VStat, &f64)| st == VStat::AtUpper && u.is_infinite();
+                if s.status.iter().zip(&ub).any(at_infinity) {
+                    return None;
+                }
+                (s.basis.clone(), s.status.clone(), Some(lu))
+            }
             None => {
                 // Cold start: all-logical basis, structural columns at the
                 // finite bound of smallest magnitude.
@@ -1106,11 +1116,6 @@ pub fn is_integral(model: &Model, values: &[f64], tol: f64) -> bool {
         .all(|(j, _)| (values[j] - values[j].round()).abs() <= tol)
 }
 
-/// Convenience: `true` when the variable kind at index `j` is integral.
-pub fn is_integer_var(model: &Model, j: usize) -> bool {
-    matches!(model.vars()[j].kind, crate::model::VarKind::Integer | crate::model::VarKind::Binary)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1201,16 +1206,15 @@ mod tests {
     #[test]
     fn crossed_native_bounds_are_infeasible_without_override() {
         // The model's own bounds can be crossed via set_bounds; the solver
-        // must report infeasibility, matching the dense oracle, rather than
-        // parking the column outside its bounds and claiming optimality.
+        // must report infeasibility (as the dense oracle does, see
+        // `tests/dense/mod.rs`) rather than parking the column outside its
+        // bounds and claiming optimality.
         let mut m = Model::new("xbn", Sense::Minimize);
         let x = m.cont_var("x", 0.0, 5.0);
         m.set_bounds(x, 3.0, 2.0);
         m.set_objective(LinExpr::from(x));
         let r = StandardForm::from_model(&m).solve(&cfg());
         assert_eq!(r.status, LpStatus::Infeasible);
-        let d = crate::dense::DenseForm::from_model(&m).solve(&cfg());
-        assert_eq!(d.status, LpStatus::Infeasible);
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! The retired dense-tableau simplex, kept as an LP test oracle.
 //!
 //! This is the bounded-variable two-phase primal simplex that powered the
-//! solver before the sparse revised engine ([`crate::simplex`]) replaced it.
-//! The solver never runs it. It is retained only as an oracle: the property
-//! suite (`tests/revised_vs_dense.rs`) and the simplex unit tests solve LPs
-//! with both engines and require matching results, which guards the much
-//! more intricate revised implementation.
+//! solver before the sparse revised engine ([`rfp_milp::simplex`]) replaced
+//! it. It is not part of the library: it lives with the property suite
+//! (`revised_vs_dense.rs`), which solves LPs with both engines and requires
+//! matching results, guarding the much more intricate revised
+//! implementation. It uses only the crate's public API.
 //!
 //! Implementation notes (unchanged from its time as the production path):
 //! every constraint gains a slack, phase 1 minimises the sum of artificial
@@ -13,8 +13,9 @@
 //! objective, and Dantzig pricing switches to Bland's rule after a run of
 //! degenerate pivots.
 
-use crate::model::{ConOp, Model, Sense};
-use crate::simplex::{LpConfig, LpResult, LpStatus};
+use rfp_milp::model::{ConOp, Model, Sense};
+use rfp_milp::simplex::{LpConfig, LpResult, LpStatus};
+use rfp_milp::tol;
 
 /// Pre-processed standard form of a model for the dense tableau: all
 /// constraints as equalities with slack variables.
@@ -77,7 +78,7 @@ impl DenseForm {
             // The simplex requires finite lower bounds; clamp pathological
             // values rather than failing (floorplanning models never need
             // free variables).
-            lb.push(if v.lb.is_finite() { v.lb } else { -crate::tol::INFINITE_BOUND });
+            lb.push(if v.lb.is_finite() { v.lb } else { -tol::INFINITE_BOUND });
             ub.push(v.ub);
         }
         for (l, u) in slack_bounds {
@@ -92,16 +93,6 @@ impl DenseForm {
         let obj_constant = model.objective.constant_term();
 
         DenseForm { n_struct, n_slack, rows, rhs, lb, ub, obj, maximize, obj_constant }
-    }
-
-    /// Number of structural variables.
-    pub fn n_struct(&self) -> usize {
-        self.n_struct
-    }
-
-    /// Number of rows (constraints).
-    pub fn n_rows(&self) -> usize {
-        self.rows.len()
     }
 
     /// Solves the LP with the model's own bounds.
@@ -128,13 +119,13 @@ impl DenseForm {
         if let Some(over) = bounds_override {
             debug_assert_eq!(over.len(), self.n_struct);
             for (j, &(l, u)) in over.iter().enumerate() {
-                lb[j] = if l.is_finite() { l } else { -crate::tol::INFINITE_BOUND };
+                lb[j] = if l.is_finite() { l } else { -tol::INFINITE_BOUND };
                 ub[j] = u;
             }
         }
         // Quick infeasibility check on crossed bounds.
         for j in 0..n {
-            if lb[j] > ub[j] + crate::tol::LP_FEAS {
+            if lb[j] > ub[j] + tol::LP_FEAS {
                 return LpResult {
                     status: LpStatus::Infeasible,
                     objective: f64::NAN,
@@ -224,7 +215,7 @@ impl DenseForm {
         };
 
         let mut iterations = 0usize;
-        let tol = crate::tol::LP_FEAS;
+        let tol = tol::LP_FEAS;
         let mut degenerate_run = 0usize;
 
         // The main pivoting loop, shared by both phases.
@@ -312,7 +303,7 @@ impl DenseForm {
             let mut leave: Option<(usize, bool)> = None; // (row, leaves_at_upper)
             for i in 0..m {
                 let a = tab[i * total + j_enter];
-                if a.abs() < crate::tol::PIVOT {
+                if a.abs() < tol::PIVOT {
                     continue;
                 }
                 let delta = dirf * a;
@@ -439,8 +430,7 @@ impl DenseForm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::LinExpr;
-    use crate::model::{ConOp, Model, Sense};
+    use rfp_milp::LinExpr;
 
     fn cfg() -> LpConfig {
         LpConfig::default()
@@ -488,5 +478,17 @@ mod tests {
         let tightened = sf.solve_with_bounds(Some(&[(0.0, 1.0), (0.0, 5.0)]), &cfg());
         assert_eq!(tightened.status, LpStatus::Optimal);
         assert!((tightened.objective - 21.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn oracle_reports_crossed_native_bounds_infeasible() {
+        // The model's own bounds crossed via set_bounds, the case
+        // `simplex::tests::crossed_native_bounds_are_infeasible_without_override`
+        // pins for the revised engine.
+        let mut m = Model::new("xbn", Sense::Minimize);
+        let x = m.cont_var("x", 0.0, 5.0);
+        m.set_bounds(x, 3.0, 2.0);
+        m.set_objective(LinExpr::from(x));
+        assert_eq!(DenseForm::from_model(&m).solve(&cfg()).status, LpStatus::Infeasible);
     }
 }

@@ -1,7 +1,7 @@
 //! Property tests pinning the sparse revised simplex to the dense oracle.
 //!
 //! Random small LPs (finite bounds, integer data) are solved by both the
-//! revised engine and the retired dense tableau ([`rfp_milp::dense`]); the
+//! revised engine and the retired dense tableau (the [`dense`] oracle); the
 //! two must agree on status and, when optimal, on the objective within 1e-6.
 //! Two more properties check the warm-start path: a dual-simplex re-solve
 //! after a bound tightening must match a from-scratch solve of the tightened
@@ -10,10 +10,13 @@
 //! enough for drift in the dual's updated reduced costs to show). Two more
 //! pin the [`LuCache`] that carries a warm start's factors to the next warm
 //! start from the same basis: it never serves them to another form, and
-//! reusing them changes no pivot.
+//! reusing them changes no pivot. One fixed case pins the cold fallback for
+//! a snapshot that rests a column at an infinite upper bound.
 
+mod dense;
+
+use dense::DenseForm;
 use proptest::prelude::*;
-use rfp_milp::dense::DenseForm;
 use rfp_milp::model::{ConOp, Model, Sense, VarId, VarKind};
 use rfp_milp::simplex::{LpConfig, LpStatus, LuCache, StandardForm};
 use rfp_milp::LinExpr;
@@ -131,6 +134,50 @@ fn random_binary_lp(seed: u64, binary: VarKind) -> Model {
     }
     model.set_objective(LinExpr::weighted_sum(vars.iter().map(|&v| (v, rng.int(-5, 5) as f64))));
     model
+}
+
+/// A warm start from a snapshot that rests a column at an infinite upper
+/// bound falls back to a cold solve. The snapshot is the optimal basis of
+/// `random_lp(2696670945296205359)`, whose row 0 is `≥` with its logical
+/// column at its upper bound 0. The LP it is applied to has the same shape:
+/// the same-bodied twin drawn with 12985016934330093108, its row 0
+/// (`-3 x0 ≥ 15`) rewritten as `3 x0 ≤ -15`, whose logical column is
+/// unbounded above, and column 1 capped at 0. That LP is infeasible; resting
+/// the logical "at upper" would make it `+∞` and let the dual call it optimal.
+#[test]
+fn warm_start_falls_back_on_a_column_at_an_infinite_upper_bound() {
+    let (seed, other) = (2696670945296205359, 12985016934330093108);
+    let cfg = LpConfig::default();
+    let (root, snap) = StandardForm::from_model(&random_lp(seed)).solve_cold(None, &cfg);
+    assert_eq!(root.status, LpStatus::Optimal);
+    let snap = snap.expect("optimal cold solve returns a snapshot");
+
+    let twin = random_lp_twins(seed, other).1;
+    let mut model = Model::new("twin-le", twin.sense);
+    for v in twin.vars() {
+        model.add_var(v.name.clone(), v.kind, v.lb, v.ub);
+    }
+    for (i, c) in twin.constraints().iter().enumerate() {
+        match (i, c.op) {
+            (0, ConOp::Ge) => model.add_con(&c.name, c.expr.clone() * -1.0, ConOp::Le, -c.rhs),
+            (0, op) => panic!("row 0 of the twin is {op:?}, not ≥"),
+            _ => model.add_con(&c.name, c.expr.clone(), c.op, c.rhs),
+        }
+    }
+    model.set_objective(twin.objective.clone());
+    let mut bounds: Vec<(f64, f64)> = model.vars().iter().map(|v| (v.lb, v.ub)).collect();
+    bounds[1].1 = 0.0;
+
+    let sf = StandardForm::from_model(&model);
+    let collector = rfp_trace::Collector::new();
+    let scope = collector.install("lp");
+    let (warm, _) = sf.solve_warm(&snap, Some(&bounds), &cfg, &mut LuCache::default());
+    drop(scope);
+    let cold = sf.solve_with_bounds(Some(&bounds), &cfg);
+    assert_eq!(cold.status, LpStatus::Infeasible);
+    assert_eq!(warm.status, cold.status, "warm {:?} at {:?}", warm.status, warm.values);
+    let fallbacks = collector.counter_snapshot().get("milp.lp.dual_fallbacks").copied();
+    assert_eq!(fallbacks, Some(1));
 }
 
 proptest! {

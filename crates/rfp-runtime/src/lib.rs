@@ -30,8 +30,8 @@
 //!   [`report::SimReport`] with deterministic JSON output (v2) and a
 //!   back-compatible reader ([`report::read_sim_report`]).
 //!
-//! The `rfp simulate` CLI subcommand and the `defrag_sim` benchmark binary
-//! drive this crate end to end.
+//! The `rfp simulate` CLI subcommand drives this crate end to end; its
+//! `--policy` flag selects the defragmentation policy.
 //!
 //! ## Example
 //!

@@ -180,16 +180,6 @@ impl OnlineFloorplanner {
         }
     }
 
-    /// Currently running module ids, ascending.
-    pub fn running_modules(&self) -> Vec<ModuleId> {
-        self.running.keys().copied().collect()
-    }
-
-    /// Current placement of a running module.
-    pub fn placement_of(&self, module: ModuleId) -> Option<Rect> {
-        self.running.get(&module).map(|r| r.rect)
-    }
-
     /// Rectangles currently occupied, in module-id order.
     fn occupied(&self) -> Vec<Rect> {
         self.running.values().map(|r| r.rect).collect()

@@ -150,8 +150,8 @@ impl SweepGrid {
             // 0.75 is the highest pressure at which the no-break policy can
             // still double-buffer every move on these devices — the committed
             // baseline pins its downtime at zero, so the smoke grid stays
-            // inside that regime (see the defrag_sim bench for the scarce-
-            // shadow cases beyond it).
+            // inside that regime (perfbench's `online` workload replays
+            // high-utilisation traces beyond it, where shadows are scarce).
             utilisations: vec![0.5, 0.75],
             lifetimes: vec![6],
             policies: DefragPolicy::ALL.to_vec(),

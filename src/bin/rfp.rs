@@ -381,8 +381,13 @@ fn cmd_solve(args: &[String]) -> ExitCode {
             0 | 1 => String::new(),
             n => format!(", {n} threads"),
         };
+        let gap = if outcome.status != OutcomeStatus::Proven && outcome.stats.gap.is_finite() {
+            format!(", gap {:.2}%", 100.0 * outcome.stats.gap)
+        } else {
+            String::new()
+        };
         eprintln!(
-            "rfp: {engine_label}: {} in {:.2}s ({} nodes{threads})",
+            "rfp: {engine_label}: {} in {:.2}s ({} nodes{threads}){gap}",
             outcome.status, outcome.stats.solve_seconds, outcome.stats.nodes
         );
         if let Some(m) = &outcome.metrics {

@@ -1,6 +1,7 @@
 //! CLI smoke tests for the binary-format and fleet-sweep subcommands:
 //! `rfp convert --to json|bin`, magic-byte sniffing in `solve` / `validate`
-//! / `simulate`, and the `rfp sweep` worker-pool determinism contract.
+//! / `simulate`, the `rfp sweep` worker-pool determinism contract, and the
+//! `solve` status line.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -180,4 +181,18 @@ fn solve_takes_only_positive_finite_time_limits_and_a_huge_one_completes() {
     // Too large for a deadline, so unlimited: it used to panic the service
     // worker and leave the CLI waiting forever.
     ok(&["solve", "--engine", "combinatorial", "--time-limit", "1e300", "--quiet", s(&tiny)]);
+}
+
+#[test]
+fn solve_reports_the_gap_of_an_unproven_floorplan() {
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let sdr = golden.join("sdr.problem.json");
+    let args = ["solve", "--engine", "milp", "--threads", "1", "--node-limit", "20", s(&sdr)];
+    let stderr = String::from_utf8(ok(&args).stderr).unwrap();
+    let status = stderr.lines().find(|l| l.starts_with("rfp: milp: ")).expect("a status line");
+    assert!(status.contains("feasible") && status.contains(", gap "), "{stderr}");
+    // A proven floorplan has no gap to report.
+    let tiny = golden.join("tiny.problem.json");
+    let stderr = String::from_utf8(ok(&["solve", s(&tiny)]).stderr).unwrap();
+    assert!(stderr.contains("proven") && !stderr.contains("gap"), "{stderr}");
 }
