@@ -821,46 +821,34 @@ fn solve_milp_engine(
                     }),
                     shared_incumbent: None,
                 };
-                let seed_cfg = CombinatorialConfig {
+                let seed_req = SolveRequest::new(problem.clone().into_owned())
+                    .with_time_limit(req.time_limit_secs)
+                    .with_threads(req.threads.max(1));
+                let seeder = CombinatorialEngine::with_config(CombinatorialConfig {
                     first_feasible: true,
-                    time_limit_secs: req.time_limit_secs,
-                    threads: req.threads.max(1),
                     ..CombinatorialConfig::default()
-                };
+                });
                 let _seed_span = rfp_trace::span("engine.seed_search");
-                let res = match solve_combinatorial(&problem, &seed_cfg, &seed_ctl) {
-                    Ok(res) => res,
-                    Err(e) => {
-                        stats.cancelled = ctl.cancel.is_cancelled();
-                        return SolveOutcome::without_floorplan(
-                            OutcomeStatus::Infeasible,
-                            e.to_string(),
-                            stats,
-                        );
-                    }
-                };
-                if res.floorplan.is_none() {
-                    stats.nodes = res.nodes;
-                    stats.solve_seconds = res.solve_seconds;
-                    stats.cancelled = res.cancelled || ctl.cancel.is_cancelled();
+                let seed = seeder.solve(&seed_req, &seed_ctl);
+                if seed.floorplan.is_none() {
+                    stats.nodes = seed.stats.nodes;
+                    stats.solve_seconds = seed.stats.solve_seconds;
+                    stats.cancelled = seed.stats.cancelled || ctl.cancel.is_cancelled();
                     // A proven empty search means the instance itself is
-                    // infeasible; otherwise the budget ran out first.
-                    let (status, detail) = if res.proven {
-                        (
-                            OutcomeStatus::Infeasible,
-                            "the seed search exhausted the space without a feasible floorplan",
-                        )
-                    } else {
-                        (
-                            OutcomeStatus::BudgetExhausted,
-                            "no seed floorplan found for the HO restriction within the budget",
-                        )
+                    // infeasible; otherwise the budget ran out first. A
+                    // refusal before the first node keeps its own reason.
+                    let detail = match seed.status {
+                        OutcomeStatus::BudgetExhausted => {
+                            "no seed floorplan found for the HO restriction within the budget"
+                                .into()
+                        }
+                        _ if seed.stats.nodes == 0 => seed.detail.unwrap_or_default(),
+                        _ => "the seed search exhausted the space without a feasible floorplan"
+                            .into(),
                     };
-                    return SolveOutcome::from_search(
-                        &problem, None, res.proven, stats, status, detail,
-                    );
+                    return SolveOutcome::without_floorplan(seed.status, detail, stats);
                 }
-                res.floorplan
+                seed.floorplan
             }
         }
     } else {

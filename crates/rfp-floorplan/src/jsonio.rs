@@ -639,8 +639,12 @@ pub fn write_floorplan(floorplan: &Floorplan) -> String {
 
 /// Parses an `rfp-floorplan` v1 document.
 pub fn read_floorplan(input: &str) -> Result<Floorplan, JsonError> {
-    let doc = parse(input)?;
-    check_header(&doc, FLOORPLAN_FORMAT)?;
+    read_floorplan_value(&parse(input)?)
+}
+
+/// Reads an already-parsed `rfp-floorplan` v1 value.
+pub fn read_floorplan_value(doc: &JsonValue) -> Result<Floorplan, JsonError> {
+    check_header(doc, FLOORPLAN_FORMAT)?;
     let mut regions = Vec::new();
     for r in doc.field("regions")?.as_arr()? {
         regions.push(rect_from_json(r)?);

@@ -783,25 +783,19 @@ impl Solver {
 
     /// Solves a mixed-integer linear program.
     pub fn solve(&self, model: &Model) -> Solution {
-        self.solve_with_start(model, None)
+        self.solve_controlled(model, None, None)
     }
 
-    /// Solves a mixed-integer linear program from a warm start.
+    /// Solves a mixed-integer linear program with full run-time control:
+    /// a warm start and an incumbent-progress callback invoked with
+    /// `(objective, seconds)` — objective in the model's optimisation sense
+    /// — every time the search finds a strictly better feasible solution.
+    /// Cancellation is configured through [`SolverConfig::cancel`].
     ///
     /// `warm_start` is a candidate assignment of every variable; when it is
     /// feasible (within tolerance) and integral on the integer variables it
     /// becomes the initial incumbent, which prunes the search from the first
     /// node. An infeasible or malformed start is silently ignored.
-    pub fn solve_with_start(&self, model: &Model, warm_start: Option<&[f64]>) -> Solution {
-        self.solve_controlled(model, warm_start, None)
-    }
-
-    /// Solves a mixed-integer linear program with full run-time control:
-    /// a warm start (see [`Solver::solve_with_start`]) and an
-    /// incumbent-progress callback invoked with `(objective, seconds)` —
-    /// objective in the model's optimisation sense — every time the search
-    /// finds a strictly better feasible solution. Cancellation is configured
-    /// through [`SolverConfig::cancel`].
     pub fn solve_controlled(
         &self,
         model: &Model,
@@ -1201,7 +1195,7 @@ mod tests {
         let x = m.int_var("x", 0.0, 10.0);
         m.add_con("c", LinExpr::from(x), ConOp::Le, 7.0);
         m.set_objective(LinExpr::from(x));
-        let sol = Solver::new(cfg).solve_with_start(&m, Some(&[3.0]));
+        let sol = Solver::new(cfg).solve_controlled(&m, Some(&[3.0]), None);
         assert!(sol.cancelled);
         assert_eq!(sol.status, SolveStatus::Feasible);
         assert!((sol.objective - 3.0).abs() < 1e-9);

@@ -278,12 +278,6 @@ impl Model {
     pub fn is_feasible(&self, values: &[f64], tol: f64) -> bool {
         self.violations(values, tol).is_empty()
     }
-
-    /// [`Model::is_feasible`] with the solver-wide default tolerance
-    /// [`crate::tol::FEASIBILITY`].
-    pub fn is_feasible_default(&self, values: &[f64]) -> bool {
-        self.is_feasible(values, crate::tol::FEASIBILITY)
-    }
 }
 
 #[cfg(test)]
@@ -349,7 +343,7 @@ mod tests {
         assert_eq!(m.mutex_groups().len(), 1);
         assert_eq!(m.mutex_groups()[0].1, vec![a, b]);
         // The hint does not change feasibility checking.
-        assert!(m.is_feasible_default(&[1.0, 1.0]));
+        assert!(m.is_feasible(&[1.0, 1.0], crate::tol::FEASIBILITY));
     }
 
     #[test]

@@ -70,13 +70,10 @@ pub mod scheduler;
 
 pub use defrag::{CompactionGoal, DefragPlanner, DefragPolicy, LiveModule, PlannedMove};
 pub use frag::{frag_metrics, FragMetrics};
-pub use online::{
-    simulate, simulate_with_dispatcher, simulate_with_registry, OnlineConfig, OnlineFloorplanner,
-    SimError,
-};
+pub use online::{simulate, simulate_with_dispatcher, OnlineConfig, OnlineFloorplanner, SimError};
 pub use report::{read_sim_report, EventRecord, SimReport};
 pub use scenario::{
-    read_scenario, read_scenario_bin, write_scenario, write_scenario_bin, Event, EventKind,
-    ModuleId, Scenario, SCENARIO_FORMAT,
+    read_scenario, read_scenario_bin, read_scenario_value, write_scenario, write_scenario_bin,
+    Event, EventKind, ModuleId, Scenario, SCENARIO_FORMAT,
 };
 pub use scheduler::{ExecutedMove, MoveScheduler};

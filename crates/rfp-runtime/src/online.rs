@@ -48,9 +48,7 @@ use crate::scheduler::MoveScheduler;
 use rfp_bitstream::{Bitstream, ConfigMemory, MoveKind};
 use rfp_device::{FabricPartition, Rect};
 use rfp_floorplan::candidates::first_fit;
-use rfp_floorplan::engine::{
-    adapt_floorplan, EngineRegistry, SolveControl, SolveDispatcher, SolveRequest,
-};
+use rfp_floorplan::engine::{adapt_floorplan, SolveControl, SolveDispatcher, SolveRequest};
 use rfp_floorplan::{Floorplan, FloorplanProblem, ObjectiveWeights, RegionSpec, SolveOutcome};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -155,13 +153,9 @@ pub struct OnlineFloorplanner {
 }
 
 impl OnlineFloorplanner {
-    /// Creates an empty online floorplanner on a device.
-    pub fn new(partition: FabricPartition, registry: EngineRegistry, config: OnlineConfig) -> Self {
-        Self::with_dispatcher(partition, Arc::new(registry), config)
-    }
-
     /// Creates an empty online floorplanner that escalates through an
-    /// arbitrary [`SolveDispatcher`] — a bare [`EngineRegistry`], or a
+    /// arbitrary [`SolveDispatcher`] — a bare
+    /// [`EngineRegistry`](rfp_floorplan::engine::EngineRegistry), or a
     /// queue-worker solve service with its outcome cache.
     pub fn with_dispatcher(
         partition: FabricPartition,
@@ -570,10 +564,18 @@ impl OnlineFloorplanner {
         latencies[slot] += start.elapsed().as_secs_f64();
     }
 
-    /// Plays one event and returns its record (a batch of one — see
-    /// [`OnlineFloorplanner::step_batch`]).
-    pub fn step(&mut self, scenario: &Scenario, index: usize) -> EventRecord {
-        self.step_batch(scenario, index..index + 1).remove(0)
+    /// Releases the area of departing module `m` and returns the wall time
+    /// it took. The departure of a module whose arrival was rejected is a
+    /// no-op; that of any other module that is not running is a violation.
+    fn depart(&mut self, m: ModuleId, traffic: &mut Traffic) -> f64 {
+        let start = Instant::now();
+        if self.running.remove(&m).is_none() && !self.rejected.contains(&m) {
+            traffic.violations.push(format!("departure of module {m} which is not running"));
+        }
+        self.memory.remove(&format!("m{m}"));
+        let seconds = start.elapsed().as_secs_f64();
+        rfp_trace::count("runtime.departs", 1);
+        seconds
     }
 
     /// Plays a contiguous run of events as **one batch** — the intended use
@@ -636,17 +638,9 @@ impl OnlineFloorplanner {
                     deferred.push((slot, m));
                     continue;
                 }
-                let start = Instant::now();
-                if self.running.remove(&m).is_none() && !self.rejected.contains(&m) {
-                    traffics[slot]
-                        .violations
-                        .push(format!("departure of module {m} which is not running"));
-                }
-                self.memory.remove(&format!("m{m}"));
-                latencies[slot] += start.elapsed().as_secs_f64();
+                latencies[slot] += self.depart(m, &mut traffics[slot]);
                 outcomes[slot] = ("depart", Some(m), true, false);
                 last_depart = Some(slot);
-                rfp_trace::count("runtime.departs", 1);
             }
         }
         // The batch's single proactive-compaction check runs once every
@@ -692,17 +686,9 @@ impl OnlineFloorplanner {
         // batch (zero-lifetime modules), then the batch's proactive check.
         if !deferred.is_empty() {
             for &(slot, m) in &deferred {
-                let start = Instant::now();
-                if self.running.remove(&m).is_none() && !self.rejected.contains(&m) {
-                    traffics[slot]
-                        .violations
-                        .push(format!("departure of module {m} which is not running"));
-                }
-                self.memory.remove(&format!("m{m}"));
-                latencies[slot] += start.elapsed().as_secs_f64();
+                latencies[slot] += self.depart(m, &mut traffics[slot]);
                 outcomes[slot] = ("depart", Some(m), true, false);
                 last_depart = Some(slot);
-                rfp_trace::count("runtime.departs", 1);
             }
             self.proactive_compact(last_depart, &mut traffics, &mut latencies);
         }
@@ -744,19 +730,9 @@ impl OnlineFloorplanner {
 /// Simulates a whole scenario under a configuration and returns the report.
 ///
 /// Uses the full engine registry (all five engines) for escalation
-/// re-solves; use [`OnlineFloorplanner`] directly to inject a custom
-/// registry.
+/// re-solves; [`simulate_with_dispatcher`] takes any other dispatcher.
 pub fn simulate(scenario: &Scenario, config: &OnlineConfig) -> Result<SimReport, SimError> {
-    simulate_with_registry(scenario, config, rfp_baselines::engines::full_registry())
-}
-
-/// [`simulate`] with an explicit engine registry.
-pub fn simulate_with_registry(
-    scenario: &Scenario,
-    config: &OnlineConfig,
-    registry: EngineRegistry,
-) -> Result<SimReport, SimError> {
-    simulate_with_dispatcher(scenario, config, Arc::new(registry))
+    simulate_with_dispatcher(scenario, config, Arc::new(rfp_baselines::engines::full_registry()))
 }
 
 /// [`simulate`] with an arbitrary [`SolveDispatcher`] behind the

@@ -212,7 +212,11 @@ pub fn write_scenario(scenario: &Scenario) -> String {
 /// is *not* semantically validated here; call [`Scenario::validate`] before
 /// simulating.
 pub fn read_scenario(input: &str) -> Result<Scenario, JsonError> {
-    let doc = parse(input)?;
+    read_scenario_value(&parse(input)?)
+}
+
+/// Reads an already-parsed `rfp-scenario` v1 value (see [`read_scenario`]).
+pub fn read_scenario_value(doc: &JsonValue) -> Result<Scenario, JsonError> {
     let tag = doc.field("format")?.as_str()?;
     if tag != SCENARIO_FORMAT {
         return Err(JsonError(format!("expected format `{SCENARIO_FORMAT}`, found `{tag}`")));

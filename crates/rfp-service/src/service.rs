@@ -24,8 +24,8 @@
 use crate::cache::{CacheLookup, OutcomeCache};
 use crate::queue::{JobQueue, Pop};
 use rfp_floorplan::engine::{
-    CancelToken, EngineRegistry, EngineStats, OutcomeStatus, SolveControl, SolveOutcome,
-    SolveRequest,
+    CancelToken, EngineRegistry, EngineStats, OutcomeStatus, SolveControl, SolveDispatcher,
+    SolveOutcome, SolveRequest,
 };
 use rfp_floorplan::fingerprint::ProblemFingerprint;
 use rfp_floorplan::portfolio::{Portfolio, RaceOutcome};
@@ -648,19 +648,8 @@ fn dispatch(
             };
         }
     };
-    match shared.registry.get(engine_id) {
-        Some(engine) => {
-            let outcome = {
-                let _leg = rfp_trace::span(&format!("engine.{engine_id}"));
-                engine.solve(request, ctl)
-            };
-            if outcome.stats.cancelled {
-                rfp_trace::count("engine.cancelled", 1);
-            }
-            (engine_id.to_string(), outcome, None)
-        }
-        None => (engine_id.to_string(), unknown_engine(engine_id), None),
-    }
+    // `run_job` has rejected an unknown id already.
+    (engine_id.to_string(), shared.registry.dispatch(engine_id, request, ctl), None)
 }
 
 fn unknown_engine(id: &str) -> SolveOutcome {

@@ -30,21 +30,29 @@
 //! JSON v1 documents and their `rfpb` binary twins — the format is sniffed
 //! from the magic bytes, never the file name.
 //!
+//! Every subcommand declares its flags once and parses its arguments through
+//! one parser: an unknown option, a missing value, a malformed value or a
+//! wrong number of arguments is a usage error (exit 1) with one wording each.
+//!
 //! Exit codes: `0` success, `1` usage/IO/format error (or failed jobs for
 //! `serve`), `2` infeasible (or floorplan invalid for `validate`, constraint
 //! violations for `simulate`/`sweep`), `3` budget exhausted before a
 //! floorplan was found.
+//!
+//! [`SolveDispatcher`]: relocfp::runtime::SolveDispatcher
 
+use relocfp::floorplan::binio::{self, BinKind};
 use relocfp::floorplan::engine::{EngineRegistry, OutcomeStatus, SolveRequest};
+use relocfp::floorplan::jsonio;
 use relocfp::floorplan::placement::Floorplan;
 use relocfp::floorplan::problem::FloorplanProblem;
-use relocfp::floorplan::{binio, jsonio};
 use relocfp::runtime::{
-    read_scenario, read_scenario_bin, simulate_with_dispatcher, write_scenario, write_scenario_bin,
-    DefragPolicy, OnlineConfig, Scenario, SCENARIO_FORMAT,
+    read_scenario_bin, read_scenario_value, simulate_with_dispatcher, write_scenario,
+    write_scenario_bin, DefragPolicy, OnlineConfig, Scenario, SCENARIO_FORMAT,
 };
 use relocfp::service::{serve, EngineChoice, JobSpec, ServiceConfig, SolveService};
 use relocfp::sweep::{read_grid, run_sweep, SweepGrid, SweepOptions};
+use relocfp::trace::{Collector, TraceHandle};
 use rfp_workloads::generator::WorkloadSpec;
 use rfp_workloads::DefragWorkloadSpec;
 use std::process::ExitCode;
@@ -82,28 +90,29 @@ document (logical-clock span trees, counters, histograms; wall-clock-free,
 so traces of deterministic runs are byte-stable) which `rfp trace summarize`
 renders as per-track tables.";
 
-fn fail(msg: impl AsRef<str>) -> ExitCode {
-    eprintln!("rfp: {}", msg.as_ref());
+fn fail(msg: String) -> ExitCode {
+    eprintln!("rfp: {msg}");
     ExitCode::from(1)
+}
+
+/// A usage error: the message followed by [`USAGE`].
+fn usage(msg: impl std::fmt::Display) -> String {
+    format!("{msg}\n{USAGE}")
 }
 
 fn registry() -> EngineRegistry {
     rfp_baselines::engines::full_registry()
 }
 
-fn read_file(path: &str) -> Result<String, String> {
-    std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))
-}
-
 fn read_bytes(path: &str) -> Result<Vec<u8>, String> {
     std::fs::read(path).map_err(|e| format!("cannot read `{path}`: {e}"))
 }
 
-fn write_output(out: Option<&str>, content: &str) -> Result<(), String> {
-    write_output_bytes(out, content.as_bytes())
+fn read_file(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))
 }
 
-fn write_output_bytes(out: Option<&str>, content: &[u8]) -> Result<(), String> {
+fn write_output(out: Option<&str>, content: &[u8]) -> Result<(), String> {
     match out {
         Some(path) => {
             std::fs::write(path, content).map_err(|e| format!("cannot write `{path}`: {e}"))
@@ -115,256 +124,355 @@ fn write_output_bytes(out: Option<&str>, content: &[u8]) -> Result<(), String> {
     }
 }
 
-fn utf8(path: &str, bytes: Vec<u8>) -> Result<String, String> {
-    String::from_utf8(bytes).map_err(|_| format!("`{path}`: neither rfpb binary nor UTF-8 JSON"))
-}
-
-/// Reads a problem from JSON or `rfpb` binary, sniffing the magic bytes.
-fn read_problem_any(path: &str) -> Result<FloorplanProblem, String> {
-    let bytes = read_bytes(path)?;
-    if binio::is_binary(&bytes) {
-        binio::read_problem_bin(&bytes).map_err(|e| format!("`{path}`: {e}"))
-    } else {
-        jsonio::read_problem(&utf8(path, bytes)?).map_err(|e| format!("`{path}`: {e}"))
-    }
-}
-
-/// Reads a floorplan from JSON or `rfpb` binary, sniffing the magic bytes.
-fn read_floorplan_any(path: &str) -> Result<Floorplan, String> {
-    let bytes = read_bytes(path)?;
-    if binio::is_binary(&bytes) {
-        binio::read_floorplan_bin(&bytes).map_err(|e| format!("`{path}`: {e}"))
-    } else {
-        jsonio::read_floorplan(&utf8(path, bytes)?).map_err(|e| format!("`{path}`: {e}"))
-    }
-}
-
-/// Reads a scenario from JSON or `rfpb` binary, sniffing the magic bytes.
-fn read_scenario_any(path: &str) -> Result<Scenario, String> {
-    let bytes = read_bytes(path)?;
-    if binio::is_binary(&bytes) {
-        read_scenario_bin(&bytes).map_err(|e| format!("`{path}`: {e}"))
-    } else {
-        read_scenario(&utf8(path, bytes)?).map_err(|e| format!("`{path}`: {e}"))
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("engines") => cmd_engines(&args[1..]),
-        Some("solve") => cmd_solve(&args[1..]),
-        Some("validate") => cmd_validate(&args[1..]),
-        Some("simulate") => cmd_simulate(&args[1..]),
-        Some("sweep") => cmd_sweep(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("trace") => cmd_trace(&args[1..]),
-        Some("convert") => cmd_convert(&args[1..]),
+    let command: fn(&[String]) -> Result<ExitCode, String> = match args.first().map(String::as_str)
+    {
+        Some("engines") => cmd_engines,
+        Some("solve") => cmd_solve,
+        Some("validate") => cmd_validate,
+        Some("simulate") => cmd_simulate,
+        Some("sweep") => cmd_sweep,
+        Some("serve") => cmd_serve,
+        Some("trace") => cmd_trace,
+        Some("convert") => cmd_convert,
         Some("--help") | Some("-h") | Some("help") | None => {
             println!("{USAGE}");
-            ExitCode::SUCCESS
+            return ExitCode::SUCCESS;
         }
-        Some(other) => fail(format!("unknown command `{other}`\n{USAGE}")),
+        Some(other) => return fail(usage(format!("unknown command `{other}`"))),
+    };
+    command(&args[1..]).unwrap_or_else(fail)
+}
+
+/// How a declared flag takes its value.
+#[derive(Clone, Copy)]
+enum Takes {
+    /// None: a switch such as `--quiet`.
+    Switch,
+    /// The next argument, whatever it is: `--out FILE`.
+    Value,
+    /// Optionally `=VALUE` in the same argument: `--portfolio[=ID,...]`.
+    Inline,
+}
+use Takes::{Inline, Switch, Value};
+
+/// A flag as a subcommand declares it: its long name, its short alias (`""`
+/// for none) and how it takes its value.
+struct Flag(&'static str, &'static str, Takes);
+
+const OUT: Flag = Flag("--out", "-o", Value);
+const TRACE: Flag = Flag("--trace", "", Value);
+const QUIET: Flag = Flag("--quiet", "-q", Switch);
+const ENGINE: Flag = Flag("--engine", "", Value);
+const TIME_LIMIT: Flag = Flag("--time-limit", "", Value);
+
+/// A subcommand's arguments, parsed against its declared flags.
+struct Args {
+    /// Every flag given, under its long name, in argv order.
+    flags: Vec<(&'static str, Option<String>)>,
+    /// Exactly the positionals the subcommand declares.
+    positionals: Vec<String>,
+}
+
+/// Parses a subcommand's arguments against its `flags` and checks that
+/// they hold exactly the declared `positionals`. Any argument starting with
+/// `-` that is no declared flag is an unknown option, unless the subcommand
+/// declares no flags at all. A repeated flag keeps every value; the last
+/// one counts, and the typed getters check them all.
+fn parse_args(
+    command: &str,
+    args: &[String],
+    flags: &[Flag],
+    positionals: &[&str],
+) -> Result<Args, String> {
+    let mut parsed = Args { flags: Vec::new(), positionals: Vec::new() };
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let (name, inline) = match arg.split_once('=') {
+            Some((name, value)) => (name, Some(value)),
+            None => (arg.as_str(), None),
+        };
+        let flag = flags.iter().find(|f| f.0 == name || (!f.1.is_empty() && f.1 == name));
+        match (flag, inline) {
+            (Some(&Flag(long, _, Switch)), None) => parsed.flags.push((long, None)),
+            (Some(&Flag(long, _, Value)), None) => {
+                let value = it.next().ok_or_else(|| usage(format!("{long} needs a value")))?;
+                parsed.flags.push((long, Some(value.clone())));
+            }
+            (Some(&Flag(long, _, Inline)), inline) => {
+                parsed.flags.push((long, inline.map(str::to_string)))
+            }
+            _ if arg.starts_with('-') && !flags.is_empty() => {
+                return Err(usage(format!("unknown option `{arg}`")))
+            }
+            _ => parsed.positionals.push(arg.clone()),
+        }
+    }
+    if parsed.positionals.len() != positionals.len() {
+        let takes =
+            if positionals.is_empty() { "no arguments".into() } else { positionals.join(" ") };
+        let got: Vec<String> = parsed.positionals.iter().map(|p| format!("`{p}`")).collect();
+        let got = if got.is_empty() { "nothing".into() } else { got.join(" ") };
+        return Err(usage(format!("{command} takes {takes}, got {got}")));
+    }
+    Ok(parsed)
+}
+
+impl Args {
+    /// The last occurrence of `name`: `None` when absent, `Some(None)` for
+    /// a switch or a bare `--portfolio`.
+    fn last(&self, name: &str) -> Option<Option<&str>> {
+        self.flags.iter().rev().find(|(n, _)| *n == name).map(|(_, v)| v.as_deref())
+    }
+
+    fn has(&self, name: &str) -> bool {
+        self.last(name).is_some()
+    }
+
+    fn value(&self, name: &str) -> Option<String> {
+        self.last(name).flatten().map(str::to_string)
+    }
+
+    /// Checks every value given to `name` with `check` and returns the
+    /// last; a value `check` rejects is a usage error naming `expected`.
+    fn get<T>(
+        &self,
+        name: &str,
+        expected: &str,
+        check: impl Fn(&str) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        let mut last = None;
+        for (_, value) in self.flags.iter().filter(|(n, _)| *n == name) {
+            let value = value.as_deref().unwrap_or_default();
+            let invalid = || usage(format!("invalid {name} `{value}` ({expected})"));
+            last = Some(check(value).ok_or_else(invalid)?);
+        }
+        Ok(last)
+    }
+
+    fn seconds(&self, name: &str) -> Result<Option<f64>, String> {
+        self.get(name, "positive seconds", |v| {
+            v.parse().ok().filter(|s: &f64| s.is_finite() && *s > 0.0)
+        })
+    }
+
+    fn threads(&self, name: &str) -> Result<Option<usize>, String> {
+        self.get(name, "1 - 256", |v| v.parse().ok().filter(|n| (1..=256).contains(n)))
+    }
+
+    fn positive(&self, name: &str) -> Result<Option<usize>, String> {
+        self.get(name, "positive integer", |v| v.parse().ok().filter(|&n| n > 0))
+    }
+
+    fn fraction(&self, name: &str) -> Result<Option<f64>, String> {
+        self.get(name, "0.0 - 1.0", |v| v.parse().ok().filter(|t| (0.0..=1.0).contains(t)))
     }
 }
 
-fn cmd_engines(args: &[String]) -> ExitCode {
-    let mut json = false;
-    for arg in args {
-        match arg.as_str() {
-            "--json" => json = true,
-            a => return fail(format!("unknown argument `{a}`\n{USAGE}")),
+/// A problem, floorplan or scenario in either serialisation — the one
+/// decoder of every input document, and the one place that looks for the
+/// `rfpb` magic.
+enum Doc {
+    Problem(FloorplanProblem),
+    Floorplan(Floorplan),
+    Scenario(Scenario),
+}
+
+impl Doc {
+    /// Decodes an `rfpb` document by its kind byte, or a JSON document by
+    /// its `"format"` header.
+    fn decode(label: &str, bytes: &[u8]) -> Result<Doc, String> {
+        let at = |e: &dyn std::fmt::Display| format!("`{label}`: {e}");
+        if binio::is_binary(bytes) {
+            return match binio::detect_kind(bytes).map_err(|e| at(&e))? {
+                BinKind::Problem => binio::read_problem_bin(bytes).map(Doc::Problem),
+                BinKind::Floorplan => binio::read_floorplan_bin(bytes).map(Doc::Floorplan),
+                BinKind::Scenario => read_scenario_bin(bytes).map(Doc::Scenario),
+            }
+            .map_err(|e| at(&e));
+        }
+        let text =
+            std::str::from_utf8(bytes).map_err(|_| at(&"neither rfpb binary nor UTF-8 JSON"))?;
+        let doc = jsonio::parse(text).map_err(|e| at(&e))?;
+        match doc.field("format").and_then(|f| f.as_str()).map_err(|e| at(&e))? {
+            jsonio::PROBLEM_FORMAT => jsonio::read_problem_value(&doc).map(Doc::Problem),
+            jsonio::FLOORPLAN_FORMAT => jsonio::read_floorplan_value(&doc).map(Doc::Floorplan),
+            SCENARIO_FORMAT => read_scenario_value(&doc).map(Doc::Scenario),
+            other => return Err(at(&format!("unknown document format `{other}`"))),
+        }
+        .map_err(|e| at(&e))
+    }
+
+    fn wrong_kind(&self, label: &str, expected: BinKind) -> String {
+        let found = match self {
+            Doc::Problem(_) => BinKind::Problem,
+            Doc::Floorplan(_) => BinKind::Floorplan,
+            Doc::Scenario(_) => BinKind::Scenario,
+        };
+        format!("`{label}`: expected an {expected} document, found {found}")
+    }
+
+    /// The problem `path` holds, semantically validated.
+    fn problem(path: &str) -> Result<FloorplanProblem, String> {
+        match Doc::decode(path, &read_bytes(path)?)? {
+            Doc::Problem(p) => {
+                p.validate().map(|()| p).map_err(|e| format!("`{path}`: invalid problem: {e}"))
+            }
+            doc => Err(doc.wrong_kind(path, BinKind::Problem)),
         }
     }
+
+    fn floorplan(path: &str) -> Result<Floorplan, String> {
+        match Doc::decode(path, &read_bytes(path)?)? {
+            Doc::Floorplan(fp) => Ok(fp),
+            doc => Err(doc.wrong_kind(path, BinKind::Floorplan)),
+        }
+    }
+
+    fn scenario(path: &str) -> Result<Scenario, String> {
+        match Doc::decode(path, &read_bytes(path)?)? {
+            Doc::Scenario(s) => Ok(s),
+            doc => Err(doc.wrong_kind(path, BinKind::Scenario)),
+        }
+    }
+
+    fn to_json(&self) -> String {
+        match self {
+            Doc::Problem(p) => jsonio::write_problem(p),
+            Doc::Floorplan(fp) => jsonio::write_floorplan(fp),
+            Doc::Scenario(s) => write_scenario(s),
+        }
+    }
+
+    fn to_bin(&self) -> Vec<u8> {
+        match self {
+            Doc::Problem(p) => binio::write_problem_bin(p),
+            Doc::Floorplan(fp) => binio::write_floorplan_bin(fp),
+            Doc::Scenario(s) => write_scenario_bin(s),
+        }
+    }
+}
+
+/// Writes the collector's drained trace document (CLI `--trace FILE`).
+fn write_trace(path: &str, collector: &Collector) -> Result<(), String> {
+    std::fs::write(path, collector.drain().to_json())
+        .map_err(|e| format!("cannot write `{path}`: {e}"))
+}
+
+/// The `--trace FILE` set-up of solve, simulate and sweep: `body` runs in
+/// a `main`-track scope under a `span` named `cli.<command>` and gets the
+/// handle for its service or sweep options, which put each job or run on
+/// its own track. The span closes before the scope flushes, and the drained
+/// document is written after both. Without FILE, `body` runs untraced.
+fn traced<T>(
+    path: Option<&str>,
+    span: &str,
+    body: impl FnOnce(Option<TraceHandle>) -> T,
+) -> Result<T, String> {
+    let collector = path.map(|_| Collector::new());
+    let result = {
+        let _scope = collector.as_ref().map(|c| c.install("main"));
+        let _span = relocfp::trace::span(span);
+        body(collector.as_ref().map(Collector::handle))
+    };
+    if let (Some(path), Some(collector)) = (path, &collector) {
+        write_trace(path, collector)?;
+    }
+    Ok(result)
+}
+
+/// Fails on an engine id the registry does not know: a usage error (exit
+/// 1), not an infeasible job outcome.
+fn known_engine(registry: &EngineRegistry, id: &str) -> Result<(), String> {
+    let known = || format!("unknown engine `{id}` (known: {})", registry.ids().join(", "));
+    registry.get(id).map(|_| ()).ok_or_else(known)
+}
+
+fn cmd_engines(args: &[String]) -> Result<ExitCode, String> {
+    let json = parse_args("engines", args, &[Flag("--json", "", Switch)], &[])?.has("--json");
     let registry = registry();
     if json {
         // Machine-readable registry dump, in registration order (the order
         // `EngineChoice::Default` and an unrestricted `--portfolio` use).
-        let mut s = String::from("[");
-        for (i, engine) in registry.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "\n  {{\"id\":\"{}\",\"parallel\":{},\"description\":\"{}\"}}",
-                jsonio::escape(engine.id()),
-                engine.parallel(),
-                jsonio::escape(engine.description()),
-            ));
-        }
-        s.push_str("\n]\n");
-        print!("{s}");
+        let rows: Vec<String> = registry
+            .iter()
+            .map(|engine| {
+                format!(
+                    "\n  {{\"id\":\"{}\",\"parallel\":{},\"description\":\"{}\"}}",
+                    jsonio::escape(engine.id()),
+                    engine.parallel(),
+                    jsonio::escape(engine.description()),
+                )
+            })
+            .collect();
+        print!("[{}\n]\n", rows.join(","));
     } else {
         for engine in registry.iter() {
             let threads = if engine.parallel() { "parallel" } else { "serial  " };
             println!("{:<14} {threads}  {}", engine.id(), engine.description());
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-/// Writes the collector's drained trace document (CLI `--trace FILE`).
-fn write_trace(path: &str, collector: &relocfp::trace::Collector) -> Result<(), String> {
-    std::fs::write(path, collector.drain().to_json())
-        .map_err(|e| format!("cannot write `{path}`: {e}"))
-}
-
-struct SolveArgs {
-    engine: Option<String>,
-    portfolio: Option<Vec<String>>,
-    time_limit: f64,
-    node_limit: u64,
-    threads: usize,
-    out: Option<String>,
-    trace: Option<String>,
-    quiet: bool,
-    problem_path: String,
-}
-
-fn parse_solve_args(args: &[String]) -> Result<SolveArgs, String> {
-    let mut parsed = SolveArgs {
-        engine: None,
-        portfolio: None,
-        time_limit: 0.0,
-        node_limit: 0,
-        threads: 0,
-        out: None,
-        trace: None,
-        quiet: false,
-        problem_path: String::new(),
-    };
-    let mut positional = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut take_value = |name: &str| -> Result<String, String> {
-            it.next().cloned().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--engine" => parsed.engine = Some(take_value("--engine")?),
-            "--portfolio" => parsed.portfolio = Some(Vec::new()),
-            a if a.starts_with("--portfolio=") => {
-                let ids = a["--portfolio=".len()..]
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(str::to_string)
-                    .collect();
-                parsed.portfolio = Some(ids);
-            }
-            "--time-limit" => {
-                let v = take_value("--time-limit")?;
-                parsed.time_limit = match v.parse::<f64>() {
-                    Ok(secs) if secs.is_finite() && secs > 0.0 => secs,
-                    _ => return Err(format!("invalid --time-limit `{v}` (positive seconds)")),
-                };
-            }
-            "--node-limit" => {
-                let v = take_value("--node-limit")?;
-                parsed.node_limit = v.parse().map_err(|_| format!("invalid --node-limit `{v}`"))?;
-            }
-            "--threads" => {
-                let v = take_value("--threads")?;
-                parsed.threads = match v.parse() {
-                    Ok(n) if (1..=256).contains(&n) => n,
-                    _ => return Err(format!("invalid --threads `{v}` (1 - 256)")),
-                };
-            }
-            "--out" | "-o" => parsed.out = Some(take_value("--out")?),
-            "--trace" => parsed.trace = Some(take_value("--trace")?),
-            "--quiet" | "-q" => parsed.quiet = true,
-            a if a.starts_with('-') => return Err(format!("unknown option `{a}`")),
-            a => positional.push(a.to_string()),
-        }
-    }
-    match positional.as_slice() {
-        [path] => parsed.problem_path = path.clone(),
-        [] => return Err("missing PROBLEM.json argument".to_string()),
-        more => return Err(format!("unexpected extra arguments: {more:?}")),
-    }
-    if parsed.engine.is_some() && parsed.portfolio.is_some() {
-        return Err("--engine and --portfolio are mutually exclusive".to_string());
-    }
-    Ok(parsed)
-}
-
-fn cmd_solve(args: &[String]) -> ExitCode {
-    let parsed = match parse_solve_args(args) {
-        Ok(p) => p,
-        Err(e) => return fail(format!("{e}\n{USAGE}")),
-    };
-    let problem = match read_problem_any(&parsed.problem_path) {
-        Ok(p) => p,
-        Err(e) => return fail(e),
-    };
-    if let Err(e) = problem.validate() {
-        return fail(format!("`{}`: invalid problem: {e}", parsed.problem_path));
-    }
-
-    let registry = registry();
-    // Fail fast on unknown engine ids — a usage error (exit 1), not an
-    // infeasible job outcome.
-    if let Some(ids) = &parsed.portfolio {
-        for id in ids {
-            if registry.get(id).is_none() {
-                return fail(format!("unknown engine `{id}` in --portfolio"));
-            }
-        }
-    } else if let Some(id) = &parsed.engine {
-        if registry.get(id).is_none() {
-            let known = registry.ids().join(", ");
-            return fail(format!("unknown engine `{id}` (known: {known})"));
-        }
-    }
-
-    let mut req = SolveRequest::new(problem);
-    if parsed.time_limit > 0.0 {
-        req = req.with_time_limit(parsed.time_limit);
-    }
-    if parsed.node_limit > 0 {
-        req = req.with_node_limit(parsed.node_limit);
-    }
-    if parsed.threads > 0 {
-        req = req.with_threads(parsed.threads);
-    }
-
+fn cmd_solve(args: &[String]) -> Result<ExitCode, String> {
+    let args = parse_args(
+        "solve",
+        args,
+        &[
+            ENGINE,
+            Flag("--portfolio", "", Inline),
+            TIME_LIMIT,
+            Flag("--node-limit", "", Value),
+            Flag("--threads", "", Value),
+            OUT,
+            TRACE,
+            QUIET,
+        ],
+        &["PROBLEM"],
+    )?;
     // One job through the same queue-worker service `rfp serve` hosts. A
     // portfolio job races the requested engines (or every registered one):
     // the exact engines prove and cancel the heuristics; heuristics only win
     // on objective when nobody proves within the budget.
-    let choice = match (&parsed.engine, &parsed.portfolio) {
-        (Some(id), _) => EngineChoice::Engine(id.clone()),
-        (None, Some(ids)) => EngineChoice::Portfolio(ids.clone()),
+    let choice = match (args.value("--engine"), args.last("--portfolio")) {
+        (Some(_), Some(_)) => return Err(usage("--engine and --portfolio are mutually exclusive")),
+        (Some(id), None) => EngineChoice::Engine(id),
+        (None, Some(ids)) => EngineChoice::Portfolio(
+            ids.unwrap_or_default()
+                .split(',')
+                .filter(|s| !s.is_empty())
+                .map(String::from)
+                .collect(),
+        ),
         (None, None) => EngineChoice::Default,
     };
-    // With --trace, everything below runs inside a "main"-track scope: the
-    // service worker moves each job onto its own `job#####` track, so the
-    // CLI span only brackets submit/join. Scope before span: drop order
-    // closes the span first, then flushes the scope.
-    let collector = parsed.trace.as_ref().map(|_| relocfp::trace::Collector::new());
-    let trace_scope = collector.as_ref().map(|c| c.install("main"));
-    let cli_span = relocfp::trace::span("cli.solve");
-
-    let service = SolveService::new(
-        registry,
-        ServiceConfig {
-            workers: 1,
-            trace: collector.as_ref().map(|c| c.handle()),
-            ..ServiceConfig::default()
-        },
-    );
-    let id = service.submit(JobSpec::new(req).with_engine(choice));
-    let result = service.join(id).expect("submitted ids are joinable");
-
-    drop(cli_span);
-    drop(trace_scope);
-    if let (Some(path), Some(collector)) = (&parsed.trace, &collector) {
-        if let Err(e) = write_trace(path, collector) {
-            return fail(e);
-        }
+    let (time_limit, threads) = (args.seconds("--time-limit")?, args.threads("--threads")?);
+    let node_limit = args.get("--node-limit", "non-negative integer", |v| v.parse().ok())?;
+    let req = SolveRequest::new(Doc::problem(&args.positionals[0])?)
+        .with_time_limit(time_limit.unwrap_or(0.0))
+        .with_node_limit(node_limit.unwrap_or(0))
+        .with_threads(threads.unwrap_or(0));
+    let registry = registry();
+    let named: &[String] = match &choice {
+        EngineChoice::Engine(id) => std::slice::from_ref(id),
+        EngineChoice::Portfolio(ids) => ids,
+        EngineChoice::Default => &[],
+    };
+    for id in named {
+        known_engine(&registry, id)?;
     }
+    let result = traced(args.value("--trace").as_deref(), "cli.solve", |trace| {
+        let config = ServiceConfig { workers: 1, trace, ..ServiceConfig::default() };
+        let service = SolveService::new(registry, config);
+        let id = service.submit(JobSpec::new(req).with_engine(choice));
+        service.join(id).expect("submitted ids are joinable")
+    })?;
 
     let (engine_label, outcome) = (result.engine, result.outcome);
-    if let (false, Some(race)) = (parsed.quiet, &result.race) {
-        for entry in &race.entries {
+    if !args.has("--quiet") {
+        for entry in result.race.iter().flat_map(|race| &race.entries) {
             eprintln!(
                 "  {:<14} {:<16} {:>8.2}s  nodes {}{}",
                 entry.engine,
@@ -374,9 +482,6 @@ fn cmd_solve(args: &[String]) -> ExitCode {
                 if entry.outcome.stats.cancelled { "  (cancelled)" } else { "" },
             );
         }
-    }
-
-    if !parsed.quiet {
         let threads = match outcome.stats.threads {
             0 | 1 => String::new(),
             n => format!(", {n} threads"),
@@ -399,34 +504,20 @@ fn cmd_solve(args: &[String]) -> ExitCode {
     }
     match &outcome.floorplan {
         Some(fp) => {
-            let rendered = jsonio::write_floorplan(fp);
-            match write_output(parsed.out.as_deref(), &rendered) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => fail(e),
-            }
+            write_output(args.value("--out").as_deref(), jsonio::write_floorplan(fp).as_bytes())?;
+            Ok(ExitCode::SUCCESS)
         }
         None => {
             eprintln!("rfp: no floorplan: {}", outcome.detail.as_deref().unwrap_or("(no detail)"));
-            ExitCode::from(if outcome.status == OutcomeStatus::BudgetExhausted { 3 } else { 2 })
+            Ok(ExitCode::from(if outcome.status == OutcomeStatus::BudgetExhausted { 3 } else { 2 }))
         }
     }
 }
 
-fn cmd_validate(args: &[String]) -> ExitCode {
-    let [problem_path, floorplan_path] = args else {
-        return fail(format!("validate needs PROBLEM and FLOORPLAN files\n{USAGE}"));
-    };
-    let problem = match read_problem_any(problem_path) {
-        Ok(p) => p,
-        Err(e) => return fail(e),
-    };
-    if let Err(e) = problem.validate() {
-        return fail(format!("`{problem_path}`: invalid problem: {e}"));
-    }
-    let floorplan = match read_floorplan_any(floorplan_path) {
-        Ok(fp) => fp,
-        Err(e) => return fail(e),
-    };
+fn cmd_validate(args: &[String]) -> Result<ExitCode, String> {
+    let args = parse_args("validate", args, &[], &["PROBLEM", "FLOORPLAN"])?;
+    let problem = Doc::problem(&args.positionals[0])?;
+    let floorplan = Doc::floorplan(&args.positionals[1])?;
     let issues = floorplan.validate(&problem);
     if issues.is_empty() {
         let m = floorplan.metrics(&problem);
@@ -434,119 +525,60 @@ fn cmd_validate(args: &[String]) -> ExitCode {
             "valid: wasted frames {}, wire length {:.1}, free-compatible areas {}/{}",
             m.wasted_frames, m.wirelength, m.fc_found, m.fc_requested
         );
-        ExitCode::SUCCESS
+        Ok(ExitCode::SUCCESS)
     } else {
         eprintln!("invalid floorplan ({} issue(s)):", issues.len());
         for issue in &issues {
             eprintln!("  - {issue}");
         }
-        ExitCode::from(2)
+        Ok(ExitCode::from(2))
     }
 }
 
-fn cmd_simulate(args: &[String]) -> ExitCode {
-    let mut config = OnlineConfig::default();
-    let mut report_path: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut quiet = false;
-    let mut scenario_path: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut take_value = |name: &str| -> Result<String, String> {
-            it.next().cloned().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--policy" => {
-                let v = match take_value("--policy") {
-                    Ok(v) => v,
-                    Err(e) => return fail(e),
-                };
-                match DefragPolicy::from_id(&v) {
-                    Some(p) => config.policy = p,
-                    None => {
-                        return fail(format!("unknown policy `{v}` (aware | oblivious | no_break)"))
-                    }
-                }
-            }
-            "--engine" => match take_value("--engine") {
-                Ok(v) => config.engine = v,
-                Err(e) => return fail(e),
-            },
-            "--threshold" => {
-                let v = match take_value("--threshold") {
-                    Ok(v) => v,
-                    Err(e) => return fail(e),
-                };
-                match v.parse::<f64>() {
-                    Ok(t) if (0.0..=1.0).contains(&t) => config.defrag_threshold = t,
-                    _ => return fail(format!("invalid --threshold `{v}` (0.0 - 1.0)")),
-                }
-            }
-            "--time-limit" => {
-                let v = match take_value("--time-limit") {
-                    Ok(v) => v,
-                    Err(e) => return fail(e),
-                };
-                match v.parse::<f64>() {
-                    Ok(secs) if secs.is_finite() && secs > 0.0 => {
-                        config.engine_time_limit = secs;
-                    }
-                    _ => return fail(format!("invalid --time-limit `{v}` (positive seconds)")),
-                }
-            }
-            "--report" => match take_value("--report") {
-                Ok(v) => report_path = Some(v),
-                Err(e) => return fail(e),
-            },
-            "--trace" => match take_value("--trace") {
-                Ok(v) => trace_path = Some(v),
-                Err(e) => return fail(e),
-            },
-            "--quiet" | "-q" => quiet = true,
-            a if a.starts_with('-') => return fail(format!("unknown option `{a}`")),
-            a => {
-                if scenario_path.replace(a.to_string()).is_some() {
-                    return fail(format!("more than one SCENARIO.json given\n{USAGE}"));
-                }
-            }
-        }
-    }
-    let Some(scenario_path) = scenario_path else {
-        return fail(format!("missing SCENARIO argument\n{USAGE}"));
+fn cmd_simulate(args: &[String]) -> Result<ExitCode, String> {
+    let args = parse_args(
+        "simulate",
+        args,
+        &[
+            Flag("--policy", "", Value),
+            ENGINE,
+            Flag("--threshold", "", Value),
+            TIME_LIMIT,
+            Flag("--report", "", Value),
+            TRACE,
+            QUIET,
+        ],
+        &["SCENARIO"],
+    )?;
+    let d = OnlineConfig::default();
+    let config = OnlineConfig {
+        policy: args
+            .get("--policy", "aware | oblivious | no_break", DefragPolicy::from_id)?
+            .unwrap_or(d.policy),
+        engine: args.value("--engine").unwrap_or(d.engine),
+        defrag_threshold: args.fraction("--threshold")?.unwrap_or(d.defrag_threshold),
+        engine_time_limit: args.seconds("--time-limit")?.unwrap_or(d.engine_time_limit),
+        ..d
     };
-    let scenario = match read_scenario_any(&scenario_path) {
-        Ok(s) => s,
-        Err(e) => return fail(e),
-    };
-    // With --trace, the simulation loop runs on the "main" track while the
-    // service worker puts each escalation re-solve on its own job track.
-    let collector = trace_path.as_ref().map(|_| relocfp::trace::Collector::new());
-    let trace_scope = collector.as_ref().map(|c| c.install("main"));
-    let cli_span = relocfp::trace::span("cli.simulate");
-    // Escalation re-solves go through a solve service: repeated escalations
-    // over similar live-module sets warm-start from the outcome cache.
-    let service = Arc::new(SolveService::new(
-        registry(),
-        ServiceConfig {
-            workers: 1,
-            default_engine: config.engine.clone(),
-            trace: collector.as_ref().map(|c| c.handle()),
-            ..Default::default()
-        },
-    ));
-    let sim = simulate_with_dispatcher(&scenario, &config, service.clone());
-    drop(cli_span);
-    drop(trace_scope);
-    if let (Some(path), Some(collector)) = (&trace_path, &collector) {
-        if let Err(e) = write_trace(path, collector) {
-            return fail(e);
-        }
-    }
-    let report = match sim {
-        Ok(r) => r,
-        Err(e) => return fail(format!("`{scenario_path}`: {e}")),
-    };
-    if !quiet {
+    let path = &args.positionals[0];
+    let scenario = Doc::scenario(path)?;
+    let (sim, service) = traced(args.value("--trace").as_deref(), "cli.simulate", |trace| {
+        // Escalation re-solves go through a solve service: repeated
+        // escalations over similar live-module sets warm-start from the
+        // outcome cache.
+        let service = Arc::new(SolveService::new(
+            registry(),
+            ServiceConfig {
+                workers: 1,
+                default_engine: config.engine.clone(),
+                trace,
+                ..Default::default()
+            },
+        ));
+        (simulate_with_dispatcher(&scenario, &config, service.clone()), service)
+    })?;
+    let report = sim.map_err(|e| format!("`{path}`: {e}"))?;
+    if !args.has("--quiet") {
         eprintln!("rfp: {}", report.summary());
         let (hits, warm, misses) = service.cache_counters();
         if hits + warm + misses > 0 {
@@ -558,101 +590,64 @@ fn cmd_simulate(args: &[String]) -> ExitCode {
             }
         }
     }
-    let rendered = report.to_json();
-    if let Err(e) = write_output(report_path.as_deref(), &rendered) {
-        return fail(e);
-    }
-    ExitCode::from(if report.violations() > 0 { 2 } else { 0 })
+    write_output(args.value("--report").as_deref(), report.to_json().as_bytes())?;
+    Ok(ExitCode::from(if report.violations() > 0 { 2 } else { 0 }))
 }
 
-fn cmd_serve(args: &[String]) -> ExitCode {
-    let mut config = ServiceConfig::default();
-    let mut jobs_path: Option<String> = None;
-    let mut out_path: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut take_value = |name: &str| -> Result<String, String> {
-            it.next().cloned().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--workers" => {
-                let v = match take_value("--workers") {
-                    Ok(v) => v,
-                    Err(e) => return fail(e),
-                };
-                match v.parse::<usize>() {
-                    Ok(n) if n > 0 => config.workers = n,
-                    _ => return fail(format!("invalid --workers `{v}` (positive integer)")),
-                }
-            }
-            "--engine" => match take_value("--engine") {
-                Ok(v) => config.default_engine = v,
-                Err(e) => return fail(e),
-            },
-            "--no-cache" => config.cache = false,
-            "--jobs" => match take_value("--jobs") {
-                Ok(v) => jobs_path = Some(v),
-                Err(e) => return fail(e),
-            },
-            "--out" | "-o" => match take_value("--out") {
-                Ok(v) => out_path = Some(v),
-                Err(e) => return fail(e),
-            },
-            "--trace" => match take_value("--trace") {
-                Ok(v) => trace_path = Some(v),
-                Err(e) => return fail(e),
-            },
-            a => return fail(format!("unknown argument `{a}`\n{USAGE}")),
-        }
-    }
+fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
+    let args = parse_args(
+        "serve",
+        args,
+        &[
+            Flag("--workers", "", Value),
+            ENGINE,
+            Flag("--no-cache", "", Switch),
+            Flag("--jobs", "", Value),
+            OUT,
+            TRACE,
+        ],
+        &[],
+    )?;
+    let (jobs, out, trace) = (args.value("--jobs"), args.value("--out"), args.value("--trace"));
+    // Unlike the `--trace` of solve, simulate and sweep, serve's collector
+    // is always on and counters-only: memory stays bounded however long the
+    // session runs, and it powers the `stats` verb (live counter snapshots)
+    // as well as the end-of-session `--trace` dump.
+    let collector = Collector::counters_only();
+    let defaults = ServiceConfig::default();
+    let config = ServiceConfig {
+        workers: args.positive("--workers")?.unwrap_or(defaults.workers),
+        cache: !args.has("--no-cache"),
+        default_engine: args.value("--engine").unwrap_or(defaults.default_engine),
+        // A jobs file is a complete, finite stream: queue everything before
+        // the workers start, so the response order (and the golden files CI
+        // diffs against) is deterministic. Stdin is interactive — dispatch
+        // live.
+        paused: jobs.is_some(),
+        trace: Some(collector.handle()),
+    };
     let registry = registry();
-    if registry.get(&config.default_engine).is_none() {
-        let known = registry.ids().join(", ");
-        return fail(format!("unknown engine `{}` (known: {known})", config.default_engine));
-    }
-    // A jobs file is a complete, finite stream: queue everything before the
-    // workers start, so the response order (and the golden files CI diffs
-    // against) is deterministic. Stdin is interactive — dispatch live.
-    config.paused = jobs_path.is_some();
-    // Counters-only keeps memory bounded however long the session runs,
-    // while still powering the `stats` verb (live counter snapshots) and an
-    // end-of-session `--trace` dump.
-    let collector = relocfp::trace::Collector::counters_only();
-    config.trace = Some(collector.handle());
+    known_engine(&registry, &config.default_engine)?;
 
     let mut rendered: Vec<u8> = Vec::new();
     let summary = {
         let stdout = std::io::stdout();
         let mut output: Box<dyn std::io::Write> =
-            if out_path.is_some() { Box::new(&mut rendered) } else { Box::new(stdout.lock()) };
-        let served = match &jobs_path {
-            Some(path) => match read_file(path) {
-                Ok(doc) => serve(&mut doc.as_bytes(), &mut output, registry, &config),
-                Err(e) => return fail(e),
-            },
-            None => {
-                let stdin = std::io::stdin();
-                serve(&mut stdin.lock(), &mut output, registry, &config)
-            }
-        };
-        match served {
-            Ok(s) => s,
-            Err(e) => return fail(format!("serve failed: {e}")),
+            if out.is_some() { Box::new(&mut rendered) } else { Box::new(stdout.lock()) };
+        match &jobs {
+            Some(path) => serve(&mut read_file(path)?.as_bytes(), &mut output, registry, &config),
+            None => serve(&mut std::io::stdin().lock(), &mut output, registry, &config),
         }
+        .map_err(|e| format!("serve failed: {e}"))?
     };
-    if let Some(path) = &out_path {
-        if let Err(e) = std::fs::write(path, &rendered) {
-            return fail(format!("cannot write `{path}`: {e}"));
-        }
+    if out.is_some() {
+        write_output(out.as_deref(), &rendered)?;
     }
-    if let Some(path) = &trace_path {
-        if let Err(e) = write_trace(path, &collector) {
-            return fail(e);
-        }
+    if let Some(path) = &trace {
+        write_trace(path, &collector)?;
     }
     eprintln!("rfp: served {} job(s), {} error(s)", summary.jobs, summary.errors);
-    ExitCode::from(if summary.errors > 0 { 1 } else { 0 })
+    Ok(ExitCode::from(if summary.errors > 0 { 1 } else { 0 }))
 }
 
 /// Flattens a span forest into `(name, calls, total logical length)` rows,
@@ -670,23 +665,15 @@ fn aggregate_spans(spans: &[relocfp::trace::Span], agg: &mut Vec<(String, u64, u
     }
 }
 
-fn cmd_trace(args: &[String]) -> ExitCode {
+fn cmd_trace(args: &[String]) -> Result<ExitCode, String> {
     let path = match args.first().map(String::as_str) {
-        Some("summarize") => match args {
-            [_, path] => path,
-            _ => return fail(format!("trace summarize needs exactly one FILE\n{USAGE}")),
-        },
-        Some(other) => return fail(format!("unknown trace subcommand `{other}`\n{USAGE}")),
-        None => return fail(format!("trace needs a subcommand (summarize)\n{USAGE}")),
+        Some("summarize") => parse_args("trace summarize", &args[1..], &[], &["FILE"])?.positionals,
+        Some(other) => return Err(usage(format!("unknown trace subcommand `{other}`"))),
+        None => return Err(usage("trace needs a subcommand (summarize)")),
     };
-    let text = match read_file(path) {
-        Ok(t) => t,
-        Err(e) => return fail(e),
-    };
-    let doc = match relocfp::trace::TraceDoc::from_json(&text) {
-        Ok(d) => d,
-        Err(e) => return fail(format!("`{path}`: {e}")),
-    };
+    let path = &path[0];
+    let doc = relocfp::trace::TraceDoc::from_json(&read_file(path)?)
+        .map_err(|e| format!("`{path}`: {e}"))?;
     println!("rfp-trace v1: {} track(s)", doc.tracks.len());
     for track in &doc.tracks {
         let mut spans: Vec<(String, u64, u64)> = Vec::new();
@@ -725,250 +712,106 @@ fn cmd_trace(args: &[String]) -> ExitCode {
             }
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-/// A typed document in flight between the two serialisations.
-enum ConvertDoc {
-    Problem(FloorplanProblem),
-    Floorplan(Floorplan),
-    Scenario(Scenario),
+/// The seed and count a `NAME[:SEED[:COUNT]]` built-in spec sets.
+type Seeded = (Option<u64>, Option<usize>);
+
+/// Parses a `NAME[:SEED[:COUNT]]` built-in spec: `None` when `instance` is
+/// no `NAME` spec.
+fn seeded_spec(instance: &str, name: &str, count: &str) -> Result<Option<Seeded>, String> {
+    let mut parts = instance.split(':');
+    if parts.next() != Some(name) {
+        return Ok(None);
+    }
+    let seed = parts.next().map(|s| s.parse().map_err(|_| format!("invalid {name} seed `{s}`")));
+    let n = parts.next().map(|n| n.parse().map_err(|_| format!("invalid {name} {count} `{n}`")));
+    if parts.next().is_some() {
+        return Err(format!("invalid {name} spec `{instance}`"));
+    }
+    Ok(Some((seed.transpose()?, n.transpose()?)))
 }
 
-impl ConvertDoc {
-    /// Decodes a JSON document, dispatching on its `"format"` header.
-    fn from_json(label: &str, text: &str) -> Result<ConvertDoc, String> {
-        let format = jsonio::parse(text)
-            .and_then(|doc| Ok(doc.field("format")?.as_str()?.to_string()))
-            .map_err(|e| format!("`{label}`: {e}"))?;
-        let prefix = |e: &dyn std::fmt::Display| format!("`{label}`: {e}");
-        match format.as_str() {
-            jsonio::PROBLEM_FORMAT => {
-                jsonio::read_problem(text).map(ConvertDoc::Problem).map_err(|e| prefix(&e))
-            }
-            jsonio::FLOORPLAN_FORMAT => {
-                jsonio::read_floorplan(text).map(ConvertDoc::Floorplan).map_err(|e| prefix(&e))
-            }
-            SCENARIO_FORMAT => {
-                read_scenario(text).map(ConvertDoc::Scenario).map_err(|e| prefix(&e))
-            }
-            other => Err(format!("`{label}`: unknown document format `{other}`")),
-        }
-    }
-
-    /// Decodes an `rfpb` document, dispatching on its kind byte.
-    fn from_bin(label: &str, bytes: &[u8]) -> Result<ConvertDoc, String> {
-        let kind = binio::detect_kind(bytes).map_err(|e| format!("`{label}`: {e}"))?;
-        let prefix = |e: &dyn std::fmt::Display| format!("`{label}`: {e}");
-        match kind {
-            binio::BinKind::Problem => {
-                binio::read_problem_bin(bytes).map(ConvertDoc::Problem).map_err(|e| prefix(&e))
-            }
-            binio::BinKind::Floorplan => {
-                binio::read_floorplan_bin(bytes).map(ConvertDoc::Floorplan).map_err(|e| prefix(&e))
-            }
-            binio::BinKind::Scenario => {
-                read_scenario_bin(bytes).map(ConvertDoc::Scenario).map_err(|e| prefix(&e))
-            }
-        }
-    }
-
-    fn to_json(&self) -> String {
-        match self {
-            ConvertDoc::Problem(p) => jsonio::write_problem(p),
-            ConvertDoc::Floorplan(fp) => jsonio::write_floorplan(fp),
-            ConvertDoc::Scenario(s) => write_scenario(s),
-        }
-    }
-
-    fn to_bin(&self) -> Vec<u8> {
-        match self {
-            ConvertDoc::Problem(p) => binio::write_problem_bin(p),
-            ConvertDoc::Floorplan(fp) => binio::write_floorplan_bin(fp),
-            ConvertDoc::Scenario(s) => write_scenario_bin(s),
-        }
-    }
-}
-
-fn cmd_convert(args: &[String]) -> ExitCode {
-    let mut out: Option<String> = None;
-    let mut to_bin = false;
-    let mut instance: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--out" | "-o" => match it.next() {
-                Some(v) => out = Some(v.clone()),
-                None => return fail("--out needs a value"),
-            },
-            "--to" => match it.next().map(String::as_str) {
-                Some("json") => to_bin = false,
-                Some("bin") => to_bin = true,
-                Some(other) => return fail(format!("--to expects json or bin, not `{other}`")),
-                None => return fail("--to needs a value (json or bin)"),
-            },
-            a if a.starts_with('-') => return fail(format!("unknown option `{a}`")),
-            a => {
-                if instance.replace(a.to_string()).is_some() {
-                    return fail(format!("more than one INSTANCE given\n{USAGE}"));
-                }
-            }
-        }
-    }
-    let Some(instance) = instance else {
-        return fail(format!("missing INSTANCE argument\n{USAGE}"));
-    };
-    let builtin: Option<String> = match instance.as_str() {
-        "sdr" => Some(rfp_workloads::sdr_problem_json(0)),
-        "sdr2" => Some(rfp_workloads::sdr_problem_json(2)),
-        "sdr3" => Some(rfp_workloads::sdr_problem_json(3)),
-        "smoke" => Some(rfp_workloads::smoke_scenario_json()),
-        other if other == "defrag" || other.starts_with("defrag:") => {
-            let mut spec = DefragWorkloadSpec::default();
-            let parts: Vec<&str> = other.split(':').collect();
-            if let Some(seed) = parts.get(1) {
-                match seed.parse() {
-                    Ok(s) => spec.seed = s,
-                    Err(_) => return fail(format!("invalid defrag seed `{seed}`")),
-                }
-            }
-            if let Some(n) = parts.get(2) {
-                match n.parse() {
-                    Ok(n) => spec.n_modules = n,
-                    Err(_) => return fail(format!("invalid defrag module count `{n}`")),
-                }
-            }
-            if parts.len() > 3 {
-                return fail(format!("invalid defrag spec `{other}`"));
-            }
-            Some(write_scenario(&spec.generate()))
-        }
-        other if other == "synthetic" || other.starts_with("synthetic:") => {
-            let mut spec = WorkloadSpec::default();
-            let parts: Vec<&str> = other.split(':').collect();
-            if let Some(seed) = parts.get(1) {
-                match seed.parse() {
-                    Ok(s) => spec.seed = s,
-                    Err(_) => return fail(format!("invalid synthetic seed `{seed}`")),
-                }
-            }
-            if let Some(n) = parts.get(2) {
-                match n.parse() {
-                    Ok(n) => spec.n_regions = n,
-                    Err(_) => return fail(format!("invalid synthetic region count `{n}`")),
-                }
-            }
-            if parts.len() > 3 {
-                return fail(format!("invalid synthetic spec `{other}`"));
-            }
-            Some(spec.generate().problem_json())
-        }
-        _ => None,
-    };
-    let result = match builtin {
-        Some(json) if !to_bin => write_output(out.as_deref(), &json),
-        Some(json) => match ConvertDoc::from_json(&instance, &json) {
-            Ok(doc) => write_output_bytes(out.as_deref(), &doc.to_bin()),
-            Err(e) => return fail(e),
-        },
-        None => {
-            // Not a built-in: treat the instance as a problem/floorplan/
-            // scenario file in either serialisation.
-            let bytes = match read_bytes(&instance) {
-                Ok(b) => b,
-                Err(e) => {
-                    return fail(format!(
-                        "{e} (known instances: sdr, sdr2, sdr3, \
-                         synthetic[:SEED[:REGIONS]], smoke, defrag[:SEED[:MODULES]])"
-                    ))
-                }
-            };
-            let doc = if binio::is_binary(&bytes) {
-                ConvertDoc::from_bin(&instance, &bytes)
+/// The JSON of a built-in instance: `None` when `instance` names a file.
+fn builtin(instance: &str) -> Result<Option<String>, String> {
+    Ok(Some(match instance {
+        "sdr" => rfp_workloads::sdr_problem_json(0),
+        "sdr2" => rfp_workloads::sdr_problem_json(2),
+        "sdr3" => rfp_workloads::sdr_problem_json(3),
+        "smoke" => rfp_workloads::smoke_scenario_json(),
+        _ => {
+            if let Some((seed, n)) = seeded_spec(instance, "defrag", "module count")? {
+                let d = DefragWorkloadSpec::default();
+                let spec = DefragWorkloadSpec {
+                    seed: seed.unwrap_or(d.seed),
+                    n_modules: n.unwrap_or(d.n_modules),
+                    ..d
+                };
+                write_scenario(&spec.generate())
+            } else if let Some((seed, n)) = seeded_spec(instance, "synthetic", "region count")? {
+                let d = WorkloadSpec::default();
+                let spec = WorkloadSpec {
+                    seed: seed.unwrap_or(d.seed),
+                    n_regions: n.unwrap_or(d.n_regions),
+                    ..d
+                };
+                spec.generate().problem_json()
             } else {
-                utf8(&instance, bytes).and_then(|text| ConvertDoc::from_json(&instance, &text))
-            };
-            match doc {
-                Ok(doc) if to_bin => write_output_bytes(out.as_deref(), &doc.to_bin()),
-                Ok(doc) => write_output(out.as_deref(), &doc.to_json()),
-                Err(e) => return fail(e),
+                return Ok(None);
             }
         }
-    };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => fail(e),
-    }
+    }))
 }
 
-fn cmd_sweep(args: &[String]) -> ExitCode {
-    let mut grid_path: Option<String> = None;
-    let mut workers: usize = 1;
-    let mut out: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut quiet = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--grid" | "-g" => match it.next() {
-                Some(v) => grid_path = Some(v.clone()),
-                None => return fail("--grid needs a value"),
-            },
-            "--workers" | "-w" => match it.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) if n > 0 => workers = n,
-                Some(_) => return fail("--workers needs a positive integer"),
-                None => return fail("--workers needs a value"),
-            },
-            "--out" | "-o" => match it.next() {
-                Some(v) => out = Some(v.clone()),
-                None => return fail("--out needs a value"),
-            },
-            "--trace" => match it.next() {
-                Some(v) => trace_path = Some(v.clone()),
-                None => return fail("--trace needs a value"),
-            },
-            "--quiet" | "-q" => quiet = true,
-            a => return fail(format!("unknown argument `{a}`\n{USAGE}")),
+fn cmd_convert(args: &[String]) -> Result<ExitCode, String> {
+    let args = parse_args("convert", args, &[Flag("--to", "", Value), OUT], &["INSTANCE"])?;
+    let to_bin = args.get("--to", "json | bin", |v| match v {
+        "json" => Some(false),
+        "bin" => Some(true),
+        _ => None,
+    })?;
+    let instance = &args.positionals[0];
+    let doc = match builtin(instance)? {
+        Some(json) => Doc::decode(instance, json.as_bytes())?,
+        // Not a built-in: a problem/floorplan/scenario file in either
+        // serialisation.
+        None => {
+            let bytes = read_bytes(instance).map_err(|e| {
+                format!(
+                    "{e} (known instances: sdr, sdr2, sdr3, \
+                     synthetic[:SEED[:REGIONS]], smoke, defrag[:SEED[:MODULES]])"
+                )
+            })?;
+            Doc::decode(instance, &bytes)?
         }
-    }
-    let grid = match grid_path {
-        Some(path) => match read_file(&path)
-            .and_then(|d| read_grid(&d).map_err(|e| format!("`{path}`: {e}")))
-        {
-            Ok(g) => g,
-            Err(e) => return fail(e),
-        },
+    };
+    let rendered = if to_bin == Some(true) { doc.to_bin() } else { doc.to_json().into_bytes() };
+    write_output(args.value("--out").as_deref(), &rendered)?;
+    Ok(ExitCode::SUCCESS)
+}
+
+fn cmd_sweep(args: &[String]) -> Result<ExitCode, String> {
+    let args = parse_args(
+        "sweep",
+        args,
+        &[Flag("--grid", "-g", Value), Flag("--workers", "-w", Value), OUT, TRACE, QUIET],
+        &[],
+    )?;
+    let workers = args.positive("--workers")?.unwrap_or(1);
+    let grid = match args.value("--grid") {
+        Some(path) => read_grid(&read_file(&path)?).map_err(|e| format!("`{path}`: {e}"))?,
         None => SweepGrid::smoke(),
     };
     // Runs land on plan-stable `run#####` tracks, so a sweep trace — like
     // the report — is byte-identical at every --workers value.
-    let collector = trace_path.as_ref().map(|_| relocfp::trace::Collector::new());
-    let trace_scope = collector.as_ref().map(|c| c.install("main"));
-    let cli_span = relocfp::trace::span("cli.sweep");
-    let swept = run_sweep(
-        &grid,
-        &SweepOptions {
-            workers,
-            trace: collector.as_ref().map(|c| c.handle()),
-            ..Default::default()
-        },
-    );
-    drop(cli_span);
-    drop(trace_scope);
-    if let (Some(path), Some(collector)) = (&trace_path, &collector) {
-        if let Err(e) = write_trace(path, collector) {
-            return fail(e);
-        }
-    }
-    let outcome = match swept {
-        Ok(o) => o,
-        Err(e) => return fail(e.to_string()),
-    };
-    if let Err(e) = write_output(out.as_deref(), &outcome.report.to_json()) {
-        return fail(e);
-    }
+    let outcome = traced(args.value("--trace").as_deref(), "cli.sweep", |trace| {
+        run_sweep(&grid, &SweepOptions { workers, trace, ..Default::default() })
+    })?
+    .map_err(|e| e.to_string())?;
+    write_output(args.value("--out").as_deref(), outcome.report.to_json().as_bytes())?;
     let violations: u64 = outcome.report.cells.iter().map(|c| c.violations).sum();
-    if !quiet {
+    if !args.has("--quiet") {
         eprintln!(
             "sweep `{}`: {} runs over {} cells on {} worker(s) in {:.2}s \
              ({:.1} KiB of shared binary trace)",
@@ -991,9 +834,5 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
             eprintln!("warning: {violations} constraint violation(s) across the fleet");
         }
     }
-    if violations > 0 {
-        ExitCode::from(2)
-    } else {
-        ExitCode::SUCCESS
-    }
+    Ok(ExitCode::from(if violations > 0 { 2 } else { 0 }))
 }

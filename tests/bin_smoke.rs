@@ -1,10 +1,12 @@
 //! CLI smoke tests for the binary-format and fleet-sweep subcommands:
 //! `rfp convert --to json|bin`, magic-byte sniffing in `solve` / `validate`
 //! / `simulate`, the `rfp sweep` worker-pool determinism contract, and the
-//! `solve` status line.
+//! `solve` status line, the usage-error contract and the seeded built-ins.
 
+use relocfp::runtime::write_scenario;
+use relocfp::workloads::{DefragWorkloadSpec, WorkloadSpec};
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn rfp(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_rfp")).args(args).output().expect("rfp runs")
@@ -195,4 +197,73 @@ fn solve_reports_the_gap_of_an_unproven_floorplan() {
     let tiny = golden.join("tiny.problem.json");
     let stderr = String::from_utf8(ok(&["solve", s(&tiny)]).stderr).unwrap();
     assert!(stderr.contains("proven") && !stderr.contains("gap"), "{stderr}");
+}
+
+#[test]
+fn bad_invocations_exit_1_with_a_message_naming_the_culprit() {
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let (tiny, smoke) = (golden.join("tiny.problem.json"), golden.join("smoke.scenario.json"));
+    let smoke_bin = golden.join("smoke.scenario.rfpb");
+    let (p, sc, sb) = (s(&tiny), s(&smoke), s(&smoke_bin));
+    // Each row: an invocation and the fragments its error must name.
+    let rows: &[(&[&str], &[&str])] = &[
+        (&["solve"], &["PROBLEM"]),
+        (&["solve", p, p], &["tiny.problem.json"]),
+        (&["solve", "--threads", "0", p], &["--threads", "`0`"]),
+        (&["solve", "--threads", "257", p], &["--threads", "`257`"]),
+        (&["solve", "--node-limit", "x", p], &["--node-limit", "`x`"]),
+        (&["solve", "--engine", "milp", "--portfolio", p], &["--engine", "--portfolio"]),
+        (&["solve", p, "--out"], &["--out"]),
+        (&["solve", "--bogus", p], &["--bogus"]),
+        (&["solve", "--portfolio=milp,quantum", p], &["quantum"]),
+        (&["simulate", "--threshold", "2", sc], &["--threshold", "`2`"]),
+        (&["simulate", "--policy", "x", sc], &["policy", "`x`"]),
+        (&["simulate", "--time-limit", "0", sc], &["invalid --time-limit", "`0`"]),
+        (&["simulate"], &["SCENARIO"]),
+        (&["simulate", sc, sc], &["SCENARIO"]),
+        (&["simulate", "--engine", "quantum", sc], &["quantum"]),
+        (&["serve", "--workers", "0"], &["--workers", "`0`"]),
+        (&["serve", "--engine", "quantum"], &["quantum"]),
+        (&["serve", "--bogus"], &["--bogus"]),
+        (&["sweep", "--workers", "x"], &["--workers"]),
+        (&["sweep", "--out"], &["--out"]),
+        (&["convert"], &["INSTANCE"]),
+        (&["convert", "sdr", "sdr2"], &["INSTANCE"]),
+        (&["convert", "--to", "yaml", "sdr"], &["--to", "yaml"]),
+        (&["convert", "synthetic:x"], &["synthetic", "`x`"]),
+        (&["convert", "defrag:1:2:3"], &["defrag:1:2:3"]),
+        (&["trace"], &["summarize"]),
+        (&["trace", "summarize"], &["FILE"]),
+        (&["trace", "bogus"], &["bogus"]),
+        (&["engines", "--bogus"], &["--bogus"]),
+        (&["bogus"], &["bogus"]),
+        (&["validate", p], &["FLOORPLAN"]),
+        (&["solve", sc], &["rfp-problem", "rfp-scenario"]),
+        (&["solve", sb], &["rfp-problem", "rfp-scenario"]),
+        (&["validate", p, sc], &["rfp-floorplan", "rfp-scenario"]),
+        (&["validate", p, sb], &["rfp-floorplan", "rfp-scenario"]),
+    ];
+    for (args, names) in rows {
+        let out = Command::new(env!("CARGO_BIN_EXE_rfp"))
+            .args(*args)
+            .stdin(Stdio::null())
+            .output()
+            .expect("rfp runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "rfp {args:?}: {stderr}");
+        assert!(stderr.starts_with("rfp: "), "rfp {args:?}: {stderr}");
+        for name in *names {
+            assert!(stderr.contains(name), "rfp {args:?} must name {name}: {stderr}");
+        }
+    }
+}
+
+#[test]
+fn convert_prints_the_seeded_builtin_generators() {
+    let synthetic = ok(&["convert", "synthetic:7:5"]).stdout;
+    let spec = WorkloadSpec { seed: 7, n_regions: 5, ..Default::default() };
+    assert_eq!(String::from_utf8(synthetic).unwrap(), spec.generate().problem_json());
+    let defrag = ok(&["convert", "defrag:3:10"]).stdout;
+    let spec = DefragWorkloadSpec { seed: 3, n_modules: 10, ..Default::default() };
+    assert_eq!(String::from_utf8(defrag).unwrap(), write_scenario(&spec.generate()));
 }
