@@ -7,13 +7,17 @@
 //! and minor frame index — which is what the relocation filter rewrites. The
 //! container ends with a CRC-32 over the addresses and payloads.
 
-use crate::crc::crc32_update;
+use crate::crc::crc32_update_words;
 use rfp_device::{FabricPartition, Rect};
 use std::fmt;
 
 /// Number of 32-bit words per configuration frame (a Virtex-5 frame holds 41
 /// words; the synthetic format keeps that flavour).
 pub const FRAME_WORDS: usize = 41;
+
+/// Words [`Bitstream::compute_crc`] buffers per call to the CRC kernel
+/// (8 KiB on the stack).
+const CRC_BUFFER_WORDS: usize = 2048;
 
 /// Address of one configuration frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -141,21 +145,32 @@ impl Bitstream {
 
     /// Recomputes the CRC-32 over addresses and payloads: per frame, the
     /// column, row and minor index, then the payload words, all
-    /// little-endian. Each frame is hashed as one contiguous buffer.
+    /// little-endian. The words reach the word CRC kernel through one
+    /// stack buffer, refilled across frame boundaries, so a long bitstream
+    /// is hashed in long runs (four CRC registers at once) whatever its
+    /// frames' lengths, and nothing is allocated.
     pub fn compute_crc(&self) -> u32 {
         let mut state = 0xFFFF_FFFFu32;
-        let mut buf = Vec::with_capacity(12 + FRAME_WORDS * 4);
-        for frame in &self.frames {
-            buf.clear();
-            buf.extend_from_slice(&frame.address.column.to_le_bytes());
-            buf.extend_from_slice(&frame.address.row.to_le_bytes());
-            buf.extend_from_slice(&frame.address.minor.to_le_bytes());
-            for word in &frame.words {
-                buf.extend_from_slice(&word.to_le_bytes());
+        let mut buf = [0u32; CRC_BUFFER_WORDS];
+        let mut len = 0;
+        let mut feed = |mut words: &[u32]| {
+            while !words.is_empty() {
+                if len == buf.len() {
+                    state = crc32_update_words(state, &buf);
+                    len = 0;
+                }
+                let n = words.len().min(buf.len() - len);
+                buf[len..len + n].copy_from_slice(&words[..n]);
+                len += n;
+                words = &words[n..];
             }
-            state = crc32_update(state, &buf);
+        };
+        for frame in &self.frames {
+            let a = &frame.address;
+            feed(&[a.column, a.row, a.minor]);
+            feed(&frame.words);
         }
-        state ^ 0xFFFF_FFFF
+        crc32_update_words(state, &buf[..len]) ^ 0xFFFF_FFFF
     }
 
     /// Verifies the stored CRC.
@@ -228,20 +243,40 @@ mod tests {
         assert!(matches!(bs.verify(), Err(BitstreamError::CrcMismatch { .. })));
     }
 
+    /// `compute_crc` is the byte CRC of the serialised addresses and
+    /// payloads, for bitstreams of no, one and many frames and for frames
+    /// of every length near a block and the buffer boundaries.
     #[test]
     fn frames_of_any_length_hash_their_address_then_their_words() {
         let p = partition();
-        let mut bs = Bitstream::generate(&p, "m", Rect::new(1, 1, 1, 1), 2).unwrap();
-        bs.frames[0].words.truncate(7);
-        bs.frames[1].words.push(0xDEAD_BEEF);
-        bs.frames[2].words.clear();
-        let mut bytes = Vec::new();
-        for f in &bs.frames {
-            for v in [f.address.column, f.address.row, f.address.minor].iter().chain(&f.words) {
-                bytes.extend_from_slice(&v.to_le_bytes());
+        let base = Bitstream::generate(&p, "m", Rect::new(1, 1, 2, 2), 2).unwrap();
+        let byte_crc = |bs: &Bitstream| {
+            let mut bytes = Vec::new();
+            for f in &bs.frames {
+                for v in [f.address.column, f.address.row, f.address.minor].iter().chain(&f.words) {
+                    bytes.extend_from_slice(&v.to_le_bytes());
+                }
+            }
+            crate::crc32(&bytes)
+        };
+        let lengths = [0, 1, 40, 41, 42, CRC_BUFFER_WORDS - 3, CRC_BUFFER_WORDS + 5];
+        for n_frames in [0, 1, 2, base.n_frames()] {
+            for (i, &len) in lengths.iter().enumerate() {
+                let mut bs = base.clone();
+                bs.frames.truncate(n_frames);
+                for (k, f) in bs.frames.iter_mut().enumerate() {
+                    let len = lengths[(i + k) % lengths.len()];
+                    f.words =
+                        (0..len as u32).map(|w| w.wrapping_mul(0x9E37_79B9) ^ k as u32).collect();
+                }
+                assert_eq!(
+                    bs.compute_crc(),
+                    byte_crc(&bs),
+                    "{n_frames} frames, first of {len} words"
+                );
             }
         }
-        assert_eq!(bs.compute_crc(), crate::crc32(&bytes));
+        assert_eq!(base.compute_crc(), byte_crc(&base));
     }
 
     #[test]

@@ -184,6 +184,11 @@ impl SearchCounts {
     }
 }
 
+/// The incumbent of a parallel solve: `(waste, wirelength, floorplan,
+/// path)`, where `path` is its leaf's candidate index per level of the
+/// search order.
+type SharedIncumbent = (u64, f64, Floorplan, Vec<usize>);
+
 /// State shared by the workers of a parallel solve. The atomic `best_waste`
 /// mirrors the mutex-held incumbent so the hot bound check in [`SearchCtx::step`]
 /// never takes a lock; it may lag behind (read a stale, too-large value),
@@ -191,8 +196,8 @@ impl SearchCounts {
 struct ParShared {
     /// Wasted frames of the shared incumbent; `u64::MAX` while none exists.
     best_waste: AtomicU64,
-    /// The shared incumbent: `(waste, wirelength, floorplan)`.
-    best: Mutex<Option<(u64, f64, Floorplan)>>,
+    /// The shared incumbent.
+    best: Mutex<Option<SharedIncumbent>>,
     /// Global wind-down flag: budget hit, cancellation, or a first-feasible
     /// find. Workers poll it at every node.
     abort: AtomicBool,
@@ -536,17 +541,29 @@ impl<'a> SearchCtx<'a> {
     /// lexicographic objective, reporting it through the control; only then
     /// is its floorplan built. Parallel workers compare and install under the
     /// shared lock so incumbent reports stay monotone.
+    ///
+    /// Of leaves with equal objectives the serial search keeps the first it
+    /// meets, the one whose choice path (candidate index per level) is
+    /// lexicographically smallest. Parallel workers meet leaves in no fixed
+    /// order, so on a tie they keep the smaller path (without a report: the
+    /// objective did not improve), and every thread count returns the serial
+    /// floorplan of a proven search.
     fn install(&mut self, waste: u64, wl: f64, fc_areas: Vec<FcPlacement>) {
-        let improves = |cur: &Option<(u64, f64, Floorplan)>| match cur {
-            None => true,
-            Some((bw, bwl, _)) => waste < *bw || (waste == *bw && wl + 1e-9 < *bwl),
-        };
+        let improves = |bw: u64, bwl: f64| waste < bw || (waste == bw && wl + 1e-9 < bwl);
+        let ties = |bw: u64, bwl: f64| waste == bw && (wl - bwl).abs() <= 1e-9;
         match self.shared {
             Some(sh) => {
+                let path = || self.order.iter().map(|&r| self.choice[r]);
                 let mut best = sh.best.lock().unwrap_or_else(|e| e.into_inner());
-                if improves(&best) {
-                    *best = Some((waste, wl, self.floorplan(fc_areas)));
+                let improved = best.as_ref().is_none_or(|&(bw, bwl, ..)| improves(bw, bwl));
+                let earlier_tie = best.as_ref().is_some_and(|(bw, bwl, _, best_path)| {
+                    ties(*bw, *bwl) && path().lt(best_path.iter().copied())
+                });
+                if improved || earlier_tie {
+                    *best = Some((waste, wl, self.floorplan(fc_areas), path().collect()));
                     sh.best_waste.store(waste, Ordering::Relaxed);
+                }
+                if improved {
                     self.ctl.report_incumbent(
                         "combinatorial",
                         waste as f64,
@@ -555,7 +572,7 @@ impl<'a> SearchCtx<'a> {
                 }
             }
             None => {
-                if improves(&self.best) {
+                if self.best.as_ref().is_none_or(|&(bw, bwl, _)| improves(bw, bwl)) {
                     self.best = Some((waste, wl, self.floorplan(fc_areas)));
                     self.ctl.report_incumbent(
                         "combinatorial",
@@ -996,7 +1013,7 @@ fn solve_parallel(parts: &SolveParts<'_>, table: &TargetTable<'_>) -> Combinator
 
     let best = shared.best.into_inner().unwrap_or_else(|e| e.into_inner());
     parts.result(
-        best,
+        best.map(|(waste, wl, floorplan, _)| (waste, wl, floorplan)),
         !shared.abort.load(Ordering::Relaxed),
         shared.nodes.load(Ordering::Relaxed),
         shared.cancelled.load(Ordering::Relaxed),

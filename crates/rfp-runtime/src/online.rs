@@ -506,6 +506,7 @@ impl OnlineFloorplanner {
 
     /// Re-checks every runtime invariant (used at checkpoints).
     fn check_invariants(&self, traffic: &mut Traffic) {
+        let _checkpoint = rfp_trace::span("runtime.checkpoint");
         let rects: Vec<(ModuleId, Rect)> =
             self.running.iter().map(|(&id, r)| (id, r.rect)).collect();
         for (i, &(id_a, a)) in rects.iter().enumerate() {

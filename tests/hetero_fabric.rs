@@ -105,6 +105,28 @@ fn all_five_engines_solve_the_hetero_golden_problem() {
     }
 }
 
+/// The parallel combinatorial search returns the serial floorplan, byte for
+/// byte, in every repeated run: the golden has two 1x4 regions whose swap
+/// ties on the objective, and a worker finding the swapped leaf first must
+/// not keep it.
+#[test]
+fn parallel_combinatorial_returns_the_serial_floorplan_of_the_hetero_golden() {
+    let problem = jsonio::read_problem(&golden("hetero.problem.json")).unwrap();
+    let engine = rfp_baselines::engines::full_registry().get("combinatorial").unwrap();
+    let floorplan = |threads: usize| {
+        let req = SolveRequest::new(problem.clone()).with_time_limit(120.0).with_threads(threads);
+        let outcome = engine.solve(&req, &SolveControl::default());
+        assert!(outcome.is_proven(), "{threads} thread(s): {:?}", outcome.detail);
+        jsonio::write_floorplan(outcome.floorplan.as_ref().expect("proven implies a floorplan"))
+    };
+    let serial = floorplan(1);
+    for run in 0..50 {
+        for threads in [2, 3, 4] {
+            assert_eq!(floorplan(threads), serial, "{threads} threads, run {run}");
+        }
+    }
+}
+
 #[test]
 fn relocation_aware_engines_satisfy_the_hard_constraint_variant() {
     // The same instance with the request as a hard constraint: the MILP
