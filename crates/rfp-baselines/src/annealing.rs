@@ -133,8 +133,7 @@ impl AnnealingFloorplanner {
     ///
     /// The move loop polls the control's cancellation token (and the
     /// deadline) every few hundred proposals and stops early, keeping the
-    /// best floorplan found so far; improved incumbents are reported through
-    /// the control's callback with the annealing cost as the objective.
+    /// best floorplan found so far.
     pub fn solve_with_control(
         &self,
         problem: &FloorplanProblem,
@@ -162,13 +161,9 @@ impl AnnealingFloorplanner {
                 .map(|r| rng.gen_range(0..candidates[r].len()))
                 .collect(),
         };
-        let start = Instant::now();
         let mut cost = state.cost();
         let mut best: Option<(f64, Vec<usize>)> =
             state.is_overlap_free().then(|| (cost, state.choice.clone()));
-        if best.is_some() {
-            ctl.report_incumbent("annealing", cost, 0.0);
-        }
 
         let mut temperature = INITIAL_TEMPERATURE;
         let cooling_period = ITERATIONS / 100;
@@ -201,7 +196,6 @@ impl AnnealingFloorplanner {
                 cost = new_cost;
                 if state.is_overlap_free() && best.as_ref().is_none_or(|(bc, _)| cost < *bc) {
                     best = Some((cost, state.choice.clone()));
-                    ctl.report_incumbent("annealing", cost, start.elapsed().as_secs_f64());
                 }
             } else {
                 state.choice[region] = old_choice;

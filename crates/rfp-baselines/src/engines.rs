@@ -46,11 +46,11 @@ impl FloorplanEngine for AnnealingEngine {
     }
 
     fn solve(&self, req: &SolveRequest, ctl: &SolveControl) -> SolveOutcome {
-        let problem = req.effective_problem();
+        let problem = &req.problem;
         let start = Instant::now();
         let deadline = deadline_after(start, req.time_limit_secs);
         let mut stats = EngineStats::new(self.id());
-        if has_relocation_constraint(&problem) {
+        if has_relocation_constraint(problem) {
             return SolveOutcome::without_floorplan(
                 OutcomeStatus::Infeasible,
                 "the annealing baseline is relocation-unaware and cannot satisfy \
@@ -58,7 +58,7 @@ impl FloorplanEngine for AnnealingEngine {
                 stats,
             );
         }
-        let run = match AnnealingFloorplanner::default().solve_with_control(&problem, deadline, ctl)
+        let run = match AnnealingFloorplanner::default().solve_with_control(problem, deadline, ctl)
         {
             Ok(run) => run,
             Err(e) => {
@@ -80,7 +80,7 @@ impl FloorplanEngine for AnnealingEngine {
             OutcomeStatus::Infeasible
         };
         SolveOutcome::from_search(
-            &problem,
+            problem,
             run.floorplan,
             false,
             stats,
@@ -105,7 +105,7 @@ impl FloorplanEngine for TessellationEngine {
     }
 
     fn solve(&self, req: &SolveRequest, ctl: &SolveControl) -> SolveOutcome {
-        let problem = req.effective_problem();
+        let problem = &req.problem;
         let start = Instant::now();
         let mut stats = EngineStats::new(self.id());
         stats.cancelled = ctl.cancel.is_cancelled();
@@ -116,7 +116,7 @@ impl FloorplanEngine for TessellationEngine {
                 stats,
             );
         }
-        if has_relocation_constraint(&problem) {
+        if has_relocation_constraint(problem) {
             return SolveOutcome::without_floorplan(
                 OutcomeStatus::Infeasible,
                 "the tessellation baseline is relocation-unaware and cannot satisfy \
@@ -124,7 +124,7 @@ impl FloorplanEngine for TessellationEngine {
                 stats,
             );
         }
-        let (floorplan, detail) = match tessellation_floorplan(&problem) {
+        let (floorplan, detail) = match tessellation_floorplan(problem) {
             Ok(mut fp) => {
                 // The baseline leaves every requested area missing; record
                 // that explicitly so metric-mode costs show up.
@@ -143,7 +143,7 @@ impl FloorplanEngine for TessellationEngine {
         stats.solve_seconds = start.elapsed().as_secs_f64();
         stats.cancelled = ctl.cancel.is_cancelled();
         SolveOutcome::from_search(
-            &problem,
+            problem,
             floorplan,
             false,
             stats,

@@ -407,7 +407,6 @@ struct SearchCtx<'a> {
     table: &'a TargetTable<'a>,
     config: &'a CombinatorialConfig,
     ctl: &'a SolveControl,
-    start: Instant,
     deadline: Option<Instant>,
     nodes: u64,
     aborted: bool,
@@ -458,7 +457,6 @@ impl<'a> SearchCtx<'a> {
             table,
             config: parts.config,
             ctl: parts.ctl,
-            start: parts.start,
             deadline: parts.deadline,
             nodes: 0,
             aborted: false,
@@ -538,16 +536,14 @@ impl<'a> SearchCtx<'a> {
     }
 
     /// Installs the current leaf as the incumbent when it improves the
-    /// lexicographic objective, reporting it through the control; only then
-    /// is its floorplan built. Parallel workers compare and install under the
-    /// shared lock so incumbent reports stay monotone.
+    /// lexicographic objective; only then is its floorplan built. Parallel
+    /// workers compare and install under the shared lock.
     ///
     /// Of leaves with equal objectives the serial search keeps the first it
     /// meets, the one whose choice path (candidate index per level) is
     /// lexicographically smallest. Parallel workers meet leaves in no fixed
-    /// order, so on a tie they keep the smaller path (without a report: the
-    /// objective did not improve), and every thread count returns the serial
-    /// floorplan of a proven search.
+    /// order, so on a tie they keep the smaller path, and every thread count
+    /// returns the serial floorplan of a proven search.
     fn install(&mut self, waste: u64, wl: f64, fc_areas: Vec<FcPlacement>) {
         let improves = |bw: u64, bwl: f64| waste < bw || (waste == bw && wl + 1e-9 < bwl);
         let ties = |bw: u64, bwl: f64| waste == bw && (wl - bwl).abs() <= 1e-9;
@@ -563,22 +559,10 @@ impl<'a> SearchCtx<'a> {
                     *best = Some((waste, wl, self.floorplan(fc_areas), path().collect()));
                     sh.best_waste.store(waste, Ordering::Relaxed);
                 }
-                if improved {
-                    self.ctl.report_incumbent(
-                        "combinatorial",
-                        waste as f64,
-                        self.start.elapsed().as_secs_f64(),
-                    );
-                }
             }
             None => {
                 if self.best.as_ref().is_none_or(|&(bw, bwl, _)| improves(bw, bwl)) {
                     self.best = Some((waste, wl, self.floorplan(fc_areas)));
-                    self.ctl.report_incumbent(
-                        "combinatorial",
-                        waste as f64,
-                        self.start.elapsed().as_secs_f64(),
-                    );
                 }
             }
         }
@@ -810,8 +794,7 @@ impl<'a> SearchCtx<'a> {
 
 /// Solves a floorplanning problem with the combinatorial engine under a
 /// [`SolveControl`]: the search polls the control's cancellation token in
-/// its inner loop and reports every improved incumbent (waste objective)
-/// through the control's callback.
+/// its inner loop.
 ///
 /// A budget (node, time or cancellation) that stops the search before any
 /// floorplan is found is not an error: the result has `floorplan: None`
@@ -1186,28 +1169,6 @@ mod tests {
     }
 
     #[test]
-    fn incumbents_are_reported_through_the_control() {
-        use std::sync::{Arc, Mutex};
-        let (mut p, clb, bram, _) = small_problem();
-        p.add_region(RegionSpec::new("A", vec![(clb, 2), (bram, 1)]));
-        p.add_region(RegionSpec::new("B", vec![(clb, 4)]));
-        let seen: Arc<Mutex<Vec<f64>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink = seen.clone();
-        let ctl = SolveControl {
-            cancel: Default::default(),
-            on_incumbent: Some(Arc::new(move |e: &crate::engine::IncumbentEvent| {
-                assert_eq!(e.engine, "combinatorial");
-                sink.lock().unwrap().push(e.objective);
-            })),
-            shared_incumbent: None,
-        };
-        let res = solve_combinatorial(&p, &CombinatorialConfig::default(), &ctl).unwrap();
-        let seen = seen.lock().unwrap();
-        assert!(!seen.is_empty());
-        assert_eq!(*seen.last().unwrap(), res.best_waste.unwrap() as f64);
-    }
-
-    #[test]
     fn node_limit_stops_unproven_and_keeps_the_nodes_searched() {
         let (mut p, clb, bram, _) = small_problem();
         p.add_region(RegionSpec::new("A", vec![(clb, 2), (bram, 1)]));
@@ -1441,26 +1402,53 @@ mod tests {
 
     #[test]
     fn cancellation_mid_parallel_search_is_reported() {
-        // Cancel deterministically mid-search: the token fires the moment the
-        // first incumbent lands, while workers still hold open subtrees.
-        let p = busy_problem();
-        let ctl = SolveControl::default();
-        let token = ctl.cancel.clone();
-        let ctl = SolveControl {
-            cancel: ctl.cancel.clone(),
-            on_incumbent: Some(std::sync::Arc::new(move |_: &crate::engine::IncumbentEvent| {
-                token.cancel();
-            })),
-            shared_incumbent: None,
-        };
-        let cfg = CombinatorialConfig { threads: 4, ..CombinatorialConfig::default() };
-        let res = solve_combinatorial(&p, &cfg, &ctl).unwrap();
-        assert!(res.cancelled, "the cancellation must be observed and reported");
-        assert!(!res.proven, "a cancelled run must not claim a proof");
-        // Whatever was found before the cancel is still a valid floorplan.
-        if let Some(fp) = res.floorplan {
-            assert!(fp.validate(&p).is_empty());
+        // Five chained 3-CLB regions on a 10x4 all-CLB device: 20 million
+        // nodes do not prove it (the node limit only ends the test should
+        // the cancel be lost), and the first region has more candidates
+        // than the 4 x PREFIX_FANOUT prefixes the expansion aims for, so the
+        // serial expansion is the root alone and every other node is a
+        // worker's.
+        let mut b = DeviceBuilder::new("all-clb");
+        let clb = b.tile_type("CLB", ResourceVec::new(1, 0, 0), 36);
+        b.rows(4).columns(&[clb; 10]);
+        let mut p = FloorplanProblem::new(columnar_partition(&b.build().unwrap()).unwrap());
+        let ids: Vec<_> = (0..5)
+            .map(|i| p.add_region(RegionSpec::new(format!("R{i}"), vec![(clb, 3)])))
+            .collect();
+        for pair in ids.windows(2) {
+            p.connect(pair[0], pair[1], 1.0);
         }
+        let cfg = CombinatorialConfig {
+            threads: 4,
+            node_limit: 100_000_000,
+            ..CombinatorialConfig::default()
+        };
+        // The token fires from another thread once the workers are under
+        // way. A cancel that beats them stops the search within its first
+        // node (the expansion and each worker poll the token at their first
+        // node); then the run is repeated with a longer delay.
+        for delay_ms in [20, 200, 2_000] {
+            let ctl = SolveControl::default();
+            let token = ctl.cancel.clone();
+            let res = std::thread::scope(|s| {
+                s.spawn(move || {
+                    std::thread::sleep(std::time::Duration::from_millis(delay_ms));
+                    token.cancel();
+                });
+                solve_combinatorial(&p, &cfg, &ctl).unwrap()
+            });
+            if res.nodes <= 1 {
+                continue;
+            }
+            assert!(res.cancelled, "the cancellation must be observed and reported");
+            assert!(!res.proven, "a cancelled run must not claim a proof");
+            // Whatever was found before the cancel is still a valid floorplan.
+            if let Some(fp) = res.floorplan {
+                assert!(fp.validate(&p).is_empty());
+            }
+            return;
+        }
+        panic!("every cancel landed before the workers started");
     }
 
     #[test]

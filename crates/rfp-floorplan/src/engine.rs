@@ -5,11 +5,11 @@
 //! branch-and-bound, and the relocation-unaware baselines — attack the same
 //! relocation-aware formulation. This module gives them a single contract:
 //!
-//! * [`SolveRequest`] — what to solve: the problem, optional objective-weight
-//!   overrides, wall-clock/node budgets and a warm-start hint;
+//! * [`SolveRequest`] — what to solve: the problem, wall-clock/node budgets,
+//!   a thread count and a warm-start hint;
 //! * [`SolveControl`] — how the run is steered while in flight: a shareable
 //!   [`CancelToken`] polled by every engine's inner loop plus an optional
-//!   incumbent-progress callback;
+//!   cross-engine incumbent slot ([`SharedIncumbent`]);
 //! * [`SolveOutcome`] — the unified result: a four-state status
 //!   ([`OutcomeStatus`]), the floorplan/metrics when one was found, and
 //!   engine-tagged [`EngineStats`];
@@ -55,12 +55,11 @@
 use crate::combinatorial::{solve_combinatorial, CombinatorialConfig};
 use crate::error::FloorplanError;
 use crate::heuristic::greedy_floorplan;
-use crate::model::{FloorplanMilp, MilpBuildConfig, ModelStats};
+use crate::model::{FloorplanMilp, ModelStats};
 use crate::placement::{Floorplan, Metrics};
-use crate::problem::{FloorplanProblem, ObjectiveWeights};
+use crate::problem::FloorplanProblem;
 use crate::sequence_pair::extract_relations;
 use rfp_milp::{Solver as MilpSolver, SolverConfig as MilpSolverConfig};
-use std::borrow::Cow;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -75,8 +74,6 @@ pub use rfp_milp::CancelToken;
 pub struct SolveRequest {
     /// The problem to solve.
     pub problem: FloorplanProblem,
-    /// Objective-weight override; `None` uses the problem's own weights.
-    pub weights: Option<ObjectiveWeights>,
     /// Wall-clock budget in seconds; `0` defers to the engine's own
     /// configuration (which may be unlimited). A budget too large for a
     /// deadline (see [`deadline_after`]) is unlimited.
@@ -111,14 +108,7 @@ pub fn deadline_after(start: Instant, secs: f64) -> Option<Instant> {
 impl SolveRequest {
     /// A request with no budgets and no hints.
     pub fn new(problem: FloorplanProblem) -> Self {
-        SolveRequest {
-            problem,
-            weights: None,
-            time_limit_secs: 0.0,
-            node_limit: 0,
-            warm_start: None,
-            threads: 0,
-        }
+        SolveRequest { problem, time_limit_secs: 0.0, node_limit: 0, warm_start: None, threads: 0 }
     }
 
     /// Sets the wall-clock budget (seconds).
@@ -157,43 +147,7 @@ impl SolveRequest {
         }
         self
     }
-
-    /// Sets an objective-weight override.
-    pub fn with_weights(mut self, weights: ObjectiveWeights) -> Self {
-        self.weights = Some(weights);
-        self
-    }
-
-    /// The problem with the weight override applied (borrowed when there is
-    /// nothing to override).
-    pub fn effective_problem(&self) -> Cow<'_, FloorplanProblem> {
-        match self.weights {
-            None => Cow::Borrowed(&self.problem),
-            Some(w) => {
-                let mut p = self.problem.clone();
-                p.weights = w;
-                Cow::Owned(p)
-            }
-        }
-    }
 }
-
-/// A new-incumbent notification delivered through
-/// [`SolveControl::on_incumbent`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IncumbentEvent {
-    /// Id of the reporting engine.
-    pub engine: &'static str,
-    /// Engine-scale objective of the new incumbent (lower is better): the
-    /// MILP objective for the MILP engines, wasted frames for the
-    /// combinatorial engine, the annealing cost for the annealer.
-    pub objective: f64,
-    /// Seconds since the engine's solve started.
-    pub seconds: f64,
-}
-
-/// Callback type for incumbent-progress notifications.
-pub type IncumbentCallback = Arc<dyn Fn(&IncumbentEvent) + Send + Sync>;
 
 /// The best floorplan found so far across a set of cooperating engine runs.
 ///
@@ -268,41 +222,22 @@ impl fmt::Debug for SharedIncumbent {
 }
 
 /// Run-time control handed to [`FloorplanEngine::solve`]: cooperative
-/// cancellation plus optional progress reporting. Cloning shares the same
-/// cancellation flag.
-#[derive(Clone, Default)]
+/// cancellation plus an optional cross-engine incumbent slot. Cloning shares
+/// the same cancellation flag.
+#[derive(Debug, Clone, Default)]
 pub struct SolveControl {
     /// Cancellation flag polled by the engines' inner loops (including the
     /// branch-and-bound of `rfp-milp` and the combinatorial DFS).
     pub cancel: CancelToken,
-    /// Invoked every time the engine finds a strictly better incumbent.
-    pub on_incumbent: Option<IncumbentCallback>,
     /// Cross-engine incumbent slot; the MILP engines poll it once per
     /// branch-and-bound node and adopt better floorplans as incumbents.
     pub shared_incumbent: Option<SharedIncumbent>,
 }
 
-impl fmt::Debug for SolveControl {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SolveControl")
-            .field("cancel", &self.cancel)
-            .field("on_incumbent", &self.on_incumbent.as_ref().map(|_| "Fn"))
-            .field("shared_incumbent", &self.shared_incumbent)
-            .finish()
-    }
-}
-
 impl SolveControl {
     /// A control whose token is shared with `cancel`.
     pub fn with_cancel(cancel: CancelToken) -> Self {
-        SolveControl { cancel, on_incumbent: None, shared_incumbent: None }
-    }
-
-    /// Delivers an incumbent event to the callback, if any.
-    pub fn report_incumbent(&self, engine: &'static str, objective: f64, seconds: f64) {
-        if let Some(cb) = &self.on_incumbent {
-            cb(&IncumbentEvent { engine, objective, seconds });
-        }
+        SolveControl { cancel, shared_incumbent: None }
     }
 }
 
@@ -721,7 +656,7 @@ impl FloorplanEngine for CombinatorialEngine {
     }
 
     fn solve(&self, req: &SolveRequest, ctl: &SolveControl) -> SolveOutcome {
-        let problem = req.effective_problem();
+        let problem = &req.problem;
         let mut stats = EngineStats::new(self.id());
         if let Err(e) = problem.validate() {
             stats.cancelled = ctl.cancel.is_cancelled();
@@ -742,7 +677,7 @@ impl FloorplanEngine for CombinatorialEngine {
             cfg.threads = req.threads;
         }
         stats.threads = cfg.threads.max(1);
-        let res = match solve_combinatorial(&problem, &cfg, ctl) {
+        let res = match solve_combinatorial(problem, &cfg, ctl) {
             Ok(res) => res,
             Err(e) => {
                 // Only problem-level errors reach here (validation failures,
@@ -771,7 +706,7 @@ impl FloorplanEngine for CombinatorialEngine {
                 "search budget exhausted before any feasible floorplan was found",
             )
         };
-        SolveOutcome::from_search(&problem, res.floorplan, res.proven, stats, status, detail)
+        SolveOutcome::from_search(problem, res.floorplan, res.proven, stats, status, detail)
     }
 }
 
@@ -782,7 +717,7 @@ fn solve_milp_engine(
     req: &SolveRequest,
     ctl: &SolveControl,
 ) -> SolveOutcome {
-    let problem = req.effective_problem();
+    let problem = &req.problem;
     let mut stats = EngineStats::new(engine_id);
     if let Err(e) = problem.validate() {
         stats.cancelled = ctl.cancel.is_cancelled();
@@ -802,26 +737,17 @@ fn solve_milp_engine(
 
     // A valid caller-supplied floorplan doubles as warm start and (for HO)
     // restriction seed; invalid hints are dropped.
-    let hint = req.warm_start.clone().filter(|fp| fp.validate(&problem).is_empty());
+    let hint = req.warm_start.clone().filter(|fp| fp.validate(problem).is_empty());
 
     let seed = if restricted {
         // HO needs a seed whose sequence pair restricts the model. Greedy
         // first, then the complete first-feasible search (which honours the
-        // budget and the cancellation token). Incumbents it reports are
-        // re-tagged with this engine's id.
-        match hint.clone().or_else(|| greedy_floorplan(&problem)) {
+        // budget and the cancellation token).
+        match hint.clone().or_else(|| greedy_floorplan(problem)) {
             Some(fp) => Some(fp),
             None => {
-                let seed_ctl = SolveControl {
-                    cancel: ctl.cancel.clone(),
-                    on_incumbent: ctl.on_incumbent.clone().map(|cb| {
-                        Arc::new(move |e: &IncumbentEvent| {
-                            cb(&IncumbentEvent { engine: engine_id, ..*e })
-                        }) as IncumbentCallback
-                    }),
-                    shared_incumbent: None,
-                };
-                let seed_req = SolveRequest::new(problem.clone().into_owned())
+                let seed_ctl = SolveControl::with_cancel(ctl.cancel.clone());
+                let seed_req = SolveRequest::new(problem.clone())
                     .with_time_limit(req.time_limit_secs)
                     .with_threads(req.threads.max(1));
                 let seeder = CombinatorialEngine::with_config(CombinatorialConfig {
@@ -866,26 +792,23 @@ fn solve_milp_engine(
     // branch-and-bound an initial incumbent to prune against, which is what
     // makes the indicator-heavy floorplanning models tractable for the
     // from-scratch solver.
-    let warm = hint.or_else(|| seed.clone()).or_else(|| greedy_floorplan(&problem));
+    let warm = hint.or_else(|| seed.clone()).or_else(|| greedy_floorplan(problem));
 
-    let build_cfg = match &seed {
-        None => MilpBuildConfig::optimal(),
-        Some(seed) => {
-            // The sequence pair covers the regions and, when all requested
-            // areas were reserved by the seed, also the free-compatible
-            // pseudo-regions (Section II-A). If the seed could not reserve
-            // every area, restrict only the region pairs.
-            let rects = if seed.fc_found() == problem.n_fc_areas() {
-                seed.occupied()
-            } else {
-                seed.regions.clone()
-            };
-            MilpBuildConfig::heuristic_optimal(extract_relations(&rects))
-        }
-    };
+    // The sequence pair covers the regions and, when all requested areas
+    // were reserved by the seed, also the free-compatible pseudo-regions
+    // (Section II-A). If the seed could not reserve every area, restrict
+    // only the region pairs.
+    let ho_relations = seed.as_ref().map(|seed| {
+        let rects = if seed.fc_found() == problem.n_fc_areas() {
+            seed.occupied()
+        } else {
+            seed.regions.clone()
+        };
+        extract_relations(&rects)
+    });
     let model = {
         let _build = rfp_trace::span("engine.model_build");
-        Arc::new(FloorplanMilp::build(&problem, &build_cfg))
+        Arc::new(FloorplanMilp::build(problem, ho_relations.as_deref()))
     };
     stats.model_stats = Some(model.stats());
 
@@ -896,7 +819,7 @@ fn solve_milp_engine(
     if let Some(shared) = &ctl.shared_incumbent {
         let shared = shared.clone();
         let model = Arc::clone(&model);
-        let problem_owned = problem.as_ref().clone();
+        let problem_owned = problem.clone();
         let last_seen = AtomicU64::new(0);
         cfg.external_incumbents = rfp_milp::ExternalIncumbents::from_fn(move || {
             let version = shared.version();
@@ -913,10 +836,9 @@ fn solve_milp_engine(
     }
 
     let solver = MilpSolver::new(cfg);
-    let start = warm.and_then(|fp| model.encode(&problem, &fp));
+    let start = warm.and_then(|fp| model.encode(problem, &fp));
     rfp_trace::count("engine.warm_starts", start.is_some() as u64);
-    let progress = |obj: f64, secs: f64| ctl.report_incumbent(engine_id, obj, secs);
-    let mut solution = solver.solve_controlled(&model.milp, start.as_deref(), Some(&progress));
+    let mut solution = solver.solve_controlled(&model.milp, start.as_deref());
 
     // Assignment models keep free-compatible areas out of the formulation,
     // so an optimal assignment may leave the greedy reservation pass no room
@@ -938,7 +860,7 @@ fn solve_milp_engine(
             break None;
         }
         let floorplan = model.extract(&solution);
-        let issues = floorplan.validate(&problem);
+        let issues = floorplan.validate(problem);
         let fc_only = !issues.is_empty() && issues.iter().all(|i| i.contains("was not identified"));
         if !fc_only
             || stats.cancelled
@@ -953,7 +875,7 @@ fn solve_milp_engine(
             break Some((floorplan, issues));
         }
         rfp_trace::count("engine.fc_nogood_retries", 1);
-        solution = solver.solve_controlled(milp, None, Some(&progress));
+        solution = solver.solve_controlled(milp, None);
     };
     let (status, detail) = match &found {
         None if solution.status == rfp_milp::SolveStatus::Infeasible => {
@@ -977,15 +899,14 @@ fn solve_milp_engine(
     // the greedy reservation pass is incomplete, so a banned assignment
     // might still have admitted the areas under a smarter reservation.
     let proven = solution.status == rfp_milp::SolveStatus::Optimal && retry_milp.is_none();
-    SolveOutcome::from_search(&problem, floorplan, proven, stats, status, detail)
+    SolveOutcome::from_search(problem, floorplan, proven, stats, status, detail)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::{RegionSpec, RelocationRequest};
+    use crate::problem::{ObjectiveWeights, RegionSpec, RelocationRequest};
     use rfp_device::{columnar_partition, DeviceBuilder, ResourceVec};
-    use std::sync::Mutex;
 
     fn tiny_problem() -> (FloorplanProblem, rfp_device::TileTypeId, rfp_device::TileTypeId) {
         let mut b = DeviceBuilder::new("engine-tiny");
@@ -1118,52 +1039,6 @@ mod tests {
         for id in ["milp", "combinatorial"] {
             let outcome = registry.get(id).unwrap().solve(&SolveRequest::new(p.clone()), &ctl);
             assert!(outcome.stats.cancelled, "{id} must observe the cancellation");
-        }
-    }
-
-    #[test]
-    fn weight_override_is_applied_to_the_metrics() {
-        let (mut p, clb, _) = tiny_problem();
-        let a = p.add_region(RegionSpec::new("A", vec![(clb, 1)]));
-        let b = p.add_region(RegionSpec::new("B", vec![(clb, 1)]));
-        p.connect(a, b, 10.0);
-        let req = SolveRequest::new(p).with_weights(ObjectiveWeights::wirelength_only());
-        let outcome = EngineRegistry::builtin()
-            .get("combinatorial")
-            .unwrap()
-            .solve(&req, &SolveControl::default());
-        let m = outcome.metrics.unwrap();
-        // With wirelength-only weights the objective is exactly the
-        // normalised wire-length term.
-        let expected = m.wirelength / req.effective_problem().wl_max();
-        assert!((m.objective - expected).abs() < 1e-12);
-    }
-
-    #[test]
-    fn incumbent_callback_fires_for_the_combinatorial_engine() {
-        let (mut p, clb, bram) = tiny_problem();
-        p.add_region(RegionSpec::new("A", vec![(clb, 2), (bram, 1)]));
-        p.add_region(RegionSpec::new("B", vec![(clb, 2)]));
-        let events: Arc<Mutex<Vec<IncumbentEvent>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink = events.clone();
-        let ctl = SolveControl {
-            cancel: CancelToken::new(),
-            on_incumbent: Some(Arc::new(move |e: &IncumbentEvent| {
-                sink.lock().unwrap().push(*e);
-            })),
-            shared_incumbent: None,
-        };
-        let outcome = EngineRegistry::builtin()
-            .get("combinatorial")
-            .unwrap()
-            .solve(&SolveRequest::new(p), &ctl);
-        assert!(outcome.is_proven());
-        let events = events.lock().unwrap();
-        assert!(!events.is_empty());
-        assert!(events.iter().all(|e| e.engine == "combinatorial"));
-        // Waste-objective improvements are monotone non-increasing.
-        for w in events.windows(2) {
-            assert!(w[1].objective <= w[0].objective);
         }
     }
 

@@ -98,8 +98,8 @@ pub mod sequence_pair;
 /// Convenient glob import of the public API.
 pub mod prelude {
     pub use crate::engine::{
-        adapt_floorplan, CancelToken, EngineRegistry, EngineStats, FloorplanEngine, IncumbentEvent,
-        OutcomeStatus, SharedIncumbent, SolveControl, SolveDispatcher, SolveOutcome, SolveRequest,
+        adapt_floorplan, CancelToken, EngineRegistry, EngineStats, FloorplanEngine, OutcomeStatus,
+        SharedIncumbent, SolveControl, SolveDispatcher, SolveOutcome, SolveRequest,
     };
     pub use crate::error::FloorplanError;
     pub use crate::feasibility::{feasibility_analysis, RegionFeasibility};
@@ -113,8 +113,8 @@ pub mod prelude {
 }
 
 pub use engine::{
-    adapt_floorplan, CancelToken, EngineRegistry, EngineStats, FloorplanEngine, IncumbentEvent,
-    OutcomeStatus, SharedIncumbent, SolveControl, SolveDispatcher, SolveOutcome, SolveRequest,
+    adapt_floorplan, CancelToken, EngineRegistry, EngineStats, FloorplanEngine, OutcomeStatus,
+    SharedIncumbent, SolveControl, SolveDispatcher, SolveOutcome, SolveRequest,
 };
 pub use error::FloorplanError;
 pub use fingerprint::ProblemFingerprint;

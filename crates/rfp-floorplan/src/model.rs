@@ -64,27 +64,6 @@ use crate::sequence_pair::{PairRelation, Relation};
 use rfp_device::{ColumnarPartition, FabricPartition, PortionId, Rect};
 use rfp_milp::{ConOp, LinExpr, Model, Sense, Solution, VarId};
 
-/// Which algorithm variant the model is built for.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct MilpBuildConfig {
-    /// HO mode: pairwise relations extracted from a heuristic solution; each
-    /// fixes the corresponding relative-position binary, shrinking the search
-    /// space (Section II-A). `None` builds the full O model.
-    pub ho_relations: Option<Vec<PairRelation>>,
-}
-
-impl MilpBuildConfig {
-    /// Builds the full (O) model.
-    pub fn optimal() -> Self {
-        MilpBuildConfig { ho_relations: None }
-    }
-
-    /// Builds the HO model constrained by the given pairwise relations.
-    pub fn heuristic_optimal(relations: Vec<PairRelation>) -> Self {
-        MilpBuildConfig { ho_relations: Some(relations) }
-    }
-}
-
 /// Handles to every variable of the generated model, used for extraction and
 /// by the white-box tests.
 #[derive(Debug, Clone)]
@@ -172,22 +151,30 @@ pub struct FloorplanMilp {
 }
 
 impl FloorplanMilp {
-    /// Generates the MILP for a problem.
+    /// Generates the MILP for a problem: the full (O) model, or with
+    /// `ho_relations` the HO model, in which each pairwise relation of a
+    /// heuristic solution fixes the corresponding relative-position binary,
+    /// shrinking the search space (Section II-A).
     ///
     /// Legacy columnar devices get the portion-based formulation of the
     /// paper; heterogeneous fabrics (and columnar devices with die
     /// boundaries, whose relocation rules the portion equations cannot
-    /// express) get the candidate-assignment formulation.
-    pub fn build(problem: &FloorplanProblem, config: &MilpBuildConfig) -> FloorplanMilp {
+    /// express) get the candidate-assignment formulation, which ignores the
+    /// relations (its assignment space is already discrete and small).
+    pub fn build(
+        problem: &FloorplanProblem,
+        ho_relations: Option<&[PairRelation]>,
+    ) -> FloorplanMilp {
         if problem.partition.is_columnar_legacy() {
-            Self::build_portion(problem, config)
+            Self::build_portion(problem, ho_relations.unwrap_or_default())
         } else {
-            Self::build_assignment(problem, config)
+            Self::build_assignment(problem)
         }
     }
 
-    /// The portion-offset formulation (Equations 1-15) for columnar devices.
-    fn build_portion(problem: &FloorplanProblem, config: &MilpBuildConfig) -> FloorplanMilp {
+    /// The portion-offset formulation (Equations 1-15) for columnar devices;
+    /// each of `ho_relations` fixes a relative-position binary.
+    fn build_portion(problem: &FloorplanProblem, ho_relations: &[PairRelation]) -> FloorplanMilp {
         let partition: &ColumnarPartition =
             problem.partition.columnar().expect("portion model requires a columnar device");
         let cols = partition.cols as f64;
@@ -408,7 +395,7 @@ impl FloorplanMilp {
             }
             // Forbidden areas (Equations 1 and 2).
             vars.q.push(Vec::with_capacity(partition.forbidden.len()));
-            for (ai, fa) in partition.forbidden.iter().enumerate() {
+            for fa in &partition.forbidden {
                 let q = m.bin_var(format!("q[{name}][{}]", fa.name));
                 vars.q[e].push(q);
                 m.add_con(
@@ -429,7 +416,6 @@ impl FloorplanMilp {
                         fa.xa2() as f64 + 1.0 - 2.0 * cols,
                     );
                 }
-                let _ = ai;
             }
         }
 
@@ -454,24 +440,7 @@ impl FloorplanMilp {
         // ------------------------------------------------------------------
         // Pairwise non-overlap (soft for metric-mode FC areas, Section V).
         // ------------------------------------------------------------------
-        let relation_of = |i: usize, j: usize| -> Option<Relation> {
-            config.ho_relations.as_ref().and_then(|rels| {
-                rels.iter().find_map(|r| {
-                    if r.a == i && r.b == j {
-                        Some(r.relation)
-                    } else if r.a == j && r.b == i {
-                        Some(match r.relation {
-                            Relation::LeftOf => Relation::RightOf,
-                            Relation::RightOf => Relation::LeftOf,
-                            Relation::Above => Relation::Below,
-                            Relation::Below => Relation::Above,
-                        })
-                    } else {
-                        None
-                    }
-                })
-            })
-        };
+        let fixed_relations = index_relations(ho_relations, entities);
         // Soft entities (metric-mode FC areas) may legally overlap when their
         // violation binary fires, so only *hard* pairs admit the pairwise
         // mutual-exclusion structure below.
@@ -480,7 +449,7 @@ impl FloorplanMilp {
             for j in (i + 1)..entities {
                 let ni = entity_name(i);
                 let nj = entity_name(j);
-                let fixed = relation_of(i, j);
+                let fixed = fixed_relations[i * entities + j];
                 let mut left_ij = m.bin_var(format!("left[{ni}][{nj}]"));
                 let mut left_ji = m.bin_var(format!("left[{nj}][{ni}]"));
                 let mut below_ij = m.bin_var(format!("above[{ni}][{nj}]"));
@@ -553,7 +522,6 @@ impl FloorplanMilp {
             let ec = n_regions + c_idx; // entity index of the FC area
             let en = region; // entity index of the source region
             let name_c = entity_name(ec);
-            let name_n = entity_name(en);
             let v_term = |scale: f64| -> LinExpr {
                 match (mode, vars.v[c_idx]) {
                     (RelocationMode::Metric { .. }, Some(v)) => LinExpr::term(v, scale),
@@ -623,7 +591,6 @@ impl FloorplanMilp {
                     }
                 }
             }
-            let _ = name_n;
         }
 
         // ------------------------------------------------------------------
@@ -701,11 +668,10 @@ impl FloorplanMilp {
         // Relocation cost (Equations 13 and 15).
         if weights.relocation != 0.0 {
             let scale = weights.relocation / problem.rl_max();
-            for (c_idx, &(req_idx, _, mode)) in fc_meta.iter().enumerate() {
-                if let (RelocationMode::Metric { weight }, Some(v)) = (mode, vars.v[c_idx]) {
+            for (&(_, _, mode), &v) in fc_meta.iter().zip(&vars.v) {
+                if let (RelocationMode::Metric { weight }, Some(v)) = (mode, v) {
                     objective += LinExpr::term(v, weight * scale);
                 }
-                let _ = req_idx;
             }
         }
 
@@ -727,9 +693,8 @@ impl FloorplanMilp {
     /// with a **constraint-mode** relocation request, candidates spanning a
     /// die boundary are pruned up front — a boundary-crossing source has no
     /// compatible target anywhere, so such an assignment can never satisfy
-    /// the constraint. HO relations are ignored (the assignment space is
-    /// already discrete and small).
-    fn build_assignment(problem: &FloorplanProblem, _config: &MilpBuildConfig) -> FloorplanMilp {
+    /// the constraint.
+    fn build_assignment(problem: &FloorplanProblem) -> FloorplanMilp {
         let partition = &problem.partition;
         let n_regions = problem.regions.len();
         let fc_meta = problem.fc_areas();
@@ -1173,6 +1138,30 @@ impl FloorplanMilp {
     }
 }
 
+/// The relation fixed for each entity pair `(i, j)`, `i < j`, at
+/// `i * entities + j`, seen from `i`: the first of `relations` that names the
+/// pair, in either order.
+fn index_relations(relations: &[PairRelation], entities: usize) -> Vec<Option<Relation>> {
+    let mut fixed = vec![None; entities * entities];
+    for r in relations {
+        let (i, j, relation) = if r.a < r.b {
+            (r.a, r.b, r.relation)
+        } else {
+            let inverse = match r.relation {
+                Relation::LeftOf => Relation::RightOf,
+                Relation::RightOf => Relation::LeftOf,
+                Relation::Above => Relation::Below,
+                Relation::Below => Relation::Above,
+            };
+            (r.b, r.a, inverse)
+        };
+        if i < j && j < entities {
+            fixed[i * entities + j].get_or_insert(relation);
+        }
+    }
+    fixed
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1204,9 +1193,9 @@ mod tests {
     fn model_statistics_scale_with_entities() {
         let (mut p, clb, bram) = tiny_problem();
         p.add_region(RegionSpec::new("A", vec![(clb, 2)]));
-        let one = FloorplanMilp::build(&p, &MilpBuildConfig::optimal());
+        let one = FloorplanMilp::build(&p, None);
         p.add_region(RegionSpec::new("B", vec![(bram, 1)]));
-        let two = FloorplanMilp::build(&p, &MilpBuildConfig::optimal());
+        let two = FloorplanMilp::build(&p, None);
         assert_eq!(one.n_entities(), 1);
         assert_eq!(two.n_entities(), 2);
         assert!(two.stats().n_vars > one.stats().n_vars);
@@ -1219,7 +1208,7 @@ mod tests {
         let (mut p, clb, _) = tiny_problem();
         let a = p.add_region(RegionSpec::new("A", vec![(clb, 2)]));
         p.request_relocation(RelocationRequest::constraint(a, 2));
-        let model = FloorplanMilp::build(&p, &MilpBuildConfig::optimal());
+        let model = FloorplanMilp::build(&p, None);
         assert_eq!(model.n_entities(), 3, "FC ⊂ N: one entity per requested area");
     }
 
@@ -1232,7 +1221,7 @@ mod tests {
         let comb =
             solve_combinatorial(&p, &CombinatorialConfig::default(), &SolveControl::default())
                 .unwrap();
-        let model = FloorplanMilp::build(&p, &MilpBuildConfig::optimal());
+        let model = FloorplanMilp::build(&p, None);
         let sol = milp_solver().solve(&model.milp);
         assert!(sol.status.has_solution(), "status {:?}", sol.status);
         let fp = model.extract(&sol);
@@ -1247,7 +1236,7 @@ mod tests {
         p.weights = ObjectiveWeights::area_only();
         let a = p.add_region(RegionSpec::new("A", vec![(clb, 1), (bram, 1)]));
         p.request_relocation(RelocationRequest::constraint(a, 1));
-        let model = FloorplanMilp::build(&p, &MilpBuildConfig::optimal());
+        let model = FloorplanMilp::build(&p, None);
         let sol = milp_solver().solve(&model.milp);
         assert!(sol.status.has_solution(), "status {:?}", sol.status);
         let fp = model.extract(&sol);
@@ -1265,7 +1254,7 @@ mod tests {
         // stays feasible.
         let a = p.add_region(RegionSpec::new("A", vec![(clb, 2), (bram, 2)]));
         p.request_relocation(RelocationRequest::metric(a, 1, 1.0));
-        let model = FloorplanMilp::build(&p, &MilpBuildConfig::optimal());
+        let model = FloorplanMilp::build(&p, None);
         let sol = milp_solver().solve(&model.milp);
         assert!(sol.status.has_solution(), "status {:?}", sol.status);
         let fp = model.extract(&sol);
@@ -1283,7 +1272,7 @@ mod tests {
         // Seed: A on the left block, B on the right block.
         let seed = crate::heuristic::greedy_floorplan(&p).unwrap();
         let relations = crate::sequence_pair::extract_relations(&seed.occupied());
-        let model = FloorplanMilp::build(&p, &MilpBuildConfig::heuristic_optimal(relations));
+        let model = FloorplanMilp::build(&p, Some(&relations));
         let sol = milp_solver().solve(&model.milp);
         assert!(sol.status.has_solution(), "status {:?}", sol.status);
         let fp = model.extract(&sol);
@@ -1306,7 +1295,7 @@ mod tests {
         let mut p = FloorplanProblem::new(part);
         p.weights = ObjectiveWeights::area_only();
         p.add_region(RegionSpec::new("A", vec![(clb, 2)]));
-        let model = FloorplanMilp::build(&p, &MilpBuildConfig::optimal());
+        let model = FloorplanMilp::build(&p, None);
         let sol = milp_solver().solve(&model.milp);
         assert!(sol.status.has_solution());
         let fp = model.extract(&sol);

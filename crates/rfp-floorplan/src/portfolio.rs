@@ -19,8 +19,7 @@
 //! engines runs `legs × threads` workers — budget accordingly.
 
 use crate::engine::{
-    CancelToken, FloorplanEngine, IncumbentCallback, OutcomeStatus, SolveControl, SolveOutcome,
-    SolveRequest,
+    CancelToken, FloorplanEngine, OutcomeStatus, SolveControl, SolveOutcome, SolveRequest,
 };
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -98,18 +97,13 @@ impl Portfolio {
         Portfolio { engines: registry.iter().cloned().collect() }
     }
 
-    /// Adds an engine to the portfolio.
-    pub fn push(&mut self, engine: Arc<dyn FloorplanEngine>) {
-        self.engines.push(engine);
-    }
-
     /// Ids of the participating engines.
     pub fn ids(&self) -> Vec<&'static str> {
         self.engines.iter().map(|e| e.id()).collect()
     }
 
-    /// Races the engines on the request with a default (non-cancellable,
-    /// silent) control.
+    /// Races the engines on the request with a default (non-cancellable)
+    /// control.
     pub fn race(&self, req: &SolveRequest) -> RaceOutcome {
         self.race_controlled(req, &SolveControl::default())
     }
@@ -118,17 +112,15 @@ impl Portfolio {
     ///
     /// Each engine runs on its own thread with its own cancellation token;
     /// the first engine to return a [`OutcomeStatus::Proven`] outcome
-    /// cancels all others. The caller's `ctl` is honoured: cancelling its
-    /// token aborts the whole race, and its incumbent callback receives the
-    /// merged progress stream of every engine (events carry the reporting
-    /// engine's id).
+    /// cancels all others. Cancelling the caller's `ctl` token aborts the
+    /// whole race.
     ///
     /// The legs also *cooperate*: every engine shares one
     /// [`crate::engine::SharedIncumbent`] slot (the caller's, when `ctl`
-    /// carries one), and
-    /// a leg that finishes with a feasible-but-unproven floorplan offers it
-    /// there, so still-running MILP legs adopt it as an incumbent and prune
-    /// their trees instead of merely waiting to be beaten or cancelled.
+    /// carries one), and a leg that finishes with a feasible-but-unproven
+    /// floorplan offers it there, so still-running MILP legs adopt it as an
+    /// incumbent and prune their trees instead of merely waiting to be
+    /// beaten or cancelled.
     pub fn race_controlled(&self, req: &SolveRequest, ctl: &SolveControl) -> RaceOutcome {
         if self.engines.is_empty() {
             return RaceOutcome { winner: None, entries: Vec::new() };
@@ -136,7 +128,6 @@ impl Portfolio {
 
         let _race = rfp_trace::span("portfolio.race");
         let tokens: Vec<CancelToken> = self.engines.iter().map(|_| CancelToken::new()).collect();
-        let on_incumbent: Option<IncumbentCallback> = ctl.on_incumbent.clone();
         let shared = ctl.shared_incumbent.clone().unwrap_or_default();
 
         // Leg threads record onto their own tracks, named by engine id; the
@@ -150,7 +141,6 @@ impl Portfolio {
                 let tx = tx.clone();
                 let engine_ctl = SolveControl {
                     cancel: tokens[i].clone(),
-                    on_incumbent: on_incumbent.clone(),
                     shared_incumbent: Some(shared.clone()),
                 };
                 let engine = engine.clone();

@@ -101,8 +101,6 @@ const MAX_CUTS_PER_ROUND: usize = 64;
 /// [`crate::tol`], the same constants the model checker uses.
 #[derive(Debug, Clone)]
 pub struct SolverConfig {
-    /// LP (simplex) parameters.
-    pub lp: LpConfig,
     /// Maximum number of branch-and-bound nodes (0 = unlimited).
     pub max_nodes: usize,
     /// Wall-clock time limit.
@@ -138,7 +136,6 @@ pub struct SolverConfig {
 impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
-            lp: LpConfig::default(),
             max_nodes: 0,
             time_limit: None,
             dive_period: 256,
@@ -351,34 +348,21 @@ const NO_INCUMBENT: u64 = 0x7ff8_0000_dead_beef;
 /// The best known solution of one search, shared by the best-first driver
 /// and every parallel worker.
 ///
-/// Installs go through a mutex that also drives the progress callback, so
-/// reported improvements stay monotone across threads. The objective is
-/// mirrored into an atomic (`f64` bits) so the per-node prune and gap tests
-/// take no lock; a stale read only delays a prune.
+/// Installs go through a mutex, so only a strictly better solution replaces
+/// the slot whichever thread offers it. The objective is mirrored into an
+/// atomic (`f64` bits) so the per-node prune and gap tests take no lock; a
+/// stale read only delays a prune.
 pub(crate) struct Incumbent<'a> {
     /// `(objective in minimisation sense, values)`.
     slot: Mutex<Option<(f64, Vec<f64>)>>,
     /// `f64::to_bits` of the slot's objective, or [`NO_INCUMBENT`].
     bits: AtomicU64,
     model: &'a Model,
-    /// Progress callback: `(objective in the model's sense, seconds)`.
-    on_incumbent: Option<&'a (dyn Fn(f64, f64) + Send + Sync)>,
-    start: Instant,
 }
 
 impl<'a> Incumbent<'a> {
-    fn new(
-        model: &'a Model,
-        on_incumbent: Option<&'a (dyn Fn(f64, f64) + Send + Sync)>,
-        start: Instant,
-    ) -> Self {
-        Incumbent {
-            slot: Mutex::new(None),
-            bits: AtomicU64::new(NO_INCUMBENT),
-            model,
-            on_incumbent,
-            start,
-        }
+    fn new(model: &'a Model) -> Self {
+        Incumbent { slot: Mutex::new(None), bits: AtomicU64::new(NO_INCUMBENT), model }
     }
 
     /// Converts an objective between the model's sense and the search's
@@ -404,9 +388,6 @@ impl<'a> Incumbent<'a> {
             *slot = Some((obj_min, values));
             self.bits.store(obj_min.to_bits(), Relaxed);
             rfp_trace::count("milp.incumbents", 1);
-            if let Some(cb) = self.on_incumbent {
-                cb(self.flip(obj_min), self.start.elapsed().as_secs_f64());
-            }
         }
     }
 
@@ -494,25 +475,22 @@ pub(crate) struct Search<'a> {
 }
 
 impl<'a> Search<'a> {
-    fn new(
-        cfg: &'a SolverConfig,
-        model: &'a Model,
-        on_incumbent: Option<&'a (dyn Fn(f64, f64) + Send + Sync)>,
-        start: Instant,
-    ) -> Self {
+    fn new(cfg: &'a SolverConfig, model: &'a Model, start: Instant) -> Self {
         let stop = cfg.cancel.child();
         // The LP layer shares the stop token and the deadline so an abort
-        // fires even in the middle of a long relaxation solve.
-        let mut lp_cfg = cfg.lp.clone();
-        lp_cfg.cancel = stop.clone();
-        // A limit too large to represent as an instant means no deadline.
-        lp_cfg.deadline = cfg.time_limit.and_then(|limit| start.checked_add(limit));
+        // fires even in the middle of a long relaxation solve. A limit too
+        // large to represent as an instant means no deadline.
+        let lp_cfg = LpConfig {
+            cancel: stop.clone(),
+            deadline: cfg.time_limit.and_then(|limit| start.checked_add(limit)),
+            ..LpConfig::default()
+        };
         Search {
             cfg,
             model,
             int_vars: (0..model.n_vars()).filter(|&j| model.vars()[j].kind.is_integral()).collect(),
             lp_cfg,
-            incumbent: Incumbent::new(model, on_incumbent, start),
+            incumbent: Incumbent::new(model),
             stop,
             start,
             nodes: AtomicUsize::new(0),
@@ -783,25 +761,18 @@ impl Solver {
 
     /// Solves a mixed-integer linear program.
     pub fn solve(&self, model: &Model) -> Solution {
-        self.solve_controlled(model, None, None)
+        self.solve_controlled(model, None)
     }
 
-    /// Solves a mixed-integer linear program with full run-time control:
-    /// a warm start and an incumbent-progress callback invoked with
-    /// `(objective, seconds)` — objective in the model's optimisation sense
-    /// — every time the search finds a strictly better feasible solution.
-    /// Cancellation is configured through [`SolverConfig::cancel`].
+    /// Solves a mixed-integer linear program from a warm start.
+    /// Cancellation and external incumbents are configured through
+    /// [`SolverConfig::cancel`] and [`SolverConfig::external_incumbents`].
     ///
     /// `warm_start` is a candidate assignment of every variable; when it is
     /// feasible (within tolerance) and integral on the integer variables it
     /// becomes the initial incumbent, which prunes the search from the first
     /// node. An infeasible or malformed start is silently ignored.
-    pub fn solve_controlled(
-        &self,
-        model: &Model,
-        warm_start: Option<&[f64]>,
-        on_incumbent: Option<&(dyn Fn(f64, f64) + Send + Sync)>,
-    ) -> Solution {
+    pub fn solve_controlled(&self, model: &Model, warm_start: Option<&[f64]>) -> Solution {
         let start = Instant::now();
         // Presolve up front so the whole search, serial or parallel, runs on
         // the tightened (integer-equivalent) model. Variable indices are
@@ -825,24 +796,18 @@ impl Solver {
         } else {
             model
         };
-        self.best_first(model, warm_start, on_incumbent, start)
+        self.best_first(model, warm_start, start)
     }
 
     /// The best-first driver. At `threads <= 1` it runs the tree to
     /// exhaustion; otherwise it is the ramp-up, which stops once the open
     /// nodes can feed every worker and hands them to the parallel pool.
-    fn best_first(
-        &self,
-        model: &Model,
-        warm_start: Option<&[f64]>,
-        on_incumbent: Option<&(dyn Fn(f64, f64) + Send + Sync)>,
-        start: Instant,
-    ) -> Solution {
+    fn best_first(&self, model: &Model, warm_start: Option<&[f64]>, start: Instant) -> Solution {
         // One span name at every thread count: a root-solved instance never
         // primes the pool, so it traces identically however it was run.
         let _search = rfp_trace::span("milp.search");
         let cfg = &self.config;
-        let search = Search::new(cfg, model, on_incumbent, start);
+        let search = Search::new(cfg, model, start);
         let mut sf = StandardForm::from_model(model);
         let mut separator = Separator::new(model);
         let mut pseudo = PseudoCosts::new(model.n_vars());
@@ -1195,41 +1160,10 @@ mod tests {
         let x = m.int_var("x", 0.0, 10.0);
         m.add_con("c", LinExpr::from(x), ConOp::Le, 7.0);
         m.set_objective(LinExpr::from(x));
-        let sol = Solver::new(cfg).solve_controlled(&m, Some(&[3.0]), None);
+        let sol = Solver::new(cfg).solve_controlled(&m, Some(&[3.0]));
         assert!(sol.cancelled);
         assert_eq!(sol.status, SolveStatus::Feasible);
         assert!((sol.objective - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn incumbent_callback_reports_monotone_improvements() {
-        use std::sync::Mutex;
-        let seen: Mutex<Vec<f64>> = Mutex::new(Vec::new());
-        let mut m = Model::new("progress", Sense::Maximize);
-        let vars: Vec<_> = (0..8).map(|i| m.bin_var(format!("b{i}"))).collect();
-        m.add_con(
-            "cap",
-            LinExpr::weighted_sum(vars.iter().enumerate().map(|(i, &v)| (v, (i % 3 + 1) as f64))),
-            ConOp::Le,
-            6.0,
-        );
-        m.set_objective(LinExpr::weighted_sum(vars.iter().map(|&v| (v, 1.0))));
-        let sol = Solver::default().solve_controlled(
-            &m,
-            None,
-            Some(&|obj, secs| {
-                assert!(secs >= 0.0);
-                seen.lock().unwrap().push(obj);
-            }),
-        );
-        assert_eq!(sol.status, SolveStatus::Optimal);
-        let seen = seen.lock().unwrap();
-        assert!(!seen.is_empty(), "at least the final incumbent must be reported");
-        // Maximisation: each report strictly improves on the previous one.
-        for w in seen.windows(2) {
-            assert!(w[1] > w[0]);
-        }
-        assert!((seen.last().unwrap() - sol.objective).abs() < 1e-9);
     }
 
     #[test]

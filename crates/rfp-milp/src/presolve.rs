@@ -18,7 +18,7 @@
 //! Both transformations preserve the set of *integer-feasible* points
 //! exactly — coefficient tightening deliberately cuts LP-only points, which
 //! is its purpose — and never add, remove or reorder variables, so variable
-//! indices, warm starts and incumbent callbacks all keep working on the
+//! indices, warm starts and external incumbents all keep working on the
 //! presolved model unchanged.
 //!
 //! Infeasibility discovered during propagation (a variable's bounds cross,

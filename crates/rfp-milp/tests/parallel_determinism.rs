@@ -232,24 +232,47 @@ fn parallel_workers_poll_external_incumbents_at_every_node() {
 
 #[test]
 fn cancellation_mid_parallel_search_leaves_honest_bounds() {
-    // A model big enough that 4 threads are still searching when the cancel
-    // lands; the bound reported afterwards must enclose the true optimum
-    // (known: 55 for the subset-sum probe).
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Arc;
+    // The bound reported after a cancel inside the workers must enclose the
+    // true optimum (known: 55 for the subset-sum probe).
     let model = subset_sum();
     let token = CancelToken::new();
+    // Cancel deterministically *mid-search*. The external-incumbent source
+    // is polled once per node; the serial ramp-up of 2 threads hands its
+    // open nodes over at poll `2 * RAMP_FANOUT`, so poll `4 * RAMP_FANOUT`
+    // runs on a worker that, like its peer, still holds open subtrees. (At
+    // 4 threads this probe never fills the ramp-up's 16 open nodes: the
+    // whole search stays in the serial ramp-up.)
+    let polls = Arc::new(AtomicUsize::new(0));
+    let fired_in_a_worker = Arc::new(AtomicBool::new(false));
+    let solving_thread = std::thread::current().id();
     let cfg = SolverConfig {
-        threads: 4,
+        threads: 2,
         // Slow the pruning down so the search is genuinely mid-flight.
         dive_period: 0,
         cut_rounds: 0,
         cancel: token.clone(),
+        external_incumbents: ExternalIncumbents::from_fn({
+            let polls = polls.clone();
+            let fired_in_a_worker = fired_in_a_worker.clone();
+            move || {
+                if polls.fetch_add(1, Ordering::SeqCst) + 1 == 4 * RAMP_FANOUT {
+                    let worker = std::thread::current().id() != solving_thread;
+                    fired_in_a_worker.store(worker, Ordering::SeqCst);
+                    token.cancel();
+                }
+                None
+            }
+        }),
         ..SolverConfig::default()
     };
-    // Cancel deterministically *mid-search*: the moment the first incumbent
-    // is installed, the user token fires while workers still hold open
-    // subtrees.
-    let sol = Solver::new(cfg).solve_controlled(&model, None, Some(&move |_, _| token.cancel()));
+    let sol = Solver::new(cfg).solve(&model);
     assert!(sol.cancelled, "the user token must be reported");
+    assert!(
+        fired_in_a_worker.load(Ordering::SeqCst),
+        "the cancel must land after ramp-up, inside the workers"
+    );
     // Honest bounds: whatever was proven, the true optimum 55 lies between
     // the incumbent objective and the best bound (maximisation sense).
     if sol.status.has_solution() {
@@ -258,6 +281,9 @@ fn cancellation_mid_parallel_search_leaves_honest_bounds() {
         assert!(sol.verify(&model, 1e-6).is_empty());
     } else {
         assert!(sol.best_bound >= 55.0 - 1e-6 || sol.best_bound.is_infinite());
+    }
+    if sol.status == SolveStatus::Optimal {
+        assert!((sol.objective - 55.0).abs() < 1e-6, "false proof of {}", sol.objective);
     }
 }
 

@@ -88,15 +88,6 @@ impl Default for OnlineConfig {
     }
 }
 
-impl OnlineConfig {
-    /// The relocation-oblivious baseline configuration (same budgets,
-    /// cost-blind defragmentation).
-    pub fn oblivious(mut self) -> Self {
-        self.policy = DefragPolicy::Oblivious;
-        self
-    }
-}
-
 /// Error raised when a scenario cannot be simulated at all.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimError {

@@ -294,7 +294,7 @@ impl SolveService {
             state: RecState::Queued,
             priority: spec.priority,
             submitted: Instant::now(),
-            fingerprint: ProblemFingerprint::of(&spec.request.effective_problem()),
+            fingerprint: ProblemFingerprint::of(&spec.request.problem),
             cancel,
         };
         let mut jobs = self.lock_jobs();
@@ -556,9 +556,8 @@ fn run_job(
 
     if use_cache {
         let lookup = {
-            let problem = request.effective_problem();
             let mut cache = shared.cache.lock().unwrap_or_else(|e| e.into_inner());
-            cache.lookup(&problem, fingerprint)
+            cache.lookup(&request.problem, fingerprint)
         };
         match lookup {
             CacheLookup::Exact(outcome) => {
@@ -592,9 +591,8 @@ fn run_job(
     };
 
     if use_cache {
-        let problem = request.effective_problem();
         let mut cache = shared.cache.lock().unwrap_or_else(|e| e.into_inner());
-        cache.insert(&problem, &outcome);
+        cache.insert(&request.problem, &outcome);
     }
 
     JobResult { outcome, cache: cache_disposition, engine: engine_label, race, trace: None }

@@ -180,13 +180,9 @@ fn rfp_cli_convert_solve_validate_round_trip() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The `milp` engine's search tallies on the committed golden problems and
-/// on one columnar portion-model instance with a real tree, recorded from
-/// the serial branch-and-bound, with the floorplan and metrics each proves:
-/// a change to the tree search that alters node order or LP work shows up
-/// here, and one that alters an answer too.
-#[test]
-fn milp_engine_stats_are_pinned_on_the_goldens() {
+/// The instances of the MILP engine pins: the tiny and hetero goldens and a
+/// generated columnar portion-model instance with a real tree.
+fn milp_pin_instances() -> [(&'static str, FloorplanProblem); 3] {
     use relocfp::floorplan::jsonio;
     let golden = |name: &str| {
         let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -210,65 +206,29 @@ fn milp_engine_stats_are_pinned_on_the_goldens() {
     }
     .generate()
     .problem;
+    [("tiny", golden("tiny")), ("hetero", golden("hetero")), ("portion-4", portion)]
+}
+
+/// Solves each pin instance with `engine` (serial, no budget) and checks
+/// its row: `(instance, nodes, lp_solves, lp_iterations, cuts, floorplan as
+/// `x,y,w,h` per region then per free-compatible area, metrics)`.
+fn check_engine_pins(engine: &str, rows: [(&str, u64, u64, u64, u64, &str, &str); 3]) {
     let registry = full_registry();
     let xywh = |r: &relocfp::device::Rect| format!("{},{},{},{}", r.x, r.y, r.w, r.h);
-    // (instance, problem, nodes, lp_solves, lp_iterations, cuts, floorplan
-    // as `x,y,w,h` per region then per free-compatible area, metrics).
-    // The counts follow the dual simplex's pivot path (its Devex row
-    // weights pick the leaving row, its updated reduced costs order the
-    // ratio test), so a change there may move them with a stated reason; it
-    // must not move a floorplan or a metric. Dual Devex pricing, replacing
-    // the largest-violation rule, took hetero from 233/233/1720 and
-    // portion-4 from 201/201/3458 to the counts below; tiny solves at the
-    // root and did not move.
-    for (name, problem, nodes, lp_solves, lp_iterations, cuts, layout, metrics) in [
-        (
-            "tiny",
-            golden("tiny"),
-            1,
-            1,
-            102,
-            0,
-            "1,1,3,1 1,2,1,2 | 4,1,3,1 2,2,1,2",
-            "Metrics { covered_frames: 174, required_frames: 174, wasted_frames: 0, \
-             wirelength: 20.0, perimeter: 7, fc_requested: 2, fc_found: 2, \
-             relocation_cost: 0.0, objective: 0.0 }",
-        ),
-        (
-            "hetero",
-            golden("hetero"),
-            195,
-            195,
-            1425,
-            0,
-            "4,1,1,4 3,1,1,4 2,1,1,4 | - -",
-            "Metrics { covered_frames: 420, required_frames: 420, wasted_frames: 0, \
-             wirelength: 32.0, perimeter: 15, fc_requested: 2, fc_found: 0, \
-             relocation_cost: 8.0, objective: 4.083333333333333 }",
-        ),
-        (
-            "portion-4",
-            portion,
-            177,
-            177,
-            2025,
-            0,
-            "1,1,1,3 2,1,1,3 | ",
-            "Metrics { covered_frames: 216, required_frames: 216, wasted_frames: 0, \
-             wirelength: 32.0, perimeter: 8, fc_requested: 0, fc_found: 0, \
-             relocation_cost: 0.0, objective: 0.09090909090909091 }",
-        ),
-    ] {
+    for ((name, problem), (row, nodes, lp_solves, lp_iterations, cuts, layout, metrics)) in
+        milp_pin_instances().into_iter().zip(rows)
+    {
+        assert_eq!(name, row);
         let outcome = registry
-            .get("milp")
+            .get(engine)
             .unwrap()
             .solve(&SolveRequest::new(problem), &SolveControl::default());
-        assert!(outcome.is_proven(), "{name}: {}", outcome.status);
+        assert!(outcome.is_proven(), "{engine} {name}: {}", outcome.status);
         let s = &outcome.stats;
         assert_eq!(
             (s.nodes, s.lp_solves, s.lp_iterations, s.cuts),
             (nodes, lp_solves, lp_iterations, cuts),
-            "{name}"
+            "{engine} {name}"
         );
         let fp = outcome.floorplan.as_ref().expect("a proven outcome has a floorplan");
         let regions: Vec<String> = fp.regions.iter().map(xywh).collect();
@@ -280,9 +240,110 @@ fn milp_engine_stats_are_pinned_on_the_goldens() {
                 format!("{:?}", outcome.metrics.expect("a floorplan has metrics")),
             ),
             (layout.to_string(), metrics.to_string()),
-            "{name}"
+            "{engine} {name}"
         );
     }
+}
+
+/// The `milp` engine's search tallies on the pin instances, recorded from
+/// the serial branch-and-bound, with the floorplan and metrics each proves:
+/// a change to the tree search that alters node order or LP work shows up
+/// here, and one that alters an answer too.
+#[test]
+fn milp_engine_stats_are_pinned_on_the_goldens() {
+    // The counts follow the dual simplex's pivot path (its Devex row
+    // weights pick the leaving row, its updated reduced costs order the
+    // ratio test), so a change there may move them with a stated reason; it
+    // must not move a floorplan or a metric. Dual Devex pricing, replacing
+    // the largest-violation rule, took hetero from 233/233/1720 and
+    // portion-4 from 201/201/3458 to the counts below; tiny solves at the
+    // root and did not move.
+    check_engine_pins(
+        "milp",
+        [
+            (
+                "tiny",
+                1,
+                1,
+                102,
+                0,
+                "1,1,3,1 1,2,1,2 | 4,1,3,1 2,2,1,2",
+                "Metrics { covered_frames: 174, required_frames: 174, wasted_frames: 0, \
+                 wirelength: 20.0, perimeter: 7, fc_requested: 2, fc_found: 2, \
+                 relocation_cost: 0.0, objective: 0.0 }",
+            ),
+            (
+                "hetero",
+                195,
+                195,
+                1425,
+                0,
+                "4,1,1,4 3,1,1,4 2,1,1,4 | - -",
+                "Metrics { covered_frames: 420, required_frames: 420, wasted_frames: 0, \
+                 wirelength: 32.0, perimeter: 15, fc_requested: 2, fc_found: 0, \
+                 relocation_cost: 8.0, objective: 4.083333333333333 }",
+            ),
+            (
+                "portion-4",
+                177,
+                177,
+                2025,
+                0,
+                "1,1,1,3 2,1,1,3 | ",
+                "Metrics { covered_frames: 216, required_frames: 216, wasted_frames: 0, \
+                 wirelength: 32.0, perimeter: 8, fc_requested: 0, fc_found: 0, \
+                 relocation_cost: 0.0, objective: 0.09090909090909091 }",
+            ),
+        ],
+    );
+}
+
+/// The `ho` engine on the same instances: the MILP restricted by the
+/// relative positions of its greedy seed. The hetero golden builds the
+/// assignment model, which ignores the relations, so its row is `milp`'s;
+/// on portion-4 the relations fix the ordering binaries and the tree
+/// shrinks from 177 nodes to 1. A change to how the seed's relations reach
+/// the model build shows up here.
+#[test]
+fn ho_engine_stats_are_pinned_on_the_goldens() {
+    check_engine_pins(
+        "ho",
+        [
+            (
+                "tiny",
+                1,
+                1,
+                98,
+                0,
+                "1,1,3,1 1,2,1,2 | 4,1,3,1 2,2,1,2",
+                "Metrics { covered_frames: 174, required_frames: 174, wasted_frames: 0, \
+                 wirelength: 20.0, perimeter: 7, fc_requested: 2, fc_found: 2, \
+                 relocation_cost: 0.0, objective: 0.0 }",
+            ),
+            (
+                "hetero",
+                195,
+                195,
+                1425,
+                0,
+                "4,1,1,4 3,1,1,4 2,1,1,4 | - -",
+                "Metrics { covered_frames: 420, required_frames: 420, wasted_frames: 0, \
+                 wirelength: 32.0, perimeter: 15, fc_requested: 2, fc_found: 0, \
+                 relocation_cost: 8.0, objective: 4.083333333333333 }",
+            ),
+            (
+                "portion-4",
+                1,
+                1,
+                75,
+                0,
+                "1,1,1,3 2,1,1,3 | ",
+                "Metrics { covered_frames: 216, required_frames: 216, wasted_frames: 0, \
+                 wirelength: 32.0, perimeter: 8, fc_requested: 0, fc_found: 0, \
+                 relocation_cost: 0.0, objective: 0.09090909090909091 }",
+            ),
+        ],
+    );
 }
 
 /// The combinatorial engine's serial search on three `solve-comb` scaling
