@@ -1,4 +1,4 @@
-//! Simulated-annealing floorplanner (in the spirit of [9]).
+//! Simulated-annealing floorplanner (in the spirit of \[9\]).
 //!
 //! Bolchini et al. explore the placement space with simulated annealing and
 //! mainly optimise the overall wire length. The reproduction anneals over the

@@ -24,7 +24,7 @@ use rfp_floorplan::FloorplanProblem;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// The simulated-annealing baseline (in the spirit of [9]) as an engine,
+/// The simulated-annealing baseline (in the spirit of \[9\]) as an engine,
 /// id `"annealing"`, with the default annealer parameters; the request's
 /// time budget is honoured as a deadline on top of the iteration budget.
 #[derive(Debug, Clone, Default)]
@@ -90,7 +90,7 @@ impl FloorplanEngine for AnnealingEngine {
     }
 }
 
-/// The columnar-kernel-tessellation baseline (in the spirit of [8]) as an
+/// The columnar-kernel-tessellation baseline (in the spirit of \[8\]) as an
 /// engine, id `"tessellation"`.
 #[derive(Debug, Clone, Default)]
 pub struct TessellationEngine;

@@ -1,4 +1,4 @@
-//! Reconfiguration-centric tessellation heuristic (in the spirit of [8]).
+//! Reconfiguration-centric tessellation heuristic (in the spirit of \[8\]).
 //!
 //! Vipin & Fahmy's architecture-aware floorplanner tessellates the device
 //! into reconfiguration-friendly kernels aligned with the resource columns:

@@ -8,7 +8,7 @@
 //! |--------|----------|
 //! | `table1` | Table I — SDR resource requirements |
 //! | `feasibility` | Section VI feasibility analysis (relocatable regions) |
-//! | `table2` | Table II — floorplan comparison ([8], [10], PA on SDR/SDR2/SDR3) |
+//! | `table2` | Table II — floorplan comparison (\[8\], \[10\], PA on SDR/SDR2/SDR3) |
 //! | `figure1` | Figure 1 — compatible vs non-compatible areas |
 //! | `figure2` | Figure 2 — columnar partitioning example |
 //! | `figure3` | Figure 3 — offset-variable semantics |

@@ -57,7 +57,7 @@ pub fn table1_markdown() -> String {
 /// One row of the regenerated Table II.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table2Row {
-    /// Algorithm label as used by the paper ("[8]", "[10]", "PA").
+    /// Algorithm label as used by the paper ("\[8\]", "\[10\]", "PA").
     pub algorithm: String,
     /// Design name (SDR, SDR2, SDR3).
     pub design: String,
@@ -76,7 +76,7 @@ pub struct Table2Row {
 }
 
 /// Regenerates Table II: floorplan comparison of the tessellation baseline
-/// (in the spirit of [8]), the MILP floorplanner without relocation ([10],
+/// (in the spirit of \[8\]), the MILP floorplanner without relocation (\[10\],
 /// which the paper states is what PA degenerates to), and the
 /// relocation-aware floorplanner (PA) on SDR2 and SDR3.
 ///

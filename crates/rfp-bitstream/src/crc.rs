@@ -2,7 +2,7 @@
 //!
 //! Relocating a bitstream invalidates the CRC embedded by the vendor tools;
 //! the relocation filter must recompute it after rewriting the frame
-//! addresses ([2]). The synthetic bitstream format uses the ubiquitous
+//! addresses (\[2\]). The synthetic bitstream format uses the ubiquitous
 //! reflected CRC-32 with polynomial `0xEDB88320`.
 //!
 //! The CRC runs on every generate, program, relocation and checkpoint

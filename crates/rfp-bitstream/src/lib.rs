@@ -5,17 +5,17 @@
 //! initial location to the corresponding target location"; in practice the
 //! frame addresses in the partial bitstream are rewritten and the CRC is
 //! recomputed before the bitstream is sent to the configuration interface
-//! (Section I of the paper, and the REPLICA/BiRF filters of [2]-[5]).
+//! (Section I of the paper, and the REPLICA/BiRF filters of \[2\]-\[5\]).
 //!
 //! The real Xilinx bitstream format is proprietary; this crate provides a
 //! faithful *synthetic* substitute that exercises exactly the code path the
 //! floorplanner enables:
 //!
-//! * [`format`] — a partial-bitstream container with per-frame addresses
+//! * [`mod@format`] — a partial-bitstream container with per-frame addresses
 //!   (column / row / minor index), a payload of configuration words per frame
 //!   and a CRC-32 trailer;
 //! * [`crc`] — a from-scratch CRC-32 (IEEE polynomial) implementation;
-//! * [`relocate`] — the software relocation filter: it refuses to relocate
+//! * [`mod@relocate`] — the software relocation filter: it refuses to relocate
 //!   into an area that is not *compatible* (Definition .1) with the source,
 //!   rewrites the frame addresses by the column/row offset and recomputes the
 //!   CRC;

@@ -1,6 +1,6 @@
 //! The software relocation filter.
 //!
-//! In the spirit of REPLICA [2][3] and BiRF [4][5]: relocation only rewrites
+//! In the spirit of REPLICA \[2\]\[3\] and BiRF \[4\]\[5\]: relocation only rewrites
 //! the frame addresses of the partial bitstream (by the column/row offset
 //! between the source and the target area) and recomputes the CRC. The filter
 //! refuses to relocate into a target area that is not **compatible** with the

@@ -193,65 +193,6 @@ pub fn figure2_device() -> Device {
     b.build().expect("figure-2 device is valid")
 }
 
-/// Frame weight of a CLB tile on 7-series devices (one clock region / 50 CLB
-/// rows per tile; 36 frames per CLB column as on Virtex-5 keeps the model
-/// comparable across families).
-pub const V7_CLB_FRAMES: u32 = 36;
-/// Frame weight of a BRAM tile on 7-series devices.
-pub const V7_BRAM_FRAMES: u32 = 28;
-/// Frame weight of a DSP tile on 7-series devices.
-pub const V7_DSP_FRAMES: u32 = 28;
-
-/// Builds a Zynq-7020-class device model (the programmable logic of the
-/// ZC702/PYNQ boards): 3 tile rows of roughly 60 resource columns with the
-/// processing system occupying the top-left corner as a forbidden area.
-///
-/// The paper notes that its columnar description "is compliant with most of
-/// the commercially available FPGAs, including Xilinx devices of the Virtex-7
-/// family"; this model (and [`xc7vx485t`]) let users target those newer parts
-/// with the same flow.
-pub fn xc7z020() -> Device {
-    let mut b = DeviceBuilder::new("xc7z020");
-    let clb = b.tile_type("CLB", ResourceVec::new(1, 0, 0), V7_CLB_FRAMES);
-    let bram = b.tile_type("BRAM", ResourceVec::new(0, 1, 0), V7_BRAM_FRAMES);
-    let dsp = b.tile_type("DSP", ResourceVec::new(0, 0, 1), V7_DSP_FRAMES);
-    b.rows(3);
-    // 58 columns: BRAM every 9th column, DSP every 13th, CLB elsewhere.
-    for col in 1..=58u32 {
-        if col % 13 == 0 {
-            b.column(dsp);
-        } else if col % 9 == 0 {
-            b.column(bram);
-        } else {
-            b.column(clb);
-        }
-    }
-    // The ARM processing system occupies the top-left corner of the fabric.
-    b.hard_block("PS7", Rect::new(1, 1, 14, 1));
-    b.build().expect("the 7z020 model is a valid columnar device")
-}
-
-/// Builds a Virtex-7 485T-class device model (the VC707 board): 14 tile rows,
-/// 120 resource columns, no hard processor (pure columnar device, the easy
-/// case for the partitioning of Section III).
-pub fn xc7vx485t() -> Device {
-    let mut b = DeviceBuilder::new("xc7vx485t");
-    let clb = b.tile_type("CLB", ResourceVec::new(1, 0, 0), V7_CLB_FRAMES);
-    let bram = b.tile_type("BRAM", ResourceVec::new(0, 1, 0), V7_BRAM_FRAMES);
-    let dsp = b.tile_type("DSP", ResourceVec::new(0, 0, 1), V7_DSP_FRAMES);
-    b.rows(14);
-    for col in 1..=120u32 {
-        if col % 11 == 0 {
-            b.column(dsp);
-        } else if col % 7 == 0 {
-            b.column(bram);
-        } else {
-            b.column(clb);
-        }
-    }
-    b.build().expect("the 7vx485t model is a valid columnar device")
-}
-
 /// Specification of a synthetic columnar device for scaling studies.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SyntheticSpec {
@@ -386,30 +327,6 @@ mod tests {
         let p = columnar_partition(&d).unwrap();
         assert_eq!(p.n_portions(), 6, "Equation (3): P = {{1..6}}");
         assert_eq!(p.forbidden.len(), 2, "Equation (3): A = {{f1, f2}}");
-    }
-
-    #[test]
-    fn zynq_model_is_columnar_with_the_ps_as_forbidden_area() {
-        let d = xc7z020();
-        let p = columnar_partition(&d).unwrap();
-        assert_eq!(p.forbidden.len(), 1);
-        assert_eq!(p.forbidden[0].name, "PS7");
-        assert_eq!(p.n_types(), 3);
-        assert!(d.total_resources()[ResourceKind::Clb] > 100);
-        // Adjacent portions always differ in type (Property .3).
-        for w in p.portions.windows(2) {
-            assert_ne!(w[0].tile_type, w[1].tile_type);
-        }
-    }
-
-    #[test]
-    fn virtex7_model_is_columnar_and_larger_than_the_fx70t() {
-        let v7 = xc7vx485t();
-        let v5 = xc5vfx70t();
-        assert!(v7.total_frames() > v5.total_frames());
-        let p = columnar_partition(&v7).unwrap();
-        assert!(p.n_portions() > 20);
-        assert!(p.forbidden.is_empty());
     }
 
     #[test]

@@ -136,17 +136,6 @@ impl Rect {
     pub fn rows(&self) -> impl Iterator<Item = u32> {
         self.y..=self.y2()
     }
-
-    /// Translates the rectangle by a signed column/row delta, returning `None`
-    /// if the result would leave the 1-based coordinate space.
-    pub fn translated(&self, dx: i64, dy: i64) -> Option<Rect> {
-        let nx = self.x as i64 + dx;
-        let ny = self.y as i64 + dy;
-        if nx < 1 || ny < 1 || nx > u32::MAX as i64 || ny > u32::MAX as i64 {
-            return None;
-        }
-        Some(Rect { x: nx as u32, y: ny as u32, w: self.w, h: self.h })
-    }
 }
 
 impl fmt::Display for Rect {
@@ -236,14 +225,6 @@ mod tests {
         let cells: Vec<_> = r.cells().collect();
         assert_eq!(cells, vec![(2, 3), (3, 3), (2, 4), (3, 4)]);
         assert_eq!(cells.len() as u64, r.area());
-    }
-
-    #[test]
-    fn translated_respects_bounds() {
-        let r = Rect::new(2, 2, 2, 2);
-        assert_eq!(r.translated(-1, -1), Some(Rect::new(1, 1, 2, 2)));
-        assert_eq!(r.translated(-2, 0), None);
-        assert_eq!(r.translated(3, 4), Some(Rect::new(5, 6, 2, 2)));
     }
 
     #[test]

@@ -28,10 +28,9 @@
 //!   compatible if they have the same shape, size and relative positioning of
 //!   tiles of the same type; an area is *free-compatible* if additionally it
 //!   does not overlap other regions or reserved areas.
-//! * **Device library** ([`devices`]): ready-made device descriptions,
-//!   including the Virtex-5 FX70T model used by the paper's evaluation, the
-//!   toy devices of Figures 1-3, and synthetic generators for scaling
-//!   studies.
+//! * **Device library** ([`devices`]): the Virtex-5 FX70T model the
+//!   paper's evaluation runs on (the one real part modelled), the toy
+//!   devices of Figures 1-3, and synthetic generators for scaling studies.
 //!
 //! The crate is dependency-light and purely descriptive: all placement logic
 //! lives in `rfp-floorplan`.
@@ -53,9 +52,7 @@ pub mod tile;
 pub use compat::{
     areas_compatible, enumerate_free_compatible, fabric_compatible, free_compatible, CompatReport,
 };
-pub use devices::{
-    figure1_device, figure2_device, xc5vfx70t, xc7vx485t, xc7z020, DeviceBuilder, SyntheticSpec,
-};
+pub use devices::{figure1_device, figure2_device, xc5vfx70t, DeviceBuilder, SyntheticSpec};
 pub use error::DeviceError;
 pub use fabric::{fabric_partition, fabric_partition_with_boundaries, FabricPartition};
 pub use forbidden::ForbiddenArea;

@@ -79,12 +79,6 @@ impl Portion {
         self.x2 - self.x1 + 1
     }
 
-    /// Returns `true` if the portion contains the given column.
-    #[inline]
-    pub fn contains_col(&self, col: u32) -> bool {
-        col >= self.x1 && col <= self.x2
-    }
-
     /// The full-height rectangle occupied by the portion.
     pub fn rect(&self, rows: u32) -> Rect {
         Rect::new(self.x1, 1, self.width(), rows)
@@ -479,7 +473,6 @@ mod tests {
         let p = columnar_partition(&d).unwrap();
         let first = p.portion(PortionId(0));
         assert_eq!(first.width(), 2);
-        assert!(first.contains_col(1) && first.contains_col(2) && !first.contains_col(3));
         assert_eq!(first.rect(p.rows), Rect::new(1, 1, 2, 4));
         assert_eq!(PortionId(0).number(), 1);
         assert_eq!(PortionId(0).to_string(), "P1");

@@ -79,11 +79,6 @@ impl ResourceVec {
         v
     }
 
-    /// Returns `true` if every component is zero.
-    pub fn is_zero(&self) -> bool {
-        self.0.iter().all(|&c| c == 0)
-    }
-
     /// Component-wise `self >= other` (the capacity covers the requirement).
     pub fn covers(&self, other: &ResourceVec) -> bool {
         self.0.iter().zip(other.0.iter()).all(|(a, b)| a >= b)
@@ -220,8 +215,6 @@ mod tests {
         let v = ResourceVec::single(ResourceKind::Dsp, 4);
         assert_eq!(v[ResourceKind::Dsp], 4);
         assert_eq!(v.scaled(3)[ResourceKind::Dsp], 12);
-        assert!(ResourceVec::ZERO.is_zero());
-        assert!(!v.is_zero());
     }
 
     #[test]

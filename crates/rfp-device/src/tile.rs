@@ -1,7 +1,7 @@
 //! Tile types and the tile-type registry.
 //!
 //! A *tile* is the minimal area considered for reconfiguration. Definition .1
-//! of the paper strengthens the notion of tile type with respect to [10]:
+//! of the paper strengthens the notion of tile type with respect to \[10\]:
 //! two tiles are of the same type only if they carry the same number and
 //! types of resources **and** the configuration data needed to configure them
 //! is the same. We model the latter with a `frames` field (number of
@@ -14,10 +14,6 @@ use crate::resources::ResourceVec;
 use std::fmt;
 
 /// Identifier of a [`TileType`] inside a [`TileTypeRegistry`].
-///
-/// The floorplanner's MILP formulation refers to tile types with the integer
-/// parameter `tid_p` in the range `[1, nTypes]`; [`TileTypeId::milp_id`]
-/// provides that 1-based value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TileTypeId(pub u16);
 
@@ -26,12 +22,6 @@ impl TileTypeId {
     #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
-    }
-
-    /// One-based identifier as used by the MILP parameter `tid_p`.
-    #[inline]
-    pub fn milp_id(self) -> u32 {
-        self.0 as u32 + 1
     }
 }
 
@@ -180,12 +170,6 @@ mod tests {
         assert_eq!(reg.len(), 2);
         assert_eq!(reg.get(a).unwrap().name, "CLB");
         assert_eq!(reg.get(b).unwrap().frames, 30);
-    }
-
-    #[test]
-    fn milp_id_is_one_based() {
-        assert_eq!(TileTypeId(0).milp_id(), 1);
-        assert_eq!(TileTypeId(4).milp_id(), 5);
     }
 
     #[test]

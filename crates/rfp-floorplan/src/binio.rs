@@ -1,11 +1,12 @@
 //! Versioned **binary** interchange for problems and floorplans — the
 //! length-prefixed little-endian twin of [`crate::jsonio`].
 //!
-//! Large generated traces pay JSON parse costs on every replay; this module
-//! provides the `rfpb` encoding the sweep harness materialises traces into
-//! once and replays per policy. The encoding is a direct transcription of
-//! the v1 JSON content model, so the two formats are interconvertible
-//! without loss:
+//! Every `rfp` input that takes a problem, floorplan or scenario also
+//! takes its `rfpb` encoding (sniffed from the magic, never the file name),
+//! and `rfp convert` transcodes between the two. A large trace decodes
+//! faster from `rfpb` than from JSON, and its floats round-trip exactly.
+//! The encoding is a direct transcription of the v1 JSON content model, so
+//! the two formats are interconvertible without loss:
 //!
 //! * `read_problem_bin(write_problem_bin(p)) == p` for every problem, and
 //! * a document converted `json → bin → json` is byte-identical to the

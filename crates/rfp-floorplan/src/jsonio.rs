@@ -228,7 +228,7 @@ impl DeviceSection {
 /// describe. Far above any real fabric, yet small enough that rebuilding the
 /// grid cannot exhaust memory: a columnar document states its row count as a
 /// bare integer, so its size is not bounded by the document's length.
-const MAX_DEVICE_CELLS: u64 = 1 << 24;
+pub const MAX_DEVICE_CELLS: u64 = 1 << 24;
 
 /// The raw fields of a parsed device section, decoded but not yet rebuilt.
 ///

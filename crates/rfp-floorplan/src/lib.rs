@@ -19,12 +19,13 @@
 //! * [`fingerprint`] — stable FNV-1a digests of device structure, demand and
 //!   configuration ([`fingerprint::ProblemFingerprint`]); the key of the
 //!   solve service's cross-request outcome cache.
-//! * [`model`] — the MILP formulation: the base floorplanning model of [10]
+//! * [`model`] — the MILP formulation: the base floorplanning model of \[10\]
 //!   restricted to columnar devices, the forbidden-area constraints
 //!   (Eqs. 1-2), the portion-offset variables (Eqs. 4-5), relocation as a
 //!   constraint (Eqs. 6-10) and as a metric (Eqs. 11-15), and the composite
 //!   objective (Eq. 14).
-//! * [`sequence_pair`] — sequence-pair extraction used by the HO algorithm.
+//! * [`sequence_pair`] — the pairwise relative positions of a feasible
+//!   floorplan, which the HO algorithm fixes in the MILP.
 //! * [`heuristic`] — one greedy first-fit pass that seeds HO and warm-starts
 //!   the MILP.
 //! * [`combinatorial`] — an exact branch-and-bound search over candidate
@@ -42,13 +43,11 @@
 //!   floorplans; the interchange format of the `rfp` CLI and the golden-file
 //!   tests.
 //! * [`binio`] — the length-prefixed little-endian binary twin of `jsonio`
-//!   (`rfpb` documents); the fast trace format of the sweep harness.
+//!   (`rfpb` documents), which every `rfp` input accepts.
 //! * [`feasibility`] — the per-region free-compatible-area feasibility
 //!   analysis of Section VI.
 //! * [`render`] — ASCII rendering of floorplans (used to regenerate
 //!   Figures 4 and 5).
-//! * [`export`] — Vivado-style XDC/Pblock export of a floorplan, so the
-//!   result can be handed to the vendor implementation flow.
 //!
 //! ## Quick start
 //!
@@ -83,7 +82,6 @@ pub mod candidates;
 pub mod combinatorial;
 pub mod engine;
 pub mod error;
-pub mod export;
 pub mod feasibility;
 pub mod fingerprint;
 pub mod heuristic;

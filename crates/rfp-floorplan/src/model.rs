@@ -1,7 +1,7 @@
 //! The MILP floorplanning formulation.
 //!
 //! This module generates the mixed-integer linear program at the core of the
-//! paper: the base floorplanning model of [10] restricted to columnar
+//! paper: the base floorplanning model of \[10\] restricted to columnar
 //! devices (Section III), extended with
 //!
 //! * forbidden-area avoidance — Equations (1) and (2);
@@ -25,8 +25,8 @@
 //! | `h_n` | `h[e]` | continuous | height in rows (integrality implied) |
 //! | —     | `a[e][r]` | binary | entity covers row `r` |
 //! | —     | `cov[e][c]` | binary | entity covers column `c` |
-//! | `k_{n,p}` | `k[e][p]` | continuous [0,1] | x-projection intersects portion `p` |
-//! | `o_{n,p}` | `o[e][p]` | continuous [0,1] | `p` is the first covered portion |
+//! | `k_{n,p}` | `k[e][p]` | continuous \[0,1\] | x-projection intersects portion `p` |
+//! | `o_{n,p}` | `o[e][p]` | continuous \[0,1\] | `p` is the first covered portion |
 //! | `l_{n,p,r}` | `l[e][p][r]` | continuous | tiles covered in portion `p` on row `r` |
 //! | `q_{n,a}` | `q[e][a]` | binary | entity not left of forbidden area `a` |
 //! | `v_c` | `v[c]` | binary | free-compatible area `c` violated (metric mode) |
@@ -34,7 +34,7 @@
 //! The column-coverage binaries `cov` are an implementation detail not named
 //! in the paper: they pin the per-portion intersection widths exactly, which
 //! the relocation equalities of Equation (9) require (the paper inherits this
-//! machinery from the base model of [10]).
+//! machinery from the base model of \[10\]).
 //!
 //! Note on Equations (10)/(12): the paper's text states that the constraint
 //! must forbid `o_{c,pc} = o_{n,pn} = k_{n,pn+i} = 1` **when the two tile

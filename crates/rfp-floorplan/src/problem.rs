@@ -51,11 +51,6 @@ impl RegionSpec {
         &self.tile_req
     }
 
-    /// Tiles of a specific type required.
-    pub fn tiles_of(&self, ty: TileTypeId) -> u32 {
-        self.tile_req.iter().find(|(t, _)| *t == ty).map(|&(_, c)| c).unwrap_or(0)
-    }
-
     /// Total number of tiles required (any type).
     pub fn total_tiles(&self) -> u32 {
         self.tile_req.iter().map(|&(_, c)| c).sum()
@@ -147,7 +142,7 @@ impl Default for ObjectiveWeights {
 }
 
 impl ObjectiveWeights {
-    /// The weighting used by the paper's evaluation (and by [8]/[10]):
+    /// The weighting used by the paper's evaluation (and by \[8\]/\[10\]):
     /// first optimise the wasted area, then — without increasing the area
     /// cost — minimise the overall wire length. Realised as a lexicographic
     /// preference through a large resource weight.
@@ -158,11 +153,6 @@ impl ObjectiveWeights {
     /// Pure wasted-area optimisation.
     pub fn area_only() -> Self {
         ObjectiveWeights { wirelength: 0.0, perimeter: 0.0, resources: 1.0, relocation: 0.0 }
-    }
-
-    /// Pure wire-length optimisation.
-    pub fn wirelength_only() -> Self {
-        ObjectiveWeights { wirelength: 1.0, perimeter: 0.0, resources: 0.0, relocation: 0.0 }
     }
 
     /// Adds a relocation-metric weight `q_4` on top of the paper default.
@@ -373,7 +363,6 @@ mod tests {
         let (_, clb, bram, _) = fx70t_problem();
         let spec = RegionSpec::new("r", vec![(bram, 1), (clb, 3), (clb, 2), (bram, 0)]);
         assert_eq!(spec.tile_req(), &[(clb, 5), (bram, 1)]);
-        assert_eq!(spec.tiles_of(clb), 5);
         assert_eq!(spec.total_tiles(), 6);
     }
 
@@ -501,7 +490,6 @@ mod tests {
         let w = ObjectiveWeights::paper_default();
         assert!(w.resources > w.wirelength);
         assert_eq!(ObjectiveWeights::area_only().wirelength, 0.0);
-        assert_eq!(ObjectiveWeights::wirelength_only().resources, 0.0);
         assert_eq!(ObjectiveWeights::paper_default().with_relocation(2.0).relocation, 2.0);
     }
 }

@@ -1,6 +1,6 @@
 //! Pairwise relations for the HO algorithm.
 //!
-//! The HO (Heuristic-Optimal) algorithm of [10] takes the relative positions
+//! The HO (Heuristic-Optimal) algorithm of \[10\] takes the relative positions
 //! of a first feasible solution — its sequence pair — and adds them as
 //! constraints to the MILP, so that the initial solution can be locally
 //! improved in a small amount of time. When relocation-as-a-constraint is

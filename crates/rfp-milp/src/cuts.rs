@@ -84,11 +84,6 @@ impl Separator {
         Separator { knapsacks, cliques, emitted: HashSet::new() }
     }
 
-    /// Number of knapsack rows and clique hints available for separation.
-    pub fn n_structures(&self) -> (usize, usize) {
-        (self.knapsacks.len(), self.cliques.len())
-    }
-
     /// Separates up to `max_cuts` cuts violated by the LP point `x`.
     pub fn separate(&mut self, x: &[f64], max_cuts: usize) -> Vec<Cut> {
         let mut out: Vec<Cut> = Vec::new();
@@ -194,7 +189,7 @@ mod tests {
         let c = m.cont_var("c", 0.0, 1.0);
         m.add_con("mixed", LinExpr::from(vars[0]) + c, ConOp::Le, 1.0);
         let sep = Separator::new(&m);
-        assert_eq!(sep.n_structures(), (1, 0));
+        assert_eq!((sep.knapsacks.len(), sep.cliques.len()), (1, 0));
     }
 
     #[test]

@@ -63,11 +63,6 @@ impl LinExpr {
         self.terms.len()
     }
 
-    /// Returns `true` if the expression has no variable terms.
-    pub fn is_constant(&self) -> bool {
-        self.terms.is_empty()
-    }
-
     /// Coefficient of a variable (0 if absent).
     pub fn coeff(&self, var: VarId) -> f64 {
         self.terms.get(&var).copied().unwrap_or(0.0)
@@ -218,7 +213,6 @@ mod tests {
         e.add_term(v(0), -5.0);
         assert_eq!(e.coeff(v(0)), 0.0);
         assert_eq!(e.n_terms(), 0);
-        assert!(e.is_constant());
     }
 
     #[test]

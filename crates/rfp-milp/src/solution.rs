@@ -75,23 +75,9 @@ impl Solution {
         }
     }
 
-    /// Mean wall-clock seconds per LP (re-)solve, or 0 when none were run.
-    pub fn lp_seconds_per_solve(&self) -> f64 {
-        if self.lp_solves == 0 {
-            0.0
-        } else {
-            self.lp_seconds / self.lp_solves as f64
-        }
-    }
-
     /// Value of a variable.
     pub fn value(&self, var: VarId) -> f64 {
         self.values[var.index()]
-    }
-
-    /// Value of a variable rounded to the nearest integer.
-    pub fn int_value(&self, var: VarId) -> i64 {
-        self.value(var).round() as i64
     }
 
     /// Value of a binary variable as a boolean.
@@ -149,12 +135,9 @@ mod tests {
             cancelled: false,
         };
         assert_eq!(sol.value(VarId::from_index(0)), 1.2);
-        assert_eq!(sol.int_value(VarId::from_index(2)), 3);
         assert!(!sol.bool_value(VarId::from_index(1)));
         assert!((sol.gap() - 0.1).abs() < 1e-12);
-        assert!((sol.lp_seconds_per_solve() - 0.01).abs() < 1e-12);
         assert_eq!(Solution::empty(SolveStatus::Infeasible, 2).gap(), f64::INFINITY);
-        assert_eq!(Solution::empty(SolveStatus::Infeasible, 2).lp_seconds_per_solve(), 0.0);
     }
 
     #[test]

@@ -81,14 +81,107 @@ fn assignment() -> Model {
     m
 }
 
+/// Strongly correlated 0/1 knapsack (each value is its weight plus 10),
+/// 28 items at half the total weight: a tree of thousands of nodes.
+fn correlated_knapsack() -> Model {
+    let weight = |i: usize| ((i * 37) % 50 + 10) as f64;
+    let capacity = ((0..28).map(weight).sum::<f64>() / 2.0).floor();
+    let mut m = Model::new("correlated-knapsack", Sense::Maximize);
+    let vars: Vec<_> = (0..28).map(|i| m.bin_var(format!("item{i}"))).collect();
+    m.add_con(
+        "capacity",
+        LinExpr::weighted_sum(vars.iter().enumerate().map(|(i, &v)| (v, weight(i)))),
+        ConOp::Le,
+        capacity,
+    );
+    m.set_objective(LinExpr::weighted_sum(
+        vars.iter().enumerate().map(|(i, &v)| (v, weight(i) + 10.0)),
+    ));
+    m
+}
+
+/// Subset-sum with 56 items at half the total weight: like [`subset_sum`],
+/// bound-tied nodes everywhere, but wide enough to feed 8 workers.
+fn wide_subset_sum() -> Model {
+    let weight = |i: usize| ((i * 104_729) % 89 + 20) as f64;
+    let capacity = ((0..56).map(weight).sum::<f64>() / 2.0).floor();
+    let mut m = Model::new("wide-subset", Sense::Maximize);
+    let vars: Vec<_> = (0..56).map(|i| m.bin_var(format!("b{i}"))).collect();
+    let terms = || vars.iter().enumerate().map(|(i, &v)| (v, weight(i)));
+    m.add_con("cap", LinExpr::weighted_sum(terms()), ConOp::Le, capacity);
+    m.set_objective(LinExpr::weighted_sum(terms()));
+    m
+}
+
+/// Generalised assignment: 10 jobs on 5 capacitated agents (equality and
+/// knapsack rows, minimisation). Unlike the 4x4 [`assignment`], whose LP
+/// relaxation is integral, its root LP is fractional.
+fn generalised_assignment() -> Model {
+    let (agents, jobs) = (5, 10);
+    let size = |a: usize, j: usize| ((a * 7 + j * 11) % 9 + 5) as f64;
+    let cost = |a: usize, j: usize| ((a * 13 + j * 5) % 11 + 1) as f64;
+    let mut m = Model::new("generalised-assignment", Sense::Minimize);
+    let x: Vec<Vec<_>> =
+        (0..agents).map(|a| (0..jobs).map(|j| m.bin_var(format!("x{a}_{j}"))).collect()).collect();
+    for j in 0..jobs {
+        let column = LinExpr::weighted_sum(x.iter().map(|row| (row[j], 1.0)));
+        m.add_con(format!("job{j}"), column, ConOp::Eq, 1.0);
+    }
+    for (a, row) in x.iter().enumerate() {
+        let load = LinExpr::weighted_sum(row.iter().enumerate().map(|(j, &v)| (v, size(a, j))));
+        let capacity = ((0..jobs).map(|j| size(a, j)).sum::<f64>() / agents as f64 * 1.05).floor();
+        m.add_con(format!("agent{a}"), load, ConOp::Le, capacity);
+    }
+    m.set_objective(LinExpr::weighted_sum(
+        x.iter()
+            .enumerate()
+            .flat_map(|(a, row)| row.iter().enumerate().map(move |(j, &v)| (v, cost(a, j)))),
+    ));
+    m
+}
+
 #[test]
 fn fixed_instances_prove_the_serial_objective_at_every_thread_count() {
-    for build in [knapsack, subset_sum, assignment] {
-        let model = build();
-        let serial = Solver::default().solve(&model);
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    // Each instance with a setting under which the serial ramp-up hands
+    // open nodes to the work-stealing pool at every thread count (the
+    // assignment only without dives and cuts, which otherwise end its
+    // search in the ramp-up).
+    let cold = SolverConfig { dive_period: 0, cut_rounds: 0, ..SolverConfig::default() };
+    let cases = [
+        (correlated_knapsack(), SolverConfig::default()),
+        (wide_subset_sum(), SolverConfig::default()),
+        (generalised_assignment(), cold),
+    ];
+    for (model, base) in cases {
+        let serial = Solver::new(base.clone()).solve(&model);
         assert_eq!(serial.status, SolveStatus::Optimal, "{}", model.name);
         for threads in THREADS {
-            let par = solve_with_threads(&model, threads);
+            // The external-incumbent source is polled once per node, by the
+            // driver during ramp-up and by the workers after it.
+            let worker_polls = Arc::new(AtomicUsize::new(0));
+            let caller = std::thread::current().id();
+            let cfg = SolverConfig {
+                threads,
+                external_incumbents: ExternalIncumbents::from_fn({
+                    let worker_polls = worker_polls.clone();
+                    move || {
+                        if std::thread::current().id() != caller {
+                            worker_polls.fetch_add(1, Ordering::SeqCst);
+                        }
+                        None
+                    }
+                }),
+                ..base.clone()
+            };
+            let par = Solver::new(cfg).solve(&model);
+            assert!(
+                worker_polls.load(Ordering::SeqCst) > 0,
+                "{} at {threads} threads never left the serial ramp-up ({} nodes)",
+                model.name,
+                par.nodes
+            );
             assert_eq!(
                 par.status,
                 SolveStatus::Optimal,

@@ -73,7 +73,7 @@ impl DefragPolicy {
         match id {
             "aware" => Some(DefragPolicy::RelocationAware),
             "oblivious" => Some(DefragPolicy::Oblivious),
-            "no_break" | "no-break" => Some(DefragPolicy::NoBreak),
+            "no_break" => Some(DefragPolicy::NoBreak),
             _ => None,
         }
     }
@@ -106,9 +106,6 @@ pub struct PlannedMove {
 /// What a compaction run tries to achieve.
 #[derive(Debug, Clone, Copy)]
 pub enum CompactionGoal<'a> {
-    /// Stop as soon as a non-overlapping placement for this requirement
-    /// exists somewhere on the device.
-    FitModule(&'a RegionSpec),
     /// Stop as soon as all of these requirements can be placed greedily,
     /// pairwise disjoint, somewhere on the device (the batched-arrival
     /// goal: one compaction serves every same-timestamp arrival).
@@ -263,7 +260,6 @@ impl DefragPlanner {
             // The oblivious baseline is goal-blind by definition: it always
             // compacts to its fixpoint.
             _ if self.policy == DefragPolicy::Oblivious => false,
-            CompactionGoal::FitModule(spec) => first_fit(partition, spec, rects).is_some(),
             CompactionGoal::FitModules(specs) => {
                 let mut occupied = rects.to_vec();
                 specs.iter().all(|spec| match first_fit(partition, spec, &occupied) {
@@ -315,7 +311,12 @@ mod tests {
         assert!(first_fit(&p, &pending, &[m0.rect, m1.rect]).is_none());
 
         let planner = DefragPlanner::default();
-        let plan = plan_and_check(&planner, &p, &[m0, m1], CompactionGoal::FitModule(&pending));
+        let plan = plan_and_check(
+            &planner,
+            &p,
+            &[m0, m1],
+            CompactionGoal::FitModules(std::slice::from_ref(&pending)),
+        );
         assert!(!plan.is_empty());
         // The plan frees a 6x2 window with as few moves as possible.
         assert!(plan.len() <= 2, "aware plan moved more than necessary: {plan:?}");
@@ -373,7 +374,12 @@ mod tests {
         let m1 = live(1, RegionSpec::new("m1", vec![(clb, 4)]), Rect::new(9, 1, 2, 2), 144);
         let pending = RegionSpec::new("big", vec![(clb, 12)]);
         let planner = DefragPlanner { policy: DefragPolicy::NoBreak, max_passes: 3 };
-        let plan = plan_and_check(&planner, &p, &[m0, m1], CompactionGoal::FitModule(&pending));
+        let plan = plan_and_check(
+            &planner,
+            &p,
+            &[m0, m1],
+            CompactionGoal::FitModules(std::slice::from_ref(&pending)),
+        );
         assert!(!plan.is_empty());
         for mv in &plan {
             assert!(!mv.to.overlaps(&mv.from), "no-break move {mv:?} overlaps its own source");
@@ -410,7 +416,7 @@ mod tests {
         for policy in DefragPolicy::ALL {
             assert_eq!(DefragPolicy::from_id(policy.id()), Some(policy));
         }
-        assert_eq!(DefragPolicy::from_id("no-break"), Some(DefragPolicy::NoBreak));
+        assert_eq!(DefragPolicy::from_id("no-break"), None);
         assert_eq!(DefragPolicy::from_id("nonsense"), None);
     }
 

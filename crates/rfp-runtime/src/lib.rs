@@ -27,8 +27,7 @@
 //!   bookkeeping.
 //! * [`report`] — per-event latency, rejected modules, relocated frames,
 //!   stopped-module downtime and the fragmentation curve, as a
-//!   [`report::SimReport`] with deterministic JSON output (v2) and a
-//!   back-compatible reader ([`report::read_sim_report`]).
+//!   [`report::SimReport`] with deterministic JSON output (v2).
 //!
 //! The `rfp simulate` CLI subcommand drives this crate end to end; its
 //! `--policy` flag selects the defragmentation policy.
@@ -71,7 +70,7 @@ pub mod scheduler;
 pub use defrag::{CompactionGoal, DefragPlanner, DefragPolicy, LiveModule, PlannedMove};
 pub use frag::{frag_metrics, FragMetrics};
 pub use online::{simulate, simulate_with_dispatcher, OnlineConfig, OnlineFloorplanner, SimError};
-pub use report::{read_sim_report, EventRecord, SimReport};
+pub use report::{EventRecord, SimReport};
 pub use scenario::{
     read_scenario, read_scenario_bin, read_scenario_value, write_scenario, write_scenario_bin,
     Event, EventKind, ModuleId, Scenario, SCENARIO_FORMAT,

@@ -578,7 +578,7 @@ impl OnlineFloorplanner {
     ///    for the whole group instead of one per departure),
     /// 2. the group's arrivals go through **one** shared
     ///    placement/defragmentation/re-solve escalation
-    ///    ([`OnlineFloorplanner::handle_arrivals`] — a joint
+    ///    (`handle_arrivals` — a joint
     ///    [`CompactionGoal::FitModules`] goal and a single engine re-solve
     ///    covering every still-pending arrival),
     /// 3. checkpoints observe the post-batch state.

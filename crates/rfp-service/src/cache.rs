@@ -144,11 +144,6 @@ impl OutcomeCache {
         self.entries.is_empty()
     }
 
-    /// Lifetime counters `(exact hits, near hits, misses)`.
-    pub fn counters(&self) -> (u64, u64, u64) {
-        (self.hits, self.near_hits, self.misses)
-    }
-
     /// The full lifetime snapshot, including evictions and the resident
     /// weight mass (see [`CacheStats`]).
     pub fn stats(&self) -> CacheStats {

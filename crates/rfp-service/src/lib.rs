@@ -1,9 +1,9 @@
 //! # rfp-service — queue-worker solve service with a cross-request outcome cache
 //!
 //! A long-lived solving front-end for the relocation-aware floorplanner:
-//! callers submit [`SolveRequest`](rfp_floorplan::engine::SolveRequest)s as
-//! prioritised jobs; a pool of plain-`std::thread` workers drains them
-//! through the [`EngineRegistry`](rfp_floorplan::engine::EngineRegistry)
+//! callers submit [`SolveRequest`]s as prioritised jobs; a pool of
+//! plain-`std::thread` workers drains them through the
+//! [`EngineRegistry`](rfp_floorplan::engine::EngineRegistry)
 //! (one engine per job, or a cancellable portfolio race); and every solved
 //! outcome feeds a cache keyed on the stable
 //! [`ProblemFingerprint`](rfp_floorplan::fingerprint::ProblemFingerprint),
@@ -20,11 +20,10 @@
 //! * [`protocol`] — the NDJSON `rfp serve` protocol over the v1 JSON
 //!   problem format.
 //!
-//! The service also implements
-//! [`SolveDispatcher`](rfp_floorplan::engine::SolveDispatcher), so the
-//! online reconfiguration simulator of `rfp-runtime` can route its
-//! escalation solves through the shared queue and cache instead of calling
-//! engines directly.
+//! The service also implements [`SolveDispatcher`], so the online
+//! reconfiguration simulator of `rfp-runtime` can route its escalation
+//! solves through the shared queue and cache instead of calling engines
+//! directly.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]

@@ -94,12 +94,15 @@ pub fn serve(
         let result = service.join(*id).expect("submitted ids are joinable");
         writeln!(output, "{}", done_line(name, &result))?;
     }
-    let (hits, near, misses) = service.cache_counters();
+    let cache = service.cache_stats();
     writeln!(
         output,
-        "{{\"verb\":\"stats\",\"jobs\":{},\"cache_hits\":{hits},\"cache_near\":{near},\
-         \"cache_misses\":{misses}}}",
-        order.len()
+        "{{\"verb\":\"stats\",\"jobs\":{},\"cache_hits\":{},\"cache_near\":{},\
+         \"cache_misses\":{}}}",
+        order.len(),
+        cache.hits,
+        cache.near_hits,
+        cache.misses
     )?;
     output.flush()?;
     service.shutdown();

@@ -1,13 +1,13 @@
 //! The queue-worker solve service.
 //!
 //! A [`SolveService`] owns a pool of plain `std::thread` workers draining a
-//! [`JobQueue`](crate::queue::JobQueue) of [`JobSpec`]s. Each job dispatches
-//! to one engine of the service's [`EngineRegistry`] or races a
-//! [`Portfolio`] of them, under a per-job [`CancelToken`] so callers can
-//! cancel a running job and status-poll it while it runs. Solved outcomes
-//! feed the cross-request [`OutcomeCache`]: an identical re-submission is
-//! served straight from the cache (no engine runs at all), and a
-//! near-identical one warm-starts from the adapted cached floorplan.
+//! [`JobQueue`] of [`JobSpec`]s. Each job dispatches to one engine of the
+//! service's [`EngineRegistry`] or races a [`Portfolio`] of them, under a
+//! per-job [`CancelToken`] so callers can cancel a running job and
+//! status-poll it while it runs. Solved outcomes feed the cross-request
+//! [`OutcomeCache`]: an identical re-submission is served straight from the
+//! cache (no engine runs at all), and a near-identical one warm-starts from
+//! the adapted cached floorplan.
 //!
 //! Lifecycle of a job:
 //!
@@ -381,11 +381,6 @@ impl SolveService {
     /// Number of jobs still queued (not dispatched).
     pub fn queued(&self) -> usize {
         self.shared.queue.len()
-    }
-
-    /// Cache counters `(exact hits, near hits, misses)`.
-    pub fn cache_counters(&self) -> (u64, u64, u64) {
-        self.shared.cache.lock().unwrap_or_else(|e| e.into_inner()).counters()
     }
 
     /// The full cache snapshot: hit/near-hit/miss/eviction counters plus

@@ -207,11 +207,11 @@ fn concurrent_submit_and_poll_from_many_threads() {
         }
     });
     assert_eq!(completed.load(Ordering::SeqCst), 12);
-    let (hits, _near, misses) = service.cache_counters();
+    let cache = service.cache_stats();
     // 12 identical problems: the first solve misses, and every job that
     // started after it completed hits. At least one of each is guaranteed.
-    assert!(misses >= 1);
-    assert!(hits >= 1, "identical re-submissions must eventually hit the cache");
+    assert!(cache.misses >= 1);
+    assert!(cache.hits >= 1, "identical re-submissions must eventually hit the cache");
 }
 
 #[test]
@@ -247,8 +247,7 @@ fn near_problem_warm_starts_from_the_cache() {
         other => panic!("expected a warm near-hit, got {other:?}"),
     }
     assert!(r.outcome.status.has_floorplan(), "{:?}", r.outcome.detail);
-    let (_, near_hits, _) = service.cache_counters();
-    assert_eq!(near_hits, 1);
+    assert_eq!(service.cache_stats().near_hits, 1);
 }
 
 #[test]
@@ -260,7 +259,8 @@ fn cache_opt_out_always_solves_cold() {
     let b = service.submit(spec);
     assert_eq!(service.join(a).unwrap().cache, CacheDisposition::Off);
     assert_eq!(service.join(b).unwrap().cache, CacheDisposition::Off);
-    assert_eq!(service.cache_counters(), (0, 0, 0));
+    let cache = service.cache_stats();
+    assert_eq!((cache.hits, cache.near_hits, cache.misses), (0, 0, 0));
 }
 
 #[test]
@@ -289,8 +289,7 @@ fn dispatcher_bridge_routes_through_queue_and_cache() {
     assert!(first.is_proven());
     let second = service.dispatch("combinatorial", &req, &ctl);
     assert_eq!(second.floorplan, first.floorplan);
-    let (hits, _, _) = service.cache_counters();
-    assert_eq!(hits, 1, "the second dispatch must be an exact cache hit");
+    assert_eq!(service.cache_stats().hits, 1, "the second dispatch must be an exact cache hit");
     // Unknown engines surface as infeasible outcomes, not panics.
     let unknown = service.dispatch("nonsense", &req, &ctl);
     assert_eq!(unknown.status, OutcomeStatus::Infeasible);

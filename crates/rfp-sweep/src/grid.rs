@@ -30,7 +30,7 @@
 //! }
 //! ```
 
-use rfp_floorplan::jsonio::{escape, num, parse, JsonError, JsonValue};
+use rfp_floorplan::jsonio::{escape, num, parse, JsonError, JsonValue, MAX_DEVICE_CELLS};
 use rfp_runtime::DefragPolicy;
 use rfp_workloads::DefragWorkloadSpec;
 use std::fmt::Write as _;
@@ -165,7 +165,8 @@ impl SweepGrid {
     }
 
     /// Structural validation: every axis non-empty, utilisations in
-    /// `(0, 1]`, positive module count. Returns human-readable issues.
+    /// `(0, 1]`, devices of 1 to [`MAX_DEVICE_CELLS`] tiles, positive module
+    /// count, finite positive time budgets. Returns human-readable issues.
     pub fn validate(&self) -> Vec<String> {
         let mut issues = Vec::new();
         let mut axis = |name: &str, empty: bool| {
@@ -186,10 +187,25 @@ impl SweepGrid {
         for d in &self.devices {
             if d.cols == 0 || d.rows == 0 {
                 issues.push(format!("degenerate device {}", d.label()));
+            } else if d.tiles() > MAX_DEVICE_CELLS {
+                issues.push(format!(
+                    "implausible device {}: more than {MAX_DEVICE_CELLS} tiles",
+                    d.label()
+                ));
             }
         }
         if self.modules == 0 {
             issues.push("modules must be positive".to_string());
+        }
+        // A limit that is not finite and positive would mean "no deadline"
+        // to the engine, or never flag a run as over budget.
+        for (name, secs) in [
+            ("engine_time_limit", self.engine_time_limit),
+            ("run_budget_seconds", self.run_budget_seconds),
+        ] {
+            if !(secs.is_finite() && secs > 0.0) {
+                issues.push(format!("`{name}` {secs} is not positive finite seconds"));
+            }
         }
         issues
     }
@@ -544,5 +560,27 @@ mod tests {
         assert!(read_grid(&no_seeds).unwrap_err().0.contains("`seeds` is empty"));
         let bad_util = doc.replace("[0.5,0.75]", "[0.5,1.75]");
         assert!(read_grid(&bad_util).unwrap_err().0.contains("outside (0, 1]"));
+        // Rejected before any device is built: 2^32 tiles.
+        let huge = doc.replace("\"cols\":12,\"rows\":2", "\"cols\":65536,\"rows\":65536");
+        assert!(read_grid(&huge).unwrap_err().0.contains("implausible device 65536x65536"));
+        let zero_limit = doc.replace("\"engine_time_limit\": 5", "\"engine_time_limit\": 0");
+        assert!(read_grid(&zero_limit).unwrap_err().0.contains("`engine_time_limit` 0 is not"));
+        let negative_budget =
+            doc.replace("\"run_budget_seconds\": 60", "\"run_budget_seconds\": -1");
+        assert!(read_grid(&negative_budget)
+            .unwrap_err()
+            .0
+            .contains("`run_budget_seconds` -1 is not"));
+        // JSON has no NaN or infinity; a grid built in code can hold them.
+        let nan_limit = SweepGrid { engine_time_limit: f64::NAN, ..SweepGrid::smoke() };
+        assert_eq!(
+            nan_limit.validate(),
+            ["`engine_time_limit` NaN is not positive finite seconds"]
+        );
+        let infinite_budget = SweepGrid { run_budget_seconds: f64::INFINITY, ..SweepGrid::smoke() };
+        assert_eq!(
+            infinite_budget.validate(),
+            ["`run_budget_seconds` inf is not positive finite seconds"]
+        );
     }
 }

@@ -11,8 +11,8 @@
 //!   policies × seeds, exchanged as `rfp-sweep-grid` v1 JSON and expanded
 //!   into a deterministic work list ([`SweepGrid::plan`]).
 //! * [`runner`] — [`run_sweep`]: a `std::thread::scope` worker pool over
-//!   the run list, [`CancelToken`]-abortable, materialising each trace
-//!   **once** as an `rfpb` binary document and replaying it per policy.
+//!   the run list, [`CancelToken`]-abortable, generating each trace
+//!   **once** and replaying it per policy.
 //!   Results merge *after* the pool joins, in run-index order.
 //! * [`report`] — per-cell percentile statistics (admission rate,
 //!   per-arrival latency in frames, moved/downtime frames, fragmentation
@@ -53,7 +53,6 @@ pub use grid::{
     TraceSpec, GRID_FORMAT, GRID_VERSION,
 };
 pub use report::{
-    aggregate, read_sweep_report, CellStats, RunMetrics, SweepReport, SWEEP_REPORT_FORMAT,
-    SWEEP_REPORT_VERSION,
+    aggregate, CellStats, RunMetrics, SweepReport, SWEEP_REPORT_FORMAT, SWEEP_REPORT_VERSION,
 };
 pub use runner::{run_sweep, SweepError, SweepOptions, SweepOutcome};

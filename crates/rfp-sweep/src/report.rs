@@ -15,7 +15,7 @@
 //!   merge, never in completion order.
 
 use crate::grid::CellKey;
-use rfp_floorplan::jsonio::{escape, num, parse, JsonError, JsonValue};
+use rfp_floorplan::jsonio::{escape, num};
 use rfp_runtime::SimReport;
 use rfp_trace::{summarize_counts, CountStats};
 use std::fmt::Write as _;
@@ -193,17 +193,6 @@ fn write_counts(out: &mut String, name: &str, s: &CountStats) {
     );
 }
 
-fn read_counts(v: &JsonValue) -> Result<CountStats, JsonError> {
-    Ok(CountStats {
-        n: v.field("n")?.as_u64()?,
-        total: v.field("total")?.as_u64()?,
-        p50: v.field("p50")?.as_u64()?,
-        p95: v.field("p95")?.as_u64()?,
-        min: v.field("min")?.as_u64()?,
-        max: v.field("max")?.as_u64()?,
-    })
-}
-
 impl SweepReport {
     /// Renders the report as a deterministic JSON document (trailing
     /// newline) — the byte-diffed CI artifact and regression baseline.
@@ -257,53 +246,6 @@ impl SweepReport {
         out.push_str("}\n");
         out
     }
-}
-
-/// Parses an `rfp-sweep-report` v1 document.
-pub fn read_sweep_report(input: &str) -> Result<SweepReport, JsonError> {
-    let doc = parse(input)?;
-    let tag = doc.field("format")?.as_str()?;
-    if tag != SWEEP_REPORT_FORMAT {
-        return Err(JsonError(format!("expected format `{SWEEP_REPORT_FORMAT}`, found `{tag}`")));
-    }
-    let version = doc.field("version")?.as_u64()?;
-    if version != SWEEP_REPORT_VERSION {
-        return Err(JsonError(format!(
-            "unsupported {SWEEP_REPORT_FORMAT} version {version} (this build reads version \
-             {SWEEP_REPORT_VERSION})"
-        )));
-    }
-    let mut cells = Vec::new();
-    for c in doc.field("cells")?.as_arr()? {
-        let policy_id = c.field("policy")?.as_str()?;
-        cells.push(CellStats {
-            key: CellKey {
-                device: c.field("device")?.as_str()?.to_string(),
-                utilisation: c.field("utilisation")?.as_f64()?,
-                mean_lifetime: c.field("mean_lifetime")?.as_u64()?,
-                policy: rfp_runtime::DefragPolicy::from_id(policy_id)
-                    .ok_or_else(|| JsonError(format!("unknown policy `{policy_id}`")))?,
-            },
-            runs: c.field("runs")?.as_u64()? as usize,
-            arrivals: c.field("arrivals")?.as_u64()?,
-            rejected: c.field("rejected")?.as_u64()?,
-            admission_rate: c.field("admission_rate")?.as_f64()?,
-            latency_frames: read_counts(c.field("latency_frames")?)?,
-            moved_frames: read_counts(c.field("moved_frames")?)?,
-            downtime_frames: read_counts(c.field("downtime_frames")?)?,
-            relocation_cost: c.field("relocation_cost")?.as_f64()?,
-            escalations: c.field("escalations")?.as_u64()?,
-            max_fragmentation: c.field("max_fragmentation")?.as_f64()?,
-            mean_checkpoint_fragmentation: c.field("mean_checkpoint_fragmentation")?.as_f64()?,
-            violations: c.field("violations")?.as_u64()?,
-        });
-    }
-    Ok(SweepReport {
-        grid: doc.field("grid")?.as_str()?.to_string(),
-        engine: doc.field("engine")?.as_str()?.to_string(),
-        runs: doc.field("runs")?.as_u64()? as usize,
-        cells,
-    })
 }
 
 #[cfg(test)]
@@ -379,29 +321,6 @@ mod tests {
         let a = aggregate("g", "e", &keys(), &[0, 1, 0], &results);
         let b = aggregate("g", "e", &keys(), &[0, 1, 0], &results.clone());
         assert_eq!(a.to_json(), b.to_json());
-    }
-
-    #[test]
-    fn reports_round_trip_byte_stable() {
-        let results = vec![metrics(&[0, 36], 36, 36, 1), metrics(&[], 0, 0, 0)];
-        let report = aggregate("smoke", "combinatorial", &keys(), &[0, 1], &results);
-        let doc = report.to_json();
-        let back = read_sweep_report(&doc).unwrap();
-        assert_eq!(back, report);
-        assert_eq!(back.to_json(), doc);
-    }
-
-    #[test]
-    fn foreign_and_future_documents_are_rejected() {
-        let doc = aggregate("g", "e", &keys(), &[], &[]).to_json();
-        assert!(read_sweep_report(&doc.replace(SWEEP_REPORT_FORMAT, "rfp-problem"))
-            .unwrap_err()
-            .0
-            .contains("expected format"));
-        assert!(read_sweep_report(&doc.replace("\"version\": 1", "\"version\": 9"))
-            .unwrap_err()
-            .0
-            .contains("version 9"));
     }
 
     #[test]

@@ -8,10 +8,8 @@
 //! (the same deferred-merge discipline `rfp serve --jobs` uses), which is
 //! what makes the report byte-stable at any worker count.
 //!
-//! Traces are materialised **once per grid point** as binary `rfpb`
-//! documents ([`rfp_runtime::write_scenario_bin`]) and decoded per run — so
-//! the three policy cells of a grid point replay the exact same trace, and
-//! replays pay the binary decode cost rather than JSON parse or RNG regen.
+//! Traces are generated **once per grid point** and shared by reference,
+//! so the policy cells of a grid point replay the exact same [`Scenario`].
 //!
 //! Cancellation reuses [`CancelToken`]: the runner derives a child token
 //! from the caller's (so an external ctrl-c style cancel propagates in),
@@ -21,7 +19,7 @@
 use crate::grid::SweepGrid;
 use crate::report::{aggregate, RunMetrics, SweepReport};
 use rfp_floorplan::CancelToken;
-use rfp_runtime::{read_scenario_bin, simulate, OnlineConfig};
+use rfp_runtime::{simulate, OnlineConfig, Scenario};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -36,8 +34,8 @@ pub struct SweepOptions {
     /// Cooperative abort: cancel it and the pool drains after the runs
     /// currently in flight.
     pub cancel: CancelToken,
-    /// Trace collector handle. When set, each run records its decode /
-    /// simulate phase breakdown onto its own `run#####` track (run indices
+    /// Trace collector handle. When set, each run records its simulate
+    /// span onto its own `run#####` track (run indices
     /// are plan-stable, so the trace is as worker-count-independent as the
     /// report).
     pub trace: Option<rfp_trace::TraceHandle>,
@@ -80,8 +78,6 @@ pub struct SweepOutcome {
     pub report: SweepReport,
     /// Total wall-clock seconds of the sweep (stderr material only).
     pub wall_seconds: f64,
-    /// Bytes of materialised binary trace shared across the runs.
-    pub trace_bytes: u64,
     /// Run indices whose wall time exceeded
     /// [`SweepGrid::run_budget_seconds`], sorted ascending.
     pub over_budget: Vec<usize>,
@@ -96,13 +92,8 @@ pub fn run_sweep(grid: &SweepGrid, options: &SweepOptions) -> Result<SweepOutcom
     let started = Instant::now();
     let plan = grid.plan();
 
-    // Materialise every trace once, binary-encoded; runs replay from bytes.
-    let traces: Vec<Vec<u8>> = plan
-        .traces
-        .iter()
-        .map(|t| rfp_runtime::write_scenario_bin(&t.workload().generate()))
-        .collect();
-    let trace_bytes: u64 = traces.iter().map(|t| t.len() as u64).sum();
+    // Generate every trace once; its runs share it.
+    let traces: Vec<Scenario> = plan.traces.iter().map(|t| t.workload().generate()).collect();
 
     let cancel = options.cancel.child();
     let next = AtomicUsize::new(0);
@@ -121,11 +112,6 @@ pub fn run_sweep(grid: &SweepGrid, options: &SweepOptions) -> Result<SweepOutcom
                 let Some(run) = plan.runs.get(idx) else { break };
                 let _run_scope = options.trace.as_ref().map(|h| h.install(&format!("run{idx:05}")));
                 rfp_trace::count("sweep.runs", 1);
-                let scenario = {
-                    let _decode = rfp_trace::span("sweep.decode");
-                    read_scenario_bin(&traces[run.trace])
-                        .expect("traces materialised by this runner decode")
-                };
                 let config = OnlineConfig {
                     engine: grid.engine.clone(),
                     policy: run.policy,
@@ -134,7 +120,7 @@ pub fn run_sweep(grid: &SweepGrid, options: &SweepOptions) -> Result<SweepOutcom
                 };
                 let run_started = Instant::now();
                 let _simulate = rfp_trace::span("sweep.simulate");
-                match simulate(&scenario, &config) {
+                match simulate(&traces[run.trace], &config) {
                     Ok(sim) => {
                         if run_started.elapsed().as_secs_f64() > grid.run_budget_seconds {
                             rfp_trace::count("sweep.over_budget", 1);
@@ -168,12 +154,7 @@ pub fn run_sweep(grid: &SweepGrid, options: &SweepOptions) -> Result<SweepOutcom
     let report = aggregate(&grid.name, &grid.engine, &plan.cells, &run_cells, &metrics);
     let mut over_budget = over_budget.into_inner().expect("budget lock");
     over_budget.sort_unstable();
-    Ok(SweepOutcome {
-        report,
-        wall_seconds: started.elapsed().as_secs_f64(),
-        trace_bytes,
-        over_budget,
-    })
+    Ok(SweepOutcome { report, wall_seconds: started.elapsed().as_secs_f64(), over_budget })
 }
 
 #[cfg(test)]
@@ -214,7 +195,6 @@ mod tests {
             .expect("parallel sweep");
         assert_eq!(serial.report.to_json(), parallel.report.to_json());
         assert_eq!(serial.report.runs, 6);
-        assert!(serial.trace_bytes > 0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The software-defined-radio (SDR) case study of Section VI.
 //!
-//! The SDR design (originally from the evaluation of [8]) consists of five
+//! The SDR design (originally from the evaluation of \[8\]) consists of five
 //! modules — matched filter, carrier recovery, demodulator, signal decoder
 //! and video decoder — each implemented as a reconfigurable region with
 //! mutually-exclusive modes, connected in sequential order by a 64-bit bus.

@@ -39,7 +39,7 @@
 //! violations for `simulate`/`sweep`), `3` budget exhausted before a
 //! floorplan was found.
 //!
-//! [`SolveDispatcher`]: relocfp::runtime::SolveDispatcher
+//! [`SolveDispatcher`]: relocfp::floorplan::engine::SolveDispatcher
 
 use relocfp::floorplan::binio::{self, BinKind};
 use relocfp::floorplan::engine::{EngineRegistry, OutcomeStatus, SolveRequest};
@@ -580,9 +580,12 @@ fn cmd_simulate(args: &[String]) -> Result<ExitCode, String> {
     let report = sim.map_err(|e| format!("`{path}`: {e}"))?;
     if !args.has("--quiet") {
         eprintln!("rfp: {}", report.summary());
-        let (hits, warm, misses) = service.cache_counters();
-        if hits + warm + misses > 0 {
-            eprintln!("rfp: solve cache: {hits} hit(s), {warm} warm-start(s), {misses} miss(es)");
+        let cache = service.cache_stats();
+        if cache.hits + cache.near_hits + cache.misses > 0 {
+            eprintln!(
+                "rfp: solve cache: {} hit(s), {} warm-start(s), {} miss(es)",
+                cache.hits, cache.near_hits, cache.misses
+            );
         }
         for e in report.events.iter().filter(|e| !e.violations.is_empty()) {
             for v in &e.violations {
@@ -813,14 +816,12 @@ fn cmd_sweep(args: &[String]) -> Result<ExitCode, String> {
     let violations: u64 = outcome.report.cells.iter().map(|c| c.violations).sum();
     if !args.has("--quiet") {
         eprintln!(
-            "sweep `{}`: {} runs over {} cells on {} worker(s) in {:.2}s \
-             ({:.1} KiB of shared binary trace)",
+            "sweep `{}`: {} runs over {} cells on {} worker(s) in {:.2}s",
             outcome.report.grid,
             outcome.report.runs,
             outcome.report.cells.len(),
             workers,
             outcome.wall_seconds,
-            outcome.trace_bytes as f64 / 1024.0,
         );
         if !outcome.over_budget.is_empty() {
             eprintln!(

@@ -15,7 +15,7 @@
 //! | [`device`] | `rfp-device` | FPGA device model, columnar partitioning, area compatibility |
 //! | [`milp`] | `rfp-milp` | from-scratch LP/MILP solver (simplex + branch and bound) |
 //! | [`floorplan`] | `rfp-floorplan` | the relocation-aware floorplanner (O, HO, combinatorial) |
-//! | [`baselines`] | `rfp-baselines` | tessellation ([8]-style) and simulated annealing ([9]-style) |
+//! | [`baselines`] | `rfp-baselines` | tessellation (\[8\]-style) and simulated annealing (\[9\]-style) |
 //! | [`bitstream`] | `rfp-bitstream` | synthetic partial bitstreams, CRC-32, relocation filter |
 //! | [`runtime`] | `rfp-runtime` | online reconfiguration simulator: event streams, incremental placement, defragmentation |
 //! | [`service`] | `rfp-service` | queue-worker solve service: job queue, worker pool, cross-request outcome cache, `rfp serve` protocol |

@@ -427,7 +427,6 @@ fn every_reader_survives(text: &str) -> Result<(), String> {
         jsonio::read_problem(text).err(),
         relocfp::runtime::read_scenario(text).err(),
         relocfp::sweep::read_grid(text).err(),
-        relocfp::sweep::read_sweep_report(text).err(),
         relocfp::trace::TraceDoc::from_json(text).err(),
     ];
     let Some(syntax) = syntax else { return Ok(()) };

@@ -8,9 +8,7 @@
 //! ```
 
 use relocfp::runtime::DefragPolicy;
-use relocfp::sweep::{
-    read_grid, read_sweep_report, run_sweep, write_grid, SweepGrid, SweepOptions,
-};
+use relocfp::sweep::{read_grid, run_sweep, write_grid, SweepGrid, SweepOptions, SweepReport};
 use std::path::PathBuf;
 
 fn golden_dir() -> PathBuf {
@@ -48,6 +46,8 @@ fn the_smoke_sweep_reproduces_the_committed_baseline_at_any_worker_count() {
         "sweep.report.json is stale; regenerate with \
          `cargo test --test sweep_golden -- --ignored regenerate_golden_files`"
     );
+    // The report just shown to be the baseline holds the fleet invariants.
+    assert_fleet_invariants(&grid, &serial.report);
 
     let parallel = run_sweep(&grid, &SweepOptions { workers: 4, ..Default::default() })
         .expect("parallel sweep completes");
@@ -58,14 +58,11 @@ fn the_smoke_sweep_reproduces_the_committed_baseline_at_any_worker_count() {
     );
 }
 
-#[test]
-fn the_committed_baseline_holds_the_fleet_invariants() {
-    let report = read_sweep_report(&golden("sweep.report.json")).expect("baseline parses");
-    let grid = read_grid(&golden("sweep.grid.json")).expect("golden grid parses");
+fn assert_fleet_invariants(grid: &SweepGrid, report: &SweepReport) {
     let expected_cells =
         grid.devices.len() * grid.utilisations.len() * grid.lifetimes.len() * grid.policies.len();
     assert_eq!(report.cells.len(), expected_cells);
-    assert_eq!(report.runs as usize, expected_cells * grid.seeds.len());
+    assert_eq!(report.runs, expected_cells * grid.seeds.len());
     for cell in &report.cells {
         assert_eq!(cell.violations, 0, "{cell:?}");
         assert!(cell.arrivals > 0, "{cell:?}");
