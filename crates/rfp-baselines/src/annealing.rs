@@ -23,7 +23,6 @@ use rfp_floorplan::engine::SolveControl;
 use rfp_floorplan::placement::{FcPlacement, Floorplan};
 use rfp_floorplan::problem::FloorplanProblem;
 use rfp_floorplan::FloorplanError;
-use std::time::Instant;
 
 /// Number of proposed moves.
 const ITERATIONS: usize = 20_000;
@@ -111,14 +110,9 @@ impl<'a> State<'a> {
 pub struct AnnealingRun {
     /// Best overlap-free floorplan found, if any.
     pub floorplan: Option<Floorplan>,
-    /// Moves actually proposed (may be below the configured iteration budget
-    /// when the run was cancelled or hit its deadline).
+    /// Moves actually proposed (below the iteration budget when the
+    /// control's token — a cancellation or its deadline — stopped the run).
     pub moves: u64,
-    /// `true` when the run stopped on the control's cancellation token.
-    pub cancelled: bool,
-    /// `true` when the run stopped because the deadline expired (as opposed
-    /// to completing its iteration budget or being cancelled).
-    pub hit_deadline: bool,
 }
 
 impl AnnealingFloorplanner {
@@ -127,17 +121,15 @@ impl AnnealingFloorplanner {
         AnnealingFloorplanner { config }
     }
 
-    /// Runs the annealer under a [`SolveControl`] and an optional deadline:
-    /// the annealer's one entry point, which
-    /// [`crate::engines::AnnealingEngine`] wraps.
+    /// Runs the annealer under a [`SolveControl`]: the annealer's one entry
+    /// point, which [`crate::engines::AnnealingEngine`] wraps.
     ///
-    /// The move loop polls the control's cancellation token (and the
-    /// deadline) every few hundred proposals and stops early, keeping the
-    /// best floorplan found so far.
+    /// The move loop polls the control's cancellation token (which carries
+    /// the run's deadline, if any) every few hundred proposals and stops
+    /// early, keeping the best floorplan found so far.
     pub fn solve_with_control(
         &self,
         problem: &FloorplanProblem,
-        deadline: Option<Instant>,
         ctl: &SolveControl,
     ) -> Result<AnnealingRun, FloorplanError> {
         problem.validate()?;
@@ -168,18 +160,9 @@ impl AnnealingFloorplanner {
         let mut temperature = INITIAL_TEMPERATURE;
         let cooling_period = ITERATIONS / 100;
         let mut moves = 0u64;
-        let mut cancelled = false;
-        let mut hit_deadline = false;
         for it in 0..ITERATIONS {
-            if it % 256 == 0 {
-                if ctl.cancel.is_cancelled() {
-                    cancelled = true;
-                    break;
-                }
-                if deadline.is_some_and(|d| Instant::now() >= d) {
-                    hit_deadline = true;
-                    break;
-                }
+            if it % 256 == 0 && ctl.cancel.is_cancelled() {
+                break;
             }
             moves += 1;
             let region = rng.gen_range(0..state.choice.len());
@@ -206,7 +189,7 @@ impl AnnealingFloorplanner {
         }
 
         let Some((_, choice)) = best else {
-            return Ok(AnnealingRun { floorplan: None, moves, cancelled, hit_deadline });
+            return Ok(AnnealingRun { floorplan: None, moves });
         };
         state.choice = choice;
         let mut floorplan = Floorplan::from_regions(state.rects());
@@ -219,7 +202,7 @@ impl AnnealingFloorplanner {
         if issues.iter().any(|i| !i.contains("was not identified")) {
             return Err(FloorplanError::Infeasible { reason: issues.join("; ") });
         }
-        Ok(AnnealingRun { floorplan: Some(floorplan), moves, cancelled, hit_deadline })
+        Ok(AnnealingRun { floorplan: Some(floorplan), moves })
     }
 }
 
@@ -247,7 +230,7 @@ mod tests {
     /// The best floorplan of an uncontrolled run with `config`.
     fn anneal(config: AnnealingConfig, p: &FloorplanProblem) -> Floorplan {
         let run = AnnealingFloorplanner::new(config)
-            .solve_with_control(p, None, &SolveControl::default())
+            .solve_with_control(p, &SolveControl::default())
             .unwrap();
         run.floorplan.expect("an overlap-free floorplan")
     }
@@ -297,39 +280,35 @@ mod tests {
         let p = problem();
         let ctl = SolveControl::default();
         ctl.cancel.cancel();
-        let run = AnnealingFloorplanner::default().solve_with_control(&p, None, &ctl).unwrap();
-        assert!(run.cancelled);
+        let run = AnnealingFloorplanner::default().solve_with_control(&p, &ctl).unwrap();
         assert_eq!(run.moves, 0);
     }
 
     #[test]
     fn expired_deadline_stops_early_but_is_not_a_cancellation() {
         let p = problem();
-        let run = AnnealingFloorplanner::default()
-            .solve_with_control(&p, Some(Instant::now()), &SolveControl::default())
-            .unwrap();
-        assert!(!run.cancelled);
-        assert!(run.hit_deadline);
+        let caller = SolveControl::default();
+        let expired = caller.with_deadline(Some(std::time::Instant::now()));
+        let run = AnnealingFloorplanner::default().solve_with_control(&p, &expired).unwrap();
         assert_eq!(run.moves, 0);
+        assert!(!caller.cancel.is_cancelled(), "the deadline stays on the child token");
     }
 
     #[test]
     fn completed_runs_record_neither_deadline_nor_cancellation() {
         let p = problem();
-        let run = AnnealingFloorplanner::default()
-            .solve_with_control(&p, None, &SolveControl::default())
-            .unwrap();
-        assert!(!run.cancelled);
-        assert!(!run.hit_deadline);
-        assert!(run.moves > 0);
+        let far = std::time::Instant::now() + std::time::Duration::from_secs(3600);
+        let ctl = SolveControl::default().with_deadline(Some(far));
+        let run = AnnealingFloorplanner::default().solve_with_control(&p, &ctl).unwrap();
+        assert_eq!(run.moves, ITERATIONS as u64, "the whole iteration budget ran");
+        assert!(!ctl.cancel.is_cancelled());
     }
 
     #[test]
     fn infeasible_requirements_error_out() {
         let mut p = problem();
         p.add_region(RegionSpec::new("huge", vec![(p.regions[0].tile_req()[0].0, 500)]));
-        let run =
-            AnnealingFloorplanner::default().solve_with_control(&p, None, &SolveControl::default());
+        let run = AnnealingFloorplanner::default().solve_with_control(&p, &SolveControl::default());
         assert!(run.is_err());
     }
 }

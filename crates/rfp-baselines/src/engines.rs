@@ -26,7 +26,8 @@ use std::time::Instant;
 
 /// The simulated-annealing baseline (in the spirit of \[9\]) as an engine,
 /// id `"annealing"`, with the default annealer parameters; the request's
-/// time budget is honoured as a deadline on top of the iteration budget.
+/// time budget is the deadline of the token the annealer polls, on top of
+/// its iteration budget.
 #[derive(Debug, Clone, Default)]
 pub struct AnnealingEngine;
 
@@ -46,9 +47,9 @@ impl FloorplanEngine for AnnealingEngine {
     }
 
     fn solve(&self, req: &SolveRequest, ctl: &SolveControl) -> SolveOutcome {
-        let problem = &req.problem;
         let start = Instant::now();
-        let deadline = deadline_after(start, req.time_limit_secs);
+        let run = ctl.with_deadline(deadline_after(start, req.time_limit_secs));
+        let problem = &req.problem;
         let mut stats = EngineStats::new(self.id());
         if has_relocation_constraint(problem) {
             return SolveOutcome::without_floorplan(
@@ -58,9 +59,8 @@ impl FloorplanEngine for AnnealingEngine {
                 stats,
             );
         }
-        let run = match AnnealingFloorplanner::default().solve_with_control(problem, deadline, ctl)
-        {
-            Ok(run) => run,
+        let annealed = match AnnealingFloorplanner::default().solve_with_control(problem, &run) {
+            Ok(annealed) => annealed,
             Err(e) => {
                 stats.solve_seconds = start.elapsed().as_secs_f64();
                 stats.cancelled = ctl.cancel.is_cancelled();
@@ -71,17 +71,17 @@ impl FloorplanEngine for AnnealingEngine {
                 );
             }
         };
-        stats.nodes = run.moves;
+        stats.nodes = annealed.moves;
         stats.solve_seconds = start.elapsed().as_secs_f64();
-        stats.cancelled = run.cancelled;
-        let status = if run.cancelled || run.hit_deadline {
+        stats.cancelled = ctl.cancel.is_cancelled();
+        let status = if run.cancel.is_cancelled() {
             OutcomeStatus::BudgetExhausted
         } else {
             OutcomeStatus::Infeasible
         };
         SolveOutcome::from_search(
             problem,
-            run.floorplan,
+            annealed.floorplan,
             false,
             stats,
             status,

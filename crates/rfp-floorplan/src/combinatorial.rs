@@ -67,7 +67,7 @@
 //! `threads <= 1` preserves the serial search order exactly.
 
 use crate::candidates::{enumerate_candidates, Candidate};
-use crate::engine::{deadline_after, SolveControl};
+use crate::engine::SolveControl;
 use crate::error::FloorplanError;
 use crate::placement::{FcPlacement, Floorplan};
 use crate::problem::{FloorplanProblem, RelocationMode};
@@ -80,15 +80,14 @@ use std::time::Instant;
 /// Configuration of the combinatorial engine.
 ///
 /// The objective is not configurable: it is always lexicographic, wasted
-/// frames first, then weighted wire length.
+/// frames first, then weighted wire length. There is no time limit here:
+/// the wall-clock budget is the deadline of the [`SolveControl`] token
+/// (see [`crate::engine::CancelToken::with_deadline`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CombinatorialConfig {
     /// Stop after this many search nodes (0 = unlimited). A request's node
     /// budget sets it, and so does `perfbench`'s `online` workload.
     pub node_limit: u64,
-    /// Wall-clock limit in seconds (0 = unlimited; a limit too large to
-    /// represent as a deadline is unlimited too).
-    pub time_limit_secs: f64,
     /// Return the first feasible floorplan found instead of optimising
     /// (the feasibility analysis and the HO seed search set it).
     pub first_feasible: bool,
@@ -102,12 +101,7 @@ pub struct CombinatorialConfig {
 
 impl Default for CombinatorialConfig {
     fn default() -> Self {
-        CombinatorialConfig {
-            node_limit: 0,
-            time_limit_secs: 0.0,
-            first_feasible: false,
-            threads: 1,
-        }
+        CombinatorialConfig { node_limit: 0, first_feasible: false, threads: 1 }
     }
 }
 
@@ -127,9 +121,6 @@ pub struct CombinatorialResult {
     pub nodes: u64,
     /// Wall-clock seconds.
     pub solve_seconds: f64,
-    /// `true` when the search stopped because the caller's
-    /// [`SolveControl`] token was cancelled.
-    pub cancelled: bool,
     /// What the search did with the nodes it explored.
     pub counts: SearchCounts,
 }
@@ -201,8 +192,6 @@ struct ParShared {
     /// Global wind-down flag: budget hit, cancellation, or a first-feasible
     /// find. Workers poll it at every node.
     abort: AtomicBool,
-    /// `true` when the abort was caused by the caller's cancellation token.
-    cancelled: AtomicBool,
     /// Nodes explored across all workers (the node limit is enforced on
     /// this total, so it may overshoot by at most one node per worker).
     nodes: AtomicU64,
@@ -407,10 +396,8 @@ struct SearchCtx<'a> {
     table: &'a TargetTable<'a>,
     config: &'a CombinatorialConfig,
     ctl: &'a SolveControl,
-    deadline: Option<Instant>,
     nodes: u64,
     aborted: bool,
-    cancelled: bool,
     /// Current partial placement, indexed by region id.
     placed: Vec<Option<Rect>>,
     /// Candidate index of each placed region (meaningless where `placed` is
@@ -457,10 +444,8 @@ impl<'a> SearchCtx<'a> {
             table,
             config: parts.config,
             ctl: parts.ctl,
-            deadline: parts.deadline,
             nodes: 0,
             aborted: false,
-            cancelled: false,
             placed: vec![None; n],
             choice: vec![0; n],
             occupied: RowMasks::new(problem, &[]),
@@ -493,23 +478,13 @@ impl<'a> SearchCtx<'a> {
             self.aborted = true;
             return true;
         }
+        // One poll covers the caller's cancellation and the deadline.
         if self.nodes.is_multiple_of(64) && self.ctl.cancel.is_cancelled() {
             self.aborted = true;
-            self.cancelled = true;
             if let Some(sh) = self.shared {
                 sh.abort.store(true, Ordering::Relaxed);
-                sh.cancelled.store(true, Ordering::Relaxed);
             }
             return true;
-        }
-        if let Some(d) = self.deadline {
-            if self.nodes.is_multiple_of(256) && Instant::now() >= d {
-                self.aborted = true;
-                if let Some(sh) = self.shared {
-                    sh.abort.store(true, Ordering::Relaxed);
-                }
-                return true;
-            }
         }
         false
     }
@@ -793,16 +768,17 @@ impl<'a> SearchCtx<'a> {
 }
 
 /// Solves a floorplanning problem with the combinatorial engine under a
-/// [`SolveControl`]: the search polls the control's cancellation token in
-/// its inner loop.
+/// [`SolveControl`]: the search polls the control's cancellation token —
+/// and with it the token's deadline, the solve's wall-clock budget — in its
+/// inner loop.
 ///
-/// A budget (node, time or cancellation) that stops the search before any
-/// floorplan is found is not an error: the result has `floorplan: None`
-/// and `proven: false`, and keeps the nodes explored, the wall clock spent
-/// and the cancellation flag. `floorplan: None` with `proven: true` means
-/// the search space was exhausted: the instance is infeasible. Only a
-/// problem that fails validation or a region with no candidate placement
-/// is an error.
+/// A budget (node limit, deadline or cancellation) that stops the search
+/// before any floorplan is found is not an error: the result has
+/// `floorplan: None` and `proven: false`, and keeps the nodes explored and
+/// the wall clock spent; the caller asks its own token whether it fired.
+/// `floorplan: None` with `proven: true` means the search space was
+/// exhausted: the instance is infeasible. Only a problem that fails
+/// validation or a region with no candidate placement is an error.
 pub fn solve_combinatorial(
     problem: &FloorplanProblem,
     config: &CombinatorialConfig,
@@ -840,7 +816,6 @@ pub fn solve_combinatorial(
         config,
         ctl,
         start,
-        deadline: deadline_after(start, config.time_limit_secs),
         order,
         candidates,
         footprints,
@@ -853,7 +828,7 @@ pub fn solve_combinatorial(
     } else {
         let mut ctx = SearchCtx::new(&parts, &table, None);
         ctx.dfs(0, 0);
-        parts.result(ctx.best, !ctx.aborted, ctx.nodes, ctx.cancelled, ctx.counts)
+        parts.result(ctx.best, !ctx.aborted, ctx.nodes, ctx.counts)
     };
     res.counts.trace();
     Ok(res)
@@ -865,7 +840,6 @@ struct SolveParts<'a> {
     config: &'a CombinatorialConfig,
     ctl: &'a SolveControl,
     start: Instant,
-    deadline: Option<Instant>,
     /// Region order (most constrained first); `order[i]` is a region index.
     order: Vec<usize>,
     /// Candidates per region (indexed by region id).
@@ -888,7 +862,6 @@ impl SolveParts<'_> {
         best: Option<(u64, f64, Floorplan)>,
         exhausted: bool,
         nodes: u64,
-        cancelled: bool,
         counts: SearchCounts,
     ) -> CombinatorialResult {
         let (best_waste, best_wirelength, floorplan) = match best {
@@ -902,7 +875,6 @@ impl SolveParts<'_> {
             proven: exhausted,
             nodes,
             solve_seconds: self.start.elapsed().as_secs_f64(),
-            cancelled,
             counts,
         }
     }
@@ -935,7 +907,6 @@ fn solve_parallel(parts: &SolveParts<'_>, table: &TargetTable<'_>) -> Combinator
         best_waste: AtomicU64::new(u64::MAX),
         best: Mutex::new(None),
         abort: AtomicBool::new(false),
-        cancelled: AtomicBool::new(false),
         nodes: AtomicU64::new(0),
     };
 
@@ -999,7 +970,6 @@ fn solve_parallel(parts: &SolveParts<'_>, table: &TargetTable<'_>) -> Combinator
         best.map(|(waste, wl, floorplan, _)| (waste, wl, floorplan)),
         !shared.abort.load(Ordering::Relaxed),
         shared.nodes.load(Ordering::Relaxed),
-        shared.cancelled.load(Ordering::Relaxed),
         counts,
     )
 }
@@ -1165,7 +1135,7 @@ mod tests {
             .expect("budget exhaustion is not an error under a control");
         assert!(res.floorplan.is_none());
         assert!(!res.proven);
-        assert!(res.cancelled);
+        assert_eq!(res.nodes, 0, "the first poll stops the search");
     }
 
     #[test]
@@ -1179,7 +1149,6 @@ mod tests {
         let res = solve_combinatorial(&p, &cfg, &SolveControl::default()).unwrap();
         assert!(res.floorplan.is_none());
         assert!(!res.proven);
-        assert!(!res.cancelled);
         assert_eq!(res.nodes, 1);
     }
 
@@ -1440,8 +1409,7 @@ mod tests {
             if res.nodes <= 1 {
                 continue;
             }
-            assert!(res.cancelled, "the cancellation must be observed and reported");
-            assert!(!res.proven, "a cancelled run must not claim a proof");
+            assert!(!res.proven, "a cancelled run must be reported unproven");
             // Whatever was found before the cancel is still a valid floorplan.
             if let Some(fp) = res.floorplan {
                 assert!(fp.validate(&p).is_empty());

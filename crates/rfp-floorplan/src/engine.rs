@@ -74,9 +74,10 @@ pub use rfp_milp::CancelToken;
 pub struct SolveRequest {
     /// The problem to solve.
     pub problem: FloorplanProblem,
-    /// Wall-clock budget in seconds; `0` defers to the engine's own
-    /// configuration (which may be unlimited). A budget too large for a
-    /// deadline (see [`deadline_after`]) is unlimited.
+    /// Wall-clock budget in seconds; `0` means no budget. An engine turns it
+    /// into one deadline on entry ([`SolveControl::with_deadline`]) that
+    /// covers every layer of its run. A budget too large for a deadline (see
+    /// [`deadline_after`]) is unlimited.
     pub time_limit_secs: f64,
     /// Search-node budget; `0` defers to the engine's own configuration.
     /// Engines without a node-based search (annealing, tessellation) ignore
@@ -239,6 +240,17 @@ impl SolveControl {
     pub fn with_cancel(cancel: CancelToken) -> Self {
         SolveControl { cancel, shared_incumbent: None }
     }
+
+    /// The control an engine runs its layers under: the same shared
+    /// incumbent, and a child token ([`CancelToken::with_deadline`]) that
+    /// also fires at `deadline`. The caller's token never sees the
+    /// deadline, so a budget hit never reports as a cancellation.
+    pub fn with_deadline(&self, deadline: Option<Instant>) -> SolveControl {
+        SolveControl {
+            cancel: self.cancel.with_deadline(deadline),
+            shared_incumbent: self.shared_incumbent.clone(),
+        }
+    }
 }
 
 /// Final status of an engine run.
@@ -299,8 +311,8 @@ pub struct EngineStats {
     /// Relative optimality gap at termination (0 when proven,
     /// `f64::INFINITY` when no bound is available).
     pub gap: f64,
-    /// `true` when the run observed a cancellation through its
-    /// [`SolveControl`] token.
+    /// `true` when the caller's [`SolveControl`] token was cancelled by the
+    /// time the run ended; an expired time budget alone never sets it.
     pub cancelled: bool,
     /// Worker threads the engine effectively ran with (`1` = serial; always
     /// `1` for engines without a parallel search).
@@ -444,7 +456,10 @@ pub fn adapt_floorplan(
 ///
 /// Engines are `Send + Sync` so a [`crate::portfolio::Portfolio`] can race
 /// them on threads; implementations must poll [`SolveControl::cancel`] in
-/// their inner loops and return promptly once it fires.
+/// their inner loops and return promptly once it fires. An engine that
+/// honours [`SolveRequest::time_limit_secs`] turns it into a deadline once,
+/// on entry, and runs every layer under [`SolveControl::with_deadline`], so
+/// the same poll also enforces the budget.
 pub trait FloorplanEngine: Send + Sync {
     /// Stable string id used by [`EngineRegistry`] and the `rfp` CLI.
     fn id(&self) -> &'static str;
@@ -630,8 +645,8 @@ impl FloorplanEngine for HeuristicMilpEngine {
 /// rectangles; the engine that solves the full-die SDR instances.
 #[derive(Debug, Clone, Default)]
 pub struct CombinatorialEngine {
-    /// Base search configuration; the request's budgets override its
-    /// node/time limits.
+    /// Base search configuration; the request's node budget and thread
+    /// count override its own.
     pub config: CombinatorialConfig,
 }
 
@@ -656,6 +671,7 @@ impl FloorplanEngine for CombinatorialEngine {
     }
 
     fn solve(&self, req: &SolveRequest, ctl: &SolveControl) -> SolveOutcome {
+        let run = ctl.with_deadline(deadline_after(Instant::now(), req.time_limit_secs));
         let problem = &req.problem;
         let mut stats = EngineStats::new(self.id());
         if let Err(e) = problem.validate() {
@@ -667,9 +683,6 @@ impl FloorplanEngine for CombinatorialEngine {
             );
         }
         let mut cfg = self.config.clone();
-        if req.time_limit_secs > 0.0 {
-            cfg.time_limit_secs = req.time_limit_secs;
-        }
         if req.node_limit > 0 {
             cfg.node_limit = req.node_limit;
         }
@@ -677,7 +690,7 @@ impl FloorplanEngine for CombinatorialEngine {
             cfg.threads = req.threads;
         }
         stats.threads = cfg.threads.max(1);
-        let res = match solve_combinatorial(problem, &cfg, ctl) {
+        let res = match solve_combinatorial(problem, &cfg, &run) {
             Ok(res) => res,
             Err(e) => {
                 // Only problem-level errors reach here (validation failures,
@@ -693,7 +706,7 @@ impl FloorplanEngine for CombinatorialEngine {
         };
         stats.nodes = res.nodes;
         stats.solve_seconds = res.solve_seconds;
-        stats.cancelled = res.cancelled;
+        stats.cancelled = ctl.cancel.is_cancelled();
         stats.gap = if res.proven { 0.0 } else { f64::INFINITY };
         let (status, detail) = if res.proven {
             (
@@ -717,6 +730,10 @@ fn solve_milp_engine(
     req: &SolveRequest,
     ctl: &SolveControl,
 ) -> SolveOutcome {
+    // One clock and one deadline for the whole call: seed search, model
+    // build and every no-good round.
+    let start = Instant::now();
+    let run = ctl.with_deadline(deadline_after(start, req.time_limit_secs));
     let problem = &req.problem;
     let mut stats = EngineStats::new(engine_id);
     if let Err(e) = problem.validate() {
@@ -724,7 +741,6 @@ fn solve_milp_engine(
         return SolveOutcome::without_floorplan(OutcomeStatus::Infeasible, e.to_string(), stats);
     }
 
-    let engine_start = Instant::now();
     let mut cfg = MilpSolverConfig::default();
     if req.node_limit > 0 {
         cfg.max_nodes = req.node_limit as usize;
@@ -733,7 +749,7 @@ fn solve_milp_engine(
         cfg.threads = req.threads;
     }
     stats.threads = cfg.threads.max(1);
-    cfg.cancel = ctl.cancel.clone();
+    cfg.cancel = run.cancel.clone();
 
     // A valid caller-supplied floorplan doubles as warm start and (for HO)
     // restriction seed; invalid hints are dropped.
@@ -742,51 +758,49 @@ fn solve_milp_engine(
     let seed = if restricted {
         // HO needs a seed whose sequence pair restricts the model. Greedy
         // first, then the complete first-feasible search (which honours the
-        // budget and the cancellation token).
+        // deadline and the cancellation token).
         match hint.clone().or_else(|| greedy_floorplan(problem)) {
             Some(fp) => Some(fp),
             None => {
-                let seed_ctl = SolveControl::with_cancel(ctl.cancel.clone());
-                let seed_req = SolveRequest::new(problem.clone())
-                    .with_time_limit(req.time_limit_secs)
-                    .with_threads(req.threads.max(1));
-                let seeder = CombinatorialEngine::with_config(CombinatorialConfig {
+                let seed_cfg = CombinatorialConfig {
                     first_feasible: true,
+                    threads: req.threads.max(1),
                     ..CombinatorialConfig::default()
-                });
-                let _seed_span = rfp_trace::span("engine.seed_search");
-                let seed = seeder.solve(&seed_req, &seed_ctl);
-                if seed.floorplan.is_none() {
-                    stats.nodes = seed.stats.nodes;
-                    stats.solve_seconds = seed.stats.solve_seconds;
-                    stats.cancelled = seed.stats.cancelled || ctl.cancel.is_cancelled();
-                    // A proven empty search means the instance itself is
-                    // infeasible; otherwise the budget ran out first. A
-                    // refusal before the first node keeps its own reason.
-                    let detail = match seed.status {
-                        OutcomeStatus::BudgetExhausted => {
-                            "no seed floorplan found for the HO restriction within the budget"
-                                .into()
-                        }
-                        _ if seed.stats.nodes == 0 => seed.detail.unwrap_or_default(),
-                        _ => "the seed search exhausted the space without a feasible floorplan"
-                            .into(),
-                    };
-                    return SolveOutcome::without_floorplan(seed.status, detail, stats);
+                };
+                let seed = {
+                    let _seed_span = rfp_trace::span("engine.seed_search");
+                    solve_combinatorial(problem, &seed_cfg, &run)
+                };
+                match seed {
+                    Ok(res) if res.floorplan.is_some() => res.floorplan,
+                    failed => {
+                        // A proven empty search means the instance itself is
+                        // infeasible; otherwise the budget ran out first. A
+                        // refusal before the first node keeps its own reason.
+                        let (status, detail) = match &failed {
+                            Ok(res) if res.proven => (
+                                OutcomeStatus::Infeasible,
+                                "the seed search exhausted the space without a feasible floorplan"
+                                    .to_string(),
+                            ),
+                            Ok(_) => (
+                                OutcomeStatus::BudgetExhausted,
+                                "no seed floorplan found for the HO restriction within the budget"
+                                    .to_string(),
+                            ),
+                            Err(e) => (OutcomeStatus::Infeasible, e.to_string()),
+                        };
+                        stats.nodes = failed.map_or(0, |res| res.nodes);
+                        stats.solve_seconds = start.elapsed().as_secs_f64();
+                        stats.cancelled = ctl.cancel.is_cancelled();
+                        return SolveOutcome::without_floorplan(status, detail, stats);
+                    }
                 }
-                seed.floorplan
             }
         }
     } else {
         None
     };
-
-    // The request's wall-clock budget covers the whole engine run: the MILP
-    // search gets whatever the seed phase left over.
-    if let Some(deadline) = deadline_after(engine_start, req.time_limit_secs) {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        cfg.time_limit = Some(remaining.max(Duration::from_millis(10)));
-    }
 
     // The warm start never restricts the search space — it only gives the
     // branch-and-bound an initial incumbent to prune against, which is what
@@ -836,25 +850,24 @@ fn solve_milp_engine(
     }
 
     let solver = MilpSolver::new(cfg);
-    let start = warm.and_then(|fp| model.encode(problem, &fp));
-    rfp_trace::count("engine.warm_starts", start.is_some() as u64);
-    let mut solution = solver.solve_controlled(&model.milp, start.as_deref());
+    let warm = warm.and_then(|fp| model.encode(problem, &fp));
+    rfp_trace::count("engine.warm_starts", warm.is_some() as u64);
+    let mut solution = solver.solve_controlled(&model.milp, warm.as_deref());
 
     // Assignment models keep free-compatible areas out of the formulation,
     // so an optimal assignment may leave the greedy reservation pass no room
     // for a constraint-mode request. Ban each such assignment with a no-good
-    // cut and re-solve (bounded: each cut removes one assignment point).
+    // cut and re-solve (bounded: each cut removes one assignment point, and
+    // every round runs under the one deadline).
     const MAX_FC_NOGOOD_ROUNDS: usize = 16;
     let mut retry_milp: Option<rfp_milp::Model> = None;
     let found = loop {
         stats.nodes += solution.nodes as u64;
-        stats.solve_seconds += solution.solve_seconds;
         stats.lp_iterations += solution.lp_iterations as u64;
         stats.lp_solves += solution.lp_solves as u64;
         stats.lp_seconds += solution.lp_seconds;
         stats.cuts += solution.cuts as u64;
         stats.gap = solution.gap();
-        stats.cancelled = solution.cancelled || ctl.cancel.is_cancelled();
 
         if !solution.status.has_solution() {
             break None;
@@ -863,7 +876,7 @@ fn solve_milp_engine(
         let issues = floorplan.validate(problem);
         let fc_only = !issues.is_empty() && issues.iter().all(|i| i.contains("was not identified"));
         if !fc_only
-            || stats.cancelled
+            || run.cancel.is_cancelled()
             || retry_milp
                 .as_ref()
                 .is_some_and(|m| m.n_cons() >= model.milp.n_cons() + MAX_FC_NOGOOD_ROUNDS)
@@ -877,6 +890,10 @@ fn solve_milp_engine(
         rfp_trace::count("engine.fc_nogood_retries", 1);
         solution = solver.solve_controlled(milp, None);
     };
+    // Only a search that ran to completion proves anything about a floorplan
+    // that fails validation; one stopped by the deadline, a cancellation or
+    // the node budget might have found a valid one with more time.
+    let stopped = run.cancel.is_cancelled() || solution.status != rfp_milp::SolveStatus::Optimal;
     let (status, detail) = match &found {
         None if solution.status == rfp_milp::SolveStatus::Infeasible => {
             (OutcomeStatus::Infeasible, "the MILP model is infeasible".to_string())
@@ -884,6 +901,13 @@ fn solve_milp_engine(
         None => (
             OutcomeStatus::BudgetExhausted,
             "solver budget exhausted before a feasible floorplan was found".to_string(),
+        ),
+        Some((_, issues)) if stopped => (
+            OutcomeStatus::BudgetExhausted,
+            format!(
+                "solver budget exhausted before an extracted floorplan passed validation: {}",
+                issues.join("; ")
+            ),
         ),
         // A solution that passes the MILP but fails the independent validator
         // indicates numerical trouble (or an unsatisfiable constraint-mode
@@ -899,14 +923,17 @@ fn solve_milp_engine(
     // the greedy reservation pass is incomplete, so a banned assignment
     // might still have admitted the areas under a smarter reservation.
     let proven = solution.status == rfp_milp::SolveStatus::Optimal && retry_milp.is_none();
+    stats.solve_seconds = start.elapsed().as_secs_f64();
+    stats.cancelled = ctl.cancel.is_cancelled();
     SolveOutcome::from_search(problem, floorplan, proven, stats, status, detail)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::placement::FcPlacement;
     use crate::problem::{ObjectiveWeights, RegionSpec, RelocationRequest};
-    use rfp_device::{columnar_partition, DeviceBuilder, ResourceVec};
+    use rfp_device::{columnar_partition, DeviceBuilder, Rect, ResourceVec};
 
     fn tiny_problem() -> (FloorplanProblem, rfp_device::TileTypeId, rfp_device::TileTypeId) {
         let mut b = DeviceBuilder::new("engine-tiny");
@@ -1210,5 +1237,59 @@ mod tests {
             EngineRegistry::builtin().get("ho").unwrap().solve(&req, &SolveControl::default());
         assert!(outcome.status.has_floorplan(), "{:?}", outcome.detail);
         assert!(outcome.floorplan.unwrap().validate(&p).is_empty());
+    }
+
+    /// A valid floorplan whose free-compatible areas the greedy reservation
+    /// pass cannot re-derive, on a two-die 3x2 all-CLB fabric (which takes
+    /// the candidate-assignment model):
+    ///
+    /// ```text
+    /// row 1 | B  .  . |   B's area: greedy takes (2,1), the first free cell,
+    /// row 2 | A  A  . |   and leaves A's two-wide area nowhere to go
+    /// ```
+    ///
+    /// The valid floorplan puts B's area at (3,2) and A's at (2,1)-(3,1).
+    fn greedy_reservation_trap() -> (FloorplanProblem, Floorplan) {
+        let mut b = DeviceBuilder::new("two-die");
+        let clb = b.tile_type("CLB", ResourceVec::new(1, 0, 0), 36);
+        b.rows(2).columns(&[clb, clb, clb]);
+        let fabric = rfp_device::fabric_partition_with_boundaries(&b.build().unwrap(), &[1]);
+        let mut p = FloorplanProblem::new(fabric.unwrap());
+        let a = p.add_region(RegionSpec::new("A", vec![(clb, 2)]));
+        let bid = p.add_region(RegionSpec::new("B", vec![(clb, 1)]));
+        p.request_relocation(RelocationRequest::constraint(bid, 1));
+        p.request_relocation(RelocationRequest::constraint(a, 1));
+        let areas = [Rect::new(3, 2, 1, 1), Rect::new(2, 1, 2, 1)];
+        let fp = Floorplan {
+            regions: vec![Rect::new(1, 2, 2, 1), Rect::new(1, 1, 1, 1)],
+            fc_areas: p
+                .fc_areas()
+                .into_iter()
+                .zip(areas)
+                .map(|((request, region, mode), rect)| FcPlacement {
+                    request,
+                    region,
+                    mode,
+                    rect: Some(rect),
+                })
+                .collect(),
+        };
+        assert!(fp.validate(&p).is_empty(), "{:?}", fp.validate(&p));
+        let model = FloorplanMilp::build(&p, None);
+        let mut sol = rfp_milp::Solution::empty(rfp_milp::SolveStatus::Feasible, 0);
+        sol.values = model.encode(&p, &fp).expect("the floorplan encodes");
+        assert!(!model.extract(&sol).validate(&p).is_empty(), "the greedy pass must fail");
+        (p, fp)
+    }
+
+    #[test]
+    fn a_stopped_milp_whose_floorplan_fails_validation_is_budget_exhausted() {
+        let (p, fp) = greedy_reservation_trap();
+        let ctl = SolveControl::default();
+        ctl.cancel.cancel();
+        let outcome = MilpEngine.solve(&SolveRequest::new(p).with_warm_start(fp), &ctl);
+        assert_eq!(outcome.status, OutcomeStatus::BudgetExhausted, "{:?}", outcome.detail);
+        assert!(outcome.floorplan.is_none());
+        assert!(outcome.stats.cancelled);
     }
 }

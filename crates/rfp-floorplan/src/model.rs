@@ -1184,7 +1184,9 @@ mod tests {
     fn milp_solver() -> Solver {
         Solver::new(SolverConfig {
             max_nodes: 200_000,
-            time_limit: Some(std::time::Duration::from_secs(60)),
+            cancel: rfp_milp::CancelToken::new().with_deadline(Some(
+                std::time::Instant::now() + std::time::Duration::from_secs(60),
+            )),
             ..SolverConfig::default()
         })
     }

@@ -42,7 +42,7 @@ use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A source of externally-discovered feasible assignments, polled once per
 /// branch-and-bound node.
@@ -103,8 +103,6 @@ const MAX_CUTS_PER_ROUND: usize = 64;
 pub struct SolverConfig {
     /// Maximum number of branch-and-bound nodes (0 = unlimited).
     pub max_nodes: usize,
-    /// Wall-clock time limit.
-    pub time_limit: Option<Duration>,
     /// While no incumbent exists, run the diving heuristic every this many
     /// nodes (0 disables diving; it always runs at the root). Tests set 0,
     /// with `cut_rounds` 0, to grow cold trees.
@@ -123,10 +121,13 @@ pub struct SolverConfig {
     /// tightening) on the model before building the root LP. On by default;
     /// tests disable it to reach the raw formulation's search.
     pub presolve: bool,
-    /// Cooperative cancellation flag, polled once per node and per dive
-    /// step. Share a clone of the token with another thread to abort the
-    /// search; a cancelled solve reports [`crate::SolveStatus::Feasible`] or
-    /// [`crate::SolveStatus::Unknown`] with [`Solution::cancelled`] set.
+    /// Cooperative cancellation flag, polled once per node, per dive step
+    /// and per simplex pivot. Share a clone of the token with another thread
+    /// to abort the search; a cancelled solve reports
+    /// [`crate::SolveStatus::Feasible`] or [`crate::SolveStatus::Unknown`].
+    /// It is also the solve's wall-clock budget: give it a deadline with
+    /// [`CancelToken::with_deadline`]. The solver keeps no clock of its own,
+    /// so one deadline can span several solves.
     pub cancel: CancelToken,
     /// Externally-discovered incumbents (see [`ExternalIncumbents`]), polled
     /// once per node.
@@ -137,7 +138,6 @@ impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
             max_nodes: 0,
-            time_limit: None,
             dive_period: 256,
             cut_rounds: 10,
             threads: 1,
@@ -449,6 +449,10 @@ pub(crate) enum Expansion {
     /// The down and up children, in that order (a child outside the
     /// variable's bounds is left out).
     Branch(Vec<Node>),
+    /// The stop token interrupted the node's LP, which then says nothing
+    /// about the node: it stays open, and the caller puts it back as it
+    /// does a node the gate refuses.
+    Interrupted,
 }
 
 /// One solve's tree search: the state every node step reads and updates,
@@ -458,7 +462,7 @@ pub(crate) struct Search<'a> {
     model: &'a Model,
     /// Indices of the integer variables.
     int_vars: Vec<usize>,
-    /// LP parameters, sharing the stop token and the deadline.
+    /// LP parameters, sharing the stop token.
     lp_cfg: LpConfig,
     incumbent: Incumbent<'a>,
     /// Internal stop signal: a child of the user's token, so cancelling the
@@ -477,14 +481,9 @@ pub(crate) struct Search<'a> {
 impl<'a> Search<'a> {
     fn new(cfg: &'a SolverConfig, model: &'a Model, start: Instant) -> Self {
         let stop = cfg.cancel.child();
-        // The LP layer shares the stop token and the deadline so an abort
-        // fires even in the middle of a long relaxation solve. A limit too
-        // large to represent as an instant means no deadline.
-        let lp_cfg = LpConfig {
-            cancel: stop.clone(),
-            deadline: cfg.time_limit.and_then(|limit| start.checked_add(limit)),
-            ..LpConfig::default()
-        };
+        // The LP layer shares the stop token so an abort (or the caller's
+        // deadline) fires even in the middle of a long relaxation solve.
+        let lp_cfg = LpConfig { cancel: stop.clone(), ..LpConfig::default() };
         Search {
             cfg,
             model,
@@ -545,8 +544,7 @@ impl<'a> Search<'a> {
             return Gate::GapClosed;
         }
         let node_budget = cfg.max_nodes > 0 && self.nodes.load(Relaxed) >= cfg.max_nodes;
-        let time_budget = cfg.time_limit.is_some_and(|limit| self.start.elapsed() >= limit);
-        if node_budget || time_budget || cfg.cancel.is_cancelled() {
+        if node_budget || cfg.cancel.is_cancelled() {
             self.hit_limit.store(true, Relaxed);
             return Gate::Budget;
         }
@@ -571,6 +569,10 @@ impl<'a> Search<'a> {
         let cfg = self.cfg;
         let inc = &self.incumbent;
         match lp.status {
+            LpStatus::IterationLimit if self.stop.is_cancelled() => {
+                self.hit_limit.store(true, Relaxed);
+                return Expansion::Interrupted;
+            }
             LpStatus::Infeasible => {
                 pseudo.observe(node, None);
                 return Expansion::Leaf;
@@ -665,8 +667,7 @@ impl<'a> Search<'a> {
         // generous for binary-dominated models while still bounded for wide
         // integer ranges.
         for _ in 0..4 * self.int_vars.len() + 16 {
-            let out_of_time = self.cfg.time_limit.is_some_and(|l| self.start.elapsed() >= l);
-            if self.stop.is_cancelled() || out_of_time {
+            if self.stop.is_cancelled() {
                 return None;
             }
             let frac = fractional_vars(&self.int_vars, &values);
@@ -707,7 +708,6 @@ impl<'a> Search<'a> {
         cuts: usize,
         root_unbounded: bool,
     ) -> Solution {
-        let cfg = self.cfg;
         let elapsed = self.start.elapsed().as_secs_f64();
         let hit_limit = self.hit_limit.load(Relaxed);
         let mut any_open = false;
@@ -748,7 +748,6 @@ impl<'a> Search<'a> {
         sol.lp_seconds = stats.seconds;
         sol.cuts = cuts;
         sol.solve_seconds = elapsed;
-        sol.cancelled = cfg.cancel.is_cancelled();
         sol
     }
 }
@@ -866,6 +865,10 @@ impl Solver {
             drop(root_lp_span);
             match search.expand(&sf, &mut pseudo, &mut stats, &node, lp, snap, nodes) {
                 Expansion::Leaf => {}
+                Expansion::Interrupted => {
+                    heap.push(OrderedNode(node));
+                    break false;
+                }
                 Expansion::Branch(children) => {
                     for child in children {
                         heap.push(OrderedNode(child));
@@ -1124,8 +1127,33 @@ mod tests {
         m.add_con("c", LinExpr::from(x) * 3.0 + LinExpr::from(y) * 7.0, ConOp::Le, 20.5);
         m.set_objective(LinExpr::from(x) + LinExpr::from(y) * 2.0);
         let sol = Solver::new(cfg).solve(&m);
-        assert!(sol.cancelled);
         assert_eq!(sol.nodes, 0);
+        assert_eq!(sol.status, SolveStatus::Unknown);
+    }
+
+    #[test]
+    fn an_interrupted_node_lp_leaves_the_node_open() {
+        // The stop fires between the gate and the node's LP: the LP stops
+        // at its first pivot with the all-zero (integral, infeasible) start.
+        // That must not read as an integral leaf, or the emptied tree would
+        // "prove" the model infeasible.
+        let mut m = Model::new("interrupted", Sense::Minimize);
+        let x = m.int_var("x", 0.0, 10.0);
+        let y = m.int_var("y", 0.0, 10.0);
+        m.add_con("c", LinExpr::from(x) + y, ConOp::Ge, 3.0);
+        m.set_objective(LinExpr::from(x) * 2.0 + y);
+        let cfg = SolverConfig::default();
+        let search = Search::new(&cfg, &m, Instant::now());
+        let sf = StandardForm::from_model(&m);
+        let (mut stats, mut pseudo) = (LpStats::default(), PseudoCosts::new(m.n_vars()));
+        let root = search.root();
+        let Gate::Open(nodes) = search.gate(&root) else { panic!("the root opens") };
+        search.stop.cancel();
+        let (lp, snap) = search.lp(&sf, &mut stats, None, &root.bounds);
+        assert_eq!(lp.status, LpStatus::IterationLimit);
+        let expansion = search.expand(&sf, &mut pseudo, &mut stats, &root, lp, snap, nodes);
+        assert!(matches!(expansion, Expansion::Interrupted));
+        let sol = search.finish([root.bound], &stats, 0, false);
         assert_eq!(sol.status, SolveStatus::Unknown);
     }
 
@@ -1145,8 +1173,9 @@ mod tests {
         let sf = StandardForm::from_model(&m);
         let (res, _) = sf.solve_cold(None, &lp_cfg);
         assert_eq!(res.status, LpStatus::IterationLimit);
-        // An expired deadline interrupts the same way.
-        let deadline_cfg = LpConfig { deadline: Some(Instant::now()), ..LpConfig::default() };
+        // A token whose deadline has passed interrupts the same way.
+        let expired = CancelToken::new().with_deadline(Some(Instant::now()));
+        let deadline_cfg = LpConfig { cancel: expired, ..LpConfig::default() };
         let (res, _) = sf.solve_cold(None, &deadline_cfg);
         assert_eq!(res.status, LpStatus::IterationLimit);
     }
@@ -1161,7 +1190,6 @@ mod tests {
         m.add_con("c", LinExpr::from(x), ConOp::Le, 7.0);
         m.set_objective(LinExpr::from(x));
         let sol = Solver::new(cfg).solve_controlled(&m, Some(&[3.0]));
-        assert!(sol.cancelled);
         assert_eq!(sol.status, SolveStatus::Feasible);
         assert!((sol.objective - 3.0).abs() < 1e-9);
     }

@@ -7,12 +7,20 @@
 //! proven result is available, and that interactive callers use to abort a
 //! solve from another thread.
 //!
+//! A token is also the solve's one wall-clock budget: a child made with
+//! [`CancelToken::with_deadline`] reads as cancelled once its instant has
+//! passed. An engine derives that child once, on entry, and hands it to
+//! every layer below, so one poll at each stop site covers both the
+//! caller's cancellation and the deadline, and no layer keeps a clock of
+//! its own.
+//!
 //! Cancellation is *cooperative*: it never interrupts a pivot or a node
 //! mid-flight, it only stops the search at the next poll point, so a
 //! cancelled solve still returns a well-formed (budget-exhausted) result.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// A shareable cancellation flag polled by the solver inner loops.
 ///
@@ -30,6 +38,8 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
+    /// The instant after which this token reads as cancelled, if any.
+    deadline: Option<Instant>,
     /// Optional parent: a child token is also cancelled when any ancestor
     /// is, without the child's own flag ever touching the parent.
     parent: Option<Box<CancelToken>>,
@@ -48,7 +58,14 @@ impl CancelToken {
     /// the caller cancels, while an internal stop never masquerades as a
     /// caller cancellation.
     pub fn child(&self) -> CancelToken {
-        CancelToken { flag: Arc::default(), parent: Some(Box::new(self.clone())) }
+        self.with_deadline(None)
+    }
+
+    /// Derives a child token (see [`CancelToken::child`]) that also reads as
+    /// cancelled once `deadline` has passed. The deadline stays on the
+    /// child: the parent never observes it. `None` adds no deadline.
+    pub fn with_deadline(&self, deadline: Option<Instant>) -> CancelToken {
+        CancelToken { flag: Arc::default(), deadline, parent: Some(Box::new(self.clone())) }
     }
 
     /// Requests cancellation; every clone of this token (and every child
@@ -58,10 +75,13 @@ impl CancelToken {
     }
 
     /// Returns `true` once any clone — or, for a child token, any ancestor —
-    /// has been cancelled.
+    /// has been cancelled, or once the deadline of this token or of an
+    /// ancestor has passed.
     #[inline]
     pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Relaxed) || self.parent.as_ref().is_some_and(|p| p.is_cancelled())
+        self.flag.load(Ordering::Relaxed)
+            || self.parent.as_ref().is_some_and(|p| p.is_cancelled())
+            || self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 }
 
@@ -97,6 +117,40 @@ mod tests {
         let child2 = parent.child();
         parent.cancel();
         assert!(child2.is_cancelled() && parent.is_cancelled());
+    }
+
+    #[test]
+    fn a_deadline_child_fires_at_its_instant_and_not_before() {
+        let parent = CancelToken::new();
+        let at = Instant::now() + std::time::Duration::from_millis(50);
+        let timed = parent.with_deadline(Some(at));
+        assert!(!timed.is_cancelled(), "silent before its instant");
+        while Instant::now() < at {
+            std::thread::yield_now();
+        }
+        assert!(timed.is_cancelled(), "fires once the instant has passed");
+        assert!(timed.child().is_cancelled(), "its children inherit the deadline");
+        assert!(!parent.is_cancelled(), "a deadline must not leak upward");
+    }
+
+    #[test]
+    fn a_deadline_child_still_observes_the_parent() {
+        let parent = CancelToken::new();
+        let timed =
+            parent.with_deadline(Some(Instant::now() + std::time::Duration::from_secs(3600)));
+        assert!(!timed.is_cancelled());
+        parent.cancel();
+        assert!(timed.is_cancelled());
+    }
+
+    #[test]
+    fn with_deadline_none_never_fires_on_its_own() {
+        let parent = CancelToken::new();
+        let untimed = parent.with_deadline(None);
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        assert!(!untimed.is_cancelled());
+        parent.cancel();
+        assert!(untimed.is_cancelled());
     }
 
     #[test]

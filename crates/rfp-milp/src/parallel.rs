@@ -153,6 +153,11 @@ fn worker_loop(w: usize, search: &Search, sf: &StandardForm, pool: &Pool) -> LpS
         let (lp, snap) = search.lp(sf, &mut stats, node.snapshot.as_deref(), &node.bounds);
         match search.expand(sf, &mut pseudo, &mut stats, &node, lp, snap, nodes) {
             Expansion::Leaf => {}
+            Expansion::Interrupted => {
+                // Back, as a refused node goes: the stop already fired.
+                pool.deques[w].lock().unwrap().push_front(node);
+                break;
+            }
             Expansion::Branch(children) => {
                 // Children go to the *front* of the owner's deque, down child
                 // on top (popped next), so the owner keeps diving while

@@ -88,11 +88,10 @@ pub struct LpConfig {
     pub refactor_interval: usize,
     /// Cooperative cancellation, polled once per pivot; an interrupted solve
     /// returns [`LpStatus::IterationLimit`]. The MILP driver shares its own
-    /// token here so a cancellation fires even mid-LP (the root relaxations
-    /// of full-die models run for minutes otherwise).
+    /// token here so a cancellation — or the token's deadline — fires even
+    /// mid-LP (the root relaxations of full-die models run for minutes
+    /// otherwise).
     pub cancel: crate::cancel::CancelToken,
-    /// Absolute wall-clock deadline, polled alongside `cancel`.
-    pub deadline: Option<std::time::Instant>,
 }
 
 impl Default for LpConfig {
@@ -101,16 +100,7 @@ impl Default for LpConfig {
             max_iterations: 0,
             refactor_interval: 64,
             cancel: crate::cancel::CancelToken::default(),
-            deadline: None,
         }
-    }
-}
-
-impl LpConfig {
-    /// `true` once the cancellation token fired or the deadline passed.
-    #[inline]
-    pub fn interrupted(&self) -> bool {
-        self.cancel.is_cancelled() || self.deadline.is_some_and(|d| std::time::Instant::now() >= d)
     }
 }
 
@@ -615,7 +605,7 @@ impl<'a> Worker<'a> {
         let mut prev_phase1: Option<bool> = None;
 
         loop {
-            if self.iterations >= max_iter || self.cfg.interrupted() {
+            if self.iterations >= max_iter || self.cfg.cancel.is_cancelled() {
                 return LpStatus::IterationLimit;
             }
             if self.fact.n_etas() >= self.cfg.refactor_interval && !self.refactorize() {
@@ -892,7 +882,7 @@ impl<'a> Worker<'a> {
         let dual_budget = (m / 2 + 200).min(max_iter);
         let mut degenerate_run = 0usize;
         loop {
-            if self.iterations >= dual_budget || self.cfg.interrupted() {
+            if self.iterations >= dual_budget || self.cfg.cancel.is_cancelled() {
                 // An interrupt falls back to the cold primal, which then
                 // notices the same interrupt immediately and unwinds.
                 return DualOutcome::Fallback;

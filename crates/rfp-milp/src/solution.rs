@@ -51,10 +51,6 @@ pub struct Solution {
     pub cuts: usize,
     /// Wall-clock solve time in seconds.
     pub solve_seconds: f64,
-    /// `true` when the search stopped because the configured
-    /// [`crate::CancelToken`] was cancelled (rather than by proof or by a
-    /// node/time limit).
-    pub cancelled: bool,
 }
 
 impl Solution {
@@ -71,7 +67,6 @@ impl Solution {
             lp_seconds: 0.0,
             cuts: 0,
             solve_seconds: 0.0,
-            cancelled: false,
         }
     }
 
@@ -132,7 +127,6 @@ mod tests {
             lp_seconds: 0.06,
             cuts: 0,
             solve_seconds: 0.1,
-            cancelled: false,
         };
         assert_eq!(sol.value(VarId::from_index(0)), 1.2);
         assert!(!sol.bool_value(VarId::from_index(1)));

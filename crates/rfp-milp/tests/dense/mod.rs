@@ -222,7 +222,7 @@ impl DenseForm {
         // phase = 1 uses d1, phase = 2 uses d2.
         let mut phase = 1;
         loop {
-            if iterations >= max_iter || config.interrupted() {
+            if iterations >= max_iter || config.cancel.is_cancelled() {
                 return self.finish(LpStatus::IterationLimit, &basis, &xb, &at_upper, &lb, &ub);
             }
 

@@ -436,12 +436,10 @@ fn combinatorial_parallel_search_proves_the_serial_waste() {
     for cols in [12, 20, 32] {
         let problem = scaling_instance(cols, seed);
         let waste = |threads: usize| {
-            let cfg = CombinatorialConfig {
-                threads,
-                time_limit_secs: 60.0,
-                ..CombinatorialConfig::default()
-            };
-            let res = solve_combinatorial(&problem, &cfg, &SolveControl::default()).unwrap();
+            let cfg = CombinatorialConfig { threads, ..CombinatorialConfig::default() };
+            let minute = std::time::Instant::now() + std::time::Duration::from_secs(60);
+            let ctl = SolveControl::default().with_deadline(Some(minute));
+            let res = solve_combinatorial(&problem, &cfg, &ctl).unwrap();
             assert!(res.proven, "cols {cols}, {threads} thread(s): no proof within 60 s");
             res.best_waste.expect("scaling instances are feasible")
         };
@@ -610,5 +608,51 @@ fn combinatorial_mask_shapes_are_pinned() {
             assert!((pwl - f64::from_bits(wl_bits)).abs() < 1e-9, "{name}, {threads} threads");
             assert!(par.floorplan.unwrap().validate(&problem).is_empty(), "{name}");
         }
+    }
+}
+
+/// The 12x4, four-region, seed-7 instance of the constraint-mode
+/// heterogeneous family: two dies, BRAM stripes every third column, one
+/// constraint-mode free-compatible area on the first region.
+fn hetero_constraint_instance() -> FloorplanProblem {
+    use rfp_workloads::HeteroDeviceSpec;
+    let fabric = HeteroDeviceSpec {
+        cols: 12,
+        rows: 4,
+        bram_every: 3,
+        bram_stripe: 2,
+        hard_block: None,
+        die_boundaries: vec![2],
+    };
+    WorkloadSpec {
+        seed: 7,
+        n_regions: 4,
+        utilisation: 0.4,
+        dsp_fraction: 0.0,
+        fc_per_region: 1,
+        relocatable_regions: 1,
+        ..WorkloadSpec::default()
+    }
+    .generate_on(fabric.partition())
+}
+
+/// One deadline covers the whole engine call: the seed search, the model
+/// build and every no-good re-solve of `milp` and `ho` stop within a 1 s
+/// budget (plus 10 % and 0.5 s of slack), and a run the budget stopped is
+/// never reported `Infeasible`.
+#[test]
+fn milp_engines_honour_the_time_limit_across_every_round() {
+    use relocfp::floorplan::OutcomeStatus;
+    let problem = hetero_constraint_instance();
+    let registry = full_registry();
+    let req = SolveRequest::new(problem).with_time_limit(1.0).with_threads(1);
+    for id in ["milp", "ho"] {
+        let t0 = std::time::Instant::now();
+        let outcome = registry.get(id).unwrap().solve(&req, &SolveControl::default());
+        let secs = t0.elapsed().as_secs_f64();
+        assert!(secs <= 1.6, "{id} took {secs:.2} s against a 1 s budget");
+        assert_ne!(outcome.status, OutcomeStatus::Infeasible, "{id}: {:?}", outcome.detail);
+        assert!(!outcome.stats.cancelled, "{id}: a budget hit is not a cancellation");
+        assert!(outcome.stats.solve_seconds <= secs, "{id}: the stats cover one call");
     }
 }

@@ -590,8 +590,9 @@ proptest! {
             ..WorkloadSpec::default()
         };
         let problem = spec.generate().problem;
-        let cfg = CombinatorialConfig { time_limit_secs: 10.0, ..CombinatorialConfig::default() };
-        if let Ok(res) = solve_combinatorial(&problem, &cfg, &SolveControl::default()) {
+        let ten_seconds = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        let ctl = SolveControl::default().with_deadline(Some(ten_seconds));
+        if let Ok(res) = solve_combinatorial(&problem, &CombinatorialConfig::default(), &ctl) {
             if let Some(fp) = res.floorplan {
                 let issues = fp.validate(&problem);
                 prop_assert!(issues.is_empty(), "violations: {issues:?}");
