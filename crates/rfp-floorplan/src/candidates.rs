@@ -11,13 +11,18 @@
 //! A candidate is **irredundant** when no single-side shrink (one row shorter
 //! from the top or the bottom, leftmost column dropped, or rightmost column
 //! dropped) still satisfies the requirement. Only irredundant candidates are
-//! enumerated, and no optimum is lost by that, even under relocation
-//! constraints: every covering rectangle contains an irredundant covering
+//! enumerated. Every covering rectangle contains an irredundant covering
 //! one, and shrinking a region and its free-compatible target by the same
 //! offsets keeps the two compatible and clear of overlaps, forbidden cells
 //! and die boundaries. The shrink strictly lowers the waste whenever the
-//! dropped tiles carry frames, as every tile of the device models does.
-//! `tests/properties.rs` checks this against an exhaustive search over every
+//! dropped tiles carry frames, as every tile of the device models does, so
+//! no optimum of the combinatorial engine's lexicographic objective (waste
+//! first) is lost, even under relocation constraints. The same shrink moves
+//! the region's centre by ½, which can lengthen its wires, so for Equation
+//! 14 the irredundant candidates hold an optimum only when waste dominates
+//! ([`FloorplanProblem::waste_dominates`]): when no shrink can raise the
+//! wire-length term by more than it lowers the waste and perimeter terms.
+//! `tests/properties.rs` checks both against an exhaustive search over every
 //! covering rectangle.
 //!
 //! [`first_fit`] and [`reserve_fc_areas`] are the greedy placer every

@@ -922,10 +922,22 @@ fn solve_milp_engine(
     // After a no-good round the optimum is only proven for the cut model:
     // the greedy reservation pass is incomplete, so a banned assignment
     // might still have admitted the areas under a smarter reservation.
-    let proven = solution.status == rfp_milp::SolveStatus::Optimal && retry_milp.is_none();
+    let optimal = solution.status == rfp_milp::SolveStatus::Optimal && retry_milp.is_none();
+    // The assignment model searches the irredundant candidates only, and
+    // they hold an optimum only when waste dominates the objective.
+    let irredundant_only = model.is_assignment() && !problem.waste_dominates();
     stats.solve_seconds = start.elapsed().as_secs_f64();
     stats.cancelled = ctl.cancel.is_cancelled();
-    SolveOutcome::from_search(problem, floorplan, proven, stats, status, detail)
+    let proven = optimal && !irredundant_only;
+    let mut outcome = SolveOutcome::from_search(problem, floorplan, proven, stats, status, detail);
+    if optimal && irredundant_only && outcome.floorplan.is_some() {
+        outcome.detail = Some(
+            "optimal over the irredundant candidates only: waste does not dominate the other \
+             terms of Equation 14, so a larger rectangle may score lower"
+                .to_string(),
+        );
+    }
+    outcome
 }
 
 #[cfg(test)]

@@ -41,13 +41,10 @@
 //! types differ**; the inequality as printed carries an `=` guard, which we
 //! read as the evident typo for `≠` and implement accordingly.
 //!
-//! ## Heterogeneous fabrics
+//! ## The candidate-assignment model, and when each model runs
 //!
-//! The portion machinery above assumes a columnar device. On a fabric with
-//! no columnar view — or a columnar device with die boundaries, whose
-//! relocation rules the portion equations cannot express —
-//! [`FloorplanMilp::build`] instead generates a **candidate-assignment**
-//! model: one binary per (region, candidate rectangle) from the irredundant
+//! [`FloorplanMilp::build`] also generates a **candidate-assignment** model:
+//! one binary per (region, candidate rectangle) from the irredundant
 //! enumeration of [`crate::candidates`], an exactly-one constraint per
 //! region, pairwise mutual exclusion between overlapping candidates, and the
 //! same composite objective expressed over the (constant) per-candidate
@@ -56,6 +53,17 @@
 //! fabric-aware compatibility check (which rejects die-crossing targets); a
 //! constraint-mode request the greedy pass cannot satisfy surfaces as a
 //! validation failure, never as a silently dropped constraint.
+//!
+//! The portion machinery above assumes a columnar device, so a fabric with
+//! no columnar view, or a columnar device with die boundaries (whose
+//! relocation rules the portion equations cannot express), always gets the
+//! assignment model. A columnar device gets it too when the problem requests
+//! no free-compatible area, HO's relations are not given and waste dominates
+//! ([`FloorplanProblem::waste_dominates`]): an optimum then lies among the
+//! irredundant candidates, and the assignment LP prices each candidate's
+//! waste where the portion relaxation prices it at 0, so the search is far
+//! smaller. Every other columnar problem keeps the portion model, which
+//! covers every rectangle and reserves the areas inside the search.
 
 use crate::candidates::{enumerate_candidates, reserve_fc_areas, Candidate};
 use crate::placement::{FcPlacement, Floorplan};
@@ -119,7 +127,8 @@ pub struct ModelStats {
 enum ModelKind {
     /// Portion-based model (Equations 1-15); legacy columnar devices.
     Portion,
-    /// Candidate-assignment model; heterogeneous or die-bounded fabrics.
+    /// Candidate-assignment model; heterogeneous or die-bounded fabrics, and
+    /// relocation-free columnar problems where waste dominates.
     Assignment(Box<AssignmentModel>),
 }
 
@@ -156,20 +165,43 @@ impl FloorplanMilp {
     /// heuristic solution fixes the corresponding relative-position binary,
     /// shrinking the search space (Section II-A).
     ///
-    /// Legacy columnar devices get the portion-based formulation of the
-    /// paper; heterogeneous fabrics (and columnar devices with die
-    /// boundaries, whose relocation rules the portion equations cannot
-    /// express) get the candidate-assignment formulation, which ignores the
-    /// relations (its assignment space is already discrete and small).
+    /// Which formulation runs reads only the input:
+    ///
+    /// * A legacy columnar device gets the portion-based formulation of the
+    ///   paper when the problem requests free-compatible areas, when HO's
+    ///   relations are given, or when waste does not dominate
+    ///   ([`FloorplanProblem::waste_dominates`]). It is the one model here
+    ///   that reserves the areas and fixes the relations inside the search,
+    ///   and the one whose rectangles are free, so it is exact for every
+    ///   weighting.
+    /// * Every other columnar problem gets the candidate-assignment
+    ///   formulation. With waste dominant an optimum lies among the
+    ///   irredundant candidates, so that one candidate set is exact, and
+    ///   its LP prices the waste of each candidate where the portion
+    ///   relaxation prices it at 0: the tree is a fraction of the size.
+    /// * Heterogeneous fabrics (and columnar devices with die boundaries,
+    ///   whose relocation rules the portion equations cannot express) always
+    ///   get the candidate-assignment formulation, which ignores the
+    ///   relations (its assignment space is already discrete and small).
+    ///   It proves an optimum only when waste dominates; the engine reports
+    ///   its answer as feasible otherwise.
     pub fn build(
         problem: &FloorplanProblem,
         ho_relations: Option<&[PairRelation]>,
     ) -> FloorplanMilp {
-        if problem.partition.is_columnar_legacy() {
+        let portion = problem.partition.is_columnar_legacy()
+            && (problem.n_fc_areas() > 0 || ho_relations.is_some() || !problem.waste_dominates());
+        if portion {
             Self::build_portion(problem, ho_relations.unwrap_or_default())
         } else {
             Self::build_assignment(problem)
         }
+    }
+
+    /// `true` when this is the candidate-assignment formulation, whose
+    /// search space is the irredundant candidates of each region.
+    pub fn is_assignment(&self) -> bool {
+        matches!(self.kind, ModelKind::Assignment(_))
     }
 
     /// The portion-offset formulation (Equations 1-15) for columnar devices;
@@ -680,7 +712,8 @@ impl FloorplanMilp {
         FloorplanMilp { milp: m, vars, n_regions, fc_meta, kind: ModelKind::Portion }
     }
 
-    /// The candidate-assignment formulation for heterogeneous fabrics.
+    /// The candidate-assignment formulation (see [`FloorplanMilp::build`]
+    /// for when it runs).
     ///
     /// One binary per (region, candidate) from the irredundant enumeration,
     /// an exactly-one constraint per region and pairwise mutual exclusion
@@ -1223,13 +1256,18 @@ mod tests {
         let comb =
             solve_combinatorial(&p, &CombinatorialConfig::default(), &SolveControl::default())
                 .unwrap();
-        let model = FloorplanMilp::build(&p, None);
-        let sol = milp_solver().solve(&model.milp);
-        assert!(sol.status.has_solution(), "status {:?}", sol.status);
-        let fp = model.extract(&sol);
-        assert!(fp.validate(&p).is_empty(), "{:?}", fp.validate(&p));
-        let milp_waste = fp.metrics(&p).wasted_frames;
-        assert_eq!(Some(milp_waste), comb.best_waste, "O and the combinatorial engine agree");
+        // Relocation-free with waste dominant: `build` picks the assignment
+        // model, and the portion model must agree with it.
+        let assignment = FloorplanMilp::build(&p, None);
+        assert!(assignment.is_assignment());
+        for model in [FloorplanMilp::build_portion(&p, &[]), assignment] {
+            let sol = milp_solver().solve(&model.milp);
+            assert!(sol.status.has_solution(), "status {:?}", sol.status);
+            let fp = model.extract(&sol);
+            assert!(fp.validate(&p).is_empty(), "{:?}", fp.validate(&p));
+            let milp_waste = fp.metrics(&p).wasted_frames;
+            assert_eq!(Some(milp_waste), comb.best_waste, "O and the combinatorial engine agree");
+        }
     }
 
     #[test]
@@ -1297,11 +1335,12 @@ mod tests {
         let mut p = FloorplanProblem::new(part);
         p.weights = ObjectiveWeights::area_only();
         p.add_region(RegionSpec::new("A", vec![(clb, 2)]));
-        let model = FloorplanMilp::build(&p, None);
-        let sol = milp_solver().solve(&model.milp);
-        assert!(sol.status.has_solution());
-        let fp = model.extract(&sol);
-        assert!(fp.validate(&p).is_empty(), "{:?}", fp.validate(&p));
-        assert!(!fp.regions[0].contains(2, 1) && !fp.regions[0].contains(2, 2));
+        for model in [FloorplanMilp::build_portion(&p, &[]), FloorplanMilp::build(&p, None)] {
+            let sol = milp_solver().solve(&model.milp);
+            assert!(sol.status.has_solution());
+            let fp = model.extract(&sol);
+            assert!(fp.validate(&p).is_empty(), "{:?}", fp.validate(&p));
+            assert!(!fp.regions[0].contains(2, 1) && !fp.regions[0].contains(2, 2));
+        }
     }
 }

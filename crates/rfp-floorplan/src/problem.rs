@@ -273,6 +273,42 @@ impl FloorplanProblem {
         self.regions.iter().map(|r| r.required_frames(&self.partition)).sum()
     }
 
+    /// Whether the wasted-frames term of Equation 14 outweighs what a
+    /// single-side shrink of a region can cost elsewhere, for every region
+    /// `n`:
+    ///
+    /// `min_frames_per_tile · q_3 / R_max + q_2 / P_max ≥ ½ · Σ_{conn ∋ n} |weight · q_1| / WL_max`
+    ///
+    /// A shrink (one row or one column dropped from one side) frees at least
+    /// one tile, so it lowers the waste by at least `min_frames_per_tile`
+    /// frames and the half-perimeter by exactly 1, and it moves the region's
+    /// centre by ½ on one axis, which lengthens each of its connections by
+    /// at most ½. When this holds no shrink raises Equation 14, so an
+    /// optimal floorplan exists among the irredundant candidates of
+    /// [`crate::candidates`]. A negative `q_3` never dominates. The
+    /// relocation term is not part of the condition.
+    pub fn waste_dominates(&self) -> bool {
+        let w = &self.weights;
+        if w.resources < 0.0 {
+            return false;
+        }
+        let partition = &self.partition;
+        let min_frames =
+            partition.cell_types().iter().map(|&ty| partition.frames_per_tile(ty)).min();
+        let shrink_gain = f64::from(min_frames.unwrap_or(0)) * w.resources / self.r_max()
+            + w.perimeter / self.p_max();
+        let mut pull = vec![0.0; self.regions.len()];
+        for c in &self.connections {
+            let half = 0.5 * (c.weight * w.wirelength).abs() / self.wl_max();
+            for end in [c.a, c.b] {
+                if let Some(p) = pull.get_mut(end) {
+                    *p += half;
+                }
+            }
+        }
+        pull.iter().all(|&p| shrink_gain >= p)
+    }
+
     /// Validates the problem: every weight and objective normalisation is
     /// finite, region indices in connections and relocation requests exist,
     /// required tile types exist on the device, and no region requires more
@@ -483,6 +519,28 @@ mod tests {
             relocation: 1e308,
         };
         rejects(&|p| p.weights = huge, "weight sum");
+    }
+
+    #[test]
+    fn waste_dominates_reads_the_weights_and_the_connections() {
+        let (mut p, clb, _, _) = fx70t_problem();
+        let a = p.add_region(RegionSpec::new("a", vec![(clb, 2)]));
+        let b = p.add_region(RegionSpec::new("b", vec![(clb, 2)]));
+        // No connection pulls a region, so any non-negative waste weight
+        // dominates, zero included.
+        p.weights = ObjectiveWeights { wirelength: 1.0, ..ObjectiveWeights::area_only() };
+        p.weights.resources = 0.0;
+        assert!(p.waste_dominates());
+        p.connect(a, b, 64.0);
+        assert!(!p.waste_dominates(), "wire length alone is never dominated");
+        p.weights = ObjectiveWeights::paper_default();
+        assert!(p.waste_dominates());
+        p.weights.resources = -1000.0;
+        assert!(!p.waste_dominates(), "a negative waste weight never dominates");
+        // The perimeter term can carry the condition on its own.
+        p.weights =
+            ObjectiveWeights { wirelength: 1.0, perimeter: 2.0, resources: 0.0, relocation: 0.0 };
+        assert!(p.waste_dominates());
     }
 
     #[test]

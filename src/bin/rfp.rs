@@ -501,6 +501,9 @@ fn cmd_solve(args: &[String]) -> Result<ExitCode, String> {
                 m.wasted_frames, m.wirelength, m.fc_found, m.fc_requested
             );
         }
+        if let (Some(_), Some(detail)) = (&outcome.floorplan, &outcome.detail) {
+            eprintln!("rfp: {detail}");
+        }
     }
     match &outcome.floorplan {
         Some(fp) => {

@@ -181,7 +181,8 @@ fn rfp_cli_convert_solve_validate_round_trip() {
 }
 
 /// The instances of the MILP engine pins: the tiny and hetero goldens and a
-/// generated columnar portion-model instance with a real tree.
+/// generated relocation-free columnar instance, portion-4, on which `ho`
+/// runs the portion model and `milp` the assignment model.
 fn milp_pin_instances() -> [(&'static str, FloorplanProblem); 3] {
     use relocfp::floorplan::jsonio;
     let golden = |name: &str| {
@@ -256,8 +257,13 @@ fn milp_engine_stats_are_pinned_on_the_goldens() {
     // ratio test), so a change there may move them with a stated reason; it
     // must not move a floorplan or a metric. Dual Devex pricing, replacing
     // the largest-violation rule, took hetero from 233/233/1720 and
-    // portion-4 from 201/201/3458 to the counts below; tiny solves at the
-    // root and did not move.
+    // portion-4 from 201/201/3458; tiny solves at the root and did not move.
+    // portion-4 then moved from the portion model (177/177/2025) to the
+    // candidate-assignment model, which every relocation-free columnar
+    // problem whose waste dominates now builds: its LP prices each
+    // candidate's waste, so the tree fell to 23/23/62 with the same
+    // floorplan and metrics. tiny, with its constraint-mode requests, stays
+    // the portion-model pin.
     check_engine_pins(
         "milp",
         [
@@ -285,9 +291,9 @@ fn milp_engine_stats_are_pinned_on_the_goldens() {
             ),
             (
                 "portion-4",
-                177,
-                177,
-                2025,
+                23,
+                23,
+                62,
                 0,
                 "1,1,1,3 2,1,1,3 | ",
                 "Metrics { covered_frames: 216, required_frames: 216, wasted_frames: 0, \
@@ -301,9 +307,10 @@ fn milp_engine_stats_are_pinned_on_the_goldens() {
 /// The `ho` engine on the same instances: the MILP restricted by the
 /// relative positions of its greedy seed. The hetero golden builds the
 /// assignment model, which ignores the relations, so its row is `milp`'s;
-/// on portion-4 the relations fix the ordering binaries and the tree
-/// shrinks from 177 nodes to 1. A change to how the seed's relations reach
-/// the model build shows up here.
+/// on portion-4 the relations keep the portion model, fix its ordering
+/// binaries and the tree shrinks to 1 node (the unrestricted portion model
+/// took 177). A change to how the seed's relations reach the model build
+/// shows up here.
 #[test]
 fn ho_engine_stats_are_pinned_on_the_goldens() {
     check_engine_pins(
@@ -344,6 +351,55 @@ fn ho_engine_stats_are_pinned_on_the_goldens() {
             ),
         ],
     );
+}
+
+/// Irredundant candidates hold an Equation 14 optimum only when waste
+/// dominates. On an 8x2 fabric whose first row is `CLB CLB BRAM CLB CLB
+/// BRAM CLB CLB` and whose second row is all CLB, two regions that each need
+/// one BRAM tile share one connection, and only wire length is weighted.
+/// Their irredundant candidates are the two BRAM tiles, 3 apart; widening
+/// both towards each other brings them 2 apart. `milp` and `ho` search the
+/// irredundant candidates (the assignment model), so neither may prove
+/// wire length 3.
+#[test]
+fn milp_engines_prove_no_optimum_the_irredundant_candidates_miss() {
+    use relocfp::device::{
+        fabric_partition, Device, Rect, ResourceVec, TileGrid, TileType, TileTypeRegistry,
+    };
+    use relocfp::floorplan::placement::Floorplan;
+    use relocfp::floorplan::problem::{ObjectiveWeights, RegionSpec};
+    use relocfp::floorplan::OutcomeStatus;
+    let mut reg = TileTypeRegistry::new();
+    let clb = reg.register(TileType::new("CLB", ResourceVec::new(1, 0, 0), 36)).unwrap();
+    let bram = reg.register(TileType::new("BRAM", ResourceVec::new(0, 1, 0), 30)).unwrap();
+    let mut grid = TileGrid::new(8, 2).unwrap();
+    for col in 1..=8 {
+        grid.set(col, 1, Some(if col % 3 == 0 { bram } else { clb })).unwrap();
+        grid.set(col, 2, Some(clb)).unwrap();
+    }
+    let device = Device::new("bram-pair", reg, grid, Vec::new()).unwrap();
+    let mut problem = FloorplanProblem::new(fabric_partition(&device).unwrap());
+    let a = problem.add_region(RegionSpec::new("A", vec![(bram, 1)]));
+    let b = problem.add_region(RegionSpec::new("B", vec![(bram, 1)]));
+    problem.connect(a, b, 1.0);
+    problem.weights =
+        ObjectiveWeights { wirelength: 1.0, perimeter: 0.0, resources: 0.0, relocation: 0.0 };
+    assert!(!problem.partition.is_columnar_legacy());
+    assert!(!problem.waste_dominates());
+
+    let closer = Floorplan::from_regions(vec![Rect::new(3, 1, 2, 1), Rect::new(5, 1, 2, 1)]);
+    assert!(closer.validate(&problem).is_empty());
+    assert_eq!(closer.metrics(&problem).wirelength, 2.0);
+
+    let registry = full_registry();
+    for id in ["milp", "ho"] {
+        let request = SolveRequest::new(problem.clone()).with_threads(1);
+        let outcome = registry.get(id).unwrap().solve(&request, &SolveControl::default());
+        assert_eq!(outcome.status, OutcomeStatus::Feasible, "{id}: {:?}", outcome.detail);
+        assert_eq!(outcome.metrics.as_ref().map(|m| m.wirelength), Some(3.0), "{id}");
+        let detail = outcome.detail.unwrap_or_default();
+        assert!(detail.contains("irredundant candidates only"), "{id}: {detail}");
+    }
 }
 
 /// The combinatorial engine's serial search on three `solve-comb` scaling
