@@ -31,7 +31,9 @@
 //! [`greedy_complete`] chains them into the one greedy first-fit
 //! completion; the HO seed ([`crate::heuristic::greedy_floorplan`]) and the
 //! incremental re-solve ([`crate::engine::adapt_floorplan`]) call it, each
-//! with its own region order.
+//! with its own region order. The MILP assignment model places
+//! constraint-mode areas among its variables and leaves only the
+//! metric-mode ones to [`reserve_fc_areas`].
 
 use crate::fingerprint::{device_cells, device_columns, forbidden_rects, region_demand};
 use crate::placement::{FcPlacement, Floorplan};
@@ -302,7 +304,7 @@ pub fn first_fit(
 /// first free-compatible target of `regions[region]` (row-major) clear of
 /// `occupied` and of the areas reserved before it. An area with no such
 /// target is left `None`, which fails validation for a constraint-mode
-/// request.
+/// request and costs Equation 15's term for a metric-mode one.
 pub fn reserve_fc_areas(
     partition: &FabricPartition,
     fc: &[(usize, RegionId, RelocationMode)],

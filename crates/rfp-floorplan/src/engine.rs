@@ -266,7 +266,8 @@ pub enum OutcomeStatus {
     /// engines), or could not produce one at all (heuristics).
     Infeasible,
     /// The node/time budget was exhausted — or the run was cancelled — before
-    /// any floorplan was found; feasibility is unknown.
+    /// any floorplan was found; feasibility is unknown. An exact engine whose
+    /// answer fails validation reports this too.
     BudgetExhausted,
 }
 
@@ -731,7 +732,7 @@ fn solve_milp_engine(
     ctl: &SolveControl,
 ) -> SolveOutcome {
     // One clock and one deadline for the whole call: seed search, model
-    // build and every no-good round.
+    // build and the tree search.
     let start = Instant::now();
     let run = ctl.with_deadline(deadline_after(start, req.time_limit_secs));
     let problem = &req.problem;
@@ -852,77 +853,24 @@ fn solve_milp_engine(
     let solver = MilpSolver::new(cfg);
     let warm = warm.and_then(|fp| model.encode(problem, &fp));
     rfp_trace::count("engine.warm_starts", warm.is_some() as u64);
-    let mut solution = solver.solve_controlled(&model.milp, warm.as_deref());
+    let solution = solver.solve_controlled(&model.milp, warm.as_deref());
+    stats.nodes = solution.nodes as u64;
+    stats.lp_iterations = solution.lp_iterations as u64;
+    stats.lp_solves = solution.lp_solves as u64;
+    stats.lp_seconds = solution.lp_seconds;
+    stats.cuts = solution.cuts as u64;
+    stats.gap = solution.gap();
 
-    // Assignment models keep free-compatible areas out of the formulation,
-    // so an optimal assignment may leave the greedy reservation pass no room
-    // for a constraint-mode request. Ban each such assignment with a no-good
-    // cut and re-solve (bounded: each cut removes one assignment point, and
-    // every round runs under the one deadline).
-    const MAX_FC_NOGOOD_ROUNDS: usize = 16;
-    let mut retry_milp: Option<rfp_milp::Model> = None;
-    let found = loop {
-        stats.nodes += solution.nodes as u64;
-        stats.lp_iterations += solution.lp_iterations as u64;
-        stats.lp_solves += solution.lp_solves as u64;
-        stats.lp_seconds += solution.lp_seconds;
-        stats.cuts += solution.cuts as u64;
-        stats.gap = solution.gap();
-
-        if !solution.status.has_solution() {
-            break None;
-        }
+    let found = solution.status.has_solution().then(|| {
         let floorplan = model.extract(&solution);
         let issues = floorplan.validate(problem);
-        let fc_only = !issues.is_empty() && issues.iter().all(|i| i.contains("was not identified"));
-        if !fc_only
-            || run.cancel.is_cancelled()
-            || retry_milp
-                .as_ref()
-                .is_some_and(|m| m.n_cons() >= model.milp.n_cons() + MAX_FC_NOGOOD_ROUNDS)
-        {
-            break Some((floorplan, issues));
-        }
-        let milp = retry_milp.get_or_insert_with(|| model.milp.clone());
-        if !model.ban_assignment(&solution, milp) {
-            break Some((floorplan, issues));
-        }
-        rfp_trace::count("engine.fc_nogood_retries", 1);
-        solution = solver.solve_controlled(milp, None);
-    };
-    // Only a search that ran to completion proves anything about a floorplan
-    // that fails validation; one stopped by the deadline, a cancellation or
-    // the node budget might have found a valid one with more time.
+        (floorplan, issues)
+    });
     let stopped = run.cancel.is_cancelled() || solution.status != rfp_milp::SolveStatus::Optimal;
-    let (status, detail) = match &found {
-        None if solution.status == rfp_milp::SolveStatus::Infeasible => {
-            (OutcomeStatus::Infeasible, "the MILP model is infeasible".to_string())
-        }
-        None => (
-            OutcomeStatus::BudgetExhausted,
-            "solver budget exhausted before a feasible floorplan was found".to_string(),
-        ),
-        Some((_, issues)) if stopped => (
-            OutcomeStatus::BudgetExhausted,
-            format!(
-                "solver budget exhausted before an extracted floorplan passed validation: {}",
-                issues.join("; ")
-            ),
-        ),
-        // A solution that passes the MILP but fails the independent validator
-        // indicates numerical trouble (or an unsatisfiable constraint-mode
-        // relocation request); report it rather than returning a bogus
-        // floorplan.
-        Some((_, issues)) => (
-            OutcomeStatus::Infeasible,
-            format!("extracted floorplan failed validation: {}", issues.join("; ")),
-        ),
-    };
+    let (status, detail) =
+        milp_verdict(solution.status, found.as_ref().map(|(_, issues)| issues.as_slice()), stopped);
     let floorplan = found.and_then(|(fp, issues)| issues.is_empty().then_some(fp));
-    // After a no-good round the optimum is only proven for the cut model:
-    // the greedy reservation pass is incomplete, so a banned assignment
-    // might still have admitted the areas under a smarter reservation.
-    let optimal = solution.status == rfp_milp::SolveStatus::Optimal && retry_milp.is_none();
+    let optimal = solution.status == rfp_milp::SolveStatus::Optimal;
     // The assignment model searches the irredundant candidates only, and
     // they hold an optimum only when waste dominates the objective.
     let irredundant_only = model.is_assignment() && !problem.waste_dominates();
@@ -940,12 +888,42 @@ fn solve_milp_engine(
     outcome
 }
 
+/// The status and detail of a MILP run, used when it returned no valid
+/// floorplan: `issues` are the validation issues of the extracted floorplan (`None`
+/// when the search found none), and `stopped` tells whether a deadline, a
+/// cancellation or the node budget stopped the search. A floorplan the
+/// validator rejects never makes the run `Infeasible`: a stopped search
+/// might find a valid one with more time, and every constraint of the
+/// problem is in the model, so a finished one hit numerical trouble.
+fn milp_verdict(
+    search: rfp_milp::SolveStatus,
+    issues: Option<&[String]>,
+    stopped: bool,
+) -> (OutcomeStatus, String) {
+    match issues {
+        None if search == rfp_milp::SolveStatus::Infeasible => {
+            (OutcomeStatus::Infeasible, "the MILP model is infeasible".to_string())
+        }
+        None => (
+            OutcomeStatus::BudgetExhausted,
+            "solver budget exhausted before a feasible floorplan was found".to_string(),
+        ),
+        Some(issues) => {
+            let why = if stopped {
+                "solver budget exhausted before an extracted floorplan passed validation"
+            } else {
+                "internal error: the MILP's optimal floorplan failed validation"
+            };
+            (OutcomeStatus::BudgetExhausted, format!("{why}: {}", issues.join("; ")))
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::placement::FcPlacement;
     use crate::problem::{ObjectiveWeights, RegionSpec, RelocationRequest};
-    use rfp_device::{columnar_partition, DeviceBuilder, Rect, ResourceVec};
+    use rfp_device::{columnar_partition, DeviceBuilder, ResourceVec};
 
     fn tiny_problem() -> (FloorplanProblem, rfp_device::TileTypeId, rfp_device::TileTypeId) {
         let mut b = DeviceBuilder::new("engine-tiny");
@@ -1251,57 +1229,22 @@ mod tests {
         assert!(outcome.floorplan.unwrap().validate(&p).is_empty());
     }
 
-    /// A valid floorplan whose free-compatible areas the greedy reservation
-    /// pass cannot re-derive, on a two-die 3x2 all-CLB fabric (which takes
-    /// the candidate-assignment model):
-    ///
-    /// ```text
-    /// row 1 | B  .  . |   B's area: greedy takes (2,1), the first free cell,
-    /// row 2 | A  A  . |   and leaves A's two-wide area nowhere to go
-    /// ```
-    ///
-    /// The valid floorplan puts B's area at (3,2) and A's at (2,1)-(3,1).
-    fn greedy_reservation_trap() -> (FloorplanProblem, Floorplan) {
-        let mut b = DeviceBuilder::new("two-die");
-        let clb = b.tile_type("CLB", ResourceVec::new(1, 0, 0), 36);
-        b.rows(2).columns(&[clb, clb, clb]);
-        let fabric = rfp_device::fabric_partition_with_boundaries(&b.build().unwrap(), &[1]);
-        let mut p = FloorplanProblem::new(fabric.unwrap());
-        let a = p.add_region(RegionSpec::new("A", vec![(clb, 2)]));
-        let bid = p.add_region(RegionSpec::new("B", vec![(clb, 1)]));
-        p.request_relocation(RelocationRequest::constraint(bid, 1));
-        p.request_relocation(RelocationRequest::constraint(a, 1));
-        let areas = [Rect::new(3, 2, 1, 1), Rect::new(2, 1, 2, 1)];
-        let fp = Floorplan {
-            regions: vec![Rect::new(1, 2, 2, 1), Rect::new(1, 1, 1, 1)],
-            fc_areas: p
-                .fc_areas()
-                .into_iter()
-                .zip(areas)
-                .map(|((request, region, mode), rect)| FcPlacement {
-                    request,
-                    region,
-                    mode,
-                    rect: Some(rect),
-                })
-                .collect(),
-        };
-        assert!(fp.validate(&p).is_empty(), "{:?}", fp.validate(&p));
-        let model = FloorplanMilp::build(&p, None);
-        let mut sol = rfp_milp::Solution::empty(rfp_milp::SolveStatus::Feasible, 0);
-        sol.values = model.encode(&p, &fp).expect("the floorplan encodes");
-        assert!(!model.extract(&sol).validate(&p).is_empty(), "the greedy pass must fail");
-        (p, fp)
-    }
-
+    /// A floorplan the validator rejects is never `Infeasible`: stopped or
+    /// not, the run reports `budget-exhausted`. A search with no floorplan
+    /// is infeasible only when it proved so.
     #[test]
     fn a_stopped_milp_whose_floorplan_fails_validation_is_budget_exhausted() {
-        let (p, fp) = greedy_reservation_trap();
-        let ctl = SolveControl::default();
-        ctl.cancel.cancel();
-        let outcome = MilpEngine.solve(&SolveRequest::new(p).with_warm_start(fp), &ctl);
-        assert_eq!(outcome.status, OutcomeStatus::BudgetExhausted, "{:?}", outcome.detail);
-        assert!(outcome.floorplan.is_none());
-        assert!(outcome.stats.cancelled);
+        use rfp_milp::SolveStatus;
+        let issues = ["free-compatible area 0 of A overlaps B".to_string()];
+        for (search, stopped) in [(SolveStatus::Feasible, true), (SolveStatus::Optimal, false)] {
+            let (status, detail) = milp_verdict(search, Some(&issues), stopped);
+            assert_eq!(status, OutcomeStatus::BudgetExhausted, "{search:?}: {detail}");
+            assert!(detail.ends_with(&issues[0]), "{detail}");
+        }
+        assert_eq!(milp_verdict(SolveStatus::Infeasible, None, false).0, OutcomeStatus::Infeasible);
+        assert_eq!(
+            milp_verdict(SolveStatus::Unknown, None, true).0,
+            OutcomeStatus::BudgetExhausted
+        );
     }
 }

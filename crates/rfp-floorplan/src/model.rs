@@ -46,13 +46,19 @@
 //! [`FloorplanMilp::build`] also generates a **candidate-assignment** model:
 //! one binary per (region, candidate rectangle) from the irredundant
 //! enumeration of [`crate::candidates`], an exactly-one constraint per
-//! region, pairwise mutual exclusion between overlapping candidates, and the
-//! same composite objective expressed over the (constant) per-candidate
-//! waste, half-perimeter and centre coordinates. Requested free-compatible
-//! areas are reserved by a greedy pass at extraction time using the
-//! fabric-aware compatibility check (which rejects die-crossing targets); a
-//! constraint-mode request the greedy pass cannot satisfy surfaces as a
-//! validation failure, never as a silently dropped constraint.
+//! region, and the same composite objective expressed over the (constant)
+//! per-candidate waste, half-perimeter and centre coordinates. Each
+//! **constraint-mode** free-compatible area is a pseudo-region as in the
+//! paper, but a discrete one: one binary per target compatible with some
+//! candidate of its source region (the fabric-aware check, which rejects
+//! die-crossing targets), exactly one of them chosen, and a target only
+//! with a candidate it is compatible with. Overlaps are excluded by one
+//! set-packing row per tile — the columns covering the tile sum to at most
+//! 1 — the clique form of the pairwise conflicts (Atamtürk, Nemhauser &
+//! Savelsbergh, "Conflict graphs in solving integer programming problems",
+//! EJOR 2000), whose LP is far tighter and smaller. Metric-mode areas are
+//! not in this model: a greedy pass reserves them at extraction time, and
+//! the validator prices the ones it misses.
 //!
 //! The portion machinery above assumes a columnar device, so a fabric with
 //! no columnar view, or a columnar device with die boundaries (whose
@@ -69,12 +75,14 @@ use crate::candidates::{enumerate_candidates, reserve_fc_areas, Candidate};
 use crate::placement::{FcPlacement, Floorplan};
 use crate::problem::{FloorplanProblem, RelocationMode};
 use crate::sequence_pair::{PairRelation, Relation};
+use rfp_device::compat::enumerate_free_compatible;
 use rfp_device::{ColumnarPartition, FabricPartition, PortionId, Rect};
 use rfp_milp::{ConOp, LinExpr, Model, Sense, Solution, VarId};
+use std::collections::{BTreeMap, HashSet};
 
 /// Handles to every variable of the generated model, used for extraction and
 /// by the white-box tests.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ModelVars {
     /// Leftmost column per entity.
     pub x: Vec<VarId>,
@@ -135,12 +143,29 @@ enum ModelKind {
 /// Bookkeeping of the candidate-assignment formulation.
 #[derive(Debug, Clone)]
 struct AssignmentModel {
-    /// The fabric, kept for the greedy free-compatible reservation pass.
+    /// The fabric, kept for the greedy reservation of metric-mode areas.
     partition: FabricPartition,
     /// Candidate rectangles per region.
     candidates: Vec<Vec<Candidate>>,
     /// Assignment binaries, aligned with `candidates`.
     assign: Vec<Vec<VarId>>,
+    /// Per free-compatible entity: its targets when it is a constraint-mode
+    /// area, `None` for a metric-mode one.
+    targets: Vec<Option<FcTargets>>,
+}
+
+/// Every target of a region's candidates, row-major, with the assignment
+/// binaries of the candidates it is compatible with.
+type TargetSources = Vec<(Rect, Vec<VarId>)>;
+
+/// The free-compatible targets of one constraint-mode area.
+#[derive(Debug, Clone)]
+struct FcTargets {
+    /// Every rect compatible with some candidate of the source region, in
+    /// row-major order.
+    rects: Vec<Rect>,
+    /// Target binaries `f[c][t]`, aligned with `rects`.
+    vars: Vec<VarId>,
 }
 
 /// A generated floorplanning MILP together with the handles needed to read a
@@ -182,9 +207,10 @@ impl FloorplanMilp {
     /// * Heterogeneous fabrics (and columnar devices with die boundaries,
     ///   whose relocation rules the portion equations cannot express) always
     ///   get the candidate-assignment formulation, which ignores the
-    ///   relations (its assignment space is already discrete and small).
-    ///   It proves an optimum only when waste dominates; the engine reports
-    ///   its answer as feasible otherwise.
+    ///   relations (its assignment space is already discrete and small) and
+    ///   places constraint-mode areas among its variables. It proves an
+    ///   optimum only when waste dominates; the engine reports its answer as
+    ///   feasible otherwise.
     pub fn build(
         problem: &FloorplanProblem,
         ho_relations: Option<&[PairRelation]>,
@@ -232,21 +258,7 @@ impl FloorplanMilp {
         // ------------------------------------------------------------------
         // Variables.
         // ------------------------------------------------------------------
-        let mut vars = ModelVars {
-            x: Vec::new(),
-            w: Vec::new(),
-            y: Vec::new(),
-            h: Vec::new(),
-            a: Vec::new(),
-            cov: Vec::new(),
-            k: Vec::new(),
-            o: Vec::new(),
-            l: Vec::new(),
-            v: vec![None; fc_meta.len()],
-            q: Vec::new(),
-            pair_rel: Vec::new(),
-            wl: Vec::new(),
-        };
+        let mut vars = ModelVars { v: vec![None; fc_meta.len()], ..ModelVars::default() };
         for e in 0..entities {
             let name = entity_name(e);
             vars.x.push(m.int_var(format!("x[{name}]"), 1.0, cols));
@@ -631,46 +643,14 @@ impl FloorplanMilp {
         let weights = &problem.weights;
         let mut objective = LinExpr::zero();
 
-        // Wire-length cost.
-        if weights.wirelength != 0.0 && !problem.connections.is_empty() {
-            let scale = weights.wirelength / problem.wl_max();
-            for (ci, conn) in problem.connections.iter().enumerate() {
-                let dx = m.cont_var(format!("wl_dx[{ci}]"), 0.0, cols);
-                let dy = m.cont_var(format!("wl_dy[{ci}]"), 0.0, rows);
-                vars.wl.push((dx, dy));
-                // Centre coordinates: x + (w - 1)/2 and y + (h - 1)/2.
-                let cx_a = LinExpr::from(vars.x[conn.a]) + LinExpr::term(vars.w[conn.a], 0.5);
-                let cx_b = LinExpr::from(vars.x[conn.b]) + LinExpr::term(vars.w[conn.b], 0.5);
-                let cy_a = LinExpr::from(vars.y[conn.a]) + LinExpr::term(vars.h[conn.a], 0.5);
-                let cy_b = LinExpr::from(vars.y[conn.b]) + LinExpr::term(vars.h[conn.b], 0.5);
-                m.add_con(
-                    format!("wl_dx_pos[{ci}]"),
-                    LinExpr::from(dx) - cx_a.clone() + cx_b.clone(),
-                    ConOp::Ge,
-                    0.0,
-                );
-                m.add_con(
-                    format!("wl_dx_neg[{ci}]"),
-                    LinExpr::from(dx) + cx_a - cx_b,
-                    ConOp::Ge,
-                    0.0,
-                );
-                m.add_con(
-                    format!("wl_dy_pos[{ci}]"),
-                    LinExpr::from(dy) - cy_a.clone() + cy_b.clone(),
-                    ConOp::Ge,
-                    0.0,
-                );
-                m.add_con(
-                    format!("wl_dy_neg[{ci}]"),
-                    LinExpr::from(dy) + cy_a - cy_b,
-                    ConOp::Ge,
-                    0.0,
-                );
-                objective +=
-                    LinExpr::term(dx, conn.weight * scale) + LinExpr::term(dy, conn.weight * scale);
-            }
-        }
+        // Wire-length cost, over the centre coordinates x + w/2 and y + h/2.
+        let centre = |e: usize| {
+            let cx = LinExpr::from(vars.x[e]) + LinExpr::term(vars.w[e], 0.5);
+            (cx, LinExpr::from(vars.y[e]) + LinExpr::term(vars.h[e], 0.5))
+        };
+        let (wl, wire) = wire_length(&mut m, problem, centre);
+        vars.wl = wl;
+        objective += wire;
 
         // Perimeter cost.
         if weights.perimeter != 0.0 {
@@ -715,159 +695,124 @@ impl FloorplanMilp {
     /// The candidate-assignment formulation (see [`FloorplanMilp::build`]
     /// for when it runs).
     ///
-    /// One binary per (region, candidate) from the irredundant enumeration,
-    /// an exactly-one constraint per region and pairwise mutual exclusion
-    /// between overlapping candidates. Waste and half-perimeter are constant
-    /// per candidate; wire length reuses the `dx`/`dy` auxiliaries over the
-    /// linear centre expressions. Free-compatible areas are *not* variables
-    /// of this model: they are reserved greedily at extraction time with the
-    /// fabric-aware compatibility check, so the relocation term of Equation
-    /// (14) is priced by the validator rather than the solver. For a region
-    /// with a **constraint-mode** relocation request, candidates spanning a
-    /// die boundary are pruned up front — a boundary-crossing source has no
-    /// compatible target anywhere, so such an assignment can never satisfy
-    /// the constraint.
+    /// One binary per (region, candidate) from the irredundant enumeration
+    /// and an exactly-one constraint per region; one binary per target of
+    /// each constraint-mode area, exactly one chosen, each bounded by the
+    /// candidates it is compatible with; one set-packing row per tile.
+    /// Waste and half-perimeter are constant per candidate; wire length
+    /// reuses the `dx`/`dy` auxiliaries over the linear centre expressions.
+    /// Metric-mode areas are *not* variables of this model: they are
+    /// reserved greedily at extraction time, so the relocation term of
+    /// Equation (14) is priced by the validator rather than the solver. A
+    /// candidate with no target (one across a die boundary, say) can hold a
+    /// constraint-mode area's source only in an infeasible assignment.
     fn build_assignment(problem: &FloorplanProblem) -> FloorplanMilp {
         let partition = &problem.partition;
         let n_regions = problem.regions.len();
         let fc_meta = problem.fc_areas();
-        let cols = partition.cols as f64;
-        let rows = partition.rows as f64;
-
         let mut m = Model::new(format!("floorplan-{}", partition.device_name), Sense::Minimize);
 
-        let must_not_cross: Vec<bool> = (0..n_regions)
-            .map(|n| {
-                fc_meta.iter().any(|&(_, region, mode)| {
-                    region == n && matches!(mode, RelocationMode::Constraint)
-                })
-            })
-            .collect();
-        let candidates: Vec<Vec<Candidate>> = problem
-            .regions
-            .iter()
-            .enumerate()
-            .map(|(n, spec)| {
-                let mut cands = enumerate_candidates(partition, spec);
-                if must_not_cross[n] {
-                    cands.retain(|c| !partition.rect_crosses_die_boundary(&c.rect));
-                }
-                cands
-            })
-            .collect();
+        let candidates: Vec<Vec<Candidate>> =
+            problem.regions.iter().map(|spec| enumerate_candidates(partition, spec)).collect();
 
         let mut assign: Vec<Vec<VarId>> = Vec::with_capacity(n_regions);
         for (n, spec) in problem.regions.iter().enumerate() {
             let row: Vec<VarId> = (0..candidates[n].len())
                 .map(|k| m.bin_var(format!("asg[{}][{k}]", spec.name)))
                 .collect();
-            if row.is_empty() {
-                // No candidate fits the region anywhere: force infeasibility
-                // instead of silently dropping the region.
-                let stub = m.bin_var(format!("infeasible[{}]", spec.name));
-                m.add_con(
-                    format!("no_candidate[{}]", spec.name),
-                    LinExpr::from(stub),
-                    ConOp::Ge,
-                    2.0,
-                );
-            } else {
-                m.add_con(
-                    format!("assign_one[{}]", spec.name),
-                    LinExpr::weighted_sum(row.iter().map(|&v| (v, 1.0))),
-                    ConOp::Eq,
-                    1.0,
-                );
-            }
+            exactly_one(&mut m, &format!("assign_one[{}]", spec.name), &row);
             assign.push(row);
         }
 
-        // Pairwise mutual exclusion between overlapping candidates.
-        for i in 0..n_regions {
-            for j in (i + 1)..n_regions {
-                for (ki, ci) in candidates[i].iter().enumerate() {
-                    for (kj, cj) in candidates[j].iter().enumerate() {
-                        if ci.rect.overlaps(&cj.rect) {
-                            m.add_con(
-                                format!(
-                                    "sep[{}][{ki}][{}][{kj}]",
-                                    problem.regions[i].name, problem.regions[j].name
-                                ),
-                                LinExpr::from(assign[i][ki]) + assign[j][kj],
-                                ConOp::Le,
-                                1.0,
-                            );
-                        }
+        // One free-compatible target binary `f[c][t]` per constraint-mode
+        // area `c` and target `t` of a candidate of its source region, with
+        // `f[c][t] <= sum of asg[n][k]` over the candidates `k` that `t` is
+        // compatible with, and exactly one target per area. Metric-mode
+        // areas stay out of the model.
+        let mut by_region: Vec<Option<TargetSources>> = vec![None; n_regions];
+        let mut targets: Vec<Option<FcTargets>> = Vec::with_capacity(fc_meta.len());
+        for (c, &(_, n, mode)) in fc_meta.iter().enumerate() {
+            if !matches!(mode, RelocationMode::Constraint) {
+                targets.push(None);
+                continue;
+            }
+            let sources = by_region[n].get_or_insert_with(|| {
+                let mut sources: BTreeMap<(u32, u32, u32, u32), Vec<VarId>> = BTreeMap::new();
+                for (cand, &var) in candidates[n].iter().zip(&assign[n]) {
+                    for t in enumerate_free_compatible(partition, &cand.rect, &[]) {
+                        sources.entry((t.y, t.x, t.w, t.h)).or_default().push(var);
                     }
                 }
+                sources
+                    .into_iter()
+                    .map(|((y, x, w, h), vars)| (Rect::new(x, y, w, h), vars))
+                    .collect()
+            });
+            let name = format!("fc{c}_{}", problem.regions[n].name);
+            let vars: Vec<VarId> =
+                (0..sources.len()).map(|i| m.bin_var(format!("f[{name}][{i}]"))).collect();
+            for (i, (_, from)) in sources.iter().enumerate() {
+                m.add_con(
+                    format!("fc_source[{name}][{i}]"),
+                    LinExpr::from(vars[i]) - LinExpr::weighted_sum(from.iter().map(|&v| (v, 1.0))),
+                    ConOp::Le,
+                    0.0,
+                );
             }
+            exactly_one(&mut m, &format!("fc_one[{name}]"), &vars);
+            targets.push(Some(FcTargets { rects: sources.iter().map(|s| s.0).collect(), vars }));
         }
 
-        let mut vars = ModelVars {
-            x: Vec::new(),
-            w: Vec::new(),
-            y: Vec::new(),
-            h: Vec::new(),
-            a: Vec::new(),
-            cov: Vec::new(),
-            k: Vec::new(),
-            o: Vec::new(),
-            l: Vec::new(),
-            v: vec![None; fc_meta.len()],
-            q: Vec::new(),
-            pair_rel: Vec::new(),
-            wl: Vec::new(),
+        // One set-packing row per tile: the columns whose rectangles cover
+        // it sum to at most 1. A tile covered by one entity's columns only
+        // needs no row (its own `assign_one`/`fc_one` row bounds them), nor
+        // does a cover set an earlier tile already emitted. Columns are
+        // listed entity by entity, so a set's first and last entries tell.
+        let stride = partition.cols as usize;
+        let mut cover: Vec<Vec<(usize, VarId)>> =
+            vec![Vec::new(); stride * partition.rows as usize];
+        let mut mark = |entity: usize, rect: &Rect, var: VarId| {
+            for y in rect.y..=rect.y2() {
+                for x in rect.x..=rect.x2() {
+                    cover[(y - 1) as usize * stride + (x - 1) as usize].push((entity, var));
+                }
+            }
         };
-
-        let weights = &problem.weights;
-        let mut objective = LinExpr::zero();
-        let centre_x = |c: &Candidate| f64::from(c.rect.x) + f64::from(c.rect.w) * 0.5;
-        let centre_y = |c: &Candidate| f64::from(c.rect.y) + f64::from(c.rect.h) * 0.5;
+        for (n, cands) in candidates.iter().enumerate() {
+            for (cand, &var) in cands.iter().zip(&assign[n]) {
+                mark(n, &cand.rect, var);
+            }
+        }
+        for (c, t) in targets.iter().enumerate() {
+            for (rect, &var) in t.iter().flat_map(|t| t.rects.iter().zip(&t.vars)) {
+                mark(n_regions + c, rect, var);
+            }
+        }
+        let mut emitted: HashSet<Vec<VarId>> = HashSet::new();
+        for (i, set) in cover.iter().enumerate() {
+            if set.first().map(|f| f.0) == set.last().map(|l| l.0) {
+                continue;
+            }
+            let vars: Vec<VarId> = set.iter().map(|&(_, v)| v).collect();
+            if emitted.insert(vars.clone()) {
+                m.add_con(
+                    format!("tile[{}][{}]", i % stride + 1, i / stride + 1),
+                    LinExpr::weighted_sum(vars.iter().map(|&v| (v, 1.0))),
+                    ConOp::Le,
+                    1.0,
+                );
+            }
+        }
 
         // Wire-length cost over linear centre expressions.
-        if weights.wirelength != 0.0 && !problem.connections.is_empty() {
-            let scale = weights.wirelength / problem.wl_max();
-            for (ci, conn) in problem.connections.iter().enumerate() {
-                let dx = m.cont_var(format!("wl_dx[{ci}]"), 0.0, cols);
-                let dy = m.cont_var(format!("wl_dy[{ci}]"), 0.0, rows);
-                vars.wl.push((dx, dy));
-                let centre_expr = |region: usize, f: &dyn Fn(&Candidate) -> f64| -> LinExpr {
-                    LinExpr::weighted_sum(
-                        candidates[region].iter().zip(&assign[region]).map(|(c, &v)| (v, f(c))),
-                    )
-                };
-                let cx_a = centre_expr(conn.a, &centre_x);
-                let cx_b = centre_expr(conn.b, &centre_x);
-                let cy_a = centre_expr(conn.a, &centre_y);
-                let cy_b = centre_expr(conn.b, &centre_y);
-                m.add_con(
-                    format!("wl_dx_pos[{ci}]"),
-                    LinExpr::from(dx) - cx_a.clone() + cx_b.clone(),
-                    ConOp::Ge,
-                    0.0,
-                );
-                m.add_con(
-                    format!("wl_dx_neg[{ci}]"),
-                    LinExpr::from(dx) + cx_a - cx_b,
-                    ConOp::Ge,
-                    0.0,
-                );
-                m.add_con(
-                    format!("wl_dy_pos[{ci}]"),
-                    LinExpr::from(dy) - cy_a.clone() + cy_b.clone(),
-                    ConOp::Ge,
-                    0.0,
-                );
-                m.add_con(
-                    format!("wl_dy_neg[{ci}]"),
-                    LinExpr::from(dy) + cy_a - cy_b,
-                    ConOp::Ge,
-                    0.0,
-                );
-                objective +=
-                    LinExpr::term(dx, conn.weight * scale) + LinExpr::term(dy, conn.weight * scale);
-            }
-        }
+        let centre = |n: usize| {
+            let cands = || candidates[n].iter().zip(&assign[n]);
+            let cx = LinExpr::weighted_sum(cands().map(|(c, &v)| (v, centre_of(&c.rect).0)));
+            (cx, LinExpr::weighted_sum(cands().map(|(c, &v)| (v, centre_of(&c.rect).1))))
+        };
+        let (wl, mut objective) = wire_length(&mut m, problem, centre);
+        let vars = ModelVars { wl, ..ModelVars::default() };
+        let weights = &problem.weights;
 
         // Perimeter and wasted-frames costs are constants per candidate.
         if weights.perimeter != 0.0 {
@@ -896,6 +841,7 @@ impl FloorplanMilp {
             partition: partition.clone(),
             candidates,
             assign,
+            targets,
         }));
         FloorplanMilp { milp: m, vars, n_regions, fc_meta, kind }
     }
@@ -935,11 +881,34 @@ impl FloorplanMilp {
                     .unwrap_or_else(|| Rect::new(1, 1, 1, 1))
             })
             .collect();
-        // Greedy reservation of the requested free-compatible areas with the
-        // fabric-aware (die-boundary-rejecting) compatibility check. A
-        // constraint-mode request the pass cannot satisfy is left empty and
-        // surfaces as a validation failure downstream.
-        let fc_areas = reserve_fc_areas(&am.partition, &self.fc_meta, &regions, regions.clone());
+        // Constraint-mode areas take their chosen target; metric-mode ones
+        // are then reserved greedily with the fabric-aware (die-boundary-
+        // rejecting) compatibility check, clear of everything placed.
+        let mut occupied = regions.clone();
+        let mut fc_areas: Vec<FcPlacement> = self
+            .fc_meta
+            .iter()
+            .zip(&am.targets)
+            .map(|(&(request, region, mode), targets)| {
+                let rect = targets.as_ref().and_then(|t| {
+                    t.vars.iter().position(|&v| solution.bool_value(v)).map(|i| t.rects[i])
+                });
+                occupied.extend(rect);
+                FcPlacement { request, region, mode, rect }
+            })
+            .collect();
+        let metric: Vec<_> = self
+            .fc_meta
+            .iter()
+            .zip(&am.targets)
+            .filter_map(|(&meta, targets)| targets.is_none().then_some(meta))
+            .collect();
+        let mut reserved = reserve_fc_areas(&am.partition, &metric, &regions, occupied).into_iter();
+        for (area, targets) in fc_areas.iter_mut().zip(&am.targets) {
+            if targets.is_none() {
+                *area = reserved.next().expect("one reservation per metric-mode area");
+            }
+        }
         Floorplan { regions, fc_areas }
     }
 
@@ -966,37 +935,6 @@ impl FloorplanMilp {
             fc_areas.push(FcPlacement { request, region, mode, rect });
         }
         Floorplan { regions, fc_areas }
-    }
-
-    /// Adds a no-good cut to `milp` banning this solution's exact candidate
-    /// assignment (assignment models only).
-    ///
-    /// The assignment formulation keeps free-compatible areas out of the
-    /// model, so an optimal assignment may pack the fabric too tightly for
-    /// the greedy reservation pass to satisfy a constraint-mode request. The
-    /// engine then bans the failing assignment and re-solves: each cut
-    /// removes exactly one point of the assignment space, so the loop is
-    /// sound and terminates. Returns `false` (and adds nothing) for portion
-    /// models or when the solution selects no candidates.
-    pub fn ban_assignment(&self, solution: &Solution, milp: &mut Model) -> bool {
-        let ModelKind::Assignment(am) = &self.kind else { return false };
-        let chosen: Vec<VarId> = am
-            .assign
-            .iter()
-            .filter_map(|row| row.iter().copied().find(|&v| solution.bool_value(v)))
-            .collect();
-        if chosen.is_empty() {
-            return false;
-        }
-        let k = chosen.len() as f64;
-        let name = format!("fc_nogood[{}]", milp.n_cons());
-        milp.add_con(
-            name,
-            LinExpr::weighted_sum(chosen.into_iter().map(|v| (v, 1.0))),
-            ConOp::Le,
-            k - 1.0,
-        );
-        true
     }
 
     /// Encodes a floorplan as a full variable assignment of this model, for
@@ -1111,16 +1049,7 @@ impl FloorplanMilp {
             }
         }
 
-        for (ci, conn) in problem.connections.iter().enumerate() {
-            if ci >= vars.wl.len() {
-                break;
-            }
-            let centre_x = |r: &Rect| f64::from(r.x) + f64::from(r.w) * 0.5;
-            let centre_y = |r: &Rect| f64::from(r.y) + f64::from(r.h) * 0.5;
-            let (dx, dy) = vars.wl[ci];
-            set(dx, (centre_x(&rects[conn.a]) - centre_x(&rects[conn.b])).abs());
-            set(dy, (centre_y(&rects[conn.a]) - centre_y(&rects[conn.b])).abs());
-        }
+        self.encode_wire_length(problem, &rects, &mut values);
 
         // Respect pinned bounds (HO relation binaries): the relations were
         // extracted from this very floorplan, so raising a variable to a
@@ -1132,43 +1061,94 @@ impl FloorplanMilp {
     }
 
     /// [`FloorplanMilp::encode`] for the candidate-assignment model: every
-    /// region rectangle must be one of its enumerated candidates, otherwise
-    /// the floorplan is outside this model's search space and `None` is
-    /// returned. Free-compatible areas carry no variables here (they are
-    /// re-derived at extraction), so only a missing constraint-mode area is
-    /// disqualifying.
+    /// region rectangle must be one of its enumerated candidates and every
+    /// constraint-mode area one of its targets, otherwise the floorplan is
+    /// outside this model's search space and `None` is returned.
+    /// Metric-mode areas carry no variables here (they are re-derived at
+    /// extraction).
     fn encode_assignment(
         &self,
         problem: &FloorplanProblem,
         am: &AssignmentModel,
         floorplan: &Floorplan,
     ) -> Option<Vec<f64>> {
-        for (c_idx, fcp) in floorplan.fc_areas.iter().enumerate() {
-            if fcp.rect.is_none() && matches!(self.fc_meta[c_idx].2, RelocationMode::Constraint) {
-                return None;
-            }
-        }
         let mut values = vec![0.0; self.milp.n_vars()];
         for (n, rect) in floorplan.regions.iter().enumerate() {
             let k = am.candidates[n].iter().position(|c| c.rect == *rect)?;
             values[am.assign[n][k].index()] = 1.0;
         }
-        for (ci, conn) in problem.connections.iter().enumerate() {
-            if ci >= self.vars.wl.len() {
-                break;
+        for (area, targets) in floorplan.fc_areas.iter().zip(&am.targets) {
+            if let Some(t) = targets {
+                let rect = area.rect?;
+                values[t.vars[t.rects.iter().position(|r| *r == rect)?].index()] = 1.0;
             }
-            let centre_x = |r: &Rect| f64::from(r.x) + f64::from(r.w) * 0.5;
-            let centre_y = |r: &Rect| f64::from(r.y) + f64::from(r.h) * 0.5;
-            let (ra, rb) = (&floorplan.regions[conn.a], &floorplan.regions[conn.b]);
-            let (dx, dy) = self.vars.wl[ci];
-            values[dx.index()] = (centre_x(ra) - centre_x(rb)).abs();
-            values[dy.index()] = (centre_y(ra) - centre_y(rb)).abs();
         }
+        self.encode_wire_length(problem, &floorplan.regions, &mut values);
         for (idx, def) in self.milp.vars().iter().enumerate() {
             values[idx] = values[idx].clamp(def.lb, def.ub);
         }
         Some(values)
     }
+
+    /// Sets the wire-length auxiliaries in `values` from the centres of
+    /// `rects`, regions first.
+    fn encode_wire_length(&self, problem: &FloorplanProblem, rects: &[Rect], values: &mut [f64]) {
+        for (conn, &(dx, dy)) in problem.connections.iter().zip(&self.vars.wl) {
+            let ((ax, ay), (bx, by)) = (centre_of(&rects[conn.a]), centre_of(&rects[conn.b]));
+            values[dx.index()] = (ax - bx).abs();
+            values[dy.index()] = (ay - by).abs();
+        }
+    }
+}
+
+/// Adds the row `name`: exactly one of `vars` is 1. An entity with no
+/// choice at all (no candidate, no target) gets a row no binary meets
+/// instead, so the model is infeasible rather than missing the entity.
+fn exactly_one(m: &mut Model, name: &str, vars: &[VarId]) {
+    if vars.is_empty() {
+        let stub = m.bin_var(format!("infeasible:{name}"));
+        m.add_con(name, LinExpr::from(stub), ConOp::Ge, 2.0);
+    } else {
+        let sum = LinExpr::weighted_sum(vars.iter().map(|&v| (v, 1.0)));
+        m.add_con(name, sum, ConOp::Eq, 1.0);
+    }
+}
+
+/// Equation 14's wire-length term, shared by both formulations: per
+/// connection, auxiliaries `dx`, `dy` bounded below by the distance of its
+/// endpoints' centres, `centre(entity)` as linear `(x, y)` expressions.
+/// Returns the auxiliaries, one pair per connection (none when wire length
+/// is not weighted), and their objective terms.
+fn wire_length(
+    m: &mut Model,
+    problem: &FloorplanProblem,
+    centre: impl Fn(usize) -> (LinExpr, LinExpr),
+) -> (Vec<(VarId, VarId)>, LinExpr) {
+    let (mut wl, mut objective) = (Vec::new(), LinExpr::zero());
+    if problem.weights.wirelength == 0.0 {
+        return (wl, objective);
+    }
+    let scale = problem.weights.wirelength / problem.wl_max();
+    let (cols, rows) = (f64::from(problem.partition.cols), f64::from(problem.partition.rows));
+    for (ci, conn) in problem.connections.iter().enumerate() {
+        let dx = m.cont_var(format!("wl_dx[{ci}]"), 0.0, cols);
+        let dy = m.cont_var(format!("wl_dy[{ci}]"), 0.0, rows);
+        wl.push((dx, dy));
+        let ((cx_a, cy_a), (cx_b, cy_b)) = (centre(conn.a), centre(conn.b));
+        for (axis, d, a, b) in [("x", dx, cx_a, cx_b), ("y", dy, cy_a, cy_b)] {
+            let pos = LinExpr::from(d) - a.clone() + b.clone();
+            m.add_con(format!("wl_d{axis}_pos[{ci}]"), pos, ConOp::Ge, 0.0);
+            m.add_con(format!("wl_d{axis}_neg[{ci}]"), LinExpr::from(d) + a - b, ConOp::Ge, 0.0);
+        }
+        objective +=
+            LinExpr::term(dx, conn.weight * scale) + LinExpr::term(dy, conn.weight * scale);
+    }
+    (wl, objective)
+}
+
+/// The centre of a rect, `(x + w/2, y + h/2)`.
+fn centre_of(rect: &Rect) -> (f64, f64) {
+    (f64::from(rect.x) + f64::from(rect.w) * 0.5, f64::from(rect.y) + f64::from(rect.h) * 0.5)
 }
 
 /// The relation fixed for each entity pair `(i, j)`, `i < j`, at
@@ -1342,5 +1322,38 @@ mod tests {
             assert!(fp.validate(&p).is_empty(), "{:?}", fp.validate(&p));
             assert!(!fp.regions[0].contains(2, 1) && !fp.regions[0].contains(2, 2));
         }
+    }
+
+    /// Constraint-mode areas are variables of the assignment model, so its
+    /// optimum packs them wherever a floorplan exists. On a two-die 3x2
+    /// all-CLB fabric, A (two tiles) and B (one tile) each request one area:
+    ///
+    /// ```text
+    /// row 1 | B  a  a |   a greedy pass that gives B's area the first free
+    /// row 2 | A  A  b |   cell, (2,1), leaves A's two-wide area nowhere
+    /// ```
+    #[test]
+    fn constraint_mode_areas_are_chosen_inside_the_assignment_model() {
+        let mut b = DeviceBuilder::new("two-die");
+        let clb = b.tile_type("CLB", ResourceVec::new(1, 0, 0), 36);
+        b.rows(2).columns(&[clb, clb, clb]);
+        let fabric = rfp_device::fabric_partition_with_boundaries(&b.build().unwrap(), &[1]);
+        let mut p = FloorplanProblem::new(fabric.unwrap());
+        p.weights = ObjectiveWeights::area_only();
+        let a = p.add_region(RegionSpec::new("A", vec![(clb, 2)]));
+        let bid = p.add_region(RegionSpec::new("B", vec![(clb, 1)]));
+        p.request_relocation(RelocationRequest::constraint(bid, 1));
+        p.request_relocation(RelocationRequest::constraint(a, 1));
+        let model = FloorplanMilp::build(&p, None);
+        assert!(model.is_assignment());
+        let sol = milp_solver().solve(&model.milp);
+        assert_eq!(sol.status, rfp_milp::SolveStatus::Optimal);
+        let fp = model.extract(&sol);
+        assert!(fp.validate(&p).is_empty(), "{:?}", fp.validate(&p));
+        assert_eq!(fp.fc_found(), 2);
+        // The floorplan encodes back to the solution's assignment.
+        let values = model.encode(&p, &fp).expect("the floorplan encodes");
+        assert!(model.milp.is_feasible(&values, 1e-9));
+        assert_eq!(model.extract(&Solution { values, ..sol }), fp);
     }
 }

@@ -21,27 +21,27 @@
 //!   **pseudo-cost** branching (objective degradation per unit of
 //!   fractionality, learned online) with a most-fractional fallback while
 //!   the costs are cold;
-//! * the best known solution lives in one incumbent slot shared by every
-//!   thread of the search;
 //! * node order is deterministic (ties broken by node id), so repeated
 //!   solves of the same model explore the same tree.
 //!
-//! With [`SolverConfig::threads`] `<= 1` the best-first loop runs the tree
-//! to exhaustion: that is the serial search. With more threads the same
-//! loop is the ramp-up: it stops once the open nodes can feed every worker
-//! and hands them to the work-stealing pool of the `parallel` module.
+//! One driver expands every node, in that order, at every thread count.
+//! With [`SolverConfig::threads`] `> 1` helper threads of the `parallel`
+//! module solve the LPs of the open nodes next in line ahead of time; the
+//! driver takes such a result in place of its own solve of the same LP, so
+//! the search, and the solution it returns, is the serial one.
 
 use crate::cancel::CancelToken;
 use crate::cuts::Separator;
 use crate::model::{Model, Sense};
+use crate::parallel::{solve_node_lp, LookAhead};
 use crate::simplex::{BasisSnapshot, LpConfig, LpResult, LpStatus, LuCache, StandardForm};
 use crate::solution::{Solution, SolveStatus};
 use crate::tol;
+use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// A source of externally-discovered feasible assignments, polled once per
@@ -110,12 +110,10 @@ pub struct SolverConfig {
     /// Maximum cut-separation rounds at the root (0 disables cuts). Tests
     /// switch it to isolate or exercise cut separation.
     pub cut_rounds: usize,
-    /// Worker threads for the branch-and-bound tree search. `1` (the
-    /// default) runs the best-first loop to exhaustion — the serial search,
-    /// same node order, same proof on every run. Larger values stop that
-    /// loop once the open nodes can feed every worker and explore the rest
-    /// with the work-stealing parallel pool: results (proven objective,
-    /// status) are deterministic, node *counts* and traversal order are not.
+    /// Threads of the branch-and-bound tree search. `1` (the default) runs
+    /// the best-first search alone; each thread beyond it solves node LPs
+    /// ahead of the search, which changes its speed and nothing else: every
+    /// thread count returns the same solution, node counts included.
     pub threads: usize,
     /// Run [`crate::presolve`] (bound propagation + big-M coefficient
     /// tightening) on the model before building the root LP. On by default;
@@ -174,20 +172,21 @@ pub(crate) struct Node {
     /// Bounds of the structural variables at this node.
     pub(crate) bounds: Vec<(f64, f64)>,
     /// Parent LP bound in minimisation sense (used for ordering).
-    pub(crate) bound: f64,
+    bound: f64,
     /// Depth in the tree.
     depth: usize,
     /// Monotone id for deterministic tie-breaking.
-    id: usize,
-    /// Parent's optimal basis, shared between siblings (and, in the parallel
-    /// pool, across worker threads — hence `Arc`).
+    pub(crate) id: usize,
+    /// Parent's optimal basis, shared between siblings (and with the
+    /// look-ahead threads — hence `Arc`).
     pub(crate) snapshot: Option<Arc<BasisSnapshot>>,
     /// Branching decision that created this node.
     branch: Option<BranchInfo>,
 }
 
-/// Best-first ordering: smaller bound first, then deeper, then older.
-pub(crate) struct OrderedNode(pub(crate) Node);
+/// Search order: the greatest is expanded first, and that is the smallest
+/// bound, then the deepest node, then the oldest.
+struct OrderedNode(Node);
 
 impl PartialEq for OrderedNode {
     fn eq(&self, other: &Self) -> bool {
@@ -202,7 +201,6 @@ impl PartialOrd for OrderedNode {
 }
 impl Ord for OrderedNode {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; we want the smallest bound on top.
         other
             .0
             .bound
@@ -219,7 +217,7 @@ const RELIABILITY: u32 = 1;
 
 /// Online pseudo-cost statistics per integer variable and direction.
 #[derive(Debug, Clone)]
-pub(crate) struct PseudoCosts {
+struct PseudoCosts {
     up_sum: Vec<f64>,
     up_cnt: Vec<u32>,
     down_sum: Vec<f64>,
@@ -227,7 +225,7 @@ pub(crate) struct PseudoCosts {
 }
 
 impl PseudoCosts {
-    pub(crate) fn new(n: usize) -> PseudoCosts {
+    fn new(n: usize) -> PseudoCosts {
         PseudoCosts {
             up_sum: vec![0.0; n],
             up_cnt: vec![0; n],
@@ -272,19 +270,6 @@ impl PseudoCosts {
         (total > 0).then(|| sums.iter().sum::<f64>() / f64::from(total))
     }
 
-    /// Folds the *delta* between a worker's current table (`newer`) and the
-    /// snapshot it started from (`older`) into `self`. The parallel pool
-    /// uses this to merge per-thread pseudo-cost learning into the shared
-    /// table without double-counting the observations the worker inherited.
-    pub(crate) fn merge_diff(&mut self, newer: &PseudoCosts, older: &PseudoCosts) {
-        for j in 0..self.up_sum.len() {
-            self.up_sum[j] += newer.up_sum[j] - older.up_sum[j];
-            self.up_cnt[j] += newer.up_cnt[j] - older.up_cnt[j];
-            self.down_sum[j] += newer.down_sum[j] - older.down_sum[j];
-            self.down_cnt[j] += newer.down_cnt[j] - older.down_cnt[j];
-        }
-    }
-
     /// Picks the branching variable among `candidates` (`(index, value)` of
     /// the fractional integer variables, at least one): the one maximising
     /// the product of the estimated objective degradations of its two
@@ -321,10 +306,10 @@ impl PseudoCosts {
     }
 }
 
-/// Bookkeeping of the LP solves of one search (or one worker of it), and
-/// that thread's [`LuCache`].
+/// Bookkeeping of the LP solves the search used, and the driver's
+/// [`LuCache`].
 #[derive(Default)]
-pub(crate) struct LpStats {
+struct LpStats {
     iterations: usize,
     solves: usize,
     seconds: f64,
@@ -332,37 +317,29 @@ pub(crate) struct LpStats {
 }
 
 impl LpStats {
-    /// Adds another tally (a finished worker's) to this one; the caches
-    /// stay apart.
-    pub(crate) fn add(&mut self, other: &LpStats) {
-        self.iterations += other.iterations;
-        self.solves += other.solves;
-        self.seconds += other.seconds;
+    /// Tallies one LP solve of `seconds`, wherever it ran.
+    fn tally(&mut self, lp: &LpResult, seconds: f64) {
+        self.seconds += seconds;
+        self.solves += 1;
+        self.iterations += lp.iterations;
+        // LP-solve granularity is the instrumentation floor: per-pivot
+        // events would swamp the buffers for no diagnostic gain.
+        rfp_trace::count("milp.lp.solves", 1);
+        rfp_trace::record("milp.lp.iterations", lp.iterations as u64);
     }
 }
 
-/// `Incumbent::bits` while no incumbent exists: a NaN payload no objective
-/// evaluation produces, so "none" stays distinct from every objective value.
-const NO_INCUMBENT: u64 = 0x7ff8_0000_dead_beef;
-
-/// The best known solution of one search, shared by the best-first driver
-/// and every parallel worker.
-///
-/// Installs go through a mutex, so only a strictly better solution replaces
-/// the slot whichever thread offers it. The objective is mirrored into an
-/// atomic (`f64` bits) so the per-node prune and gap tests take no lock; a
-/// stale read only delays a prune.
-pub(crate) struct Incumbent<'a> {
+/// The best known solution of one search: only a strictly better solution
+/// replaces it.
+struct Incumbent<'a> {
     /// `(objective in minimisation sense, values)`.
-    slot: Mutex<Option<(f64, Vec<f64>)>>,
-    /// `f64::to_bits` of the slot's objective, or [`NO_INCUMBENT`].
-    bits: AtomicU64,
+    slot: RefCell<Option<(f64, Vec<f64>)>>,
     model: &'a Model,
 }
 
 impl<'a> Incumbent<'a> {
     fn new(model: &'a Model) -> Self {
-        Incumbent { slot: Mutex::new(None), bits: AtomicU64::new(NO_INCUMBENT), model }
+        Incumbent { slot: RefCell::new(None), model }
     }
 
     /// Converts an objective between the model's sense and the search's
@@ -375,18 +352,16 @@ impl<'a> Incumbent<'a> {
         }
     }
 
-    /// The incumbent objective (minimisation sense) as of the last install.
+    /// The incumbent objective (minimisation sense).
     fn best(&self) -> Option<f64> {
-        let bits = self.bits.load(Relaxed);
-        (bits != NO_INCUMBENT).then(|| f64::from_bits(bits))
+        self.slot.borrow().as_ref().map(|&(obj, _)| obj)
     }
 
     /// Installs a strictly better incumbent.
     fn install(&self, obj_min: f64, values: Vec<f64>) {
-        let mut slot = self.slot.lock().unwrap();
+        let mut slot = self.slot.borrow_mut();
         if slot.as_ref().is_none_or(|(best, _)| obj_min < *best) {
             *slot = Some((obj_min, values));
-            self.bits.store(obj_min.to_bits(), Relaxed);
             rfp_trace::count("milp.incumbents", 1);
         }
     }
@@ -431,7 +406,7 @@ impl<'a> Incumbent<'a> {
 }
 
 /// What the gate in front of a node's LP decided.
-pub(crate) enum Gate {
+enum Gate {
     /// Expand the node; carries the node count, this node included.
     Open(usize),
     /// The incumbent closes the gap at the node's bound: drop the node.
@@ -442,7 +417,7 @@ pub(crate) enum Gate {
 }
 
 /// What expanding a node produced.
-pub(crate) enum Expansion {
+enum Expansion {
     /// No children: the node was infeasible, unbounded, pruned by bound or
     /// an integral leaf.
     Leaf,
@@ -455,10 +430,9 @@ pub(crate) enum Expansion {
     Interrupted,
 }
 
-/// One solve's tree search: the state every node step reads and updates,
-/// whether it runs in the best-first driver or in a parallel worker.
-pub(crate) struct Search<'a> {
-    pub(crate) cfg: &'a SolverConfig,
+/// One solve's tree search: the state every node step reads and updates.
+struct Search<'a> {
+    cfg: &'a SolverConfig,
     model: &'a Model,
     /// Indices of the integer variables.
     int_vars: Vec<usize>,
@@ -466,16 +440,16 @@ pub(crate) struct Search<'a> {
     lp_cfg: LpConfig,
     incumbent: Incumbent<'a>,
     /// Internal stop signal: a child of the user's token, so cancelling the
-    /// user's token stops every thread while an internal stop (tree
-    /// exhausted, budget hit) never reports as a cancellation.
-    pub(crate) stop: CancelToken,
+    /// user's token stops every thread, while the stop that ends the
+    /// look-ahead threads' last LPs never reports as a cancellation.
+    stop: CancelToken,
     start: Instant,
-    /// Nodes expanded, all threads together.
-    nodes: AtomicUsize,
+    /// Nodes expanded.
+    nodes: Cell<usize>,
     /// Next node id.
-    next_id: AtomicUsize,
+    next_id: Cell<usize>,
     /// Set when a budget or cancellation left part of the tree unexplored.
-    hit_limit: AtomicBool,
+    hit_limit: Cell<bool>,
 }
 
 impl<'a> Search<'a> {
@@ -492,10 +466,17 @@ impl<'a> Search<'a> {
             incumbent: Incumbent::new(model),
             stop,
             start,
-            nodes: AtomicUsize::new(0),
-            next_id: AtomicUsize::new(0),
-            hit_limit: AtomicBool::new(false),
+            nodes: Cell::new(0),
+            next_id: Cell::new(0),
+            hit_limit: Cell::new(false),
         }
+    }
+
+    /// A fresh node id.
+    fn new_id(&self) -> usize {
+        let id = self.next_id.get();
+        self.next_id.set(id + 1);
+        id
     }
 
     /// The root node: the model's own bounds, no parent.
@@ -504,59 +485,50 @@ impl<'a> Search<'a> {
             bounds: self.model.vars().iter().map(|v| (v.lb, v.ub)).collect(),
             bound: f64::NEG_INFINITY,
             depth: 0,
-            id: self.next_id.fetch_add(1, Relaxed),
+            id: self.new_id(),
             snapshot: None,
             branch: None,
         }
     }
 
-    /// Solves one LP relaxation, warm from `snapshot` (through the thread's
-    /// [`LuCache`]) when there is one, and tallies it.
-    pub(crate) fn lp(
+    /// Solves one LP relaxation, warm from `snapshot` (through the
+    /// driver's [`LuCache`]) when there is one, and tallies it.
+    fn lp(
         &self,
         sf: &StandardForm,
         stats: &mut LpStats,
         snapshot: Option<&BasisSnapshot>,
         bounds: &[(f64, f64)],
     ) -> (LpResult, Option<BasisSnapshot>) {
-        let t0 = Instant::now();
-        let out = match snapshot {
-            Some(s) => sf.solve_warm(s, Some(bounds), &self.lp_cfg, &mut stats.lu),
-            None => sf.solve_cold(Some(bounds), &self.lp_cfg),
-        };
-        stats.seconds += t0.elapsed().as_secs_f64();
-        stats.solves += 1;
-        stats.iterations += out.0.iterations;
-        // LP-solve granularity is the instrumentation floor: per-pivot
-        // events would swamp the buffers for no diagnostic gain.
-        rfp_trace::count("milp.lp.solves", 1);
-        rfp_trace::record("milp.lp.iterations", out.0.iterations as u64);
-        out
+        let (lp, snap, seconds) = solve_node_lp(sf, &self.lp_cfg, &mut stats.lu, snapshot, bounds);
+        stats.tally(&lp, seconds);
+        (lp, snap)
     }
 
     /// The gate in front of a popped node's LP: adopt external incumbents
     /// (portfolio cooperation) before any pruning decision, so a fresh one
     /// cuts this very node; then the gap test and the budgets.
-    pub(crate) fn gate(&self, node: &Node) -> Gate {
+    fn gate(&self, node: &Node) -> Gate {
         let cfg = self.cfg;
         self.incumbent.poll_external(&cfg.external_incumbents, &self.int_vars);
         if self.incumbent.gap_closed(node.bound) {
             return Gate::GapClosed;
         }
-        let node_budget = cfg.max_nodes > 0 && self.nodes.load(Relaxed) >= cfg.max_nodes;
+        let node_budget = cfg.max_nodes > 0 && self.nodes.get() >= cfg.max_nodes;
         if node_budget || cfg.cancel.is_cancelled() {
-            self.hit_limit.store(true, Relaxed);
+            self.hit_limit.set(true);
             return Gate::Budget;
         }
         rfp_trace::count("milp.nodes", 1);
-        Gate::Open(self.nodes.fetch_add(1, Relaxed) + 1)
+        self.nodes.set(self.nodes.get() + 1);
+        Gate::Open(self.nodes.get())
     }
 
     /// Expands a node whose LP is solved: prune by bound, integral check,
     /// diving and rounding heuristics, then branching. `nodes` is the node
     /// count [`Search::gate`] opened the node with.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn expand(
+    fn expand(
         &self,
         sf: &StandardForm,
         pseudo: &mut PseudoCosts,
@@ -570,7 +542,7 @@ impl<'a> Search<'a> {
         let inc = &self.incumbent;
         match lp.status {
             LpStatus::IterationLimit if self.stop.is_cancelled() => {
-                self.hit_limit.store(true, Relaxed);
+                self.hit_limit.set(true);
                 return Expansion::Interrupted;
             }
             LpStatus::Infeasible => {
@@ -632,7 +604,7 @@ impl<'a> Search<'a> {
                 bounds,
                 bound,
                 depth: node.depth + 1,
-                id: self.next_id.fetch_add(1, Relaxed),
+                id: self.new_id(),
                 snapshot: snapshot.clone(),
                 branch: Some(BranchInfo { var: j, up, parent_obj: bound, frac }),
             });
@@ -698,6 +670,103 @@ impl<'a> Search<'a> {
         None
     }
 
+    /// The root's separation loop: adds violated cover and clique cuts to
+    /// `sf` and re-solves dually from the extended basis, up to
+    /// [`SolverConfig::cut_rounds`] times. Returns the last LP.
+    fn cut_rounds(
+        &self,
+        sf: &mut StandardForm,
+        stats: &mut LpStats,
+        root: &Node,
+        mut lp: LpResult,
+        mut snap: Option<BasisSnapshot>,
+        cuts: &mut usize,
+    ) -> (LpResult, Option<BasisSnapshot>) {
+        let mut separator = Separator::new(self.model);
+        for _ in 0..self.cfg.cut_rounds {
+            if lp.status != LpStatus::Optimal
+                || crate::simplex::is_integral(self.model, &lp.values, tol::INTEGRALITY)
+            {
+                break;
+            }
+            let new_cuts = separator.separate(&lp.values, MAX_CUTS_PER_ROUND);
+            if new_cuts.is_empty() {
+                break;
+            }
+            let rows: Vec<_> = new_cuts.iter().map(|c| c.as_row()).collect();
+            sf.add_rows(&rows);
+            *cuts += new_cuts.len();
+            rfp_trace::count("milp.cuts", new_cuts.len() as u64);
+            let warm = snap.as_ref().and_then(|s| sf.extend_snapshot(s));
+            (lp, snap) = self.lp(sf, stats, warm.as_ref(), &root.bounds);
+        }
+        (lp, snap)
+    }
+
+    /// The tree search from the solved root `first`: expand the node, pop
+    /// the best open one, gate it, solve its LP, repeat. With more than one
+    /// thread, look-ahead threads start once a second node is due and
+    /// solve the LPs of the nodes next in line. Nodes a budget or
+    /// cancellation leaves unexplored stay in `open`.
+    fn tree(
+        &self,
+        sf: &StandardForm,
+        pseudo: &mut PseudoCosts,
+        stats: &mut LpStats,
+        open: &mut BTreeSet<OrderedNode>,
+        first: (Node, usize, LpResult, Option<BasisSnapshot>),
+    ) {
+        std::thread::scope(|scope| {
+            let mut look_ahead = None;
+            let mut next = Some(first);
+            while let Some((node, nodes, lp, snap)) = next.take() {
+                match self.expand(sf, pseudo, stats, &node, lp, snap, nodes) {
+                    Expansion::Leaf => {}
+                    Expansion::Interrupted => {
+                        open.insert(OrderedNode(node));
+                        break;
+                    }
+                    Expansion::Branch(children) => {
+                        open.extend(children.into_iter().map(OrderedNode))
+                    }
+                }
+                let Some(OrderedNode(node)) = open.pop_last() else { break };
+                let nodes = match self.gate(&node) {
+                    Gate::Open(nodes) => nodes,
+                    // Keep the node's bound visible to the finaliser.
+                    Gate::Budget => {
+                        open.insert(OrderedNode(node));
+                        break;
+                    }
+                    // Best-first: every remaining node's bound is at least
+                    // as large, so a gap closed here is closed everywhere.
+                    Gate::GapClosed => break,
+                };
+                let ahead = (self.cfg.threads > 1).then(|| {
+                    let la = look_ahead.get_or_insert_with(|| {
+                        LookAhead::start(scope, self.cfg.threads - 1, sf, &self.lp_cfg)
+                    });
+                    la.post(open.iter().rev().map(|OrderedNode(n)| n));
+                    la.take(node.id)
+                });
+                let (lp, snap) = match ahead.flatten() {
+                    Some((lp, snap, seconds)) => {
+                        rfp_trace::count("milp.lp.ahead", 1);
+                        stats.tally(&lp, seconds);
+                        (lp, snap)
+                    }
+                    None => self.lp(sf, stats, node.snapshot.as_deref(), &node.bounds),
+                };
+                next = Some((node, nodes, lp, snap));
+            }
+            if let Some(look_ahead) = look_ahead {
+                // End the helpers' last LPs, then their loops.
+                self.stop.cancel();
+                look_ahead.close();
+            }
+        });
+    }
+
     /// Turns the finished search into a [`Solution`]. `open` are the bounds
     /// (minimisation sense) of the nodes left unexplored; `root_unbounded`
     /// tells whether the root relaxation was unbounded.
@@ -709,7 +778,7 @@ impl<'a> Search<'a> {
         root_unbounded: bool,
     ) -> Solution {
         let elapsed = self.start.elapsed().as_secs_f64();
-        let hit_limit = self.hit_limit.load(Relaxed);
+        let hit_limit = self.hit_limit.get();
         let mut any_open = false;
         // Unexplored nodes bound the optimum from below (min sense).
         let open_bound =
@@ -718,7 +787,7 @@ impl<'a> Search<'a> {
         // A pure LP with an unbounded relaxation has no optimum to report,
         // whatever incumbent a warm start or external source supplied.
         let pure_lp_unbounded = root_unbounded && self.int_vars.is_empty();
-        let incumbent = self.incumbent.slot.lock().unwrap().take().filter(|_| !pure_lp_unbounded);
+        let incumbent = self.incumbent.slot.take().filter(|_| !pure_lp_unbounded);
         let mut sol = match incumbent {
             Some((obj_min, values)) => {
                 let bound = open_bound.min(obj_min);
@@ -742,7 +811,7 @@ impl<'a> Search<'a> {
                 Solution::empty(status, self.model.n_vars())
             }
         };
-        sol.nodes = self.nodes.load(Relaxed);
+        sol.nodes = self.nodes.get();
         sol.lp_iterations = stats.iterations;
         sol.lp_solves = stats.solves;
         sol.lp_seconds = stats.seconds;
@@ -798,89 +867,44 @@ impl Solver {
         self.best_first(model, warm_start, start)
     }
 
-    /// The best-first driver. At `threads <= 1` it runs the tree to
-    /// exhaustion; otherwise it is the ramp-up, which stops once the open
-    /// nodes can feed every worker and hands them to the parallel pool.
+    /// The best-first driver: the root with its cut rounds, then the tree.
     fn best_first(&self, model: &Model, warm_start: Option<&[f64]>, start: Instant) -> Solution {
         // One span name at every thread count: a root-solved instance never
-        // primes the pool, so it traces identically however it was run.
+        // starts a look-ahead thread, so it traces identically however it
+        // was run.
         let _search = rfp_trace::span("milp.search");
         let cfg = &self.config;
         let search = Search::new(cfg, model, start);
         let mut sf = StandardForm::from_model(model);
-        let mut separator = Separator::new(model);
         let mut pseudo = PseudoCosts::new(model.n_vars());
         let mut stats = LpStats::default();
+        let mut open = BTreeSet::new();
         let mut cuts = 0usize;
         let mut root_unbounded = false;
-        let mut heap = BinaryHeap::from([OrderedNode(search.root())]);
-        let target =
-            if cfg.threads > 1 { cfg.threads * crate::parallel::RAMP_FANOUT } else { usize::MAX };
 
         if let Some(values) = warm_start {
             search.incumbent.adopt_warm_start(values, &search.int_vars);
         }
-        // `true` when the loop stopped only to hand the open nodes over.
-        let primed = loop {
-            if heap.len() >= target {
-                break true;
-            }
-            let Some(OrderedNode(node)) = heap.pop() else { break false };
-            let nodes = match search.gate(&node) {
-                Gate::Open(nodes) => nodes,
-                // Keep the node's bound visible to the finaliser.
-                Gate::Budget => {
-                    heap.push(OrderedNode(node));
-                    break false;
-                }
-                // Best-first: every remaining node's bound is at least
-                // as large, so a gap closed here is closed everywhere.
-                Gate::GapClosed => break false,
-            };
-            let root_lp_span = (node.depth == 0).then(|| rfp_trace::span("milp.root_lp"));
-            let (mut lp, mut snap) =
-                search.lp(&sf, &mut stats, node.snapshot.as_deref(), &node.bounds);
-            if node.depth == 0 {
-                // Root separation loop: add violated cover/clique cuts
-                // and re-solve dually from the extended basis.
-                for _ in 0..cfg.cut_rounds {
-                    if lp.status != LpStatus::Optimal
-                        || crate::simplex::is_integral(model, &lp.values, tol::INTEGRALITY)
-                    {
-                        break;
-                    }
-                    let new_cuts = separator.separate(&lp.values, MAX_CUTS_PER_ROUND);
-                    if new_cuts.is_empty() {
-                        break;
-                    }
-                    let rows: Vec<_> = new_cuts.iter().map(|c| c.as_row()).collect();
-                    sf.add_rows(&rows);
-                    cuts += new_cuts.len();
-                    rfp_trace::count("milp.cuts", new_cuts.len() as u64);
-                    let warm = snap.as_ref().and_then(|s| sf.extend_snapshot(s));
-                    (lp, snap) = search.lp(&sf, &mut stats, warm.as_ref(), &node.bounds);
-                }
+        let root = search.root();
+        let first = match search.gate(&root) {
+            Gate::Open(nodes) => {
+                let _root_lp = rfp_trace::span("milp.root_lp");
+                let (lp, snap) = search.lp(&sf, &mut stats, None, &root.bounds);
+                let (lp, snap) = search.cut_rounds(&mut sf, &mut stats, &root, lp, snap, &mut cuts);
                 root_unbounded = lp.status == LpStatus::Unbounded;
+                Some((root, nodes, lp, snap))
             }
-            drop(root_lp_span);
-            match search.expand(&sf, &mut pseudo, &mut stats, &node, lp, snap, nodes) {
-                Expansion::Leaf => {}
-                Expansion::Interrupted => {
-                    heap.push(OrderedNode(node));
-                    break false;
-                }
-                Expansion::Branch(children) => {
-                    for child in children {
-                        heap.push(OrderedNode(child));
-                    }
-                }
+            // Keep the node's bound visible to the finaliser.
+            Gate::Budget => {
+                open.insert(OrderedNode(root));
+                None
             }
+            Gate::GapClosed => None,
         };
-        if primed {
-            let workers = crate::parallel::run_workers(&search, &sf, &mut heap, &pseudo);
-            stats.add(&workers);
+        if let Some(first) = first {
+            search.tree(&sf, &mut pseudo, &mut stats, &mut open, first);
         }
-        search.finish(heap.iter().map(|OrderedNode(node)| node.bound), &stats, cuts, root_unbounded)
+        search.finish(open.iter().map(|OrderedNode(node)| node.bound), &stats, cuts, root_unbounded)
     }
 }
 

@@ -1,188 +1,165 @@
-//! The work-stealing worker pool of the parallel branch-and-bound.
+//! Look-ahead node LPs: the parallel half of the branch-and-bound.
 //!
-//! The best-first driver in [`crate::branch_bound`] runs the root (cuts
-//! included) and the first levels of the tree itself — the ramp-up — and
-//! hands the open nodes to this pool once there are enough to feed every
-//! worker. A search that ends during ramp-up (infeasible root, gap closed,
-//! budget) never spawns a thread. The workers run the same node step as the
-//! driver — gate, LP, expansion — against the same incumbent; only the
-//! scheduling differs:
-//!
-//! * **per-thread deques** — open nodes are dealt round-robin into one
-//!   deque per worker. An owner pushes its children at the *front* and pops
-//!   from the front (LIFO: a best-child dive, maximising warm-start reuse
-//!   from the `Arc`-shared parent basis), while idle workers *steal from
-//!   the back* — the shallowest, largest subtrees — so stolen work is
-//!   coarse and contention stays at the deque ends;
-//! * **per-thread pseudo-costs** — each worker learns branching costs
-//!   locally and periodically folds its *delta* into a shared table
-//!   ([`PseudoCosts::merge_diff`]), picking up everyone else's learning at
-//!   the same time;
-//! * **termination** — an atomic count of outstanding nodes (queued +
-//!   in-hand) reaches zero exactly when the tree is exhausted; budget and
-//!   cancellation exits fire the search's internal stop token and leave
-//!   unexplored nodes in the deques, which go back to the driver so the
-//!   finaliser folds them into an *honest* best bound.
-//!
-//! Results are deterministic — the proven objective and status match the
-//! serial search — but node counts and traversal order are not: whichever
-//! worker finds an incumbent first reshapes everyone else's pruning.
+//! The best-first driver in [`crate::branch_bound`] expands every node
+//! itself, in the serial order. With more than one thread it also posts the
+//! open nodes next in that order to helper threads, which solve their LPs
+//! ahead of time. A node LP is a pure function of the standard form, the
+//! parent's basis snapshot and the node's bounds (an [`LuCache`] hands out
+//! the factors a refactorization would, bit for bit), so when the driver
+//! reaches a posted node it takes the helper's result instead of solving
+//! the LP itself, and the search stays the serial one: every thread count
+//! returns the `threads: 1` solution, node and LP counts included. Only the
+//! LPs of nodes the search ends before reaching are solved in vain.
 
-use crate::branch_bound::{Expansion, Gate, LpStats, Node, OrderedNode, PseudoCosts, Search};
-use crate::simplex::StandardForm;
-use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
-use std::sync::Mutex;
+use crate::branch_bound::Node;
+use crate::simplex::{BasisSnapshot, LpConfig, LpResult, LuCache, StandardForm};
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::Scope;
+use std::time::Instant;
 
-/// Open nodes per worker the ramp-up aims for before handing over.
-pub(crate) const RAMP_FANOUT: usize = 4;
+/// Why a lock of the shared state fails: a thread panicked holding it.
+const POISONED: &str = "a look-ahead thread panicked holding the lock";
 
-/// Local pseudo-cost observations between merges into the shared table.
-const PSEUDO_MERGE_PERIOD: usize = 64;
+/// A solved node LP: the result, the optimal basis (when optimal) and the
+/// seconds the solve took.
+pub(crate) type NodeLp = (LpResult, Option<BasisSnapshot>, f64);
 
-/// The scheduling state shared by the workers of one parallel search.
-struct Pool {
-    /// One work deque per worker; owners use the front, thieves the back.
-    deques: Vec<Mutex<VecDeque<Node>>>,
-    /// Nodes queued in deques plus nodes currently being expanded; the
-    /// search is exhausted exactly when this reaches zero.
-    outstanding: AtomicUsize,
-    /// Shared pseudo-cost table workers merge their deltas into.
-    pseudo: Mutex<PseudoCosts>,
-}
-
-impl Pool {
-    /// Pops work: the worker's own deque front first (LIFO dive), then the
-    /// *backs* of the other deques in round-robin order (coarse steals).
-    fn pop_or_steal(&self, w: usize) -> Option<Node> {
-        if let Some(node) = self.deques[w].lock().unwrap().pop_front() {
-            return Some(node);
-        }
-        let t = self.deques.len();
-        for k in 1..t {
-            if let Some(node) = self.deques[(w + k) % t].lock().unwrap().pop_back() {
-                rfp_trace::count("milp.stolen", 1);
-                return Some(node);
-            }
-        }
-        None
-    }
-
-    /// Marks one outstanding node as done; stops everyone when it was the
-    /// last.
-    fn finish_node(&self, search: &Search) {
-        if self.outstanding.fetch_sub(1, SeqCst) == 1 {
-            search.stop.cancel();
-        }
-    }
-}
-
-/// Explores the open nodes of `heap` with `search.cfg.threads` workers,
-/// starting from the ramp-up's pseudo-costs. Nodes a budget or cancellation
-/// left unexplored are put back into `heap`; returns the workers' LP tally.
-pub(crate) fn run_workers(
-    search: &Search,
+/// Solves the LP of a node with `bounds`, warm from `snapshot` through
+/// `lu` when there is one: the one node LP solve, wherever it runs.
+pub(crate) fn solve_node_lp(
     sf: &StandardForm,
-    heap: &mut BinaryHeap<OrderedNode>,
-    pseudo: &PseudoCosts,
-) -> LpStats {
-    let threads = search.cfg.threads;
-    let pool = Pool {
-        deques: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-        outstanding: AtomicUsize::new(heap.len()),
-        pseudo: Mutex::new(pseudo.clone()),
+    cfg: &LpConfig,
+    lu: &mut LuCache,
+    snapshot: Option<&BasisSnapshot>,
+    bounds: &[(f64, f64)],
+) -> NodeLp {
+    let t0 = Instant::now();
+    let (lp, snap) = match snapshot {
+        Some(s) => sf.solve_warm(s, Some(bounds), cfg, lu),
+        None => sf.solve_cold(Some(bounds), cfg),
     };
-    // Deal the open nodes round-robin, best-first, so every worker's deque
-    // front holds one of the globally best nodes.
-    for (i, OrderedNode(node)) in std::iter::from_fn(|| heap.pop()).enumerate() {
-        pool.deques[i % threads].lock().unwrap().push_back(node);
-    }
-
-    // Workers inherit the caller's collector explicitly, each under its own
-    // track — tracks only materialise for workers that emit.
-    let trace = rfp_trace::current();
-    let mut stats = LpStats::default();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                let pool = &pool;
-                let trace = trace.clone();
-                scope.spawn(move || {
-                    let _scope = trace.map(|h| h.install(&format!("milp.worker{w}")));
-                    worker_loop(w, search, sf, pool)
-                })
-            })
-            .collect();
-        for handle in handles {
-            stats.add(&handle.join().expect("worker panicked"));
-        }
-    });
-    heap.extend(pool.deques.into_iter().flat_map(|dq| dq.into_inner().unwrap()).map(OrderedNode));
-    stats
+    (lp, snap, t0.elapsed().as_secs_f64())
 }
 
-/// One worker thread: pop or steal, run the node step, push children,
-/// repeat.
-fn worker_loop(w: usize, search: &Search, sf: &StandardForm, pool: &Pool) -> LpStats {
-    let mut stats = LpStats::default();
-    // Local pseudo-cost table: starts from the shared table and
-    // periodically merges its delta back.
-    let mut pseudo = pool.pseudo.lock().unwrap().clone();
-    let mut pseudo_base = pseudo.clone();
-    let mut since_merge = 0usize;
+/// A posted node: what its LP needs.
+struct Job {
+    id: usize,
+    snapshot: Option<Arc<BasisSnapshot>>,
+    bounds: Vec<(f64, f64)>,
+}
 
-    while !search.stop.is_cancelled() && pool.outstanding.load(SeqCst) > 0 {
-        let Some(node) = pool.pop_or_steal(w) else {
-            std::thread::yield_now();
-            continue;
-        };
-        let nodes = match search.gate(&node) {
-            Gate::Open(nodes) => nodes,
-            Gate::Budget => {
-                // The node goes *back* so the finaliser sees its bound.
-                pool.deques[w].lock().unwrap().push_front(node);
-                search.stop.cancel();
-                break;
-            }
-            Gate::GapClosed => {
-                rfp_trace::count("milp.pruned", 1);
-                pool.finish_node(search);
-                continue;
-            }
-        };
-        let (lp, snap) = search.lp(sf, &mut stats, node.snapshot.as_deref(), &node.bounds);
-        match search.expand(sf, &mut pseudo, &mut stats, &node, lp, snap, nodes) {
-            Expansion::Leaf => {}
-            Expansion::Interrupted => {
-                // Back, as a refused node goes: the stop already fired.
-                pool.deques[w].lock().unwrap().push_front(node);
-                break;
-            }
-            Expansion::Branch(children) => {
-                // Children go to the *front* of the owner's deque, down child
-                // on top (popped next), so the owner keeps diving while
-                // thieves take the shallower work at the back.
-                let mut dq = pool.deques[w].lock().unwrap();
-                pool.outstanding.fetch_add(children.len(), SeqCst);
-                for child in children.into_iter().rev() {
-                    dq.push_front(child);
-                }
-                drop(dq);
-                since_merge += 1;
-                if since_merge >= PSEUDO_MERGE_PERIOD {
-                    since_merge = 0;
-                    let mut global = pool.pseudo.lock().unwrap();
-                    global.merge_diff(&pseudo, &pseudo_base);
-                    pseudo = global.clone();
-                    drop(global);
-                    pseudo_base = pseudo.clone();
-                }
-            }
+/// The state the driver and the helpers share.
+#[derive(Default)]
+struct State {
+    /// Posted nodes no helper has taken yet, best first.
+    queue: VecDeque<Job>,
+    /// Ids of the nodes whose LP a helper is solving.
+    running: HashSet<usize>,
+    /// Solved LPs by node id.
+    done: HashMap<usize, NodeLp>,
+    /// Set when the search is over: the helpers return.
+    closed: bool,
+}
+
+/// The helper threads of one search and the nodes posted to them.
+pub(crate) struct LookAhead {
+    state: Mutex<State>,
+    /// Signalled when a job is posted, an LP is solved or the search ends.
+    changed: Condvar,
+    /// Nodes posted at a time: the next ones after the driver's.
+    window: usize,
+}
+
+impl LookAhead {
+    /// Starts `helpers` threads in `scope` that solve posted node LPs over
+    /// `sf` with `cfg`. They run until [`LookAhead::close`].
+    pub(crate) fn start<'scope>(
+        scope: &'scope Scope<'scope, '_>,
+        helpers: usize,
+        sf: &'scope StandardForm,
+        cfg: &'scope LpConfig,
+    ) -> Arc<LookAhead> {
+        let look_ahead = Arc::new(LookAhead {
+            state: Mutex::default(),
+            changed: Condvar::new(),
+            window: 2 * helpers,
+        });
+        // Helpers inherit the caller's trace collector, each under its own
+        // track, so the LP layer's counters stay visible.
+        let trace = rfp_trace::current();
+        for h in 0..helpers {
+            let look_ahead = Arc::clone(&look_ahead);
+            let trace = trace.clone();
+            scope.spawn(move || {
+                let _scope = trace.map(|t| t.install(&format!("milp.helper{h}")));
+                look_ahead.serve(sf, cfg);
+            });
         }
-        pool.finish_node(search);
+        look_ahead
     }
 
-    // Final merge so the table reflects every worker's learning.
-    pool.pseudo.lock().unwrap().merge_diff(&pseudo, &pseudo_base);
-    stats
+    /// One helper: take the best posted node, solve its LP, file the
+    /// result; until the search is closed.
+    fn serve(&self, sf: &StandardForm, cfg: &LpConfig) {
+        let mut lu = LuCache::default();
+        let mut state = self.lock();
+        while !state.closed {
+            let Some(job) = state.queue.pop_front() else {
+                state = self.changed.wait(state).expect(POISONED);
+                continue;
+            };
+            state.running.insert(job.id);
+            drop(state);
+            let out = solve_node_lp(sf, cfg, &mut lu, job.snapshot.as_deref(), &job.bounds);
+            state = self.lock();
+            state.running.remove(&job.id);
+            state.done.insert(job.id, out);
+            self.changed.notify_all();
+        }
+    }
+
+    /// Makes the queue the nodes among the first of `next` (the open nodes
+    /// in search order) that no helper has taken; a queued node that fell
+    /// out of that window is withdrawn.
+    pub(crate) fn post<'n>(&self, next: impl Iterator<Item = &'n Node>) {
+        let mut state = self.lock();
+        let state = &mut *state;
+        let mut queued = std::mem::take(&mut state.queue);
+        for node in next.take(self.window) {
+            if let Some(i) = queued.iter().position(|job| job.id == node.id) {
+                state.queue.extend(queued.remove(i));
+            } else if !state.running.contains(&node.id) && !state.done.contains_key(&node.id) {
+                state.queue.push_back(Job {
+                    id: node.id,
+                    snapshot: node.snapshot.clone(),
+                    bounds: node.bounds.clone(),
+                });
+            }
+        }
+        self.changed.notify_all();
+    }
+
+    /// The LP of node `id` when a helper solved it or is solving it (then
+    /// this waits for it); `None` when no helper took it, and the node is
+    /// withdrawn from the queue.
+    pub(crate) fn take(&self, id: usize) -> Option<NodeLp> {
+        let mut state = self.lock();
+        state.queue.retain(|job| job.id != id);
+        while state.running.contains(&id) {
+            state = self.changed.wait(state).expect(POISONED);
+        }
+        state.done.remove(&id)
+    }
+
+    /// The shared state.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect(POISONED)
+    }
+
+    /// Ends the helpers' loops; the caller's scope then joins them.
+    pub(crate) fn close(&self) {
+        self.lock().closed = true;
+        self.changed.notify_all();
+    }
 }

@@ -77,7 +77,7 @@ impl Span {
 /// name) emitted.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Track {
-    /// Track name (`"main"`, `"job00003"`, `"milp.worker1"`, …).
+    /// Track name (`"main"`, `"job00003"`, `"milp.helper1"`, …).
     pub name: String,
     /// Top-level spans in emission order.
     pub spans: Vec<Span>,

@@ -22,7 +22,7 @@
 //! Nothing here is process-global: a [`Collector`] is installed on the
 //! current thread for a lexical scope via [`TraceHandle::install`], which
 //! names the **track** the scope's events land on (`"main"`, `"job00003"`,
-//! `"milp.worker1"`, an engine id …). Emission ([`span`], [`count`],
+//! `"milp.helper1"`, an engine id …). Emission ([`span`], [`count`],
 //! [`record`], [`wall`]) is a thread-local no-op when no scope is active —
 //! one `Cell<bool>` read — which is what keeps fully-uninstrumented runs
 //! (and every run of the test suite that doesn't opt in) overhead-free and

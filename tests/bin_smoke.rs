@@ -185,40 +185,17 @@ fn solve_takes_only_positive_finite_time_limits_and_a_huge_one_completes() {
     ok(&["solve", "--engine", "combinatorial", "--time-limit", "1e300", "--quiet", s(&tiny)]);
 }
 
-/// The deadline of `--time-limit` covers every no-good re-solve of the
-/// `milp` engine: on the 12x4, four-region, seed-7 constraint-mode instance
-/// of the heterogeneous family the 1 s budget runs out before a floorplan
-/// passes validation, so the solve stops within the budget (plus 10 % and
-/// 0.5 s of slack) with exit code 3, budget exhausted, not 2, infeasible.
+/// The deadline of `--time-limit` covers the `milp` engine's whole run: on
+/// the SDR2 golden (a columnar device with constraint-mode areas, so the
+/// portion model) the 1 s budget runs out before the search finds a
+/// floorplan, so the solve stops within the budget (plus 10 % and 0.5 s of
+/// slack) with exit code 3, budget exhausted, not 2, infeasible.
 #[test]
 fn solve_stops_a_milp_at_its_time_limit_with_exit_code_3() {
-    use relocfp::floorplan::jsonio::write_problem;
-    use relocfp::workloads::HeteroDeviceSpec;
-    let fabric = HeteroDeviceSpec {
-        cols: 12,
-        rows: 4,
-        bram_every: 3,
-        bram_stripe: 2,
-        hard_block: None,
-        die_boundaries: vec![2],
-    };
-    let problem = WorkloadSpec {
-        seed: 7,
-        n_regions: 4,
-        utilisation: 0.4,
-        dsp_fraction: 0.0,
-        fc_per_region: 1,
-        relocatable_regions: 1,
-        ..WorkloadSpec::default()
-    }
-    .generate_on(fabric.partition());
-    let dir = tmp_dir("deadline");
-    let path = dir.join("hetero-12x4-seed7.problem.json");
-    std::fs::write(&path, write_problem(&problem)).unwrap();
+    let sdr2 = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/sdr2.problem.json");
     let t0 = std::time::Instant::now();
-    let out = rfp(&["solve", "--engine", "milp", "--threads", "1", "--time-limit", "1", s(&path)]);
+    let out = rfp(&["solve", "--engine", "milp", "--threads", "1", "--time-limit", "1", s(&sdr2)]);
     let secs = t0.elapsed().as_secs_f64();
-    std::fs::remove_dir_all(&dir).ok();
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(3), "stderr: {stderr}");
     assert!(secs <= 1.6, "took {secs:.2} s against a 1 s budget");

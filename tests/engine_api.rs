@@ -180,16 +180,18 @@ fn rfp_cli_convert_solve_validate_round_trip() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The golden problem `tests/golden/{name}.problem.json`.
+fn golden_problem(name: &str) -> FloorplanProblem {
+    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join(format!("tests/golden/{name}.problem.json"));
+    relocfp::floorplan::jsonio::read_problem(&std::fs::read_to_string(path).unwrap()).unwrap()
+}
+
 /// The instances of the MILP engine pins: the tiny and hetero goldens and a
 /// generated relocation-free columnar instance, portion-4, on which `ho`
 /// runs the portion model and `milp` the assignment model.
 fn milp_pin_instances() -> [(&'static str, FloorplanProblem); 3] {
-    use relocfp::floorplan::jsonio;
-    let golden = |name: &str| {
-        let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join(format!("tests/golden/{name}.problem.json"));
-        jsonio::read_problem(&std::fs::read_to_string(path).unwrap()).unwrap()
-    };
+    let golden = golden_problem;
     // Columnar 8x3, BRAM every third column, two regions at 0.4 utilisation.
     let portion = WorkloadSpec {
         seed: 4,
@@ -263,7 +265,11 @@ fn milp_engine_stats_are_pinned_on_the_goldens() {
     // problem whose waste dominates now builds: its LP prices each
     // candidate's waste, so the tree fell to 23/23/62 with the same
     // floorplan and metrics. tiny, with its constraint-mode requests, stays
-    // the portion-model pin.
+    // the portion-model pin. One set-packing row per tile then replaced the
+    // assignment model's pairwise overlap rows: hetero went from 195/195/1425
+    // to 227/227/1675 and its proven floorplan is now the mirror image of
+    // the old one (FIR and CTRL swap columns 4 and 2), an objective tie with
+    // the same metrics; portion-4 did not move.
     check_engine_pins(
         "milp",
         [
@@ -280,11 +286,11 @@ fn milp_engine_stats_are_pinned_on_the_goldens() {
             ),
             (
                 "hetero",
-                195,
-                195,
-                1425,
+                227,
+                227,
+                1675,
                 0,
-                "4,1,1,4 3,1,1,4 2,1,1,4 | - -",
+                "2,1,1,4 3,1,1,4 4,1,1,4 | - -",
                 "Metrics { covered_frames: 420, required_frames: 420, wasted_frames: 0, \
                  wirelength: 32.0, perimeter: 15, fc_requested: 2, fc_found: 0, \
                  relocation_cost: 8.0, objective: 4.083333333333333 }",
@@ -304,13 +310,27 @@ fn milp_engine_stats_are_pinned_on_the_goldens() {
     );
 }
 
+/// The size of `sdr`'s assignment model: one set-packing row per tile,
+/// not one per overlapping candidate pair (those were 122,839 rows with
+/// 256,658 nonzeros), so a change to the candidates or the row emission
+/// shows up here.
+#[test]
+fn sdr_assignment_model_size_is_pinned() {
+    use relocfp::floorplan::model::FloorplanMilp;
+    let model = FloorplanMilp::build(&sdr_problem(), None);
+    assert!(model.is_assignment());
+    let s = model.stats();
+    assert_eq!((s.n_vars, s.n_int_vars, s.n_cons, s.n_nonzeros), (1318, 1310, 345, 36_229));
+}
+
 /// The `ho` engine on the same instances: the MILP restricted by the
 /// relative positions of its greedy seed. The hetero golden builds the
 /// assignment model, which ignores the relations, so its row is `milp`'s;
 /// on portion-4 the relations keep the portion model, fix its ordering
 /// binaries and the tree shrinks to 1 node (the unrestricted portion model
 /// took 177). A change to how the seed's relations reach the model build
-/// shows up here.
+/// shows up here. The hetero row moved with `milp`'s when the assignment
+/// model's overlap rows became one row per tile.
 #[test]
 fn ho_engine_stats_are_pinned_on_the_goldens() {
     check_engine_pins(
@@ -329,11 +349,11 @@ fn ho_engine_stats_are_pinned_on_the_goldens() {
             ),
             (
                 "hetero",
-                195,
-                195,
-                1425,
+                227,
+                227,
+                1675,
                 0,
-                "4,1,1,4 3,1,1,4 2,1,1,4 | - -",
+                "2,1,1,4 3,1,1,4 4,1,1,4 | - -",
                 "Metrics { covered_frames: 420, required_frames: 420, wasted_frames: 0, \
                  wirelength: 32.0, perimeter: 15, fc_requested: 2, fc_found: 0, \
                  relocation_cost: 8.0, objective: 4.083333333333333 }",
@@ -692,16 +712,34 @@ fn hetero_constraint_instance() -> FloorplanProblem {
     .generate_on(fabric.partition())
 }
 
-/// One deadline covers the whole engine call: the seed search, the model
-/// build and every no-good re-solve of `milp` and `ho` stop within a 1 s
-/// budget (plus 10 % and 0.5 s of slack), and a run the budget stopped is
-/// never reported `Infeasible`.
+/// `milp` and `ho` place the constraint-mode area of the 12x4 seed-7
+/// instance inside the assignment model, so both prove it with the
+/// combinatorial engine's waste.
 #[test]
-fn milp_engines_honour_the_time_limit_across_every_round() {
-    use relocfp::floorplan::OutcomeStatus;
+fn milp_engines_prove_the_constraint_instance_with_the_combinatorial_waste() {
     let problem = hetero_constraint_instance();
     let registry = full_registry();
-    let req = SolveRequest::new(problem).with_time_limit(1.0).with_threads(1);
+    let req = SolveRequest::new(problem).with_threads(1);
+    let comb = registry.get("combinatorial").unwrap().solve(&req, &SolveControl::default());
+    assert!(comb.is_proven(), "{:?}", comb.detail);
+    assert_eq!(comb.wasted_frames(), Some(60));
+    for id in ["milp", "ho"] {
+        let outcome = registry.get(id).unwrap().solve(&req, &SolveControl::default());
+        assert!(outcome.is_proven(), "{id}: {} {:?}", outcome.status, outcome.detail);
+        assert_eq!(outcome.wasted_frames(), comb.wasted_frames(), "{id}");
+        assert_eq!(outcome.metrics.as_ref().map(|m| m.fc_found), Some(1), "{id}");
+    }
+}
+
+/// One deadline covers the whole engine call: on the SDR2 golden the seed
+/// search, the model build and the tree search of `milp` and `ho` stop
+/// within a 1 s budget (plus 10 % and 0.5 s of slack), and a run the budget
+/// stopped is never reported `Infeasible`.
+#[test]
+fn milp_engines_honour_the_time_limit() {
+    use relocfp::floorplan::OutcomeStatus;
+    let registry = full_registry();
+    let req = SolveRequest::new(golden_problem("sdr2")).with_time_limit(1.0).with_threads(1);
     for id in ["milp", "ho"] {
         let t0 = std::time::Instant::now();
         let outcome = registry.get(id).unwrap().solve(&req, &SolveControl::default());

@@ -127,12 +127,37 @@ fn parallel_combinatorial_returns_the_serial_floorplan_of_the_hetero_golden() {
     }
 }
 
+/// The MILP engines return the serial floorplan, byte for byte, at every
+/// thread count in every repeated run: the extra threads only solve node
+/// LPs ahead of the serial search, so the mirror-image tie of the golden
+/// resolves the same way however many there are.
+#[test]
+fn milp_engines_return_the_serial_floorplan_of_the_hetero_golden_at_every_thread_count() {
+    let problem = jsonio::read_problem(&golden("hetero.problem.json")).unwrap();
+    let registry = rfp_baselines::engines::full_registry();
+    for id in ["milp", "ho"] {
+        let engine = registry.get(id).unwrap();
+        let floorplan = |threads: usize| {
+            let req =
+                SolveRequest::new(problem.clone()).with_time_limit(120.0).with_threads(threads);
+            let outcome = engine.solve(&req, &SolveControl::default());
+            assert!(outcome.is_proven(), "{id}, {threads} thread(s): {:?}", outcome.detail);
+            jsonio::write_floorplan(outcome.floorplan.as_ref().expect("proven implies a floorplan"))
+        };
+        let serial = floorplan(1);
+        for run in 0..20 {
+            for threads in [1, 2, 3, 4, 8] {
+                assert_eq!(floorplan(threads), serial, "{id}, {threads} threads, run {run}");
+            }
+        }
+    }
+}
+
 #[test]
 fn relocation_aware_engines_satisfy_the_hard_constraint_variant() {
     // The same instance with the request as a hard constraint: the MILP
-    // assignment model must prune die-crossing candidates and, when its
-    // FC-blind optimum packs the fabric too tightly, ban the assignment and
-    // re-solve until the greedy reservation pass finds both windows.
+    // assignment model must choose both windows among its target variables,
+    // none of which crosses a die boundary.
     let problem = rfp_workloads::hetero_constraint_problem();
     let registry = rfp_baselines::engines::full_registry();
     for engine in ["milp", "ho", "combinatorial"] {

@@ -1155,3 +1155,57 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The assignment model places constraint-mode areas among its
+    /// variables, so `milp` finds a floorplan wherever one exists: on random
+    /// small heterogeneous problems with constraint-mode requests and
+    /// dominant waste, it answers `Infeasible` only when the proven
+    /// combinatorial search finds no floorplan, and a proven answer scores
+    /// no worse on Equation 14 than the combinatorial engine's floorplan.
+    #[test]
+    fn milp_places_constraint_mode_areas_wherever_a_floorplan_exists(
+        problem in arb_relocation_problem_below(7, 5),
+        links in proptest::collection::vec(0u8..4, 3),
+    ) {
+        let mut problem = problem;
+        for request in &mut problem.relocation {
+            request.mode = RelocationMode::Constraint;
+        }
+        let n = problem.regions.len();
+        for (k, (a, b)) in [(0, 1), (0, 2), (1, 2)].into_iter().enumerate() {
+            if b < n && links[k] > 0 {
+                problem.connect(a, b, f64::from(links[k]));
+            }
+        }
+        prop_assume!(!problem.partition.is_columnar_legacy() && problem.waste_dominates());
+
+        let comb =
+            solve_combinatorial(&problem, &CombinatorialConfig::default(), &SolveControl::default());
+        let comb = match comb {
+            Ok(res) if res.proven => res.floorplan,
+            // A refusal before the search (a region with no candidate).
+            Err(_) => None,
+            Ok(_) => unreachable!("an unbudgeted combinatorial search is proven"),
+        };
+        let request = SolveRequest::new(problem.clone()).with_threads(1).with_time_limit(30.0);
+        let outcome = EngineRegistry::builtin()
+            .get("milp")
+            .unwrap()
+            .solve(&request, &SolveControl::default());
+        match (&outcome.metrics, &comb) {
+            (None, Some(_)) => prop_assert!(
+                outcome.status != OutcomeStatus::Infeasible,
+                "milp says infeasible: {:?}", outcome.detail
+            ),
+            (Some(m), None) => prop_assert!(false, "objective {} on an infeasible problem", m.objective),
+            (Some(m), Some(fp)) if outcome.is_proven() => {
+                let best = fp.metrics(&problem).objective;
+                prop_assert!(m.objective <= best + 1e-9, "proved {} above {}", m.objective, best);
+            }
+            _ => {}
+        }
+    }
+}
