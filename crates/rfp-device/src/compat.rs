@@ -11,13 +11,17 @@
 //! relocation filter and the runtime) asks [`fabric_compatible`] and
 //! [`enumerate_free_compatible`], which compare the effective cell grid of a
 //! [`FabricPartition`] row by row. Columnar devices need no path of their
-//! own: their rows are equal, so the first row decides. [`areas_compatible`]
+//! own: their rows are equal, so the first row decides. [`CompatClasses`]
+//! groups many sources into classes of compatible areas, so that one device
+//! scan lists the targets of every source in a class. [`areas_compatible`]
 //! repeats the check on the raw tile grid of a [`Device`]; the Figure 1
 //! example and the tests use it as the oracle.
 
 use crate::fabric::FabricPartition;
 use crate::geometry::Rect;
 use crate::grid::Device;
+use crate::tile::TileTypeId;
+use std::collections::HashMap;
 use std::fmt;
 
 /// The outcome of a compatibility check, carrying the reason for a mismatch.
@@ -166,33 +170,115 @@ pub fn enumerate_free_compatible(
     source: &Rect,
     occupied: &[Rect],
 ) -> Vec<Rect> {
-    let mut out = Vec::new();
-    if source.w > partition.cols
-        || source.h > partition.rows
-        || !partition.rect_in_bounds(source)
-        || partition.rect_crosses_forbidden(source)
-        || partition.rect_crosses_die_boundary(source)
-    {
-        return out;
+    if !relocatable(partition, source) {
+        return Vec::new();
     }
+    compatible_positions(partition, source, |candidate| {
+        candidate != source && !occupied.iter().any(|o| o.overlaps(candidate))
+    })
+}
+
+/// `true` when `rect` can be relocated at all: it lies on the device and
+/// crosses neither a forbidden area nor a die boundary.
+fn relocatable(partition: &FabricPartition, rect: &Rect) -> bool {
+    rect.w <= partition.cols
+        && rect.h <= partition.rows
+        && partition.rect_in_bounds(rect)
+        && !partition.rect_crosses_forbidden(rect)
+        && !partition.rect_crosses_die_boundary(rect)
+}
+
+/// The positions compatible with the relocatable `source` (itself included)
+/// that `keep` accepts, in row-major order. `keep` runs before the tile
+/// comparison.
+fn compatible_positions(
+    partition: &FabricPartition,
+    source: &Rect,
+    keep: impl Fn(&Rect) -> bool,
+) -> Vec<Rect> {
+    let mut out = Vec::new();
     for y in 1..=(partition.rows - source.h + 1) {
         if partition.rect_crosses_die_boundary(&Rect::new(1, y, source.w, source.h)) {
             continue;
         }
         for x in 1..=(partition.cols - source.w + 1) {
             let candidate = Rect::new(x, y, source.w, source.h);
-            if candidate == *source
-                || partition.rect_crosses_forbidden(&candidate)
-                || occupied.iter().any(|o| o.overlaps(&candidate))
+            if !partition.rect_crosses_forbidden(&candidate)
+                && keep(&candidate)
+                && tile_mismatch(partition, source, &candidate).is_none()
             {
-                continue;
-            }
-            if tile_mismatch(partition, source, &candidate).is_none() {
                 out.push(candidate);
             }
         }
     }
     out
+}
+
+/// Rects grouped into compatibility classes, so that one device scan per
+/// class lists the relocation targets of every rect in it.
+///
+/// Two relocatable rects are compatible exactly when they have the same
+/// shape and the same effective tile types, so compatibility groups them
+/// into classes. The *members* of a class ([`CompatClasses::members`]) are
+/// every area of the device compatible with it, its rects included, in
+/// row-major order; the targets of one of its rects,
+/// `enumerate_free_compatible(partition, &rect, &[])`, are the members
+/// without that rect. A rect off the device or across a forbidden area or a
+/// die boundary is compatible with nothing: it has no class, and no
+/// targets.
+#[derive(Debug, Clone, Default)]
+pub struct CompatClasses {
+    /// The class of each rect given to [`CompatClasses::new`].
+    class_of: Vec<Option<usize>>,
+    /// The first of those rects in each class.
+    sources: Vec<Rect>,
+}
+
+impl CompatClasses {
+    /// Groups `rects` into classes, numbered in order of first appearance.
+    /// This compares tile types only; no class is enumerated yet.
+    pub fn new(partition: &FabricPartition, rects: &[Rect]) -> Self {
+        let mut ids: HashMap<(u32, u32, Vec<TileTypeId>), usize> = HashMap::new();
+        let mut sources = Vec::new();
+        let class_of = rects
+            .iter()
+            .map(|r| {
+                if !relocatable(partition, r) {
+                    return None;
+                }
+                let cells = (0..r.h)
+                    .flat_map(|dy| partition.row_slice(r.x, r.y + dy, r.w))
+                    .copied()
+                    .collect();
+                Some(*ids.entry((r.w, r.h, cells)).or_insert_with(|| {
+                    sources.push(*r);
+                    sources.len() - 1
+                }))
+            })
+            .collect();
+        CompatClasses { class_of, sources }
+    }
+
+    /// The class of the `i`-th rect, or `None` when it is compatible with
+    /// nothing.
+    pub fn class_of(&self, i: usize) -> Option<usize> {
+        self.class_of[i]
+    }
+
+    /// The number of classes.
+    pub fn len(&self) -> usize {
+        self.sources.len()
+    }
+
+    /// `true` when no rect has a class.
+    pub fn is_empty(&self) -> bool {
+        self.sources.is_empty()
+    }
+
+    /// The members of `class`, found by one scan of the device.
+    pub fn members(&self, partition: &FabricPartition, class: usize) -> Vec<Rect> {
+        compatible_positions(partition, &self.sources[class], |_| true)
+    }
 }
 
 #[cfg(test)]
@@ -373,6 +459,50 @@ mod tests {
             }
         }
         assert_eq!(found, brute);
+    }
+
+    /// Every rect of a class has the class's members without itself as
+    /// its targets; a rect across a die boundary or a forbidden area has no
+    /// class, and rects of different shape or tile types share none.
+    #[test]
+    fn class_members_are_every_rects_targets() {
+        let d = striped_device();
+        let mut f = crate::fabric::fabric_partition_with_boundaries(&d, &[3]).unwrap();
+        f.forbidden.push(crate::forbidden::ForbiddenArea::new("blk", Rect::new(5, 5, 1, 1)));
+        let mut rects = Vec::new();
+        for y in 1..=6 {
+            for x in 1..=6 {
+                for (w, h) in [(1, 1), (2, 2), (3, 1)] {
+                    rects.push(Rect::new(x, y, w, h));
+                }
+            }
+        }
+        let classes = CompatClasses::new(&f, &rects);
+        assert!(classes.len() > 1);
+        let members: Vec<Vec<Rect>> = (0..classes.len()).map(|c| classes.members(&f, c)).collect();
+        for (i, r) in rects.iter().enumerate() {
+            let targets = enumerate_free_compatible(&f, r, &[]);
+            match classes.class_of(i) {
+                Some(c) => {
+                    assert!(members[c].contains(r), "{r}");
+                    let others: Vec<Rect> = members[c].iter().copied().filter(|m| m != r).collect();
+                    assert_eq!(others, targets, "{r}");
+                }
+                None => {
+                    assert!(targets.is_empty(), "{r}");
+                    assert!(
+                        !f.rect_in_bounds(r)
+                            || f.rect_crosses_die_boundary(r)
+                            || f.rect_crosses_forbidden(r),
+                        "{r}"
+                    );
+                }
+            }
+        }
+        assert_eq!(
+            classes.class_of(rects.iter().position(|r| *r == Rect::new(1, 3, 2, 2)).unwrap()),
+            None
+        );
     }
 
     #[test]

@@ -50,7 +50,8 @@ pub mod resources;
 pub mod tile;
 
 pub use compat::{
-    areas_compatible, enumerate_free_compatible, fabric_compatible, free_compatible, CompatReport,
+    areas_compatible, enumerate_free_compatible, fabric_compatible, free_compatible, CompatClasses,
+    CompatReport,
 };
 pub use devices::{figure1_device, figure2_device, xc5vfx70t, DeviceBuilder, SyntheticSpec};
 pub use error::DeviceError;

@@ -17,13 +17,17 @@
 //!   requested free-compatible areas can no longer be packed;
 //! * relocation-as-a-metric packs as many of the requested areas as possible
 //!   and reports the rest as missing;
-//! * both relocation modes read one [`TargetTable`]: the compatible targets
-//!   of each candidate of a relocation source, found by one device scan the
-//!   first time the search places that candidate and then only filtered by
-//!   the rects occupied at the time;
+//! * a leaf packs the constraint-mode areas by backtracking, giving the
+//!   areas of one region targets in increasing order: they are
+//!   interchangeable, so no reordering of a target set is tried twice;
+//! * both relocation modes read one [`TargetTable`]: the candidates of the
+//!   relocation sources are grouped into compatibility classes, and a
+//!   candidate's targets are its class's members without itself, found by
+//!   one device scan per class the first time the search asks for them and
+//!   then only filtered by the rects occupied at the time;
 //! * occupancy is one bit per tile, kept per tile row in `u64` words
-//!   (`RowMasks`): a child's overlap test and the target filter read the
-//!   words a rect covers in each of its rows instead of every placed rect;
+//!   (`RowMasks`): the forward check and the target filter read the words a
+//!   rect covers in each of its rows instead of every placed rect;
 //! * each node is forward checked when it is opened: every unplaced region
 //!   must still have a candidate clear of the placed ones (its *first fit*,
 //!   which is its least feasible waste, as candidates come in
@@ -33,9 +37,16 @@
 //!   the device's usable frames. The first fits are kept per depth and
 //!   each depth's scan starts from its parent's, since occupancy only grows
 //!   down the tree;
+//! * an expanded node makes all its children at once, as a bitset over its
+//!   region's candidates: each region keeps per column and per row the
+//!   bitsets of the candidates that start at or before it and end at or
+//!   after it (`Covers`), so the candidates a rect overlaps are the AND of
+//!   four bitsets. The children are the candidates clear of the placed regions
+//!   that leave every constraint-mode request of a placed region `count`
+//!   targets clear (per target, for the other regions' requests; per
+//!   candidate, for the region's own);
 //! * one node step (`SearchCtx::step`) enters a node, forward checks it,
-//!   finishes a leaf or makes its children — the overlap test, the
-//!   occupancy update and the relocation pruning — for both the
+//!   finishes a leaf or makes its children and visits them, for both the
 //!   depth-first search and the parallel prefix expansion.
 //!
 //! The forward check removes only subtrees that hold no complete placement
@@ -44,7 +55,16 @@
 //! unbudgeted search installs the same incumbents and returns the same
 //! floorplan as a search without it, in fewer nodes. A node the check
 //! prunes is still entered and counted, as one the bound prunes always was,
-//! so the node budget still counts every node the search opens.
+//! so the node budget still counts every node the search opens. Most of the
+//! nodes are children the bound prunes at once: children come in
+//! increasing-waste order and the incumbent changes only at leaves, so once
+//! one child fails the bound every later one does too, and the step counts
+//! them all as entered and bound-pruned in one step instead of entering
+//! each. That step applies the node limit and the cancellation poll every
+//! 64 nodes as entering them one by one would, so the node counts, and
+//! where a node budget stops the search, stay those of the one-by-one
+//! search. The parallel prefix expansion reaches no leaf, so it has no
+//! incumbent and hands every child on to be entered by a worker.
 //! [`SearchCounts`] says what became of each node, and each solve adds it to
 //! the trace once.
 //!
@@ -71,8 +91,7 @@ use crate::engine::SolveControl;
 use crate::error::FloorplanError;
 use crate::placement::{FcPlacement, Floorplan};
 use crate::problem::{FloorplanProblem, RelocationMode};
-use rfp_device::compat::enumerate_free_compatible;
-use rfp_device::Rect;
+use rfp_device::{CompatClasses, FabricPartition, Rect};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -198,91 +217,151 @@ struct ParShared {
 }
 
 /// The relocation targets of a solve. For candidate `ci` of a region that a
-/// relocation request names as its source, the table holds every rect
+/// relocation request names as its source, the targets are every rect
 /// compatible with that candidate: `enumerate_free_compatible(partition,
 /// &rect, &[])`, in row-major order and without the candidate itself.
 ///
-/// An entry is computed the first time it is asked for and only read after
-/// that. Filtering an entry by the rects occupied at some point yields
-/// exactly `enumerate_free_compatible(partition, &rect, occupied)`, so the
+/// The candidates of the source regions are grouped into compatibility
+/// classes ([`CompatClasses`]) when the table is made, and a class's members
+/// are enumerated the first time one of its candidates is asked for, then
+/// only read: a candidate's targets are its class's members without itself.
+/// Filtering them by the rects occupied at some point yields exactly
+/// `enumerate_free_compatible(partition, &rect, occupied)`, so the
 /// relocation pruning, the parallel prefix expansion and the leaf packer
 /// never scan the device again. The cells are `OnceLock`s: the workers of a
-/// parallel solve share one table. Each entry keeps the targets' footprints
+/// parallel solve share one table. Each class keeps its members' footprints
 /// in the search's occupancy masks beside the rects.
 pub struct TargetTable<'a> {
-    problem: &'a FloorplanProblem,
+    partition: &'a FabricPartition,
     candidates: &'a [Vec<Candidate>],
     /// Words per row of the search's occupancy masks.
     words: usize,
-    /// `cells[region][ci]`; empty for regions no request relocates.
-    cells: Vec<Vec<OnceLock<Targets>>>,
+    /// `class[region][ci]`, the class of each candidate of a relocation
+    /// source (`None` for one compatible with nothing); empty for regions no
+    /// request relocates.
+    class: Vec<Vec<Option<usize>>>,
+    classes: CompatClasses,
+    /// The members of each class.
+    members: Vec<OnceLock<Targets>>,
 }
 
-/// One entry of a [`TargetTable`]: the targets and their footprints.
+/// The members of a compatibility class and their footprints. Wherever the
+/// search reads them, the candidate whose targets they are is placed or is
+/// tested for overlap, so it never counts as its own target.
 struct Targets {
     rects: Vec<Rect>,
     footprints: Vec<Footprint>,
 }
 
+/// The targets of a candidate compatible with nothing.
+static NO_TARGETS: Targets = Targets { rects: Vec::new(), footprints: Vec::new() };
+
 impl<'a> TargetTable<'a> {
-    /// An unfilled table over `candidates`, the candidate lists of
-    /// `problem`'s regions indexed by region id.
+    /// A table over `candidates`, the candidate lists of `problem`'s regions
+    /// indexed by region id, with the classes grouped and none enumerated.
     pub fn new(problem: &'a FloorplanProblem, candidates: &'a [Vec<Candidate>]) -> Self {
-        let mut cells: Vec<Vec<OnceLock<_>>> = candidates.iter().map(|_| Vec::new()).collect();
-        for req in &problem.relocation {
-            if cells[req.region].is_empty() {
-                cells[req.region].resize_with(candidates[req.region].len(), OnceLock::new);
-            }
+        let mut sources: Vec<usize> = problem.relocation.iter().map(|req| req.region).collect();
+        sources.sort_unstable();
+        sources.dedup();
+        let rects: Vec<Rect> =
+            sources.iter().flat_map(|&r| candidates[r].iter().map(|c| c.rect)).collect();
+        let classes = CompatClasses::new(&problem.partition, &rects);
+        let mut class = vec![Vec::new(); candidates.len()];
+        let mut next = 0;
+        for &r in &sources {
+            class[r] = (next..next + candidates[r].len()).map(|i| classes.class_of(i)).collect();
+            next += candidates[r].len();
         }
+        let members = (0..classes.len()).map(|_| OnceLock::new()).collect();
         let words = RowMasks::words(problem);
-        TargetTable { problem, candidates, words, cells }
+        TargetTable { partition: &problem.partition, candidates, words, class, classes, members }
     }
 
     /// The targets of candidate `ci` of `region`.
     ///
     /// # Panics
     /// When no relocation request names `region`, or `ci` is out of range.
-    pub fn targets(&self, region: usize, ci: usize) -> &[Rect] {
-        &self.entry(region, ci).rects
+    pub fn targets(&self, region: usize, ci: usize) -> Vec<Rect> {
+        let own = self.candidates[region][ci].rect;
+        self.entry(region, ci).rects.iter().copied().filter(|t| *t != own).collect()
     }
 
-    /// The targets of candidate `ci` of `region` and their footprints.
+    /// The members of the class of candidate `ci` of `region`.
     fn entry(&self, region: usize, ci: usize) -> &Targets {
-        self.cells[region][ci].get_or_init(|| {
-            let rects = enumerate_free_compatible(
-                &self.problem.partition,
-                &self.candidates[region][ci].rect,
-                &[],
-            );
+        let Some(class) = self.class[region][ci] else { return &NO_TARGETS };
+        self.members[class].get_or_init(|| {
+            let rects = self.classes.members(self.partition, class);
             let footprints = rects.iter().map(|r| Footprint::new(r, self.words)).collect();
             Targets { rects, footprints }
         })
     }
+}
 
-    /// The search's pruning test, a necessary condition for packing the
-    /// constraint-mode areas: every such request of a placed region still has
-    /// `count` targets clear of all placed regions, ignoring the regions not
-    /// yet placed. `choice[r]` is the candidate index of `placed[r]`, and
-    /// `occupied` holds exactly the tiles of the placed regions.
-    fn constraints_fit(
-        &self,
-        occupied: &RowMasks,
-        placed: &[Option<Rect>],
-        choice: &[usize],
-    ) -> bool {
-        self.problem.relocation.iter().all(|req| {
-            if !matches!(req.mode, RelocationMode::Constraint) || placed[req.region].is_none() {
-                return true;
-            }
-            let need = req.count as usize;
-            self.entry(req.region, choice[req.region])
-                .footprints
-                .iter()
-                .filter(|f| !occupied.overlaps(f))
-                .take(need)
-                .count()
-                == need
-        })
+/// Where the candidates of one region lie, as bitsets over its candidates
+/// (bit `k % 64` of word `k / 64` is candidate `k`) of `words` words each.
+/// Per column `c`, `left` holds the candidates whose first column is at most
+/// `c` and `right` those whose last column is at least `c`; `top` and
+/// `bottom` do the same per row. A candidate overlaps a rect exactly when it
+/// starts at or before the rect's last column and row and ends at or after
+/// its first ones, so the candidates a rect overlaps are the AND of four of
+/// these bitsets ([`Covers::of`]).
+struct Covers {
+    words: usize,
+    left: Vec<u64>,
+    right: Vec<u64>,
+    top: Vec<u64>,
+    bottom: Vec<u64>,
+}
+
+impl Covers {
+    /// The covers of `cands` on a device of `cols` columns and `rows` rows.
+    fn new(cands: &[Candidate], cols: u32, rows: u32) -> Self {
+        let words = cands.len().div_ceil(64);
+        let (cols, rows) = (cols as usize, rows as usize);
+        let mut c = Covers {
+            words,
+            left: vec![0; cols * words],
+            right: vec![0; cols * words],
+            top: vec![0; rows * words],
+            bottom: vec![0; rows * words],
+        };
+        for (k, cand) in cands.iter().enumerate() {
+            let (w, bit, r) = (k / 64, 1u64 << (k % 64), &cand.rect);
+            c.left[(r.x as usize - 1) * words + w] |= bit;
+            c.right[(r.x2() as usize - 1) * words + w] |= bit;
+            c.top[(r.y as usize - 1) * words + w] |= bit;
+            c.bottom[(r.y2() as usize - 1) * words + w] |= bit;
+        }
+        // A candidate starting at column `x` starts at or before every
+        // column from `x` on, and one ending at `x2` ends at or after every
+        // column up to `x2`; the same holds for rows.
+        for at in words..cols * words {
+            c.left[at] |= c.left[at - words];
+        }
+        for at in words..rows * words {
+            c.top[at] |= c.top[at - words];
+        }
+        for at in (0..(cols - 1) * words).rev() {
+            c.right[at] |= c.right[at + words];
+        }
+        for at in (0..(rows - 1) * words).rev() {
+            c.bottom[at] |= c.bottom[at + words];
+        }
+        c
+    }
+
+    /// The four bitsets whose AND holds the candidates that overlap `r`.
+    fn of(&self, r: &Rect) -> [&[u64]; 4] {
+        fn line(v: &[u64], i: u32, words: usize) -> &[u64] {
+            &v[(i as usize - 1) * words..][..words]
+        }
+        let w = self.words;
+        [
+            line(&self.left, r.x2(), w),
+            line(&self.right, r.x, w),
+            line(&self.top, r.y2(), w),
+            line(&self.bottom, r.y, w),
+        ]
     }
 }
 
@@ -392,6 +471,8 @@ struct SearchCtx<'a> {
     order: &'a [usize],
     candidates: &'a [Vec<Candidate>],
     footprints: &'a [Vec<Footprint>],
+    covers: &'a [Covers],
+    need: &'a [usize],
     /// Relocation targets of the candidates.
     table: &'a TargetTable<'a>,
     config: &'a CombinatorialConfig,
@@ -405,6 +486,13 @@ struct SearchCtx<'a> {
     choice: Vec<usize>,
     /// The tiles of `placed`.
     occupied: RowMasks,
+    /// The children of the node being expanded at each depth, a bitset
+    /// over its region's candidates per row of `stride` words (see
+    /// [`SearchCtx::children`]).
+    kids: Vec<u64>,
+    stride: usize,
+    /// Scratch bitsets of [`SearchCtx::children`].
+    planes: Vec<u64>,
     /// First fits, one row of `n` candidate indices per depth, indexed by
     /// region id: the node at depth `level` reads row `level` and writes row
     /// `level + 1`. Entry `r` of a written row is the first candidate of
@@ -441,6 +529,8 @@ impl<'a> SearchCtx<'a> {
             order: &parts.order,
             candidates: &parts.candidates,
             footprints: &parts.footprints,
+            covers: &parts.covers,
+            need: &parts.need,
             table,
             config: parts.config,
             ctl: parts.ctl,
@@ -449,6 +539,9 @@ impl<'a> SearchCtx<'a> {
             placed: vec![None; n],
             choice: vec![0; n],
             occupied: RowMasks::new(problem, &[]),
+            kids: vec![0; n * parts.stride],
+            stride: parts.stride,
+            planes: Vec::new(),
             fit: vec![0; (n + 1) * n],
             rest: vec![0; n + 1],
             required_frames: parts.required_frames,
@@ -583,7 +676,7 @@ impl<'a> SearchCtx<'a> {
             .collect();
 
         let mut chosen: Vec<Option<Rect>> = vec![None; fc.len()];
-        if !self.pack_constraints(&fc, &constraint_idx, 0, &mut occupied, &mut chosen) {
+        if !self.pack_constraints(&fc, &constraint_idx, 0, 0, &mut occupied, &mut chosen) {
             return None;
         }
         // Greedy packing of the metric-mode areas.
@@ -603,12 +696,21 @@ impl<'a> SearchCtx<'a> {
         Some(placements)
     }
 
-    /// Depth-first packing of the constraint-mode free-compatible areas.
+    /// Depth-first packing of the constraint-mode free-compatible areas,
+    /// the one at `depth` taking its targets from index `from` on.
+    ///
+    /// Areas of one region share its target list and are interchangeable,
+    /// so when the next area is of the same region it takes only later
+    /// targets than this one. That skips the reorderings of target sets
+    /// already tried, and nothing else: the first packing found, the one
+    /// with the lexicographically least target indices, takes its targets
+    /// in increasing order within a region anyway.
     fn pack_constraints(
         &self,
         fc: &[(usize, usize, RelocationMode)],
         idx: &[usize],
         depth: usize,
+        from: usize,
         occupied: &mut RowMasks,
         chosen: &mut Vec<Option<Rect>>,
     ) -> bool {
@@ -617,14 +719,17 @@ impl<'a> SearchCtx<'a> {
         }
         let i = idx[depth];
         let region = fc[i].1;
+        let same_next = idx.get(depth + 1).is_some_and(|&j| fc[j].1 == region);
         let targets = self.table.entry(region, self.choice[region]);
-        for (&rect, at) in targets.rects.iter().zip(&targets.footprints) {
+        let tail = targets.rects.iter().zip(&targets.footprints).enumerate().skip(from);
+        for (k, (&rect, at)) in tail {
             if occupied.overlaps(at) {
                 continue;
             }
             occupied.set(at);
             chosen[i] = Some(rect);
-            if self.pack_constraints(fc, idx, depth + 1, occupied, chosen) {
+            let next_from = if same_next { k + 1 } else { 0 };
+            if self.pack_constraints(fc, idx, depth + 1, next_from, occupied, chosen) {
                 return true;
             }
             occupied.clear(at);
@@ -637,14 +742,37 @@ impl<'a> SearchCtx<'a> {
     /// working for a parallel solve; `false`, counting nothing, when the
     /// search must stop instead.
     fn enter(&mut self) -> bool {
-        if self.time_up() {
-            return false;
+        self.enter_many(1) == 1
+    }
+
+    /// Counts up to `k` nodes as `k` calls of [`SearchCtx::enter`] would:
+    /// the node limit holds before each of them and the cancellation token
+    /// is polled before every 64th node, so the nodes between two polls are
+    /// counted in one step. Returns the nodes counted, fewer than `k` when
+    /// the search must stop. A parallel worker claims its nodes of the
+    /// shared total in one update, no more than the node limit leaves.
+    fn enter_many(&mut self, k: u64) -> u64 {
+        let mut entered = 0;
+        while entered < k && !self.time_up() {
+            let limit = self.config.node_limit;
+            let mut run = (k - entered).min(64 - self.nodes % 64);
+            match self.shared {
+                Some(sh) => {
+                    let claim =
+                        |n: u64| if limit > 0 { run.min(limit.saturating_sub(n)) } else { run };
+                    let before = sh
+                        .nodes
+                        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| Some(n + claim(n)))
+                        .unwrap_or_else(|n| n);
+                    run = claim(before);
+                }
+                None if limit > 0 => run = run.min(limit - self.nodes),
+                None => {}
+            }
+            self.nodes += run;
+            entered += run;
         }
-        self.nodes += 1;
-        if let Some(sh) = self.shared {
-            sh.nodes.fetch_add(1, Ordering::Relaxed);
-        }
-        true
+        entered
     }
 
     /// Makes `p` the current partial placement.
@@ -721,15 +849,113 @@ impl<'a> SearchCtx<'a> {
         }
     }
 
+    /// The children of the expanded node at depth `level`, whose region
+    /// `order[level]` is `region` with first fit `first`, as a bitset over
+    /// that region's candidates in row `level` of `kids` (only its words
+    /// from `first / 64` on are written): the candidates from `first` on
+    /// that are clear of the placed regions and leave every constraint-mode
+    /// relocation request of a placed region, the region's own included,
+    /// `count` targets clear of them all.
+    ///
+    /// The placed regions' rects remove what they overlap by their
+    /// [`Covers`]. A request of another placed region fails exactly the
+    /// candidates that overlap all but fewer than `count` of its targets
+    /// clear of the placed regions: `planes` counts, per candidate and up to
+    /// `count`, the clear targets it leaves free, one target at a time,
+    /// until every child left has `count` of them. The region's own requests
+    /// are checked per candidate against its targets.
+    fn children(&mut self, level: usize, region: usize, first: usize) {
+        let covers = &self.covers[region];
+        let (lo, words, n_cands) = (first / 64, covers.words, self.candidates[region].len());
+        let kids = &mut self.kids[level * self.stride..][..words];
+        kids[lo..].fill(u64::MAX);
+        kids[lo] &= u64::MAX << (first % 64);
+        if n_cands % 64 != 0 {
+            kids[words - 1] &= u64::MAX >> (64 - n_cands % 64);
+        }
+        for &q in &self.order[..level] {
+            let [a, b, c, d] = covers.of(&self.placed[q].expect("placed above the node"));
+            for w in lo..words {
+                kids[w] &= !(a[w] & b[w] & c[w] & d[w]);
+            }
+        }
+        for &q in &self.order[..level] {
+            let need = self.need[q];
+            if need == 0 {
+                continue;
+            }
+            let targets = self.table.entry(q, self.choice[q]);
+            let planes = &mut self.planes;
+            planes.clear();
+            planes.resize(need * words, 0);
+            let full = (need - 1) * words;
+            let mut enough = false;
+            for (t, f) in targets.rects.iter().zip(&targets.footprints) {
+                if self.occupied.overlaps(f) {
+                    continue;
+                }
+                let [a, b, c, d] = covers.of(t);
+                let mut short = 0;
+                for w in lo..words {
+                    let free = !(a[w] & b[w] & c[w] & d[w]);
+                    for j in (1..need).rev() {
+                        planes[j * words + w] |= planes[(j - 1) * words + w] & free;
+                    }
+                    planes[w] |= free;
+                    short |= kids[w] & !planes[full + w];
+                }
+                if short == 0 {
+                    enough = true;
+                    break;
+                }
+            }
+            if !enough {
+                for w in lo..words {
+                    kids[w] &= planes[full + w];
+                }
+            }
+        }
+        let need = self.need[region];
+        if need == 0 {
+            return;
+        }
+        for (w, word) in kids.iter_mut().enumerate().skip(lo) {
+            let mut bits = *word;
+            while bits != 0 {
+                let ci = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let own = self.candidates[region][ci].rect;
+                let targets = self.table.entry(region, ci);
+                let free = targets
+                    .rects
+                    .iter()
+                    .zip(&targets.footprints)
+                    .filter(|(t, f)| !t.overlaps(&own) && !self.occupied.overlaps(f))
+                    .take(need)
+                    .count();
+                if free < need {
+                    *word &= !(1 << (ci % 64));
+                }
+            }
+        }
+    }
+
     /// The node step, which the depth-first search and the parallel prefix
     /// expansion share: enters the node of depth `level` (regions
     /// `order[..level]` placed, wasting `waste_so_far`), prunes it by
-    /// [`SearchCtx::forward_check`], finishes a leaf, and otherwise places
-    /// each candidate of region `order[level]` in turn from its first fit
-    /// on (increasing waste), skipping those that overlap a placed region or
-    /// leave a constraint-mode relocation request unpackable, and hands each
-    /// surviving child to `visit` with its waste so far; the candidate is
-    /// taken back afterwards. Stops early once the search is aborted.
+    /// [`SearchCtx::forward_check`], finishes a leaf, and otherwise makes its
+    /// children ([`SearchCtx::children`]) and hands each in turn, in
+    /// increasing-waste order, to `visit` with its waste so far, placing its
+    /// candidate for the visit and taking it back afterwards.
+    ///
+    /// A child whose waste plus the first-fit wastes below it exceeds the
+    /// incumbent's is one the bound prunes as soon as it is entered. The
+    /// incumbent changes only at leaves, which no such child reaches (in a
+    /// parallel solve another worker's leaf can only lower it), and later
+    /// children waste no less, so every later child is one too: the
+    /// step counts them all as entered and bound-pruned in one step
+    /// ([`SearchCtx::enter_many`]) instead of visiting them. Stops early
+    /// once the search is aborted.
     fn step(&mut self, level: usize, waste_so_far: u64, mut visit: impl FnMut(&mut Self, u64)) {
         if !self.enter() || !self.forward_check(level, waste_so_far) {
             return;
@@ -742,22 +968,35 @@ impl<'a> SearchCtx<'a> {
         self.counts.expanded += 1;
         let region = self.order[level];
         let first = self.fit[(level + 1) * self.placed.len() + region];
-        let (candidates, footprints) = (self.candidates, self.footprints);
-        let tail = candidates[region][first..].iter().zip(&footprints[region][first..]);
-        for (i, (cand, at)) in tail.enumerate() {
-            if self.occupied.overlaps(at) {
-                continue;
-            }
-            self.placed[region] = Some(cand.rect);
-            self.choice[region] = first + i;
-            self.occupied.set(at);
-            if self.table.constraints_fit(&self.occupied, &self.placed, &self.choice) {
-                visit(self, waste_so_far + cand.waste);
-            }
-            self.occupied.clear(at);
-            self.placed[region] = None;
-            if self.aborted {
-                return;
+        self.children(level, region, first);
+        let (candidates, footprints) = (&self.candidates[region], &self.footprints[region]);
+        let row = level * self.stride;
+        let words = self.covers[region].words;
+        for w in first / 64..words {
+            let mut bits = self.kids[row + w];
+            while bits != 0 {
+                let ci = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let (cand, at) = (&candidates[ci], &footprints[ci]);
+                let waste = waste_so_far + cand.waste;
+                if self.incumbent_waste().is_some_and(|best| waste + self.rest[level + 1] > best) {
+                    let later: u64 = self.kids[row + w + 1..row + words]
+                        .iter()
+                        .map(|b| b.count_ones() as u64)
+                        .sum();
+                    let pruned = 1 + bits.count_ones() as u64 + later;
+                    self.counts.pruned_bound += self.enter_many(pruned);
+                    return;
+                }
+                self.placed[region] = Some(cand.rect);
+                self.choice[region] = ci;
+                self.occupied.set(at);
+                visit(self, waste);
+                self.occupied.clear(at);
+                self.placed[region] = None;
+                if self.aborted {
+                    return;
+                }
             }
         }
     }
@@ -811,14 +1050,27 @@ pub fn solve_combinatorial(
         .map(|cands| cands.iter().map(|c| Footprint::new(&c.rect, words)).collect())
         .collect();
 
+    let covers: Vec<Covers> = candidates
+        .iter()
+        .map(|cands| Covers::new(cands, problem.partition.cols, problem.partition.rows))
+        .collect();
+    let mut need = vec![0; problem.regions.len()];
+    for req in &problem.relocation {
+        if matches!(req.mode, RelocationMode::Constraint) {
+            need[req.region] = need[req.region].max(req.count as usize);
+        }
+    }
     let parts = SolveParts {
         problem,
         config,
         ctl,
         start,
         order,
+        stride: covers.iter().map(|c| c.words).max().unwrap_or(0),
         candidates,
         footprints,
+        covers,
+        need,
         required_frames: problem.total_required_frames(),
         usable_frames: problem.partition.total_frames(),
     };
@@ -846,6 +1098,13 @@ struct SolveParts<'a> {
     candidates: Vec<Vec<Candidate>>,
     /// The footprint of each candidate in the search's `occupied` masks.
     footprints: Vec<Vec<Footprint>>,
+    /// The covers of each region's candidates.
+    covers: Vec<Covers>,
+    /// Words of the largest covers.
+    stride: usize,
+    /// Per region, the targets its constraint-mode requests need clear: the
+    /// largest `count` among them, 0 for a region none names.
+    need: Vec<usize>,
     /// Frames the regions require together.
     required_frames: u64,
     /// Usable frames of the device (forbidden tiles excluded).

@@ -75,8 +75,7 @@ use crate::candidates::{enumerate_candidates, reserve_fc_areas, Candidate};
 use crate::placement::{FcPlacement, Floorplan};
 use crate::problem::{FloorplanProblem, RelocationMode};
 use crate::sequence_pair::{PairRelation, Relation};
-use rfp_device::compat::enumerate_free_compatible;
-use rfp_device::{ColumnarPartition, FabricPartition, PortionId, Rect};
+use rfp_device::{ColumnarPartition, CompatClasses, FabricPartition, PortionId, Rect};
 use rfp_milp::{ConOp, LinExpr, Model, Sense, Solution, VarId};
 use std::collections::{BTreeMap, HashSet};
 
@@ -737,9 +736,16 @@ impl FloorplanMilp {
                 continue;
             }
             let sources = by_region[n].get_or_insert_with(|| {
+                // A candidate's targets are its compatibility class without
+                // itself: one device scan per class.
+                let rects: Vec<Rect> = candidates[n].iter().map(|c| c.rect).collect();
+                let classes = CompatClasses::new(partition, &rects);
+                let members: Vec<Vec<Rect>> =
+                    (0..classes.len()).map(|c| classes.members(partition, c)).collect();
                 let mut sources: BTreeMap<(u32, u32, u32, u32), Vec<VarId>> = BTreeMap::new();
-                for (cand, &var) in candidates[n].iter().zip(&assign[n]) {
-                    for t in enumerate_free_compatible(partition, &cand.rect, &[]) {
+                for (k, (rect, &var)) in rects.iter().zip(&assign[n]).enumerate() {
+                    let Some(class) = classes.class_of(k) else { continue };
+                    for t in members[class].iter().filter(|t| *t != rect) {
                         sources.entry((t.y, t.x, t.w, t.h)).or_default().push(var);
                     }
                 }

@@ -9,7 +9,11 @@
 //! reaches a posted node it takes the helper's result instead of solving
 //! the LP itself, and the search stays the serial one: every thread count
 //! returns the `threads: 1` solution, node and LP counts included. Only the
-//! LPs of nodes the search ends before reaching are solved in vain.
+//! LPs of nodes the search ends before reaching are solved in vain. The
+//! trace counts both ends: each helper counts the LPs it finishes
+//! (`milp.lp.helper_solves`), the driver those it takes (`milp.lp.ahead`)
+//! and, at [`LookAhead::close`], those it never took
+//! (`milp.lp.ahead_unused`), so the first is the sum of the other two.
 
 use crate::branch_bound::Node;
 use crate::simplex::{BasisSnapshot, LpConfig, LpResult, LuCache, StandardForm};
@@ -99,8 +103,8 @@ impl LookAhead {
         look_ahead
     }
 
-    /// One helper: take the best posted node, solve its LP, file the
-    /// result; until the search is closed.
+    /// One helper: take the best posted node, solve its LP, file and count
+    /// the result; until the search is closed.
     fn serve(&self, sf: &StandardForm, cfg: &LpConfig) {
         let mut lu = LuCache::default();
         let mut state = self.lock();
@@ -112,6 +116,7 @@ impl LookAhead {
             state.running.insert(job.id);
             drop(state);
             let out = solve_node_lp(sf, cfg, &mut lu, job.snapshot.as_deref(), &job.bounds);
+            rfp_trace::count("milp.lp.helper_solves", 1);
             state = self.lock();
             state.running.remove(&job.id);
             state.done.insert(job.id, out);
@@ -157,9 +162,18 @@ impl LookAhead {
         self.state.lock().expect(POISONED)
     }
 
-    /// Ends the helpers' loops; the caller's scope then joins them.
+    /// Ends the helpers' loops; the caller's scope then joins them. Waits
+    /// for the LPs the helpers are still solving to be filed (the caller has
+    /// interrupted them), then counts the solved LPs the driver never took
+    /// and drops them.
     pub(crate) fn close(&self) {
-        self.lock().closed = true;
+        let mut state = self.lock();
+        state.closed = true;
         self.changed.notify_all();
+        while !state.running.is_empty() {
+            state = self.changed.wait(state).expect(POISONED);
+        }
+        rfp_trace::count("milp.lp.ahead_unused", state.done.len() as u64);
+        state.done.clear();
     }
 }

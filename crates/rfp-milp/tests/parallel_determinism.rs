@@ -190,6 +190,35 @@ fn every_thread_count_returns_the_serial_solution() {
     }
 }
 
+/// Every LP a look-ahead thread finishes is either taken by the driver or
+/// counted unused when the search closes: over a 2-thread search's trace,
+/// `milp.lp.ahead + milp.lp.ahead_unused == milp.lp.helper_solves`. On the
+/// correlated knapsack's tree of thousands of nodes the helpers solve some
+/// LPs; a small tree may end before a helper takes one.
+#[test]
+fn look_ahead_lps_are_taken_or_counted_unused() {
+    for (model, large) in [(correlated_knapsack(), true), (wide_subset_sum(), false)] {
+        let collector = rfp_trace::Collector::new();
+        {
+            let _scope = collector.handle().install("main");
+            Solver::new(SolverConfig { threads: 2, ..SolverConfig::default() }).solve(&model);
+        }
+        let doc = collector.drain();
+        let total = |name: &str| -> u64 {
+            doc.tracks
+                .iter()
+                .flat_map(|t| &t.counters)
+                .filter(|(n, _)| n == name)
+                .map(|(_, v)| v)
+                .sum()
+        };
+        let (ahead, unused, solved) =
+            (total("milp.lp.ahead"), total("milp.lp.ahead_unused"), total("milp.lp.helper_solves"));
+        assert!(solved > 0 || !large, "{}: the helpers solved no LP", model.name);
+        assert_eq!(ahead + unused, solved, "{}: ahead {ahead}, unused {unused}", model.name);
+    }
+}
+
 /// A recorded serial search: everything `threads: 1` must reproduce bit for
 /// bit, down to the node order (through the node and LP tallies).
 struct SerialPin {

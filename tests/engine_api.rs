@@ -750,3 +750,112 @@ fn milp_engines_honour_the_time_limit() {
         assert!(outcome.stats.solve_seconds <= secs, "{id}: the stats cover one call");
     }
 }
+
+/// The serial combinatorial search tree, node for node: the node count, the
+/// `SearchCounts` (bound, fit and capacity prunes, leaves, expanded nodes),
+/// whether the search is proven and the floorplan (`-` when there is none)
+/// of ten instances, unbudgeted and at node limits 1, 64, 2,000 and 50,000.
+/// The instances are the five goldens (`sdr2` requests count-2 areas), the
+/// 12x4 seed-7 die-boundary instance and four `solve-comb` scaling
+/// instances. A change to the search order, its pruning or the way it
+/// counts nodes fails here; so does one that moves where a node budget
+/// stops the search.
+#[test]
+fn combinatorial_search_counts_are_pinned() {
+    use relocfp::device::Rect;
+    use relocfp::floorplan::combinatorial::{solve_combinatorial, CombinatorialConfig};
+    let xywh = |r: &Rect| format!("{},{},{},{}", r.x, r.y, r.w, r.h);
+    let instances = [
+        ("sdr", golden_problem("sdr")),
+        ("sdr2", golden_problem("sdr2")),
+        ("sdr3", golden_problem("sdr3")),
+        ("tiny", golden_problem("tiny")),
+        ("hetero", golden_problem("hetero")),
+        ("hetero-12x4-7", hetero_constraint_instance()),
+        ("scaling-24c-12", scaling_instance(24, 12)),
+        ("scaling-32c-9", scaling_instance(32, 9)),
+        ("scaling-40c-14", scaling_instance(40, 14)),
+        ("scaling-48c-7", scaling_instance(48, 7)),
+    ];
+    let mut rows = Vec::new();
+    for (name, problem) in &instances {
+        for node_limit in [0, 1, 64, 2_000, 50_000] {
+            let cfg = CombinatorialConfig { node_limit, threads: 1, first_feasible: false };
+            let res = solve_combinatorial(problem, &cfg, &SolveControl::default()).unwrap();
+            let c = res.counts;
+            let layout = res.floorplan.as_ref().map_or("-".to_string(), |fp| {
+                let regions: Vec<String> = fp.regions.iter().map(xywh).collect();
+                let fc: Vec<String> =
+                    fp.fc_areas.iter().map(|a| a.rect.as_ref().map_or("-".into(), xywh)).collect();
+                format!("{} | {}", regions.join(" "), fc.join(" "))
+            });
+            rows.push(format!(
+                "{name} {node_limit}: {} = {} + {} + {} + {} + {}, {}, {layout}",
+                res.nodes,
+                c.pruned_bound,
+                c.pruned_fit,
+                c.pruned_capacity,
+                c.leaves,
+                c.expanded,
+                if res.proven { "proven" } else { "open" },
+            ));
+        }
+    }
+    // `instance limit: nodes = bound + fit + capacity + leaves + expanded,
+    // proven or open, floorplan`.
+    let expected: [&str; 50] = [
+        "sdr 0: 1196500 = 1111871 + 0 + 0 + 76752 + 7877, proven, 5,1,6,5 27,2,8,1 11,2,7,1 12,3,13,1 23,4,13,5 | ",
+        "sdr 1: 1 = 0 + 0 + 0 + 0 + 1, open, -",
+        "sdr 64: 64 = 51 + 0 + 0 + 8 + 5, open, 5,1,6,5 27,6,8,1 11,1,7,1 12,7,13,1 23,1,13,5 | ",
+        "sdr 2000: 2000 = 1899 + 0 + 0 + 84 + 17, open, 5,1,6,5 27,6,8,1 11,6,7,1 12,7,13,1 23,1,13,5 | ",
+        "sdr 50000: 50000 = 47228 + 0 + 0 + 2442 + 330, open, 5,1,6,5 27,2,8,1 11,2,7,1 12,3,13,1 23,4,13,5 | ",
+        "sdr2 0: 726357 = 669591 + 0 + 0 + 48619 + 8147, proven, 5,1,6,5 27,3,8,1 11,4,7,1 12,3,13,1 23,4,13,5 | 27,1,8,1 27,2,8,1 11,5,7,1 11,6,7,1 12,1,13,1 12,2,13,1",
+        "sdr2 1: 1 = 0 + 0 + 0 + 0 + 1, open, -",
+        "sdr2 64: 64 = 30 + 0 + 0 + 29 + 5, open, 5,1,6,5 27,6,8,1 11,1,7,1 15,2,7,2 23,1,13,5 | 27,7,8,1 27,8,8,1 11,4,7,1 11,5,7,1 9,6,7,2 35,6,7,2",
+        "sdr2 2000: 2000 = 1526 + 0 + 0 + 445 + 29, open, 5,1,6,5 27,6,8,1 11,4,7,1 15,2,7,2 23,1,13,5 | 27,7,8,1 27,8,8,1 11,1,7,1 11,5,7,1 9,6,7,2 35,6,7,2",
+        "sdr2 50000: 50000 = 46758 + 0 + 0 + 2629 + 613, open, 5,1,6,5 27,3,8,1 11,4,7,1 12,3,13,1 23,4,13,5 | 27,1,8,1 27,2,8,1 11,5,7,1 11,6,7,1 12,1,13,1 12,2,13,1",
+        "sdr3 0: 75250 = 68184 + 0 + 0 + 2392 + 4674, proven, 5,4,6,5 27,4,8,1 11,4,7,1 35,3,7,2 7,1,26,3 | 27,5,8,1 27,6,8,1 27,7,8,1 11,5,7,1 11,6,7,1 11,7,7,1 35,1,7,2 35,5,7,2 35,7,7,2",
+        "sdr3 1: 1 = 0 + 0 + 0 + 0 + 1, open, -",
+        "sdr3 64: 64 = 0 + 0 + 0 + 0 + 64, open, -",
+        "sdr3 2000: 2000 = 1026 + 0 + 0 + 638 + 336, open, 5,4,6,5 27,4,8,1 11,4,7,1 35,3,7,2 7,1,26,3 | 27,5,8,1 27,6,8,1 27,7,8,1 11,5,7,1 11,6,7,1 11,7,7,1 35,1,7,2 35,5,7,2 35,7,7,2",
+        "sdr3 50000: 50000 = 46117 + 0 + 0 + 2392 + 1491, open, 5,4,6,5 27,4,8,1 11,4,7,1 35,3,7,2 7,1,26,3 | 27,5,8,1 27,6,8,1 27,7,8,1 11,5,7,1 11,6,7,1 11,7,7,1 35,1,7,2 35,5,7,2 35,7,7,2",
+        "tiny 0: 236 = 68 + 0 + 0 + 152 + 16, proven, 1,2,3,1 1,1,2,1 | 4,1,3,1 4,2,2,1",
+        "tiny 1: 1 = 0 + 0 + 0 + 0 + 1, open, -",
+        "tiny 64: 64 = 20 + 0 + 0 + 39 + 5, open, 1,2,3,1 1,1,2,1 | 4,1,3,1 4,2,2,1",
+        "tiny 2000: 236 = 68 + 0 + 0 + 152 + 16, proven, 1,2,3,1 1,1,2,1 | 4,1,3,1 4,2,2,1",
+        "tiny 50000: 236 = 68 + 0 + 0 + 152 + 16, proven, 1,2,3,1 1,1,2,1 | 4,1,3,1 4,2,2,1",
+        "hetero 0: 3934 = 698 + 0 + 0 + 3030 + 206, proven, 2,1,1,4 3,1,1,4 4,1,1,4 | - -",
+        "hetero 1: 1 = 0 + 0 + 0 + 0 + 1, open, -",
+        "hetero 64: 64 = 12 + 0 + 0 + 47 + 5, open, 1,3,4,1 2,1,2,2 4,1,2,2 | 5,3,4,1 1,4,4,1",
+        "hetero 2000: 2000 = 362 + 0 + 0 + 1532 + 106, open, 2,1,1,4 3,1,1,4 4,1,1,4 | - -",
+        "hetero 50000: 3934 = 698 + 0 + 0 + 3030 + 206, proven, 2,1,1,4 3,1,1,4 4,1,1,4 | - -",
+        "hetero-12x4-7 0: 569 = 50 + 0 + 0 + 428 + 91, proven, 2,2,7,1 3,3,6,1 9,2,2,3 11,1,2,3 | 2,1,7,1",
+        "hetero-12x4-7 1: 1 = 0 + 0 + 0 + 0 + 1, open, -",
+        "hetero-12x4-7 64: 64 = 4 + 0 + 0 + 49 + 11, open, 1,1,7,1 2,3,6,1 8,2,2,3 10,1,3,2 | 1,2,7,1",
+        "hetero-12x4-7 2000: 569 = 50 + 0 + 0 + 428 + 91, proven, 2,2,7,1 3,3,6,1 9,2,2,3 11,1,2,3 | 2,1,7,1",
+        "hetero-12x4-7 50000: 569 = 50 + 0 + 0 + 428 + 91, proven, 2,2,7,1 3,3,6,1 9,2,2,3 11,1,2,3 | 2,1,7,1",
+        "scaling-24c-12 0: 23633 = 19648 + 0 + 0 + 3080 + 905, proven, 1,1,2,4 3,1,6,3 11,1,3,5 16,1,9,2 | 16,3,2,4 3,4,6,3",
+        "scaling-24c-12 1: 1 = 0 + 0 + 0 + 0 + 1, open, -",
+        "scaling-24c-12 64: 64 = 37 + 0 + 0 + 22 + 5, open, 16,1,2,4 19,1,6,3 11,1,3,5 1,1,9,2 | 1,3,2,4 19,4,6,3",
+        "scaling-24c-12 2000: 2000 = 1621 + 0 + 0 + 317 + 62, open, 16,1,2,4 19,1,6,3 11,1,3,5 1,1,9,2 | 1,3,2,4 19,4,6,3",
+        "scaling-24c-12 50000: 23633 = 19648 + 0 + 0 + 3080 + 905, proven, 1,1,2,4 3,1,6,3 11,1,3,5 16,1,9,2 | 16,3,2,4 3,4,6,3",
+        "scaling-32c-9 0: 28753 = 26887 + 0 + 0 + 1230 + 636, proven, 15,3,6,2 11,1,3,6 2,4,7,2 2,1,7,3 | 15,1,6,2 21,1,3,6",
+        "scaling-32c-9 1: 1 = 0 + 0 + 0 + 0 + 1, open, -",
+        "scaling-32c-9 64: 64 = 55 + 0 + 0 + 4 + 5, open, 5,1,6,2 2,1,3,6 11,4,7,2 11,1,7,3 | 5,3,6,2 21,1,3,6",
+        "scaling-32c-9 2000: 2000 = 1909 + 0 + 0 + 48 + 43, open, 5,2,6,2 2,1,3,6 11,4,7,2 11,1,7,3 | 5,4,6,2 21,1,3,6",
+        "scaling-32c-9 50000: 28753 = 26887 + 0 + 0 + 1230 + 636, proven, 15,3,6,2 11,1,3,6 2,4,7,2 2,1,7,3 | 15,1,6,2 21,1,3,6",
+        "scaling-40c-14 0: 12616 = 11527 + 0 + 0 + 800 + 289, proven, 31,1,3,6 11,3,14,2 6,1,3,5 1,1,4,5 | 37,1,3,6 11,1,14,2",
+        "scaling-40c-14 1: 1 = 0 + 0 + 0 + 0 + 1, open, -",
+        "scaling-40c-14 64: 64 = 54 + 0 + 0 + 6 + 4, open, 6,1,3,6 11,1,14,2 31,1,3,5 1,1,4,5 | 37,1,3,6 11,3,14,2",
+        "scaling-40c-14 2000: 2000 = 1823 + 0 + 0 + 140 + 37, open, 31,1,3,6 11,3,14,2 6,1,3,5 1,1,4,5 | 37,1,3,6 11,1,14,2",
+        "scaling-40c-14 50000: 12616 = 11527 + 0 + 0 + 800 + 289, proven, 31,1,3,6 11,3,14,2 6,1,3,5 1,1,4,5 | 37,1,3,6 11,1,14,2",
+        "scaling-48c-7 0: 10739 = 9418 + 0 + 0 + 1184 + 137, proven, 21,1,14,2 37,1,11,3 11,3,23,1 1,1,8,4 | 21,4,14,2 37,4,11,3",
+        "scaling-48c-7 1: 1 = 0 + 0 + 0 + 0 + 1, open, -",
+        "scaling-48c-7 64: 64 = 48 + 0 + 0 + 12 + 4, open, 11,1,14,2 37,1,11,3 11,3,23,1 1,1,8,4 | 11,4,14,2 37,4,11,3",
+        "scaling-48c-7 2000: 2000 = 1688 + 0 + 0 + 278 + 34, open, 21,1,14,2 37,1,11,3 11,3,23,1 1,1,8,4 | 21,4,14,2 37,4,11,3",
+        "scaling-48c-7 50000: 10739 = 9418 + 0 + 0 + 1184 + 137, proven, 21,1,14,2 37,1,11,3 11,3,23,1 1,1,8,4 | 21,4,14,2 37,4,11,3",
+    ];
+    for (row, want) in rows.iter().zip(expected) {
+        assert_eq!(row, want);
+    }
+}
